@@ -16,14 +16,23 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BraceAxiomFailed, InputError, NotASubbrace, ValidationError
+from .errors import (
+    BraceAxiomFailed,
+    InputError,
+    NotASubbrace,
+    OrderBoundExceeded,
+    ValidationError,
+)
 from .groups import (
     DEFAULT_ORDER_BOUND,
     FiniteGroup,
     Perm,
     PermGroup,
-    automorphism_group,
+    _homomorphisms,
+    _order_matched,
     compose,
+    invert_perm,
+    is_automorphism,
     validate_group,
 )
 
@@ -63,9 +72,6 @@ class SkewBrace:
 
     def neg(self, a: int) -> int:
         return self.add.inv[a]
-
-    def cinv(self, a: int) -> int:
-        return self.circ.inv[a]
 
     @property
     def is_trivial(self) -> bool:
@@ -126,15 +132,8 @@ def trivial_brace(G: FiniteGroup) -> SkewBrace:
 def lambda_is_hom(E: SkewBrace) -> bool:
     """lam : (E, o) -> Aut(E, +) is a homomorphism (exhaustive)."""
     lam = E.lambda_table
-    add = E.add.table
-    for a in range(E.n):
-        p = lam[a]
-        if sorted(p) != list(range(E.n)) or p[0] != 0:
-            return False
-        for b in range(E.n):
-            for c in range(E.n):
-                if p[add[b][c]] != add[p[b]][p[c]]:
-                    return False
+    if not all(is_automorphism(p, E.add) for p in lam):
+        return False
     circ = E.circ.table
     for a in range(E.n):
         for b in range(E.n):
@@ -149,9 +148,7 @@ def identities_check(E: SkewBrace) -> bool:
     add, circ = E.add.table, E.circ.table
     for a in range(E.n):
         la = lam[a]
-        inv_la = [0] * E.n
-        for x, y in enumerate(la):
-            inv_la[y] = x
+        inv_la = invert_perm(la)
         for b in range(E.n):
             if add[a][b] != circ[a][inv_la[b]]:
                 return False
@@ -232,39 +229,34 @@ class BraceHom:
         return len(set(self.map)) == self.dst.n
 
 
+def brace_hom_ops(src: SkewBrace, dst: SkewBrace) -> list:
+    """The (src table, dst mul) pairs a brace hom src -> dst respects.
+
+    The o pair is left out when both braces are trivial, where it would
+    repeat the + pair."""
+    ops = [(src.add.table, dst.add.mul)]
+    if not (src.is_trivial and dst.is_trivial):
+        ops.append((src.circ.table, dst.circ.mul))
+    return ops
+
+
 def brace_automorphisms(E: SkewBrace, max_order: int = DEFAULT_ORDER_BOUND) -> PermGroup:
     """Bijections fixing 0 preserving both tables."""
-    aut_add = automorphism_group(E.add, max_order=max_order)
-    circ = E.circ.table
-    keep = []
-    for p in aut_add.sorted_elements():
-        if all(
-            p[circ[a][b]] == circ[p[a]][p[b]] for a in range(E.n) for b in range(E.n)
-        ):
-            keep.append(p)
-    return PermGroup(E.n, keep)
+    if E.n > max_order:
+        raise OrderBoundExceeded("automorphism_group", E.n, max_order)
+    maps = _homomorphisms(
+        E.add, _order_matched([(E.add, E.add), (E.circ, E.circ)]), brace_hom_ops(E, E), 0,
+        injective=True,
+    )
+    return PermGroup(E.n, {tuple(m[x] for x in range(E.n)) for m in maps})
 
 
 def find_brace_isomorphism(E1: SkewBrace, E2: SkewBrace) -> Optional[Perm]:
     """A single bijection that is an isomorphism of both groups, or None."""
-    from .groups import _homomorphisms  # same backtracking engine
-
     if E1.n != E2.n:
         return None
-
-    def candidates(g: int):
-        ka = E1.add.element_order(g)
-        kc = E1.circ.element_order(g)
-        return [
-            x
-            for x in range(E2.n)
-            if E2.add.element_order(x) == ka and E2.circ.element_order(x) == kc
-        ]
-
-    maps = _homomorphisms(E1.add, candidates, E2.add.mul, 0, bijective=True)
-    c1, c2 = E1.circ.table, E2.circ.table
-    for m in maps:
-        p = tuple(m[x] for x in range(E1.n))
-        if all(p[c1[a][b]] == c2[p[a]][p[b]] for a in range(E1.n) for b in range(E1.n)):
-            return p
-    return None
+    maps = _homomorphisms(
+        E1.add, _order_matched([(E1.add, E2.add), (E1.circ, E2.circ)]),
+        brace_hom_ops(E1, E2), 0, injective=True, first_only=True,
+    )
+    return tuple(maps[0][x] for x in range(E1.n)) if maps else None

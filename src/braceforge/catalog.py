@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .braces import SkewBrace, brace_automorphisms, socle, trivial_brace, validate_brace
-from .errors import InputError, ParamOutOfRange, SchemaError
-from .extensions import Extension, validate_extension
+from .braces import SkewBrace, socle, trivial_brace, validate_brace
+from .errors import InputError, ParamOutOfRange, SchemaError, ValidationError
+from .extensions import Extension, Triplet, extension_from_triplet, validate_extension, zero_triplet
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -49,18 +49,18 @@ from .groups import (
     invert_perm,
     klein_group,
     compose,
+    relabel_table,
     standard_groups_of_order,
     validate_group,
 )
 from .split import (
     ActionTriple,
     enumerate_split_triples,
+    identity_triple,
     semidirect_product,
     triple_from_tables,
     validate_split_triple,
 )
-from .extensions import Triplet, extension_from_triplet, zero_triplet
-from .split import identity_triple
 
 KINDS = ("group", "brace", "triple", "triplet", "extension")
 
@@ -172,19 +172,27 @@ def _identity_index(table: Sequence[Sequence[int]]) -> Optional[int]:
     return None
 
 
-def _swap_perm(n: int, e: int) -> list:
-    perm = list(range(n))
+def _move_identity_to_zero(tables: dict, path: str) -> tuple:
+    """Relabel every table so the identity of the first sits at index 0.
+
+    Returns (tables, warnings, perm), perm None when nothing moved.  An
+    out-of-range entry raises NotClosed; a brace's witness names its table.
+    """
+    first = next(iter(tables.values()))
+    e = _identity_index(first)
+    if e is None or e == 0:
+        return tables, [], None
+    perm = list(range(len(first)))
     perm[0], perm[e] = e, 0
-    return perm
-
-
-def _relabel_table(table, perm) -> list:
-    n = len(table)
-    new = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            new[perm[a]][perm[b]] = perm[table[a][b]]
-    return new
+    moved = {}
+    for name, table in tables.items():
+        try:
+            moved[name] = relabel_table(table, perm)
+        except ValidationError as exc:
+            if len(tables) > 1:
+                exc.witness["table"] = name
+            raise
+    return moved, [f"{path}: identity was at index {e}; relabeled to index 0"], perm
 
 
 # --- loaders per kind --------------------------------------------------------
@@ -193,15 +201,9 @@ def _load_group_payload(data, path: str):
     _require_object(data, ("n", "table"), path)
     n = _check_int(data["n"], path, "n")
     table = _int_matrix(data["table"], path, "table", rows=n, cols=n)
-    warnings = []
-    perm = None
-    e = _identity_index(table)
-    if e is not None and e != 0:
-        perm = _swap_perm(n, e)
-        table = _relabel_table(table, perm)
-        warnings.append(f"{path}: identity was at index {e}; relabeled to index 0")
-    validate_group(table)
-    return {"n": n, "table": table}, warnings, perm
+    tables, warnings, perm = _move_identity_to_zero({"table": table}, path)
+    validate_group(tables["table"])
+    return {"n": n, "table": tables["table"]}, warnings, perm
 
 
 def _load_brace_payload(data, path: str):
@@ -209,16 +211,9 @@ def _load_brace_payload(data, path: str):
     n = _check_int(data["n"], path, "n")
     add = _int_matrix(data["add"], path, "add", rows=n, cols=n)
     circ = _int_matrix(data["circ"], path, "circ", rows=n, cols=n)
-    warnings = []
-    perm = None
-    e = _identity_index(add)
-    if e is not None and e != 0:
-        perm = _swap_perm(n, e)
-        add = _relabel_table(add, perm)
-        circ = _relabel_table(circ, perm)
-        warnings.append(f"{path}: identity was at index {e}; relabeled to index 0")
-    validate_brace(add, circ)
-    return {"n": n, "add": add, "circ": circ}, warnings, perm
+    tables, warnings, perm = _move_identity_to_zero({"add": add, "circ": circ}, path)
+    validate_brace(tables["add"], tables["circ"])
+    return {"n": n, **tables}, warnings, perm
 
 
 def _load_triple_payload(data, path: str):
@@ -770,7 +765,7 @@ def example5():
     ii_as_written = spot_ii(triples, I)
     relabel = (0, 2, 1, 3)
     I_relabeled = validate_brace(
-        _relabel_table(I.add.table, relabel), _relabel_table(I.circ.table, relabel)
+        relabel_table(I.add.table, relabel), relabel_table(I.circ.table, relabel)
     )
     triples_relabeled = enumerate_split_triples(H, I_relabeled)
     ii_relabeled = spot_ii(triples_relabeled, I_relabeled)

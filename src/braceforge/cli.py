@@ -13,9 +13,7 @@ Exit codes:
        or parameters outside an example's domain
 
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
-every command; --budget overrides it per invocation.  The --jobs flag is
-accepted for interface stability: commands currently run sequentially,
-and output never depends on its value.
+every command; --budget overrides it per invocation.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from typing import Optional
 
 from . import __version__
 from . import catalog
-from .braces import annihilator, brace_automorphisms, socle
-from .cohomology import h2N, restrict_action, z1N
+from .braces import (annihilator, brace_automorphisms, identities_check, lambda_is_hom,
+                     socle, trivial_brace, validate_brace)
 from .errors import (
     BraceforgeError,
     InputError,
@@ -37,9 +35,10 @@ from .errors import (
     ValidationError,
 )
 from .extensions import extension_from_triplet, ext_classes, extract_triplet, validate_extension, zero_triplet
-from .cohomology import ext_bijection_check, verify_free_transitive
-from .groups import describe_group, identity_perm
-from .split import ActionTriple, enumerate_split_triples, semidirect_product, validate_split_triple
+from .cohomology import ext_bijection_check, h2N, restrict_action, verify_free_transitive, z1N
+from .groups import cyclic_group, describe_group, identity_perm
+from .split import (ActionTriple, enumerate_split_triples, identity_triple, semidirect_product,
+                    validate_split_triple)
 from .wells import verify_exact_sequence
 
 SCHEMA = "braceforge.report/1"
@@ -310,9 +309,6 @@ def cmd_example(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .braces import identities_check, lambda_is_hom, trivial_brace, validate_brace
-    from .groups import cyclic_group
-
     checks = []
 
     def run(name, fn):
@@ -331,7 +327,7 @@ def cmd_selftest(args) -> int:
                 bad.append(name)
         return {"ok": not bad, "fixtures": len(fixtures), "failing": bad}
 
-    def closed_forms():
+    def reproduce_closed_forms():
         rep = catalog.example_report(2, n=2, p=3)
         return {"ok": rep["closed_form_add_mismatches"] == 0
                 and rep["closed_form_circ_mismatches"] == 0}
@@ -348,7 +344,6 @@ def cmd_selftest(args) -> int:
         def inner():
             Z2 = trivial_brace(cyclic_group(2))
             Zi = trivial_brace(cyclic_group(n_i))
-            from .split import identity_triple
             rep = ext_bijection_check(Z2, Zi, identity_triple(Z2, Zi),
                                       budget=args.budget)
             return {"ok": rep["equal"], "report": rep}
@@ -370,7 +365,7 @@ def cmd_selftest(args) -> int:
         return {"ok": extract_triplet(ext) == t}
 
     run("axiom-and-lemma-sweep", axioms)
-    run("closed-form-reproduction", closed_forms)
+    run("closed-form-reproduction", reproduce_closed_forms)
     run("wells-split-z2-z3", wells(catalog.split_z2_z3_extension))
     run("wells-z4-over-z2", wells(catalog.z4_additive_extension))
     run("class-count-equals-h2-z2-z2", bijection(2))
@@ -396,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"braceforge {__version__}")
     parser.add_argument("--budget", type=int, default=None,
                         help="cap on search-space sizes (overrides BRACEFORGE_BUDGET)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="bound on internal parallelism; commands run "
-                             "sequentially and output does not depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate-group", help="check a group file")

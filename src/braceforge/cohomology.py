@@ -44,9 +44,7 @@ from .braces import SkewBrace, annihilator, trivial_brace
 from .errors import (
     CoefficientsNotAbelian,
     InputError,
-    NotAntiHom,
     NotAutomorphism,
-    NotHom,
     NotTrivialCoefficients,
     SearchBudgetExceeded,
     ValidationError,
@@ -55,12 +53,15 @@ from .errors import (
 from .extensions import (
     Extension,
     Triplet,
+    couplings_related,
+    ext_classes,
     extension_from_triplet,
+    extensions_equivalent,
     extract_triplet,
     is_valid_triplet,
 )
-from .groups import compose, group_from_elements
-from .split import ActionTriple
+from .groups import group_from_elements, is_automorphism
+from .split import ActionTriple, check_hom_laws
 
 
 # --- coefficient and action validation --------------------------------------
@@ -75,14 +76,6 @@ def require_coefficients(I: SkewBrace) -> None:
         raise CoefficientsNotAbelian("coefficient group must be abelian")
 
 
-def _is_add_automorphism(I: SkewBrace, p: Sequence[int]) -> bool:
-    n = I.n
-    if sorted(p) != list(range(n)) or p[0] != 0:
-        return False
-    Ia = I.add.table
-    return all(p[Ia[a][b]] == Ia[p[a]][p[b]] for a in range(n) for b in range(n))
-
-
 def validate_cocycle_action(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> None:
     """Check chi is a legal action for abelian trivial-brace coefficients.
 
@@ -95,21 +88,13 @@ def validate_cocycle_action(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> No
         raise InputError("action families must be indexed by the elements of H")
     for name, fam in (("nu", chi.nu), ("mu", chi.mu), ("sigma", chi.sigma)):
         for h, p in enumerate(fam):
-            if not _is_add_automorphism(I, p):
+            if not is_automorphism(p, I.add):
                 raise NotAutomorphism(
                     f"{name}[{h}] is not an automorphism of the coefficient group",
                     family=name,
                     h=h,
                 )
-    Ha, Hc = H.add.table, H.circ.table
-    for h1 in range(H.n):
-        for h2 in range(H.n):
-            if chi.nu[Hc[h1][h2]] != compose(chi.nu[h1], chi.nu[h2]):
-                raise NotHom("nu is not a homomorphism on (H, o)", h1=h1, h2=h2)
-            if chi.mu[Ha[h1][h2]] != compose(chi.mu[h2], chi.mu[h1]):
-                raise NotAntiHom("mu is not an anti-homomorphism on (H, +)", h1=h1, h2=h2)
-            if chi.sigma[Hc[h1][h2]] != compose(chi.sigma[h2], chi.sigma[h1]):
-                raise NotAntiHom("sigma is not an anti-homomorphism on (H, o)", h1=h1, h2=h2)
+    check_hom_laws(H, chi)
 
 
 # --- cocycle pairs -----------------------------------------------------------
@@ -589,8 +574,6 @@ def ext_bijection_check(
     by their canonical-section action.  Returns the counts and raises when
     the two sides disagree.
     """
-    from .extensions import couplings_related, ext_classes
-
     grp = h2N(H, I, chi, budget)
     buckets = ext_classes(H, I, budget)
     matched = 0
@@ -624,8 +607,6 @@ def _act_permutation(
     class_reps: Sequence[Extension],
 ) -> list:
     """Where acting by one cocycle pair sends each extension class."""
-    from .extensions import extensions_equivalent
-
     row = []
     for rep in class_reps:
         acted = h2_act(H, I, pair_ambient, rep)
@@ -654,8 +635,6 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace, budget: Optional[int] = N
     |Ext(H, I)| = |Ext(H, Z(I))| comparison is the per-coupling equality
     of class count and cohomology order.
     """
-    from .extensions import ext_classes
-
     buckets = ext_classes(H, I, budget)
     per_coupling = []
     all_free = True

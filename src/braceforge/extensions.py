@@ -34,7 +34,15 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import budget as budget_mod
-from .braces import BraceHom, SkewBrace, is_ideal, validate_brace
+from .braces import (
+    BraceHom,
+    SkewBrace,
+    brace_automorphisms,
+    brace_hom_ops,
+    find_brace_isomorphism,
+    is_ideal,
+    validate_brace,
+)
 from .errors import (
     InputError,
     NotExact,
@@ -42,6 +50,9 @@ from .errors import (
     ValidationError,
 )
 from .groups import (
+    FiniteGroup,
+    _homomorphisms,
+    _order_matched,
     all_group_tables,
     automorphism_group,
     compose,
@@ -138,7 +149,11 @@ def sections(ext: Extension) -> Iterator[tuple]:
 
 
 def canonical_section(ext: Extension) -> tuple:
-    return tuple(min(ext.fiber(h)) for h in range(ext.H.n))
+    """s(h) = the least element of the fiber over h."""
+    first: dict = {}
+    for x, h in enumerate(ext.proj):
+        first.setdefault(h, x)
+    return tuple(first[h] for h in range(ext.H.n))
 
 
 def extract_action(ext: Extension, s: Sequence[int]) -> ActionTriple:
@@ -257,8 +272,6 @@ def extension_from_triplet(
                     row_a[h2 * ni + y2] = ha * ni + inv_nua[Ia[left][nu2[y2]]]
                     row_c[h2 * ni + y2] = hc * ni + Ic[tl][y2]
     if not validate:
-        from .groups import FiniteGroup
-
         E = SkewBrace(FiniteGroup(add), FiniteGroup(circ))
         return Extension(E, H, I, tuple(range(ni)), tuple(x // ni for x in range(n)))
     try:
@@ -643,48 +656,10 @@ def h2_alpha(H: SkewBrace, I: SkewBrace, alpha: ActionTriple, budget=None) -> li
 
 def _brace_monos(I: SkewBrace, E: SkewBrace) -> list:
     """All injective brace homomorphisms I -> E as tuples."""
-    gens = I.add.generating_sequence()
-
-    def close(partial):
-        m = dict(partial)
-        changed = True
-        while changed:
-            changed = False
-            items = list(m.items())
-            for a, fa in items:
-                for b, fb in items:
-                    for th, te in ((I.add.table, E.add.table), (I.circ.table, E.circ.table)):
-                        c, v = th[a][b], te[fa][fb]
-                        if c in m:
-                            if m[c] != v:
-                                return None
-                        else:
-                            m[c] = v
-                            changed = True
-        return m
-
-    out = []
-
-    def assign(i, partial):
-        if i == len(gens):
-            if len(partial) == I.n and len(set(partial.values())) == I.n:
-                out.append(tuple(partial[y] for y in range(I.n)))
-            return
-        g = gens[i]
-        if g in partial:
-            assign(i + 1, partial)
-            return
-        for x in range(E.n):
-            if x in partial.values():
-                continue
-            if E.add.element_order(x) != I.add.element_order(g):
-                continue
-            closed = close({**partial, g: x})
-            if closed is not None and len(set(closed.values())) == len(closed):
-                assign(i + 1, closed)
-
-    assign(0, {0: 0})
-    return sorted(set(out))
+    maps = _homomorphisms(
+        I.add, _order_matched([(I.add, E.add)]), brace_hom_ops(I, E), 0, injective=True
+    )
+    return sorted({tuple(m[y] for y in range(I.n)) for m in maps})
 
 
 def _quotient_by_ideal(E: SkewBrace, kernel: frozenset) -> tuple:
@@ -720,8 +695,6 @@ def enumerate_all_extensions(
 
     Brute force: all brace tables of the right order, all embeddings of I
     with ideal image, all projections inducing H on the quotient."""
-    from .braces import brace_automorphisms
-
     n = H.n * I.n
     tables = all_group_tables(n)
     budget_mod.guard(len(tables) * len(tables), "enumerate_all_extensions", budget)
@@ -741,7 +714,7 @@ def enumerate_all_extensions(
                 except ValidationError:
                     continue
                 Q, labels = _quotient_by_ideal(E, image)
-                iso = _find_iso_to(Q, H)
+                iso = find_brace_isomorphism(Q, H)
                 if iso is None:
                     continue
                 base = tuple(iso[labels[x]] for x in range(E.n))
@@ -752,10 +725,17 @@ def enumerate_all_extensions(
     return out
 
 
-def _find_iso_to(Q: SkewBrace, H: SkewBrace):
-    from .braces import find_brace_isomorphism
-
-    return find_brace_isomorphism(Q, H)
+def section_shift_map(e1: Extension, e2: Extension, shift: Sequence[int]) -> tuple:
+    """The map s1(h) o y -> s2(h) o shift(h) o y from E1 to E2, with s1, s2
+    the canonical sections and shift(h) an element of I."""
+    E1c, E2c = e1.E.circ.table, e2.E.circ.table
+    s1, s2 = canonical_section(e1), canonical_section(e2)
+    out = []
+    for x in range(e1.E.n):
+        h = e1.proj[x]
+        y = e1.into_I(E1c[e1.E.circ.inv[s1[h]]][x])
+        out.append(E2c[E2c[s2[h]][e2.inj[shift[h]]]][e2.inj[y]])
+    return tuple(out)
 
 
 def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:
@@ -769,18 +749,9 @@ def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:
     E1, E2, I = e1.E, e2.E, e1.I
     if E1.n != E2.n:
         return None
-    s1 = canonical_section(e1)
-    s2 = canonical_section(e2)
-    fibers = [range(I.n) for _ in range(e1.H.n - 1)]
-    for tail in itertools.product(*fibers):
-        theta = (0,) + tail
-        phi = [0] * E1.n
-        for x in range(E1.n):
-            h = e1.proj[x]
-            y = e1.into_I(E1.circ.table[E1.circ.inv[s1[h]]][x])
-            base = E2.circ.table[s2[h]][e2.inj[theta[h]]]
-            phi[x] = E2.circ.table[base][e2.inj[y]]
-        hom = BraceHom(E1, E2, tuple(phi))
+    for tail in itertools.product(range(I.n), repeat=e1.H.n - 1):
+        phi = section_shift_map(e1, e2, (0,) + tail)
+        hom = BraceHom(E1, E2, phi)
         if hom.is_valid() and hom.is_injective():
             if all(e2.proj[phi[x]] == e1.proj[x] for x in range(E1.n)):
                 if all(phi[e1.inj[y]] == e2.inj[y] for y in range(I.n)):

@@ -9,7 +9,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations, product
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -64,6 +64,23 @@ def perm_order(p: Sequence[int]) -> int:
             length += 1
         order = order * length // gcd(order, length)
     return order
+
+
+def relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> list:
+    """Cayley table with element x renamed to perm[x].
+
+    Raises NotClosed on an entry outside 0..n-1, with the witness
+    validate_group gives for it."""
+    n = len(table)
+    new = [[0] * n for _ in range(n)]
+    for a in range(n):
+        row, new_row = table[a], new[perm[a]]
+        for b in range(n):
+            cell = row[b]
+            if not 0 <= cell < n:
+                raise NotClosed(f"entry ({a},{b}) = {cell!r} out of range", a=a, b=b)
+            new_row[perm[b]] = perm[cell]
+    return new
 
 
 class FiniteGroup:
@@ -165,12 +182,7 @@ class FiniteGroup:
 
     def relabel(self, perm: Sequence[int]) -> "FiniteGroup":
         """Group with element x renamed to perm[x]."""
-        n = self.n
-        new = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                new[perm[a]][perm[b]] = perm[self.table[a][b]]
-        return FiniteGroup(new)
+        return FiniteGroup(relabel_table(self.table, perm))
 
     def generating_sequence(self) -> tuple:
         gens: list = []
@@ -274,62 +286,67 @@ class PermGroup:
         return cls(degree, elems)
 
 
-def _close_partial_hom(
-    src: FiniteGroup,
-    mapping: dict,
-    dst_mul: Callable,
-) -> Optional[dict]:
-    """Saturate a partial map under products; None on inconsistency."""
-    m = dict(mapping)
-    changed = True
-    while changed:
-        changed = False
-        known = list(m.items())
-        for a, fa in known:
-            for b, fb in known:
-                c = src.table[a][b]
+def _close_partial_hom(closed: dict, g, img, ops: Sequence[tuple]) -> Optional[dict]:
+    """Extend a map already closed under `ops` by g -> img, then saturate
+    it under every (src table, dst mul) pair in `ops`; None on
+    inconsistency.
+
+    Each round only combines pairs with an element mapped in the round
+    before: every other pair was checked already."""
+    m = dict(closed)
+    m[g] = img
+    known = list(closed.items())
+    fresh = [(g, img)]
+    while fresh:
+        old, known = known, known + fresh
+        added = []
+        for table, dst_mul in ops:
+            for (a, fa), (b, fb) in chain(product(fresh, known), product(old, fresh)):
+                c = table[a][b]
                 v = dst_mul(fa, fb)
                 got = m.get(c)
                 if got is None:
                     m[c] = v
-                    changed = True
+                    added.append((c, v))
                 elif got != v:
                     return None
+        fresh = added
     return m
 
 
 def _homomorphisms(
     src: FiniteGroup,
     candidates: Callable,
-    dst_mul: Callable,
+    ops: Sequence[tuple],
     dst_id,
     *,
-    bijective: bool = False,
+    injective: bool = False,
     first_only: bool = False,
 ) -> list:
-    """All maps src -> target extending to homomorphisms on the generators.
+    """All maps on src's carrier that respect every operation in `ops`.
 
-    `candidates(gen)` yields admissible images for a generator.  Returns a
-    list of dicts {src element: image}, total on src by construction.
+    The search backtracks over the images of src's generators; each
+    partial map is closed under all (src table, dst mul) pairs in `ops`,
+    which must include src's own table, so every leaf is a total map.
+    `candidates(gen)` yields admissible images for a generator.  A
+    generator the closure has already mapped is skipped, not reassigned:
+    closing under a second operation can reach a later generator.
+    Returns a list of dicts {src element: image}.
     """
     gens = src.generating_sequence()
     out: list = []
 
     def assign(i: int, mapping: dict) -> bool:
         if i == len(gens):
-            if len(mapping) != src.n:
-                return False
-            if bijective and len(set(mapping.values())) != src.n:
-                return False
-            out.append(dict(mapping))
+            out.append(mapping)
             return first_only
+        if gens[i] in mapping:
+            return assign(i + 1, mapping)
         for img in candidates(gens[i]):
-            trial = dict(mapping)
-            trial[gens[i]] = img
-            closed = _close_partial_hom(src, trial, dst_mul)
+            closed = _close_partial_hom(mapping, gens[i], img, ops)
             if closed is None:
                 continue
-            if bijective and len(set(closed.values())) != len(closed):
+            if injective and len(set(closed.values())) != len(closed):
                 continue
             if assign(i + 1, closed):
                 return True
@@ -339,16 +356,35 @@ def _homomorphisms(
     return out
 
 
+def _order_matched(pairs: Sequence[tuple]) -> Callable:
+    """Candidate images for the hom search: the x whose element order in
+    each dst group of the (src, dst) `pairs` equals g's in its src group."""
+    buckets: dict = {}
+    for x in range(pairs[0][1].n):
+        buckets.setdefault(tuple(D.element_order(x) for _, D in pairs), []).append(x)
+    return lambda g: buckets.get(tuple(S.element_order(g) for S, _ in pairs), [])
+
+
+def is_automorphism(p: Sequence[int], G: FiniteGroup) -> bool:
+    """p is a 0-fixing permutation of G's carrier preserving its product."""
+    n, table = G.n, G.table
+    if sorted(p) != list(range(n)) or p[0] != 0:
+        return False
+    for a in range(n):
+        row, image_row = table[a], table[p[a]]
+        for b in range(n):
+            if p[row[b]] != image_row[p[b]]:
+                return False
+    return True
+
+
 def automorphism_group(G: FiniteGroup, max_order: int = DEFAULT_ORDER_BOUND) -> PermGroup:
     """Aut(G) by exhaustive backtracking over generator images."""
     if G.n > max_order:
         raise OrderBoundExceeded("automorphism_group", G.n, max_order)
-
-    def candidates(g: int):
-        k = G.element_order(g)
-        return [x for x in range(G.n) if G.element_order(x) == k]
-
-    maps = _homomorphisms(G, candidates, G.mul, 0, bijective=True)
+    maps = _homomorphisms(
+        G, _order_matched([(G, G)]), [(G.table, G.mul)], 0, injective=True
+    )
     perms = {tuple(m[x] for x in range(G.n)) for m in maps}
     return PermGroup(G.n, perms)
 
@@ -357,16 +393,11 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[Perm]:
     """A relabeling perm p with p(a *1 b) = p(a) *2 p(b), or None."""
     if G1.n != G2.n or G1.order_profile() != G2.order_profile():
         return None
-
-    def candidates(g: int):
-        k = G1.element_order(g)
-        return [x for x in range(G2.n) if G2.element_order(x) == k]
-
-    maps = _homomorphisms(G1, candidates, G2.mul, 0, bijective=True, first_only=True)
-    if not maps:
-        return None
-    m = maps[0]
-    return tuple(m[x] for x in range(G1.n))
+    maps = _homomorphisms(
+        G1, _order_matched([(G1, G2)]), [(G1.table, G2.mul)], 0,
+        injective=True, first_only=True,
+    )
+    return tuple(maps[0][x] for x in range(G1.n)) if maps else None
 
 
 def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
@@ -381,7 +412,9 @@ def homs_to_perm_group(src: FiniteGroup, target: PermGroup) -> list:
         k = src.element_order(g)
         return [p for p in elems if k % perm_order(p) == 0]
 
-    maps = _homomorphisms(src, candidates, compose, identity_perm(target.degree))
+    maps = _homomorphisms(
+        src, candidates, [(src.table, compose)], identity_perm(target.degree)
+    )
     result = [tuple(m[h] for h in range(src.n)) for m in maps]
     return sorted(set(result))
 

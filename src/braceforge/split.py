@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import budget as budget_mod
-from .braces import SkewBrace, validate_brace
+from .braces import BraceHom, SkewBrace, brace_hom_ops, validate_brace
 from .errors import (
     CompatibilityFailed,
     InputError,
@@ -37,11 +37,13 @@ from .errors import (
 from .groups import (
     DEFAULT_ORDER_BOUND,
     FiniteGroup,
+    _homomorphisms,
     automorphism_group,
     compose,
     homs_to_perm_group,
     identity_perm,
     invert_perm,
+    is_automorphism,
 )
 
 FULL_SWEEP_LIMIT = 64  # full (SE) sweep whenever |H| * |I| is at most this
@@ -89,13 +91,6 @@ def triple_from_tables(nu, mu, sigma) -> ActionTriple:
 class SweepInfo:
     full: bool
     checked: int
-
-
-def _is_group_automorphism(p: Sequence[int], table) -> bool:
-    n = len(table)
-    if sorted(p) != list(range(n)) or p[0] != 0:
-        return False
-    return all(p[table[a][b]] == table[p[a]][p[b]] for a in range(n) for b in range(n))
 
 
 def _compat_witness(
@@ -166,23 +161,9 @@ def _sweep_domain(H: SkewBrace, I: SkewBrace, full_sweep: Optional[bool]):
     return False, sorted(hs)
 
 
-def validate_split_triple(
-    H: SkewBrace,
-    I: SkewBrace,
-    t: ActionTriple,
-    full_sweep: Optional[bool] = None,
-) -> SweepInfo:
-    """Check automorphism membership, the three (anti)hom laws and the
-    compatibility equation.  Raises with a witness on failure."""
-    if len(t.nu) != H.n:
-        raise InputError(f"triple indexed by {len(t.nu)} elements, |H| = {H.n}")
-    for h in range(H.n):
-        if not _is_group_automorphism(t.nu[h], I.add.table):
-            raise NotAutomorphism(f"nu[{h}] is not in Aut(I, +)", h=h, family="nu")
-        if not _is_group_automorphism(t.mu[h], I.add.table):
-            raise NotAutomorphism(f"mu[{h}] is not in Aut(I, +)", h=h, family="mu")
-        if not _is_group_automorphism(t.sigma[h], I.circ.table):
-            raise NotAutomorphism(f"sigma[{h}] is not in Aut(I, o)", h=h, family="sigma")
+def check_hom_laws(H: SkewBrace, t: ActionTriple) -> None:
+    """Raise unless nu is a homomorphism on (H, o), mu an anti-homomorphism
+    on (H, +) and sigma an anti-homomorphism on (H, o)."""
     Ha, Hc = H.add.table, H.circ.table
     for h1 in range(H.n):
         for h2 in range(H.n):
@@ -194,6 +175,26 @@ def validate_split_triple(
                 raise NotAntiHom(
                     "sigma is not an anti-homomorphism on (H, o)", h1=h1, h2=h2
                 )
+
+
+def validate_split_triple(
+    H: SkewBrace,
+    I: SkewBrace,
+    t: ActionTriple,
+    full_sweep: Optional[bool] = None,
+) -> SweepInfo:
+    """Check automorphism membership, the three (anti)hom laws and the
+    compatibility equation.  Raises with a witness on failure."""
+    if len(t.nu) != H.n:
+        raise InputError(f"triple indexed by {len(t.nu)} elements, |H| = {H.n}")
+    for h in range(H.n):
+        if not is_automorphism(t.nu[h], I.add):
+            raise NotAutomorphism(f"nu[{h}] is not in Aut(I, +)", h=h, family="nu")
+        if not is_automorphism(t.mu[h], I.add):
+            raise NotAutomorphism(f"mu[{h}] is not in Aut(I, +)", h=h, family="mu")
+        if not is_automorphism(t.sigma[h], I.circ):
+            raise NotAutomorphism(f"sigma[{h}] is not in Aut(I, o)", h=h, family="sigma")
+    check_hom_laws(H, t)
     full, hs = _sweep_domain(H, I, full_sweep)
     witness = _compat_witness(H, I, t, hs)
     if witness is not None:
@@ -296,7 +297,6 @@ def split_decompose(ext, section: Optional[Sequence[int]] = None):
     rebuilt product).  With section=None, searches for a brace-hom section
     and raises NotSplit when none exists."""
     from . import extensions as ext_mod
-    from .braces import BraceHom
 
     E, H, I = ext.E, ext.H, ext.I
     if section is None:
@@ -335,55 +335,15 @@ def _check_section(ext, s) -> None:
 
 
 def _find_hom_section(ext) -> Optional[tuple]:
-    """Backtracking over additive generators of H; both hom laws checked."""
+    """A section of the projection that is a brace homomorphism, or None.
+
+    Generator images are drawn from the generator's fiber; since proj is a
+    brace hom, every image the closure adds then lies in the right fiber."""
     E, H = ext.E, ext.H
-    fibers = [[x for x in range(E.n) if ext.proj[x] == h] for h in range(H.n)]
-    gens = H.add.generating_sequence()
 
-    def close(partial: dict) -> Optional[dict]:
-        m = dict(partial)
-        changed = True
-        while changed:
-            changed = False
-            items = list(m.items())
-            for a, fa in items:
-                for b, fb in items:
-                    for tab_h, tab_e in (
-                        (H.add.table, E.add.table),
-                        (H.circ.table, E.circ.table),
-                    ):
-                        c = tab_h[a][b]
-                        v = tab_e[fa][fb]
-                        if ext.proj[v] != c:
-                            return None
-                        if c in m:
-                            if m[c] != v:
-                                return None
-                        else:
-                            m[c] = v
-                            changed = True
-        return m
+    def candidates(g: int):
+        k = H.add.element_order(g)
+        return [x for x in range(E.n) if ext.proj[x] == g and E.add.element_order(x) == k]
 
-    def assign(i: int, partial: dict) -> Optional[dict]:
-        if i == len(gens):
-            return partial if len(partial) == H.n else None
-        g = gens[i]
-        if g in partial:
-            return assign(i + 1, partial)
-        for x in fibers[g]:
-            if E.add.element_order(x) != H.add.element_order(g):
-                continue
-            trial = dict(partial)
-            trial[g] = x
-            closed = close(trial)
-            if closed is None:
-                continue
-            res = assign(i + 1, closed)
-            if res is not None:
-                return res
-        return None
-
-    result = assign(0, {0: 0})
-    if result is None:
-        return None
-    return tuple(result[h] for h in range(H.n))
+    maps = _homomorphisms(H.add, candidates, brace_hom_ops(H, E), 0, first_only=True)
+    return tuple(maps[0][h] for h in range(H.n)) if maps else None

@@ -57,6 +57,7 @@ from .extensions import (
     extensions_equivalent,
     extract_action,
     extract_triplet,
+    section_shift_map,
     sections,
     validate_extension,
 )
@@ -320,15 +321,7 @@ def check_nu_section_independence(ext: Extension, cap: int = 64) -> None:
 
 def psi_automorphism(ext: Extension, theta_I: Sequence[int]) -> tuple:
     """The map s(h) o y -> s(h) o theta(h) o y as a permutation of E."""
-    E, I = ext.E, ext.I
-    s = canonical_section(ext)
-    out = [0] * E.n
-    for x in range(E.n):
-        h = ext.proj[x]
-        y = ext.into_I(E.circ.table[E.circ.inv[s[h]]][x])
-        base = E.circ.table[s[h]][ext.inj[theta_I[h]]]
-        out[x] = E.circ.table[base][ext.inj[y]]
-    return tuple(out)
+    return section_shift_map(ext, ext, theta_I)
 
 
 def verify_exact_sequence(ext: Extension, budget: Optional[int] = None) -> dict:
@@ -377,13 +370,11 @@ def verify_exact_sequence(ext: Extension, budget: Optional[int] = None) -> dict:
         )
     psi_hom = True
     Ia = I_res.add.table
-    for i, d1 in enumerate(derivations):
-        for d2 in derivations:
+    for d1, psi1 in zip(derivations, psi_images):
+        for d2, psi2 in zip(derivations, psi_images):
             summed = tuple(Ia[a][b] for a, b in zip(d1.theta, d2.theta))
             theta_I = tuple(elems[v] for v in summed)
-            if psi_automorphism(ext, theta_I) != compose(psi_images[i], psi_automorphism(
-                ext, tuple(elems[v] for v in d2.theta)
-            )):
+            if psi_automorphism(ext, theta_I) != compose(psi1, psi2):
                 psi_hom = False
     if not psi_hom:
         raise ValidationError("psi does not convert derivation addition to composition")

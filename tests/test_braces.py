@@ -1,6 +1,8 @@
 """Brace layer: axioms, lambda maps, socle and annihilator, substructures,
 homomorphisms, automorphisms and isomorphism search."""
 
+import random
+
 import pytest
 
 from braceforge import catalog
@@ -19,7 +21,14 @@ from braceforge.braces import (
     validate_brace,
 )
 from braceforge.errors import BraceAxiomFailed, NotASubbrace
-from braceforge.groups import centre, cyclic_group, dihedral_group
+from braceforge.groups import (
+    automorphism_group,
+    centre,
+    cyclic_group,
+    dihedral_group,
+    relabel_table,
+)
+from braceforge.split import enumerate_split_triples, semidirect_product
 
 # relabeled-Klein addition with cyclic circle: fails the compatibility axiom
 AXIOM_WITNESS_ADD = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
@@ -120,14 +129,28 @@ def test_brace_hom_validity(Z2, Z4, flip4):
     assert BraceHom(Z4, Z4, (0, 1, 2, 3)).kernel() == (0,)
 
 
-def test_brace_automorphisms(Z3, flip4, xor4):
+@pytest.fixture(scope="module")
+def oracle_braces() -> list:
+    """Axiom fixtures of order <= 16 and the 96 split Z2-by-D4 products."""
+    Z2 = trivial_brace(cyclic_group(2))
+    D4 = trivial_brace(dihedral_group(4))
+    products = [semidirect_product(Z2, D4, t) for t in enumerate_split_triples(Z2, D4)]
+    assert len(products) == 96
+    return [B for _, B in catalog.axiom_fixtures() if B.n <= 16] + products
+
+
+def test_brace_automorphisms(Z3, flip4, xor4, oracle_braces):
     assert brace_automorphisms(Z3).order == 2
     assert brace_automorphisms(trivial_brace(cyclic_group(5))).order == 4
     assert brace_automorphisms(flip4).order == 2
     assert brace_automorphisms(xor4).order == 2
+    # oracle: every additive automorphism, kept when it also preserves o
+    for E in oracle_braces:
+        slow = {p for p in automorphism_group(E.add) if BraceHom(E, E, p).is_valid()}
+        assert set(brace_automorphisms(E).elements) == slow
 
 
-def test_find_brace_isomorphism(Z4, flip4):
+def test_find_brace_isomorphism(Z4, flip4, oracle_braces):
     # relabeling both tables along one permutation yields an isomorphic brace
     p = (0, 3, 2, 1)
     relabeled = validate_brace(
@@ -136,3 +159,15 @@ def test_find_brace_isomorphism(Z4, flip4):
     )
     assert find_brace_isomorphism(flip4, relabeled) is not None
     assert find_brace_isomorphism(flip4, Z4) is None
+    rng = random.Random(2112)
+    for E in oracle_braces[::3]:
+        tail = list(range(1, E.n))
+        rng.shuffle(tail)
+        perm = [0] + tail
+        F = validate_brace(
+            relabel_table(E.add.table, perm), relabel_table(E.circ.table, perm)
+        )
+        p = find_brace_isomorphism(E, F)
+        assert p is not None
+        hom = BraceHom(E, F, p)
+        assert hom.is_valid() and hom.is_injective()

@@ -85,6 +85,23 @@ def test_law_failure_reports_witness(tmp_path, capsys):
     assert report["error"] == "assertion"
     assert report["witness"] == {"a": 1, "b": 1, "c": 1}
 
+    # an out-of-range entry in a table whose identity sits away from index 0
+    # fails the closure check instead of being relabeled
+    for cell in (-2, 7):
+        table = [[cell, 2, 0], [2, 0, 1], [0, 1, 2]]
+        g = _write(tmp_path, "g.json", {"n": 3, "table": table})
+        code = main(["validate-group", g])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["error"] == "assertion"
+        assert report["witness"] == {"a": 0, "b": 0}
+    shifted = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
+    bad_circ = [[2, 0, 1], [0, 1, 2], [1, 5, 0]]
+    b = _write(tmp_path, "b.json", {"n": 3, "add": shifted, "circ": bad_circ})
+    code = main(["validate", b])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["error"] == "assertion"
+    assert report["witness"] == {"a": 2, "b": 1, "table": "circ"}
+
 
 def test_validate_group_info(tmp_path, capsys, Z2, flip4):
     from braceforge.groups import cyclic_group
@@ -152,7 +169,7 @@ def test_build_ext_and_classify(tmp_path, capsys, Z2):
     h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
     i = _write(tmp_path, "i.json", catalog.brace_payload(Z2))
     t = _write(tmp_path, "t.json", ZERO_TRIPLET_2x2)
-    code = main(["--jobs", "4", "build-ext", h, i, t])
+    code = main(["build-ext", h, i, t])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["order"] == 4
     assert "extension" in report  # no -o: payload lands in the report

@@ -2,14 +2,17 @@
 rebuild, the identity sweeps with their sign variants, couplings, twists,
 triplet-level cohomology sets and exhaustive classification."""
 
+import itertools
 import random
 
 import pytest
 
-from braceforge.braces import trivial_brace, validate_brace
+from braceforge import catalog
+from braceforge.braces import BraceHom, trivial_brace, validate_brace
 from braceforge.errors import InputError, NotExact, TripletInvalid
 from braceforge.extensions import (
     ActionTriple,
+    _brace_monos,
     Triplet,
     action_identities_witness,
     canonical_section,
@@ -223,6 +226,22 @@ def test_enumerate_and_classify_3_by_2(Z2, Z3):
     assert len(buckets) == 1
     assert [len(classes) for _, classes in buckets] == [1]
     assert sum(len(c) for _, classes in buckets for c in classes) == 120
+
+
+def test_brace_monos_match_brute_force(flip4, xor4, order6_coefficients):
+    # oracle: every injective 0-fixing map, kept when it preserves + and o
+    braces = [B for _, B in catalog.axiom_fixtures() if B.n <= 6]
+    braces += [flip4, xor4, order6_coefficients]
+    for I, E in itertools.product(braces, repeat=2):
+        if I.n > E.n:
+            continue
+        slow = sorted(
+            m
+            for tail in itertools.permutations(range(1, E.n), I.n - 1)
+            for m in [(0,) + tail]
+            if BraceHom(I, E, m).is_valid()
+        )
+        assert _brace_monos(I, E) == slow
 
 
 def test_invalid_triplets_are_rejected(Z2, Z3):

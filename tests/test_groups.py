@@ -3,6 +3,7 @@ automorphisms, isomorphism search and exhaustive table enumeration."""
 
 import pytest
 
+from braceforge.braces import brace_automorphisms, trivial_brace
 from braceforge.errors import (
     NoIdentityAtZero,
     NoInverse,
@@ -128,6 +129,9 @@ def test_order_bound_guard():
     with pytest.raises(OrderBoundExceeded):
         automorphism_group(cyclic_group(17))
     assert automorphism_group(cyclic_group(17), max_order=17).order == 16
+    with pytest.raises(OrderBoundExceeded):
+        brace_automorphisms(trivial_brace(cyclic_group(17)))
+    assert brace_automorphisms(trivial_brace(cyclic_group(17)), max_order=17).order == 16
 
 
 def test_isomorphism_search_and_relabel():

@@ -145,12 +145,28 @@ def test_as_written_variant_differs(Z2, Z3):
     assert compat_as_written_witness(Z2, Z3, identity_triple(Z2, Z3)) is None
 
 
-def test_split_decompose_round_trip(Z2, Z3, split_ext, z4_ext):
+def test_split_decompose_round_trip(Z2, Z3, xor4, flip4, split_ext, z4_ext):
     t, hom = split_decompose(split_ext)
     assert t == identity_triple(Z2, Z3)
     assert hom.is_valid()
     with pytest.raises(NotSplit):
         split_decompose(z4_ext)
+    # a brace-hom section exists on every split product
+    pairs = [
+        (Z2, Z3),
+        (xor4, flip4),
+        (catalog.example5_acting_brace(), flip4),
+        (trivial_brace(dihedral_group(4)), trivial_brace(cyclic_group(3))),
+    ]
+    for H, I in pairs:
+        for t in enumerate_split_triples(H, I):
+            E = semidirect_product(H, I, t)
+            ext = validate_extension(
+                E, H, I, tuple(range(I.n)), tuple(x // I.n for x in range(E.n))
+            )
+            found, hom = split_decompose(ext)
+            assert found == t
+            assert hom.is_valid() and hom.is_injective()
 
 
 def test_enumeration_budget_guard(Z2, Z3):
