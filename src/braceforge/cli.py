@@ -10,7 +10,8 @@ Exit codes:
     2  a mathematical assertion failed (the report carries a witness)
     3  a search space exceeded the configured budget
     4  invalid input: missing file, malformed JSON, schema violation,
-       or parameters outside an example's domain
+       parameters outside an example's domain, or a budget that is not a
+       non-negative integer
 
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
 every command; --budget overrides it per invocation.
@@ -24,6 +25,7 @@ import sys
 from typing import Optional
 
 from . import __version__
+from . import budget as budget_mod
 from . import catalog
 from .braces import (annihilator, brace_automorphisms, identities_check, lambda_is_hom,
                      socle, trivial_brace, validate_brace)
@@ -458,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        budget_mod.get_budget(args.budget)
         return args.fn(args)
     except (SearchBudgetExceeded, OrderBoundExceeded) as exc:
         _say(f"budget exceeded: {exc}")

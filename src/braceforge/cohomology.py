@@ -53,6 +53,7 @@ from .errors import (
 from .extensions import (
     Extension,
     Triplet,
+    _parent_relation_residual,
     couplings_related,
     ext_classes,
     extension_from_triplet,
@@ -227,22 +228,29 @@ def _component_cocycles(
         rhs = Ia[tab[op_table[h1][h2]][h3]][act[h3][tab[h1][h2]]]
         return lhs == rhs
 
-    def fill(k: int) -> None:
-        nonlocal nodes
+    # depth-first with an explicit stack: nxt[k] is the next value to try
+    # in cell k, so the search depth is not bounded by the recursion limit
+    nxt = [0] * len(cells)
+    k = 0
+    while k >= 0:
         if k == len(cells):
             out.append(tuple(tuple(row) for row in tab))
-            return
+            k -= 1
+            continue
         a, b = cells[k]
-        for v in range(ni):
-            nodes += 1
-            if nodes > limit:
-                raise SearchBudgetExceeded(what, nodes, limit, len(out))
-            tab[a][b] = v
-            if all(law_ok(*inst) for inst in by_last[k]):
-                fill(k + 1)
-        tab[a][b] = 0
-
-    fill(0)
+        v = nxt[k]
+        if v == ni:
+            nxt[k] = 0
+            tab[a][b] = 0
+            k -= 1
+            continue
+        nxt[k] = v + 1
+        nodes += 1
+        if nodes > limit:
+            raise SearchBudgetExceeded(what, nodes, limit, len(out))
+        tab[a][b] = v
+        if all(law_ok(*inst) for inst in by_last[k]):
+            k += 1
     return out
 
 
@@ -265,14 +273,45 @@ def z2N(
     (chi, g, f) builds a valid extension, which is what the quotient-vs-
     class-count theorems need; laws_only=True returns the unconstrained
     product set as a diagnostic.
+
+    The compatibility is decided without rebuilding each pair.  With
+    abelian trivial coefficients every term of the derived parent relation
+    (extensions.parent_relation_witness) is an automorphism image of one
+    g or f entry or of one y, so its residual -rhs + lhs splits as
+    R_chi(h, y) + L(g, f; h) with L additive in (g, f) and free of y.
+    Write r0 for the residual of the zero pair at y = 0 and dg, df for
+    the residuals of (g, 0) and (0, f) minus r0; then (g, f) has residual
+    zero at y = 0 exactly when df = -(r0 + dg), so each g is matched with
+    a bucket of f values.  Every valid pair is among these candidates.
+    When the zero pair is valid, R_chi vanishes and the candidates are
+    exactly the valid pairs, which one rebuild of the zero pair confirms;
+    otherwise each candidate is confirmed by its own rebuild.
     """
     validate_cocycle_action(H, I, chi)
     gs = _component_cocycles(H.add.table, I, chi.mu, budget, "z2N additive component")
     fs = _component_cocycles(H.circ.table, I, chi.sigma, budget, "z2N multiplicative component")
-    pairs = [CocyclePair(g, f) for g in gs for f in fs]
     if laws_only:
-        return pairs
-    return [p for p in pairs if is_valid_triplet(H, I, Triplet(chi, p.g, p.f))]
+        return [CocyclePair(g, f) for g in gs for f in fs]
+    Ia, Ineg = I.add.table, I.add.inv
+    zero = zero_pair(H.n).g
+
+    def residual(g, f) -> tuple:
+        return _parent_relation_residual(H, I, Triplet(chi, g, f))
+
+    r0 = residual(zero, zero)
+    f_buckets: dict = {}
+    for f in fs:
+        df = tuple(Ia[x][Ineg[x0]] for x, x0 in zip(residual(zero, f), r0))
+        f_buckets.setdefault(df, []).append(f)
+    zero_valid = is_valid_triplet(H, I, Triplet(chi, zero, zero))
+    out = []
+    for g in gs:
+        # -(r0 + dg) = -(residual of (g, 0))
+        wanted = tuple(Ineg[x] for x in residual(g, zero))
+        for f in f_buckets.get(wanted, ()):
+            if zero_valid or is_valid_triplet(H, I, Triplet(chi, g, f)):
+                out.append(CocyclePair(g, f))
+    return out
 
 
 def coboundary_pair(

@@ -22,7 +22,9 @@ form a brace and the canonical section s(h) = (h, 0) must extract the
 triplet back exactly.  That is equivalent to the cocycle and compatibility
 identities and sidesteps transcribing them; the identities themselves are
 exposed separately (with their sign-variant diagnostics) for the test
-suite.
+suite.  cohomology.z2N is the exception: with abelian trivial coefficients
+it decides compatibility from the residual of the parent relation (see
+parent_relation_witness), not from a rebuild of every candidate pair.
 
 Pair encoding follows the split module: (h, y) -> h * |I| + y.
 """
@@ -374,32 +376,24 @@ def cocycle_conditions_witness(
     return None
 
 
-def parent_relation_witness(
-    H: SkewBrace, I: SkewBrace, t: Triplet, as_written: bool = False
-) -> Optional[tuple]:
-    """First 6-tuple violating the joint compatibility of (chi, beta, tau).
-
-    The relation equates the additive I-part of x1 o (x2 + x3) with that of
-    x1 o x2 - x1 + x1 o x3 in section coordinates.  The derived right side is
-
-        beta(h1 o h2 - h1, h1 o h3)
-        + mu_{h1 o h3}( beta(h1 o h2, -h1)
-                        + mu_{-h1}( nu_{h1 o h2}(tau(h1,h2) o sigma_{h2}(y1) o y2)
-                                    - nu_{h1}(y1) )
-                        - beta(h1, -h1) )
-        + nu_{h1 o h3}( tau(h1,h3) o sigma_{h3}(y1) o y3 )
-
-    as_written=True uses the published variant: the first beta argument is
-    h1 o h3 - h1 and -nu_{h1}(y1) is applied after mu_{-h1} instead of
-    inside it.
-    """
+def _parent_relation_cells(
+    H: SkewBrace,
+    I: SkewBrace,
+    t: Triplet,
+    as_written: bool = False,
+    ys: Optional[Sequence[int]] = None,
+) -> Iterator[tuple]:
+    """Yield ((h1, h2, h3, y1, y2, y3), lhs, rhs) for every instance of the
+    parent relation (see parent_relation_witness), in lex order; ys limits
+    the range of the three y coordinates (default: all of I)."""
     Ha, Hc, Hneg = H.add.table, H.circ.table, H.add.inv
     Ia, Ic, Ineg = I.add.table, I.circ.table, I.add.inv
     nu, mu, sigma = t.chi.nu, t.chi.mu, t.chi.sigma
     beta, tau = t.beta, t.tau
     inv_nu = [invert_perm(p) for p in nu]
     rng = range(H.n)
-    ys = range(I.n)
+    if ys is None:
+        ys = range(I.n)
     for h1 in rng:
         nh1 = Hneg[h1]
         b_h1_inv = beta[h1][nh1]
@@ -443,9 +437,41 @@ def parent_relation_witness(
                             rhs = Ia[acc][nu13[Ic[Ic[t13][s3y1]][y3]]]
                             w = inv_nu23[Ia[w_pre][nu3[y3]]]
                             lhs = nuL[Ic[Ic[tL][sLy1]][w]]
-                            if lhs != rhs:
-                                return (h1, h2, h3, y1, y2, y3)
+                            yield (h1, h2, h3, y1, y2, y3), lhs, rhs
+
+
+def parent_relation_witness(
+    H: SkewBrace, I: SkewBrace, t: Triplet, as_written: bool = False
+) -> Optional[tuple]:
+    """First 6-tuple violating the joint compatibility of (chi, beta, tau).
+
+    The relation equates the additive I-part of x1 o (x2 + x3) with that of
+    x1 o x2 - x1 + x1 o x3 in section coordinates.  The derived right side is
+
+        beta(h1 o h2 - h1, h1 o h3)
+        + mu_{h1 o h3}( beta(h1 o h2, -h1)
+                        + mu_{-h1}( nu_{h1 o h2}(tau(h1,h2) o sigma_{h2}(y1) o y2)
+                                    - nu_{h1}(y1) )
+                        - beta(h1, -h1) )
+        + nu_{h1 o h3}( tau(h1,h3) o sigma_{h3}(y1) o y3 )
+
+    as_written=True uses the published variant: the first beta argument is
+    h1 o h3 - h1 and -nu_{h1}(y1) is applied after mu_{-h1} instead of
+    inside it.
+    """
+    for cell, lhs, rhs in _parent_relation_cells(H, I, t, as_written):
+        if lhs != rhs:
+            return cell
     return None
+
+
+def _parent_relation_residual(H: SkewBrace, I: SkewBrace, t: Triplet) -> tuple:
+    """-rhs + lhs of the derived parent relation at y1 = y2 = y3 = 0, one
+    entry per (h1, h2, h3) in lex order."""
+    Ia, Ineg = I.add.table, I.add.inv
+    return tuple(
+        Ia[Ineg[rhs]][lhs] for _, lhs, rhs in _parent_relation_cells(H, I, t, ys=(0,))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,46 @@ def test_cohomology_command(tmp_path, capsys, Z2, flip4):
     assert code == 4 and report["error"] == "input"
 
 
+def test_cohomology_deep_cell_search(tmp_path, capsys):
+    # |H| = 34 gives each component 1089 free cells, one search level each
+    from braceforge.braces import trivial_brace
+    from braceforge.groups import cyclic_group
+    from braceforge.split import identity_triple
+
+    Z34 = trivial_brace(cyclic_group(34))
+    Z1 = trivial_brace(cyclic_group(1))
+    h = _write(tmp_path, "z34.json", catalog.brace_payload(Z34))
+    i = _write(tmp_path, "z1.json", catalog.brace_payload(Z1))
+    chi = _write(tmp_path, "chi.json", catalog.triple_payload(identity_triple(Z34, Z1)))
+    code, report, _ = _run(capsys, ["cohomology", h, i, chi])
+    assert code == 0
+    assert (report["z2_order"], report["b2_order"], report["h2_order"],
+            report["z1_order"]) == (1, 1, 1, 1)
+
+
+def test_bad_budget_is_input_error(tmp_path, capsys, monkeypatch, Z2, Z3):
+    from braceforge.budget import DEFAULT_BUDGET, get_budget
+    from braceforge.errors import InputError
+
+    h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
+    i = _write(tmp_path, "i.json", catalog.brace_payload(Z3))
+    for raw in ("lots", "-3", "1.5"):
+        monkeypatch.setenv("BRACEFORGE_BUDGET", raw)
+        with pytest.raises(InputError):
+            get_budget()
+        code, report, _ = _run(capsys, ["enumerate-split", h, i])
+        assert code == 4 and report["error"] == "input"
+    monkeypatch.delenv("BRACEFORGE_BUDGET")
+    assert get_budget() == DEFAULT_BUDGET
+    code, report, _ = _run(capsys, ["--budget", "-5", "enumerate-split", h, i])
+    assert code == 4 and report["error"] == "input"
+    # 0 stays a legal budget: every search exceeds it
+    assert get_budget(0) == 0
+    code = main(["--budget", "0", "enumerate-split", h, i])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["error"] == "budget"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

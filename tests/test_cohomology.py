@@ -2,8 +2,11 @@
 the quotient group, derivations, the action on extension classes, and the
 bijection/freeness/transitivity theorems at desk scale."""
 
+import random
+
 import pytest
 
+import braceforge.extensions as extensions_mod
 from braceforge.braces import trivial_brace
 from braceforge.cohomology import (
     b2N,
@@ -31,14 +34,23 @@ from braceforge.errors import (
     ValidationError,
 )
 from braceforge.extensions import (
+    Triplet,
     extension_from_triplet,
     extensions_equivalent,
     h2_alpha,
+    is_valid_triplet,
     z2_alpha,
     zero_triplet,
 )
-from braceforge.groups import cyclic_group, group_from_elements, identity_perm
-from braceforge.split import ActionTriple, identity_triple
+from braceforge.groups import (
+    automorphism_group,
+    cyclic_group,
+    dihedral_group,
+    group_from_elements,
+    identity_perm,
+    klein_group,
+)
+from braceforge.split import ActionTriple, enumerate_split_triples, identity_triple
 
 
 def test_pair_sets_2_by_2(Z2):
@@ -162,6 +174,91 @@ def test_zero_pair_guard_for_non_split_action(Z2, Z3):
     assert z2N(Z2, Z3, chi) == []
     with pytest.raises(ValidationError):
         h2N(Z2, Z3, chi)
+
+
+def _rebuild_filter(H, I, chi):
+    """The reference route: keep the law-abiding pairs that rebuild."""
+    return [
+        p for p in z2N(H, I, chi, laws_only=True)
+        if is_valid_triplet(H, I, Triplet(chi, p.g, p.f))
+    ]
+
+
+def _random_action(rng, H, I, auts):
+    """A legal action whose family members are drawn from auts."""
+    while True:
+        chi = ActionTriple(*(
+            (identity_perm(I.n),) + tuple(rng.choice(auts) for _ in range(H.n - 1))
+            for _ in range(3)
+        ))
+        try:
+            validate_cocycle_action(H, I, chi)
+            return chi
+        except ValidationError:
+            pass
+
+
+def test_z2N_matches_rebuild_filter(Z2, Z3, Z4):
+    V = trivial_brace(klein_group())
+    S3 = trivial_brace(dihedral_group(3))
+    D4 = trivial_brace(dihedral_group(4))
+    Z5 = trivial_brace(cyclic_group(5))
+    checked = 0
+    for H, I in ((Z2, Z3), (Z3, Z2), (Z2, V), (V, Z2), (S3, Z2)):
+        for chi in enumerate_split_triples(H, I):
+            assert z2N(H, I, chi) == _rebuild_filter(H, I, chi)
+            checked += 1
+    for chi in enumerate_split_triples(Z2, D4):
+        I_res, chi_res, _ = restrict_action(D4, chi)
+        assert z2N(Z2, I_res, chi_res) == _rebuild_filter(Z2, I_res, chi_res)
+        checked += 1
+    assert checked == 6 + 1 + 28 + 1 + 1 + 96
+    # 200 seeded random legal actions.  A (V, Z3) action costs the
+    # reference 729 rebuilds, so that pair is drawn less often and a
+    # repeated action reuses its reference result.
+    rng = random.Random(2024)
+    pairs = [(H, I, sorted(automorphism_group(I.add))) for H, I in ((Z2, Z5), (Z2, Z4), (V, Z3))]
+    reference = {}
+    zero_invalid = 0
+    for _ in range(200):
+        H, I, auts = rng.choices(pairs, weights=(10, 10, 1))[0]
+        chi = _random_action(rng, H, I, auts)
+        if (H, I, chi) not in reference:
+            reference[H, I, chi] = _rebuild_filter(H, I, chi)
+        expected = reference[H, I, chi]
+        zero_invalid += zero_pair(H.n) not in expected
+        assert z2N(H, I, chi) == expected
+    assert zero_invalid > 0
+
+
+def test_z2N_rebuilds_at_most_the_zero_pair(monkeypatch, Z2, Z3, Z4):
+    calls = []
+    rebuild = extensions_mod.extension_from_triplet
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rebuild(*args, **kwargs)
+
+    monkeypatch.setattr(extensions_mod, "extension_from_triplet", counted)
+    # b2N and the quotient make no rebuilds, so every call is z2N's
+    for H, I, order in ((Z4, Z2, 4), (Z3, Z3, 9)):
+        calls.clear()
+        assert h2N(H, I, identity_triple(H, I)).order == order
+        assert len(calls) <= 1
+        calls.clear()
+        assert len(z2N(H, I, identity_triple(H, I), laws_only=True)) > 0
+        assert calls == []
+
+
+def test_z2N_deep_cell_search():
+    # 33 x 33 = 1089 free cells per component, one search level each:
+    # deeper than the default recursion limit
+    Z34 = trivial_brace(cyclic_group(34))
+    Z1 = trivial_brace(cyclic_group(1))
+    chi = identity_triple(Z34, Z1)
+    assert z2N(Z34, Z1, chi) == [zero_pair(34)]
+    assert h2N(Z34, Z1, chi).order == 1
+    assert [d.theta for d in z1N(Z34, Z1, chi)] == [(0,) * 34]
 
 
 def test_coefficient_requirements(flip4):
