@@ -30,7 +30,6 @@ from .groups import (
     PermGroup,
     _homomorphisms,
     _order_matched,
-    compose,
     invert_perm,
     is_automorphism,
     validate_group,
@@ -92,6 +91,28 @@ class SkewBrace:
         return self.lambda_table[a]
 
 
+def _brace_axiom(add: FiniteGroup, circs: np.ndarray) -> tuple:
+    """The skew brace axiom for one additive group against a (T, n, n)
+    stack of circle tables, evaluated in one broadcast.
+
+    Returns (ok, witness): ok[t] tells whether table t satisfies
+    a o (b + c) = a o b - a + a o c everywhere; witness is None when every
+    table does, else (a, b, c, lhs, rhs) at the first failing cell of the
+    first failing table."""
+    t_add = add.np_table
+    neg = np.array(add.inv, dtype=np.int64)
+    lhs = circs[:, :, t_add]                          # a o (b + c)
+    partial = t_add[circs, neg[:, None]]              # (a o b) - a
+    rhs = t_add[partial[:, :, :, None], circs[:, :, None, :]]
+    bad = lhs != rhs
+    if not bad.any():
+        return np.ones(len(circs), dtype=bool), None
+    ok = ~bad.reshape(len(circs), -1).any(axis=1)
+    k = int(np.argmin(ok))
+    a, b, c = (int(x) for x in np.argwhere(bad[k])[0])
+    return ok, (a, b, c, int(lhs[k, a, b, c]), int(rhs[k, a, b, c]))
+
+
 def validate_brace(
     add_table: Sequence[Sequence[int]], circ_table: Sequence[Sequence[int]]
 ) -> SkewBrace:
@@ -108,17 +129,12 @@ def validate_brace(
         raise
     if add.n != circ.n:
         raise InputError("additive and circle tables differ in size")
-    t_add = add.np_table
-    t_circ = circ.np_table
-    neg = np.array(add.inv, dtype=np.int64)
-    lhs = t_circ[:, t_add]                       # a o (b + c)
-    partial = t_add[t_circ, neg[:, None]]        # (a o b) - a
-    rhs = t_add[partial[:, :, None], t_circ[:, None, :]]
-    if not np.array_equal(lhs, rhs):
-        a, b, c = (int(x) for x in np.argwhere(lhs != rhs)[0])
+    _, witness = _brace_axiom(add, circ.np_table[None])
+    if witness is not None:
+        a, b, c, lhs, rhs = witness
         raise BraceAxiomFailed(
             f"a o (b + c) != a o b - a + a o c at (a,b,c)=({a},{b},{c}):"
-            f" {lhs[a, b, c]} != {rhs[a, b, c]}",
+            f" {lhs} != {rhs}",
             a=a, b=b, c=c,
         )
     return SkewBrace(add, circ)
@@ -134,12 +150,9 @@ def lambda_is_hom(E: SkewBrace) -> bool:
     lam = E.lambda_table
     if not all(is_automorphism(p, E.add) for p in lam):
         return False
-    circ = E.circ.table
-    for a in range(E.n):
-        for b in range(E.n):
-            if lam[circ[a][b]] != compose(lam[a], lam[b]):
-                return False
-    return True
+    L = np.array(lam, dtype=np.int64)
+    # lam(a o b)(x) = lam(a)(lam(b)(x)) for all a, b, x
+    return bool(np.array_equal(L[E.circ.np_table], L[np.arange(E.n)[:, None, None], L]))
 
 
 def identities_check(E: SkewBrace) -> bool:

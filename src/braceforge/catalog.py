@@ -642,7 +642,7 @@ def example4_coefficient_brace() -> SkewBrace:
     return validate_brace(add, circ)
 
 
-def example4():
+def example4(budget: Optional[int] = None):
     """The order-4 XOR/mod-4 brace acting on the mod-4/(-1)^a brace by
     negation powers; the product has order 16.
 
@@ -676,7 +676,7 @@ def example4():
                         bad_recorded.append((k, l, n_, m, gy, recorded))
                     if gy != corrected:
                         bad_corrected.append((k, l, n_, m, gy, corrected))
-    triples = enumerate_split_triples(H, I)
+    triples = enumerate_split_triples(H, I, budget)
     any_reproduces = False
     for cand in triples:
         Ec = semidirect_product(H, I, cand, validate=False)
@@ -729,7 +729,7 @@ def example5_acting_brace() -> SkewBrace:
     return validate_brace(add, circ)
 
 
-def example5():
+def example5(budget: Optional[int] = None):
     """Enumeration of all split products of the order-4 coefficient brace
     by the order-8 brace whose circle group is Z4 x Z2.
 
@@ -743,7 +743,7 @@ def example5():
     """
     H = example5_acting_brace()
     I = example4_coefficient_brace()
-    triples = enumerate_split_triples(H, I)
+    triples = enumerate_split_triples(H, I, budget)
     ident = identity_perm(4)
     idfam = tuple(ident for _ in range(8))
     neg = _negation(4)
@@ -767,7 +767,7 @@ def example5():
     I_relabeled = validate_brace(
         relabel_table(I.add.table, relabel), relabel_table(I.circ.table, relabel)
     )
-    triples_relabeled = enumerate_split_triples(H, I_relabeled)
+    triples_relabeled = enumerate_split_triples(H, I_relabeled, budget)
     ii_relabeled = spot_ii(triples_relabeled, I_relabeled)
     report = {
         "name": "example-5",
@@ -847,12 +847,15 @@ def example1_finite(k: int = 2, m: int = 3):
 _EXAMPLES = {2: example2, 3: example3, 4: example4, 5: example5}
 
 
-def example(which: int, **params) -> CatalogEntry:
-    """Build worked example 2..5; parameters apply to example 2 only."""
+def example(which: int, budget: Optional[int] = None, **params) -> CatalogEntry:
+    """Build worked example 2..5; parameters apply to example 2 only, and
+    budget caps the split-triple enumerations of examples 4 and 5."""
     if which not in _EXAMPLES:
         raise ParamOutOfRange(f"example {which}: only examples 2 through 5 exist")
     if which != 2 and params:
         raise ParamOutOfRange(f"example {which} takes no parameters")
+    if which in (4, 5):
+        params["budget"] = budget
     entry, _ = _EXAMPLES[which](**params)
     return entry
 

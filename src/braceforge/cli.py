@@ -293,7 +293,7 @@ def cmd_example(args) -> int:
         params = {"n": args.n, "p": args.p, "odd": args.odd}
     elif args.n != 2 or args.p != 3 or args.odd:
         raise InputError(f"example {args.which} takes no parameters")
-    entry = catalog.example(args.which, **params)
+    entry = catalog.example(args.which, budget=args.budget, **params)
     report = dict(entry.report)
     candidates = report.get("erratum_candidates", [])
     checks = {k: v for k, v in report.items()

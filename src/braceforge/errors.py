@@ -108,6 +108,11 @@ class NotTrivialCoefficients(ValidationError):
     """The Wells machinery requires the ideal to be a trivial brace."""
 
 
+class InternalInconsistency(BraceforgeError):
+    """Two independent checks of the same fact disagree: a defect in the
+    library, not in its input."""
+
+
 class OrderBoundExceeded(BraceforgeError):
     """An exhaustive search was refused because the object is too large."""
 

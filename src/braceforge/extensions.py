@@ -35,10 +35,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import budget as budget_mod
 from .braces import (
     BraceHom,
     SkewBrace,
+    _brace_axiom,
     brace_automorphisms,
     brace_hom_ops,
     find_brace_isomorphism,
@@ -64,6 +67,7 @@ from .groups import (
     inner_group,
     invert_perm,
     normal_closure,
+    validate_group,
 )
 from .split import ActionTriple
 
@@ -720,18 +724,20 @@ def enumerate_all_extensions(
     """Every extension of H by I on the carrier 0..|H||I|-1, sorted.
 
     Brute force: all brace tables of the right order, all embeddings of I
-    with ideal image, all projections inducing H on the quotient."""
+    with ideal image, all projections inducing H on the quotient.  Each
+    group table is validated once; for each additive group the brace axiom
+    is checked against the stack of every circle table at once."""
     n = H.n * I.n
     tables = all_group_tables(n)
     budget_mod.guard(len(tables) * len(tables), "enumerate_all_extensions", budget)
     auts_H = sorted(brace_automorphisms(H))
+    groups = [validate_group(t) for t in tables]
+    circs = np.stack([G.np_table for G in groups])
     out = []
-    for add in tables:
-        for circ in tables:
-            try:
-                E = validate_brace(add, circ)
-            except ValidationError:
-                continue
+    for add in groups:
+        ok, _ = _brace_axiom(add, circs)
+        for k in np.flatnonzero(ok):
+            E = SkewBrace(add, groups[k])
             for inj in _brace_monos(I, E):
                 image = frozenset(inj)
                 try:

@@ -27,6 +27,7 @@ from .braces import BraceHom, SkewBrace, brace_hom_ops, validate_brace
 from .errors import (
     CompatibilityFailed,
     InputError,
+    InternalInconsistency,
     NotAntiHom,
     NotAutomorphism,
     NotHom,
@@ -282,7 +283,7 @@ def enumerate_split_triples(
                     except ValidationError:
                         is_brace = False
                     if compat != is_brace:
-                        raise RuntimeError(
+                        raise InternalInconsistency(
                             "compatibility sweep disagrees with product "
                             f"validation for nu={nu} mu={mu} sigma={sigma}"
                         )

@@ -8,6 +8,7 @@ import pytest
 from braceforge import catalog
 from braceforge.braces import (
     BraceHom,
+    SkewBrace,
     annihilator,
     brace_automorphisms,
     find_brace_isomorphism,
@@ -22,10 +23,14 @@ from braceforge.braces import (
 )
 from braceforge.errors import BraceAxiomFailed, NotASubbrace
 from braceforge.groups import (
+    FiniteGroup,
+    all_group_tables,
     automorphism_group,
     centre,
+    compose,
     cyclic_group,
     dihedral_group,
+    is_automorphism,
     relabel_table,
 )
 from braceforge.split import enumerate_split_triples, semidirect_product
@@ -65,6 +70,41 @@ def test_axiom_failure_witness():
     with pytest.raises(BraceAxiomFailed) as exc:
         validate_brace(AXIOM_WITNESS_ADD, AXIOM_WITNESS_CIRC)
     assert exc.value.witness == {"a": 1, "b": 1, "c": 1}
+
+
+def lambda_is_hom_loop(E) -> bool:
+    """Oracle for lambda_is_hom: the pairwise compose loop."""
+    lam = E.lambda_table
+    if not all(is_automorphism(p, E.add) for p in lam):
+        return False
+    circ = E.circ.table
+    return all(
+        lam[circ[a][b]] == compose(lam[a], lam[b]) for a in range(E.n) for b in range(E.n)
+    )
+
+
+def test_lambda_is_hom_matches_loop():
+    fixtures = [B for _, B in catalog.axiom_fixtures()]
+    assert len(fixtures) == 44
+    assert all(lambda_is_hom(B) and lambda_is_hom_loop(B) for B in fixtures)
+    # unrelated group pairs, most of them not braces
+    rng = random.Random(4406)
+    pairs = [(a, c) for a in all_group_tables(4) for c in all_group_tables(4)]
+    six = all_group_tables(6)
+    pairs += [(rng.choice(six), rng.choice(six)) for _ in range(200)]
+    # add Z_p, a o b = a + u[a] b: every lam(a) is the automorphism
+    # b -> u[a] b, so only the composition law can fail
+    for p in (5, 7):
+        for _ in range(10):
+            u = [1] + [rng.randrange(1, p) for _ in range(p - 1)]
+            pairs.append((cyclic_group(p).table,
+                          [[(a + u[a] * b) % p for b in range(p)] for a in range(p)]))
+    verdicts = []
+    for add, circ in pairs:
+        E = SkewBrace(FiniteGroup(add), FiniteGroup(circ))
+        verdicts.append(lambda_is_hom_loop(E))
+        assert lambda_is_hom(E) == verdicts[-1]
+    assert verdicts[-20:].count(False) >= 10 and verdicts[:-20].count(False) >= 100
 
 
 def test_twisted_braces_validate():

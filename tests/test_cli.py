@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from braceforge import catalog
+from braceforge import catalog, split
 from braceforge.cli import main
 
 IDENTITY_TRIPLE_2x2 = {"nu": [[0, 1], [0, 1]], "mu": [[0, 1], [0, 1]],
@@ -257,6 +257,28 @@ def test_bad_budget_is_input_error(tmp_path, capsys, monkeypatch, Z2, Z3):
     code = main(["--budget", "0", "enumerate-split", h, i])
     report = json.loads(capsys.readouterr().out)
     assert code == 3 and report["error"] == "budget"
+
+
+def test_example_honours_budget_flag(capsys):
+    # examples 4 and 5 enumerate split triples; --budget caps that search
+    # exactly as BRACEFORGE_BUDGET does
+    for which in ("4", "5"):
+        code = main(["--budget", "1", "example", which])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3 and report["error"] == "budget"
+        assert report["message"].startswith("enumerate_split_triples:")
+
+
+def test_split_sweep_disagreement_is_reported(tmp_path, capsys, monkeypatch, Z2, Z3):
+    # a sweep that accepts every triple disagrees with validating the
+    # built products; the CLI must still emit one report and exit 2
+    monkeypatch.setattr(split, "_compat_witness", lambda *args, **kwargs: None)
+    h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
+    i = _write(tmp_path, "i.json", catalog.brace_payload(Z3))
+    code, report, err = _run(capsys, ["enumerate-split", h, i])
+    assert code == 2 and report["ok"] is False and report["error"] == "other"
+    assert "disagrees with product validation" in report["message"]
+    assert "Traceback" not in err
 
 
 def test_version_flag(capsys):

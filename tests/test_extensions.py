@@ -2,17 +2,36 @@
 rebuild, the identity sweeps with their sign variants, couplings, twists,
 triplet-level cohomology sets and exhaustive classification."""
 
+import collections
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from braceforge import braces as braces_mod
 from braceforge import catalog
-from braceforge.braces import BraceHom, trivial_brace, validate_brace
-from braceforge.errors import InputError, NotExact, TripletInvalid
+from braceforge import extensions as extensions_mod
+from braceforge.braces import (
+    BraceHom,
+    brace_automorphisms,
+    find_brace_isomorphism,
+    is_ideal,
+    trivial_brace,
+    validate_brace,
+)
+from braceforge.errors import (
+    BraceAxiomFailed,
+    InputError,
+    NotExact,
+    TripletInvalid,
+    ValidationError,
+)
 from braceforge.extensions import (
     ActionTriple,
+    Extension,
     _brace_monos,
+    _quotient_by_ideal,
     Triplet,
     action_identities_witness,
     canonical_section,
@@ -36,11 +55,14 @@ from braceforge.extensions import (
     zero_triplet,
 )
 from braceforge.groups import (
+    all_group_tables,
     compose,
     cyclic_group,
+    dihedral_group,
     group_from_elements,
     identity_perm,
     invert_perm,
+    validate_group,
 )
 from braceforge.split import enumerate_split_triples, semidirect_product
 
@@ -227,6 +249,118 @@ def test_enumerate_and_classify_3_by_2(Z2, Z3):
     assert [len(classes) for _, classes in buckets] == [1]
     assert sum(len(c) for _, classes in buckets for c in classes) == 120
 
+
+@pytest.fixture(scope="module")
+def pairwise_braces():
+    """Oracle for the candidate loop of enumerate_all_extensions: every
+    (add, circ) pair of group tables of order n through validate_brace."""
+    cache = {}
+
+    def braces(n):
+        if n not in cache:
+            tables = all_group_tables(n)
+            found = []
+            for add in tables:
+                for circ in tables:
+                    try:
+                        found.append(validate_brace(add, circ))
+                    except ValidationError:
+                        continue
+            cache[n] = found
+        return cache[n]
+
+    return braces
+
+
+def enumerate_pairwise(H, I, braces):
+    """enumerate_all_extensions over a given list of candidate braces."""
+    auts_H = sorted(brace_automorphisms(H))
+    out = []
+    for E in braces:
+        for inj in _brace_monos(I, E):
+            image = frozenset(inj)
+            try:
+                if not is_ideal(E, image):
+                    continue
+            except ValidationError:
+                continue
+            Q, labels = _quotient_by_ideal(E, image)
+            iso = find_brace_isomorphism(Q, H)
+            if iso is None:
+                continue
+            base = tuple(iso[labels[x]] for x in range(E.n))
+            for a in auts_H:
+                proj = tuple(a[hx] for hx in base)
+                out.append(validate_extension(E, H, I, inj, proj))
+    out.sort(key=Extension.sort_key)
+    return out
+
+
+def test_enumerate_matches_pairwise_validation(Z2, Z3, order6_coefficients, pairwise_braces):
+    Z1 = trivial_brace(cyclic_group(1))
+    order6 = [trivial_brace(cyclic_group(6)), trivial_brace(dihedral_group(3)),
+              order6_coefficients]
+    pairs = [(Z2, Z2), (Z2, Z3), (Z3, Z2)]
+    pairs += [(Z1, B) for B in order6] + [(B, Z1) for B in order6]
+    for H, I in pairs:
+        fast = enumerate_all_extensions(H, I)
+        slow = enumerate_pairwise(H, I, pairwise_braces(H.n * I.n))
+        assert fast == slow
+        assert [e.sort_key() for e in fast] == [e.sort_key() for e in slow]
+    assert len(enumerate_all_extensions(Z2, Z3)) == 560
+
+
+def test_enumerate_validates_each_table_once(monkeypatch, Z2, Z3):
+    calls = collections.Counter()
+
+    def counting(table):
+        calls[len(table)] += 1
+        return validate_group(table)
+
+    monkeypatch.setattr(braces_mod, "validate_group", counting)
+    monkeypatch.setattr(extensions_mod, "validate_group", counting, raising=False)
+    enumerate_all_extensions(Z2, Z3)
+    assert calls[6] == len(all_group_tables(6)) == 80
+
+
+def test_axiom_witness_is_unchanged():
+    # messages and witnesses as validate_brace reported them before the
+    # axiom check was shared with the batched enumeration
+    six = all_group_tables(6)
+    cases = [
+        ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]], cyclic_group(4).table,
+         (1, 1, 1), "(a,b,c)=(1,1,1): 1 != 0"),
+        (six[0], six[1], (2, 2, 2), "(a,b,c)=(2,2,2): 1 != 0"),
+        (six[49], six[68], (1, 1, 3), "(a,b,c)=(1,1,3): 1 != 2"),
+        (six[79], six[0], (1, 1, 1), "(a,b,c)=(1,1,1): 4 != 5"),
+    ]
+    for add, circ, abc, tail in cases:
+        with pytest.raises(BraceAxiomFailed) as exc:
+            validate_brace(add, circ)
+        assert str(exc.value) == "a o (b + c) != a o b - a + a o c at " + tail
+        assert exc.value.witness == dict(zip("abc", abc))
+
+
+def test_batched_axiom_matches_validate_brace():
+    # per-table verdicts and the first witness of one stacked check agree
+    # with one validate_brace call per circle table
+    six = all_group_tables(6)
+    circs = np.stack([validate_group(c).np_table for c in six])
+    for add in (six[0], six[49], six[79]):
+        ok, witness = braces_mod._brace_axiom(validate_group(add), circs)
+        failures = []
+        for circ in six:
+            try:
+                validate_brace(add, circ)
+            except BraceAxiomFailed as exc:
+                failures.append(exc)
+            else:
+                failures.append(None)
+        assert ok.tolist() == [f is None for f in failures]
+        first = next(f for f in failures if f is not None)
+        a, b, c, lhs, rhs = witness
+        assert first.witness == {"a": a, "b": b, "c": c}
+        assert str(first).endswith(f"({a},{b},{c}): {lhs} != {rhs}")
 
 def test_brace_monos_match_brute_force(flip4, xor4, order6_coefficients):
     # oracle: every injective 0-fixing map, kept when it preserves + and o
