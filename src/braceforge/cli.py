@@ -14,13 +14,15 @@ Exit codes:
        non-negative integer
 
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
-every command; --budget overrides it per invocation.
+every command; --budget overrides it per invocation.  A reader that
+closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -54,7 +56,15 @@ def _say(*lines: str) -> None:
 def _emit(command: str, report: dict) -> None:
     body = {"schema": SCHEMA, "command": command}
     body.update(report)
-    print(json.dumps(body, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(body, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at the null device, so
+        # the flush at exit cannot fail again and the exit code stays the
+        # command's own
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load_brace(path):

@@ -89,19 +89,16 @@ class FiniteGroup:
     __slots__ = ("n", "table", "inv", "_np", "_abelian", "_orders", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]]):
-        tab = tuple(tuple(int(x) for x in row) for row in table)
+        arr = np.array(table, dtype=np.int64)
+        arr.flags.writeable = False
+        tab = tuple(map(tuple, arr.tolist()))
         n = len(tab)
         self.n = n
         self.table = tab
-        inv = [-1] * n
-        for a in range(n):
-            row = tab[a]
-            for b in range(n):
-                if row[b] == 0 and tab[b][a] == 0:
-                    inv[a] = b
-                    break
-        self.inv = tuple(inv)
-        self._np = None
+        # inv[a] is the first b with a*b = 0 = b*a, or -1 when there is none
+        both = (arr == 0) & (arr.T == 0)
+        self.inv = tuple(np.where(both.any(axis=1), both.argmax(axis=1), -1).tolist())
+        self._np = arr
         self._abelian = None
         self._orders = None
         self._hash = hash(tab)
@@ -124,10 +121,6 @@ class FiniteGroup:
 
     @property
     def np_table(self) -> np.ndarray:
-        if self._np is None:
-            arr = np.array(self.table, dtype=np.int64)
-            arr.flags.writeable = False
-            self._np = arr
         return self._np
 
     @property
@@ -195,7 +188,44 @@ class FiniteGroup:
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Check the full group axioms on a table, identity pinned at index 0."""
+    """Check the full group axioms on a table, identity pinned at index 0.
+
+    The axioms are decided on an integer array; only a table that fails
+    them, or is not a square integer array, goes through _group_failure,
+    which names the first failing check."""
+    try:
+        G = _group_if_valid(np.asarray(table))
+    except (ValueError, TypeError):  # ragged rows
+        G = None
+    if G is None:
+        _group_failure(table)
+        G = FiniteGroup(table)
+    return G
+
+
+def _group_if_valid(t: np.ndarray) -> Optional[FiniteGroup]:
+    """The group of a square integer table that passes range, identity at
+    0, two-sided inverses and associativity, decided in numpy; else None."""
+    n = len(t)
+    if n == 0 or t.shape != (n, n) or t.dtype.kind not in "iu":
+        return None
+    if t.min() < 0 or t.max() >= n:
+        return None
+    ar = np.arange(n)
+    if not ((t[0] == ar) & (t[:, 0] == ar)).all():
+        return None
+    G = FiniteGroup(t)
+    if -1 in G.inv:
+        return None
+    t = t.astype(np.int32)  # halves the two n^3 temporaries
+    if not np.array_equal(t.take(t, axis=0), t.take(t, axis=1)):
+        return None
+    return G
+
+
+def _group_failure(table: Sequence[Sequence[int]]) -> None:
+    """Raise at the first failing group axiom, checked in order: range,
+    identity at 0, inverses, associativity.  Returns when all hold."""
     n = len(table)
     if n == 0:
         raise NotClosed("empty table")
@@ -220,7 +250,6 @@ def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
             f"({a}*{b})*{c} = {left[a, b, c]} != {right[a, b, c]} = {a}*({b}*{c})",
             a=a, b=b, c=c,
         )
-    return FiniteGroup(table)
 
 
 class PermGroup:

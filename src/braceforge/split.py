@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import budget as budget_mod
 from .braces import BraceHom, SkewBrace, brace_hom_ops, validate_brace
 from .errors import (
@@ -43,7 +45,6 @@ from .groups import (
     compose,
     homs_to_perm_group,
     identity_perm,
-    invert_perm,
     is_automorphism,
 )
 
@@ -94,6 +95,12 @@ class SweepInfo:
     checked: int
 
 
+def _family_arrays(t: ActionTriple) -> tuple:
+    """nu, mu, sigma and the inverse of each nu as (|H|, |I|) arrays."""
+    nu, mu, sigma = (np.array(f, dtype=np.intp) for f in (t.nu, t.mu, t.sigma))
+    return nu, mu, sigma, nu.argsort(axis=1)
+
+
 def _compat_witness(
     H: SkewBrace, I: SkewBrace, t: ActionTriple, hs: Sequence[int],
     as_written: bool = False,
@@ -101,52 +108,62 @@ def _compat_witness(
     """First tuple violating the compatibility equation, or None.
 
     hs is the list of H-indices each h ranges over (all of H for a full
-    sweep, a generating set for the heuristic one).
+    sweep, a generating set for the heuristic one).  With a = nu_{h1}^-1(y1),
+    the equation compared at every (h1, h2, h3, y1, y2, y3) is
 
-    The mu on the right-hand side carries index -h1 + (h1 o h3): that is
-    what expanding the brace axiom in the product forces, since the two
-    mu factors collapse along the anti-homomorphism law.  as_written=True
-    instead uses -h1 + (h2 o h3), kept only as a diagnostic; it rejects
-    valid data whenever mu is nontrivial.
+        nu_{h1 o (h2 + h3)}(sigma_{h2 + h3}(a) o nu_{h2 + h3}^-1(mu_{h3}(y2) + y3))
+          = mu_m(nu_{h1 o h2}(sigma_{h2}(a) o nu_{h2}^-1(y2)) - y1)
+            + nu_{h1 o h3}(sigma_{h3}(a) o nu_{h3}^-1(y3))
+
+    with m = -h1 + (h1 o h3).  That mu index is what expanding the brace
+    axiom in the product forces, since the two mu factors collapse along
+    the anti-homomorphism law.  as_written=True instead uses
+    m = -h1 + (h2 o h3), kept only as a diagnostic; it rejects valid data
+    whenever mu is nontrivial.
+
+    h1 runs through hs in order; for each, both sides are evaluated at
+    all (h2, h3, y1, y2, y3) at once as a (|hs|, |hs|, |I|, |I|, |I|)
+    array, so no temporary exceeds |hs|^2 |I|^3 cells.  The witness is the
+    first failing cell in C order of the first failing h1: the
+    lexicographically least failing tuple, with h2 and h3 ordered as in hs.
     """
-    Ha, Hc, Hneg = H.add.table, H.circ.table, H.add.inv
-    Ia, Ic, Ineg = I.add.table, I.circ.table, I.add.inv
-    nu, mu, sigma = t.nu, t.mu, t.sigma
-    inv_nu = [invert_perm(p) for p in nu]
-    ys = range(I.n)
-    for h1 in hs:
-        nu1i = inv_nu[h1]
-        for h2 in hs:
-            s2 = sigma[h2]
-            nu2i = inv_nu[h2]
-            h12 = Hc[h1][h2]
-            nu12 = nu[h12]
-            for h3 in hs:
-                h23 = Ha[h2][h3]
-                s23 = sigma[h23]
-                nu23i = inv_nu[h23]
-                nuc = nu[Hc[h1][h23]]
-                mu_idx = Hc[h2][h3] if as_written else Hc[h1][h3]
-                mh = mu[Ha[Hneg[h1]][mu_idx]]
-                s3 = sigma[h3]
-                nu3i = inv_nu[h3]
-                nu13 = nu[Hc[h1][h3]]
-                m3 = mu[h3]
-                for y1 in ys:
-                    a = nu1i[y1]
-                    A = s23[a]
-                    B2 = s2[a]
-                    B3 = s3[a]
-                    ny1 = Ineg[y1]
-                    rhs_tail = [nu13[Ic[B3][nu3i[y3]]] for y3 in ys]
-                    for y2 in ys:
-                        q = mh[Ia[nu12[Ic[B2][nu2i[y2]]]][ny1]]
-                        m3y2 = m3[y2]
-                        row_q = Ia[q]
-                        for y3 in ys:
-                            lhs = nuc[Ic[A][nu23i[Ia[m3y2][y3]]]]
-                            if lhs != row_q[rhs_tail[y3]]:
-                                return (h1, h2, h3, y1, y2, y3)
+    Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, H.add.inv
+    Ia, Ic = I.add.np_table, I.circ.np_table
+    ni, Ineg = I.n, np.array(I.add.inv, dtype=np.intp)
+    nu, mu, sigma, inv_nu = _family_arrays(t)
+    k = np.array(hs, dtype=np.intp)
+    nk = len(k)
+    ys = np.arange(ni)
+    # Gathers go through flat tables with precomputed offsets, so each
+    # (h2, h3, y1, y2, y3) array is built by contiguous adds and takes.
+    nu_circ = nu[:, Ic].ravel()               # nu_c(x o z) at c*ni^2 + x*ni + z
+    Ia_flat, mu_flat = Ia.ravel(), mu.ravel()
+    plus_k, circ_k = Ha[k[:, None], k], Hc[k[:, None], k]
+    circ_plus = Hc[:, plus_k] * ni * ni       # offset of nu_{h1 o (h2 + h3)}
+    sigma_plus = sigma[plus_k] * ni           # offset of sigma_{h2 + h3}(.)
+    # nu_{h2 + h3}^-1(mu_{h3}(y2) + y3) at [h2, h3, y1, (y2, y3)]
+    inner = inv_nu[plus_k[:, :, None, None], Ia[mu[k][:, :, None], ys]]
+    inner = np.repeat(inner.reshape(nk, nk, 1, ni * ni), ni, axis=2)
+    # nu_{h1 o h}(sigma_h(a) o nu_h^-1(y)) at [h1, h, y1, y], a = nu_{h1}^-1(y1)
+    s_a = sigma[k][np.arange(nk)[:, None], inv_nu[k][:, None, :]]
+    tail = nu_circ[(circ_k[:, :, None, None] * ni + s_a[..., None]) * ni
+                   + inv_nu[k][:, None, :]]
+    # the tail - y1 that mu acts on, as an offset into mu[m]
+    tail_minus_y1 = Ia[tail, Ineg[:, None]]
+    # tail at [h1, h3, y1, y2, y3], offset into the row Ia[q]
+    tail_rep = np.repeat(tail, ni, axis=2).reshape(nk, nk, ni, ni, ni)
+    for i, h1 in enumerate(hs):
+        lhs = nu_circ.take(
+            np.repeat(circ_plus[h1][:, :, None] + sigma_plus[:, :, inv_nu[h1]], ni * ni)
+            + inner.ravel()
+        )
+        m = Ha[Hneg[h1], circ_k if as_written else circ_k[i][None, :]]
+        q = mu_flat.take((m * ni)[:, :, None, None] + tail_minus_y1[i][:, None])
+        rhs = Ia_flat.take(np.repeat(q * ni, ni).reshape(nk, -1) + tail_rep[i].reshape(1, -1))
+        bad = lhs != rhs.ravel()
+        if bad.any():
+            i2, i3, y1, y2, y3 = np.unravel_index(int(bad.argmax()), (nk, nk, ni, ni, ni))
+            return (h1, hs[i2], hs[i3], int(y1), int(y2), int(y3))
     return None
 
 
@@ -218,36 +235,44 @@ def compat_as_written_witness(
     return _compat_witness(H, I, t, hs, as_written=True)
 
 
+def _product_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
+    """The (add, circ) tables of the split product as (n, n) arrays, each
+    gathered at once over (h1, y1, h2, y2)."""
+    nh, ni = H.n, I.n
+    Ha, Hc = H.add.np_table, H.circ.np_table
+    Ia, Ic = I.add.np_table, I.circ.np_table
+    nu, mu, sigma, inv_nu = _family_arrays(t)
+    h1, y1 = np.arange(nh)[:, None, None, None], np.arange(ni)[None, :, None, None]
+    h2, y2 = np.arange(nh)[None, None, :, None], np.arange(ni)[None, None, None, :]
+    hc = Hc[h1, h2]
+    add = Ha[h1, h2] * ni + Ia[mu[h2, y1], y2]
+    circ = hc * ni + nu[hc, Ic[sigma[h2, inv_nu[h1, y1]], inv_nu[h2, y2]]]
+    return add.reshape(nh * ni, nh * ni), circ.reshape(nh * ni, nh * ni)
+
+
 def semidirect_product(
     H: SkewBrace, I: SkewBrace, t: ActionTriple, validate: bool = True
 ) -> SkewBrace:
     """The split product brace on pairs (h, y) -> h * |I| + y."""
     if validate:
         validate_split_triple(H, I, t)
-    ni = I.n
-    n = H.n * ni
-    Ha, Hc = H.add.table, H.circ.table
-    Ia, Ic = I.add.table, I.circ.table
-    nu, mu, sigma = t.nu, t.mu, t.sigma
-    inv_nu = [invert_perm(p) for p in nu]
-    add = [[0] * n for _ in range(n)]
-    circ = [[0] * n for _ in range(n)]
-    for h1 in range(H.n):
-        for y1 in range(ni):
-            row_a = add[h1 * ni + y1]
-            row_c = circ[h1 * ni + y1]
-            for h2 in range(H.n):
-                ha = Ha[h1][h2]
-                hc = Hc[h1][h2]
-                m2y1 = mu[h2][y1]
-                s2 = sigma[h2][inv_nu[h1][y1]]
-                nuc = nu[hc]
-                for y2 in range(ni):
-                    row_a[h2 * ni + y2] = ha * ni + Ia[m2y1][y2]
-                    row_c[h2 * ni + y2] = hc * ni + nuc[Ic[s2][inv_nu[h2][y2]]]
+    add, circ = _product_tables(H, I, t)
     if validate:
         return validate_brace(add, circ)
     return SkewBrace(FiniteGroup(add), FiniteGroup(circ))
+
+
+def _candidate_families(H: SkewBrace, I: SkewBrace, max_order: int = DEFAULT_ORDER_BOUND):
+    """(nus, mus, sigmas): every family that obeys its own (anti)hom law;
+    the candidate triples are their product."""
+    aut_add = automorphism_group(I.add, max_order=max_order)
+    aut_circ = automorphism_group(I.circ, max_order=max_order)
+    nus = homs_to_perm_group(H.circ, aut_add)
+    mu_homs = homs_to_perm_group(H.add, aut_add)
+    sigma_homs = homs_to_perm_group(H.circ, aut_circ)
+    mus = sorted({tuple(f[H.add.inv[h]] for h in range(H.n)) for f in mu_homs})
+    sigmas = sorted({tuple(g[H.circ.inv[h]] for h in range(H.n)) for g in sigma_homs})
+    return nus, mus, sigmas
 
 
 def enumerate_split_triples(
@@ -257,13 +282,7 @@ def enumerate_split_triples(
     max_order: int = DEFAULT_ORDER_BOUND,
 ) -> list:
     """All action triples passing validate_split_triple, sorted canonically."""
-    aut_add = automorphism_group(I.add, max_order=max_order)
-    aut_circ = automorphism_group(I.circ, max_order=max_order)
-    nus = homs_to_perm_group(H.circ, aut_add)
-    mu_homs = homs_to_perm_group(H.add, aut_add)
-    sigma_homs = homs_to_perm_group(H.circ, aut_circ)
-    mus = sorted({tuple(f[H.add.inv[h]] for h in range(H.n)) for f in mu_homs})
-    sigmas = sorted({tuple(g[H.circ.inv[h]] for h in range(H.n)) for g in sigma_homs})
+    nus, mus, sigmas = _candidate_families(H, I, max_order)
     space = len(nus) * len(mus) * len(sigmas)
     budget_mod.guard(space, "enumerate_split_triples", budget)
     full, hs = _sweep_domain(H, I, None)
@@ -276,9 +295,8 @@ def enumerate_split_triples(
                 if full:
                     # the built product is the ground truth; the sweep must
                     # agree with it or the sweep itself is broken
-                    product = semidirect_product(H, I, t, validate=False)
                     try:
-                        validate_brace(product.add.table, product.circ.table)
+                        validate_brace(*_product_tables(H, I, t))
                         is_brace = True
                     except ValidationError:
                         is_brace = False

@@ -2,9 +2,14 @@
 human lines on stderr, file round trips, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braceforge
 from braceforge import catalog, split
 from braceforge.cli import main
 
@@ -279,6 +284,22 @@ def test_split_sweep_disagreement_is_reported(tmp_path, capsys, monkeypatch, Z2,
     assert code == 2 and report["ok"] is False and report["error"] == "other"
     assert "disagrees with product validation" in report["message"]
     assert "Traceback" not in err
+
+
+def test_closed_stdout_keeps_exit_code():
+    # a reader that closes the pipe before the report is written, as
+    # `braceforge example 5 | head -c 10` does once its bytes are in
+    env = dict(os.environ, PYTHONPATH=str(Path(braceforge.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braceforge.cli", "example", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert "example 5" in err
 
 
 def test_version_flag(capsys):

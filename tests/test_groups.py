@@ -1,8 +1,10 @@
 """Group layer: permutation helpers, table validation, constructors,
 automorphisms, isomorphism search and exhaustive table enumeration."""
 
+import numpy as np
 import pytest
 
+from braceforge import catalog
 from braceforge.braces import brace_automorphisms, trivial_brace
 from braceforge.errors import (
     NoIdentityAtZero,
@@ -10,8 +12,10 @@ from braceforge.errors import (
     NotAssociative,
     NotClosed,
     OrderBoundExceeded,
+    ValidationError,
 )
 from braceforge.groups import (
+    FiniteGroup,
     PermGroup,
     all_group_tables,
     alternating4_group,
@@ -77,6 +81,103 @@ def test_validate_group_witnesses():
     with pytest.raises(NotAssociative) as exc:
         validate_group(NONASSOCIATIVE_LOOP)
     assert exc.value.witness == {"a": 1, "b": 1, "c": 2}
+
+
+def _loop_validate_group(table):
+    """The reference validator: each axiom checked cell by cell, in order."""
+    n = len(table)
+    if n == 0:
+        raise NotClosed("empty table")
+    for a, row in enumerate(table):
+        if len(row) != n:
+            raise NotClosed(f"row {a} has length {len(row)}, expected {n}", row=a)
+        for b, cell in enumerate(row):
+            if not isinstance(cell, (int, np.integer)) or not 0 <= cell < n:
+                raise NotClosed(f"entry ({a},{b}) = {cell!r} out of range", a=a, b=b)
+    for a in range(n):
+        if table[0][a] != a or table[a][0] != a:
+            raise NoIdentityAtZero(f"index 0 is not a two-sided identity at {a}", a=a)
+    for a in range(n):
+        if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
+            raise NoInverse(f"element {a} has no two-sided inverse", a=a)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                left, right = table[table[a][b]][c], table[a][table[b][c]]
+                if left != right:
+                    raise NotAssociative(
+                        f"({a}*{b})*{c} = {left} != {right} = {a}*({b}*{c})",
+                        a=a, b=b, c=c,
+                    )
+    return FiniteGroup(table)
+
+
+def _loop_inverses(table):
+    """First b with a*b = 0 = b*a for each a, or -1."""
+    n = len(table)
+    return tuple(
+        next((b for b in range(n) if table[a][b] == 0 and table[b][a] == 0), -1)
+        for a in range(n)
+    )
+
+
+Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+MALFORMED_TABLES = [
+    [],
+    [[0, 1], [1]],                                   # ragged row
+    [[0, 1, 2], [1, 2, 0]],                          # fewer rows than columns
+    [[0, 1], [1, 0.0]],                              # float
+    [[0, 1], ["1", 0]],                              # string
+    [[0, 1], [1, [0]]],                              # nested list
+    [[0, 1], [1, -1]],                               # negative
+    [[0, 1], [1, 2]],                                # entry >= n
+    [[0, 1], [1, 2 ** 70]],                          # beyond int64
+    [[0, np.int64(1)], [1, np.int64(2)]],            # numpy-integer entry >= n
+    np.array([[0, 1], [1, 0.5]]),                    # float array
+    [[0, 2, 1], [1, 2, 0], [2, 0, 1]],               # identity broken in row 0
+    [[0, 1, 2], [2, 0, 1], [1, 2, 0]],               # identity broken in column 0
+    [[0, 1], [1, 1]],                                # no inverse
+    [[0, 1, 2], [1, 1, 1], [2, 2, 0]],               # no inverse for 1, then for 2
+    NONASSOCIATIVE_LOOP,
+]
+WELL_FORMED_TABLES = [
+    [[0]],
+    Z3_TABLE,
+    np.array(Z3_TABLE),
+    np.array(Z3_TABLE, dtype=np.uint8),
+    [[0, np.int64(1)], [np.int64(1), 0]],            # numpy-integer entries
+    [[False, True], [True, False]],                  # bools are ints
+    tuple(tuple(row) for row in Z3_TABLE),
+]
+
+
+def test_validate_group_matches_loop():
+    for table in MALFORMED_TABLES:
+        with pytest.raises(ValidationError) as expected:
+            _loop_validate_group(table)
+        with pytest.raises(ValidationError) as got:
+            validate_group(table)
+        assert type(got.value) is type(expected.value), table
+        assert str(got.value) == str(expected.value)
+        assert got.value.witness == expected.value.witness
+    for table in WELL_FORMED_TABLES:
+        G = validate_group(table)
+        assert G == _loop_validate_group(table)
+        assert G.inv == _loop_inverses(G.table)
+    for n in range(1, 8):
+        for table in all_group_tables(n):
+            assert validate_group(table) == _loop_validate_group(table)
+
+
+def test_inverses_match_loop():
+    tables = [t for n in range(1, 8) for t in all_group_tables(n)]
+    tables += [G.table for _, G in catalog.groups_of_order_8()]
+    for _, B in catalog.axiom_fixtures():
+        tables += [B.add.table, B.circ.table]
+    # not groups: inverses missing, or two candidates of which the first wins
+    tables += [[[0, 1], [1, 1]], NONASSOCIATIVE_LOOP, [[0, 1, 2], [1, 0, 0], [2, 0, 0]]]
+    for table in tables:
+        assert FiniteGroup(table).inv == _loop_inverses(table)
 
 
 def test_constructors_and_invariants():

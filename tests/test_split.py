@@ -2,6 +2,8 @@
 pair-table construction, exhaustive triple enumeration, and decomposition
 of split extensions back into triples."""
 
+import itertools
+
 import pytest
 
 from braceforge import catalog
@@ -21,9 +23,14 @@ from braceforge.groups import (
     find_isomorphism,
     identity_perm,
     invert_perm,
+    klein_group,
 )
 from braceforge.split import (
     ActionTriple,
+    _candidate_families,
+    _compat_witness,
+    _product_tables,
+    _sweep_domain,
     compat_as_written_witness,
     decode_pair,
     encode_pair,
@@ -172,3 +179,115 @@ def test_split_decompose_round_trip(Z2, Z3, xor4, flip4, split_ext, z4_ext):
 def test_enumeration_budget_guard(Z2, Z3):
     with pytest.raises(SearchBudgetExceeded):
         enumerate_split_triples(Z2, Z3, budget=5)
+
+
+def _loop_compat_witness(H, I, t, hs, as_written=False):
+    """The reference sweep: the compatibility equation evaluated one tuple
+    at a time, in lexicographic order over hs and I."""
+    Ha, Hc, Hneg = H.add.table, H.circ.table, H.add.inv
+    Ia, Ic, Ineg = I.add.table, I.circ.table, I.add.inv
+    nu, mu, sigma = t.nu, t.mu, t.sigma
+    inv_nu = [invert_perm(p) for p in nu]
+    ys = range(I.n)
+    for h1 in hs:
+        nu1i = inv_nu[h1]
+        for h2 in hs:
+            s2 = sigma[h2]
+            nu2i = inv_nu[h2]
+            h12 = Hc[h1][h2]
+            nu12 = nu[h12]
+            for h3 in hs:
+                h23 = Ha[h2][h3]
+                s23 = sigma[h23]
+                nu23i = inv_nu[h23]
+                nuc = nu[Hc[h1][h23]]
+                mu_idx = Hc[h2][h3] if as_written else Hc[h1][h3]
+                mh = mu[Ha[Hneg[h1]][mu_idx]]
+                s3 = sigma[h3]
+                nu3i = inv_nu[h3]
+                nu13 = nu[Hc[h1][h3]]
+                m3 = mu[h3]
+                for y1 in ys:
+                    a = nu1i[y1]
+                    A = s23[a]
+                    B2 = s2[a]
+                    B3 = s3[a]
+                    ny1 = Ineg[y1]
+                    rhs_tail = [nu13[Ic[B3][nu3i[y3]]] for y3 in ys]
+                    for y2 in ys:
+                        q = mh[Ia[nu12[Ic[B2][nu2i[y2]]]][ny1]]
+                        m3y2 = m3[y2]
+                        row_q = Ia[q]
+                        for y3 in ys:
+                            lhs = nuc[Ic[A][nu23i[Ia[m3y2][y3]]]]
+                            if lhs != row_q[rhs_tail[y3]]:
+                                return (h1, h2, h3, y1, y2, y3)
+    return None
+
+
+def _loop_product_tables(H, I, t):
+    """The reference product: both tables filled one cell at a time."""
+    ni = I.n
+    n = H.n * ni
+    Ha, Hc = H.add.table, H.circ.table
+    Ia, Ic = I.add.table, I.circ.table
+    nu, mu, sigma = t.nu, t.mu, t.sigma
+    inv_nu = [invert_perm(p) for p in nu]
+    add = [[0] * n for _ in range(n)]
+    circ = [[0] * n for _ in range(n)]
+    for h1 in range(H.n):
+        for y1 in range(ni):
+            row_a = add[h1 * ni + y1]
+            row_c = circ[h1 * ni + y1]
+            for h2 in range(H.n):
+                ha = Ha[h1][h2]
+                hc = Hc[h1][h2]
+                m2y1 = mu[h2][y1]
+                s2 = sigma[h2][inv_nu[h1][y1]]
+                nuc = nu[hc]
+                for y2 in range(ni):
+                    row_a[h2 * ni + y2] = ha * ni + Ia[m2y1][y2]
+                    row_c[h2 * ni + y2] = hc * ni + nuc[Ic[s2][inv_nu[h2][y2]]]
+    return add, circ
+
+
+def _oracle_pairs(Z2, Z3, Z4, xor4, flip4):
+    V = trivial_brace(klein_group())
+    D4 = trivial_brace(dihedral_group(4))
+    S3 = trivial_brace(dihedral_group(3))
+    return [
+        (Z2, Z3), (Z3, Z2), (V, Z3), (xor4, Z2), (Z2, D4), (S3, Z2),
+        (catalog.example5_acting_brace(), flip4), (xor4, flip4), (Z2, V), (Z4, Z4),
+    ]
+
+
+def _candidates(H, I):
+    """Every triple of families obeying its own law, valid or not."""
+    return [ActionTriple(*fams) for fams in itertools.product(*_candidate_families(H, I))]
+
+
+def test_compat_kernel_matches_loop(Z2, Z3, Z4, xor4, flip4):
+    checked = failing = 0
+    for H, I in _oracle_pairs(Z2, Z3, Z4, xor4, flip4):
+        domains = {tuple(_sweep_domain(H, I, full)[1]) for full in (None, False)}
+        for t in _candidates(H, I):
+            for hs, as_written in itertools.product(domains, (False, True)):
+                expected = _loop_compat_witness(H, I, t, list(hs), as_written)
+                assert _compat_witness(H, I, t, list(hs), as_written) == expected
+                checked += 1
+                failing += expected is not None
+    assert checked > failing > 0
+
+
+def test_product_tables_match_loop(Z2, Z3, Z4, xor4, flip4):
+    checked = 0
+    for H, I in _oracle_pairs(Z2, Z3, Z4, xor4, flip4):
+        for t in _candidates(H, I):
+            add, circ = _product_tables(H, I, t)
+            assert (add.tolist(), circ.tolist()) == _loop_product_tables(H, I, t)
+            checked += 1
+        for t in enumerate_split_triples(H, I):
+            E = semidirect_product(H, I, t)
+            tables = ([list(r) for r in E.add.table], [list(r) for r in E.circ.table])
+            assert tables == _loop_product_tables(H, I, t)
+    assert checked > 0
