@@ -31,7 +31,6 @@ from .groups import (
     _homomorphisms,
     _order_matched,
     invert_perm,
-    is_automorphism,
     validate_group,
 )
 
@@ -147,10 +146,14 @@ def trivial_brace(G: FiniteGroup) -> SkewBrace:
 
 def lambda_is_hom(E: SkewBrace) -> bool:
     """lam : (E, o) -> Aut(E, +) is a homomorphism (exhaustive)."""
-    lam = E.lambda_table
-    if not all(is_automorphism(p, E.add) for p in lam):
+    L = np.array(E.lambda_table, dtype=np.int64)
+    t_add = E.add.np_table
+    # every lam(a) is a permutation fixing 0 ...
+    if (L[:, 0] != 0).any() or not (np.sort(L, axis=1) == np.arange(E.n)).all():
         return False
-    L = np.array(lam, dtype=np.int64)
+    # ... with lam(a)(x + y) = lam(a)(x) + lam(a)(y) for all a, x, y
+    if not np.array_equal(L[:, t_add], t_add[L[:, :, None], L[:, None, :]]):
+        return False
     # lam(a o b)(x) = lam(a)(lam(b)(x)) for all a, b, x
     return bool(np.array_equal(L[E.circ.np_table], L[np.arange(E.n)[:, None, None], L]))
 

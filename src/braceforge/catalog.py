@@ -13,10 +13,12 @@ indent and a trailing newline, so saved files are bit-stable):
 
 Wrong shapes, non-integer entries and unknown fields raise SchemaError;
 the mathematical laws are then checked by the module validators, which
-run on every load.  A group or brace whose identity is not element 0 is
-relabeled on load (the identity is swapped to index 0) and the entry
-carries a warning record; inside an extension payload the relabeling is
-pushed through inj and proj so the maps keep their meaning.
+run once on every load: the entry keeps the validated object, and
+build() hands it back instead of validating the payload again.  A group
+or brace whose identity is not element 0 is relabeled on load (the
+identity is swapped to index 0) and the entry carries a warning record;
+inside an extension payload the relabeling is pushed through inj and
+proj so the maps keep their meaning.
 
 The built-in catalog ships the trivial braces on every group of order at
 most 8, two extension fixtures used by the theorem checks, and worked
@@ -117,9 +119,8 @@ def _require_object(data, allowed: tuple, path: str) -> None:
 
 
 def _int_list(value, path: str, fld: str, length: Optional[int] = None) -> list:
-    if not isinstance(value, list) or any(
-        not isinstance(x, int) or isinstance(x, bool) for x in value
-    ):
+    # decoded JSON integers are exactly int; bool, float and the rest are not
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise SchemaError(f"{path}: {fld} must be a list of integers", path=path, field=fld)
     if length is not None and len(value) != length:
         raise SchemaError(
@@ -127,7 +128,7 @@ def _int_list(value, path: str, fld: str, length: Optional[int] = None) -> list:
             path=path,
             field=fld,
         )
-    return [int(x) for x in value]
+    return list(value)
 
 
 def _int_matrix(
@@ -202,8 +203,8 @@ def _load_group_payload(data, path: str):
     n = _check_int(data["n"], path, "n")
     table = _int_matrix(data["table"], path, "table", rows=n, cols=n)
     tables, warnings, perm = _move_identity_to_zero({"table": table}, path)
-    validate_group(tables["table"])
-    return {"n": n, "table": tables["table"]}, warnings, perm
+    G = validate_group(tables["table"])
+    return {"n": n, "table": tables["table"]}, warnings, perm, G
 
 
 def _load_brace_payload(data, path: str):
@@ -212,8 +213,8 @@ def _load_brace_payload(data, path: str):
     add = _int_matrix(data["add"], path, "add", rows=n, cols=n)
     circ = _int_matrix(data["circ"], path, "circ", rows=n, cols=n)
     tables, warnings, perm = _move_identity_to_zero({"add": add, "circ": circ}, path)
-    validate_brace(tables["add"], tables["circ"])
-    return {"n": n, **tables}, warnings, perm
+    B = validate_brace(tables["add"], tables["circ"])
+    return {"n": n, **tables}, warnings, perm, B
 
 
 def _load_triple_payload(data, path: str):
@@ -232,12 +233,12 @@ def _load_triple_payload(data, path: str):
                     path=path,
                     field=fld,
                 )
-    return {"nu": nu, "mu": mu, "sigma": sigma}, [], None
+    return {"nu": nu, "mu": mu, "sigma": sigma}, [], None, None
 
 
 def _load_triplet_payload(data, path: str):
     _require_object(data, ("chi", "beta", "tau"), path)
-    chi, _, _ = _load_triple_payload(data["chi"], f"{path}.chi")
+    chi, _, _, _ = _load_triple_payload(data["chi"], f"{path}.chi")
     nh = len(chi["nu"])
     ni = len(chi["nu"][0])
     beta = _int_matrix(data["beta"], path, "beta", rows=nh, cols=nh)
@@ -251,14 +252,14 @@ def _load_triplet_payload(data, path: str):
                         path=path,
                         field=fld,
                     )
-    return {"chi": chi, "beta": beta, "tau": tau}, [], None
+    return {"chi": chi, "beta": beta, "tau": tau}, [], None, None
 
 
 def _load_extension_payload(data, path: str):
     _require_object(data, ("E", "H", "I", "inj", "proj"), path)
-    e_payload, warn_e, perm_e = _load_brace_payload(data["E"], f"{path}.E")
-    h_payload, warn_h, perm_h = _load_brace_payload(data["H"], f"{path}.H")
-    i_payload, warn_i, perm_i = _load_brace_payload(data["I"], f"{path}.I")
+    e_payload, warn_e, perm_e, E = _load_brace_payload(data["E"], f"{path}.E")
+    h_payload, warn_h, perm_h, H = _load_brace_payload(data["H"], f"{path}.H")
+    i_payload, warn_i, perm_i, I = _load_brace_payload(data["I"], f"{path}.I")
     ne, nh, ni = e_payload["n"], h_payload["n"], i_payload["n"]
     inj = _int_list(data["inj"], path, "inj", length=ni)
     proj = _int_list(data["proj"], path, "proj", length=ne)
@@ -278,14 +279,7 @@ def _load_extension_payload(data, path: str):
         proj = [perm_h[h] for h in proj]
     payload = {"E": e_payload, "H": h_payload, "I": i_payload, "inj": inj, "proj": proj}
     warnings = warn_e + warn_h + warn_i
-    validate_extension(
-        validate_brace(e_payload["add"], e_payload["circ"]),
-        validate_brace(h_payload["add"], h_payload["circ"]),
-        validate_brace(i_payload["add"], i_payload["circ"]),
-        inj,
-        proj,
-    )
-    return payload, warnings, None
+    return payload, warnings, None, validate_extension(E, H, I, inj, proj)
 
 
 _LOADERS = {
@@ -309,7 +303,11 @@ _KEY_SIGNATURES = {
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named, validated payload with its origin tag and load warnings."""
+    """A named, validated payload with its origin tag and load warnings.
+
+    An entry made by the loader also carries the object it validated
+    (`live`), which build() returns; it takes no part in ==, hash or repr.
+    """
 
     name: str
     kind: str
@@ -317,6 +315,7 @@ class CatalogEntry:
     provenance: str
     warnings: tuple = ()
     report: dict = field(default_factory=dict, compare=False)
+    live: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -326,6 +325,8 @@ class CatalogEntry:
 
     def build(self):
         """The validated live object this payload describes."""
+        if self.live is not None:
+            return self.live
         p = self.payload
         if self.kind == "group":
             return validate_group(p["table"])
@@ -370,10 +371,10 @@ def loads(text: str, kind: Optional[str] = None, name: str = "<string>") -> Cata
             )
     if kind not in KINDS:
         raise InputError(f"unknown catalog kind {kind!r}")
-    payload, warnings, _ = _LOADERS[kind](data, name)
+    payload, warnings, _, live = _LOADERS[kind](data, name)
     return CatalogEntry(
         name=name, kind=kind, payload=payload, provenance="derived",
-        warnings=tuple(warnings),
+        warnings=tuple(warnings), live=live,
     )
 
 
@@ -383,7 +384,7 @@ def load(path, kind: Optional[str] = None) -> CatalogEntry:
     entry = loads(p.read_text(encoding="utf-8"), kind=kind, name=str(p))
     return CatalogEntry(
         name=p.stem, kind=entry.kind, payload=entry.payload,
-        provenance=entry.provenance, warnings=entry.warnings,
+        provenance=entry.provenance, warnings=entry.warnings, live=entry.live,
     )
 
 

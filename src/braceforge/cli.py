@@ -15,7 +15,9 @@ Exit codes:
 
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
 every command; --budget overrides it per invocation.  A reader that
-closes stdout early does not change the exit code.
+closes stdout early does not change the exit code.  The argument parser is
+built on the first call to main and reused by later calls in the same
+process.
 """
 
 from __future__ import annotations
@@ -467,8 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         budget_mod.get_budget(args.budget)
         return args.fn(args)

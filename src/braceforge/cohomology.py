@@ -22,10 +22,8 @@ with theta(0) = 0:
 
 Derivations are exactly the theta whose coboundary is (0, 0); the displayed
 one-line forms of the two derivation laws are recovered by moving the
-leading negative term across.  An alternative bracketing of those displays
-(applying sigma_{h2} / mu_{h2} to the whole sum) is kept behind a flag, but
-only the adopted reading makes derivations the kernel of the coboundary
-map, which is asserted in the test suite.
+leading negative term across, and the test suite asserts that derivations
+are the kernel of the coboundary map.
 
 The quotient H^2 = Z^2 / B^2 acts on extension classes of H by a general
 brace I through annihilator-valued pairs: (g, f) . (chi, beta, tau) =
@@ -38,6 +36,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import budget as budget_mod
 from .braces import SkewBrace, annihilator, trivial_brace
@@ -362,6 +362,28 @@ def b2N(
     return sorted(seen, key=CocyclePair.sort_key)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque void scalar per row, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+def _distinct_keys(rows: np.ndarray) -> np.ndarray:
+    """The row keys of rows, sorted, without repeats (np.unique would
+    import numpy.ma on first use)."""
+    keys = np.sort(_row_keys(rows))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple:
+    """(found, pos): whether each key occurs in sorted_keys, and where."""
+    pos = np.searchsorted(sorted_keys, keys)
+    np.minimum(pos, len(sorted_keys) - 1, out=pos)
+    return sorted_keys[pos] == keys, pos
+
+
 class CohomologyGroup:
     """Cosets of coboundaries inside cocycle pairs, under pointwise addition.
 
@@ -370,6 +392,12 @@ class CohomologyGroup:
     structure: both levels are closed under addition and negation, cosets
     partition the cocycles evenly, and class arithmetic stays inside the
     representative list.
+
+    The checks and the coset labelling run on integer rows: each pair is
+    its g table followed by its f table, flattened, sums are gathers
+    through the coefficient addition table, and rows are compared by
+    their bytes.  One representative (or coboundary) row is added to all
+    coboundary rows at a time, so no |Z^2| x |B^2| block is formed.
     """
 
     def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple, z2: list, b2: list):
@@ -378,40 +406,46 @@ class CohomologyGroup:
         self.chi = chi
         self.z2 = list(z2)
         self.b2 = list(b2)
-        z2set = set(self.z2)
-        for p in self.z2:
-            q = pair_neg(I, p)
-            if q not in z2set:
-                raise ValidationError("cocycle pairs are not closed under negation")
-        b2set = set(self.b2)
-        if zero_pair(H.n) not in b2set:
+        width = 2 * H.n * H.n
+        t_add = I.add.np_table
+        neg = np.array(I.add.inv, dtype=np.int64)
+        Z = np.array([p.g + p.f for p in self.z2], dtype=np.int64).reshape(len(self.z2), width)
+        B = np.array([p.g + p.f for p in self.b2], dtype=np.int64).reshape(len(self.b2), width)
+        z_keys = _distinct_keys(Z)
+        b_keys = _distinct_keys(B)
+        if len(Z) and not _lookup(z_keys, _row_keys(neg[Z]))[0].all():
+            raise ValidationError("cocycle pairs are not closed under negation")
+        if not (B == 0).all(axis=1).any():
             raise ValidationError("coboundaries must contain the zero pair")
-        for p in self.b2:
-            for q in self.b2:
-                if pair_add(I, p, q) not in b2set:
-                    raise ValidationError("coboundaries are not closed under addition")
+        for row in B:
+            if not _lookup(b_keys, _row_keys(t_add[row, B]))[0].all():
+                raise ValidationError("coboundaries are not closed under addition")
+        # label[u] is the coset of the distinct cocycle row z_keys[u]
+        uid = np.searchsorted(z_keys, _row_keys(Z))
+        label = np.full(len(z_keys), -1, dtype=np.int64)
         reps = []
-        index_of = {}
-        for p in sorted(self.z2, key=CocyclePair.sort_key):
-            if p in index_of:
+        for i in np.lexsort(Z.T[::-1]).tolist():
+            if label[uid[i]] >= 0:
                 continue
             k = len(reps)
-            reps.append(p)
-            for b in self.b2:
-                member = pair_add(I, p, b)
-                if member not in z2set:
+            reps.append(self.z2[i])
+            found, pos = _lookup(z_keys, _row_keys(t_add[Z[i], B]))
+            # a member already labelled belongs to an earlier coset
+            bad = ~found | (label[pos] >= 0)
+            if bad.any():
+                j = int(np.argmax(bad))
+                if not found[j]:
                     raise ValidationError(
                         "cocycle pairs are not closed under adding a coboundary"
                     )
-                if member in index_of and index_of[member] != k:
-                    raise ValidationError("coset partition is inconsistent")
-                index_of[member] = k
-        if len(index_of) != len(z2set):
+                raise ValidationError("coset partition is inconsistent")
+            label[pos] = k
+        if (label < 0).any():
             raise ValidationError("cosets do not partition the cocycle pairs")
         if len(reps) * len(self.b2) != len(self.z2):
             raise ValidationError("coset sizes are uneven")
         self.representatives = reps
-        self._index_of = index_of
+        self._index_of = dict(zip(self.z2, label[uid].tolist()))
         for p in reps:
             self.add(p, p)
             self.class_of(pair_neg(I, p))
@@ -466,7 +500,6 @@ def z1N(
     I: SkewBrace,
     chi: ActionTriple,
     budget: Optional[int] = None,
-    alt_grouping: bool = False,
 ) -> list:
     """All derivations theta : H -> I, lex-sorted by table.
 
@@ -475,10 +508,7 @@ def z1N(
         theta(h1 o h2) = sigma_{h2}(theta(h1)) + theta(h2)
         nu_{h1+h2}(theta(h1+h2)) = mu_{h2}(nu_{h1}(theta(h1))) + nu_{h2}(theta(h2))
 
-    equivalently: the coboundary pair of theta vanishes.  With
-    alt_grouping=True the right sides become sigma_{h2}(theta(h1)+theta(h2))
-    and mu_{h2}(nu_{h1}(theta(h1)) + nu_{h2}(theta(h2))), the other way of
-    balancing the displayed one-line forms.
+    equivalently: the coboundary pair of theta vanishes.
     """
     validate_cocycle_action(H, I, chi)
     nh, ni = H.n, I.n
@@ -492,18 +522,12 @@ def z1N(
         good = True
         for h1 in range(nh):
             for h2 in range(nh):
-                if alt_grouping:
-                    mult = sigma[h2][Ia[theta[h1]][theta[h2]]]
-                else:
-                    mult = Ia[sigma[h2][theta[h1]]][theta[h2]]
+                mult = Ia[sigma[h2][theta[h1]]][theta[h2]]
                 if theta[Hc[h1][h2]] != mult:
                     good = False
                     break
                 hs = Ha[h1][h2]
-                if alt_grouping:
-                    add = mu[h2][Ia[nu[h1][theta[h1]]][nu[h2][theta[h2]]]]
-                else:
-                    add = Ia[mu[h2][nu[h1][theta[h1]]]][nu[h2][theta[h2]]]
+                add = Ia[mu[h2][nu[h1][theta[h1]]]][nu[h2][theta[h2]]]
                 if nu[hs][theta[hs]] != add:
                     good = False
                     break

@@ -757,17 +757,29 @@ def enumerate_all_extensions(
     return out
 
 
-def section_shift_map(e1: Extension, e2: Extension, shift: Sequence[int]) -> tuple:
-    """The map s1(h) o y -> s2(h) o shift(h) o y from E1 to E2, with s1, s2
-    the canonical sections and shift(h) an element of I."""
-    E1c, E2c = e1.E.circ.table, e2.E.circ.table
+def _section_coordinates(e1: Extension, e2: Extension) -> list:
+    """(h, s2(h), y in E2) for each x = s1(h) o y of E1, in order, with s1,
+    s2 the canonical sections: the part of section_shift_map that does not
+    depend on the shift."""
+    E1c = e1.E.circ
     s1, s2 = canonical_section(e1), canonical_section(e2)
     out = []
     for x in range(e1.E.n):
         h = e1.proj[x]
-        y = e1.into_I(E1c[e1.E.circ.inv[s1[h]]][x])
-        out.append(E2c[E2c[s2[h]][e2.inj[shift[h]]]][e2.inj[y]])
-    return tuple(out)
+        y = e1.into_I(E1c.table[E1c.inv[s1[h]]][x])
+        out.append((h, s2[h], e2.inj[y]))
+    return out
+
+
+def _shift_map(e2: Extension, coords: list, shift: Sequence[int]) -> tuple:
+    E2c, inj2 = e2.E.circ.table, e2.inj
+    return tuple(E2c[E2c[s][inj2[shift[h]]]][y] for h, s, y in coords)
+
+
+def section_shift_map(e1: Extension, e2: Extension, shift: Sequence[int]) -> tuple:
+    """The map s1(h) o y -> s2(h) o shift(h) o y from E1 to E2, with s1, s2
+    the canonical sections and shift(h) an element of I."""
+    return _shift_map(e2, _section_coordinates(e1, e2), shift)
 
 
 def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:
@@ -781,8 +793,9 @@ def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:
     E1, E2, I = e1.E, e2.E, e1.I
     if E1.n != E2.n:
         return None
+    coords = _section_coordinates(e1, e2)
     for tail in itertools.product(range(I.n), repeat=e1.H.n - 1):
-        phi = section_shift_map(e1, e2, (0,) + tail)
+        phi = _shift_map(e2, coords, (0,) + tail)
         hom = BraceHom(E1, E2, phi)
         if hom.is_valid() and hom.is_injective():
             if all(e2.proj[phi[x]] == e1.proj[x] for x in range(E1.n)):

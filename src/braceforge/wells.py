@@ -236,7 +236,8 @@ def autb_I(ext: Extension) -> PermGroup:
 
 
 def rho(ext: Extension) -> List[Tuple[tuple, AutPair]]:
-    """Pairs (gamma, (gamma_H, gamma_I)) for every kernel-normalising gamma.
+    """Pairs (gamma, (gamma_H, gamma_I)) for every kernel-normalising gamma,
+    one per element of autb_I(ext).
 
     gamma_I is the restriction to I in I coordinates; gamma_H the induced
     map on H, checked to be well defined (pi gamma = gamma_H pi) and a
@@ -417,7 +418,7 @@ def verify_exact_sequence(ext: Extension, budget: Optional[int] = None) -> dict:
         "ker_omega_order": len(ker_omega),
         "c_order": C.order,
         "h2_order": h2grp.order,
-        "autb_I_order": autb_I(ext).order,
+        "autb_I_order": len(pairs_of),
         "exact": exact,
         "psi_bijective": psi_bijective,
         "psi_hom": psi_hom,

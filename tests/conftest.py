@@ -4,11 +4,35 @@ Session scope keeps the expensive constructions (catalog examples,
 exhaustive enumerations) to one evaluation per run.
 """
 
+import sys
+
 import pytest
 
 from braceforge import catalog
 from braceforge.braces import trivial_brace
 from braceforge.groups import cyclic_group
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn) wraps every binding of fn in the loaded braceforge
+    modules and returns a dict whose "calls" entry counts the calls."""
+
+    def install(fn):
+        counter = {"calls": 0}
+
+        def counted(*args, **kwargs):
+            counter["calls"] += 1
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "braceforge" or name.startswith("braceforge."):
+                for key, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, key, counted)
+        return counter
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Brace layer: axioms, lambda maps, socle and annihilator, substructures,
 homomorphisms, automorphisms and isomorphism search."""
 
+import itertools
 import random
 
 import pytest
@@ -105,6 +106,54 @@ def test_lambda_is_hom_matches_loop():
         verdicts.append(lambda_is_hom_loop(E))
         assert lambda_is_hom(E) == verdicts[-1]
     assert verdicts[-20:].count(False) >= 10 and verdicts[:-20].count(False) >= 100
+
+
+def test_lambda_is_hom_rejects_like_loop():
+    # a o b = a + p_a(b) makes lam(a) = p_a for any maps p_a, so each
+    # reason lambda_is_hom can fail is reached on purpose
+    rng = random.Random(1561)
+    kinds = {"not bijective": 0, "moves 0": 0, "not additive": 0, "automorphisms": 0}
+    for n in (3, 4, 5, 6, 8):
+        for add in all_group_tables(n)[:3] if n < 8 else [dihedral_group(4).table]:
+            G = FiniteGroup(add)
+            auts = automorphism_group(G).sorted_elements()
+            others = [[0, *p] for p in itertools.permutations(range(1, n))
+                      if not is_automorphism((0,) + p, G)]
+            for kind in kinds:
+                for _ in range(6):
+                    maps = [list(rng.choice(auts)) for _ in range(n)]
+                    if kind != "automorphisms":
+                        a = rng.randrange(1, n)
+                        if kind == "not bijective":
+                            maps[a] = [0] + [rng.randrange(n) for _ in range(n - 1)]
+                            maps[a][-1] = maps[a][rng.randrange(n - 1)]
+                        elif kind == "moves 0":
+                            maps[a] = maps[a][1:] + maps[a][:1]
+                        elif others:
+                            maps[a] = rng.choice(others)
+                        else:  # every bijection fixing 0 is additive
+                            continue
+                    circ = [[add[a][maps[a][b]] for b in range(n)] for a in range(n)]
+                    E = SkewBrace(G, FiniteGroup(circ))
+                    assert [list(p) for p in E.lambda_table] == maps
+                    assert lambda_is_hom(E) == lambda_is_hom_loop(E)
+                    if kind == "automorphisms":
+                        assert all(is_automorphism(p, G) for p in maps)
+                    else:
+                        assert not lambda_is_hom(E)
+                    kinds[kind] += 1
+    assert min(kinds.values()) > 0
+    # lam(a) = (2 4) for odd a, the identity otherwise, over Z6: lam is a
+    # homomorphism of the circle operation into Sym(6), so only additivity
+    # fails
+    z6 = cyclic_group(6)
+    swap = (0, 1, 4, 3, 2, 5)
+    maps = [swap if a % 2 else tuple(range(6)) for a in range(6)]
+    E = SkewBrace(z6, FiniteGroup([[z6.table[a][maps[a][b]] for b in range(6)]
+                                   for a in range(6)]))
+    lam, circ = E.lambda_table, E.circ.table
+    assert all(lam[circ[a][b]] == compose(lam[a], lam[b]) for a in range(6) for b in range(6))
+    assert not lambda_is_hom(E) and not lambda_is_hom_loop(E)
 
 
 def test_twisted_braces_validate():

@@ -9,8 +9,9 @@ import pytest
 
 from braceforge import catalog
 from braceforge.braces import SkewBrace, lambda_is_hom, identities_check, validate_brace
-from braceforge.errors import ParamOutOfRange, SchemaError, ValidationError
-from braceforge.extensions import Extension
+from braceforge.errors import (BraceAxiomFailed, NotExact, ParamOutOfRange, SchemaError,
+                               ValidationError)
+from braceforge.extensions import Extension, validate_extension
 from braceforge.groups import FiniteGroup, cyclic_group
 
 
@@ -199,3 +200,57 @@ def test_kind_inference(tmp_path):
     entry = catalog.load(p)
     assert entry.kind == "brace"
     assert entry.provenance == "derived"
+
+
+def test_loaded_payload_is_validated_once(tmp_path, count_calls, split_ext):
+    ext_path = tmp_path / "ext.json"
+    catalog.save(catalog.entry_for(split_ext, "ext"), ext_path)
+    brace_path = tmp_path / "brace.json"
+    catalog.save(catalog.entry_for(split_ext.E, "E"), brace_path)
+    braces = count_calls(validate_brace)
+    extensions = count_calls(validate_extension)
+    ext = catalog.load(ext_path).build()
+    assert ext.E == split_ext.E and (ext.inj, ext.proj) == (split_ext.inj, split_ext.proj)
+    assert (braces["calls"], extensions["calls"]) == (3, 1)
+    braces["calls"] = 0
+    entry = catalog.load(brace_path)
+    B = entry.build()
+    assert B == split_ext.E and entry.build() is B
+    assert braces["calls"] == 1
+    # an entry made by hand validates in build(); the object a load keeps
+    # takes no part in == or repr
+    hand = catalog.CatalogEntry(name=entry.name, kind="brace", payload=entry.payload,
+                                provenance="derived")
+    assert hand == entry and repr(hand) == repr(entry)
+    assert hand.build() == B and braces["calls"] == 2
+    bad = catalog.CatalogEntry(
+        name="bad", kind="brace", provenance="derived",
+        payload={"n": 4, "add": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]],
+                 "circ": [[(a + b) % 4 for b in range(4)] for a in range(4)]},
+    )
+    with pytest.raises(BraceAxiomFailed):
+        bad.build()
+
+
+def test_bad_extension_file_raises_first_error(tmp_path, split_ext):
+    good = catalog.extension_payload(split_ext)
+    bad_circ = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
+    cases = [
+        # the first failing part wins: E before H before I before the maps
+        ({"H": {"n": 2, "add": [[0, 1], [1, 1]], "circ": [[0, 1], [1, 0]]},
+          "I": {"n": 3, "add": good["I"]["add"], "circ": bad_circ}},
+         ValidationError, {"table": "add"}),
+        ({"I": {"n": 3, "add": good["I"]["add"], "circ": bad_circ}},
+         ValidationError, {"table": "circ"}),
+        ({"inj": [0, 2, 4]}, NotExact, "inj is not a brace homomorphism"),
+        ({"proj": [0] * 6}, NotExact, "proj is not surjective"),
+    ]
+    for change, cls, detail in cases:
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**good, **change}))
+        with pytest.raises(cls) as exc:
+            catalog.load(p, kind="extension")
+        if isinstance(detail, dict):
+            assert detail.items() <= exc.value.witness.items()
+        else:
+            assert str(exc.value) == detail

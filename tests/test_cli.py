@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import braceforge
-from braceforge import catalog, split
+from braceforge import catalog, cli, split
 from braceforge.cli import main
 
 IDENTITY_TRIPLE_2x2 = {"nu": [[0, 1], [0, 1]], "mu": [[0, 1], [0, 1]],
@@ -307,3 +307,14 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "braceforge 1.0.0"
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, count_calls):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    builds = count_calls(cli.build_parser)
+    # the first call's --budget must not carry over to the second
+    assert main(["--budget", "1", "example", "5"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "budget"
+    assert main(["example", "5"]) == 2
+    assert json.loads(capsys.readouterr().out)["command"] == "example"
+    assert builds["calls"] == 1

@@ -9,6 +9,8 @@ import pytest
 import braceforge.extensions as extensions_mod
 from braceforge.braces import trivial_brace
 from braceforge.cohomology import (
+    CocyclePair,
+    CohomologyGroup,
     b2N,
     coboundary_pair,
     component_law_witness,
@@ -30,6 +32,7 @@ from braceforge.cohomology import (
 )
 from braceforge.errors import (
     CoefficientsNotAbelian,
+    InputError,
     NotTrivialCoefficients,
     ValidationError,
 )
@@ -42,7 +45,9 @@ from braceforge.extensions import (
     z2_alpha,
     zero_triplet,
 )
+from braceforge.braces import SkewBrace
 from braceforge.groups import (
+    FiniteGroup,
     automorphism_group,
     cyclic_group,
     dihedral_group,
@@ -289,9 +294,154 @@ def test_restrict_action_to_annihilator(Z2, Z3, flip4):
     assert grp.order >= 1
 
 
-def test_z1_alt_grouping_runs(Z2, Z3):
-    # the alternative parenthesization is kept as a diagnostic; both
-    # readings must at least contain the zero derivation
-    for alt in (False, True):
-        thetas = {d.theta for d in z1N(Z2, Z3, identity_triple(Z2, Z3), alt_grouping=alt)}
-        assert (0, 0) in thetas
+
+# --- the coset pass against the pairwise construction -------------------------
+
+def _pairwise_cohomology_group(H, I, z2, b2):
+    """Oracle for CohomologyGroup: the pairwise construction the coset pass
+    replaced, one pair_add per member.  Returns (representatives, index_of)
+    or raises what the constructor raised."""
+    z2set = set(z2)
+    for p in z2:
+        if pair_neg(I, p) not in z2set:
+            raise ValidationError("cocycle pairs are not closed under negation")
+    b2set = set(b2)
+    if zero_pair(H.n) not in b2set:
+        raise ValidationError("coboundaries must contain the zero pair")
+    for p in b2:
+        for q in b2:
+            if pair_add(I, p, q) not in b2set:
+                raise ValidationError("coboundaries are not closed under addition")
+    reps = []
+    index_of = {}
+    for p in sorted(z2, key=CocyclePair.sort_key):
+        if p in index_of:
+            continue
+        k = len(reps)
+        reps.append(p)
+        for b in b2:
+            member = pair_add(I, p, b)
+            if member not in z2set:
+                raise ValidationError(
+                    "cocycle pairs are not closed under adding a coboundary"
+                )
+            if member in index_of and index_of[member] != k:
+                raise ValidationError("coset partition is inconsistent")
+            index_of[member] = k
+    if len(index_of) != len(z2set):
+        raise ValidationError("cosets do not partition the cocycle pairs")
+    if len(reps) * len(b2) != len(z2):
+        raise ValidationError("coset sizes are uneven")
+    for p in reps:
+        for q in (pair_add(I, p, p), pair_neg(I, p)):
+            if q not in index_of:
+                raise InputError("pair is not a cocycle pair for this action")
+    return reps, index_of
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValidationError, InputError) as exc:
+        return (type(exc), str(exc))
+
+
+COSET_PAIRS = [
+    ("Z2", "V"),
+    ("V", "Z2"),
+    ("S3", "Z2"),
+    ("Z4", "Z2"),
+    ("Z2", "D4"),
+]
+
+
+def test_coset_pass_matches_pairwise():
+    braces = {
+        "Z2": trivial_brace(cyclic_group(2)),
+        "Z4": trivial_brace(cyclic_group(4)),
+        "V": trivial_brace(klein_group()),
+        "S3": trivial_brace(dihedral_group(3)),
+        "D4": trivial_brace(dihedral_group(4)),
+    }
+    checked = 0
+    for h_name, i_name in COSET_PAIRS:
+        H, I = braces[h_name], braces[i_name]
+        for chi in enumerate_split_triples(H, I):
+            I_res, chi_res, _ = restrict_action(I, chi)
+            z2 = z2N(H, I_res, chi_res)
+            b2 = b2N(H, I_res, chi_res)
+            grp = CohomologyGroup(H, I_res, chi_res, z2, b2)
+            reps, index_of = _pairwise_cohomology_group(H, I_res, z2, b2)
+            assert grp.representatives == reps
+            assert all(grp.index_of(p) == index_of[p] for p in z2)
+            for p in reps:
+                assert grp.neg(p) == reps[index_of[pair_neg(I_res, p)]]
+                for q in z2:
+                    assert grp.add(p, q) == reps[index_of[pair_add(I_res, p, q)]]
+            checked += 1
+    assert checked == 28 + 1 + 1 + 1 + 96
+
+
+def _pair2(g, f):
+    """A normalized pair on a 2-element H from its one free cell per table."""
+    return CocyclePair(((0, 0), (0, g)), ((0, 0), (0, f)))
+
+
+def test_coset_pass_errors_match_pairwise(Z2, Z3):
+    chi = identity_triple(Z2, Z3)
+    z2 = z2N(Z2, Z3, chi)
+    b2 = b2N(Z2, Z3, chi)
+    zero = zero_pair(2)
+    nonzero = [p for p in b2 if p != zero]
+    # tables on which 0 is only a left identity, so a coset can miss its
+    # own representative (T3) or run into another coset (T2)
+    T3 = SkewBrace(*[FiniteGroup([[0, 1, 2], [2, 0, 1], [2, 0, 0]])] * 2)
+    T2 = SkewBrace(*[FiniteGroup([[0, 1], [0, 0]])] * 2)
+    crafted = [
+        (Z3, z2[:2], b2, "cocycle pairs are not closed under negation"),
+        (Z3, z2, nonzero, "coboundaries must contain the zero pair"),
+        (Z3, z2, [zero, nonzero[0]], "coboundaries are not closed under addition"),
+        (Z3, [zero], b2, "cocycle pairs are not closed under adding a coboundary"),
+        (Z3, z2 + [zero], b2, "coset sizes are uneven"),
+        (T3, [_pair2(1, 1), _pair2(2, 2)], [zero],
+         "cosets do not partition the cocycle pairs"),
+        (T2, [_pair2(1, 1), zero], [zero], "coset partition is inconsistent"),
+        (Z2, [_pair2(0, 1)], [zero], "pair is not a cocycle pair for this action"),
+    ]
+    for I, zs, bs, message in crafted:
+        expected = _outcome(lambda: _pairwise_cohomology_group(Z2, I, zs, bs))
+        assert expected[1] == message
+        got = _outcome(lambda: CohomologyGroup(Z2, I, None, zs, bs))
+        assert got == expected
+    # random tables, lists with duplicates, closures of random generators
+    rng = random.Random(7207)
+    seen = set()
+    for _ in range(400):
+        n = rng.randrange(2, 5)
+        table = [[x if a == 0 else rng.randrange(n) for x in range(n)] for a in range(n)]
+        I = SkewBrace(FiniteGroup(table), FiniteGroup(table))
+        cells = [_pair2(a, b) for a in range(n) for b in range(n)]
+        bs = [zero] + rng.sample(cells, rng.randrange(0, 3))
+        zs = list(bs) + rng.sample(cells, rng.randrange(0, len(cells)))
+        for _ in range(rng.randrange(3)):
+            bs = list(dict.fromkeys(bs + [pair_add(I, p, q) for p in bs for q in bs]))
+            zs = list(dict.fromkeys(zs + [pair_add(I, p, b) for p in zs for b in bs]
+                                    + [pair_neg(I, p) for p in zs]))
+        zs += rng.sample(zs, rng.randrange(2))
+        rng.shuffle(zs)
+        rng.shuffle(bs)
+        expected = _outcome(lambda: _pairwise_cohomology_group(Z2, I, zs, bs))
+        got = _outcome(lambda: CohomologyGroup(Z2, I, None, zs, bs))
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert got == expected
+            seen.add(expected[1])
+        else:
+            reps, index_of = expected
+            assert got.representatives == reps
+            assert all(got.index_of(p) == index_of[p] for p in zs)
+            seen.add("ok")
+    # every outcome past the first two checks occurs
+    assert {"ok", "coboundaries are not closed under addition",
+            "cocycle pairs are not closed under adding a coboundary",
+            "coset partition is inconsistent", "cosets do not partition the cocycle pairs",
+            "coset sizes are uneven"} <= seen

@@ -47,6 +47,7 @@ from braceforge.extensions import (
     h2_alpha,
     is_valid_triplet,
     parent_relation_witness,
+    section_shift_map,
     sections,
     twist_triplet,
     triplets_equivalent,
@@ -248,6 +249,38 @@ def test_enumerate_and_classify_3_by_2(Z2, Z3):
     assert len(buckets) == 1
     assert [len(classes) for _, classes in buckets] == [1]
     assert sum(len(c) for _, classes in buckets for c in classes) == 120
+
+
+def _extensions_equivalent_loop(e1, e2):
+    """Oracle for extensions_equivalent: one full section_shift_map per
+    shift, in the same order; returns the map found, or None."""
+    if e1.H != e2.H or e1.I != e2.I or e1.E.n != e2.E.n:
+        return None
+    for tail in itertools.product(range(e1.I.n), repeat=e1.H.n - 1):
+        phi = section_shift_map(e1, e2, (0,) + tail)
+        hom = BraceHom(e1.E, e2.E, phi)
+        if (hom.is_valid() and hom.is_injective()
+                and all(e2.proj[phi[x]] == e1.proj[x] for x in range(e1.E.n))
+                and all(phi[e1.inj[y]] == e2.inj[y] for y in range(e1.I.n))):
+            return phi
+    return None
+
+
+def test_extensions_equivalent_matches_shift_loop(Z2, Z3):
+    rng = random.Random(5150)
+    exts = enumerate_all_extensions(Z2, Z2)
+    pairs = [(a, b) for a in exts for b in exts]
+    for H, I in ((Z2, Z3), (Z3, Z2)):
+        more = enumerate_all_extensions(H, I)
+        pairs += [(rng.choice(more), rng.choice(more)) for _ in range(150)]
+    pairs += [(exts[0], catalog.split_z2_z3_extension())]
+    found = 0
+    for e1, e2 in pairs:
+        hom = extensions_equivalent(e1, e2)
+        expected = _extensions_equivalent_loop(e1, e2)
+        assert (hom.map if hom is not None else None) == expected
+        found += expected is not None
+    assert 0 < found < len(pairs)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from braceforge import wells
 from braceforge.braces import brace_automorphisms, trivial_brace
 from braceforge.cohomology import h2N, restrict_action
 from braceforge.extensions import (
@@ -146,3 +147,11 @@ def test_c_action_is_classwise_well_defined(Z3, carry_ext):
             moved = c_act_on_h2(c, theta_res, p)
             moved_rep = c_act_on_h2(c, theta_res, grp.class_of(p))
             assert grp.class_of(moved) == grp.class_of(moved_rep)
+
+
+def test_one_autb_I_search_per_check(split_ext, z4_ext, carry_ext, count_calls):
+    orders = [autb_I(ext).order for ext in (split_ext, z4_ext, carry_ext)]
+    searches = count_calls(wells.autb_I)
+    reports = [verify_exact_sequence(ext) for ext in (split_ext, z4_ext, carry_ext)]
+    assert searches["calls"] == 3
+    assert [rep["autb_I_order"] for rep in reports] == orders
