@@ -50,6 +50,7 @@ from .braces import (
 )
 from .errors import (
     InputError,
+    InternalInconsistency,
     NotExact,
     TripletInvalid,
     ValidationError,
@@ -58,6 +59,8 @@ from .groups import (
     FiniteGroup,
     _homomorphisms,
     _order_matched,
+    _relabel_stack,
+    _zero_fixing_perms,
     all_group_tables,
     automorphism_group,
     compose,
@@ -718,41 +721,112 @@ def _quotient_by_ideal(E: SkewBrace, kernel: frozenset) -> tuple:
     return validate_brace(add, circ), tuple(labels)
 
 
-def enumerate_all_extensions(
-    H: SkewBrace, I: SkewBrace, budget: Optional[int] = None
-) -> list:
-    """Every extension of H by I on the carrier 0..|H||I|-1, sorted.
+def _brace_orbits(groups: list) -> list:
+    """The brace tables over `groups`, split into orbits under relabelling.
 
-    Brute force: all brace tables of the right order, all embeddings of I
-    with ideal image, all projections inducing H on the quotient.  Each
-    group table is validated once; for each additive group the brace axiom
-    is checked against the stack of every circle table at once."""
+    `groups` is every validated group table of one order.  Accepted
+    (add, circ) pairs are visited in order; the first pair of each orbit
+    is its representative.  Both representative tables are relabelled by
+    every 0-fixing permutation p in one gather (_relabel_stack), and each
+    image is looked up among `groups` by its bytes.  An orbit is a list
+    of (p, brace) with one entry per labelled copy, the representative
+    first under the identity."""
+    index = {G.np_table.tobytes(): k for k, G in enumerate(groups)}
+    perms = _zero_fixing_perms(groups[0].n)
+    circs = np.stack([G.np_table for G in groups])
+
+    def images(G: FiniteGroup) -> list:
+        try:
+            return [index[t.tobytes()] for t in _relabel_stack(G.np_table, perms)]
+        except KeyError:
+            raise InternalInconsistency(
+                f"a relabelled group table of order {G.n} is not among the given tables"
+            ) from None
+
+    accepted = 0
+    seen: set = set()
+    orbits = []
+    for i, add in enumerate(groups):
+        ok, _ = _brace_axiom(add, circs)
+        accepted += int(ok.sum())
+        for j in np.flatnonzero(ok).tolist():
+            if (i, j) in seen:
+                continue
+            orbit = []
+            for p, pair in zip(perms, zip(images(add), images(groups[j]))):
+                if pair not in seen:
+                    seen.add(pair)
+                    orbit.append((tuple(p.tolist()), SkewBrace(*(groups[k] for k in pair))))
+            orbits.append(orbit)
+    if len(seen) != accepted:
+        raise InternalInconsistency(
+            f"relabelling {accepted} brace tables gave {len(seen)}"
+        )
+    return orbits
+
+
+def _extension_orbits(H: SkewBrace, I: SkewBrace, budget: Optional[int]) -> list:
+    """Every extension of H by I on 0..|H||I|-1, one list per orbit of
+    brace tables (see _brace_orbits) that carries any.
+
+    An orbit's list holds one list of extensions per labelled copy of its
+    brace, each aligned with the representative's, which comes first.
+    Only the representative is searched, through its monomorphisms with
+    ideal image, the quotient by that image and every isomorphism of the
+    quotient onto H; a relabelling p is a brace isomorphism onto the copy,
+    so it carries each (inj, proj) to (p o inj, proj o p^-1)."""
     n = H.n * I.n
     tables = all_group_tables(n)
     budget_mod.guard(len(tables) * len(tables), "enumerate_all_extensions", budget)
     auts_H = sorted(brace_automorphisms(H))
     groups = [validate_group(t) for t in tables]
-    circs = np.stack([G.np_table for G in groups])
     out = []
-    for add in groups:
-        ok, _ = _brace_axiom(add, circs)
-        for k in np.flatnonzero(ok):
-            E = SkewBrace(add, groups[k])
-            for inj in _brace_monos(I, E):
-                image = frozenset(inj)
-                try:
-                    if not is_ideal(E, image):
-                        continue
-                except ValidationError:
+    for (_, E), *copies in _brace_orbits(groups):
+        found = []
+        for inj in _brace_monos(I, E):
+            image = frozenset(inj)
+            try:
+                if not is_ideal(E, image):
                     continue
-                Q, labels = _quotient_by_ideal(E, image)
-                iso = find_brace_isomorphism(Q, H)
-                if iso is None:
-                    continue
-                base = tuple(iso[labels[x]] for x in range(E.n))
-                for a in auts_H:
-                    proj = tuple(a[hx] for hx in base)
-                    out.append(validate_extension(E, H, I, inj, proj))
+            except ValidationError:
+                continue
+            Q, labels = _quotient_by_ideal(E, image)
+            iso = find_brace_isomorphism(Q, H)
+            if iso is None:
+                continue
+            base = tuple(iso[labels[x]] for x in range(E.n))
+            for a in auts_H:
+                proj = tuple(a[hx] for hx in base)
+                found.append(validate_extension(E, H, I, inj, proj))
+        if not found:
+            continue
+        orbit = [found]
+        for p, F in copies:
+            p_inv = invert_perm(p)
+            orbit.append([
+                Extension(F, H, I, tuple(p[y] for y in ext.inj),
+                          tuple(ext.proj[x] for x in p_inv))
+                for ext in found
+            ])
+        out.append(orbit)
+    return out
+
+
+def enumerate_all_extensions(
+    H: SkewBrace, I: SkewBrace, budget: Optional[int] = None
+) -> list:
+    """Every extension of H by I on the carrier 0..|H||I|-1, sorted.
+
+    Brute force up to relabelling: all brace tables of the right order,
+    all embeddings of I with ideal image, all projections inducing H on
+    the quotient.  Each group table is validated once and the brace axiom
+    is checked against the stack of every circle table at once.  The
+    search runs on one representative per orbit of brace tables under the
+    0-fixing relabellings; a relabelling is an isomorphism onto the copy,
+    so it carries the representative's extensions to every other copy
+    (_extension_orbits).  The per-brace loop over every labelled table is
+    kept as the oracle enumerate_pairwise in tests/test_extensions.py."""
+    out = [ext for orbit in _extension_orbits(H, I, budget) for copy in orbit for ext in copy]
     out.sort(key=Extension.sort_key)
     return out
 
@@ -808,16 +882,31 @@ def ext_classes(H: SkewBrace, I: SkewBrace, budget: Optional[int] = None) -> lis
     """Equivalence classes of all extensions, grouped by coupling.
 
     Returns a list of (representative chi, list of classes); each class is
-    a list of Extensions.  Classes are disjoint and cover everything."""
-    exts = enumerate_all_extensions(H, I, budget)
+    a list of Extensions.  Classes are disjoint and cover everything; they
+    are ordered by their first member and their members by
+    Extension.sort_key, as enumerate_all_extensions orders them.
+
+    extensions_equivalent runs only within the representative's own list
+    of each orbit of brace tables (see _extension_orbits).  A carried copy
+    joins the class of its source, because the relabelling that carried
+    it is itself an equivalence; extensions on non-isomorphic braces are
+    never equivalent.  The pairwise partition of the whole sorted list is
+    kept as the oracle _ext_classes_pairwise in tests/test_extensions.py."""
     classes = []
-    for ext in exts:
-        for cls in classes:
-            if extensions_equivalent(cls[0], ext) is not None:
-                cls.append(ext)
-                break
-        else:
-            classes.append([ext])
+    for orbit in _extension_orbits(H, I, budget):
+        partition = []
+        for k, ext in enumerate(orbit[0]):
+            for first, members in partition:
+                if extensions_equivalent(first, ext) is not None:
+                    members.append(k)
+                    break
+            else:
+                partition.append((ext, [k]))
+        for _, members in partition:
+            cls = [copy[k] for copy in orbit for k in members]
+            cls.sort(key=Extension.sort_key)
+            classes.append(cls)
+    classes.sort(key=lambda cls: cls[0].sort_key())
     buckets = []
     for cls in classes:
         chi = extract_action(cls[0], canonical_section(cls[0]))

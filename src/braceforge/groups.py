@@ -595,23 +595,39 @@ def standard_groups_of_order(n: int) -> list:
     return groups
 
 
+def _zero_fixing_perms(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1 fixing 0, one per row, in lexicographic
+    order (identity first)."""
+    return np.array([(0,) + rest for rest in permutations(range(1, n))], dtype=np.int64)
+
+
+def _relabel_stack(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """relabel_table of one valid table by every row p of `perms`, as one
+    gather: new[k] = p[T[p^-1, p^-1]]."""
+    invs = np.argsort(perms, axis=1)
+    rows = np.arange(len(perms))[:, None, None]
+    return perms[rows, table[invs[:, :, None], invs[:, None, :]]]
+
+
 def all_group_tables(n: int) -> list:
     """Every Cayley table on 0..n-1 with identity 0, as table tuples (n <= 7)."""
+    groups = standard_groups_of_order(n)
+    perms = _zero_fixing_perms(n)
     tables = set()
-    for G in standard_groups_of_order(n):
-        for rest in permutations(range(1, n)):
-            perm = (0,) + rest
-            tables.add(G.relabel(perm).table)
+    for G in groups:
+        tables.update(tuple(map(tuple, t)) for t in _relabel_stack(G.np_table, perms).tolist())
     return sorted(tables)
 
 
-_ABELIAN_FACTOR_CACHE: dict = {}
+_REFERENCE_GROUPS: dict = {}
 
 
-def _abelian_candidates(n: int) -> list:
-    """All abelian groups of order n as (name, FiniteGroup), n <= 16."""
-    if n in _ABELIAN_FACTOR_CACHE:
-        return _ABELIAN_FACTOR_CACHE[n]
+def _reference_groups(n: int) -> list:
+    """Named groups of order n <= 16 that describe_group compares against,
+    as (name, FiniteGroup): every abelian group by invariant factors, then
+    D_k, Dic_k and A4 where the order allows.  Built once per order."""
+    if n in _REFERENCE_GROUPS:
+        return _REFERENCE_GROUPS[n]
 
     def chains(m: int, max_d: int) -> list:
         if m == 1:
@@ -634,7 +650,15 @@ def _abelian_candidates(n: int) -> list:
             G = direct_product_group(G, cyclic_group(d))
         name = " x ".join(f"Z{d}" for d in sorted(chain))
         result.append((name, G))
-    _ABELIAN_FACTOR_CACHE[n] = result
+    if n % 2 == 0:
+        k = n // 2
+        result.append(("S3" if k == 3 else f"D{k}", dihedral_group(k)))
+    if n % 4 == 0:
+        k = n // 4
+        result.append(("Q8" if k == 2 else f"Dic{k}", dicyclic_group(k)))
+    if n == 12:
+        result.append(("A4", alternating4_group()))
+    _REFERENCE_GROUPS[n] = result
     return result
 
 
@@ -643,23 +667,8 @@ def describe_group(G: FiniteGroup) -> str:
     n = G.n
     if n == 1:
         return "trivial"
-    if G.is_abelian:
-        if n <= 16:
-            for name, H in _abelian_candidates(n):
-                if is_isomorphic(G, H):
-                    return name
-        return f"abelian of order {n}"
     if n <= 16:
-        candidates = []
-        if n % 2 == 0:
-            k = n // 2
-            candidates.append(("S3" if k == 3 else f"D{k}", dihedral_group(k)))
-        if n % 4 == 0:
-            k = n // 4
-            candidates.append(("Q8" if k == 2 else f"Dic{k}", dicyclic_group(k)))
-        if n == 12:
-            candidates.append(("A4", alternating4_group()))
-        for name, H in candidates:
-            if is_isomorphic(G, H):
+        for name, H in _reference_groups(n):
+            if H.is_abelian == G.is_abelian and is_isomorphic(G, H):
                 return name
-    return f"nonabelian of order {n}"
+    return f"{'abelian' if G.is_abelian else 'nonabelian'} of order {n}"

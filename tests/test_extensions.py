@@ -20,9 +20,11 @@ from braceforge.braces import (
     trivial_brace,
     validate_brace,
 )
+from braceforge.cohomology import ext_bijection_check
 from braceforge.errors import (
     BraceAxiomFailed,
     InputError,
+    InternalInconsistency,
     NotExact,
     TripletInvalid,
     ValidationError,
@@ -43,6 +45,7 @@ from braceforge.extensions import (
     ext_classes,
     extension_from_triplet,
     extensions_equivalent,
+    extract_action,
     extract_triplet,
     h2_alpha,
     is_valid_triplet,
@@ -63,6 +66,7 @@ from braceforge.groups import (
     group_from_elements,
     identity_perm,
     invert_perm,
+    relabel_table,
     validate_group,
 )
 from braceforge.split import enumerate_split_triples, semidirect_product
@@ -329,6 +333,29 @@ def enumerate_pairwise(H, I, braces):
     return out
 
 
+def _ext_classes_pairwise(I, exts):
+    """Oracle for ext_classes: the pairwise partition of the whole sorted
+    extension list, then the grouping of classes by coupling."""
+    classes = []
+    for ext in exts:
+        for cls in classes:
+            if extensions_equivalent(cls[0], ext) is not None:
+                cls.append(ext)
+                break
+        else:
+            classes.append([ext])
+    buckets = []
+    for cls in classes:
+        chi = extract_action(cls[0], canonical_section(cls[0]))
+        for rep_chi, group in buckets:
+            if couplings_related(I, rep_chi, chi) is not None:
+                group.append(cls)
+                break
+        else:
+            buckets.append((chi, [cls]))
+    return buckets
+
+
 def test_enumerate_matches_pairwise_validation(Z2, Z3, order6_coefficients, pairwise_braces):
     Z1 = trivial_brace(cyclic_group(1))
     order6 = [trivial_brace(cyclic_group(6)), trivial_brace(dihedral_group(3)),
@@ -340,7 +367,82 @@ def test_enumerate_matches_pairwise_validation(Z2, Z3, order6_coefficients, pair
         slow = enumerate_pairwise(H, I, pairwise_braces(H.n * I.n))
         assert fast == slow
         assert [e.sort_key() for e in fast] == [e.sort_key() for e in slow]
+        got, want = ext_classes(H, I), _ext_classes_pairwise(I, slow)
+        assert [chi for chi, _ in got] == [chi for chi, _ in want]
+        assert [classes for _, classes in got] == [classes for _, classes in want]
     assert len(enumerate_all_extensions(Z2, Z3)) == 560
+
+
+def test_brace_orbits_census(pairwise_braces):
+    # skew braces up to isomorphism (Guarnieri-Vendramin, Math. Comp. 86)
+    census = []
+    for n in range(1, 8):
+        groups = [validate_group(t) for t in all_group_tables(n)]
+        orbits = extensions_mod._brace_orbits(groups)
+        census.append(len(orbits))
+        if n > 6:
+            continue
+        copies = [E for orbit in orbits for _, E in orbit]
+        assert len(copies) == len(set(copies)) == len(pairwise_braces(n))
+        assert set(copies) == set(pairwise_braces(n))
+        for orbit in orbits:
+            (p0, rep), *rest = orbit
+            assert p0 == identity_perm(n)
+            for p, E in rest:
+                assert E.add == rep.add.relabel(p) and E.circ == rep.circ.relabel(p)
+    assert census == [1, 1, 1, 4, 1, 6, 1]
+    assert len(pairwise_braces(6)) == 280
+    # every relabelled table must be among the given ones
+    six = [validate_group(t) for t in all_group_tables(6)]
+    with pytest.raises(InternalInconsistency):
+        extensions_mod._brace_orbits(six[:1] + six[2:])
+
+
+def test_ext_classes_searches_one_brace_per_orbit(Z2, Z3, count_calls):
+    monos = count_calls(extensions_mod._brace_monos)
+    validated = count_calls(extensions_mod.validate_extension)
+    compared = count_calls(extensions_mod.extensions_equivalent)
+    ext_classes(Z2, Z3)
+    # one representative per isomorphism class of the 280 labelled braces
+    # of order 6, where every labelled brace was searched before
+    assert (monos["calls"], validated["calls"], compared["calls"]) == (6, 12, 6)
+
+
+def _relabelled_brace(B, p):
+    return validate_brace(relabel_table(B.add.table, p), relabel_table(B.circ.table, p))
+
+
+def _classification_invariants(H, I):
+    buckets = ext_classes(H, I)
+    out = {
+        "extensions": len(enumerate_all_extensions(H, I)),
+        "couplings": len(buckets),
+        "classes": sorted(
+            (len(classes), sorted(len(c) for c in classes)) for _, classes in buckets
+        ),
+    }
+    if I.is_trivial and I.add.is_abelian:
+        out["bijection"] = sorted(
+            (rep["h2_order"], rep["ext_classes"])
+            for rep in (ext_bijection_check(H, I, chi) for chi, _ in buckets)
+        )
+    return out
+
+
+def test_classification_is_invariant_under_relabelling(Z2, Z3, order6_coefficients):
+    # Z2 and Z3 have no 0-fixing relabelling that moves their tables; the
+    # order-6 coefficient brace is the case whose tables do move
+    rng = random.Random(2017)
+    Z1 = trivial_brace(cyclic_group(1))
+    for H, I in ((Z2, Z2), (Z2, Z3), (Z3, Z2), (Z1, order6_coefficients)):
+        expected = _classification_invariants(H, I)
+        for _ in range(3):
+            pH = (0,) + tuple(rng.sample(range(1, H.n), H.n - 1))
+            pI = (0,) + tuple(rng.sample(range(1, I.n), I.n - 1))
+            moved = _classification_invariants(
+                _relabelled_brace(H, pH), _relabelled_brace(I, pI)
+            )
+            assert moved == expected
 
 
 def test_enumerate_validates_each_table_once(monkeypatch, Z2, Z3):

@@ -1,6 +1,8 @@
 """Group layer: permutation helpers, table validation, constructors,
 automorphisms, isomorphism search and exhaustive table enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from braceforge.groups import (
     standard_groups_of_order,
     validate_group,
 )
+from braceforge.split import enumerate_split_triples, semidirect_product
 
 S3_ELEMENTS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
 
@@ -211,6 +214,50 @@ def test_describe_group_names():
     assert describe_group(direct_product_group(cyclic_group(2), cyclic_group(4))) == "Z2 x Z4"
 
 
+def _describe_group_rebuilt(G):
+    """Oracle for describe_group: builds its candidate groups on every call."""
+    n = G.n
+    if n == 1:
+        return "trivial"
+    if G.is_abelian:
+        def chains(m, max_d):
+            if m == 1:
+                return [[]]
+            return [[d] + tail for d in range(2, min(m, max_d) + 1) if m % d == 0
+                    for tail in chains(m // d, d)]
+        for chain in chains(n, n):
+            if all(chain[i] % chain[i + 1] == 0 for i in range(len(chain) - 1)):
+                H = cyclic_group(chain[0])
+                for d in chain[1:]:
+                    H = direct_product_group(H, cyclic_group(d))
+                if is_isomorphic(G, H):
+                    return " x ".join(f"Z{d}" for d in sorted(chain))
+        return f"abelian of order {n}"
+    candidates = []
+    if n % 2 == 0:
+        candidates.append(("S3" if n == 6 else f"D{n // 2}", dihedral_group(n // 2)))
+    if n % 4 == 0:
+        candidates.append(("Q8" if n == 8 else f"Dic{n // 4}", dicyclic_group(n // 4)))
+    if n == 12:
+        candidates.append(("A4", alternating4_group()))
+    for name, H in candidates:
+        if is_isomorphic(G, H):
+            return name
+    return f"nonabelian of order {n}"
+
+
+def test_describe_group_matches_rebuilt_candidates():
+    groups = [validate_group(t) for n in range(1, 8) for t in all_group_tables(n)]
+    Z2 = trivial_brace(cyclic_group(2))
+    D4 = trivial_brace(dihedral_group(4))
+    for t in enumerate_split_triples(Z2, D4):
+        E = semidirect_product(Z2, D4, t)
+        groups += [E.add, E.circ]
+    assert len(groups) == 213 + 192
+    for G in groups:
+        assert describe_group(G) == _describe_group_rebuilt(G)
+
+
 def test_automorphism_group_orders():
     # phi(n) for cyclic groups, the classical counts otherwise
     expected = [
@@ -285,6 +332,14 @@ def test_all_group_tables_counts():
     assert names == ["Z2 x Z2", "Z4", "Z4", "Z4"]
     # 5!/2 = 60 cyclic plus 5!/6 = 20 symmetric
     assert len(all_group_tables(6)) == 80
+    # oracle: one relabel_table per standard group and 0-fixing permutation
+    for n in range(1, 8):
+        slow = {
+            G.relabel((0,) + rest).table
+            for G in standard_groups_of_order(n)
+            for rest in itertools.permutations(range(1, n))
+        }
+        assert all_group_tables(n) == sorted(slow)
 
 
 def test_standard_groups_of_order():
