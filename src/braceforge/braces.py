@@ -12,7 +12,7 @@ additive group, and a |-> lam(a) is a homomorphism from the circle group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -256,15 +256,29 @@ def brace_hom_ops(src: SkewBrace, dst: SkewBrace) -> list:
     return ops
 
 
-def brace_automorphisms(E: SkewBrace, max_order: int = DEFAULT_ORDER_BOUND) -> PermGroup:
-    """Bijections fixing 0 preserving both tables."""
+def _brace_automorphism_search(
+    E: SkewBrace, admit: Optional[Callable] = None, max_order: int = DEFAULT_ORDER_BOUND
+) -> set:
+    """Brace automorphisms of E as image tuples, by the homomorphism engine.
+
+    Generator images are matched by element order in both groups; with
+    `admit`, an image x of generator g is tried only when admit(g, x),
+    which must hold for every automorphism the caller wants back."""
     if E.n > max_order:
         raise OrderBoundExceeded("automorphism_group", E.n, max_order)
-    maps = _homomorphisms(
-        E.add, _order_matched([(E.add, E.add), (E.circ, E.circ)]), brace_hom_ops(E, E), 0,
-        injective=True,
-    )
-    return PermGroup(E.n, {tuple(m[x] for x in range(E.n)) for m in maps})
+    matched = _order_matched([(E.add, E.add), (E.circ, E.circ)])
+    if admit is None:
+        candidates = matched
+    else:
+        def candidates(g: int) -> list:
+            return [x for x in matched(g) if admit(g, x)]
+    maps = _homomorphisms(E.add, candidates, brace_hom_ops(E, E), 0, injective=True)
+    return {tuple(m[x] for x in range(E.n)) for m in maps}
+
+
+def brace_automorphisms(E: SkewBrace, max_order: int = DEFAULT_ORDER_BOUND) -> PermGroup:
+    """Bijections fixing 0 preserving both tables."""
+    return PermGroup(E.n, _brace_automorphism_search(E, max_order=max_order))
 
 
 def find_brace_isomorphism(E1: SkewBrace, E2: SkewBrace) -> Optional[Perm]:

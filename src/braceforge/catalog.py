@@ -350,9 +350,40 @@ class CatalogEntry:
         )
 
 
+def _dumps_at(obj, pad: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) with every line after the
+    first prefixed by pad.
+
+    With an indent the json module encodes in pure Python, so lists and
+    str-keyed dicts are laid out here, a list of plain ints in one join;
+    every other value goes through json.dumps."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            body = sep.join(map(str, obj))
+        else:
+            body = sep.join(_dumps_at(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not all(type(k) is str for k in obj):
+            # json sorts such keys by value before turning them into strings
+            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        if not obj:
+            return "{}"
+        body = sep.join(json.dumps(k) + ": " + _dumps_at(obj[k], inner) for k in sorted(obj))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return json.dumps(obj)
+
+
 def dumps_payload(payload: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, newline.
+
+    Byte for byte what json.dumps(payload, sort_keys=True, indent=2) gives,
+    plus the newline; the CLI writes its reports with it too."""
+    return _dumps_at(payload, "") + "\n"
 
 
 def loads(text: str, kind: Optional[str] = None, name: str = "<string>") -> CatalogEntry:

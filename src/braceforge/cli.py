@@ -23,7 +23,6 @@ process.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -59,7 +58,7 @@ def _emit(command: str, report: dict) -> None:
     body = {"schema": SCHEMA, "command": command}
     body.update(report)
     try:
-        print(json.dumps(body, sort_keys=True, indent=2), flush=True)
+        print(catalog.dumps_payload(body), end="", flush=True)
     except BrokenPipeError:
         # the reader closed stdout early: point it at the null device, so
         # the flush at exit cannot fail again and the exit code stays the

@@ -446,6 +446,10 @@ class CohomologyGroup:
             raise ValidationError("coset sizes are uneven")
         self.representatives = reps
         self._index_of = dict(zip(self.z2, label[uid].tolist()))
+        # the row data, kept for callers that move whole blocks of cocycles
+        self._rows = Z
+        self._keys = z_keys
+        self._labels = label
         for p in reps:
             self.add(p, p)
             self.class_of(pair_neg(I, p))
@@ -459,6 +463,12 @@ class CohomologyGroup:
             return self._index_of[pair]
         except KeyError:
             raise InputError("pair is not a cocycle pair for this action") from None
+
+    def _row_classes(self, rows: np.ndarray) -> tuple:
+        """(found, index) for integer rows laid out like the cocycle rows:
+        whether each is a cocycle pair, and its class index where it is."""
+        found, pos = _lookup(self._keys, _row_keys(rows))
+        return found, self._labels[pos]
 
     def class_of(self, pair: CocyclePair) -> CocyclePair:
         return self.representatives[self.index_of(pair)]

@@ -24,6 +24,14 @@ the sequence
 is exact: the kernel of rho is the image of the derivation group under
 psi(theta)(s(h) o y) = s(h) o theta(h) o y, and the image of rho is the
 set-theoretic kernel of omega.
+
+The check runs in factor-set coordinates.  omega(c) is read off the
+triplet of [E]^c after a section change (see wells_map); the C-action on
+classes and the derivation law are gathers on the integer cocycle rows
+that CohomologyGroup keeps; Autb_I(E) is searched with generator images
+already confined to the kernel.  The orbit-search wells_map and the
+per-pair derivation loop they replace are kept as oracles in
+tests/test_wells.py.
 """
 
 from __future__ import annotations
@@ -32,33 +40,36 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import budget as budget_mod
-from .braces import BraceHom, SkewBrace, brace_automorphisms
+from .braces import BraceHom, SkewBrace, _brace_automorphism_search, brace_automorphisms
 from .cohomology import (
     CocyclePair,
     CohomologyGroup,
     embed_pair,
     h2N,
     h2_act_triplet,
-    pair_add,
     restrict_action,
     z1N,
 )
 from .errors import (
     ActionNotTransitive,
     InputError,
+    InternalInconsistency,
     NotTrivialCoefficients,
     ValidationError,
 )
 from .extensions import (
     Extension,
     canonical_section,
+    couplings_related,
     extension_from_triplet,
-    extensions_equivalent,
     extract_action,
     extract_triplet,
     section_shift_map,
     sections,
+    twist_triplet,
     validate_extension,
 )
 from .groups import PermGroup, compose, equal_mod, identity_perm, inner_group, invert_perm
@@ -225,10 +236,14 @@ def c_act_on_h2(pair: AutPair, theta_res: Sequence[int], cpair: CocyclePair) -> 
 # --- automorphisms of the extension ------------------------------------------
 
 def autb_I(ext: Extension) -> PermGroup:
-    """Brace automorphisms of E mapping the kernel image into itself."""
-    base = brace_automorphisms(ext.E)
+    """Brace automorphisms of E mapping the kernel image into itself.
+
+    Such a map sends a generator into the image exactly when the generator
+    lies in it, so the search admits only those images; the kernel filter
+    afterwards checks the result."""
     img = set(ext.inj)
-    members = [g for g in base.sorted_elements() if all(g[x] in img for x in img)]
+    found = _brace_automorphism_search(ext.E, lambda g, x: (x in img) == (g in img))
+    members = [g for g in sorted(found) if all(g[x] in img for x in img)]
     grp = PermGroup(ext.E.n, members)
     if not grp.is_group():
         raise ValidationError("kernel-normalising automorphisms failed to form a group")
@@ -280,31 +295,106 @@ def wells_map(
 ) -> Dict[AutPair, int]:
     """For each c in C, the index of the unique class h_c with [E]^c = h_c.[E].
 
-    Computed by direct orbit search: the shifted extensions h.[E] are built
-    once per representative and matched against [E]^c.  No match means the
-    cohomology action missed [E]^c (the transitivity hypothesis fails);
-    several matches would contradict freeness.
+    Read off coordinates.  An equivalence [E]^c = h.[E] is a section
+    change of E^c, i.e. a twist of its triplet t_c.  The twists bringing
+    the coupling of t_c to that of E's triplet t_0 exactly are one twist
+    (the first witness of each couplings_related set) shifted by maps into
+    Z(I) = Ann(I), and such a shift moves the cocycle by a coboundary.  So
+    with t' that twist of t_c, h_c is the class of the difference
+    (beta' - beta_0, tau' o tau_0^-1) in annihilator coordinates; when the
+    couplings are unrelated, or the difference is not an annihilator-valued
+    cocycle pair, no class reaches [E]^c and the transitivity hypothesis
+    fails.  Freeness holds by construction: the cosets partition the
+    cocycle pairs.
+
+    Every shifted extension h.[E] is still rebuilt and validated first.
+    The direct orbit search through extensions_equivalent that this
+    replaces is the oracle _wells_map_orbit in tests/test_wells.py.
     """
-    shifted = _class_fixtures(ext, h2grp, elems)
+    _class_fixtures(ext, h2grp, elems)
+    H, I = ext.H, ext.I
+    Ia, Ic, neg, cinv = I.add.table, I.circ.table, I.add.inv, I.circ.inv
+    # a difference value outside Ann(I) becomes -1, which no cocycle row holds
+    index = {e: j for j, e in enumerate(elems)}
+    t0 = extract_triplet(ext)
     omega: Dict[AutPair, int] = {}
     for c in C:
-        acted = pair_act(ext, c)
-        hits = [
-            k for k, cand in enumerate(shifted) if extensions_equivalent(acted, cand) is not None
-        ]
-        if not hits:
+        tc = extract_triplet(pair_act(ext, c))
+        witnesses = couplings_related(I, tc.chi, t0.chi)
+        if witnesses is None:
             raise ActionNotTransitive(
                 "no cohomology class matches the pair-acted extension",
                 pair=c.sort_key(),
             )
-        if len(hits) > 1:
-            raise ValidationError(
-                "several cohomology classes match one acted extension; freeness fails",
-                pair=c.sort_key(),
-                matches=hits,
+        t1 = twist_triplet(H, I, tc, tuple(ys[0] for ys in witnesses))
+        if t1.chi != t0.chi:
+            raise InternalInconsistency(
+                "twisting by coupling witnesses did not reach the extension's action"
             )
-        omega[c] = hits[0]
+        g = tuple(
+            tuple(index.get(Ia[b1][neg[b0]], -1) for b1, b0 in zip(r1, r0))
+            for r1, r0 in zip(t1.beta, t0.beta)
+        )
+        f = tuple(
+            tuple(index.get(Ic[u1][cinv[u0]], -1) for u1, u0 in zip(r1, r0))
+            for r1, r0 in zip(t1.tau, t0.tau)
+        )
+        try:
+            omega[c] = h2grp.index_of(CocyclePair(g, f))
+        except InputError:
+            raise ActionNotTransitive(
+                "no cohomology class matches the pair-acted extension",
+                pair=c.sort_key(),
+            ) from None
     return omega
+
+
+def _derivation_law(
+    C: StabilizerC,
+    omega: Dict[AutPair, int],
+    h2grp: CohomologyGroup,
+    elems: Sequence[int],
+) -> bool:
+    """Whether omega(c1 c2) = omega(c1)^c2 + omega(c2) for all c1, c2.
+
+    Checks on the way that each c moves every cocycle pair to a cocycle
+    pair (InputError otherwise, as class_of) and that the moved class
+    depends only on the class moved (ValidationError otherwise).  A move
+    g -> theta^-1(g(phi x phi)) is one gather on the integer cocycle rows,
+    and the |C|^2 class sums the law needs are looked up together at the
+    end, not as a full class-addition table (|H^2|^2 rows).  The per-pair
+    loop this replaces is the oracle _derivation_law_loop in
+    tests/test_wells.py.
+    """
+    nh, k = h2grp.H.n, h2grp.order
+    rows = h2grp._rows
+    reps = np.array(
+        [p.g + p.f for p in h2grp.representatives], dtype=np.int64
+    ).reshape(k, rows.shape[1])
+    source = h2grp._row_classes(rows)[1]
+    cells = np.arange(nh * nh).reshape(nh, nh)
+    om = np.array([omega[c] for c in C], dtype=np.int64)
+    lhs, left = [], []
+    for c2 in C:
+        inv_theta = np.array(invert_perm(restrict_automorphism(c2.theta, elems)), dtype=np.int64)
+        phi = np.array(c2.phi)
+        cols = cells[phi[:, None], phi[None, :]].ravel()
+        cols = np.concatenate([cols, cols + nh * nh])  # the g cells, then the f cells
+        found, moved = h2grp._row_classes(inv_theta[rows[:, cols]])
+        if not found.all():
+            raise InputError("pair is not a cocycle pair for this action")
+        acted = np.empty(k, dtype=np.int64)
+        acted[source] = moved
+        if (acted[source] != moved).any():
+            raise ValidationError("cohomology action of C is not constant on cosets")
+        lhs.extend(omega[pair_mul(c1, c2)] for c1 in C)
+        left.append(acted[om])
+    t_add = h2grp.I.add.np_table
+    right = np.repeat(om, len(om))
+    found, rhs = h2grp._row_classes(t_add[reps[np.concatenate(left)], reps[right]])
+    if not found.all():
+        raise InputError("pair is not a cocycle pair for this action")
+    return lhs == rhs.tolist()
 
 
 # --- the exact sequence -------------------------------------------------------
@@ -387,27 +477,7 @@ def verify_exact_sequence(ext: Extension, budget: Optional[int] = None) -> dict:
     exact = list(ker_omega) == list(im_rho)
 
     # The C-action on classes is well defined and omega is a derivation.
-    reps = h2grp.representatives
-    derivation_law = True
-    for c2 in C:
-        theta_res = restrict_automorphism(c2.theta, elems)
-        transformed = {}
-        for k, rep in enumerate(reps):
-            moved = h2grp.class_of(c_act_on_h2(c2, theta_res, rep))
-            transformed[k] = moved
-            for b in h2grp.b2:
-                other = h2grp.class_of(
-                    c_act_on_h2(c2, theta_res, pair_add(I_res, rep, b))
-                )
-                if other != moved:
-                    raise ValidationError(
-                        "cohomology action of C is not constant on cosets"
-                    )
-        for c1 in C:
-            lhs = reps[omega[pair_mul(c1, c2)]]
-            rhs = h2grp.add(transformed[omega[c1]], reps[omega[c2]])
-            if lhs != rhs:
-                derivation_law = False
+    derivation_law = _derivation_law(C, omega, h2grp, elems)
     if not derivation_law:
         raise ValidationError("the Wells map violates the derivation law")
 

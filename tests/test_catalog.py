@@ -11,8 +11,9 @@ from braceforge import catalog
 from braceforge.braces import SkewBrace, lambda_is_hom, identities_check, validate_brace
 from braceforge.errors import (BraceAxiomFailed, NotExact, ParamOutOfRange, SchemaError,
                                ValidationError)
-from braceforge.extensions import Extension, validate_extension
+from braceforge.extensions import Extension, extract_triplet, validate_extension
 from braceforge.groups import FiniteGroup, cyclic_group
+from braceforge.wells import verify_exact_sequence
 
 
 def test_trivial_brace_entries():
@@ -111,6 +112,37 @@ def test_round_trip_byte_identical(tmp_path):
         assert loaded.payload == e.payload
         catalog.save(loaded, p)
         assert p.read_bytes() == first
+
+
+def test_dumps_payload_matches_json_module(split_ext, z4_ext):
+    def reference(obj):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    # every payload kind, built-in and derived, and two reports
+    objs = [e.payload for e in catalog.builtin_entries()] + [
+        catalog.group_payload(split_ext.E.add),
+        catalog.brace_payload(split_ext.E),
+        catalog.triple_payload(extract_triplet(z4_ext).chi),
+        catalog.triplet_payload(extract_triplet(z4_ext)),
+        catalog.extension_payload(z4_ext),
+        verify_exact_sequence(split_ext),
+        catalog.example_report(2, n=1, p=3),
+        {
+            "empty": [[], {}, ()],
+            "ints": [3, -1, 0, True, False, -7],
+            "bools": [True, False],
+            "floats": [0.1, -2.5, 1e300, float("inf"), float("nan")],
+            "mixed": [None, "caf\u00e9", "\u2203 x \"q\"\n", 1.0, [1, [2, []]]],
+            "tuple": (1, (2, 3), ("a",)),
+            "nested": {"z": {"y": [{}, {"k": None}]}, "a": -0.0},
+            "int_keys": {10: "ten", 9: [1, 2], 2: {"b": 1, "a": [True]}},
+            "\u00e9t\u00e9": "non-ASCII key",
+            "scalar": 1.5,
+        },
+        {},
+    ]
+    for obj in objs:
+        assert catalog.dumps_payload(obj) == reference(obj)
 
 
 def test_builtin_entries_unique_and_buildable():
