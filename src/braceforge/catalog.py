@@ -57,11 +57,11 @@ from .groups import (
 )
 from .split import (
     ActionTriple,
+    _validated_product,
     enumerate_split_triples,
     identity_triple,
     semidirect_product,
     triple_from_tables,
-    validate_split_triple,
 )
 
 KINDS = ("group", "brace", "triple", "triplet", "extension")
@@ -540,8 +540,7 @@ def example2(n: int = 2, p: int = 3, odd: bool = False):
         exps = [x // 2 + x % 2 for x in range(2 * k)]
     fam = tuple(neg if e % 2 else ident for e in exps)
     t = ActionTriple(fam, fam, fam)
-    sweep = validate_split_triple(H, I, t)
-    E = semidirect_product(H, I, t)
+    sweep, E = _validated_product(H, I, t)
     bad_add = []
     bad_circ = []
     for x1 in range(H.n):
@@ -615,8 +614,7 @@ def example3():
     psi = tuple((2 * (x // 2) % 3) * 2 + x % 2 for x in range(6))
     nu = tuple(_perm_power(psi, h) for h in range(8))
     t = ActionTriple(nu, tuple(identity_perm(6) for _ in range(8)), nu)
-    sweep = validate_split_triple(H, I, t)
-    E = semidirect_product(H, I, t)
+    sweep, E = _validated_product(H, I, t)
     iso_add = find_isomorphism(I.add, dihedral_group(3))
     iso_circ = find_isomorphism(I.circ, cyclic_group(6))
     bad_recorded = 0
@@ -689,8 +687,7 @@ def example4(budget: Optional[int] = None):
     neg = _negation(4)
     nu = tuple(_perm_power(neg, k) for k in range(4))
     t = ActionTriple(nu, tuple(identity_perm(4) for _ in range(4)), nu)
-    sweep = validate_split_triple(H, I, t)
-    E = semidirect_product(H, I, t)
+    sweep, E = _validated_product(H, I, t)
     bad_recorded = []
     bad_corrected = []
     h_part_ok = True
@@ -850,7 +847,6 @@ def example1_finite(k: int = 2, m: int = 3):
     neg = _negation(m)
     fam = tuple(neg if h % 2 else identity_perm(m) for h in range(2 * k))
     t = ActionTriple(fam, fam, fam)
-    validate_split_triple(H, I, t)
     E = semidirect_product(H, I, t)
     bad = 0
     for h1 in range(2 * k):

@@ -40,10 +40,9 @@ from .errors import (
     ValidationError,
 )
 from .extensions import extension_from_triplet, ext_classes, extract_triplet, validate_extension, zero_triplet
-from .cohomology import ext_bijection_check, h2N, restrict_action, verify_free_transitive, z1N
+from .cohomology import _bijection_report, _free_transitive_report, h2N, restrict_action, z1N
 from .groups import cyclic_group, describe_group, identity_perm
-from .split import (ActionTriple, enumerate_split_triples, identity_triple, semidirect_product,
-                    validate_split_triple)
+from .split import ActionTriple, _validated_product, enumerate_split_triples, identity_triple
 from .wells import verify_exact_sequence
 
 SCHEMA = "braceforge.report/1"
@@ -165,8 +164,7 @@ def cmd_semidirect(args) -> int:
     H = _load_brace(args.H)
     I = _load_brace(args.I)
     t = _load_triple(args.triple, H, I)
-    sweep = validate_split_triple(H, I, t)
-    E = semidirect_product(H, I, t)
+    sweep, E = _validated_product(H, I, t)
     inj = list(range(I.n))
     proj = [x // I.n for x in range(E.n)]
     ext = validate_extension(E, H, I, inj, proj)
@@ -353,25 +351,32 @@ def cmd_selftest(args) -> int:
                     "report": {k: v for k, v in rep.items() if k != "omega_table"}}
         return inner
 
+    Z2 = trivial_brace(cyclic_group(2))
+    classes = {}
+
+    def ext_buckets(Zi):
+        # shared by the bijection and free-and-transitive checks of one Zi
+        if Zi.n not in classes:
+            classes[Zi.n] = ext_classes(Z2, Zi, args.budget)
+        return classes[Zi.n]
+
     def bijection(n_i):
         def inner():
-            Z2 = trivial_brace(cyclic_group(2))
             Zi = trivial_brace(cyclic_group(n_i))
-            rep = ext_bijection_check(Z2, Zi, identity_triple(Z2, Zi),
-                                      budget=args.budget)
+            chi = identity_triple(Z2, Zi)
+            grp = h2N(Z2, Zi, chi, args.budget)
+            rep = _bijection_report(Zi, chi, grp, ext_buckets(Zi))
             return {"ok": rep["equal"], "report": rep}
         return inner
 
     def free_transitive(n_i):
         def inner():
-            Z2 = trivial_brace(cyclic_group(2))
             Zi = trivial_brace(cyclic_group(n_i))
-            rep = verify_free_transitive(Z2, Zi, budget=args.budget)
+            rep = _free_transitive_report(Z2, Zi, ext_buckets(Zi), args.budget)
             return {"ok": rep["free"] and rep["transitive"], "report": rep}
         return inner
 
     def round_trip():
-        Z2 = trivial_brace(cyclic_group(2))
         Z3 = trivial_brace(cyclic_group(3))
         t = zero_triplet(Z2, Z3)
         ext = extension_from_triplet(Z2, Z3, t)

@@ -648,7 +648,11 @@ def ext_bijection_check(
     the two sides disagree.
     """
     grp = h2N(H, I, chi, budget)
-    buckets = ext_classes(H, I, budget)
+    return _bijection_report(I, chi, grp, ext_classes(H, I, budget))
+
+
+def _bijection_report(I: SkewBrace, chi: ActionTriple, grp, buckets: list) -> dict:
+    """ext_bijection_check on a computed H^2 and ext_classes result."""
     matched = 0
     for rep_chi, classes in buckets:
         related = couplings_related(I, rep_chi, chi) is not None
@@ -708,7 +712,13 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace, budget: Optional[int] = N
     |Ext(H, I)| = |Ext(H, Z(I))| comparison is the per-coupling equality
     of class count and cohomology order.
     """
-    buckets = ext_classes(H, I, budget)
+    return _free_transitive_report(H, I, ext_classes(H, I, budget), budget)
+
+
+def _free_transitive_report(
+    H: SkewBrace, I: SkewBrace, buckets: list, budget: Optional[int]
+) -> dict:
+    """verify_free_transitive on a computed ext_classes result."""
     per_coupling = []
     all_free = True
     all_transitive = True

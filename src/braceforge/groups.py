@@ -5,6 +5,24 @@ Conventions used everywhere in this package:
   * the identity sits at index 0,
   * permutations are tuples p with p[x] the image of x,
   * compose(p, q) applies q first, so compose(p, q)[x] = p[q[x]].
+
+Associativity on a generating set (Light's test).  Call s a good middle
+element of a table when (x s) y = x (s y) for all x, y.  The good middle
+elements are closed under the product: for good s, t and any x, y,
+
+    (x (s t)) y = ((x s) t) y = (x s) (t y) = x (s (t y)) = x ((s t) y),
+
+using s, then t, then s, then t.  So when every element of a set S is
+good and S together with the identity generates the table under its own
+product, every element is good and the table is associative.  This
+costs n^2 |S| cells instead of n^3.  _generators finds such an S: the
+greedy generating sequence, in which each element reached is 0, a
+generator, or a reached element times a generator on the right.
+
+validate_group decides associativity by this test at every order; the
+braces module decides the brace axiom the same way.  Paired end-to-end
+runs of both benchmark workloads against the full n^3 cube are in
+BENCH_generator_axioms.json.
 """
 
 from __future__ import annotations
@@ -86,7 +104,7 @@ def relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> list:
 class FiniteGroup:
     """Immutable group given by its full multiplication table."""
 
-    __slots__ = ("n", "table", "inv", "_np", "_abelian", "_orders", "_hash")
+    __slots__ = ("n", "table", "inv", "_np", "_abelian", "_orders", "_gens", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         arr = np.array(table, dtype=np.int64)
@@ -101,6 +119,7 @@ class FiniteGroup:
         self._np = arr
         self._abelian = None
         self._orders = None
+        self._gens = None
         self._hash = hash(tab)
 
     def __eq__(self, other: object) -> bool:
@@ -178,13 +197,44 @@ class FiniteGroup:
         return FiniteGroup(relabel_table(self.table, perm))
 
     def generating_sequence(self) -> tuple:
-        gens: list = []
-        closure = {0}
-        while len(closure) < self.n:
-            g = min(x for x in range(self.n) if x not in closure)
-            gens.append(g)
-            closure = set(self.subgroup_closure(gens))
-        return tuple(gens)
+        if self._gens is None:
+            self._gens = _generators(self.table)
+        return self._gens
+
+
+def _generators(table) -> tuple:
+    """The greedy generating sequence of a table: repeatedly the least
+    element not yet reached from 0 by right multiplication by the chosen
+    generators.  In a group this is the least element outside the
+    subgroup generated so far.  Each element is multiplied by each
+    generator once, so the cost is n |S| lookups."""
+    n = len(table)
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    gens: list = []
+    for g in range(1, n):
+        if seen[g]:
+            continue
+        gens.append(g)
+        seen[g] = True
+        # what was reached is closed under the earlier generators, so only
+        # its products with g start new work
+        queue = [g]
+        for x in reached:
+            y = table[x][g]
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+        for x in queue:  # the list grows while it is walked
+            row = table[x]
+            for h in gens:
+                y = row[h]
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        reached.extend(queue)
+    return tuple(gens)
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -205,7 +255,8 @@ def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
 
 def _group_if_valid(t: np.ndarray) -> Optional[FiniteGroup]:
     """The group of a square integer table that passes range, identity at
-    0, two-sided inverses and associativity, decided in numpy; else None."""
+    0, two-sided inverses and associativity, decided in numpy; else None.
+    The group keeps the generating set its associativity was decided on."""
     n = len(t)
     if n == 0 or t.shape != (n, n) or t.dtype.kind not in "iu":
         return None
@@ -217,8 +268,11 @@ def _group_if_valid(t: np.ndarray) -> Optional[FiniteGroup]:
     G = FiniteGroup(t)
     if -1 in G.inv:
         return None
-    t = t.astype(np.int32)  # halves the two n^3 temporaries
-    if not np.array_equal(t.take(t, axis=0), t.take(t, axis=1)):
+    # (x s) y = x (s y) for every s in a generating set (Light's test,
+    # module docstring)
+    mids = list(G.generating_sequence())
+    t = t.astype(np.int32)  # halves the two temporaries
+    if not np.array_equal(t.take(t[:, mids], axis=0), t.take(t[mids], axis=1)):
         return None
     return G
 

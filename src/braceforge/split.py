@@ -250,15 +250,20 @@ def _product_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
     return add.reshape(nh * ni, nh * ni), circ.reshape(nh * ni, nh * ni)
 
 
+def _validated_product(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
+    """(SweepInfo, product brace): the triple and the product brace each
+    validated once, for callers that report the sweep."""
+    sweep = validate_split_triple(H, I, t)
+    return sweep, validate_brace(*_product_tables(H, I, t))
+
+
 def semidirect_product(
     H: SkewBrace, I: SkewBrace, t: ActionTriple, validate: bool = True
 ) -> SkewBrace:
     """The split product brace on pairs (h, y) -> h * |I| + y."""
     if validate:
-        validate_split_triple(H, I, t)
+        return _validated_product(H, I, t)[1]
     add, circ = _product_tables(H, I, t)
-    if validate:
-        return validate_brace(add, circ)
     return SkewBrace(FiniteGroup(add), FiniteGroup(circ))
 
 

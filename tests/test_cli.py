@@ -156,6 +156,33 @@ def test_semidirect_then_wells_check(tmp_path, capsys, Z2, Z3):
     assert report["kernel_rho_order"] == 3 and report["ker_omega_order"] == 2
 
 
+def test_split_products_are_validated_once(tmp_path, capsys, count_calls, Z2, Z3):
+    # one compatibility sweep and one product-brace validation per product,
+    # both in `semidirect` and in the worked examples that report the sweep
+    sweeps = count_calls(split._compat_witness)
+    products = count_calls(split._product_tables)
+    h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
+    i = _write(tmp_path, "i.json", catalog.brace_payload(Z3))
+    t = _write(tmp_path, "t.json", NEGATION_TRIPLE_2x3)
+    assert main(["semidirect", h, i, t]) == 0
+    capsys.readouterr()
+    assert (sweeps["calls"], products["calls"]) == (1, 1)
+    for build in (lambda: catalog.example2(n=2, p=3), catalog.example3,
+                  catalog.example1_finite):
+        sweeps["calls"] = products["calls"] = 0
+        build()
+        assert (sweeps["calls"], products["calls"]) == (1, 1)
+
+
+def test_selftest_classifies_each_pair_once(capsys, count_calls):
+    # the bijection and free-and-transitive checks of one Z2-by-Zi pair
+    # share one ext_classes result
+    classified = count_calls(cli.ext_classes)
+    assert main(["selftest"]) == 0
+    capsys.readouterr()
+    assert classified["calls"] == 2
+
+
 def test_enumerate_split(tmp_path, capsys, Z2, Z3):
     h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
     i = _write(tmp_path, "i.json", catalog.brace_payload(Z3))
