@@ -41,9 +41,10 @@ an element times a generator, so the law needs checking only for s in
 {0} and S_o.
 
 validate_brace and lambda_is_hom take these routes at every order, as
-validate_group takes Light's test; the full cube is kept for the batched
-check of many circle tables at once (_brace_axiom) and as the test
-oracle.
+validate_group takes Light's test, and so does _brace_axiom_holds, the
+batched check of many circle tables that split enumeration runs; the full
+cube is kept for the batched check of the quotient route (_brace_axiom)
+and as the test oracle.
 """
 
 from __future__ import annotations
@@ -171,6 +172,15 @@ def _brace_axiom_on_generators(add: FiniteGroup, circ: FiniteGroup):
     lhs, rhs = _axiom_sides(t_add, t_circ[a:a + 1], neg[a:a + 1], np.arange(add.n))
     b, c = (int(x) for x in np.argwhere(lhs[0] != rhs[0])[0])
     return a, b, c, int(lhs[0, b, c]), int(rhs[0, b, c])
+
+
+def _brace_axiom_holds(add: FiniteGroup, circs: np.ndarray) -> np.ndarray:
+    """ok[t]: circle table t of a (T, n, n) stack satisfies the brace axiom
+    with (E, +) = add, decided on the cells _brace_axiom_on_generators
+    reads, those with b in a generating set of (E, +)."""
+    neg = np.array(add.inv, dtype=np.int64)
+    lhs, rhs = _axiom_sides(add.np_table, circs, neg, list(add.generating_sequence()))
+    return (lhs == rhs).reshape(len(circs), -1).all(axis=1)
 
 
 def validate_brace(

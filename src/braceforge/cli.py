@@ -10,8 +10,9 @@ Exit codes:
     2  a mathematical assertion failed (the report carries a witness)
     3  a search space exceeded the configured budget
     4  invalid input: missing file, malformed JSON, schema violation,
-       parameters outside an example's domain, or a budget that is not a
-       non-negative integer
+       parameters outside an example's domain, a budget that is not a
+       non-negative integer, or arguments the parser rejects (the report's
+       "command" is null when no subcommand was recognised)
 
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
 every command; --budget overrides it per invocation.  A reader that
@@ -400,8 +401,26 @@ def cmd_selftest(args) -> int:
 
 # --- argument parsing ---------------------------------------------------------
 
+class _ArgumentsRejected(InputError):
+    def __init__(self, message: str, command: Optional[str]):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise _ArgumentsRejected, carrying the
+    subcommand whose parser rejected the arguments (None for the top-level
+    parser), instead of exiting with status 2.  Subparsers are built from
+    the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        command = self.prog.partition(" ")[2] or None
+        raise _ArgumentsRejected(f"{self.prog}: {message}", command)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braceforge",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -480,7 +499,15 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    try:
+        args, extra = _PARSER.parse_known_args(argv)
+        if extra:
+            raise _ArgumentsRejected(
+                f"{_PARSER.prog}: unrecognized arguments: {' '.join(extra)}", args.command)
+    except _ArgumentsRejected as exc:
+        _say(f"invalid input: {exc}")
+        _emit(exc.command, {"ok": False, "error": "input", "message": str(exc)})
+        return 4
     try:
         budget_mod.get_budget(args.budget)
         return args.fn(args)

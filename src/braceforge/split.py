@@ -15,17 +15,36 @@ product lives on pairs (h, y) encoded as h * |I| + y with
 
 Note the mu index in the sum: it must be h2, otherwise + is not associative
 for a nontrivial anti-homomorphism mu.
+
+Deciding the compatibility equation on generators.  At (h1, h2, h3, y1,
+y2, y3) the equation is the I-component of the product's brace axiom at
+x1 = (h1, y1), x2 = (h2, y2), x3 = (h3, y3); the H-components agree
+because H is a brace.  Once mu is an anti-homomorphism into Aut(I, +),
+(E, +) is a group, so by the lambda-additivity lemma in the braces module
+the axiom holds everywhere iff it holds with x2 in a generating set of
+(E, +).  The lifts (s, 0), s in S(H, +), and (0, t), t in S(I, +),
+generate (E, +):
+
+    (h, 0) + (0, y) = (h, y)    and    (s1, 0) + (s2, 0) = (s1 + s2, 0).
+
+_compat_on_lifts decides a stack of candidates on those x2 with every
+x1 and x3, |L| n^2 cells per candidate instead of n^3 (n = |H| |I|, |L|
+the number of lifts).  The full (h1, h2, h3, y1, y2, y3) cube still runs
+in three places: for the witness of a triple that fails on the lifts,
+for the as_written sign variant, and on the heuristic domain above
+FULL_SWEEP_LIMIT, where h ranges over a generating set of H only.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import budget as budget_mod
-from .braces import BraceHom, SkewBrace, brace_hom_ops, validate_brace
+from .braces import BraceHom, SkewBrace, _brace_axiom_holds, brace_hom_ops, validate_brace
 from .errors import (
     CompatibilityFailed,
     InputError,
@@ -46,9 +65,16 @@ from .groups import (
     homs_to_perm_group,
     identity_perm,
     is_automorphism,
+    validate_group,
 )
 
 FULL_SWEEP_LIMIT = 64  # full (SE) sweep whenever |H| * |I| is at most this
+
+# Cap on the cells of one batch temporary in the enumeration kernels.  The
+# other kernels of a theorem-suite pass already allocate temporaries of
+# about this size (a 17,280-cell quotient-route cube of 80 order-6 circle
+# tables), so batches of at most 2^14 cells add nothing to the peak memory.
+_BATCH_CELLS = 1 << 14
 
 
 def encode_pair(h: int, y: int, ni: int) -> int:
@@ -92,7 +118,6 @@ def triple_from_tables(nu, mu, sigma) -> ActionTriple:
 @dataclass(frozen=True)
 class SweepInfo:
     full: bool
-    checked: int
 
 
 def _family_arrays(t: ActionTriple) -> tuple:
@@ -108,8 +133,33 @@ def _compat_witness(
     """First tuple violating the compatibility equation, or None.
 
     hs is the list of H-indices each h ranges over (all of H for a full
-    sweep, a generating set for the heuristic one).  With a = nu_{h1}^-1(y1),
-    the equation compared at every (h1, h2, h3, y1, y2, y3) is
+    sweep, a generating set for the heuristic one).  mu must be an
+    anti-homomorphism into Aut(I, +), as validate_split_triple checks
+    first, so that the product's (E, +) is a group.
+
+    On the full domain the operative equation holds everywhere iff it
+    holds with (h2, y2) among the lifts (s, 0) and (0, t) of the
+    generators of (H, +) and (I, +): these generate (E, +), since (h, 0) +
+    (0, y) = (h, y) and (s1, 0) + (s2, 0) = (s1 + s2, 0), and the equation
+    is the product's brace axiom (module docstring).  So a triple that
+    passes on the lifts returns None at once.  The cube (_compat_cube)
+    runs for the witness of a triple that fails there, for as_written and
+    on the heuristic domain, so every witness is the cube's.
+    """
+    full = list(hs) == list(range(H.n))
+    if full and not as_written and _compat_on_lifts(H, I, [t.nu], [t.mu], [t.sigma]).all():
+        return None
+    return _compat_cube(H, I, t, hs, as_written)
+
+
+def _compat_cube(
+    H: SkewBrace, I: SkewBrace, t: ActionTriple, hs: Sequence[int],
+    as_written: bool = False,
+):
+    """_compat_witness evaluated on the whole cube over hs.
+
+    With a = nu_{h1}^-1(y1), the equation compared at every (h1, h2, h3,
+    y1, y2, y3) is
 
         nu_{h1 o (h2 + h3)}(sigma_{h2 + h3}(a) o nu_{h2 + h3}^-1(mu_{h3}(y2) + y3))
           = mu_m(nu_{h1 o h2}(sigma_{h2}(a) o nu_{h2}^-1(y2)) - y1)
@@ -167,6 +217,55 @@ def _compat_witness(
     return None
 
 
+def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray:
+    """Whether the candidate (nus[i], mus[j], sigmas[k]) satisfies the
+    compatibility equation on the full domain, as a boolean array of shape
+    (len(nus), len(mus), len(sigmas)).
+
+    The equation of _compat_cube is evaluated with (h2, y2) among the lifts
+    of the additive generators of H and I, and with every (h1, y1) and
+    (h3, y3); by the module docstring that decides it whenever every mu
+    is an anti-homomorphism into Aut(I, +).  One unit of work is a
+    candidate and an (h1, y1), |lifts| n cells; units are stacked in
+    batches of at most _BATCH_CELLS cells."""
+    nh, ni = H.n, I.n
+    Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.array(H.add.inv, dtype=np.intp)
+    Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.array(I.add.inv, dtype=np.intp)
+    nu, mu, sigma = (np.array(f, dtype=np.intp).reshape(-1, nh, ni) for f in (nus, mus, sigmas))
+    inv_nu = nu.argsort(axis=2)
+    sh, si = H.add.generating_sequence(), I.add.generating_sequence()
+    # x2 = (h2, y2) over the lifts, x3 = (h3, y3) over all: axes (lift, h3, y3)
+    h2 = np.array(sh + (0,) * len(si), dtype=np.intp)[:, None, None]
+    y2 = np.array((0,) * len(sh) + si, dtype=np.intp)[:, None, None]
+    h3, y3 = np.arange(nh)[:, None], np.arange(ni)
+    p = Ha[h2, h3]                              # h2 + h3
+    # Gathers go through flat tables: a family f at (c, h, y) is
+    # f_flat[(c nh + h) ni + y], and nu_{c, h}(x o z) is
+    # nu_circ[((c nh + h) ni + x) ni + z].
+    nu_circ = nu[:, :, Ic].ravel()
+    Ia_f, mu_f, sigma_f, inv_f = (f.ravel() for f in (Ia, mu, sigma, inv_nu))
+    units = (len(nu), len(mu), len(sigma), nh, ni)
+    ok = np.empty(int(np.prod(units)), dtype=bool)
+    step = max(1, _BATCH_CELLS // max(1, len(sh + si) * nh * ni))
+    for lo in range(0, len(ok), step):
+        # one (candidate, x1) per row, broadcast against (lift, h3, y3);
+        # i, j, k become the row offsets of the nu, mu and sigma tables
+        rows = np.arange(lo, min(lo + step, len(ok)))
+        i, j, k, h1, y1 = (u[:, None, None, None] for u in np.unravel_index(rows, units))
+        i, j, k = i * nh, j * nh, k * nh
+        a = inv_f[(i + h1) * ni + y1]
+
+        def tail(h, y):
+            """nu_{h1 o h}(sigma_h(a) o nu_h^-1(y)), the I-part of x1 o (h, y)."""
+            return nu_circ.take(((i + Hc[h1, h]) * ni + sigma_f.take((k + h) * ni + a)) * ni
+                                + inv_f.take((i + h) * ni + y))
+
+        lhs = tail(p, Ia_f.take(mu_f.take((j + h3) * ni + y2) * ni + y3))  # x1 o (x2 + x3)
+        q = mu_f.take((j + Ha[Hneg[h1], Hc[h1, h3]]) * ni + Ia[tail(h2, y2), Ineg[y1]])
+        ok[lo:lo + step] = (lhs == Ia_f.take(q * ni + tail(h3, y3))).reshape(len(rows), -1).all(axis=1)
+    return ok.reshape(units[:3] + (nh * ni,)).all(axis=-1)
+
+
 def _sweep_domain(H: SkewBrace, I: SkewBrace, full_sweep: Optional[bool]):
     if full_sweep is None:
         full_sweep = H.n * I.n <= FULL_SWEEP_LIMIT
@@ -222,7 +321,7 @@ def validate_split_triple(
             f"(h1,h2,h3,y1,y2,y3)=({h1},{h2},{h3},{y1},{y2},{y3})",
             h1=h1, h2=h2, h3=h3, y1=y1, y2=y2, y3=y3,
         )
-    return SweepInfo(full=full, checked=len(hs) ** 3 * I.n ** 3)
+    return SweepInfo(full=full)
 
 
 def compat_as_written_witness(
@@ -280,38 +379,72 @@ def _candidate_families(H: SkewBrace, I: SkewBrace, max_order: int = DEFAULT_ORD
     return nus, mus, sigmas
 
 
+def _group_or_none(table: np.ndarray) -> Optional[FiniteGroup]:
+    """validate_group's group, or None where it raises."""
+    try:
+        return validate_group(table)
+    except ValidationError:
+        return None
+
+
+def _products_are_braces(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray:
+    """Whether validate_brace accepts the product of each candidate
+    (nus[i], mus[j], sigmas[k]), as a boolean array of that shape.
+
+    The additive table depends on mu alone and the circle table on (nu,
+    sigma) alone, so each goes through validate_group once.  The brace
+    axiom is then decided for a stack of the circle tables that are groups
+    against each additive group, on the cells validate_brace reads (b in a
+    generating set of (E, +)); stacks hold at most _BATCH_CELLS cells."""
+    adds = [_group_or_none(_product_tables(H, I, ActionTriple(nus[0], mu, sigmas[0]))[0])
+            for mu in mus]
+    pairs = list(itertools.product(nus, sigmas))
+    n = H.n * I.n
+    gens = max([len(A.generating_sequence()) for A in adds if A is not None] + [1])
+    step = max(1, _BATCH_CELLS // (n * n * gens))
+    ok = np.zeros((len(mus), len(pairs)), dtype=bool)
+    for lo in range(0, len(pairs), step):
+        circs = np.array([_product_tables(H, I, ActionTriple(nu, mus[0], sigma))[1]
+                          for nu, sigma in pairs[lo:lo + step]])
+        groups = np.flatnonzero([_group_or_none(c) is not None for c in circs])
+        for j, add in enumerate(adds):
+            if add is not None:
+                ok[j, lo + groups] = _brace_axiom_holds(add, circs[groups])
+    return ok.reshape(len(mus), len(nus), len(sigmas)).transpose(1, 0, 2)
+
+
 def enumerate_split_triples(
     H: SkewBrace,
     I: SkewBrace,
     budget: Optional[int] = None,
     max_order: int = DEFAULT_ORDER_BOUND,
 ) -> list:
-    """All action triples passing validate_split_triple, sorted canonically."""
+    """All action triples passing validate_split_triple, sorted canonically.
+
+    On the full domain every candidate is decided at once on the lifts
+    (_compat_on_lifts), and the decision is cross-checked against
+    validating every candidate product (_products_are_braces)."""
     nus, mus, sigmas = _candidate_families(H, I, max_order)
     space = len(nus) * len(mus) * len(sigmas)
     budget_mod.guard(space, "enumerate_split_triples", budget)
     full, hs = _sweep_domain(H, I, None)
-    found = []
-    for nu in nus:
-        for mu in mus:
-            for sigma in sigmas:
-                t = ActionTriple(nu, mu, sigma)
-                compat = _compat_witness(H, I, t, hs) is None
-                if full:
-                    # the built product is the ground truth; the sweep must
-                    # agree with it or the sweep itself is broken
-                    try:
-                        validate_brace(*_product_tables(H, I, t))
-                        is_brace = True
-                    except ValidationError:
-                        is_brace = False
-                    if compat != is_brace:
-                        raise InternalInconsistency(
-                            "compatibility sweep disagrees with product "
-                            f"validation for nu={nu} mu={mu} sigma={sigma}"
-                        )
-                if compat:
-                    found.append(t)
+    if full:
+        compat = _compat_on_lifts(H, I, nus, mus, sigmas)
+        # the built products are the ground truth; the sweep must agree
+        # with them or the sweep itself is broken
+        disagree = np.argwhere(compat != _products_are_braces(H, I, nus, mus, sigmas))
+        if len(disagree):
+            i, j, k = disagree[0]
+            raise InternalInconsistency(
+                "compatibility sweep disagrees with product "
+                f"validation for nu={nus[i]} mu={mus[j]} sigma={sigmas[k]}"
+            )
+    else:
+        compat = np.array([
+            _compat_witness(H, I, ActionTriple(*fams), hs) is None
+            for fams in itertools.product(nus, mus, sigmas)
+        ]).reshape(len(nus), len(mus), len(sigmas))
+    found = [ActionTriple(nus[i], mus[j], sigmas[k]) for i, j, k in np.argwhere(compat)]
     found.sort(key=ActionTriple.sort_key)
     return found
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import braceforge
@@ -304,13 +305,34 @@ def test_example_honours_budget_flag(capsys):
 def test_split_sweep_disagreement_is_reported(tmp_path, capsys, monkeypatch, Z2, Z3):
     # a sweep that accepts every triple disagrees with validating the
     # built products; the CLI must still emit one report and exit 2
-    monkeypatch.setattr(split, "_compat_witness", lambda *args, **kwargs: None)
+    monkeypatch.setattr(split, "_compat_on_lifts", lambda H, I, *families: np.ones(
+        [len(f) for f in families], dtype=bool))
     h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
     i = _write(tmp_path, "i.json", catalog.brace_payload(Z3))
     code, report, err = _run(capsys, ["enumerate-split", h, i])
     assert code == 2 and report["ok"] is False and report["error"] == "other"
     assert "disagrees with product validation" in report["message"]
     assert "Traceback" not in err
+
+
+def test_argument_errors_are_input_reports(capsys):
+    # arguments the parser rejects get the contract of any other invalid
+    # input: one JSON report on stdout and exit 4; "command" is null when
+    # no subcommand was recognised
+    cases = [
+        (["example", "notanint"], "example"),
+        (["wells-check"], "wells-check"),
+        (["frobnicate"], None),
+        (["--budget", "x", "selftest"], None),
+    ]
+    for argv, command in cases:
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["schema"] == "braceforge.report/1"
+        assert report["command"] == command
+        assert report["ok"] is False and report["error"] == "input"
+        assert "Traceback" not in captured.err
 
 
 def test_closed_stdout_keeps_exit_code():

@@ -15,6 +15,7 @@ from braceforge.errors import (
     NotHom,
     NotSplit,
     SearchBudgetExceeded,
+    ValidationError,
 )
 from braceforge.extensions import validate_extension
 from braceforge.groups import (
@@ -24,12 +25,16 @@ from braceforge.groups import (
     identity_perm,
     invert_perm,
     klein_group,
+    validate_group,
 )
 from braceforge.split import (
     ActionTriple,
     _candidate_families,
+    _compat_cube,
+    _compat_on_lifts,
     _compat_witness,
     _product_tables,
+    _products_are_braces,
     _sweep_domain,
     compat_as_written_witness,
     decode_pair,
@@ -291,3 +296,63 @@ def test_product_tables_match_loop(Z2, Z3, Z4, xor4, flip4):
             tables = ([list(r) for r in E.add.table], [list(r) for r in E.circ.table])
             assert tables == _loop_product_tables(H, I, t)
     assert checked > 0
+
+
+def _wells_sweep_pairs(Z2, Z3, xor4, flip4):
+    """The nine pairs of the wells-sweep benchmark workload."""
+    V = trivial_brace(klein_group())
+    return [
+        (V, Z3), (flip4, Z3), (xor4, Z3), (Z2, V), (Z3, V),
+        (trivial_brace(dihedral_group(3)), Z2), (xor4, Z2), (V, Z2),
+        (Z2, trivial_brace(dihedral_group(4))),
+    ]
+
+
+def test_compat_on_lifts_matches_cube(Z2, Z3, Z4, xor4, flip4):
+    # deciding the equation with x2 among the lifts of the additive
+    # generators agrees with the full cube on every candidate
+    checked = failing = 0
+    pairs = _oracle_pairs(Z2, Z3, Z4, xor4, flip4) + _wells_sweep_pairs(Z2, Z3, xor4, flip4)
+    for H, I in pairs:
+        families = _candidate_families(H, I)
+        got = _compat_on_lifts(H, I, *families).ravel().tolist()
+        expected = [_compat_cube(H, I, t, list(range(H.n))) is None for t in _candidates(H, I)]
+        assert got == expected
+        checked += len(expected)
+        failing += expected.count(False)
+    assert checked > failing > 0
+
+
+def _validates(H, I, t):
+    try:
+        validate_brace(*_product_tables(H, I, t))
+        return True
+    except ValidationError:
+        return False
+
+
+def test_products_are_braces_matches_validate_brace(Z2, Z3, Z4, xor4, flip4):
+    # the once-per-table cross-check agrees with validating each product
+    for H, I in _oracle_pairs(Z2, Z3, Z4, xor4, flip4):
+        got = _products_are_braces(H, I, *_candidate_families(H, I)).ravel().tolist()
+        assert got == [_validates(H, I, t) for t in _candidates(H, I)]
+    # families that break their own laws give tables that are not groups
+    fams = list(itertools.product((IDP3, NEG3), repeat=2))
+    got = _products_are_braces(Z2, Z3, fams, fams, fams).ravel().tolist()
+    expected = [_validates(Z2, Z3, ActionTriple(*t)) for t in itertools.product(fams, repeat=3)]
+    assert got == expected and 0 < expected.count(True) < len(expected)
+
+
+def test_enumeration_validates_each_table_once(count_calls, flip4):
+    # the example-5 pair has 80 candidates with 2 distinct additive tables
+    # (one per mu) and 40 distinct circle tables (one per (nu, sigma)):
+    # each is validated once, and no candidate runs the cube
+    H = catalog.example5_acting_brace()
+    assert [len(f) for f in _candidate_families(H, flip4)] == [4, 2, 10]
+    groups = count_calls(validate_group)
+    braces = count_calls(validate_brace)
+    cubes = count_calls(_compat_cube)
+    witnesses = count_calls(_compat_witness)
+    assert len(enumerate_split_triples(H, flip4)) == 16
+    assert groups["calls"] == 2 + 40
+    assert (braces["calls"], cubes["calls"], witnesses["calls"]) == (0, 0, 0)
