@@ -42,9 +42,9 @@ an element times a generator, so the law needs checking only for s in
 
 validate_brace and lambda_is_hom take these routes at every order, as
 validate_group takes Light's test, and so does _brace_axiom_holds, the
-batched check of many circle tables that split enumeration runs; the full
-cube is kept for the batched check of the quotient route (_brace_axiom)
-and as the test oracle.
+batched check of many circle tables that the quotient route runs; the
+full cube is the test oracle _cube_brace_axiom in
+tests/test_generator_axioms.py.
 """
 
 from __future__ import annotations
@@ -138,30 +138,11 @@ def _axiom_sides(t_add: np.ndarray, rows: np.ndarray, neg: np.ndarray, bs) -> tu
     return lhs, t_add[partial[..., None], rows[..., None, :]]
 
 
-def _brace_axiom(add: FiniteGroup, circs: np.ndarray) -> tuple:
-    """The skew brace axiom for one additive group against a (T, n, n)
-    stack of circle tables, evaluated in one broadcast over the full cube.
-
-    Returns (ok, witness): ok[t] tells whether table t satisfies
-    a o (b + c) = a o b - a + a o c everywhere; witness is None when every
-    table does, else (a, b, c, lhs, rhs) at the first failing cell of the
-    first failing table."""
-    neg = np.array(add.inv, dtype=np.int64)
-    lhs, rhs = _axiom_sides(add.np_table, circs, neg, np.arange(add.n))
-    bad = lhs != rhs
-    if not bad.any():
-        return np.ones(len(circs), dtype=bool), None
-    ok = ~bad.reshape(len(circs), -1).any(axis=1)
-    k = int(np.argmin(ok))
-    a, b, c = (int(x) for x in np.argwhere(bad[k])[0])
-    return ok, (a, b, c, int(lhs[k, a, b, c]), int(rhs[k, a, b, c]))
-
-
 def _brace_axiom_on_generators(add: FiniteGroup, circ: FiniteGroup):
-    """The witness _brace_axiom gives for one circle table, or None, from
-    the cells with b in a generating set of (E, +) (module docstring):
-    they decide which a fail, and the witness is read off the n x n slice
-    of the first failing a."""
+    """The first failing cell (a, b, c, lhs, rhs) of the full cube for one
+    circle table, or None, from the cells with b in a generating set of
+    (E, +) (module docstring): they decide which a fail, and the witness
+    is read off the n x n slice of the first failing a."""
     t_add, t_circ = add.np_table, circ.np_table
     neg = np.array(add.inv, dtype=np.int64)
     lhs, rhs = _axiom_sides(t_add, t_circ, neg, list(add.generating_sequence()))

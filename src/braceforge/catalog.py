@@ -11,7 +11,8 @@ indent and a trailing newline, so saved files are bit-stable):
     extension  {"E": <brace>, "H": <brace>, "I": <brace>,
                 "inj": [int], "proj": [int]}
 
-Wrong shapes, non-integer entries and unknown fields raise SchemaError;
+Text that is not UTF-8 JSON, wrong shapes, non-integer entries and
+unknown fields raise SchemaError;
 the mathematical laws are then checked by the module validators, which
 run once on every load: the entry keeps the validated object, and
 build() hands it back instead of validating the payload again.  A group
@@ -390,8 +391,8 @@ def loads(text: str, kind: Optional[str] = None, name: str = "<string>") -> Cata
     """Parse, schema-check, relabel if needed, and validate a payload."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{name}: not valid JSON ({exc})", path=name)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"{name}: not valid JSON ({exc})", path=name) from None
     if not isinstance(data, dict):
         raise SchemaError(f"{name}: expected a JSON object", path=name)
     if kind is None:
@@ -412,7 +413,11 @@ def loads(text: str, kind: Optional[str] = None, name: str = "<string>") -> Cata
 def load(path, kind: Optional[str] = None) -> CatalogEntry:
     """Load a payload file; the entry is named after the file stem."""
     p = Path(path)
-    entry = loads(p.read_text(encoding="utf-8"), kind=kind, name=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{p}: not UTF-8 text ({exc})", path=str(p)) from None
+    entry = loads(text, kind=kind, name=str(p))
     return CatalogEntry(
         name=p.stem, kind=entry.kind, payload=entry.payload,
         provenance=entry.provenance, warnings=entry.warnings, live=entry.live,

@@ -9,10 +9,11 @@ Exit codes:
     0  every check passed
     2  a mathematical assertion failed (the report carries a witness)
     3  a search space exceeded the configured budget
-    4  invalid input: missing file, malformed JSON, schema violation,
-       parameters outside an example's domain, a budget that is not a
-       non-negative integer, or arguments the parser rejects (the report's
-       "command" is null when no subcommand was recognised)
+    4  invalid input: a file that cannot be read or written, text that is
+       not UTF-8 JSON, a schema violation, parameters outside an example's
+       domain, a budget that is not a non-negative integer, or arguments
+       the parser rejects (the report's "command" is null when no
+       subcommand was recognised)
 
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
 every command; --budget overrides it per invocation.  A reader that
@@ -515,11 +516,7 @@ def main(argv=None) -> int:
         _say(f"budget exceeded: {exc}")
         _emit(args.command, {"ok": False, "error": "budget", "message": str(exc)})
         return 3
-    except FileNotFoundError as exc:
-        _say(f"invalid input: {exc}")
-        _emit(args.command, {"ok": False, "error": "input", "message": str(exc)})
-        return 4
-    except InputError as exc:
+    except (OSError, InputError) as exc:
         _say(f"invalid input: {exc}")
         _emit(args.command, {"ok": False, "error": "input", "message": str(exc)})
         return 4

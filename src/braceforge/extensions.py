@@ -17,9 +17,10 @@ identified with s(h) o y, via
                           + mu_{h2}(nu_{h1}(y1)) + nu_{h2}(y2)))
     (h1,y1) o (h2,y2) = (h1 o h2, tau(h1,h2) o sigma_{h2}(y1) o y2)
 
-Validity of a triplet is checked operationally: the rebuilt tables must
-form a brace and the canonical section s(h) = (h, 0) must extract the
-triplet back exactly.  That is equivalent to the cocycle and compatibility
+The rebuilt tables are one gather, split._triplet_tables.  Validity of a
+triplet is checked operationally: the rebuilt tables must form a brace
+and the canonical section s(h) = (h, 0) must extract the triplet back
+exactly.  That is equivalent to the cocycle and compatibility
 identities and sidesteps transcribing them; the identities themselves are
 exposed separately (with their sign-variant diagnostics) for the test
 suite.  cohomology.z2N is the exception: with abelian trivial coefficients
@@ -41,7 +42,7 @@ from . import budget as budget_mod
 from .braces import (
     BraceHom,
     SkewBrace,
-    _brace_axiom,
+    _brace_axiom_holds,
     brace_automorphisms,
     brace_hom_ops,
     find_brace_isomorphism,
@@ -72,7 +73,7 @@ from .groups import (
     normal_closure,
     validate_group,
 )
-from .split import ActionTriple
+from .split import ActionTriple, _triplet_tables
 
 
 class Extension:
@@ -246,48 +247,20 @@ def _triplet_shape_check(H: SkewBrace, I: SkewBrace, t: Triplet) -> None:
             raise TripletInvalid("tau does not vanish on degenerate pairs", h=h)
 
 
-def extension_from_triplet(
-    H: SkewBrace, I: SkewBrace, t: Triplet, validate: bool = True
-) -> Extension:
+def extension_from_triplet(H: SkewBrace, I: SkewBrace, t: Triplet) -> Extension:
     """Rebuild the extension on pairs (h, y) -> h * |I| + y.
 
-    With validate=True the rebuilt tables must pass validate_brace and the
-    canonical section must extract the input back exactly; any failure
-    raises TripletInvalid, which is precisely how invalid triplets are
-    rejected.
+    The rebuilt tables must pass validate_brace and the canonical section
+    must extract the input back exactly; any failure raises TripletInvalid,
+    which is precisely how invalid triplets are rejected.
     """
-    if validate:
-        _triplet_shape_check(H, I, t)
-    ni = I.n
-    n = H.n * ni
-    Ha, Hc = H.add.table, H.circ.table
-    Ia, Ic = I.add.table, I.circ.table
-    nu, mu, sigma = t.chi.nu, t.chi.mu, t.chi.sigma
-    inv_nu = [invert_perm(p) for p in nu]
-    add = [[0] * n for _ in range(n)]
-    circ = [[0] * n for _ in range(n)]
-    for h1 in range(H.n):
-        for h2 in range(H.n):
-            ha, hc = Ha[h1][h2], Hc[h1][h2]
-            b, tv = t.beta[h1][h2], t.tau[h1][h2]
-            nu1, nu2, mu2 = nu[h1], nu[h2], mu[h2]
-            inv_nua, s2 = inv_nu[ha], sigma[h2]
-            for y1 in range(ni):
-                left = Ia[b][mu2[nu1[y1]]]
-                tl = Ic[tv][s2[y1]]
-                row_a = add[h1 * ni + y1]
-                row_c = circ[h1 * ni + y1]
-                for y2 in range(ni):
-                    row_a[h2 * ni + y2] = ha * ni + inv_nua[Ia[left][nu2[y2]]]
-                    row_c[h2 * ni + y2] = hc * ni + Ic[tl][y2]
-    if not validate:
-        E = SkewBrace(FiniteGroup(add), FiniteGroup(circ))
-        return Extension(E, H, I, tuple(range(ni)), tuple(x // ni for x in range(n)))
+    _triplet_shape_check(H, I, t)
+    add, circ = _triplet_tables(H, I, t.chi, t.beta, t.tau)
     try:
         E = validate_brace(add, circ)
     except ValidationError as exc:
         raise TripletInvalid(f"rebuilt tables are not a brace: {exc}", cause=str(exc))
-    ext = validate_extension(E, H, I, tuple(range(ni)), tuple(x // ni for x in range(n)))
+    ext = validate_extension(E, H, I, tuple(range(I.n)), tuple(x // I.n for x in range(E.n)))
     back = extract_triplet(ext, canonical_section(ext))
     if back != t:
         raise TripletInvalid("canonical section does not extract the triplet back")
@@ -725,7 +698,7 @@ def _brace_orbits(groups: list) -> list:
     """The brace tables over `groups`, split into orbits under relabelling.
 
     `groups` is every validated group table of one order.  Accepted
-    (add, circ) pairs are visited in order; the first pair of each orbit
+    (add, circ) pairs (_brace_axiom_holds) are visited in order; the first pair of each orbit
     is its representative.  Both representative tables are relabelled by
     every 0-fixing permutation p in one gather (_relabel_stack), and each
     image is looked up among `groups` by its bytes.  An orbit is a list
@@ -747,7 +720,7 @@ def _brace_orbits(groups: list) -> list:
     seen: set = set()
     orbits = []
     for i, add in enumerate(groups):
-        ok, _ = _brace_axiom(add, circs)
+        ok = _brace_axiom_holds(add, circs)
         accepted += int(ok.sum())
         for j in np.flatnonzero(ok).tolist():
             if (i, j) in seen:
@@ -820,7 +793,8 @@ def enumerate_all_extensions(
     Brute force up to relabelling: all brace tables of the right order,
     all embeddings of I with ideal image, all projections inducing H on
     the quotient.  Each group table is validated once and the brace axiom
-    is checked against the stack of every circle table at once.  The
+    is checked against the stack of every circle table at once, on the
+    cells with b in a generating set of (E, +) (_brace_axiom_holds).  The
     search runs on one representative per orbit of brace tables under the
     0-fixing relabellings; a relabelling is an isomorphism onto the copy,
     so it carries the representative's extensions to every other copy

@@ -165,21 +165,6 @@ class FiniteGroup:
         """Sorted multiset of element orders; an isomorphism invariant."""
         return tuple(sorted(self.element_order(a) for a in range(self.n)))
 
-    def subgroup_closure(self, gens: Iterable[int]) -> tuple:
-        elems = {0}
-        frontier = [0] + [g for g in gens]
-        elems.update(frontier)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(elems):
-                for b in list(elems):
-                    c = self.table[a][b]
-                    if c not in elems:
-                        elems.add(c)
-                        changed = True
-        return tuple(sorted(elems))
-
     def is_subgroup(self, elems: Iterable[int]) -> bool:
         s = set(elems)
         if 0 not in s:

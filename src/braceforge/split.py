@@ -29,10 +29,14 @@ generate (E, +):
 
 _compat_on_lifts decides a stack of candidates on those x2 with every
 x1 and x3, |L| n^2 cells per candidate instead of n^3 (n = |H| |I|, |L|
-the number of lifts).  The full (h1, h2, h3, y1, y2, y3) cube still runs
-in three places: for the witness of a triple that fails on the lifts,
-for the as_written sign variant, and on the heuristic domain above
+the number of lifts).  Enumeration takes its verdicts from it alone and
+builds no product table.  The full (h1, h2, h3, y1, y2, y3) cube still
+runs in three places: for the witness of a triple that fails on the
+lifts, for the as_written sign variant, and on the heuristic domain above
 FULL_SWEEP_LIMIT, where h ranges over a generating set of H only.
+
+_triplet_tables is the one gather that fills product tables: triplet
+rebuilds use it, and a split product is its zero-cocycle case relabelled.
 """
 
 from __future__ import annotations
@@ -44,36 +48,33 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import budget as budget_mod
-from .braces import BraceHom, SkewBrace, _brace_axiom_holds, brace_hom_ops, validate_brace
+from .braces import BraceHom, SkewBrace, brace_hom_ops, validate_brace
 from .errors import (
     CompatibilityFailed,
     InputError,
-    InternalInconsistency,
     NotAntiHom,
     NotAutomorphism,
     NotHom,
     NotSplit,
     SectionNotHom,
-    ValidationError,
 )
 from .groups import (
     DEFAULT_ORDER_BOUND,
     FiniteGroup,
     _homomorphisms,
+    _relabel_stack,
     automorphism_group,
     compose,
     homs_to_perm_group,
     identity_perm,
     is_automorphism,
-    validate_group,
 )
 
 FULL_SWEEP_LIMIT = 64  # full (SE) sweep whenever |H| * |I| is at most this
 
-# Cap on the cells of one batch temporary in the enumeration kernels.  The
-# other kernels of a theorem-suite pass already allocate temporaries of
-# about this size (a 17,280-cell quotient-route cube of 80 order-6 circle
-# tables), so batches of at most 2^14 cells add nothing to the peak memory.
+# Cap on the cells of one batch temporary in _compat_on_lifts: 128 KiB, far
+# below the tens of MB the interpreter and numpy occupy, however many
+# candidates a pair has.
 _BATCH_CELLS = 1 << 14
 
 
@@ -334,19 +335,34 @@ def compat_as_written_witness(
     return _compat_witness(H, I, t, hs, as_written=True)
 
 
-def _product_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
-    """The (add, circ) tables of the split product as (n, n) arrays, each
-    gathered at once over (h1, y1, h2, y2)."""
+def _triplet_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple, beta, tau) -> tuple:
+    """The (add, circ) tables the triplet (t, beta, tau) rebuilds by the
+    formulas in the extensions module docstring, on pairs (h, y) -> h * |I|
+    + y standing for s(h) o y, as (n, n) arrays, each gathered at once over
+    (h1, y1, h2, y2)."""
     nh, ni = H.n, I.n
-    Ha, Hc = H.add.np_table, H.circ.np_table
     Ia, Ic = I.add.np_table, I.circ.np_table
     nu, mu, sigma, inv_nu = _family_arrays(t)
+    beta, tau = (np.array(c, dtype=np.intp).reshape(nh, nh) for c in (beta, tau))
     h1, y1 = np.arange(nh)[:, None, None, None], np.arange(ni)[None, :, None, None]
     h2, y2 = np.arange(nh)[None, None, :, None], np.arange(ni)[None, None, None, :]
-    hc = Hc[h1, h2]
-    add = Ha[h1, h2] * ni + Ia[mu[h2, y1], y2]
-    circ = hc * ni + nu[hc, Ic[sigma[h2, inv_nu[h1, y1]], inv_nu[h2, y2]]]
+    ha, hc = H.add.np_table[h1, h2], H.circ.np_table[h1, h2]
+    add = ha * ni + inv_nu[ha, Ia[Ia[beta[h1, h2], mu[h2, nu[h1, y1]]], nu[h2, y2]]]
+    circ = hc * ni + Ic[Ic[tau[h1, h2], sigma[h2, y1]], y2]
     return add.reshape(nh * ni, nh * ni), circ.reshape(nh * ni, nh * ni)
+
+
+def _product_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
+    """The (add, circ) tables of the split product as (n, n) arrays.
+
+    In the product h * |I| + y stands for s(h) + y, and s(h) + y = s(h) o
+    nu_h^-1(y), since nu_h(z) = -s(h) + s(h) o z.  So the product is the
+    zero-cocycle rebuild (_triplet_tables) with each label h * |I| + z
+    renamed to h * |I| + nu_h(z)."""
+    zero = np.zeros((H.n, H.n), dtype=np.intp)
+    add, circ = _triplet_tables(H, I, t, zero, zero)
+    rename = (np.arange(H.n)[:, None] * I.n + np.array(t.nu, dtype=np.intp)).reshape(1, -1)
+    return _relabel_stack(add, rename)[0], _relabel_stack(circ, rename)[0]
 
 
 def _validated_product(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
@@ -379,40 +395,6 @@ def _candidate_families(H: SkewBrace, I: SkewBrace, max_order: int = DEFAULT_ORD
     return nus, mus, sigmas
 
 
-def _group_or_none(table: np.ndarray) -> Optional[FiniteGroup]:
-    """validate_group's group, or None where it raises."""
-    try:
-        return validate_group(table)
-    except ValidationError:
-        return None
-
-
-def _products_are_braces(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray:
-    """Whether validate_brace accepts the product of each candidate
-    (nus[i], mus[j], sigmas[k]), as a boolean array of that shape.
-
-    The additive table depends on mu alone and the circle table on (nu,
-    sigma) alone, so each goes through validate_group once.  The brace
-    axiom is then decided for a stack of the circle tables that are groups
-    against each additive group, on the cells validate_brace reads (b in a
-    generating set of (E, +)); stacks hold at most _BATCH_CELLS cells."""
-    adds = [_group_or_none(_product_tables(H, I, ActionTriple(nus[0], mu, sigmas[0]))[0])
-            for mu in mus]
-    pairs = list(itertools.product(nus, sigmas))
-    n = H.n * I.n
-    gens = max([len(A.generating_sequence()) for A in adds if A is not None] + [1])
-    step = max(1, _BATCH_CELLS // (n * n * gens))
-    ok = np.zeros((len(mus), len(pairs)), dtype=bool)
-    for lo in range(0, len(pairs), step):
-        circs = np.array([_product_tables(H, I, ActionTriple(nu, mus[0], sigma))[1]
-                          for nu, sigma in pairs[lo:lo + step]])
-        groups = np.flatnonzero([_group_or_none(c) is not None for c in circs])
-        for j, add in enumerate(adds):
-            if add is not None:
-                ok[j, lo + groups] = _brace_axiom_holds(add, circs[groups])
-    return ok.reshape(len(mus), len(nus), len(sigmas)).transpose(1, 0, 2)
-
-
 def enumerate_split_triples(
     H: SkewBrace,
     I: SkewBrace,
@@ -422,23 +404,14 @@ def enumerate_split_triples(
     """All action triples passing validate_split_triple, sorted canonically.
 
     On the full domain every candidate is decided at once on the lifts
-    (_compat_on_lifts), and the decision is cross-checked against
-    validating every candidate product (_products_are_braces)."""
+    (_compat_on_lifts) and no product is built; validating every candidate
+    product is the test oracle _products_are_braces in tests/test_split.py."""
     nus, mus, sigmas = _candidate_families(H, I, max_order)
     space = len(nus) * len(mus) * len(sigmas)
     budget_mod.guard(space, "enumerate_split_triples", budget)
     full, hs = _sweep_domain(H, I, None)
     if full:
         compat = _compat_on_lifts(H, I, nus, mus, sigmas)
-        # the built products are the ground truth; the sweep must agree
-        # with them or the sweep itself is broken
-        disagree = np.argwhere(compat != _products_are_braces(H, I, nus, mus, sigmas))
-        if len(disagree):
-            i, j, k = disagree[0]
-            raise InternalInconsistency(
-                "compatibility sweep disagrees with product "
-                f"validation for nu={nus[i]} mu={mus[j]} sigma={sigmas[k]}"
-            )
     else:
         compat = np.array([
             _compat_witness(H, I, ActionTriple(*fams), hs) is None

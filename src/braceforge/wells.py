@@ -26,12 +26,12 @@ psi(theta)(s(h) o y) = s(h) o theta(h) o y, and the image of rho is the
 set-theoretic kernel of omega.
 
 The check runs in factor-set coordinates.  omega(c) is read off the
-triplet of [E]^c after a section change (see wells_map); the C-action on
-classes and the derivation law are gathers on the integer cocycle rows
-that CohomologyGroup keeps; Autb_I(E) is searched with generator images
-already confined to the kernel.  The orbit-search wells_map and the
-per-pair derivation loop they replace are kept as oracles in
-tests/test_wells.py.
+triplet of [E]^c after a section change (see wells_map), so no shifted
+extension h.[E] is rebuilt; the C-action on classes and the derivation
+law are gathers on the integer cocycle rows that CohomologyGroup keeps;
+Autb_I(E) is searched with generator images already confined to the
+kernel.  The orbit-search wells_map and the per-pair derivation loop are
+kept as oracles in tests/test_wells.py.
 """
 
 from __future__ import annotations
@@ -44,15 +44,7 @@ import numpy as np
 
 from . import budget as budget_mod
 from .braces import BraceHom, SkewBrace, _brace_automorphism_search, brace_automorphisms
-from .cohomology import (
-    CocyclePair,
-    CohomologyGroup,
-    embed_pair,
-    h2N,
-    h2_act_triplet,
-    restrict_action,
-    z1N,
-)
+from .cohomology import CocyclePair, CohomologyGroup, h2N, restrict_action, z1N
 from .errors import (
     ActionNotTransitive,
     InputError,
@@ -64,7 +56,6 @@ from .extensions import (
     Extension,
     canonical_section,
     couplings_related,
-    extension_from_triplet,
     extract_action,
     extract_triplet,
     section_shift_map,
@@ -276,17 +267,6 @@ def rho(ext: Extension) -> List[Tuple[tuple, AutPair]]:
 
 # --- the Wells map -----------------------------------------------------------
 
-def _class_fixtures(
-    ext: Extension, h2grp: CohomologyGroup, elems: Sequence[int]
-) -> List[Extension]:
-    t = extract_triplet(ext)
-    built = []
-    for p in h2grp.representatives:
-        shifted = h2_act_triplet(ext.H, ext.I, embed_pair(p, elems), t)
-        built.append(extension_from_triplet(ext.H, ext.I, shifted))
-    return built
-
-
 def wells_map(
     ext: Extension,
     C: StabilizerC,
@@ -307,11 +287,10 @@ def wells_map(
     fails.  Freeness holds by construction: the cosets partition the
     cocycle pairs.
 
-    Every shifted extension h.[E] is still rebuilt and validated first.
-    The direct orbit search through extensions_equivalent that this
-    replaces is the oracle _wells_map_orbit in tests/test_wells.py.
+    No extension is rebuilt.  The orbit search that rebuilds every h.[E]
+    and matches [E]^c against them is the oracle _wells_map_orbit in
+    tests/test_wells.py.
     """
-    _class_fixtures(ext, h2grp, elems)
     H, I = ext.H, ext.I
     Ia, Ic, neg, cinv = I.add.table, I.circ.table, I.add.inv, I.circ.inv
     # a difference value outside Ann(I) becomes -1, which no cocycle row holds

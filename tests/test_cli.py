@@ -7,12 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import braceforge
 from braceforge import catalog, cli, split
 from braceforge.cli import main
+from braceforge.errors import InternalInconsistency
 
 IDENTITY_TRIPLE_2x2 = {"nu": [[0, 1], [0, 1]], "mu": [[0, 1], [0, 1]],
                        "sigma": [[0, 1], [0, 1]]}
@@ -303,16 +303,38 @@ def test_example_honours_budget_flag(capsys):
 
 
 def test_split_sweep_disagreement_is_reported(tmp_path, capsys, monkeypatch, Z2, Z3):
-    # a sweep that accepts every triple disagrees with validating the
-    # built products; the CLI must still emit one report and exit 2
-    monkeypatch.setattr(split, "_compat_on_lifts", lambda H, I, *families: np.ones(
-        [len(f) for f in families], dtype=bool))
+    # an internal inconsistency inside the compatibility sweep still gives
+    # one report and exit 2
+    def inconsistent(H, I, *families):
+        raise InternalInconsistency("compatibility sweep disagrees with itself")
+
+    monkeypatch.setattr(split, "_compat_on_lifts", inconsistent)
     h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
     i = _write(tmp_path, "i.json", catalog.brace_payload(Z3))
     code, report, err = _run(capsys, ["enumerate-split", h, i])
     assert code == 2 and report["ok"] is False and report["error"] == "other"
-    assert "disagrees with product validation" in report["message"]
     assert "Traceback" not in err
+
+
+def test_unreadable_files_are_input_errors(tmp_path, capsys):
+    # files that cannot be read or written, or hold text that is not
+    # UTF-8 or nests too deeply for the JSON parser, get the input-error
+    # contract: exit 4, one report, no traceback
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"n": 1, "add": [[0]], "circ": [[0]], "name": "\xe9"}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    cases = [
+        ["validate", str(tmp_path)],
+        ["validate", str(not_utf8)],
+        ["validate", str(deep)],
+        ["example", "3", "-o", str(tmp_path)],
+    ]
+    for argv in cases:
+        code, report, err = _run(capsys, argv)
+        assert code == 4, argv
+        assert report["ok"] is False and report["error"] == "input", argv
+        assert "Traceback" not in err
 
 
 def test_argument_errors_are_input_reports(capsys):

@@ -20,7 +20,7 @@ from braceforge.braces import (
     trivial_brace,
     validate_brace,
 )
-from braceforge.cohomology import ext_bijection_check
+from braceforge.cohomology import ext_bijection_check, z2N
 from braceforge.errors import (
     BraceAxiomFailed,
     InputError,
@@ -69,7 +69,8 @@ from braceforge.groups import (
     relabel_table,
     validate_group,
 )
-from braceforge.split import enumerate_split_triples, semidirect_product
+from braceforge.split import _triplet_tables, enumerate_split_triples, semidirect_product
+from test_generator_axioms import _cube_brace_axiom
 
 
 def perm_pow(p, k):
@@ -482,7 +483,8 @@ def test_batched_axiom_matches_validate_brace():
     six = all_group_tables(6)
     circs = np.stack([validate_group(c).np_table for c in six])
     for add in (six[0], six[49], six[79]):
-        ok, witness = braces_mod._brace_axiom(validate_group(add), circs)
+        ok = braces_mod._brace_axiom_holds(validate_group(add), circs)
+        _, witness = _cube_brace_axiom(validate_group(add), circs)
         failures = []
         for circ in six:
             try:
@@ -511,6 +513,52 @@ def test_brace_monos_match_brute_force(flip4, xor4, order6_coefficients):
             if BraceHom(I, E, m).is_valid()
         )
         assert _brace_monos(I, E) == slow
+
+
+def _loop_triplet_tables(H, I, t):
+    """The reference rebuild: both tables of a triplet filled one cell at a
+    time, (h1, y1) row by row."""
+    ni = I.n
+    n = H.n * ni
+    Ha, Hc = H.add.table, H.circ.table
+    Ia, Ic = I.add.table, I.circ.table
+    nu, mu, sigma = t.chi.nu, t.chi.mu, t.chi.sigma
+    inv_nu = [invert_perm(p) for p in nu]
+    add = [[0] * n for _ in range(n)]
+    circ = [[0] * n for _ in range(n)]
+    for h1 in range(H.n):
+        for h2 in range(H.n):
+            ha, hc = Ha[h1][h2], Hc[h1][h2]
+            b, tv = t.beta[h1][h2], t.tau[h1][h2]
+            for y1 in range(ni):
+                left = Ia[b][mu[h2][nu[h1][y1]]]
+                tl = Ic[tv][sigma[h2][y1]]
+                for y2 in range(ni):
+                    add[h1 * ni + y1][h2 * ni + y2] = ha * ni + inv_nu[ha][Ia[left][nu[h2][y2]]]
+                    circ[h1 * ni + y1][h2 * ni + y2] = hc * ni + Ic[tl][y2]
+    return add, circ
+
+
+def test_triplet_tables_match_loop(Z2, Z3, Z4):
+    # every law-abiding cocycle pair of every split action, valid or not:
+    # the gather gives the loop's tables, and a valid triplet's rebuild
+    # carries them
+    checked = invalid = 0
+    for H, I in ((Z2, Z3), (Z3, Z2), (Z2, Z2), (Z4, Z2), (Z3, Z3)):
+        for chi in enumerate_split_triples(H, I):
+            for pair in z2N(H, I, chi, laws_only=True):
+                t = Triplet(chi, pair.g, pair.f)
+                expected = _loop_triplet_tables(H, I, t)
+                add, circ = _triplet_tables(H, I, chi, pair.g, pair.f)
+                assert (add.tolist(), circ.tolist()) == expected
+                try:
+                    E = extension_from_triplet(H, I, t).E
+                except TripletInvalid:
+                    invalid += 1
+                else:
+                    assert (list(map(list, E.add.table)), list(map(list, E.circ.table))) == expected
+                checked += 1
+    assert checked > invalid > 0
 
 
 def test_invalid_triplets_are_rejected(Z2, Z3):

@@ -2,11 +2,12 @@
 full n^3 cube.
 
 validate_group decides associativity by Light's test, validate_brace
-the brace axiom with b in a generating set of (E, +), and lambda_is_hom
-both of its laws on generating sets, at every order.  The cube routes they replace are kept here as
-_cube_validate_group, _cube_validate_brace and _cube_lambda_is_hom, and
-every check must give the same verdict, exception class, message and
-witness on both routes.
+and the batched _brace_axiom_holds the brace axiom with b in a
+generating set of (E, +), and lambda_is_hom both of its laws on
+generating sets, at every order.  The cube routes they replace are kept
+here as _cube_validate_group, _cube_brace_axiom, _cube_validate_brace and
+_cube_lambda_is_hom, and every check must give the same verdict,
+exception class, message and witness on both routes.
 """
 
 import random
@@ -14,8 +15,8 @@ import random
 import numpy as np
 import pytest
 
-from braceforge import braces, catalog, groups
-from braceforge.braces import SkewBrace, lambda_is_hom, validate_brace
+from braceforge import catalog, groups
+from braceforge.braces import SkewBrace, _axiom_sides, _brace_axiom_holds, lambda_is_hom, validate_brace
 from braceforge.errors import (
     BraceAxiomFailed,
     InputError,
@@ -24,6 +25,7 @@ from braceforge.errors import (
 )
 from braceforge.groups import (
     FiniteGroup,
+    all_group_tables,
     cyclic_group,
     dihedral_group,
     direct_product_group,
@@ -62,6 +64,25 @@ def _cube_validate_group(table):
     return G
 
 
+def _cube_brace_axiom(add, circs):
+    """The skew brace axiom for one additive group against a (T, n, n)
+    stack of circle tables, evaluated in one broadcast over the full cube.
+
+    Returns (ok, witness): ok[t] tells whether table t satisfies
+    a o (b + c) = a o b - a + a o c everywhere; witness is None when every
+    table does, else (a, b, c, lhs, rhs) at the first failing cell of the
+    first failing table."""
+    neg = np.array(add.inv, dtype=np.int64)
+    lhs, rhs = _axiom_sides(add.np_table, circs, neg, np.arange(add.n))
+    bad = lhs != rhs
+    if not bad.any():
+        return np.ones(len(circs), dtype=bool), None
+    ok = ~bad.reshape(len(circs), -1).any(axis=1)
+    k = int(np.argmin(ok))
+    a, b, c = (int(x) for x in np.argwhere(bad[k])[0])
+    return ok, (a, b, c, int(lhs[k, a, b, c]), int(rhs[k, a, b, c]))
+
+
 def _cube_validate_brace(add_table, circ_table):
     """validate_brace with both groups and the brace axiom on the cube."""
     try:
@@ -76,7 +97,7 @@ def _cube_validate_brace(add_table, circ_table):
         raise
     if add.n != circ.n:
         raise InputError("additive and circle tables differ in size")
-    _, witness = braces._brace_axiom(add, circ.np_table[None])
+    _, witness = _cube_brace_axiom(add, circ.np_table[None])
     if witness is not None:
         a, b, c, lhs, rhs = witness
         raise BraceAxiomFailed(
@@ -273,9 +294,18 @@ def test_generating_sets_close_to_the_whole_table(fixtures, example5_candidates)
         assert G._gens == gens
 
 
-def test_passing_brace_skips_the_cube(fixtures, count_calls):
-    # every order, 1 to 80, takes the generator route
-    cube = count_calls(braces._brace_axiom)
-    for _, B in fixtures:
-        validate_brace(B.add.table, B.circ.table)
-    assert cube["calls"] == 0
+def test_batched_axiom_matches_cube_at_small_orders():
+    # the quotient route's check: every additive table of order n against
+    # the stack of every circle table of that order
+    accepted = []
+    for n in range(1, 8):
+        tables = [validate_group(t) for t in all_group_tables(n)]
+        circs = np.stack([G.np_table for G in tables])
+        count = 0
+        for add in tables:
+            ok = _brace_axiom_holds(add, circs)
+            assert ok.tolist() == _cube_brace_axiom(add, circs)[0].tolist()
+            count += int(ok.sum())
+        accepted.append(count)
+    # labelled skew braces of each order (280 at order 6, test_extensions)
+    assert accepted[5] == 280 and all(accepted)

@@ -3,11 +3,13 @@ pair-table construction, exhaustive triple enumeration, and decomposition
 of split extensions back into triples."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from braceforge import catalog
-from braceforge.braces import trivial_brace, validate_brace
+from braceforge.braces import SkewBrace, _brace_axiom_holds, trivial_brace, validate_brace
 from braceforge.errors import (
     CompatibilityFailed,
     NotAntiHom,
@@ -19,6 +21,7 @@ from braceforge.errors import (
 )
 from braceforge.extensions import validate_extension
 from braceforge.groups import (
+    compose,
     cyclic_group,
     dihedral_group,
     find_isomorphism,
@@ -34,7 +37,6 @@ from braceforge.split import (
     _compat_on_lifts,
     _compat_witness,
     _product_tables,
-    _products_are_braces,
     _sweep_domain,
     compat_as_written_witness,
     decode_pair,
@@ -125,8 +127,8 @@ def test_enumerate_split_triples_counts(Z2, Z3, xor4, flip4):
 
 
 def test_enumeration_matches_ground_truth_on_dihedral_pair():
-    # the enumerator itself raises if its compatibility sweep ever
-    # disagrees with direct validation of the built product
+    # the sweep's verdicts on this pair agree with validating every built
+    # product (test_compat_on_lifts_matches_product_validation)
     H = trivial_brace(dihedral_group(4))
     I = trivial_brace(cyclic_group(3))
     trips = enumerate_split_triples(H, I)
@@ -331,6 +333,36 @@ def _validates(H, I, t):
         return False
 
 
+def _group_or_none(table):
+    """validate_group's group, or None where it raises."""
+    try:
+        return validate_group(table)
+    except ValidationError:
+        return None
+
+
+def _products_are_braces(H, I, nus, mus, sigmas):
+    """The product-validation oracle for _compat_on_lifts: whether
+    validate_brace accepts the product of each candidate (nus[i], mus[j],
+    sigmas[k]), as a boolean array of that shape.
+
+    The additive table depends on mu alone and the circle table on (nu,
+    sigma) alone, so each goes through validate_group once; the brace
+    axiom is then decided for the stack of circle tables that are groups
+    against each additive group, on the cells validate_brace reads."""
+    adds = [_group_or_none(_product_tables(H, I, ActionTriple(nus[0], mu, sigmas[0]))[0])
+            for mu in mus]
+    pairs = list(itertools.product(nus, sigmas))
+    circs = np.array([_product_tables(H, I, ActionTriple(nu, mus[0], sigma))[1]
+                      for nu, sigma in pairs])
+    groups = np.flatnonzero([_group_or_none(c) is not None for c in circs])
+    ok = np.zeros((len(mus), len(pairs)), dtype=bool)
+    for j, add in enumerate(adds):
+        if add is not None and len(groups):
+            ok[j, groups] = _brace_axiom_holds(add, circs[groups])
+    return ok.reshape(len(mus), len(nus), len(sigmas)).transpose(1, 0, 2)
+
+
 def test_products_are_braces_matches_validate_brace(Z2, Z3, Z4, xor4, flip4):
     # the once-per-table cross-check agrees with validating each product
     for H, I in _oracle_pairs(Z2, Z3, Z4, xor4, flip4):
@@ -343,10 +375,27 @@ def test_products_are_braces_matches_validate_brace(Z2, Z3, Z4, xor4, flip4):
     assert got == expected and 0 < expected.count(True) < len(expected)
 
 
+def test_compat_on_lifts_matches_product_validation(Z2, Z3, Z4, xor4, flip4):
+    # the sweep's verdict on every candidate is the verdict of validating
+    # its built product, on every pair the workloads and examples enumerate
+    H8 = catalog.example5_acting_brace()
+    D4 = trivial_brace(dihedral_group(4))
+    pairs = (_wells_sweep_pairs(Z2, Z3, xor4, flip4) + [(xor4, flip4), (H8, flip4)]
+             + _oracle_pairs(Z2, Z3, Z4, xor4, flip4) + [(D4, Z3)])
+    checked = failing = 0
+    for H, I in pairs:
+        families = _candidate_families(H, I)
+        expected = _products_are_braces(H, I, *families)
+        assert np.array_equal(_compat_on_lifts(H, I, *families), expected)
+        checked += expected.size
+        failing += int((~expected).sum())
+    assert checked > failing > 0
+
+
 def test_enumeration_validates_each_table_once(count_calls, flip4):
-    # the example-5 pair has 80 candidates with 2 distinct additive tables
-    # (one per mu) and 40 distinct circle tables (one per (nu, sigma)):
-    # each is validated once, and no candidate runs the cube
+    # the example-5 pair has 80 candidates, decided on the lifts without
+    # building or validating any product table, and no candidate runs the
+    # cube
     H = catalog.example5_acting_brace()
     assert [len(f) for f in _candidate_families(H, flip4)] == [4, 2, 10]
     groups = count_calls(validate_group)
@@ -354,5 +403,51 @@ def test_enumeration_validates_each_table_once(count_calls, flip4):
     cubes = count_calls(_compat_cube)
     witnesses = count_calls(_compat_witness)
     assert len(enumerate_split_triples(H, flip4)) == 16
-    assert groups["calls"] == 2 + 40
+    assert groups["calls"] == 0
     assert (braces["calls"], cubes["calls"], witnesses["calls"]) == (0, 0, 0)
+
+
+def _relabelled(B, p):
+    return SkewBrace(B.add.relabel(p), B.circ.relabel(p))
+
+
+def _transport(t, pH, pI):
+    """The triple t carried along the relabellings pH of H and pI of I:
+    each family member f_h becomes pI f_h pI^-1 at index pH(h)."""
+    inv = invert_perm(pI)
+    fams = []
+    for fam in (t.nu, t.mu, t.sigma):
+        moved = [None] * len(fam)
+        for h, f in enumerate(fam):
+            moved[pH[h]] = compose(pI, compose(f, inv))
+        fams.append(tuple(moved))
+    return ActionTriple(*fams)
+
+
+def _verdict(H, I, t):
+    try:
+        validate_split_triple(H, I, t)
+        return None
+    except ValidationError as exc:
+        return type(exc)
+
+
+def test_enumeration_is_invariant_under_relabelling(Z2, Z3, xor4, flip4):
+    # a 0-fixing relabelling of H and of I is a brace isomorphism, so it
+    # carries valid triples to valid triples and invalid ones to invalid
+    rng = random.Random(4101)
+    invalid = 0
+    for H, I in _wells_sweep_pairs(Z2, Z3, xor4, flip4):
+        found = enumerate_split_triples(H, I)
+        candidates = _candidates(H, I)
+        verdicts = [_verdict(H, I, t) for t in candidates]
+        invalid += sum(v is not None for v in verdicts)
+        for _ in range(3):
+            pH = (0,) + tuple(rng.sample(range(1, H.n), H.n - 1))
+            pI = (0,) + tuple(rng.sample(range(1, I.n), I.n - 1))
+            H2, I2 = _relabelled(H, pH), _relabelled(I, pI)
+            moved = enumerate_split_triples(H2, I2)
+            assert len(moved) == len(found)
+            assert set(moved) == {_transport(t, pH, pI) for t in found}
+            assert [_verdict(H2, I2, _transport(t, pH, pI)) for t in candidates] == verdicts
+    assert invalid > 0

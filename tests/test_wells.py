@@ -9,7 +9,7 @@ import pytest
 
 from braceforge import braces, extensions, wells
 from braceforge.braces import SkewBrace, brace_automorphisms, trivial_brace
-from braceforge.cohomology import h2N, pair_add, restrict_action
+from braceforge.cohomology import embed_pair, h2N, h2_act_triplet, pair_add, restrict_action
 from braceforge.errors import ActionNotTransitive, OrderBoundExceeded, ValidationError
 from braceforge.extensions import (
     ActionTriple,
@@ -18,10 +18,17 @@ from braceforge.extensions import (
     extension_from_triplet,
     extensions_equivalent,
     extract_action,
+    extract_triplet,
     validate_extension,
     zero_triplet,
 )
-from braceforge.groups import cyclic_group, dicyclic_group, dihedral_group, identity_perm
+from braceforge.groups import (
+    cyclic_group,
+    dicyclic_group,
+    dihedral_group,
+    identity_perm,
+    klein_group,
+)
 from braceforge.split import enumerate_split_triples, identity_triple, semidirect_product
 from braceforge.wells import (
     AutPair,
@@ -76,6 +83,25 @@ def q8_exts(Z2):
     return _split_extensions(Z2, trivial_brace(dicyclic_group(2)))
 
 
+@pytest.fixture(scope="module")
+def sweep_exts(Z2, Z3, xor4, flip4, d4_exts):
+    """The 188 split extensions of the nine wells-sweep benchmark pairs."""
+    V = trivial_brace(klein_group())
+    S3 = trivial_brace(dihedral_group(3))
+    pairs = [(V, Z3), (flip4, Z3), (xor4, Z3), (Z2, V), (Z3, V), (S3, Z2), (xor4, Z2), (V, Z2)]
+    return [ext for H, I in pairs for ext in _split_extensions(H, I)] + d4_exts
+
+
+def _class_fixtures(ext, h2grp, elems):
+    """Every shifted extension h.[E], one per representative h of h2grp,
+    each rebuilt and validated from E's triplet by extension_from_triplet."""
+    t = extract_triplet(ext)
+    return [
+        extension_from_triplet(ext.H, ext.I, h2_act_triplet(ext.H, ext.I, embed_pair(p, elems), t))
+        for p in h2grp.representatives
+    ]
+
+
 def _wells_map_orbit(ext, C, h2grp, elems):
     """The orbit-search Wells map, the oracle for wells.wells_map.
 
@@ -84,7 +110,7 @@ def _wells_map_orbit(ext, C, h2grp, elems):
     cohomology action missed [E]^c (the transitivity hypothesis fails);
     several matches would contradict freeness.
     """
-    shifted = wells._class_fixtures(ext, h2grp, elems)
+    shifted = _class_fixtures(ext, h2grp, elems)
     omega = {}
     for c in C:
         acted = pair_act(ext, c)
@@ -306,10 +332,28 @@ def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, count_calls):
     for ext in (split_ext, z4_ext, carry_ext):
         matches = count_calls(extensions.extensions_equivalent)
         searches = count_calls(braces.brace_automorphisms)
+        rebuilds = count_calls(extensions.extension_from_triplet)
         verify_exact_sequence(ext)
         assert matches["calls"] == 0
         # Autb(H) and Autb(I) for the stabiliser; Autb_I(E) has its own search
         assert searches["calls"] == 2
+        # the zero pair in z2N; the Wells map rebuilds no extension
+        assert rebuilds["calls"] == 1
+
+
+def test_every_shifted_class_rebuilds(sweep_exts, q8_exts):
+    # the shifted extensions h.[E] that wells_map no longer builds are
+    # valid extensions for every input the wells-sweep workload checks
+    assert (len(sweep_exts), len(q8_exts)) == (188, 160)
+    rebuilt = 0
+    for ext in sweep_exts + q8_exts:
+        chi = extract_action(ext, canonical_section(ext))
+        I_res, chi_res, elems = restrict_action(ext.I, chi)
+        grp = h2N(ext.H, I_res, chi_res)
+        shifted = _class_fixtures(ext, grp, elems)
+        assert len(shifted) == grp.order
+        rebuilt += len(shifted)
+    assert rebuilt > len(sweep_exts) + len(q8_exts)
 
 
 def test_autb_I_equals_filtered_automorphisms(d4_exts, q8_exts, Z3):
