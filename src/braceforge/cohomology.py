@@ -57,9 +57,9 @@ from .extensions import (
     couplings_related,
     ext_classes,
     extension_from_triplet,
-    extensions_equivalent,
     extract_triplet,
     is_valid_triplet,
+    triplets_equivalent,
 )
 from .groups import group_from_elements, is_automorphism
 from .split import ActionTriple, check_hom_laws
@@ -681,16 +681,19 @@ def _act_permutation(
     H: SkewBrace,
     I: SkewBrace,
     pair_ambient: CocyclePair,
-    class_reps: Sequence[Extension],
+    class_triplets: Sequence[Triplet],
 ) -> list:
-    """Where acting by one cocycle pair sends each extension class."""
+    """Where acting by one cocycle pair sends each class, given by the
+    canonical triplet of its representative.  A shifted triplet that
+    matches one is a twist of a valid triplet, hence valid, so no extension
+    is rebuilt; exactly one class must match."""
     row = []
-    for rep in class_reps:
-        acted = h2_act(H, I, pair_ambient, rep)
+    for t in class_triplets:
+        acted = h2_act_triplet(H, I, pair_ambient, t)
         hits = [
             j
-            for j, other in enumerate(class_reps)
-            if extensions_equivalent(acted, other) is not None
+            for j, other in enumerate(class_triplets)
+            if triplets_equivalent(H, I, acted, other) is not None
         ]
         if len(hits) != 1:
             raise ValidationError(
@@ -723,12 +726,11 @@ def _free_transitive_report(
     all_free = True
     all_transitive = True
     for rep_chi, classes in buckets:
-        reps = [cls[0] for cls in classes]
+        reps = [extract_triplet(cls[0]) for cls in classes]
         I_res, chi_res, elems = restrict_action(I, rep_chi)
         grp = h2N(H, I_res, chi_res, budget)
-        rows = {}
-        for k, p in enumerate(grp.representatives):
-            rows[k] = _act_permutation(H, I, embed_pair(p, elems), reps)
+        rows = [_act_permutation(H, I, embed_pair(p, elems), reps)
+                for p in grp.representatives]
         identity = list(range(len(reps)))
         if rows[0] != identity:
             raise ValidationError("zero class failed to act as the identity")

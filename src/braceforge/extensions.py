@@ -27,6 +27,10 @@ suite.  cohomology.z2N is the exception: with abelian trivial coefficients
 it decides compatibility from the residual of the parent relation (see
 parent_relation_witness), not from a rebuild of every candidate pair.
 
+Two extensions are equivalent exactly when a section change (a twist,
+twist_triplet) turns one canonical triplet into the other;
+triplets_equivalent is the one routine in the package that decides it.
+
 Pair encoding follows the split module: (h, y) -> h * |I| + y.
 """
 
@@ -646,18 +650,24 @@ def z2_alpha(
     return found
 
 
+def _partition_triplets(H: SkewBrace, I: SkewBrace, triplets: Sequence[Triplet]) -> list:
+    """Index lists of the classes of triplets under triplets_equivalent,
+    first fit: each triplet joins the first class whose head it matches."""
+    classes = []
+    for k, t in enumerate(triplets):
+        for members in classes:
+            if triplets_equivalent(H, I, triplets[members[0]], t) is not None:
+                members.append(k)
+                break
+        else:
+            classes.append([k])
+    return classes
+
+
 def h2_alpha(H: SkewBrace, I: SkewBrace, alpha: ActionTriple, budget=None) -> list:
     """Equivalence classes of z2_alpha under the theta relation."""
     triplets = z2_alpha(H, I, alpha, budget)
-    classes = []
-    for t in triplets:
-        for cls in classes:
-            if triplets_equivalent(H, I, cls[0], t) is not None:
-                cls.append(t)
-                break
-        else:
-            classes.append([t])
-    return classes
+    return [[triplets[k] for k in members] for members in _partition_triplets(H, I, triplets)]
 
 
 def _brace_monos(I: SkewBrace, E: SkewBrace) -> list:
@@ -805,29 +815,17 @@ def enumerate_all_extensions(
     return out
 
 
-def _section_coordinates(e1: Extension, e2: Extension) -> list:
-    """(h, s2(h), y in E2) for each x = s1(h) o y of E1, in order, with s1,
-    s2 the canonical sections: the part of section_shift_map that does not
-    depend on the shift."""
-    E1c = e1.E.circ
+def section_shift_map(e1: Extension, e2: Extension, shift: Sequence[int]) -> tuple:
+    """The map s1(h) o y -> s2(h) o shift(h) o y from E1 to E2, with s1, s2
+    the canonical sections and shift(h) an element of I."""
+    E1c, E2c, inj2 = e1.E.circ, e2.E.circ.table, e2.inj
     s1, s2 = canonical_section(e1), canonical_section(e2)
     out = []
     for x in range(e1.E.n):
         h = e1.proj[x]
         y = e1.into_I(E1c.table[E1c.inv[s1[h]]][x])
-        out.append((h, s2[h], e2.inj[y]))
-    return out
-
-
-def _shift_map(e2: Extension, coords: list, shift: Sequence[int]) -> tuple:
-    E2c, inj2 = e2.E.circ.table, e2.inj
-    return tuple(E2c[E2c[s][inj2[shift[h]]]][y] for h, s, y in coords)
-
-
-def section_shift_map(e1: Extension, e2: Extension, shift: Sequence[int]) -> tuple:
-    """The map s1(h) o y -> s2(h) o shift(h) o y from E1 to E2, with s1, s2
-    the canonical sections and shift(h) an element of I."""
-    return _shift_map(e2, _section_coordinates(e1, e2), shift)
+        out.append(E2c[E2c[s2[h]][inj2[shift[h]]]][inj2[y]])
+    return tuple(out)
 
 
 def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:
@@ -835,21 +833,16 @@ def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:
     inducing the identity on H, or None.
 
     Any such map sends s1(h) o y to s2(h) o theta(h) o y for a unique
-    theta, so the search runs over theta."""
-    if e1.H != e2.H or e1.I != e2.I:
+    theta, and is one exactly when theta twists the triplet of E2 into
+    that of E1.  triplets_equivalent finds the lexicographically first such
+    theta, as the shift loop _extensions_equivalent_loop in
+    tests/test_extensions.py does."""
+    if e1.H != e2.H or e1.I != e2.I or e1.E.n != e2.E.n:
         return None
-    E1, E2, I = e1.E, e2.E, e1.I
-    if E1.n != E2.n:
+    theta = triplets_equivalent(e1.H, e1.I, extract_triplet(e2), extract_triplet(e1))
+    if theta is None:
         return None
-    coords = _section_coordinates(e1, e2)
-    for tail in itertools.product(range(I.n), repeat=e1.H.n - 1):
-        phi = _shift_map(e2, coords, (0,) + tail)
-        hom = BraceHom(E1, E2, phi)
-        if hom.is_valid() and hom.is_injective():
-            if all(e2.proj[phi[x]] == e1.proj[x] for x in range(E1.n)):
-                if all(phi[e1.inj[y]] == e2.inj[y] for y in range(I.n)):
-                    return hom
-    return None
+    return BraceHom(e1.E, e2.E, section_shift_map(e1, e2, theta))
 
 
 def ext_classes(H: SkewBrace, I: SkewBrace, budget: Optional[int] = None) -> list:
@@ -860,23 +853,18 @@ def ext_classes(H: SkewBrace, I: SkewBrace, budget: Optional[int] = None) -> lis
     are ordered by their first member and their members by
     Extension.sort_key, as enumerate_all_extensions orders them.
 
-    extensions_equivalent runs only within the representative's own list
-    of each orbit of brace tables (see _extension_orbits).  A carried copy
-    joins the class of its source, because the relabelling that carried
-    it is itself an equivalence; extensions on non-isomorphic braces are
-    never equivalent.  The pairwise partition of the whole sorted list is
-    kept as the oracle _ext_classes_pairwise in tests/test_extensions.py."""
+    Within the representative's own list of each orbit of brace tables
+    (see _extension_orbits), _partition_triplets splits the canonical
+    triplets of the extensions with triplets_equivalent, as in h2_alpha.
+    A carried copy joins the class of its source, because the relabelling
+    that carried it is itself an equivalence; extensions on non-isomorphic
+    braces are never equivalent.
+    The pairwise partition of the whole sorted list is kept as the oracle
+    _ext_classes_pairwise in tests/test_extensions.py."""
     classes = []
     for orbit in _extension_orbits(H, I, budget):
-        partition = []
-        for k, ext in enumerate(orbit[0]):
-            for first, members in partition:
-                if extensions_equivalent(first, ext) is not None:
-                    members.append(k)
-                    break
-            else:
-                partition.append((ext, [k]))
-        for _, members in partition:
+        triplets = [extract_triplet(ext) for ext in orbit[0]]
+        for members in _partition_triplets(H, I, triplets):
             cls = [copy[k] for copy in orbit for k in members]
             cls.sort(key=Extension.sort_key)
             classes.append(cls)

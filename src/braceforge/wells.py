@@ -26,17 +26,17 @@ psi(theta)(s(h) o y) = s(h) o theta(h) o y, and the image of rho is the
 set-theoretic kernel of omega.
 
 The check runs in factor-set coordinates.  omega(c) is read off the
-triplet of [E]^c after a section change (see wells_map), so no shifted
-extension h.[E] is rebuilt; the C-action on classes and the derivation
-law are gathers on the integer cocycle rows that CohomologyGroup keeps;
-Autb_I(E) is searched with generator images already confined to the
-kernel.  The orbit-search wells_map and the per-pair derivation loop are
-kept as oracles in tests/test_wells.py.
+triplet of [E]^c, transported from that of E, after a section change (see
+wells_map), so neither [E]^c nor any shifted extension h.[E] is built;
+the C-action on classes and the derivation law are gathers on the integer
+cocycle rows that CohomologyGroup keeps; Autb_I(E) is searched with
+generator images already confined to the kernel.  The orbit-search
+wells_map and the per-pair derivation loop are kept as oracles in
+tests/test_wells.py.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,12 +54,12 @@ from .errors import (
 )
 from .extensions import (
     Extension,
+    Triplet,
     canonical_section,
     couplings_related,
     extract_action,
     extract_triplet,
     section_shift_map,
-    sections,
     twist_triplet,
     validate_extension,
 )
@@ -151,6 +151,12 @@ class StabilizerC:
         return f"StabilizerC(order={self.order})"
 
 
+def _conjugated(fam, phi, theta, inv_theta, h: int) -> tuple:
+    """theta^-1 o fam[phi(h)] o theta: the member at h of an action family
+    after the pair (phi, theta) acts on it."""
+    return compose(inv_theta, compose(fam[phi[h]], theta))
+
+
 def stabilizer_C(
     H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
 ) -> StabilizerC:
@@ -171,21 +177,14 @@ def stabilizer_C(
     for phi in autb_H:
         for theta in autb_Iq:
             inv_theta = invert_perm(theta)
-            ok = True
             for h in range(H.n):
-                conj_nu = compose(inv_theta, compose(chi.nu[phi[h]], theta))
-                if chi.nu[h] != conj_nu:
-                    ok = False
+                if (chi.nu[h] != _conjugated(chi.nu, phi, theta, inv_theta, h)
+                        or not equal_mod(inn_add, chi.mu[h],
+                                         _conjugated(chi.mu, phi, theta, inv_theta, h))
+                        or not equal_mod(inn_circ, chi.sigma[h],
+                                         _conjugated(chi.sigma, phi, theta, inv_theta, h))):
                     break
-                conj_mu = compose(inv_theta, compose(chi.mu[phi[h]], theta))
-                if not equal_mod(inn_add, chi.mu[h], conj_mu):
-                    ok = False
-                    break
-                conj_sigma = compose(inv_theta, compose(chi.sigma[phi[h]], theta))
-                if not equal_mod(inn_circ, chi.sigma[h], conj_sigma):
-                    ok = False
-                    break
-            if ok:
+            else:
                 found.append(AutPair(tuple(phi), tuple(theta)))
     return StabilizerC(H, I, chi, found)
 
@@ -214,14 +213,10 @@ def c_act_on_h2(pair: AutPair, theta_res: Sequence[int], cpair: CocyclePair) -> 
     """
     inv_theta = invert_perm(theta_res)
     phi = pair.phi
-    nh = len(cpair.g)
-    g = tuple(
-        tuple(inv_theta[cpair.g[phi[a]][phi[b]]] for b in range(nh)) for a in range(nh)
-    )
-    f = tuple(
-        tuple(inv_theta[cpair.f[phi[a]][phi[b]]] for b in range(nh)) for a in range(nh)
-    )
-    return CocyclePair(g, f)
+    return CocyclePair(*(
+        tuple(tuple(inv_theta[t[pa][pb]] for pb in phi) for pa in phi)
+        for t in (cpair.g, cpair.f)
+    ))
 
 
 # --- automorphisms of the extension ------------------------------------------
@@ -267,6 +262,22 @@ def rho(ext: Extension) -> List[Tuple[tuple, AutPair]]:
 
 # --- the Wells map -----------------------------------------------------------
 
+def _acted_triplet(t: Triplet, c: AutPair) -> Triplet:
+    """The canonical triplet of pair_act(ext, c), from that of ext, t.
+
+    The acted extension keeps E and has the canonical section s o phi, so
+    chi is conjugated by theta (_conjugated, as in stabilizer_C) and
+    (beta, tau) move as c_act_on_h2 moves a cocycle pair, with the full
+    theta."""
+    inv_theta = invert_perm(c.theta)
+    chi = ActionTriple(*(
+        tuple(_conjugated(fam, c.phi, c.theta, inv_theta, h) for h in range(len(c.phi)))
+        for fam in (t.chi.nu, t.chi.mu, t.chi.sigma)
+    ))
+    moved = c_act_on_h2(c, c.theta, CocyclePair(t.beta, t.tau))
+    return Triplet(chi, moved.g, moved.f)
+
+
 def wells_map(
     ext: Extension,
     C: StabilizerC,
@@ -275,30 +286,38 @@ def wells_map(
 ) -> Dict[AutPair, int]:
     """For each c in C, the index of the unique class h_c with [E]^c = h_c.[E].
 
-    Read off coordinates.  An equivalence [E]^c = h.[E] is a section
-    change of E^c, i.e. a twist of its triplet t_c.  The twists bringing
-    the coupling of t_c to that of E's triplet t_0 exactly are one twist
-    (the first witness of each couplings_related set) shifted by maps into
-    Z(I) = Ann(I), and such a shift moves the cocycle by a coboundary.  So
-    with t' that twist of t_c, h_c is the class of the difference
+    Read off coordinates.  The triplet t_c of [E]^c is transported from
+    E's triplet t_0 (_acted_triplet).  An equivalence [E]^c = h.[E] is a
+    section change of E^c, i.e. a twist of t_c.  The twists bringing the
+    coupling of t_c to that of t_0 exactly are one twist (the first
+    witness of each couplings_related set) shifted by maps into Z(I) =
+    Ann(I), and such a shift moves the cocycle by a coboundary.  So with
+    t' that twist of t_c, h_c is the class of the difference
     (beta' - beta_0, tau' o tau_0^-1) in annihilator coordinates; when the
     couplings are unrelated, or the difference is not an annihilator-valued
     cocycle pair, no class reaches [E]^c and the transitivity hypothesis
     fails.  Freeness holds by construction: the cosets partition the
     cocycle pairs.
 
-    No extension is rebuilt.  The orbit search that rebuilds every h.[E]
-    and matches [E]^c against them is the oracle _wells_map_orbit in
+    No extension is acted on, rebuilt or validated; as in pair_act, a
+    non-trivial kernel and a phi or theta of C that is not a brace
+    automorphism are refused, each distinct map checked once.  The orbit
+    search over rebuilt h.[E] is the oracle _wells_map_orbit in
     tests/test_wells.py.
     """
     H, I = ext.H, ext.I
+    _require_trivial_kernel(I)
+    for phi in {c.phi for c in C}:
+        _check_brace_auto(H, phi, "phi")
+    for theta in {c.theta for c in C}:
+        _check_brace_auto(I, theta, "theta")
     Ia, Ic, neg, cinv = I.add.table, I.circ.table, I.add.inv, I.circ.inv
     # a difference value outside Ann(I) becomes -1, which no cocycle row holds
     index = {e: j for j, e in enumerate(elems)}
     t0 = extract_triplet(ext)
     omega: Dict[AutPair, int] = {}
     for c in C:
-        tc = extract_triplet(pair_act(ext, c))
+        tc = _acted_triplet(t0, c)
         witnesses = couplings_related(I, tc.chi, t0.chi)
         if witnesses is None:
             raise ActionNotTransitive(
@@ -378,17 +397,6 @@ def _derivation_law(
 
 # --- the exact sequence -------------------------------------------------------
 
-def check_nu_section_independence(ext: Extension, cap: int = 64) -> None:
-    """Assert the nu family is the same for every section (up to cap many)."""
-    s0 = canonical_section(ext)
-    nu0 = extract_action(ext, s0).nu
-    for s in itertools.islice(sections(ext), cap):
-        if extract_action(ext, s).nu != nu0:
-            raise ValidationError(
-                "nu varies with the section despite trivial kernel", section=s
-            )
-
-
 def psi_automorphism(ext: Extension, theta_I: Sequence[int]) -> tuple:
     """The map s(h) o y -> s(h) o theta(h) o y as a permutation of E."""
     return section_shift_map(ext, ext, theta_I)
@@ -397,16 +405,16 @@ def psi_automorphism(ext: Extension, theta_I: Sequence[int]) -> tuple:
 def verify_exact_sequence(ext: Extension, budget: Optional[int] = None) -> dict:
     """Exhaustively verify the Wells-type exact sequence for one extension.
 
-    Checks, in order: nu is section-independent; the derivation group maps
+    Checks, in order: the annihilator of the kernel is its centre; the
+    image of rho lies in the stabiliser; the derivation group maps
     bijectively and homomorphically onto the kernel of rho via psi; the
-    image of rho lies in the stabiliser and equals the set-theoretic kernel
-    of the Wells map; and the Wells map satisfies the derivation law
-    omega(c1 c2) = omega(c1)^c2 + omega(c2) for every pair, with the
-    cohomology action of C well defined on classes.
+    Wells map sends the identity pair to the zero class, and the image of
+    rho equals its set-theoretic kernel; and the Wells map satisfies the
+    derivation law omega(c1 c2) = omega(c1)^c2 + omega(c2) for every pair,
+    with the cohomology action of C well defined on classes.
     """
     H, I = ext.H, ext.I
     _require_trivial_kernel(I)
-    check_nu_section_independence(ext)
     chi = extract_action(ext, canonical_section(ext))
     I_res, chi_res, elems = restrict_action(I, chi)
     if set(elems) != set(I.add.centre()):

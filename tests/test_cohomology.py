@@ -39,7 +39,6 @@ from braceforge.errors import (
 from braceforge.extensions import (
     Triplet,
     extension_from_triplet,
-    extensions_equivalent,
     h2_alpha,
     is_valid_triplet,
     z2_alpha,
@@ -56,6 +55,7 @@ from braceforge.groups import (
     klein_group,
 )
 from braceforge.split import ActionTriple, enumerate_split_triples, identity_triple
+from test_extensions import _extensions_equivalent_loop
 
 
 def test_pair_sets_2_by_2(Z2):
@@ -133,15 +133,15 @@ def test_h2_act_moves_and_composes(Z2):
     split = extension_from_triplet(Z2, Z2, zero_triplet(Z2, Z2))
     lift = next(p for p in grp.representatives if p.g[1][1] == 1 and p.f[1][1] == 0)
     moved = h2_act(Z2, Z2, lift, split)
-    assert extensions_equivalent(split, moved) is None
+    assert _extensions_equivalent_loop(split, moved) is None
     # the additive shift g(1,1)=1 turns Klein addition into cyclic Z4
     assert sorted(moved.E.add.element_order(x) for x in range(4)) == [1, 2, 4, 4]
-    assert extensions_equivalent(split, h2_act(Z2, Z2, grp.zero, split)) is not None
+    assert _extensions_equivalent_loop(split, h2_act(Z2, Z2, grp.zero, split)) is not None
     for p in grp.representatives:
         for q in grp.representatives:
             lhs = h2_act(Z2, Z2, grp.add(p, q), split)
             rhs = h2_act(Z2, Z2, p, h2_act(Z2, Z2, q, split))
-            assert extensions_equivalent(lhs, rhs) is not None
+            assert _extensions_equivalent_loop(lhs, rhs) is not None
 
 
 def test_free_and_transitive(Z2, Z3):
@@ -151,6 +151,16 @@ def test_free_and_transitive(Z2, Z3):
     assert r23["free"] and r23["transitive"] and r23["couplings"] == 6
     r32 = verify_free_transitive(Z3, Z2)
     assert r32["free"] and r32["transitive"] and r32["couplings"] == 1
+
+
+def test_free_transitive_work_counts(Z2, Z3, count_calls):
+    for I, rebuilds_expected in ((Z2, 1), (Z3, 6)):
+        shifts = count_calls(extensions_mod.extensions_equivalent)
+        rebuilds = count_calls(extensions_mod.extension_from_triplet)
+        verify_free_transitive(Z2, I)
+        # classes are matched in triplet coordinates; the only rebuilds are
+        # the zero pair in z2N, once per coupling's h2N
+        assert (shifts["calls"], rebuilds["calls"]) == (0, rebuilds_expected)
 
 
 def test_single_theta_classes_are_finer_than_componentwise(Z3):

@@ -258,7 +258,9 @@ def test_enumerate_and_classify_3_by_2(Z2, Z3):
 
 def _extensions_equivalent_loop(e1, e2):
     """Oracle for extensions_equivalent: one full section_shift_map per
-    shift, in the same order; returns the map found, or None."""
+    shift, in the same order; returns the map found, or None.  It shares
+    no step with triplets_equivalent, so the oracles here and in
+    test_wells.py and test_cohomology.py decide equivalence with it."""
     if e1.H != e2.H or e1.I != e2.I or e1.E.n != e2.E.n:
         return None
     for tail in itertools.product(range(e1.I.n), repeat=e1.H.n - 1):
@@ -340,7 +342,7 @@ def _ext_classes_pairwise(I, exts):
     classes = []
     for ext in exts:
         for cls in classes:
-            if extensions_equivalent(cls[0], ext) is not None:
+            if _extensions_equivalent_loop(cls[0], ext) is not None:
                 cls.append(ext)
                 break
         else:
@@ -402,11 +404,14 @@ def test_brace_orbits_census(pairwise_braces):
 def test_ext_classes_searches_one_brace_per_orbit(Z2, Z3, count_calls):
     monos = count_calls(extensions_mod._brace_monos)
     validated = count_calls(extensions_mod.validate_extension)
-    compared = count_calls(extensions_mod.extensions_equivalent)
+    compared = count_calls(extensions_mod.triplets_equivalent)
+    shifted = count_calls(extensions_mod.extensions_equivalent)
     ext_classes(Z2, Z3)
     # one representative per isomorphism class of the 280 labelled braces
-    # of order 6, where every labelled brace was searched before
+    # of order 6, where every labelled brace was searched before; classes
+    # are compared in triplet coordinates, never by a shift search
     assert (monos["calls"], validated["calls"], compared["calls"]) == (6, 12, 6)
+    assert shifted["calls"] == 0
 
 
 def _relabelled_brace(B, p):

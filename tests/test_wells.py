@@ -10,15 +10,21 @@ import pytest
 from braceforge import braces, extensions, wells
 from braceforge.braces import SkewBrace, brace_automorphisms, trivial_brace
 from braceforge.cohomology import embed_pair, h2N, h2_act_triplet, pair_add, restrict_action
-from braceforge.errors import ActionNotTransitive, OrderBoundExceeded, ValidationError
+from braceforge.errors import (
+    ActionNotTransitive,
+    InputError,
+    NotTrivialCoefficients,
+    OrderBoundExceeded,
+    ValidationError,
+)
 from braceforge.extensions import (
     ActionTriple,
     Triplet,
     canonical_section,
     extension_from_triplet,
-    extensions_equivalent,
     extract_action,
     extract_triplet,
+    sections,
     validate_extension,
     zero_triplet,
 )
@@ -32,6 +38,7 @@ from braceforge.groups import (
 from braceforge.split import enumerate_split_triples, identity_triple, semidirect_product
 from braceforge.wells import (
     AutPair,
+    StabilizerC,
     autb_I,
     c_act_on_h2,
     pair_act,
@@ -44,6 +51,7 @@ from braceforge.wells import (
     verify_exact_sequence,
     wells_map,
 )
+from test_extensions import _extensions_equivalent_loop
 
 CARRY = ((0, 0, 0), (0, 0, 1), (0, 1, 1))
 
@@ -115,7 +123,7 @@ def _wells_map_orbit(ext, C, h2grp, elems):
     for c in C:
         acted = pair_act(ext, c)
         hits = [
-            k for k, cand in enumerate(shifted) if extensions_equivalent(acted, cand) is not None
+            k for k, cand in enumerate(shifted) if _extensions_equivalent_loop(acted, cand) is not None
         ]
         if not hits:
             raise ActionNotTransitive(
@@ -333,8 +341,9 @@ def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, count_calls):
         matches = count_calls(extensions.extensions_equivalent)
         searches = count_calls(braces.brace_automorphisms)
         rebuilds = count_calls(extensions.extension_from_triplet)
+        acted = count_calls(wells.pair_act)
         verify_exact_sequence(ext)
-        assert matches["calls"] == 0
+        assert matches["calls"] == acted["calls"] == 0
         # Autb(H) and Autb(I) for the stabiliser; Autb_I(E) has its own search
         assert searches["calls"] == 2
         # the zero pair in z2N; the Wells map rebuilds no extension
@@ -354,6 +363,46 @@ def test_every_shifted_class_rebuilds(sweep_exts, q8_exts):
         assert len(shifted) == grp.order
         rebuilt += len(shifted)
     assert rebuilt > len(sweep_exts) + len(q8_exts)
+
+
+def test_nu_is_section_independent(sweep_exts, q8_exts):
+    # a trivial kernel makes nu independent of the section; verify_exact_sequence
+    # relies on it without a runtime check
+    checked = 0
+    for ext in sweep_exts + q8_exts:
+        nu0 = extract_action(ext, canonical_section(ext)).nu
+        for s in sections(ext):
+            assert extract_action(ext, s).nu == nu0
+            checked += 1
+    assert checked > 4 * len(sweep_exts + q8_exts)
+
+
+def test_acted_triplet_matches_pair_act(sweep_exts, q8_exts):
+    # the transported triplet wells_map reads omega from is the triplet of
+    # the pair-acted extension, rebuilt and validated by pair_act
+    pairs = 0
+    for ext in sweep_exts + q8_exts:
+        t0 = extract_triplet(ext)
+        C = stabilizer_C(ext.H, ext.I, t0.chi)
+        for c in C:
+            assert wells._acted_triplet(t0, c) == extract_triplet(pair_act(ext, c))
+            pairs += 1
+    assert pairs == 2112
+
+
+def test_wells_map_checks_its_inputs(Z2, Z4, flip4, split_ext):
+    # as pair_act does: a non-automorphism pair of a hand-built stabiliser
+    # and a non-trivial kernel are refused before any omega is read
+    ext = extension_from_triplet(Z2, Z4, zero_triplet(Z2, Z4))
+    _, grp, elems = _wells_inputs(ext)
+    swap = (0, 2, 1, 3)  # exchanges an element of order 4 with one of order 2
+    C = StabilizerC(Z2, Z4, extract_triplet(ext).chi, [pair_identity(Z2, Z4), AutPair((0, 1), swap)])
+    with pytest.raises(InputError, match="theta is not a brace automorphism"):
+        wells_map(ext, C, grp, elems)
+    E = semidirect_product(Z2, flip4, identity_triple(Z2, flip4))
+    wide = validate_extension(E, Z2, flip4, tuple(range(4)), tuple(x // 4 for x in range(8)))
+    with pytest.raises(NotTrivialCoefficients):
+        wells_map(wide, *_wells_inputs(split_ext))
 
 
 def test_autb_I_equals_filtered_automorphisms(d4_exts, q8_exts, Z3):
@@ -400,3 +449,43 @@ def test_report_is_invariant_under_relabelling_E(split_ext, z4_ext, carry_ext, d
                 assert base[0] is ActionNotTransitive and got[0] is ActionNotTransitive
                 raised += 1
     assert raised > 0
+
+
+def _relabel_kernel_and_quotient(ext, pH, pI):
+    """ext with H relabelled by pH and I by pI, both 0-fixing; E is kept
+    and inj, proj are carried along."""
+    H = SkewBrace(ext.H.add.relabel(pH), ext.H.circ.relabel(pH))
+    I = SkewBrace(ext.I.add.relabel(pI), ext.I.circ.relabel(pI))
+    inj = [0] * I.n
+    for y in range(I.n):
+        inj[pI[y]] = ext.inj[y]
+    return validate_extension(ext.E, H, I, inj, [pH[h] for h in ext.proj])
+
+
+REPORT_ORDERS = ("kernel_rho_order", "z1_order", "im_rho_order", "ker_omega_order",
+                 "c_order", "h2_order", "autb_I_order")
+REPORT_FLAGS = ("exact", "psi_bijective", "psi_hom", "derivation_law")
+
+
+def test_report_is_invariant_under_relabelling_H_and_I(split_ext, z4_ext, carry_ext, d4_exts):
+    rng = random.Random(4711)
+    raised = moved_I = 0
+    for ext in [split_ext, z4_ext, carry_ext] + d4_exts[:40]:
+        base = _outcome(verify_exact_sequence, ext)
+        for _ in range(2):
+            pH = (0,) + tuple(rng.sample(range(1, ext.H.n), ext.H.n - 1))
+            pI = (0,) + tuple(rng.sample(range(1, ext.I.n), ext.I.n - 1))
+            moved = _relabel_kernel_and_quotient(ext, pH, pI)
+            moved_I += moved.I != ext.I
+            got = _outcome(verify_exact_sequence, moved)
+            if isinstance(base, dict):
+                # class indices in omega_table follow the labels of H and I;
+                # every order and verdict must not
+                assert isinstance(got, dict)
+                assert [got[k] for k in REPORT_ORDERS + REPORT_FLAGS] == [
+                    base[k] for k in REPORT_ORDERS + REPORT_FLAGS
+                ]
+            else:
+                assert base[0] is ActionNotTransitive and got[0] is ActionNotTransitive
+                raised += 1
+    assert raised > 0 and moved_I > 40
