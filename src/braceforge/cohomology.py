@@ -53,8 +53,8 @@ from .errors import (
 from .extensions import (
     Extension,
     Triplet,
+    _first_witnesses,
     _parent_relation_residual,
-    couplings_related,
     ext_classes,
     extension_from_triplet,
     extract_triplet,
@@ -648,14 +648,14 @@ def ext_bijection_check(
     the two sides disagree.
     """
     grp = h2N(H, I, chi, budget)
-    return _bijection_report(I, chi, grp, ext_classes(H, I, budget))
+    return bijection_report(I, chi, grp, ext_classes(H, I, budget))
 
 
-def _bijection_report(I: SkewBrace, chi: ActionTriple, grp, buckets: list) -> dict:
+def bijection_report(I: SkewBrace, chi: ActionTriple, grp, buckets: list) -> dict:
     """ext_bijection_check on a computed H^2 and ext_classes result."""
     matched = 0
     for rep_chi, classes in buckets:
-        related = couplings_related(I, rep_chi, chi) is not None
+        related = _first_witnesses(I, rep_chi, chi) is not None
         if related != (rep_chi == chi):
             raise ValidationError(
                 "coupling relation should collapse to equality for abelian "
@@ -715,10 +715,10 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace, budget: Optional[int] = N
     |Ext(H, I)| = |Ext(H, Z(I))| comparison is the per-coupling equality
     of class count and cohomology order.
     """
-    return _free_transitive_report(H, I, ext_classes(H, I, budget), budget)
+    return free_transitive_report(H, I, ext_classes(H, I, budget), budget)
 
 
-def _free_transitive_report(
+def free_transitive_report(
     H: SkewBrace, I: SkewBrace, buckets: list, budget: Optional[int]
 ) -> dict:
     """verify_free_transitive on a computed ext_classes result."""

@@ -495,7 +495,7 @@ def coupling_of(ext: Extension, sample_sections: int = 3) -> Coupling:
     for k in range(1, sample_sections):
         s = [0] + [fib[k % len(fib)] for fib in fibers[1:]]
         chi = extract_action(ext, tuple(s))
-        if couplings_related(ext.I, chi0, chi) is None:
+        if _first_witnesses(ext.I, chi0, chi) is None:
             raise ValidationError(
                 "coupling varies with the section, which should be impossible",
                 section=tuple(s),
@@ -503,9 +503,23 @@ def coupling_of(ext: Extension, sample_sections: int = 3) -> Coupling:
     return coup
 
 
+def _twists_at(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple, h: int) -> Iterator[int]:
+    """The y, in increasing order, whose twist at h carries the members of
+    chi1 at h to those of chi2 (see couplings_related)."""
+    for y in range(I.n):
+        if chi2.nu[h] != compose(chi1.nu[h], I.lam(y)):
+            continue
+        shift = chi1.nu[h][I.add.inv[y]]
+        if chi2.mu[h] != compose(inner_add(I, shift), chi1.mu[h]):
+            continue
+        if chi2.sigma[h] != compose(inner_circ(I, I.circ.inv[y]), chi1.sigma[h]):
+            continue
+        yield y
+
+
 def couplings_related(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple):
     """Per-h witness sets Theta_h = {y : chi2 = twist of chi1 at h by y},
-    or None when some set is empty.
+    or None when some set is empty or Theta_0 misses 0.
 
     The twist at y is nu lam_y, i+_{nu(-y)} mu, io_{y^-1} sigma.
     """
@@ -514,22 +528,30 @@ def couplings_related(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple):
         return None
     out = []
     for h in range(n):
-        good = []
-        for y in range(I.n):
-            if chi2.nu[h] != compose(chi1.nu[h], I.lam(y)):
-                continue
-            shift = chi1.nu[h][I.add.inv[y]]
-            if chi2.mu[h] != compose(inner_add(I, shift), chi1.mu[h]):
-                continue
-            if chi2.sigma[h] != compose(inner_circ(I, I.circ.inv[y]), chi1.sigma[h]):
-                continue
-            good.append(y)
+        good = tuple(_twists_at(I, chi1, chi2, h))
         if not good:
             return None
-        out.append(tuple(good))
+        out.append(good)
     if 0 not in out[0]:
         return None
     return tuple(out)
+
+
+def _first_witnesses(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple) -> Optional[tuple]:
+    """The head of each couplings_related set, or None exactly when that
+    is None; stops at the first witness of each h.  For callers that need
+    one twist, or only whether chi1 and chi2 are related."""
+    n = len(chi1.nu)
+    if len(chi2.nu) != n:
+        return None
+    heads = []
+    for h in range(n):
+        y = next(_twists_at(I, chi1, chi2, h), None)
+        # Theta_0 holds 0 iff its head is 0, since witnesses come in order
+        if y is None or (h == 0 and y != 0):
+            return None
+        heads.append(y)
+    return tuple(heads)
 
 
 def couplings_classwise_equal(coup: Coupling, chi1: ActionTriple, chi2: ActionTriple) -> bool:
@@ -873,7 +895,7 @@ def ext_classes(H: SkewBrace, I: SkewBrace, budget: Optional[int] = None) -> lis
     for cls in classes:
         chi = extract_action(cls[0], canonical_section(cls[0]))
         for rep_chi, group in buckets:
-            if couplings_related(I, rep_chi, chi) is not None:
+            if _first_witnesses(I, rep_chi, chi) is not None:
                 group.append(cls)
                 break
         else:

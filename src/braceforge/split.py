@@ -29,11 +29,14 @@ generate (E, +):
 
 _compat_on_lifts decides a stack of candidates on those x2 with every
 x1 and x3, |L| n^2 cells per candidate instead of n^3 (n = |H| |I|, |L|
-the number of lifts).  Enumeration takes its verdicts from it alone and
-builds no product table.  The full (h1, h2, h3, y1, y2, y3) cube still
-runs in three places: for the witness of a triple that fails on the
-lifts, for the as_written sign variant, and on the heuristic domain above
-FULL_SWEEP_LIMIT, where h ranges over a generating set of H only.
+the number of lifts).  The lemma makes this exact at every order, so
+enumeration, validate_split_triple and semidirect_product take their
+verdicts from it alone.  Once the (anti)hom laws hold, both product
+tables are groups and the brace axiom is the compatibility equation, so
+a valid triple's product is a skew brace and no product table is
+validated again.  The full (h1, h2, h3, y1, y2, y3) cube runs only for
+the witness of a triple that fails on the lifts and for the as_written
+sign variant.
 
 _triplet_tables is the one gather that fills product tables: triplet
 rebuilds use it, and a split product is its zero-cocycle case relabelled.
@@ -41,14 +44,13 @@ rebuilds use it, and a split product is its zero-cocycle case relabelled.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import budget as budget_mod
-from .braces import BraceHom, SkewBrace, brace_hom_ops, validate_brace
+from .braces import BraceHom, SkewBrace, brace_hom_ops
 from .errors import (
     CompatibilityFailed,
     InputError,
@@ -64,13 +66,10 @@ from .groups import (
     _homomorphisms,
     _relabel_stack,
     automorphism_group,
-    compose,
     homs_to_perm_group,
     identity_perm,
     is_automorphism,
 )
-
-FULL_SWEEP_LIMIT = 64  # full (SE) sweep whenever |H| * |I| is at most this
 
 # Cap on the cells of one batch temporary in _compat_on_lifts: 128 KiB, far
 # below the tens of MB the interpreter and numpy occupy, however many
@@ -116,48 +115,30 @@ def triple_from_tables(nu, mu, sigma) -> ActionTriple:
     )
 
 
-@dataclass(frozen=True)
-class SweepInfo:
-    full: bool
-
-
 def _family_arrays(t: ActionTriple) -> tuple:
     """nu, mu, sigma and the inverse of each nu as (|H|, |I|) arrays."""
     nu, mu, sigma = (np.array(f, dtype=np.intp) for f in (t.nu, t.mu, t.sigma))
     return nu, mu, sigma, nu.argsort(axis=1)
 
 
-def _compat_witness(
-    H: SkewBrace, I: SkewBrace, t: ActionTriple, hs: Sequence[int],
-    as_written: bool = False,
-):
+def _compat_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple, as_written: bool = False):
     """First tuple violating the compatibility equation, or None.
 
-    hs is the list of H-indices each h ranges over (all of H for a full
-    sweep, a generating set for the heuristic one).  mu must be an
-    anti-homomorphism into Aut(I, +), as validate_split_triple checks
-    first, so that the product's (E, +) is a group.
-
-    On the full domain the operative equation holds everywhere iff it
-    holds with (h2, y2) among the lifts (s, 0) and (0, t) of the
-    generators of (H, +) and (I, +): these generate (E, +), since (h, 0) +
-    (0, y) = (h, y) and (s1, 0) + (s2, 0) = (s1 + s2, 0), and the equation
-    is the product's brace axiom (module docstring).  So a triple that
-    passes on the lifts returns None at once.  The cube (_compat_cube)
-    runs for the witness of a triple that fails there, for as_written and
-    on the heuristic domain, so every witness is the cube's.
+    mu must be an anti-homomorphism into Aut(I, +), as validate_split_triple
+    checks first, so that the product's (E, +) is a group.  The operative
+    equation then holds everywhere iff it holds with (h2, y2) among the
+    lifts (s, 0) and (0, t) of the generators of (H, +) and (I, +) (module
+    docstring), so a triple that passes on the lifts returns None at once.
+    The cube (_compat_cube) runs for the witness of a triple that fails
+    there and for as_written, so every witness is the cube's.
     """
-    full = list(hs) == list(range(H.n))
-    if full and not as_written and _compat_on_lifts(H, I, [t.nu], [t.mu], [t.sigma]).all():
+    if not as_written and _compat_on_lifts(H, I, [t.nu], [t.mu], [t.sigma]).all():
         return None
-    return _compat_cube(H, I, t, hs, as_written)
+    return _compat_cube(H, I, t, as_written)
 
 
-def _compat_cube(
-    H: SkewBrace, I: SkewBrace, t: ActionTriple, hs: Sequence[int],
-    as_written: bool = False,
-):
-    """_compat_witness evaluated on the whole cube over hs.
+def _compat_cube(H: SkewBrace, I: SkewBrace, t: ActionTriple, as_written: bool = False):
+    """_compat_witness evaluated on the whole cube.
 
     With a = nu_{h1}^-1(y1), the equation compared at every (h1, h2, h3,
     y1, y2, y3) is
@@ -172,55 +153,51 @@ def _compat_cube(
     m = -h1 + (h2 o h3), kept only as a diagnostic; it rejects valid data
     whenever mu is nontrivial.
 
-    h1 runs through hs in order; for each, both sides are evaluated at
-    all (h2, h3, y1, y2, y3) at once as a (|hs|, |hs|, |I|, |I|, |I|)
-    array, so no temporary exceeds |hs|^2 |I|^3 cells.  The witness is the
-    first failing cell in C order of the first failing h1: the
-    lexicographically least failing tuple, with h2 and h3 ordered as in hs.
+    h1 runs through H in order; for each, both sides are evaluated at all
+    (h2, h3, y1, y2, y3) at once as a (|H|, |H|, |I|, |I|, |I|) array, so
+    no temporary exceeds |H|^2 |I|^3 cells.  The witness is the first
+    failing cell in C order of the first failing h1: the lexicographically
+    least failing tuple.
     """
     Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, H.add.inv
     Ia, Ic = I.add.np_table, I.circ.np_table
-    ni, Ineg = I.n, np.array(I.add.inv, dtype=np.intp)
+    nh, ni, Ineg = H.n, I.n, np.array(I.add.inv, dtype=np.intp)
     nu, mu, sigma, inv_nu = _family_arrays(t)
-    k = np.array(hs, dtype=np.intp)
-    nk = len(k)
     ys = np.arange(ni)
     # Gathers go through flat tables with precomputed offsets, so each
     # (h2, h3, y1, y2, y3) array is built by contiguous adds and takes.
     nu_circ = nu[:, Ic].ravel()               # nu_c(x o z) at c*ni^2 + x*ni + z
     Ia_flat, mu_flat = Ia.ravel(), mu.ravel()
-    plus_k, circ_k = Ha[k[:, None], k], Hc[k[:, None], k]
-    circ_plus = Hc[:, plus_k] * ni * ni       # offset of nu_{h1 o (h2 + h3)}
-    sigma_plus = sigma[plus_k] * ni           # offset of sigma_{h2 + h3}(.)
+    circ_plus = Hc[:, Ha] * ni * ni           # offset of nu_{h1 o (h2 + h3)}
+    sigma_plus = sigma[Ha] * ni               # offset of sigma_{h2 + h3}(.)
     # nu_{h2 + h3}^-1(mu_{h3}(y2) + y3) at [h2, h3, y1, (y2, y3)]
-    inner = inv_nu[plus_k[:, :, None, None], Ia[mu[k][:, :, None], ys]]
-    inner = np.repeat(inner.reshape(nk, nk, 1, ni * ni), ni, axis=2)
+    inner = inv_nu[Ha[:, :, None, None], Ia[mu[:, :, None], ys]]
+    inner = np.repeat(inner.reshape(nh, nh, 1, ni * ni), ni, axis=2)
     # nu_{h1 o h}(sigma_h(a) o nu_h^-1(y)) at [h1, h, y1, y], a = nu_{h1}^-1(y1)
-    s_a = sigma[k][np.arange(nk)[:, None], inv_nu[k][:, None, :]]
-    tail = nu_circ[(circ_k[:, :, None, None] * ni + s_a[..., None]) * ni
-                   + inv_nu[k][:, None, :]]
+    s_a = sigma[np.arange(nh)[:, None], inv_nu[:, None, :]]
+    tail = nu_circ[(Hc[:, :, None, None] * ni + s_a[..., None]) * ni + inv_nu[:, None, :]]
     # the tail - y1 that mu acts on, as an offset into mu[m]
     tail_minus_y1 = Ia[tail, Ineg[:, None]]
     # tail at [h1, h3, y1, y2, y3], offset into the row Ia[q]
-    tail_rep = np.repeat(tail, ni, axis=2).reshape(nk, nk, ni, ni, ni)
-    for i, h1 in enumerate(hs):
+    tail_rep = np.repeat(tail, ni, axis=2).reshape(nh, nh, ni, ni, ni)
+    for h1 in range(nh):
         lhs = nu_circ.take(
             np.repeat(circ_plus[h1][:, :, None] + sigma_plus[:, :, inv_nu[h1]], ni * ni)
             + inner.ravel()
         )
-        m = Ha[Hneg[h1], circ_k if as_written else circ_k[i][None, :]]
-        q = mu_flat.take((m * ni)[:, :, None, None] + tail_minus_y1[i][:, None])
-        rhs = Ia_flat.take(np.repeat(q * ni, ni).reshape(nk, -1) + tail_rep[i].reshape(1, -1))
+        m = Ha[Hneg[h1], Hc if as_written else Hc[h1][None, :]]
+        q = mu_flat.take((m * ni)[:, :, None, None] + tail_minus_y1[h1][:, None])
+        rhs = Ia_flat.take(np.repeat(q * ni, ni).reshape(nh, -1) + tail_rep[h1].reshape(1, -1))
         bad = lhs != rhs.ravel()
         if bad.any():
-            i2, i3, y1, y2, y3 = np.unravel_index(int(bad.argmax()), (nk, nk, ni, ni, ni))
-            return (h1, hs[i2], hs[i3], int(y1), int(y2), int(y3))
+            cell = np.unravel_index(int(bad.argmax()), (nh, nh, ni, ni, ni))
+            return (h1,) + tuple(int(v) for v in cell)
     return None
 
 
 def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray:
     """Whether the candidate (nus[i], mus[j], sigmas[k]) satisfies the
-    compatibility equation on the full domain, as a boolean array of shape
+    compatibility equation everywhere, as a boolean array of shape
     (len(nus), len(mus), len(sigmas)).
 
     The equation of _compat_cube is evaluated with (h2, y2) among the lifts
@@ -267,42 +244,38 @@ def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray
     return ok.reshape(units[:3] + (nh * ni,)).all(axis=-1)
 
 
-def _sweep_domain(H: SkewBrace, I: SkewBrace, full_sweep: Optional[bool]):
-    if full_sweep is None:
-        full_sweep = H.n * I.n <= FULL_SWEEP_LIMIT
-    if full_sweep:
-        return True, list(range(H.n))
-    hs = {0}
-    hs.update(H.add.generating_sequence())
-    hs.update(H.circ.generating_sequence())
-    hs.update(H.add.inv[h] for h in list(hs))
-    return False, sorted(hs)
-
-
 def check_hom_laws(H: SkewBrace, t: ActionTriple) -> None:
     """Raise unless nu is a homomorphism on (H, o), mu an anti-homomorphism
-    on (H, +) and sigma an anti-homomorphism on (H, o)."""
-    Ha, Hc = H.add.table, H.circ.table
-    for h1 in range(H.n):
-        for h2 in range(H.n):
-            if t.nu[Hc[h1][h2]] != compose(t.nu[h1], t.nu[h2]):
-                raise NotHom("nu is not a homomorphism on (H, o)", h1=h1, h2=h2)
-            if t.mu[Ha[h1][h2]] != compose(t.mu[h2], t.mu[h1]):
-                raise NotAntiHom("mu is not an anti-homomorphism on (H, +)", h1=h1, h2=h2)
-            if t.sigma[Hc[h1][h2]] != compose(t.sigma[h2], t.sigma[h1]):
-                raise NotAntiHom(
-                    "sigma is not an anti-homomorphism on (H, o)", h1=h1, h2=h2
-                )
+    on (H, +) and sigma an anti-homomorphism on (H, o).
+
+    Each family must already consist of permutations of one set.  Each law
+    is one gather over all (h1, h2); the witness is the first failing
+    (h1, h2) in lexicographic order, with nu, mu, sigma checked in that
+    order there, as the per-pair loop _loop_hom_laws in
+    tests/test_split.py finds it."""
+    Ha, Hc, r = H.add.np_table, H.circ.np_table, np.arange(H.n)
+    nu, mu, sigma = (np.array(f, dtype=np.intp) for f in (t.nu, t.mu, t.sigma))
+    # compose(f[h1], f[h2]) at [h1, h2] is f[r[:, None, None], f[None]], and
+    # compose(f[h2], f[h1]) is f[r[None, :, None], f[:, None]]
+    laws = (
+        (nu[Hc] != nu[r[:, None, None], nu[None]], NotHom,
+         "nu is not a homomorphism on (H, o)"),
+        (mu[Ha] != mu[r[None, :, None], mu[:, None]], NotAntiHom,
+         "mu is not an anti-homomorphism on (H, +)"),
+        (sigma[Hc] != sigma[r[None, :, None], sigma[:, None]], NotAntiHom,
+         "sigma is not an anti-homomorphism on (H, o)"),
+    )
+    bad = np.stack([diff.any(axis=2) for diff, _, _ in laws])
+    if bad.any():
+        h1, h2 = divmod(int(bad.any(axis=0).argmax()), H.n)
+        _, err, message = laws[int(bad[:, h1, h2].argmax())]
+        raise err(message, h1=h1, h2=h2)
 
 
-def validate_split_triple(
-    H: SkewBrace,
-    I: SkewBrace,
-    t: ActionTriple,
-    full_sweep: Optional[bool] = None,
-) -> SweepInfo:
+def validate_split_triple(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
     """Check automorphism membership, the three (anti)hom laws and the
-    compatibility equation.  Raises with a witness on failure."""
+    compatibility equation, the last on the lifts (module docstring), at
+    every order.  Returns None; raises with a witness on failure."""
     if len(t.nu) != H.n:
         raise InputError(f"triple indexed by {len(t.nu)} elements, |H| = {H.n}")
     for h in range(H.n):
@@ -313,8 +286,7 @@ def validate_split_triple(
         if not is_automorphism(t.sigma[h], I.circ):
             raise NotAutomorphism(f"sigma[{h}] is not in Aut(I, o)", h=h, family="sigma")
     check_hom_laws(H, t)
-    full, hs = _sweep_domain(H, I, full_sweep)
-    witness = _compat_witness(H, I, t, hs)
+    witness = _compat_witness(H, I, t)
     if witness is not None:
         h1, h2, h3, y1, y2, y3 = witness
         raise CompatibilityFailed(
@@ -322,17 +294,13 @@ def validate_split_triple(
             f"(h1,h2,h3,y1,y2,y3)=({h1},{h2},{h3},{y1},{y2},{y3})",
             h1=h1, h2=h2, h3=h3, y1=y1, y2=y2, y3=y3,
         )
-    return SweepInfo(full=full)
 
 
-def compat_as_written_witness(
-    H: SkewBrace, I: SkewBrace, t: ActionTriple, full_sweep: Optional[bool] = None
-):
+def compat_as_written_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple):
     """Diagnostic only: first witness against the compatibility equation
     with the right-hand mu indexed by -h1 + (h2 o h3) instead of the
     derived -h1 + (h1 o h3).  None when that variant also holds."""
-    _, hs = _sweep_domain(H, I, full_sweep)
-    return _compat_witness(H, I, t, hs, as_written=True)
+    return _compat_witness(H, I, t, as_written=True)
 
 
 def _triplet_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple, beta, tau) -> tuple:
@@ -365,21 +333,22 @@ def _product_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
     return _relabel_stack(add, rename)[0], _relabel_stack(circ, rename)[0]
 
 
-def _validated_product(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
-    """(SweepInfo, product brace): the triple and the product brace each
-    validated once, for callers that report the sweep."""
-    sweep = validate_split_triple(H, I, t)
-    return sweep, validate_brace(*_product_tables(H, I, t))
-
-
-def semidirect_product(
-    H: SkewBrace, I: SkewBrace, t: ActionTriple, validate: bool = True
-) -> SkewBrace:
-    """The split product brace on pairs (h, y) -> h * |I| + y."""
-    if validate:
-        return _validated_product(H, I, t)[1]
+def _product_brace(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> SkewBrace:
+    """The split product of a triple already decided valid, built from
+    _product_tables with no further check."""
     add, circ = _product_tables(H, I, t)
     return SkewBrace(FiniteGroup(add), FiniteGroup(circ))
+
+
+def semidirect_product(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> SkewBrace:
+    """The split product brace on pairs (h, y) -> h * |I| + y.
+
+    The triple goes through validate_split_triple, which raises with a
+    witness unless it is valid; a valid triple's product tables are a
+    skew brace (module docstring), so the product is not validated again.
+    """
+    validate_split_triple(H, I, t)
+    return _product_brace(H, I, t)
 
 
 def _candidate_families(H: SkewBrace, I: SkewBrace, max_order: int = DEFAULT_ORDER_BOUND):
@@ -403,20 +372,13 @@ def enumerate_split_triples(
 ) -> list:
     """All action triples passing validate_split_triple, sorted canonically.
 
-    On the full domain every candidate is decided at once on the lifts
-    (_compat_on_lifts) and no product is built; validating every candidate
-    product is the test oracle _products_are_braces in tests/test_split.py."""
+    Every candidate is decided at once on the lifts (_compat_on_lifts) and
+    no product is built; validating every candidate product is the test
+    oracle _products_are_braces in tests/test_split.py."""
     nus, mus, sigmas = _candidate_families(H, I, max_order)
     space = len(nus) * len(mus) * len(sigmas)
     budget_mod.guard(space, "enumerate_split_triples", budget)
-    full, hs = _sweep_domain(H, I, None)
-    if full:
-        compat = _compat_on_lifts(H, I, nus, mus, sigmas)
-    else:
-        compat = np.array([
-            _compat_witness(H, I, ActionTriple(*fams), hs) is None
-            for fams in itertools.product(nus, mus, sigmas)
-        ]).reshape(len(nus), len(mus), len(sigmas))
+    compat = _compat_on_lifts(H, I, nus, mus, sigmas)
     found = [ActionTriple(nus[i], mus[j], sigmas[k]) for i, j, k in np.argwhere(compat)]
     found.sort(key=ActionTriple.sort_key)
     return found
@@ -442,8 +404,7 @@ def split_decompose(ext, section: Optional[Sequence[int]] = None):
             if s[H.circ.table[h1][h2]] != E.circ.table[s[h1]][s[h2]]:
                 raise SectionNotHom("section breaks o", h1=h1, h2=h2)
     t = ext_mod.extract_action(ext, s)
-    validate_split_triple(H, I, t)
-    product = semidirect_product(H, I, t, validate=False)
+    product = semidirect_product(H, I, t)
     inj_index = {e: y for y, e in enumerate(ext.inj)}
     phi = [0] * E.n
     for x in range(E.n):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import braceforge
-from braceforge import catalog, cli, split
+from braceforge import catalog, cli, extensions, split
 from braceforge.cli import main
 from braceforge.errors import InternalInconsistency
 
@@ -158,16 +158,19 @@ def test_semidirect_then_wells_check(tmp_path, capsys, Z2, Z3):
 
 
 def test_split_products_are_validated_once(tmp_path, capsys, count_calls, Z2, Z3):
-    # one compatibility sweep and one product-brace validation per product,
-    # both in `semidirect` and in the worked examples that report the sweep
+    # one compatibility sweep and one product-table build per product, both
+    # in `semidirect` and in the worked examples that report the sweep; the
+    # triple's verdict decides the product, so `semidirect` validates no
+    # extension
     sweeps = count_calls(split._compat_witness)
     products = count_calls(split._product_tables)
+    extensions_checked = count_calls(extensions.validate_extension)
     h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
     i = _write(tmp_path, "i.json", catalog.brace_payload(Z3))
     t = _write(tmp_path, "t.json", NEGATION_TRIPLE_2x3)
     assert main(["semidirect", h, i, t]) == 0
     capsys.readouterr()
-    assert (sweeps["calls"], products["calls"]) == (1, 1)
+    assert (sweeps["calls"], products["calls"], extensions_checked["calls"]) == (1, 1, 0)
     for build in (lambda: catalog.example2(n=2, p=3), catalog.example3,
                   catalog.example1_finite):
         sweeps["calls"] = products["calls"] = 0

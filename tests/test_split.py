@@ -19,7 +19,7 @@ from braceforge.errors import (
     SearchBudgetExceeded,
     ValidationError,
 )
-from braceforge.extensions import validate_extension
+from braceforge.extensions import Extension, validate_extension
 from braceforge.groups import (
     compose,
     cyclic_group,
@@ -37,7 +37,7 @@ from braceforge.split import (
     _compat_on_lifts,
     _compat_witness,
     _product_tables,
-    _sweep_domain,
+    check_hom_laws,
     compat_as_written_witness,
     decode_pair,
     encode_pair,
@@ -66,8 +66,7 @@ def test_pair_encoding_round_trip():
 
 def test_identity_triple_gives_direct_product(Z2, Z3):
     t = identity_triple(Z2, Z3)
-    info = validate_split_triple(Z2, Z3, t)
-    assert info.full
+    assert validate_split_triple(Z2, Z3, t) is None
     E = semidirect_product(Z2, Z3, t)
     assert E.n == 6 and E.is_trivial
     assert E.add.is_abelian
@@ -151,7 +150,7 @@ def test_as_written_variant_differs(Z2, Z3):
     neg = tuple((-x) % 3 for x in range(3))
     fam = tuple(neg if ((x // 2) + (x % 2)) % 2 else identity_perm(3) for x in range(8))
     t = ActionTriple(fam, fam, fam)
-    assert validate_split_triple(H, I, t).full
+    assert validate_split_triple(H, I, t) is None
     assert compat_as_written_witness(H, I, t) == (0, 1, 0, 0, 1, 0)
     # the negation triple of (Z2, Z3) also separates the two variants
     assert compat_as_written_witness(Z2, Z3, negation_triple(Z2, Z3)) is not None
@@ -183,19 +182,35 @@ def test_split_decompose_round_trip(Z2, Z3, xor4, flip4, split_ext, z4_ext):
             assert hom.is_valid() and hom.is_injective()
 
 
+def test_split_products_validate_the_triple_only(count_calls, Z2, Z3):
+    # the triple's verdict decides the product: semidirect_product and
+    # split_decompose each run one compatibility check and validate no
+    # product table, and example 4 builds its candidate products unchecked
+    sweeps = count_calls(_compat_witness)
+    braces = count_calls(validate_brace)
+    groups = count_calls(validate_group)
+    E = semidirect_product(Z2, Z3, negation_triple(Z2, Z3))
+    split_decompose(Extension(E, Z2, Z3, range(3), [x // 3 for x in range(6)]))
+    assert (sweeps["calls"], braces["calls"], groups["calls"]) == (2, 0, 0)
+    sweeps["calls"] = 0
+    catalog.example4()
+    # the acting and coefficient braces are built through validate_brace
+    assert (sweeps["calls"], braces["calls"]) == (1, 2)
+
+
 def test_enumeration_budget_guard(Z2, Z3):
     with pytest.raises(SearchBudgetExceeded):
         enumerate_split_triples(Z2, Z3, budget=5)
 
 
-def _loop_compat_witness(H, I, t, hs, as_written=False):
+def _loop_compat_witness(H, I, t, as_written=False):
     """The reference sweep: the compatibility equation evaluated one tuple
-    at a time, in lexicographic order over hs and I."""
+    at a time, in lexicographic order."""
     Ha, Hc, Hneg = H.add.table, H.circ.table, H.add.inv
     Ia, Ic, Ineg = I.add.table, I.circ.table, I.add.inv
     nu, mu, sigma = t.nu, t.mu, t.sigma
     inv_nu = [invert_perm(p) for p in nu]
-    ys = range(I.n)
+    hs, ys = range(H.n), range(I.n)
     for h1 in hs:
         nu1i = inv_nu[h1]
         for h2 in hs:
@@ -230,6 +245,53 @@ def _loop_compat_witness(H, I, t, hs, as_written=False):
                             if lhs != row_q[rhs_tail[y3]]:
                                 return (h1, h2, h3, y1, y2, y3)
     return None
+
+
+def _loop_hom_laws(H, t):
+    """The reference law check, pair by pair: (error type, message, h1, h2)
+    of the first failing law, or None."""
+    Ha, Hc = H.add.table, H.circ.table
+    for h1 in range(H.n):
+        for h2 in range(H.n):
+            if t.nu[Hc[h1][h2]] != compose(t.nu[h1], t.nu[h2]):
+                return NotHom, "nu is not a homomorphism on (H, o)", h1, h2
+            if t.mu[Ha[h1][h2]] != compose(t.mu[h2], t.mu[h1]):
+                return NotAntiHom, "mu is not an anti-homomorphism on (H, +)", h1, h2
+            if t.sigma[Hc[h1][h2]] != compose(t.sigma[h2], t.sigma[h1]):
+                return NotAntiHom, "sigma is not an anti-homomorphism on (H, o)", h1, h2
+    return None
+
+
+def test_hom_laws_match_loop(Z2, Z3, Z4, xor4, flip4):
+    # the gathered law check raises what the pair loop finds first, on
+    # every law-abiding candidate and on seeded triples that mix them with
+    # families of random automorphisms (identity at 0); (S3, V) has
+    # homomorphisms into Aut(V) that are not anti-homomorphisms
+    rng = random.Random(1607)
+    outcomes = set()
+    S3, V = trivial_brace(dihedral_group(3)), trivial_brace(klein_group())
+    for H, I in _oracle_pairs(Z2, Z3, Z4, xor4, flip4) + [(S3, V)]:
+        families = _candidate_families(H, I)
+        auts = [sorted({f for fam in families[k] for f in fam}) for k in (0, 1, 2)]
+        triples = _candidates(H, I)
+        for _ in range(60):
+            triples.append(ActionTriple(*(
+                rng.choice(families[k]) if rng.random() < 0.5
+                else (identity_perm(I.n),) + tuple(rng.choice(auts[k]) for _ in range(H.n - 1))
+                for k in (0, 1, 2)
+            )))
+        # nu as mu and sigma: a homomorphism in place of anti-homomorphisms
+        triples += [ActionTriple(nu, nu, nu) for nu in families[0]]
+        for t in triples:
+            try:
+                check_hom_laws(H, t)
+                got = None
+            except ValidationError as exc:
+                got = (type(exc), exc.args[0], exc.witness["h1"], exc.witness["h2"])
+            expected = _loop_hom_laws(H, t)
+            assert got == expected
+            outcomes.add(None if expected is None else expected[1])
+    assert len(outcomes) == 4
 
 
 def _loop_product_tables(H, I, t):
@@ -276,11 +338,10 @@ def _candidates(H, I):
 def test_compat_kernel_matches_loop(Z2, Z3, Z4, xor4, flip4):
     checked = failing = 0
     for H, I in _oracle_pairs(Z2, Z3, Z4, xor4, flip4):
-        domains = {tuple(_sweep_domain(H, I, full)[1]) for full in (None, False)}
         for t in _candidates(H, I):
-            for hs, as_written in itertools.product(domains, (False, True)):
-                expected = _loop_compat_witness(H, I, t, list(hs), as_written)
-                assert _compat_witness(H, I, t, list(hs), as_written) == expected
+            for as_written in (False, True):
+                expected = _loop_compat_witness(H, I, t, as_written)
+                assert _compat_witness(H, I, t, as_written) == expected
                 checked += 1
                 failing += expected is not None
     assert checked > failing > 0
@@ -318,7 +379,7 @@ def test_compat_on_lifts_matches_cube(Z2, Z3, Z4, xor4, flip4):
     for H, I in pairs:
         families = _candidate_families(H, I)
         got = _compat_on_lifts(H, I, *families).ravel().tolist()
-        expected = [_compat_cube(H, I, t, list(range(H.n))) is None for t in _candidates(H, I)]
+        expected = [_compat_cube(H, I, t) is None for t in _candidates(H, I)]
         assert got == expected
         checked += len(expected)
         failing += expected.count(False)
@@ -390,6 +451,42 @@ def test_compat_on_lifts_matches_product_validation(Z2, Z3, Z4, xor4, flip4):
         checked += expected.size
         failing += int((~expected).sum())
     assert checked > failing > 0
+
+
+def _pairs_above_64():
+    """Pairs with |H| |I| between 68 and 80, above any order the other
+    oracle pairs reach; Z17 and Z20 need automorphism groups past the
+    default order bound."""
+    S3, D4 = trivial_brace(dihedral_group(3)), trivial_brace(dihedral_group(4))
+    V, Z = trivial_brace(klein_group()), lambda n: trivial_brace(cyclic_group(n))
+    return [(S3, Z(13)), (Z(6), Z(13)), (Z(4), Z(20)), (D4, Z(9)), (V, Z(17))]
+
+
+def test_compat_on_lifts_matches_product_validation_above_64():
+    # the lifts check decides every triple at every order: above order 64
+    # too, its verdict on every candidate is that of validating the product
+    checked = failing = 0
+    for H, I in _pairs_above_64():
+        assert 64 < H.n * I.n <= 80
+        families = _candidate_families(H, I, max_order=I.n)
+        expected = _products_are_braces(H, I, *families)
+        assert np.array_equal(_compat_on_lifts(H, I, *families), expected)
+        checked += expected.size
+        failing += int((~expected).sum())
+    assert checked > failing > 0
+    # and the witness validate_split_triple raises is the loop sweep's
+    H, I = _pairs_above_64()[3]
+    nus, mus, sigmas = _candidate_families(H, I)
+    failures = np.argwhere(~_compat_on_lifts(H, I, nus, mus, sigmas))
+    witnesses = set()
+    for i, j, k in failures:
+        t = ActionTriple(nus[i], mus[j], sigmas[k])
+        with pytest.raises(CompatibilityFailed) as exc:
+            validate_split_triple(H, I, t)
+        got = tuple(exc.value.witness[v] for v in ("h1", "h2", "h3", "y1", "y2", "y3"))
+        assert got == _loop_compat_witness(H, I, t)
+        witnesses.add(got)
+    assert len(failures) == 36 and len(witnesses) == 4
 
 
 def test_enumeration_validates_each_table_once(count_calls, flip4):

@@ -271,6 +271,35 @@ def test_rho_image_and_autb(split_ext, carry_ext):
     assert len(induced9) == 2
 
 
+def test_rho_induces_brace_automorphisms(sweep_exts, q8_exts):
+    # every gamma of Autb_I(E) induces a well-defined map on H, and both
+    # induced maps are brace automorphisms; rho relies on it unchecked
+    pairs = 0
+    for ext in sweep_exts + q8_exts:
+        for gamma, pair in rho(ext):
+            assert all(ext.proj[gamma[x]] == pair.phi[ext.proj[x]] for x in range(ext.E.n))
+            for B, p in ((ext.H, pair.phi), (ext.I, pair.theta)):
+                hom = braces.BraceHom(B, B, p)
+                assert hom.is_valid() and hom.is_injective()
+            pairs += 1
+    assert pairs > len(sweep_exts) + len(q8_exts)
+
+
+def test_rho_checks_no_brace_hom(split_ext, carry_ext, d4_exts, monkeypatch):
+    # rho reads the induced pairs off autb_I's automorphisms without
+    # re-checking them as brace homomorphisms
+    counter = {"calls": 0}
+    is_valid = braces.BraceHom.is_valid
+
+    def counted(self):
+        counter["calls"] += 1
+        return is_valid(self)
+
+    monkeypatch.setattr(braces.BraceHom, "is_valid", counted)
+    gammas = sum(len(rho(ext)) for ext in [split_ext, carry_ext] + d4_exts[:8])
+    assert gammas > 10 and counter["calls"] == 0
+
+
 def test_c_action_is_classwise_well_defined(Z3, carry_ext):
     chi = extract_action(carry_ext, canonical_section(carry_ext))
     I_res, chi_res, elems = restrict_action(Z3, chi)
@@ -388,6 +417,33 @@ def test_acted_triplet_matches_pair_act(sweep_exts, q8_exts):
             assert wells._acted_triplet(t0, c) == extract_triplet(pair_act(ext, c))
             pairs += 1
     assert pairs == 2112
+
+
+def test_first_witnesses_are_heads_of_the_full_sets(Z2, sweep_exts, q8_exts):
+    # the early-stopping search wells_map, ext_classes and coupling_of use
+    # gives the head of every couplings_related set, and None exactly where
+    # the full search does: on the coupling of each acted triplet against
+    # its source, and of each extension against its neighbour's
+    related = unrelated = 0
+    exts = sweep_exts + q8_exts
+    for ext, other in zip(exts, exts[1:] + exts[:1]):
+        t0 = extract_triplet(ext)
+        chis = [wells._acted_triplet(t0, c).chi for c in stabilizer_C(ext.H, ext.I, t0.chi)]
+        if other.H == ext.H and other.I == ext.I:
+            chis.append(extract_triplet(other).chi)
+        for chi in chis:
+            full = extensions.couplings_related(ext.I, chi, t0.chi)
+            heads = None if full is None else tuple(ys[0] for ys in full)
+            assert extensions._first_witnesses(ext.I, chi, t0.chi) == heads
+            related += full is not None
+            unrelated += full is None
+    assert (related, unrelated) == (1701, 749)
+    # a twist at 0 by a non-central y leaves 0 out of Theta_0
+    S3 = trivial_brace(dihedral_group(3))
+    chi = identity_triple(Z2, S3)
+    moved = extensions.twist_action(S3, chi, (1, 0))
+    assert extensions.couplings_related(S3, chi, moved) is None
+    assert extensions._first_witnesses(S3, chi, moved) is None
 
 
 def test_wells_map_checks_its_inputs(Z2, Z4, flip4, split_ext):
