@@ -302,23 +302,49 @@ _KEY_SIGNATURES = {
 
 # --- entries -----------------------------------------------------------------
 
+class _Payload:
+    """CatalogEntry's payload field: the dict given, or, for an entry made
+    by entry_for, its object's payload laid out on first use, so an entry
+    that is never saved, compared or printed never turns its tables into
+    lists."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, entry, owner=None):
+        if entry is None:
+            return None  # the field's default
+        value = entry.__dict__[self.key]
+        if value is None:
+            value = entry.__dict__[self.key] = _kind_of(entry._source)[1](entry._source)
+        return value
+
+    def __set__(self, entry, value):
+        entry.__dict__[self.key] = value
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named, validated payload with its origin tag and load warnings.
 
     An entry made by the loader also carries the object it validated
     (`live`), which build() returns; it takes no part in ==, hash or repr.
+    An entry made by entry_for keeps its object (`_source`, which takes no
+    part either) and lays out the payload when it is first read.
     """
 
     name: str
     kind: str
-    payload: dict
-    provenance: str
+    payload: dict = _Payload()
+    provenance: str = "derived"
     warnings: tuple = ()
     report: dict = field(default_factory=dict, compare=False)
     live: object = field(default=None, compare=False, repr=False)
+    _source: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.__dict__["_payload"] is None and self._source is None:
+            raise InputError("a catalog entry needs a payload or an object to lay one out")
         if self.kind not in KINDS:
             raise InputError(f"unknown catalog kind {self.kind!r}")
         if self.provenance not in PROVENANCES:
@@ -428,23 +454,29 @@ def save(entry: CatalogEntry, path) -> None:
     Path(path).write_text(dumps_payload(entry.payload), encoding="utf-8")
 
 
+_PAYLOADS = (
+    (SkewBrace, "brace", brace_payload),
+    (FiniteGroup, "group", group_payload),
+    (ActionTriple, "triple", triple_payload),
+    (Triplet, "triplet", triplet_payload),
+    (Extension, "extension", extension_payload),
+)
+
+
+def _kind_of(obj) -> tuple:
+    """(kind, payload constructor) of a live object."""
+    for cls, kind, make in _PAYLOADS:
+        if isinstance(obj, cls):
+            return kind, make
+    raise InputError(f"cannot catalog object of type {type(obj).__name__}")
+
+
 def entry_for(obj, name: str, provenance: str = "derived", report: Optional[dict] = None) -> CatalogEntry:
-    """Wrap a live object in a catalog entry with its canonical payload."""
-    if isinstance(obj, SkewBrace):
-        kind, payload = "brace", brace_payload(obj)
-    elif isinstance(obj, FiniteGroup):
-        kind, payload = "group", group_payload(obj)
-    elif isinstance(obj, ActionTriple):
-        kind, payload = "triple", triple_payload(obj)
-    elif isinstance(obj, Triplet):
-        kind, payload = "triplet", triplet_payload(obj)
-    elif isinstance(obj, Extension):
-        kind, payload = "extension", extension_payload(obj)
-    else:
-        raise InputError(f"cannot catalog object of type {type(obj).__name__}")
+    """Wrap a live object in a catalog entry; its canonical payload is laid
+    out when first read."""
     return CatalogEntry(
-        name=name, kind=kind, payload=payload, provenance=provenance,
-        report=dict(report or {}),
+        name=name, kind=_kind_of(obj)[0], provenance=provenance,
+        report=dict(report or {}), _source=obj,
     )
 
 

@@ -264,8 +264,8 @@ def cmd_cohomology(args) -> int:
     grp = h2N(H, I_coeff, chi_coeff, budget=args.budget)
     derivations = z1N(H, I_coeff, chi_coeff, budget=args.budget)
     report.update({
-        "z2_order": len(grp.z2),
-        "b2_order": len(grp.b2),
+        "z2_order": grp.z2_order,
+        "b2_order": grp.b2_order,
         "h2_order": grp.order,
         "z1_order": len(derivations),
         "h2_representatives": [

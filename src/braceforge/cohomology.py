@@ -25,6 +25,16 @@ one-line forms of the two derivation laws are recovered by moving the
 leading negative term across, and the test suite asserts that derivations
 are the kernel of the coboundary map.
 
+All of this is Z-linear once I is written as a sum of cyclic groups
+Z/d_1 + ... + Z/d_r (_Coordinates): a pair is a vector of r coordinates
+per free cell, each law's residual is Z-linear in the tables, and the
+coboundary map is Z-linear in theta.  So Z^2, B^2 and Z^1 are computed as
+kernels and images of integer matrices over mixed moduli (_echelon, an
+echelon form by unimodular row steps, and _kernel), each matrix filled by
+evaluating the law's own residual on unit tables; no cocycle pair is
+listed to find them.  The lists z2N, b2N and z1N return are drawn from the
+echelon bases, and CohomologyGroup reads classes off coordinates.
+
 The quotient H^2 = Z^2 / B^2 acts on extension classes of H by a general
 brace I through annihilator-valued pairs: (g, f) . (chi, beta, tau) =
 (chi, g + beta, f + tau), the sums taken in I (g, f land in Ann(I), so the
@@ -33,8 +43,8 @@ order of the summands is immaterial and "+" agrees with "o" there).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,9 +54,9 @@ from .braces import SkewBrace, annihilator, trivial_brace
 from .errors import (
     CoefficientsNotAbelian,
     InputError,
+    InternalInconsistency,
     NotAutomorphism,
     NotTrivialCoefficients,
-    SearchBudgetExceeded,
     ValidationError,
     ValuesNotInAnnihilator,
 )
@@ -62,7 +72,7 @@ from .extensions import (
     triplets_equivalent,
 )
 from .groups import group_from_elements, is_automorphism
-from .split import ActionTriple, check_hom_laws
+from .split import ActionTriple, _compat_on_lifts, check_hom_laws
 
 
 # --- coefficient and action validation --------------------------------------
@@ -151,29 +161,38 @@ def pair_sub(I: SkewBrace, p: CocyclePair, q: CocyclePair) -> CocyclePair:
     return pair_add(I, p, pair_neg(I, q))
 
 
+def _component_law_residual(op_table, I: SkewBrace, act, tabs: np.ndarray) -> np.ndarray:
+    """lhs - rhs of the component cocycle law
+
+        v(h1, h2*h3) + v(h2, h3) = v(h1*h2, h3) + act_{h3}(v(h1, h2))
+
+    at every (h1, h2, h3) in lex order, for a stack of tables v: shape
+    (k, n, n, n) from tabs of shape (k, n, n).  * is the given H-operation
+    and + the abelian coefficient addition.  The residual is Z-linear in v,
+    so on unit tables it gives the law's matrix."""
+    op = np.asarray(op_table)
+    act = np.asarray(act)
+    Ia, neg = I.add.np_table, np.asarray(I.add.inv)
+    h = np.arange(len(op))
+    h1, h2, h3 = h[:, None, None], h[None, :, None], h
+    lhs = Ia[tabs[:, h1, op[h2, h3]], tabs[:, h2, h3]]
+    rhs = Ia[tabs[:, op[h1, h2], h3], act[h3, tabs[:, h1, h2]]]
+    return Ia[lhs, neg[rhs]]
+
+
 def component_law_witness(
     op_table: Sequence[Sequence[int]],
     I: SkewBrace,
     act: Sequence[Sequence[int]],
     tab: Sequence[Sequence[int]],
 ) -> Optional[tuple]:
-    """First (h1, h2, h3) violating the component cocycle law, or None.
-
-    The law reads v(h1, h2*h3) + v(h2, h3) = v(h1*h2, h3) + act_{h3}(v(h1, h2))
-    where * is the given H-operation and + the abelian coefficient addition.
-    """
-    nh = len(op_table)
-    Ia = I.add.table
-    for h1 in range(nh):
-        for h2 in range(nh):
-            r12 = tab[h1][h2]
-            t12 = op_table[h1][h2]
-            for h3 in range(nh):
-                lhs = Ia[tab[h1][op_table[h2][h3]]][tab[h2][h3]]
-                rhs = Ia[tab[t12][h3]][act[h3][r12]]
-                if lhs != rhs:
-                    return (h1, h2, h3)
-    return None
+    """First (h1, h2, h3) violating the component cocycle law, or None:
+    the first nonzero cell of _component_law_residual."""
+    res = _component_law_residual(op_table, I, act, np.asarray(tab)[None])[0]
+    bad = np.flatnonzero(res)
+    if not len(bad):
+        return None
+    return tuple(int(h) for h in np.unravel_index(bad[0], res.shape))
 
 
 def pair_is_cocycle(H: SkewBrace, I: SkewBrace, chi: ActionTriple, pair: CocyclePair) -> bool:
@@ -183,75 +202,317 @@ def pair_is_cocycle(H: SkewBrace, I: SkewBrace, chi: ActionTriple, pair: Cocycle
     return component_law_witness(H.circ.table, I, chi.sigma, pair.f) is None
 
 
-def _component_cocycles(
-    op_table: Sequence[Sequence[int]],
-    I: SkewBrace,
-    act: Sequence[Sequence[int]],
-    budget: Optional[int],
-    what: str,
-) -> list:
-    """All normalized tables satisfying one component law, lex-sorted.
+# --- integer linear algebra ----------------------------------------------------
 
-    Backtracking over the non-degenerate cells in row-major order; every
-    law instance is checked as soon as its last cell is assigned, so
-    inconsistent prefixes are pruned instead of brute-forcing the full
-    value grid.
-    """
-    nh = len(op_table)
-    ni = I.n
-    Ia = I.add.table
-    cells = [(a, b) for a in range(1, nh) for b in range(1, nh)]
-    pos = {c: k for k, c in enumerate(cells)}
-    by_last: list = [[] for _ in cells]
-    for h1 in range(nh):
-        for h2 in range(nh):
-            for h3 in range(nh):
-                involved = [
-                    pos[c]
-                    for c in (
-                        (h1, op_table[h2][h3]),
-                        (h2, h3),
-                        (op_table[h1][h2], h3),
-                        (h1, h2),
-                    )
-                    if c in pos
-                ]
-                if involved:
-                    by_last[max(involved)].append((h1, h2, h3))
-    tab = [[0] * nh for _ in range(nh)]
-    out: list = []
-    limit = budget_mod.get_budget(budget)
-    nodes = 0
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with g = gcd(a, b) = s a + t b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
 
-    def law_ok(h1: int, h2: int, h3: int) -> bool:
-        lhs = Ia[tab[h1][op_table[h2][h3]]][tab[h2][h3]]
-        rhs = Ia[tab[op_table[h1][h2]][h3]][act[h3][tab[h1][h2]]]
-        return lhs == rhs
 
-    # depth-first with an explicit stack: nxt[k] is the next value to try
-    # in cell k, so the search depth is not bounded by the recursion limit
-    nxt = [0] * len(cells)
-    k = 0
-    while k >= 0:
-        if k == len(cells):
-            out.append(tuple(tuple(row) for row in tab))
-            k -= 1
+def _unit(v: int, d: int, top: int) -> int:
+    """A unit u modulo top with u v = gcd(v, d) modulo d (d divides top)."""
+    g = gcd(v, d)
+    m = d // g
+    u = pow(v // g, -1, m) if m > 1 else 1
+    while gcd(u, top) != 1:
+        u += m
+    return u
+
+
+def _echelon(rows: np.ndarray, mods: np.ndarray, stop: int) -> tuple:
+    """Echelon form, over the first stop columns, of the subgroup of
+    Z/mods[0] + Z/mods[1] + ... that the rows generate.
+
+    Returns (pivots, rest).  pivots lists (c, row) by increasing column c,
+    each row zero before c with row[c] a divisor of mods[c]; rest generates
+    the members that vanish on the first stop columns.  At each column the
+    rows nonzero there are folded into one by unimodular steps (a multiple
+    of the row with the least gcd by a unit modulo every modulus, then
+    extended gcds with any row it does not divide), every row is cleared
+    against it, and its multiple (mods[c] / row[c]) row, which vanishes at
+    c, joins the rest unless it is 0.  So the members vanishing before any
+    column c are generated by the pivot rows from c on and rest."""
+    rows = rows % mods
+    top = int(np.lcm.reduce(mods)) if len(mods) else 1
+    found = []
+    # a column that is 0 in every row stays so; and every row vanishes
+    # before the current column, so only the columns from it on are touched
+    for c in np.flatnonzero(rows[:, :stop].any(axis=0)).tolist():
+        col = rows[:, c]
+        nz = col.nonzero()[0]
+        if not len(nz):
             continue
-        a, b = cells[k]
-        v = nxt[k]
-        if v == ni:
-            nxt[k] = 0
-            tab[a][b] = 0
-            k -= 1
-            continue
-        nxt[k] = v + 1
-        nodes += 1
-        if nodes > limit:
-            raise SearchBudgetExceeded(what, nodes, limit, len(out))
-        tab[a][b] = v
-        if all(law_ok(*inst) for inst in by_last[k]):
-            k += 1
-    return out
+        d, tail = int(mods[c]), mods[c:]
+        q = col[nz]
+        i = int(nz[np.gcd(q, d).argmin()]) if len(nz) > 1 else int(nz[0])
+        p = rows[i, c:] * _unit(int(col[i]), d, top) % tail
+        g = int(p[0])
+        if g > 1:
+            for j in nz[q % g != 0].tolist():
+                w = int(rows[j, c])
+                g2, s, t = _xgcd(g, w)
+                row = rows[j, c:].copy()
+                p, rows[j, c:] = (s * p + t * row) % tail, ((w // g2) * p - (g // g2) * row) % tail
+                g = g2
+            q = rows[nz, c] // g
+        # the row the pivot came from becomes a multiple of it that vanishes at c
+        rows[nz, c:] = (rows[nz, c:] - q[:, None] * p) % tail
+        if (d // g) % top:
+            ann = np.zeros((1, len(mods)), dtype=np.int64)
+            ann[0, c:] = (d // g) * p % tail
+            rows = np.vstack([rows, ann])
+        found.append((c, p))
+    pivots = []
+    for c, p in found:
+        full = np.zeros(len(mods), dtype=np.int64)
+        full[c:] = p
+        pivots.append((c, full))
+    return pivots, rows[rows.any(axis=1)]
+
+
+def _kernel(images: np.ndarray, tmods: np.ndarray, cmods: np.ndarray) -> np.ndarray:
+    """Generators of the kernel of the homomorphism from
+    Z/cmods[0] + Z/cmods[1] + ... to Z/tmods[0] + ... that sends the k-th
+    unit to images[k] (each image of order dividing cmods[k]).
+
+    The echelon form of the graph, rows (images[k], e_k), over the image
+    columns leaves exactly the graph's members with image 0; image columns
+    that are 0 throughout are dropped first."""
+    keep = images.any(axis=0)
+    width = int(keep.sum())
+    graph = np.hstack([images[:, keep], np.eye(len(cmods), dtype=np.int64)])
+    _, rest = _echelon(graph, np.concatenate([tmods[keep], cmods]), width)
+    return rest[:, width:]
+
+
+class _Echelon:
+    """A subgroup of Z/mods[0] + Z/mods[1] + ... in echelon form.
+
+    Each member is sum_k a_k rows[k] for exactly one choice of
+    0 <= a_k < mods[cols[k]] / rows[k][cols[k]] (the rows are triangular
+    with pivots dividing their moduli), so the order is the product of
+    those ranges and membership is decided by clearing the pivots in
+    order."""
+
+    def __init__(self, pivots: list, mods: np.ndarray):
+        self.mods = mods
+        self.cols = [c for c, _ in pivots]
+        self.rows = np.array([p for _, p in pivots], dtype=np.int64).reshape(len(pivots), len(mods))
+        self.ranges = [int(mods[c] // p[c]) for c, p in pivots]
+        self.order = prod(self.ranges)
+
+    @classmethod
+    def of(cls, gens: np.ndarray, mods: np.ndarray) -> "_Echelon":
+        return cls(_echelon(gens, mods, len(mods))[0], mods)
+
+    def members(self) -> np.ndarray:
+        out = np.zeros((1, len(self.mods)), dtype=np.int64)
+        for row, k in zip(self.rows, self.ranges):
+            out = (out[None, :, :] + np.arange(k)[:, None, None] * row).reshape(-1, len(self.mods))
+        return out % self.mods
+
+    def contains(self, X: np.ndarray) -> np.ndarray:
+        ok = np.ones(len(X), dtype=bool)
+        for c, row in zip(self.cols, self.rows):
+            g = row[c]
+            ok &= X[:, c] % g == 0
+            X = (X - (X[:, c] // g)[:, None] * row) % self.mods
+        return ok & ~X.any(axis=1)
+
+
+class _Coordinates:
+    """(I, +) as a direct sum Z/d_1 + ... + Z/d_r of cyclic groups.
+
+    Each step adjoins an element x of the largest order modulo the span so
+    far among those whose multiples meet the span only in 0.  While the
+    span is a direct summand, an element of largest order in a complement
+    qualifies, and adjoining any qualifying x adds such an element, so the
+    span stays a summand and grows to all of I.  labels[i] is the element
+    with coordinates (c_1, ..., c_r), i = sum_j c_j strides[j];
+    coords[x] the coordinates of element x."""
+
+    def __init__(self, I: SkewBrace):
+        tab = I.add.table
+        span = [0]
+        mods, strides = [], []
+        while len(span) < I.n:
+            inside = set(span)
+            best = (1, 0)
+            for x in range(I.n):
+                q, y = 1, x
+                while y not in inside:
+                    y = tab[y][x]
+                    q += 1
+                if y == 0 and q > best[0]:
+                    best = (q, x)
+            q, x = best
+            multiples = [0]
+            for _ in range(q - 1):
+                multiples.append(tab[multiples[-1]][x])
+            strides.append(len(span))
+            span = [tab[s][m] for m in multiples for s in span]
+            mods.append(q)
+        self.mods = np.array(mods, dtype=np.int64)
+        self.strides = np.array(strides, dtype=np.int64)
+        self.labels = np.array(span, dtype=np.int64)
+        self.coords = np.empty((I.n, len(mods)), dtype=np.int64)
+        self.coords[self.labels] = np.array(
+            [[i // st % q for st, q in zip(strides, mods)] for i in range(I.n)],
+            dtype=np.int64).reshape(I.n, len(mods))
+        self.exponent = lcm(*mods)
+
+    def to_labels(self, C: np.ndarray) -> np.ndarray:
+        """Labels of coordinate vectors along the last axis."""
+        return self.labels[(C * self.strides).sum(axis=-1)]
+
+
+class _Cochains:
+    """Coordinates of normalized pairs (g, f) for one (H, I).
+
+    A pair is also an integer row: its g table then its f table, flattened
+    (2 |H|^2 labels).  Its coordinates are those of the free cells (a, b),
+    a, b > 0, of g and then of f, row-major, r coefficient coordinates
+    each; lex order on pairs is lex order on the free cells' labels, since
+    the other cells are 0."""
+
+    def __init__(self, n: int, I: SkewBrace):
+        self.n = n
+        self.co = co = _Coordinates(I)
+        free = np.zeros((2, n, n), dtype=bool)
+        free[:, 1:, 1:] = True
+        self.cells = np.flatnonzero(free)
+        self.fixed = np.flatnonzero(~free)
+        self.mods = np.tile(co.mods, len(self.cells))
+
+    def coords(self, rows: np.ndarray) -> np.ndarray:
+        return self.co.coords[rows[:, self.cells]].reshape(len(rows), len(self.mods))
+
+    def labels(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(X), 2 * self.n * self.n), dtype=np.int64)
+        out[:, self.cells] = self.co.to_labels(
+            X.reshape(len(X), len(self.cells), len(self.co.mods)))
+        return out
+
+    def pairs(self, X: np.ndarray) -> list:
+        """The pairs with coordinates X, lex-sorted."""
+        rows = self.labels(X)
+        return self.row_pairs(rows[np.lexsort(rows.T[::-1])])
+
+    def row_pairs(self, rows: np.ndarray) -> list:
+        """The pairs laid out in integer rows."""
+        n, nn = self.n, self.n * self.n
+        return [
+            CocyclePair(tuple(tuple(row[a:a + n]) for a in range(0, nn, n)),
+                        tuple(tuple(row[a:a + n]) for a in range(nn, 2 * nn, n)))
+            for row in rows.tolist()
+        ]
+
+    def is_pair(self, rows: np.ndarray) -> np.ndarray:
+        """Which integer rows hold labels of I and vanish off the free cells."""
+        labels = ((rows >= 0) & (rows < len(self.co.coords))).all(axis=1)
+        return labels & ~rows[:, self.fixed].any(axis=1)
+
+
+@dataclass
+class _CocycleSpace:
+    """What the cocycle laws cut out for one (H, I, chi), in coordinates.
+
+    laws: generators of the pairs satisfying both component laws (the
+    rows the two kernels left, not reduced further).  z2: those on which
+    the linear part of the parent-relation residual at y = 0 vanishes.
+    particular: one law-abiding pair whose residual vanishes, or None when
+    there is none; the law-abiding pairs with residual 0 are particular +
+    z2.  zero_valid: whether the zero pair builds an extension (chi is a
+    split triple), in which case the residual is linear and z2 is Z^2."""
+
+    cochains: _Cochains
+    laws: np.ndarray
+    z2: _Echelon
+    particular: Optional[np.ndarray]
+    zero_valid: bool
+
+
+def _cocycle_space(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> _CocycleSpace:
+    """The cocycle pairs for chi as kernels, without listing any.
+
+    Each component law is Z-linear in its table, so its matrix is the
+    residual (_component_law_residual) of the unit tables, and its
+    solutions are that matrix's kernel.  On those, the parent relation's
+    residual at y = 0 (extensions._parent_relation_residual) is affine:
+    r0, the zero pair's, plus a linear part read off by evaluating it on
+    the rows that generate the kernels.  A pair is an associated pair
+    exactly when it satisfies both laws and the residual vanishes (see
+    z2N); the solutions of linear part = -r0 are found as a kernel too,
+    with one more generator carrying r0 whose coefficient must be 1."""
+    sp = _Cochains(H.n, I)
+    co = sp.co
+    n, half = H.n, len(sp.mods) // 2
+    # one unit pair per free cell and coordinate, g cells first
+    units = sp.labels(np.eye(len(sp.mods), dtype=np.int64)).reshape(len(sp.mods), 2, n, n)
+    # the moduli of a law's residual, one cell per (h1, h2, h3)
+    tmods = np.tile(co.mods, n ** 3)
+    gens = []
+    for k, (op, act) in enumerate(((H.add.np_table, chi.mu), (H.circ.np_table, chi.sigma))):
+        block = slice(k * half, (k + 1) * half)
+        res = _component_law_residual(op, I, act, units[block, k])
+        ker = _kernel(co.coords[res].reshape(half, len(tmods)), tmods, sp.mods[block])
+        full = np.zeros((len(ker), len(sp.mods)), dtype=np.int64)
+        full[:, block] = ker
+        gens.append(full)
+    laws = np.vstack(gens)
+
+    Ia, neg = I.add.np_table, np.asarray(I.add.inv)
+
+    def residual(row) -> np.ndarray:
+        g, f = row.reshape(2, n, n).tolist()
+        return np.array(_parent_relation_residual(H, I, Triplet(chi, g, f)), dtype=np.int64)
+
+    r0 = residual(np.zeros(2 * n * n, dtype=np.int64))
+    lin = [Ia[residual(row), neg[r0]] for row in sp.labels(laws)]
+    images = co.coords[np.array([r0] + lin, dtype=np.int64)].reshape(1 + len(lin), len(tmods))
+    e = co.exponent
+    coef = _kernel(images, tmods, np.full(len(images), e, dtype=np.int64))
+    # the solutions (c, x) of c r0 + linear part(x) = 0; the pairs wanted
+    # have c = 1
+    sols = np.hstack([coef[:, :1], coef[:, 1:] @ laws])
+    pivots, _ = _echelon(sols, np.concatenate([[e], sp.mods]), 1 + len(sp.mods))
+    particular = None
+    if pivots and pivots[0][0] == 0:
+        if pivots[0][1][0] == 1:
+            particular = pivots[0][1][1:]
+        pivots = pivots[1:]
+    elif e == 1:
+        particular = np.zeros(len(sp.mods), dtype=np.int64)
+    z2 = _Echelon([(c - 1, p[1:]) for c, p in pivots], sp.mods)
+    # validate_split_triple's lifts check; the rest of it validate_cocycle_action ran
+    zero_valid = bool(_compat_on_lifts(H, I, [chi.nu], [chi.mu], [chi.sigma]).all())
+    if zero_valid and r0.any():
+        raise InternalInconsistency(
+            "a split triple's zero pair has a nonzero parent-relation residual")
+    return _CocycleSpace(sp, laws, z2, particular, zero_valid)
+
+
+def _coboundary_images(sp: _Cochains, H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> np.ndarray:
+    """The coordinates of the coboundary pairs of the unit maps theta
+    (theta(h) the j-th coordinate generator of I at one h != 0): the
+    coboundary map is Z-linear in theta, so these generate B^2 and are its
+    matrix."""
+    co = sp.co
+    basis = co.labels[co.strides].tolist()
+    rows = []
+    for h in range(1, H.n):
+        for b in basis:
+            theta = [0] * H.n
+            theta[h] = b
+            pair = coboundary_pair(H, I, chi, theta)
+            rows.append(pair.g + pair.f)
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * H.n * H.n)
+    return sp.coords(rows)
 
 
 def z2N(
@@ -263,55 +524,43 @@ def z2N(
 ) -> list:
     """All cocycle pairs for the given action, lex-sorted.
 
-    The two component laws never couple g with f, so the components are
-    enumerated independently and paired.  The laws alone, however, do not
-    cut out the pairs associated to extensions: the compatibility between
-    the two operations of the would-be extension ties the components
-    together (already at H = trivial Z2, I = Z3 with the trivial action it
-    forces 2 g(1,1) = 2 f(1,1), cutting 9 law-abiding pairs down to 3).
-    The default therefore keeps exactly the pairs (g, f) for which
-    (chi, g, f) builds a valid extension, which is what the quotient-vs-
-    class-count theorems need; laws_only=True returns the unconstrained
-    product set as a diagnostic.
+    The two component laws never couple g with f.  The laws alone, however,
+    do not cut out the pairs associated to extensions: the compatibility
+    between the two operations of the would-be extension ties the
+    components together (already at H = trivial Z2, I = Z3 with the
+    trivial action it forces 2 g(1,1) = 2 f(1,1), cutting 9 law-abiding
+    pairs down to 3).  The default therefore keeps exactly the pairs
+    (g, f) for which (chi, g, f) builds a valid extension, which is what
+    the quotient-vs-class-count theorems need; laws_only=True lists the
+    span of the two component kernels as a diagnostic.
 
     The compatibility is decided without rebuilding each pair.  With
     abelian trivial coefficients every term of the derived parent relation
     (extensions.parent_relation_witness) is an automorphism image of one
     g or f entry or of one y, so its residual -rhs + lhs splits as
     R_chi(h, y) + L(g, f; h) with L additive in (g, f) and free of y.
-    Write r0 for the residual of the zero pair at y = 0 and dg, df for
-    the residuals of (g, 0) and (0, f) minus r0; then (g, f) has residual
-    zero at y = 0 exactly when df = -(r0 + dg), so each g is matched with
-    a bucket of f values.  Every valid pair is among these candidates.
-    When the zero pair is valid, R_chi vanishes and the candidates are
-    exactly the valid pairs, which one rebuild of the zero pair confirms;
-    otherwise each candidate is confirmed by its own rebuild.
+    Every valid pair satisfies both laws and has residual zero at y = 0,
+    which is r0 + L(g, f) = 0 with r0 the zero pair's residual; these are
+    found as kernels (_cocycle_space), then listed from an echelon basis,
+    guarded by their known number.  When chi is a split triple (the zero
+    pair is valid, decided by split.validate_split_triple), R_chi vanishes
+    and these candidates are exactly the valid pairs; otherwise each
+    candidate is confirmed by its own rebuild.
     """
     validate_cocycle_action(H, I, chi)
-    gs = _component_cocycles(H.add.table, I, chi.mu, budget, "z2N additive component")
-    fs = _component_cocycles(H.circ.table, I, chi.sigma, budget, "z2N multiplicative component")
+    space = _cocycle_space(H, I, chi)
+    sp = space.cochains
     if laws_only:
-        return [CocyclePair(g, f) for g in gs for f in fs]
-    Ia, Ineg = I.add.table, I.add.inv
-    zero = zero_pair(H.n).g
-
-    def residual(g, f) -> tuple:
-        return _parent_relation_residual(H, I, Triplet(chi, g, f))
-
-    r0 = residual(zero, zero)
-    f_buckets: dict = {}
-    for f in fs:
-        df = tuple(Ia[x][Ineg[x0]] for x, x0 in zip(residual(zero, f), r0))
-        f_buckets.setdefault(df, []).append(f)
-    zero_valid = is_valid_triplet(H, I, Triplet(chi, zero, zero))
-    out = []
-    for g in gs:
-        # -(r0 + dg) = -(residual of (g, 0))
-        wanted = tuple(Ineg[x] for x in residual(g, zero))
-        for f in f_buckets.get(wanted, ()):
-            if zero_valid or is_valid_triplet(H, I, Triplet(chi, g, f)):
-                out.append(CocyclePair(g, f))
-    return out
+        laws = _Echelon.of(space.laws, sp.mods)
+        budget_mod.guard(laws.order, "z2N listing", budget)
+        return sp.pairs(laws.members())
+    if space.particular is None:
+        return []
+    budget_mod.guard(space.z2.order, "z2N listing", budget)
+    pairs = sp.pairs((space.z2.members() + space.particular) % sp.mods)
+    if space.zero_valid:
+        return pairs
+    return [p for p in pairs if is_valid_triplet(H, I, Triplet(chi, p.g, p.f))]
 
 
 def coboundary_pair(
@@ -344,131 +593,151 @@ def coboundary_pair(
 def b2N(
     H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
 ) -> list:
-    """All coboundary pairs, deduplicated and lex-sorted."""
+    """All coboundary pairs, deduplicated and lex-sorted: the span of the
+    coboundaries of the unit maps, listed from an echelon basis."""
     validate_cocycle_action(H, I, chi)
-    nh, ni = H.n, I.n
-    budget_mod.guard(ni ** max(nh - 1, 0), "b2N theta sweep", budget)
-    seen = {}
-    for tail in itertools.product(range(ni), repeat=nh - 1):
-        theta = (0,) + tail
-        pair = coboundary_pair(H, I, chi, theta)
-        if pair not in seen:
-            if not pair_is_cocycle(H, I, chi, pair):
-                raise ValidationError(
-                    "coboundary pair fails the cocycle laws, which should be impossible",
-                    theta=theta,
-                )
-            seen[pair] = theta
-    return sorted(seen, key=CocyclePair.sort_key)
+    sp = _Cochains(H.n, I)
+    b2 = _Echelon.of(_coboundary_images(sp, H, I, chi), sp.mods)
+    budget_mod.guard(b2.order, "b2N listing", budget)
+    return sp.pairs(b2.members())
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque void scalar per row, equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows)
+    rows = np.ascontiguousarray(rows if rows.shape[1] else np.zeros((len(rows), 1), rows.dtype))
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
-def _distinct_keys(rows: np.ndarray) -> np.ndarray:
-    """The row keys of rows, sorted, without repeats (np.unique would
-    import numpy.ma on first use)."""
-    keys = np.sort(_row_keys(rows))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
-def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple:
-    """(found, pos): whether each key occurs in sorted_keys, and where."""
-    pos = np.searchsorted(sorted_keys, keys)
-    np.minimum(pos, len(sorted_keys) - 1, out=pos)
-    return sorted_keys[pos] == keys, pos
-
-
 class CohomologyGroup:
-    """Cosets of coboundaries inside cocycle pairs, under pointwise addition.
+    """H^2 = Z^2 / B^2 for one (H, I, chi), held as echelon bases.
 
-    Representatives are the lexicographically least members of their cosets;
-    the zero pair represents the zero class.  Construction asserts the group
-    structure: both levels are closed under addition and negation, cosets
-    partition the cocycles evenly, and class arithmetic stays inside the
-    representative list.
-
-    The checks and the coset labelling run on integer rows: each pair is
-    its g table followed by its f table, flattened, sums are gathers
-    through the coefficient addition table, and rows are compared by
-    their bytes.  One representative (or coboundary) row is added to all
-    coboundary rows at a time, so no |Z^2| x |B^2| block is formed.
+    z2 is the echelon form of the cocycle pairs, in the coordinates of
+    cochains, and coboundaries the images of the unit maps under the
+    coboundary map (_coboundary_images), as h2N builds them: they span
+    B^2, and their kernel is Z^1 (_derivations).  Construction checks B^2
+    inside Z^2, then lists the classes: the representative of a class is
+    the lexicographically least member of its coset, found by a greedy
+    descent over the cells against the echelon form of B^2 (at each cell,
+    the values the coset still reaches with the earlier cells fixed are
+    one value plus the span of the B^2 rows pivoting in that cell, so the
+    least label among them is taken), and the classes are closed up from
+    the descended Z^2 basis.  Representatives are in lex order, the zero
+    pair first; a class index is its position.  Cocycle pairs are looked
+    up by descent, so index_of, class_of, add and neg list nothing; the z2
+    and b2 properties list the members on access.
     """
 
-    def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple, z2: list, b2: list):
+    def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple,
+                 z2: _Echelon, coboundaries: np.ndarray, cochains: _Cochains,
+                 budget: Optional[int] = None):
         self.H = H
         self.I = I
         self.chi = chi
-        self.z2 = list(z2)
-        self.b2 = list(b2)
-        width = 2 * H.n * H.n
-        t_add = I.add.np_table
-        neg = np.array(I.add.inv, dtype=np.int64)
-        Z = np.array([p.g + p.f for p in self.z2], dtype=np.int64).reshape(len(self.z2), width)
-        B = np.array([p.g + p.f for p in self.b2], dtype=np.int64).reshape(len(self.b2), width)
-        z_keys = _distinct_keys(Z)
-        b_keys = _distinct_keys(B)
-        if len(Z) and not _lookup(z_keys, _row_keys(neg[Z]))[0].all():
-            raise ValidationError("cocycle pairs are not closed under negation")
-        if not (B == 0).all(axis=1).any():
-            raise ValidationError("coboundaries must contain the zero pair")
-        for row in B:
-            if not _lookup(b_keys, _row_keys(t_add[row, B]))[0].all():
-                raise ValidationError("coboundaries are not closed under addition")
-        # label[u] is the coset of the distinct cocycle row z_keys[u]
-        uid = np.searchsorted(z_keys, _row_keys(Z))
-        label = np.full(len(z_keys), -1, dtype=np.int64)
-        reps = []
-        for i in np.lexsort(Z.T[::-1]).tolist():
-            if label[uid[i]] >= 0:
-                continue
-            k = len(reps)
-            reps.append(self.z2[i])
-            found, pos = _lookup(z_keys, _row_keys(t_add[Z[i], B]))
-            # a member already labelled belongs to an earlier coset
-            bad = ~found | (label[pos] >= 0)
-            if bad.any():
-                j = int(np.argmax(bad))
-                if not found[j]:
-                    raise ValidationError(
-                        "cocycle pairs are not closed under adding a coboundary"
-                    )
-                raise ValidationError("coset partition is inconsistent")
-            label[pos] = k
-        if (label < 0).any():
-            raise ValidationError("cosets do not partition the cocycle pairs")
-        if len(reps) * len(self.b2) != len(self.z2):
-            raise ValidationError("coset sizes are uneven")
-        self.representatives = reps
-        self._index_of = dict(zip(self.z2, label[uid].tolist()))
-        # the row data, kept for callers that move whole blocks of cocycles
-        self._rows = Z
-        self._keys = z_keys
-        self._labels = label
-        for p in reps:
-            self.add(p, p)
-            self.class_of(pair_neg(I, p))
+        self._z2, self._sp, self._coboundaries = z2, cochains, coboundaries
+        self._b2 = b2 = _Echelon.of(coboundaries, cochains.mods)
+        if not z2.contains(b2.rows).all():
+            raise ValidationError("coboundaries are not all cocycle pairs")
+        # per cell holding B^2 pivots: the first column, and every value the
+        # rows pivoting there reach (their span, listed)
+        r, w = len(cochains.co.mods), len(b2.mods)
+        self._descent = [
+            (cell * r, _Echelon([(c, row) for c, row in zip(b2.cols, b2.rows)
+                                 if c // r == cell], b2.mods).members())
+            for cell in sorted({c // r for c in b2.cols})
+        ]
+        budget_mod.guard(self.z2_order // self.b2_order, "h2N class listing", budget)
+        gens = self._descend(z2.rows)
+        gens = gens[gens.any(axis=1)]
+        # close the classes up from 0 under adding the descended Z^2 basis
+        reps = [np.zeros(w, dtype=np.int64)]
+        seen = {reps[0].tobytes()}
+        frontier = np.array(reps)
+        while len(frontier) and len(gens):
+            fresh = []
+            for x in self._descend((frontier[:, None, :] + gens).reshape(-1, w) % b2.mods):
+                if x.tobytes() not in seen:
+                    seen.add(x.tobytes())
+                    fresh.append(x)
+            reps += fresh
+            frontier = np.array(fresh, dtype=np.int64).reshape(len(fresh), w)
+        reps = np.array(reps)
+        rows = cochains.labels(reps)
+        order = np.lexsort(rows.T[::-1])
+        self._rep_rows = rows[order]
+        self.representatives = cochains.row_pairs(self._rep_rows)
+        keys = _row_keys(reps)
+        by_key = np.argsort(keys)
+        self._rep_keys = keys[by_key]
+        self._class = np.argsort(order)[by_key]
+
+    def _descend(self, X: np.ndarray) -> np.ndarray:
+        """The lex-least member of each row's coset of B^2."""
+        co = self._sp.co
+        r = len(co.mods)
+        for lo, combos in self._descent:
+            vals = (X[:, None, lo:lo + r] + combos[None, :, lo:lo + r]) % co.mods
+            X = (X + combos[co.to_labels(vals).argmin(axis=1)]) % self._sp.mods
+        return X
+
+    def _classes(self, rows: np.ndarray) -> tuple:
+        """(ok, index) for integer rows laid out like a pair: which are
+        cocycle pairs, and the class index of each (-1 where not).  A pair
+        outside Z^2 descends to no representative, since its coset of B^2
+        misses Z^2, so the lookup decides membership too."""
+        ok = self._sp.is_pair(rows)
+        keys = _row_keys(self._descend(self._sp.coords(rows[ok])))
+        pos = np.minimum(np.searchsorted(self._rep_keys, keys), len(self._rep_keys) - 1)
+        found = self._rep_keys[pos] == keys
+        index = np.full(len(rows), -1, dtype=np.int64)
+        index[np.flatnonzero(ok)[found]] = self._class[pos[found]]
+        ok[ok] = found
+        return ok, index
+
+    def _class_indices(self, rows: np.ndarray) -> np.ndarray:
+        """The class index of each integer row laid out like a pair;
+        InputError unless every row is a cocycle pair."""
+        ok, index = self._classes(rows)
+        if not ok.all():
+            raise InputError("pair is not a cocycle pair for this action")
+        return index
+
+    def _derivations(self, budget: Optional[int] = None) -> list:
+        """z1N for the same action, from the coboundary images already at hand."""
+        return _derivations(self._sp, self._coboundaries, budget)
+
+    def _basis_rows(self) -> tuple:
+        """The echelon rows of Z^2 and of B^2, laid out like pairs."""
+        return self._sp.labels(self._z2.rows), self._sp.labels(self._b2.rows)
 
     @property
     def order(self) -> int:
         return len(self.representatives)
 
-    def index_of(self, pair: CocyclePair) -> int:
-        try:
-            return self._index_of[pair]
-        except KeyError:
-            raise InputError("pair is not a cocycle pair for this action") from None
+    @property
+    def z2_order(self) -> int:
+        return self._z2.order
 
-    def _row_classes(self, rows: np.ndarray) -> tuple:
-        """(found, index) for integer rows laid out like the cocycle rows:
-        whether each is a cocycle pair, and its class index where it is."""
-        found, pos = _lookup(self._keys, _row_keys(rows))
-        return found, self._labels[pos]
+    @property
+    def b2_order(self) -> int:
+        return self._b2.order
+
+    @property
+    def z2(self) -> list:
+        return self._sp.pairs(self._z2.members())
+
+    @property
+    def b2(self) -> list:
+        return self._sp.pairs(self._b2.members())
+
+    def index_of(self, pair: CocyclePair) -> int:
+        n = self.H.n
+        try:
+            row = np.array([pair.g, pair.f], dtype=np.int64)
+        except (TypeError, ValueError):
+            row = None
+        if row is None or row.shape != (2, n, n):
+            raise InputError("pair is not a cocycle pair for this action")
+        return int(self._class_indices(row.reshape(1, 2 * n * n))[0])
 
     def class_of(self, pair: CocyclePair) -> CocyclePair:
         return self.representatives[self.index_of(pair)]
@@ -487,20 +756,25 @@ class CohomologyGroup:
         return self.class_of(pair_neg(self.I, p))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CohomologyGroup(order={self.order}, |Z2|={len(self.z2)}, |B2|={len(self.b2)})"
+        return f"CohomologyGroup(order={self.order}, |Z2|={self.z2_order}, |B2|={self.b2_order})"
 
 
 def h2N(
     H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
 ) -> CohomologyGroup:
-    z2 = z2N(H, I, chi, budget)
-    if zero_pair(H.n) not in set(z2):
+    """H^2 for the action chi, from the kernels of _cocycle_space and the
+    span of the unit coboundaries; no cocycle pair is listed.  Raises
+    when the zero pair is not associated to chi (chi is not a split
+    triple), since the quotient then has no zero class."""
+    validate_cocycle_action(H, I, chi)
+    space = _cocycle_space(H, I, chi)
+    if not space.zero_valid:
         raise ValidationError(
             "the zero pair is not an associated pair for this action, so no "
             "split extension carries it and the quotient has no zero class"
         )
-    b2 = b2N(H, I, chi, budget)
-    return CohomologyGroup(H, I, chi, z2, b2)
+    sp = space.cochains
+    return CohomologyGroup(H, I, chi, space.z2, _coboundary_images(sp, H, I, chi), sp, budget)
 
 
 # --- derivations -------------------------------------------------------------
@@ -518,34 +792,26 @@ def z1N(
         theta(h1 o h2) = sigma_{h2}(theta(h1)) + theta(h2)
         nu_{h1+h2}(theta(h1+h2)) = mu_{h2}(nu_{h1}(theta(h1))) + nu_{h2}(theta(h2))
 
-    equivalently: the coboundary pair of theta vanishes.
+    equivalently: the coboundary pair of theta vanishes.  So derivations
+    are the kernel of the coboundary map on the unit maps, listed from an
+    echelon basis and guarded by their known number.
     """
     validate_cocycle_action(H, I, chi)
-    nh, ni = H.n, I.n
-    budget_mod.guard(ni ** max(nh - 1, 0), "z1N theta sweep", budget)
-    Ia = I.add.table
-    Ha, Hc = H.add.table, H.circ.table
-    nu, mu, sigma = chi.nu, chi.mu, chi.sigma
-    out = []
-    for tail in itertools.product(range(ni), repeat=nh - 1):
-        theta = (0,) + tail
-        good = True
-        for h1 in range(nh):
-            for h2 in range(nh):
-                mult = Ia[sigma[h2][theta[h1]]][theta[h2]]
-                if theta[Hc[h1][h2]] != mult:
-                    good = False
-                    break
-                hs = Ha[h1][h2]
-                add = Ia[mu[h2][nu[h1][theta[h1]]]][nu[h2][theta[h2]]]
-                if nu[hs][theta[hs]] != add:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(Derivation(theta))
-    return out
+    sp = _Cochains(H.n, I)
+    return _derivations(sp, _coboundary_images(sp, H, I, chi), budget)
+
+
+def _derivations(sp: _Cochains, coboundaries: np.ndarray, budget: Optional[int]) -> list:
+    """z1N from the coboundary images of the unit maps (_coboundary_images):
+    the kernel of that matrix, listed from an echelon basis."""
+    co, n = sp.co, sp.n
+    cmods = np.tile(co.mods, n - 1)
+    z1 = _Echelon.of(_kernel(coboundaries, sp.mods, cmods), cmods)
+    budget_mod.guard(z1.order, "z1N listing", budget)
+    thetas = np.zeros((z1.order, n), dtype=np.int64)
+    thetas[:, 1:] = co.to_labels(z1.members().reshape(z1.order, n - 1, len(co.mods)))
+    thetas = thetas[np.lexsort(thetas.T[::-1])]
+    return [Derivation(tuple(t)) for t in thetas.tolist()]
 
 
 def derivation_add(I: SkewBrace, d1: Derivation, d2: Derivation) -> Derivation:
@@ -664,8 +930,8 @@ def bijection_report(I: SkewBrace, chi: ActionTriple, grp, buckets: list) -> dic
         if related:
             matched += len(classes)
     report = {
-        "z2_order": len(grp.z2),
-        "b2_order": len(grp.b2),
+        "z2_order": grp.z2_order,
+        "b2_order": grp.b2_order,
         "h2_order": grp.order,
         "ext_classes": matched,
         "equal": grp.order == matched,

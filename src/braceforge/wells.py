@@ -28,8 +28,9 @@ set-theoretic kernel of omega.
 The check runs in factor-set coordinates.  omega(c) is read off the
 triplet of [E]^c, transported from that of E, after a section change (see
 wells_map), so neither [E]^c nor any shifted extension h.[E] is built;
-the C-action on classes and the derivation law are gathers on the integer
-cocycle rows that CohomologyGroup keeps; Autb_I(E) is searched with
+classes are read off coordinates (CohomologyGroup keeps echelon bases of
+Z^2 and B^2), and the C-action on classes and the derivation law are
+gathers on the representatives' rows; Autb_I(E) is searched with
 generator images already confined to the kernel.  The orbit-search
 wells_map and the per-pair derivation loop are kept as oracles in
 tests/test_wells.py.
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import budget as budget_mod
 from .braces import BraceHom, SkewBrace, _brace_automorphism_search, brace_automorphisms
-from .cohomology import CocyclePair, CohomologyGroup, h2N, restrict_action, z1N
+from .cohomology import CocyclePair, CohomologyGroup, h2N, restrict_action
 from .errors import (
     ActionNotTransitive,
     InputError,
@@ -291,8 +292,9 @@ def wells_map(
     difference (beta' - beta_0, tau' o tau_0^-1) in annihilator
     coordinates; when the couplings are unrelated, or the difference is
     not an annihilator-valued cocycle pair, no class reaches [E]^c and the
-    transitivity hypothesis fails.  Freeness holds by construction: the
-    cosets partition the cocycle pairs.
+    transitivity hypothesis fails (for the first such c in C's order).
+    The differences of all c are looked up by class together.  Freeness
+    holds by construction: the cosets partition the cocycle pairs.
 
     No extension is acted on, rebuilt or validated; as in pair_act, a
     non-trivial kernel and a phi or theta of C that is not a brace
@@ -310,36 +312,38 @@ def wells_map(
     # a difference value outside Ann(I) becomes -1, which no cocycle row holds
     index = {e: j for j, e in enumerate(elems)}
     t0 = extract_triplet(ext)
-    omega: Dict[AutPair, int] = {}
-    for c in C:
+    pairs, rows, failure = list(C), [], None
+    for c in pairs:
         tc = _acted_triplet(t0, c)
         theta = _first_witnesses(I, tc.chi, t0.chi)
         if theta is None:
-            raise ActionNotTransitive(
+            failure = ActionNotTransitive(
                 "no cohomology class matches the pair-acted extension",
                 pair=c.sort_key(),
             )
+            break
         t1 = twist_triplet(H, I, tc, theta)
         if t1.chi != t0.chi:
-            raise InternalInconsistency(
+            failure = InternalInconsistency(
                 "twisting by coupling witnesses did not reach the extension's action"
             )
-        g = tuple(
-            tuple(index.get(Ia[b1][neg[b0]], -1) for b1, b0 in zip(r1, r0))
-            for r1, r0 in zip(t1.beta, t0.beta)
+            break
+        rows.append(
+            [index.get(Ia[b1][neg[b0]], -1)
+             for r1, r0 in zip(t1.beta, t0.beta) for b1, b0 in zip(r1, r0)]
+            + [index.get(Ic[u1][cinv[u0]], -1)
+               for r1, r0 in zip(t1.tau, t0.tau) for u1, u0 in zip(r1, r0)]
         )
-        f = tuple(
-            tuple(index.get(Ic[u1][cinv[u0]], -1) for u1, u0 in zip(r1, r0))
-            for r1, r0 in zip(t1.tau, t0.tau)
+    # the first c in C's order that fails, whichever way
+    ok, classes = h2grp._classes(np.array(rows, dtype=np.int64).reshape(len(rows), 2 * H.n * H.n))
+    if not ok.all():
+        raise ActionNotTransitive(
+            "no cohomology class matches the pair-acted extension",
+            pair=pairs[int(ok.argmin())].sort_key(),
         )
-        try:
-            omega[c] = h2grp.index_of(CocyclePair(g, f))
-        except InputError:
-            raise ActionNotTransitive(
-                "no cohomology class matches the pair-acted extension",
-                pair=c.sort_key(),
-            ) from None
-    return omega
+    if failure is not None:
+        raise failure
+    return dict(zip(pairs, classes.tolist()))
 
 
 def _derivation_law(
@@ -353,40 +357,47 @@ def _derivation_law(
     Checks on the way that each c moves every cocycle pair to a cocycle
     pair (InputError otherwise, as class_of) and that the moved class
     depends only on the class moved (ValidationError otherwise).  A move
-    g -> theta^-1(g(phi x phi)) is one gather on the integer cocycle rows,
-    and the |C|^2 class sums the law needs are looked up together at the
-    end, not as a full class-addition table (|H^2|^2 rows).  The per-pair
-    loop this replaces is the oracle _derivation_law_loop in
-    tests/test_wells.py.
+    g -> theta^-1(g(phi x phi)) is additive, so both hold once they hold
+    on the echelon rows of Z^2 and B^2: each row moves into Z^2, and each
+    B^2 row into the zero class.  The moves of those rows and of the
+    representatives for every c, and then the |C|^2 class sums the law
+    needs, are gathers looked up by class in one pass each, not a full
+    class-addition table (|H^2|^2 rows).  The per-pair loop this replaces
+    is the oracle _derivation_law_loop in tests/test_wells.py.
     """
-    nh, k = h2grp.H.n, h2grp.order
-    rows = h2grp._rows
-    reps = np.array(
-        [p.g + p.f for p in h2grp.representatives], dtype=np.int64
-    ).reshape(k, rows.shape[1])
-    source = h2grp._row_classes(rows)[1]
+    nh = h2grp.H.n
+    z_rows, b_rows = h2grp._basis_rows()
+    reps = h2grp._rep_rows
+    # per c2: the moved Z^2 basis, B^2 basis and representatives, in one block
+    block = np.vstack([z_rows, b_rows, reps])
+    nz, nb = len(z_rows), len(b_rows)
     cells = np.arange(nh * nh).reshape(nh, nh)
-    om = np.array([omega[c] for c in C], dtype=np.int64)
-    lhs, left = [], []
+    moved = []
     for c2 in C:
         inv_theta = np.array(invert_perm(restrict_automorphism(c2.theta, elems)), dtype=np.int64)
         phi = np.array(c2.phi)
         cols = cells[phi[:, None], phi[None, :]].ravel()
         cols = np.concatenate([cols, cols + nh * nh])  # the g cells, then the f cells
-        found, moved = h2grp._row_classes(inv_theta[rows[:, cols]])
-        if not found.all():
-            raise InputError("pair is not a cocycle pair for this action")
-        acted = np.empty(k, dtype=np.int64)
-        acted[source] = moved
-        if (acted[source] != moved).any():
-            raise ValidationError("cohomology action of C is not constant on cosets")
-        lhs.extend(omega[pair_mul(c1, c2)] for c1 in C)
-        left.append(acted[om])
-    t_add = h2grp.I.add.np_table
-    right = np.repeat(om, len(om))
-    found, rhs = h2grp._row_classes(t_add[reps[np.concatenate(left)], reps[right]])
-    if not found.all():
+        moved.append(inv_theta[block[:, cols]])
+    moved = np.concatenate(moved)
+    # the checks in C's order: the first c2 that moves a cocycle pair out
+    # of Z^2 (InputError) or a coboundary out of the zero class
+    # (ValidationError), whichever comes first
+    ok, idx = h2grp._classes(moved)
+    ok = ok.reshape(C.order, len(block)).all(axis=1)
+    first = int(ok.argmin()) if not ok.all() else C.order
+    idx = idx[:first * len(block)].reshape(first, len(block))
+    if idx[:, nz:nz + nb].any():
+        raise ValidationError("cohomology action of C is not constant on cosets")
+    if first < C.order:
         raise InputError("pair is not a cocycle pair for this action")
+    acted = idx[:, nz + nb:]
+    om = np.array([omega[c] for c in C], dtype=np.int64)
+    lhs = [omega[pair_mul(c1, c2)] for c2 in C for c1 in C]
+    t_add = h2grp.I.add.np_table
+    left = acted[:, om].ravel()
+    right = np.repeat(om, len(om))
+    rhs = h2grp._class_indices(t_add[reps[left], reps[right]])
     return lhs == rhs.tolist()
 
 
@@ -415,7 +426,7 @@ def verify_exact_sequence(ext: Extension, budget: Optional[int] = None) -> dict:
     if set(elems) != set(I.add.centre()):
         raise ValidationError("annihilator of a trivial brace must be the centre")
     h2grp = h2N(H, I_res, chi_res, budget)
-    derivations = z1N(H, I_res, chi_res, budget)
+    derivations = h2grp._derivations(budget)
     C = stabilizer_C(H, I, chi, budget)
     pairs_of = rho(ext)
     im_rho = sorted({pair for _, pair in pairs_of}, key=AutPair.sort_key)

@@ -295,6 +295,26 @@ def test_bad_budget_is_input_error(tmp_path, capsys, monkeypatch, Z2, Z3):
     assert code == 3 and report["error"] == "budget"
 
 
+def test_example_lays_out_the_payload_only_for_output(tmp_path, capsys, count_calls):
+    argv = ["example", "2", "--n", "4", "--p", "5"]
+    rows = count_calls(catalog._rows)
+    code = main(argv)
+    plain = capsys.readouterr()
+    assert code == 0 and rows["calls"] == 0
+    out = str(tmp_path / "e.json")
+    code = main(argv + ["-o", out])
+    written = capsys.readouterr()
+    assert code == 0 and rows["calls"] == 2
+    # the report is the same apart from the output path, and the file holds
+    # the product's canonical payload
+    report = json.loads(written.out)
+    assert report.pop("output") == out
+    assert catalog.dumps_payload(report) == plain.out
+    entry = catalog.example(2, n=4, p=5)
+    assert Path(out).read_text(encoding="utf-8") == catalog.dumps_payload(
+        catalog.brace_payload(entry.build()))
+
+
 def test_example_honours_budget_flag(capsys):
     # examples 4 and 5 enumerate split triples; --budget caps that search
     # exactly as BRACEFORGE_BUDGET does
