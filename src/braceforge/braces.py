@@ -58,11 +58,9 @@ from .errors import (
     BraceAxiomFailed,
     InputError,
     NotASubbrace,
-    OrderBoundExceeded,
     ValidationError,
 )
 from .groups import (
-    DEFAULT_ORDER_BOUND,
     FiniteGroup,
     Perm,
     PermGroup,
@@ -314,29 +312,27 @@ def brace_hom_ops(src: SkewBrace, dst: SkewBrace) -> list:
     return ops
 
 
-def _brace_automorphism_search(
-    E: SkewBrace, admit: Optional[Callable] = None, max_order: int = DEFAULT_ORDER_BOUND
-) -> set:
+def _brace_automorphism_search(E: SkewBrace, admit: Optional[Callable] = None) -> set:
     """Brace automorphisms of E as image tuples, by the homomorphism engine.
 
     Generator images are matched by element order in both groups; with
     `admit`, an image x of generator g is tried only when admit(g, x),
     which must hold for every automorphism the caller wants back."""
-    if E.n > max_order:
-        raise OrderBoundExceeded("automorphism_group", E.n, max_order)
     matched = _order_matched([(E.add, E.add), (E.circ, E.circ)])
     if admit is None:
         candidates = matched
     else:
         def candidates(g: int) -> list:
             return [x for x in matched(g) if admit(g, x)]
-    maps = _homomorphisms(E.add, candidates, brace_hom_ops(E, E), 0, injective=True)
+    maps = _homomorphisms(
+        E.add, candidates, brace_hom_ops(E, E), 0, "brace_automorphisms", injective=True
+    )
     return {tuple(m[x] for x in range(E.n)) for m in maps}
 
 
-def brace_automorphisms(E: SkewBrace, max_order: int = DEFAULT_ORDER_BOUND) -> PermGroup:
+def brace_automorphisms(E: SkewBrace) -> PermGroup:
     """Bijections fixing 0 preserving both tables."""
-    return PermGroup(E.n, _brace_automorphism_search(E, max_order=max_order))
+    return PermGroup(E.n, _brace_automorphism_search(E))
 
 
 def find_brace_isomorphism(E1: SkewBrace, E2: SkewBrace) -> Optional[Perm]:
@@ -345,6 +341,6 @@ def find_brace_isomorphism(E1: SkewBrace, E2: SkewBrace) -> Optional[Perm]:
         return None
     maps = _homomorphisms(
         E1.add, _order_matched([(E1.add, E2.add), (E1.circ, E2.circ)]),
-        brace_hom_ops(E1, E2), 0, injective=True, first_only=True,
+        brace_hom_ops(E1, E2), 0, "find_brace_isomorphism", injective=True, first_only=True,
     )
     return tuple(maps[0][x] for x in range(E1.n)) if maps else None

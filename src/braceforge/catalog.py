@@ -497,12 +497,10 @@ def _slug(name: str) -> str:
     return name.replace(" x ", "x").replace(" ", "-").lower()
 
 
-def trivial_brace_entries(max_order: int = 8) -> list:
-    """Trivial braces on every group of order <= max_order (max_order <= 8)."""
-    if max_order > 8:
-        raise ParamOutOfRange("trivial_brace_entries supports orders up to 8")
+def trivial_brace_entries() -> list:
+    """Trivial braces on every group of order <= 8."""
     out = []
-    for n in range(1, max_order + 1):
+    for n in range(1, 9):
         named = (
             groups_of_order_8()
             if n == 8
@@ -709,7 +707,7 @@ def example4_coefficient_brace() -> SkewBrace:
     return validate_brace(add, circ)
 
 
-def example4(budget: Optional[int] = None):
+def example4():
     """The order-4 XOR/mod-4 brace acting on the mod-4/(-1)^a brace by
     negation powers; the product has order 16.
 
@@ -742,7 +740,7 @@ def example4(budget: Optional[int] = None):
                         bad_recorded.append((k, l, n_, m, gy, recorded))
                     if gy != corrected:
                         bad_corrected.append((k, l, n_, m, gy, corrected))
-    triples = enumerate_split_triples(H, I, budget)
+    triples = enumerate_split_triples(H, I)
     any_reproduces = False
     for cand in triples:
         Ec = _product_brace(H, I, cand)
@@ -795,7 +793,7 @@ def example5_acting_brace() -> SkewBrace:
     return validate_brace(add, circ)
 
 
-def example5(budget: Optional[int] = None):
+def example5():
     """Enumeration of all split products of the order-4 coefficient brace
     by the order-8 brace whose circle group is Z4 x Z2.
 
@@ -809,7 +807,7 @@ def example5(budget: Optional[int] = None):
     """
     H = example5_acting_brace()
     I = example4_coefficient_brace()
-    triples = enumerate_split_triples(H, I, budget)
+    triples = enumerate_split_triples(H, I)
     ident = identity_perm(4)
     idfam = tuple(ident for _ in range(8))
     neg = _negation(4)
@@ -833,7 +831,7 @@ def example5(budget: Optional[int] = None):
     I_relabeled = validate_brace(
         relabel_table(I.add.table, relabel), relabel_table(I.circ.table, relabel)
     )
-    triples_relabeled = enumerate_split_triples(H, I_relabeled, budget)
+    triples_relabeled = enumerate_split_triples(H, I_relabeled)
     ii_relabeled = spot_ii(triples_relabeled, I_relabeled)
     report = {
         "name": "example-5",
@@ -912,15 +910,12 @@ def example1_finite(k: int = 2, m: int = 3):
 _EXAMPLES = {2: example2, 3: example3, 4: example4, 5: example5}
 
 
-def example(which: int, budget: Optional[int] = None, **params) -> CatalogEntry:
-    """Build worked example 2..5; parameters apply to example 2 only, and
-    budget caps the split-triple enumerations of examples 4 and 5."""
+def example(which: int, **params) -> CatalogEntry:
+    """Build worked example 2..5; parameters apply to example 2 only."""
     if which not in _EXAMPLES:
         raise ParamOutOfRange(f"example {which}: only examples 2 through 5 exist")
     if which != 2 and params:
         raise ParamOutOfRange(f"example {which} takes no parameters")
-    if which in (4, 5):
-        params["budget"] = budget
     entry, _ = _EXAMPLES[which](**params)
     return entry
 
@@ -939,7 +934,7 @@ def axiom_fixtures() -> list:
     """Named braces for the exhaustive axiom and lemma sweeps: trivial
     braces on all groups of order <= 8, the example instantiations with
     n <= 4 and p in {3, 5}, and every product from the example-5 pair."""
-    out = [(e.name, e.build()) for e in trivial_brace_entries(8)]
+    out = [(e.name, e.build()) for e in trivial_brace_entries()]
     for n in (1, 2, 3, 4):
         for p in (3, 5):
             entry, _ = example2(n=n, p=p)
@@ -962,7 +957,7 @@ def axiom_fixtures() -> list:
 
 def builtin_entries() -> list:
     """Every named entry the catalog ships, in a stable order."""
-    entries = trivial_brace_entries(8)
+    entries = trivial_brace_entries()
     entries.extend(fixture_extension_entries())
     for n in (2, 3, 4, 5):
         entries.append(example(n))

@@ -16,10 +16,10 @@ Exit codes:
        subcommand was recognised)
 
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
-every command; --budget overrides it per invocation.  A reader that
-closes stdout early does not change the exit code.  The argument parser is
-built on the first call to main and reused by later calls in the same
-process.
+every search of a command (braceforge.budget); --budget overrides it per
+invocation.  A reader that closes stdout early does not change the exit
+code.  The argument parser is built on the first call to main and reused
+by later calls in the same process.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def cmd_semidirect(args) -> int:
 def cmd_enumerate_split(args) -> int:
     H = _load_brace(args.H)
     I = _load_brace(args.I)
-    triples = enumerate_split_triples(H, I, budget=args.budget)
+    triples = enumerate_split_triples(H, I)
     idfam = tuple(identity_perm(I.n) for _ in range(H.n))
     mu_id = sum(1 for t in triples if t.mu == idfam)
     _say(f"{len(triples)} valid action triples ({mu_id} with identity mu)")
@@ -224,7 +224,7 @@ def cmd_build_ext(args) -> int:
 def cmd_classify_ext(args) -> int:
     H = _load_brace(args.H)
     I = _load_brace(args.I)
-    buckets = ext_classes(H, I, budget=args.budget)
+    buckets = ext_classes(H, I)
     couplings = []
     total_ext = 0
     total_classes = 0
@@ -261,8 +261,8 @@ def cmd_cohomology(args) -> int:
         _say(f"coefficients restricted to the annihilator: {list(elems)}")
     else:
         I_coeff, chi_coeff = I, chi
-    grp = h2N(H, I_coeff, chi_coeff, budget=args.budget)
-    derivations = z1N(H, I_coeff, chi_coeff, budget=args.budget)
+    grp = h2N(H, I_coeff, chi_coeff)
+    derivations = z1N(H, I_coeff, chi_coeff)
     report.update({
         "z2_order": grp.z2_order,
         "b2_order": grp.b2_order,
@@ -283,7 +283,7 @@ def cmd_cohomology(args) -> int:
 def cmd_wells_check(args) -> int:
     entry = catalog.load(args.file, kind="extension")
     ext = entry.build()
-    rep = verify_exact_sequence(ext, budget=args.budget)
+    rep = verify_exact_sequence(ext)
     ok = bool(rep["exact"] and rep["psi_bijective"] and rep["psi_hom"]
               and rep["derivation_law"])
     _say(
@@ -303,7 +303,7 @@ def cmd_example(args) -> int:
         params = {"n": args.n, "p": args.p, "odd": args.odd}
     elif args.n != 2 or args.p != 3 or args.odd:
         raise InputError(f"example {args.which} takes no parameters")
-    entry = catalog.example(args.which, budget=args.budget, **params)
+    entry = catalog.example(args.which, **params)
     report = dict(entry.report)
     candidates = report.get("erratum_candidates", [])
     checks = {k: v for k, v in report.items()
@@ -320,17 +320,17 @@ def cmd_example(args) -> int:
     return 2 if candidates else 0
 
 
-def _bijection_check(H, I, classes, budget) -> dict:
+def _bijection_check(H, I, classes) -> dict:
     """selftest's class-count check for H by I with the identity action,
     on a computed ext_classes result."""
     chi = identity_triple(H, I)
-    rep = bijection_report(I, chi, h2N(H, I, chi, budget), classes)
+    rep = bijection_report(I, chi, h2N(H, I, chi), classes)
     return {"ok": rep["equal"], "report": rep}
 
 
-def _free_transitive_check(H, I, classes, budget) -> dict:
+def _free_transitive_check(H, I, classes) -> dict:
     """selftest's free-and-transitive check on a computed ext_classes result."""
-    rep = free_transitive_report(H, I, classes, budget)
+    rep = free_transitive_report(H, I, classes)
     return {"ok": rep["free"] and rep["transitive"], "report": rep}
 
 
@@ -360,7 +360,7 @@ def cmd_selftest(args) -> int:
 
     def wells(builder):
         def inner():
-            rep = verify_exact_sequence(builder(), budget=args.budget)
+            rep = verify_exact_sequence(builder())
             return {"ok": rep["exact"] and rep["psi_bijective"]
                     and rep["psi_hom"] and rep["derivation_law"],
                     "report": {k: v for k, v in rep.items() if k != "omega_table"}}
@@ -380,11 +380,11 @@ def cmd_selftest(args) -> int:
     run("wells-z4-over-z2", wells(catalog.z4_additive_extension))
     # the bijection and free-and-transitive checks of one Z2-by-Zi pair
     # share one ext_classes result
-    by_z2, by_z3 = (ext_classes(Z2, Zi, args.budget) for Zi in (Z2, Z3))
-    run("class-count-equals-h2-z2-z2", lambda: _bijection_check(Z2, Z2, by_z2, args.budget))
-    run("class-count-equals-h2-z2-z3", lambda: _bijection_check(Z2, Z3, by_z3, args.budget))
-    run("free-action-z2-z2", lambda: _free_transitive_check(Z2, Z2, by_z2, args.budget))
-    run("free-and-transitive-z2-z3", lambda: _free_transitive_check(Z2, Z3, by_z3, args.budget))
+    by_z2, by_z3 = (ext_classes(Z2, Zi) for Zi in (Z2, Z3))
+    run("class-count-equals-h2-z2-z2", lambda: _bijection_check(Z2, Z2, by_z2))
+    run("class-count-equals-h2-z2-z3", lambda: _bijection_check(Z2, Z3, by_z3))
+    run("free-action-z2-z2", lambda: _free_transitive_check(Z2, Z2, by_z2))
+    run("free-and-transitive-z2-z3", lambda: _free_transitive_check(Z2, Z3, by_z3))
     run("triplet-round-trip", round_trip)
 
     ok = all(c["ok"] for c in checks)
@@ -503,8 +503,8 @@ def main(argv=None) -> int:
         _emit(exc.command, {"ok": False, "error": "input", "message": str(exc)})
         return 4
     try:
-        budget_mod.get_budget(args.budget)
-        return args.fn(args)
+        with budget_mod.limit(args.budget):
+            return args.fn(args)
     except (SearchBudgetExceeded, OrderBoundExceeded) as exc:
         _say(f"budget exceeded: {exc}")
         _emit(args.command, {"ok": False, "error": "budget", "message": str(exc)})

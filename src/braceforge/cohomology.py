@@ -519,7 +519,6 @@ def z2N(
     H: SkewBrace,
     I: SkewBrace,
     chi: ActionTriple,
-    budget: Optional[int] = None,
     laws_only: bool = False,
 ) -> list:
     """All cocycle pairs for the given action, lex-sorted.
@@ -552,11 +551,11 @@ def z2N(
     sp = space.cochains
     if laws_only:
         laws = _Echelon.of(space.laws, sp.mods)
-        budget_mod.guard(laws.order, "z2N listing", budget)
+        budget_mod.guard(laws.order, "z2N listing")
         return sp.pairs(laws.members())
     if space.particular is None:
         return []
-    budget_mod.guard(space.z2.order, "z2N listing", budget)
+    budget_mod.guard(space.z2.order, "z2N listing")
     pairs = sp.pairs((space.z2.members() + space.particular) % sp.mods)
     if space.zero_valid:
         return pairs
@@ -590,15 +589,13 @@ def coboundary_pair(
     return CocyclePair(tuple(g), tuple(f))
 
 
-def b2N(
-    H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
-) -> list:
+def b2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
     """All coboundary pairs, deduplicated and lex-sorted: the span of the
     coboundaries of the unit maps, listed from an echelon basis."""
     validate_cocycle_action(H, I, chi)
     sp = _Cochains(H.n, I)
     b2 = _Echelon.of(_coboundary_images(sp, H, I, chi), sp.mods)
-    budget_mod.guard(b2.order, "b2N listing", budget)
+    budget_mod.guard(b2.order, "b2N listing")
     return sp.pairs(b2.members())
 
 
@@ -628,8 +625,7 @@ class CohomologyGroup:
     """
 
     def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple,
-                 z2: _Echelon, coboundaries: np.ndarray, cochains: _Cochains,
-                 budget: Optional[int] = None):
+                 z2: _Echelon, coboundaries: np.ndarray, cochains: _Cochains):
         self.H = H
         self.I = I
         self.chi = chi
@@ -645,7 +641,7 @@ class CohomologyGroup:
                                  if c // r == cell], b2.mods).members())
             for cell in sorted({c // r for c in b2.cols})
         ]
-        budget_mod.guard(self.z2_order // self.b2_order, "h2N class listing", budget)
+        budget_mod.guard(self.z2_order // self.b2_order, "h2N class listing")
         gens = self._descend(z2.rows)
         gens = gens[gens.any(axis=1)]
         # close the classes up from 0 under adding the descended Z^2 basis
@@ -701,9 +697,9 @@ class CohomologyGroup:
             raise InputError("pair is not a cocycle pair for this action")
         return index
 
-    def _derivations(self, budget: Optional[int] = None) -> list:
+    def _derivations(self) -> list:
         """z1N for the same action, from the coboundary images already at hand."""
-        return _derivations(self._sp, self._coboundaries, budget)
+        return _derivations(self._sp, self._coboundaries)
 
     def _basis_rows(self) -> tuple:
         """The echelon rows of Z^2 and of B^2, laid out like pairs."""
@@ -759,9 +755,7 @@ class CohomologyGroup:
         return f"CohomologyGroup(order={self.order}, |Z2|={self.z2_order}, |B2|={self.b2_order})"
 
 
-def h2N(
-    H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
-) -> CohomologyGroup:
+def h2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> CohomologyGroup:
     """H^2 for the action chi, from the kernels of _cocycle_space and the
     span of the unit coboundaries; no cocycle pair is listed.  Raises
     when the zero pair is not associated to chi (chi is not a split
@@ -774,17 +768,12 @@ def h2N(
             "split extension carries it and the quotient has no zero class"
         )
     sp = space.cochains
-    return CohomologyGroup(H, I, chi, space.z2, _coboundary_images(sp, H, I, chi), sp, budget)
+    return CohomologyGroup(H, I, chi, space.z2, _coboundary_images(sp, H, I, chi), sp)
 
 
 # --- derivations -------------------------------------------------------------
 
-def z1N(
-    H: SkewBrace,
-    I: SkewBrace,
-    chi: ActionTriple,
-    budget: Optional[int] = None,
-) -> list:
+def z1N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
     """All derivations theta : H -> I, lex-sorted by table.
 
     The adopted laws are
@@ -798,16 +787,16 @@ def z1N(
     """
     validate_cocycle_action(H, I, chi)
     sp = _Cochains(H.n, I)
-    return _derivations(sp, _coboundary_images(sp, H, I, chi), budget)
+    return _derivations(sp, _coboundary_images(sp, H, I, chi))
 
 
-def _derivations(sp: _Cochains, coboundaries: np.ndarray, budget: Optional[int]) -> list:
+def _derivations(sp: _Cochains, coboundaries: np.ndarray) -> list:
     """z1N from the coboundary images of the unit maps (_coboundary_images):
     the kernel of that matrix, listed from an echelon basis."""
     co, n = sp.co, sp.n
     cmods = np.tile(co.mods, n - 1)
     z1 = _Echelon.of(_kernel(coboundaries, sp.mods, cmods), cmods)
-    budget_mod.guard(z1.order, "z1N listing", budget)
+    budget_mod.guard(z1.order, "z1N listing")
     thetas = np.zeros((z1.order, n), dtype=np.int64)
     thetas[:, 1:] = co.to_labels(z1.members().reshape(z1.order, n - 1, len(co.mods)))
     thetas = thetas[np.lexsort(thetas.T[::-1])]
@@ -885,6 +874,11 @@ def h2_act_triplet(H: SkewBrace, I: SkewBrace, pair: CocyclePair, t: Triplet) ->
         raise ValidationError("g fails the additive cocycle law for this action")
     if component_law_witness(H.circ.table, I, t.chi.sigma, pair.f) is not None:
         raise ValidationError("f fails the multiplicative cocycle law for this action")
+    return _shift(H, I, pair, t)
+
+
+def _shift(H: SkewBrace, I: SkewBrace, pair: CocyclePair, t: Triplet) -> Triplet:
+    """h2_act_triplet with no check of the pair."""
     Ia, Ic = I.add.table, I.circ.table
     beta = tuple(
         tuple(Ia[pair.g[a][b]][t.beta[a][b]] for b in range(H.n)) for a in range(H.n)
@@ -903,9 +897,7 @@ def h2_act(H: SkewBrace, I: SkewBrace, pair: CocyclePair, ext: Extension) -> Ext
 
 # --- theorem-level verification ----------------------------------------------
 
-def ext_bijection_check(
-    H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
-) -> dict:
+def ext_bijection_check(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> dict:
     """Compare |H^2| with the number of extension classes carrying chi.
 
     Coefficients must be a trivial abelian brace, in which case the coupling
@@ -913,8 +905,8 @@ def ext_bijection_check(
     by their canonical-section action.  Returns the counts and raises when
     the two sides disagree.
     """
-    grp = h2N(H, I, chi, budget)
-    return bijection_report(I, chi, grp, ext_classes(H, I, budget))
+    grp = h2N(H, I, chi)
+    return bijection_report(I, chi, grp, ext_classes(H, I))
 
 
 def bijection_report(I: SkewBrace, chi: ActionTriple, grp, buckets: list) -> dict:
@@ -950,12 +942,14 @@ def _act_permutation(
     class_triplets: Sequence[Triplet],
 ) -> list:
     """Where acting by one cocycle pair sends each class, given by the
-    canonical triplet of its representative.  A shifted triplet that
+    canonical triplet of its representative.  The pair, an embedded h2N
+    representative, is a cocycle pair into Ann(I), so it is not checked
+    again (tests/test_cohomology.py asserts it).  A shifted triplet that
     matches one is a twist of a valid triplet, hence valid, so no extension
     is rebuilt; exactly one class must match."""
     row = []
     for t in class_triplets:
-        acted = h2_act_triplet(H, I, pair_ambient, t)
+        acted = _shift(H, I, pair_ambient, t)
         hits = [
             j
             for j, other in enumerate(class_triplets)
@@ -970,7 +964,7 @@ def _act_permutation(
     return row
 
 
-def verify_free_transitive(H: SkewBrace, I: SkewBrace, budget: Optional[int] = None) -> dict:
+def verify_free_transitive(H: SkewBrace, I: SkewBrace) -> dict:
     """Check freeness (and transitivity, for trivial I) of the H^2 action.
 
     Enumerates every extension class of H by I, groups them by coupling,
@@ -981,12 +975,10 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace, budget: Optional[int] = N
     |Ext(H, I)| = |Ext(H, Z(I))| comparison is the per-coupling equality
     of class count and cohomology order.
     """
-    return free_transitive_report(H, I, ext_classes(H, I, budget), budget)
+    return free_transitive_report(H, I, ext_classes(H, I))
 
 
-def free_transitive_report(
-    H: SkewBrace, I: SkewBrace, buckets: list, budget: Optional[int]
-) -> dict:
+def free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list) -> dict:
     """verify_free_transitive on a computed ext_classes result."""
     per_coupling = []
     all_free = True
@@ -994,7 +986,7 @@ def free_transitive_report(
     for rep_chi, classes in buckets:
         reps = [extract_triplet(cls[0]) for cls in classes]
         I_res, chi_res, elems = restrict_action(I, rep_chi)
-        grp = h2N(H, I_res, chi_res, budget)
+        grp = h2N(H, I_res, chi_res)
         rows = [_act_permutation(H, I, embed_pair(p, elems), reps)
                 for p in grp.representatives]
         identity = list(range(len(reps)))

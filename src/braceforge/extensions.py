@@ -482,17 +482,17 @@ class Coupling:
         return f"Coupling(|N|={self.N.order}, rep over {len(self.chi.nu)} elements)"
 
 
-def coupling_of(ext: Extension, sample_sections: int = 3) -> Coupling:
+def coupling_of(ext: Extension) -> Coupling:
     """Coupling of an extension; asserts section-independence by sampling.
 
-    Sections sampled deterministically: the canonical one plus variants
-    shifting each fiber choice forward.
+    Sections sampled deterministically: the canonical one plus the two
+    variants shifting each fiber choice forward by one and by two.
     """
     s0 = canonical_section(ext)
     chi0 = extract_action(ext, s0)
     coup = Coupling(ext.I, chi0)
     fibers = [sorted(ext.fiber(h)) for h in range(ext.H.n)]
-    for k in range(1, sample_sections):
+    for k in (1, 2):
         s = [0] + [fib[k % len(fib)] for fib in fibers[1:]]
         chi = extract_action(ext, tuple(s))
         if _first_witnesses(ext.I, chi0, chi) is None:
@@ -635,9 +635,7 @@ def triplets_equivalent(
 # enumeration
 
 
-def z2_alpha(
-    H: SkewBrace, I: SkewBrace, alpha: ActionTriple, budget: Optional[int] = None
-) -> list:
+def z2_alpha(H: SkewBrace, I: SkewBrace, alpha: ActionTriple) -> list:
     """All valid triplets whose action is a twist of alpha, sorted.
 
     Every action related to alpha arises as a twist by some theta with
@@ -646,7 +644,7 @@ def z2_alpha(
     nh, ni = H.n, I.n
     free = nh - 1
     space = ni ** free * (ni ** (free * free)) ** 2
-    budget_mod.guard(space, "z2_alpha", budget)
+    budget_mod.guard(space, "z2_alpha")
     chis = {}
     for tail in itertools.product(range(ni), repeat=free):
         theta = (0,) + tail
@@ -686,16 +684,17 @@ def _partition_triplets(H: SkewBrace, I: SkewBrace, triplets: Sequence[Triplet])
     return classes
 
 
-def h2_alpha(H: SkewBrace, I: SkewBrace, alpha: ActionTriple, budget=None) -> list:
+def h2_alpha(H: SkewBrace, I: SkewBrace, alpha: ActionTriple) -> list:
     """Equivalence classes of z2_alpha under the theta relation."""
-    triplets = z2_alpha(H, I, alpha, budget)
+    triplets = z2_alpha(H, I, alpha)
     return [[triplets[k] for k in members] for members in _partition_triplets(H, I, triplets)]
 
 
 def _brace_monos(I: SkewBrace, E: SkewBrace) -> list:
     """All injective brace homomorphisms I -> E as tuples."""
     maps = _homomorphisms(
-        I.add, _order_matched([(I.add, E.add)]), brace_hom_ops(I, E), 0, injective=True
+        I.add, _order_matched([(I.add, E.add)]), brace_hom_ops(I, E), 0,
+        "brace monomorphisms", injective=True,
     )
     return sorted({tuple(m[y] for y in range(I.n)) for m in maps})
 
@@ -770,7 +769,7 @@ def _brace_orbits(groups: list) -> list:
     return orbits
 
 
-def _extension_orbits(H: SkewBrace, I: SkewBrace, budget: Optional[int]) -> list:
+def _extension_orbits(H: SkewBrace, I: SkewBrace) -> list:
     """Every extension of H by I on 0..|H||I|-1, one list per orbit of
     brace tables (see _brace_orbits) that carries any.
 
@@ -782,7 +781,7 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace, budget: Optional[int]) -> list
     so it carries each (inj, proj) to (p o inj, proj o p^-1)."""
     n = H.n * I.n
     tables = all_group_tables(n)
-    budget_mod.guard(len(tables) * len(tables), "enumerate_all_extensions", budget)
+    budget_mod.guard(len(tables) * len(tables), "enumerate_all_extensions")
     auts_H = sorted(brace_automorphisms(H))
     groups = [validate_group(t) for t in tables]
     out = []
@@ -817,9 +816,7 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace, budget: Optional[int]) -> list
     return out
 
 
-def enumerate_all_extensions(
-    H: SkewBrace, I: SkewBrace, budget: Optional[int] = None
-) -> list:
+def enumerate_all_extensions(H: SkewBrace, I: SkewBrace) -> list:
     """Every extension of H by I on the carrier 0..|H||I|-1, sorted.
 
     Brute force up to relabelling: all brace tables of the right order,
@@ -832,7 +829,7 @@ def enumerate_all_extensions(
     so it carries the representative's extensions to every other copy
     (_extension_orbits).  The per-brace loop over every labelled table is
     kept as the oracle enumerate_pairwise in tests/test_extensions.py."""
-    out = [ext for orbit in _extension_orbits(H, I, budget) for copy in orbit for ext in copy]
+    out = [ext for orbit in _extension_orbits(H, I) for copy in orbit for ext in copy]
     out.sort(key=Extension.sort_key)
     return out
 
@@ -867,7 +864,7 @@ def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:
     return BraceHom(e1.E, e2.E, section_shift_map(e1, e2, theta))
 
 
-def ext_classes(H: SkewBrace, I: SkewBrace, budget: Optional[int] = None) -> list:
+def ext_classes(H: SkewBrace, I: SkewBrace) -> list:
     """Equivalence classes of all extensions, grouped by coupling.
 
     Returns a list of (representative chi, list of classes); each class is
@@ -884,7 +881,7 @@ def ext_classes(H: SkewBrace, I: SkewBrace, budget: Optional[int] = None) -> lis
     The pairwise partition of the whole sorted list is kept as the oracle
     _ext_classes_pairwise in tests/test_extensions.py."""
     classes = []
-    for orbit in _extension_orbits(H, I, budget):
+    for orbit in _extension_orbits(H, I):
         triplets = [extract_triplet(ext) for ext in orbit[0]]
         for members in _partition_triplets(H, I, triplets):
             cls = [copy[k] for copy in orbit for k in members]

@@ -28,11 +28,12 @@ BENCH_generator_axioms.json.
 from __future__ import annotations
 
 from itertools import chain, permutations, product
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import budget as budget_mod
 from .errors import (
     InputError,
     NoIdentityAtZero,
@@ -43,8 +44,6 @@ from .errors import (
 )
 
 Perm = tuple  # tuple[int, ...]
-
-DEFAULT_ORDER_BOUND = 16
 
 
 def identity_perm(n: int) -> Perm:
@@ -323,6 +322,7 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def is_group(self) -> bool:
+        budget_mod.guard(self.order ** 2, "permutation group closure")
         if identity_perm(self.degree) not in self.elements:
             return False
         for p in self.elements:
@@ -387,6 +387,7 @@ def _homomorphisms(
     candidates: Callable,
     ops: Sequence[tuple],
     dst_id,
+    what: str,
     *,
     injective: bool = False,
     first_only: bool = False,
@@ -396,12 +397,16 @@ def _homomorphisms(
     The search backtracks over the images of src's generators; each
     partial map is closed under all (src table, dst mul) pairs in `ops`,
     which must include src's own table, so every leaf is a total map.
-    `candidates(gen)` yields admissible images for a generator.  A
-    generator the closure has already mapped is skipped, not reassigned:
+    `candidates(gen)` yields admissible images for a generator; each list
+    is built once, and the product of their lengths, which bounds the
+    leaves of the search tree, is held to the budget as the search `what`.
+    A generator the closure has already mapped is skipped, not reassigned:
     closing under a second operation can reach a later generator.
     Returns a list of dicts {src element: image}.
     """
     gens = src.generating_sequence()
+    images = [list(candidates(g)) for g in gens]
+    budget_mod.guard(prod(map(len, images)), what)
     out: list = []
 
     def assign(i: int, mapping: dict) -> bool:
@@ -410,7 +415,7 @@ def _homomorphisms(
             return first_only
         if gens[i] in mapping:
             return assign(i + 1, mapping)
-        for img in candidates(gens[i]):
+        for img in images[i]:
             closed = _close_partial_hom(mapping, gens[i], img, ops)
             if closed is None:
                 continue
@@ -446,12 +451,11 @@ def is_automorphism(p: Sequence[int], G: FiniteGroup) -> bool:
     return True
 
 
-def automorphism_group(G: FiniteGroup, max_order: int = DEFAULT_ORDER_BOUND) -> PermGroup:
+def automorphism_group(G: FiniteGroup) -> PermGroup:
     """Aut(G) by exhaustive backtracking over generator images."""
-    if G.n > max_order:
-        raise OrderBoundExceeded("automorphism_group", G.n, max_order)
     maps = _homomorphisms(
-        G, _order_matched([(G, G)]), [(G.table, G.mul)], 0, injective=True
+        G, _order_matched([(G, G)]), [(G.table, G.mul)], 0, "automorphism_group",
+        injective=True,
     )
     perms = {tuple(m[x] for x in range(G.n)) for m in maps}
     return PermGroup(G.n, perms)
@@ -462,7 +466,7 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[Perm]:
     if G1.n != G2.n or G1.order_profile() != G2.order_profile():
         return None
     maps = _homomorphisms(
-        G1, _order_matched([(G1, G2)]), [(G1.table, G2.mul)], 0,
+        G1, _order_matched([(G1, G2)]), [(G1.table, G2.mul)], 0, "find_isomorphism",
         injective=True, first_only=True,
     )
     return tuple(maps[0][x] for x in range(G1.n)) if maps else None
@@ -481,7 +485,8 @@ def homs_to_perm_group(src: FiniteGroup, target: PermGroup) -> list:
         return [p for p in elems if k % perm_order(p) == 0]
 
     maps = _homomorphisms(
-        src, candidates, [(src.table, compose)], identity_perm(target.degree)
+        src, candidates, [(src.table, compose)], identity_perm(target.degree),
+        "homs_to_perm_group",
     )
     result = [tuple(m[h] for h in range(src.n)) for m in maps]
     return sorted(set(result))

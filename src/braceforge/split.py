@@ -61,7 +61,6 @@ from .errors import (
     SectionNotHom,
 )
 from .groups import (
-    DEFAULT_ORDER_BOUND,
     FiniteGroup,
     _homomorphisms,
     _relabel_stack,
@@ -351,11 +350,11 @@ def semidirect_product(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> SkewBrace
     return _product_brace(H, I, t)
 
 
-def _candidate_families(H: SkewBrace, I: SkewBrace, max_order: int = DEFAULT_ORDER_BOUND):
+def _candidate_families(H: SkewBrace, I: SkewBrace):
     """(nus, mus, sigmas): every family that obeys its own (anti)hom law;
     the candidate triples are their product."""
-    aut_add = automorphism_group(I.add, max_order=max_order)
-    aut_circ = automorphism_group(I.circ, max_order=max_order)
+    aut_add = automorphism_group(I.add)
+    aut_circ = automorphism_group(I.circ)
     nus = homs_to_perm_group(H.circ, aut_add)
     mu_homs = homs_to_perm_group(H.add, aut_add)
     sigma_homs = homs_to_perm_group(H.circ, aut_circ)
@@ -364,20 +363,15 @@ def _candidate_families(H: SkewBrace, I: SkewBrace, max_order: int = DEFAULT_ORD
     return nus, mus, sigmas
 
 
-def enumerate_split_triples(
-    H: SkewBrace,
-    I: SkewBrace,
-    budget: Optional[int] = None,
-    max_order: int = DEFAULT_ORDER_BOUND,
-) -> list:
+def enumerate_split_triples(H: SkewBrace, I: SkewBrace) -> list:
     """All action triples passing validate_split_triple, sorted canonically.
 
     Every candidate is decided at once on the lifts (_compat_on_lifts) and
     no product is built; validating every candidate product is the test
     oracle _products_are_braces in tests/test_split.py."""
-    nus, mus, sigmas = _candidate_families(H, I, max_order)
+    nus, mus, sigmas = _candidate_families(H, I)
     space = len(nus) * len(mus) * len(sigmas)
-    budget_mod.guard(space, "enumerate_split_triples", budget)
+    budget_mod.guard(space, "enumerate_split_triples")
     compat = _compat_on_lifts(H, I, nus, mus, sigmas)
     found = [ActionTriple(nus[i], mus[j], sigmas[k]) for i, j, k in np.argwhere(compat)]
     found.sort(key=ActionTriple.sort_key)
@@ -436,5 +430,7 @@ def _find_hom_section(ext) -> Optional[tuple]:
         k = H.add.element_order(g)
         return [x for x in range(E.n) if ext.proj[x] == g and E.add.element_order(x) == k]
 
-    maps = _homomorphisms(H.add, candidates, brace_hom_ops(H, E), 0, first_only=True)
+    maps = _homomorphisms(
+        H.add, candidates, brace_hom_ops(H, E), 0, "hom section search", first_only=True
+    )
     return tuple(maps[0][h] for h in range(H.n)) if maps else None

@@ -39,7 +39,7 @@ tests/test_wells.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +127,7 @@ class StabilizerC:
         self.I = I
         self.chi = chi
         self.pairs = tuple(sorted(pairs, key=AutPair.sort_key))
+        budget_mod.guard(len(self.pairs) ** 2, "stabiliser closure")
         members = set(self.pairs)
         if pair_identity(H, I) not in members:
             raise ValidationError("stabiliser must contain the identity pair")
@@ -158,9 +159,7 @@ def _conjugated(fam, phi, theta, inv_theta, h: int) -> tuple:
     return compose(inv_theta, compose(fam[phi[h]], theta))
 
 
-def stabilizer_C(
-    H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
-) -> StabilizerC:
+def stabilizer_C(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> StabilizerC:
     """All pairs satisfying the three conjugation conditions.
 
     nu must match exactly; mu and sigma only up to inner automorphisms of
@@ -171,7 +170,7 @@ def stabilizer_C(
     _require_trivial_kernel(I)
     autb_H = brace_automorphisms(H).sorted_elements()
     autb_Iq = brace_automorphisms(I).sorted_elements()
-    budget_mod.guard(len(autb_H) * len(autb_Iq), "stabiliser pair sweep", budget)
+    budget_mod.guard(len(autb_H) * len(autb_Iq), "stabiliser pair sweep")
     inn_add = inner_group(I.add)
     inn_circ = inner_group(I.circ)
     found = []
@@ -408,7 +407,7 @@ def psi_automorphism(ext: Extension, theta_I: Sequence[int]) -> tuple:
     return section_shift_map(ext, ext, theta_I)
 
 
-def verify_exact_sequence(ext: Extension, budget: Optional[int] = None) -> dict:
+def verify_exact_sequence(ext: Extension) -> dict:
     """Exhaustively verify the Wells-type exact sequence for one extension.
 
     Checks, in order: the annihilator of the kernel is its centre; the
@@ -425,9 +424,9 @@ def verify_exact_sequence(ext: Extension, budget: Optional[int] = None) -> dict:
     I_res, chi_res, elems = restrict_action(I, chi)
     if set(elems) != set(I.add.centre()):
         raise ValidationError("annihilator of a trivial brace must be the centre")
-    h2grp = h2N(H, I_res, chi_res, budget)
-    derivations = h2grp._derivations(budget)
-    C = stabilizer_C(H, I, chi, budget)
+    h2grp = h2N(H, I_res, chi_res)
+    derivations = h2grp._derivations()
+    C = stabilizer_C(H, I, chi)
     pairs_of = rho(ext)
     im_rho = sorted({pair for _, pair in pairs_of}, key=AutPair.sort_key)
     for pair in im_rho:

@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import braceforge
 from braceforge import catalog, cli, extensions, split
+from braceforge.braces import trivial_brace
 from braceforge.cli import main
 from braceforge.errors import InternalInconsistency
+from braceforge.groups import cyclic_group, dihedral_group, direct_product_group, klein_group
 
 IDENTITY_TRIPLE_2x2 = {"nu": [[0, 1], [0, 1]], "mu": [[0, 1], [0, 1]],
                        "sigma": [[0, 1], [0, 1]]}
@@ -110,8 +113,6 @@ def test_law_failure_reports_witness(tmp_path, capsys):
 
 
 def test_validate_group_info(tmp_path, capsys, Z2, flip4):
-    from braceforge.groups import cyclic_group
-
     g = _write(tmp_path, "z6.json", catalog.group_payload(cyclic_group(6)))
     code = main(["validate-group", g])
     report = json.loads(capsys.readouterr().out)
@@ -155,6 +156,46 @@ def test_semidirect_then_wells_check(tmp_path, capsys, Z2, Z3):
     assert code == 0
     assert report["exact"] and report["psi_bijective"]
     assert report["kernel_rho_order"] == 3 and report["ker_omega_order"] == 2
+
+
+def _split_identity_file(tmp_path, capsys, H, I, name):
+    """semidirect -o of the identity action of H on I; the file's path."""
+    h = _write(tmp_path, f"{name}-h.json", catalog.brace_payload(H))
+    i = _write(tmp_path, f"{name}-i.json", catalog.brace_payload(I))
+    t = _write(tmp_path, f"{name}-t.json", catalog.triple_payload(split.identity_triple(H, I)))
+    out = str(tmp_path / f"{name}-ext.json")
+    assert main(["semidirect", h, i, t, "-o", out]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_wells_check_above_order_16(tmp_path, capsys):
+    # no order bound stops the automorphism searches: |E| = 18, 24 and 32
+    Z = lambda n: trivial_brace(cyclic_group(n))
+    for H, I in ((Z(3), trivial_brace(dihedral_group(3))),
+                 (Z(2), trivial_brace(dihedral_group(6))), (Z(16), Z(2))):
+        out = _split_identity_file(tmp_path, capsys, H, I, f"e{H.n * I.n}")
+        code, report, err = _run(capsys, ["wells-check", out])
+        assert code == 0 and report["exact"] is True, err
+
+
+def test_wells_check_stabiliser_closure_is_budgeted(tmp_path, capsys):
+    # Z2 by Z2^4 with the identity action: |C| = |GL(4, 2)| = 20160, so
+    # checking C closed would take 4.06e8 products; the budget stops it
+    V16 = trivial_brace(direct_product_group(klein_group(), klein_group()))
+    out = _split_identity_file(tmp_path, capsys, trivial_brace(cyclic_group(2)), V16, "e32")
+    start = time.perf_counter()
+    code, report, _ = _run(capsys, ["wells-check", out])
+    assert time.perf_counter() - start < 10
+    assert code == 3 and report["error"] == "budget"
+    assert report["message"].startswith("stabiliser closure: search space 406425600 ")
+
+
+def test_enumerate_split_kernel_above_order_16(tmp_path, capsys):
+    h = _write(tmp_path, "z4.json", catalog.brace_payload(trivial_brace(cyclic_group(4))))
+    i = _write(tmp_path, "z20.json", catalog.brace_payload(trivial_brace(cyclic_group(20))))
+    code, report, _ = _run(capsys, ["enumerate-split", h, i])
+    assert code == 0 and report["count"] == 224
 
 
 def test_split_products_are_validated_once(tmp_path, capsys, count_calls, Z2, Z3):
@@ -257,8 +298,6 @@ def test_cohomology_command(tmp_path, capsys, Z2, flip4):
 
 def test_cohomology_deep_cell_search(tmp_path, capsys):
     # |H| = 34 gives each component 1089 free cells, one search level each
-    from braceforge.braces import trivial_brace
-    from braceforge.groups import cyclic_group
     from braceforge.split import identity_triple
 
     Z34 = trivial_brace(cyclic_group(34))
@@ -317,9 +356,11 @@ def test_example_lays_out_the_payload_only_for_output(tmp_path, capsys, count_ca
 
 def test_example_honours_budget_flag(capsys):
     # examples 4 and 5 enumerate split triples; --budget caps that search
-    # exactly as BRACEFORGE_BUDGET does
+    # exactly as BRACEFORGE_BUDGET does.  16 admits every automorphism
+    # search the two examples make first (at most 16 candidate tuples)
+    # and no enumeration (32 and 80 candidate triples)
     for which in ("4", "5"):
-        code = main(["--budget", "1", "example", which])
+        code = main(["--budget", "16", "example", which])
         report = json.loads(capsys.readouterr().out)
         assert code == 3 and report["error"] == "budget"
         assert report["message"].startswith("enumerate_split_triples:")

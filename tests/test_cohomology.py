@@ -9,7 +9,7 @@ kept here as oracles, and the two routes are compared member by member."""
 
 import itertools
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ import pytest
 import braceforge.extensions as extensions_mod
 from braceforge import budget as budget_mod
 from braceforge import catalog
-from braceforge.braces import trivial_brace
+from braceforge.braces import annihilator, trivial_brace
 from braceforge.cohomology import (
     CocyclePair,
     Derivation,
@@ -31,6 +31,7 @@ from braceforge.cohomology import (
     ext_bijection_check,
     h2N,
     h2_act,
+    h2_act_triplet,
     pair_add,
     pair_is_cocycle,
     pair_neg,
@@ -52,7 +53,9 @@ from braceforge.errors import (
 from braceforge.extensions import (
     Triplet,
     _parent_relation_residual,
+    ext_classes,
     extension_from_triplet,
+    extract_triplet,
     h2_alpha,
     is_valid_triplet,
     z2_alpha,
@@ -80,7 +83,6 @@ def _component_cocycles(
     op_table: Sequence[Sequence[int]],
     I: SkewBrace,
     act: Sequence[Sequence[int]],
-    budget: Optional[int],
     what: str,
 ) -> list:
     """All normalized tables satisfying one component law, lex-sorted.
@@ -113,7 +115,7 @@ def _component_cocycles(
                     by_last[max(involved)].append((h1, h2, h3))
     tab = [[0] * nh for _ in range(nh)]
     out: list = []
-    limit = budget_mod.get_budget(budget)
+    limit = budget_mod.get_budget()
     nodes = 0
 
     def law_ok(h1: int, h2: int, h3: int) -> bool:
@@ -151,7 +153,6 @@ def _z2N_enumerated(
     H: SkewBrace,
     I: SkewBrace,
     chi: ActionTriple,
-    budget: Optional[int] = None,
     laws_only: bool = False,
 ) -> list:
     """The enumerating z2N, the oracle for cohomology.z2N: each component
@@ -160,8 +161,8 @@ def _z2N_enumerated(
     its own, and when the zero pair does not rebuild, each candidate is
     confirmed by its own rebuild."""
     validate_cocycle_action(H, I, chi)
-    gs = _component_cocycles(H.add.table, I, chi.mu, budget, "z2N additive component")
-    fs = _component_cocycles(H.circ.table, I, chi.sigma, budget, "z2N multiplicative component")
+    gs = _component_cocycles(H.add.table, I, chi.mu, "z2N additive component")
+    fs = _component_cocycles(H.circ.table, I, chi.sigma, "z2N multiplicative component")
     if laws_only:
         return [CocyclePair(g, f) for g in gs for f in fs]
     Ia, Ineg = I.add.table, I.add.inv
@@ -186,14 +187,12 @@ def _z2N_enumerated(
     return out
 
 
-def _b2N_sweep(
-    H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
-) -> list:
+def _b2N_sweep(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
     """The theta sweep, the oracle for cohomology.b2N: the coboundary pair of
     every theta, deduplicated and lex-sorted."""
     validate_cocycle_action(H, I, chi)
     nh, ni = H.n, I.n
-    budget_mod.guard(ni ** max(nh - 1, 0), "b2N theta sweep", budget)
+    budget_mod.guard(ni ** max(nh - 1, 0), "b2N theta sweep")
     seen = {}
     for tail in itertools.product(range(ni), repeat=nh - 1):
         theta = (0,) + tail
@@ -325,31 +324,24 @@ class _ListCohomologyGroup:
         return self.class_of(pair_neg(self.I, p))
 
 
-def _h2N_enumerated(
-    H: SkewBrace, I: SkewBrace, chi: ActionTriple, budget: Optional[int] = None
-) -> "_ListCohomologyGroup":
+def _h2N_enumerated(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> "_ListCohomologyGroup":
     """The enumerating h2N: the list-built group on the oracle lists."""
-    z2 = _z2N_enumerated(H, I, chi, budget)
+    z2 = _z2N_enumerated(H, I, chi)
     if zero_pair(H.n) not in set(z2):
         raise ValidationError(
             "the zero pair is not an associated pair for this action, so no "
             "split extension carries it and the quotient has no zero class"
         )
-    b2 = _b2N_sweep(H, I, chi, budget)
+    b2 = _b2N_sweep(H, I, chi)
     return _ListCohomologyGroup(H, I, chi, z2, b2)
 
 
-def _z1N_sweep(
-    H: SkewBrace,
-    I: SkewBrace,
-    chi: ActionTriple,
-    budget: Optional[int] = None,
-) -> list:
+def _z1N_sweep(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
     """The theta sweep, the oracle for cohomology.z1N: every theta checked
     against the two derivation laws, lex-sorted."""
     validate_cocycle_action(H, I, chi)
     nh, ni = H.n, I.n
-    budget_mod.guard(ni ** max(nh - 1, 0), "z1N theta sweep", budget)
+    budget_mod.guard(ni ** max(nh - 1, 0), "z1N theta sweep")
     Ia = I.add.table
     Ha, Hc = H.add.table, H.circ.table
     nu, mu, sigma = chi.nu, chi.mu, chi.sigma
@@ -515,6 +507,31 @@ def test_free_transitive_work_counts(Z2, Z3, count_calls):
         # classes are matched in triplet coordinates, and h2N decides the
         # zero pair with the lifts check, so nothing is rebuilt
         assert (shifts["calls"], rebuilds["calls"]) == (0, 0)
+
+
+def test_free_transitive_shifts_without_rechecking(Z2, Z3, count_calls):
+    # the classes are shifted by h2N representatives, which are cocycle
+    # pairs with values in Ann(I) by construction, so no law is checked
+    for I in (Z2, Z3):
+        laws = count_calls(component_law_witness)
+        acts = count_calls(h2_act_triplet)
+        verify_free_transitive(Z2, I)
+        assert (laws["calls"], acts["calls"]) == (0, 0)
+    # the check it drops holds on every pair it shifts by, at every class
+    shifted = 0
+    for H, I in ((Z2, Z2), (Z2, Z3), (Z3, Z2)):
+        ann = set(annihilator(I))
+        for rep_chi, classes in ext_classes(H, I):
+            I_res, chi_res, elems = restrict_action(I, rep_chi)
+            for p in h2N(H, I_res, chi_res).representatives:
+                pair = embed_pair(p, elems)
+                assert {v for tab in (pair.g, pair.f) for row in tab for v in row} <= ann
+                for cls in classes:
+                    chi = extract_triplet(cls[0]).chi
+                    assert component_law_witness(H.add.table, I, chi.mu, pair.g) is None
+                    assert component_law_witness(H.circ.table, I, chi.sigma, pair.f) is None
+                    shifted += 1
+    assert shifted > 0
 
 
 def test_single_theta_classes_are_finer_than_componentwise(Z3):

@@ -6,14 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
-from braceforge import catalog
+from braceforge import budget, catalog
 from braceforge.braces import brace_automorphisms, trivial_brace
 from braceforge.errors import (
     NoIdentityAtZero,
     NoInverse,
     NotAssociative,
     NotClosed,
-    OrderBoundExceeded,
+    SearchBudgetExceeded,
     ValidationError,
 )
 from braceforge.groups import (
@@ -273,13 +273,19 @@ def test_automorphism_group_orders():
         assert automorphism_group(G).order == order, describe_group(G)
 
 
-def test_order_bound_guard():
-    with pytest.raises(OrderBoundExceeded):
-        automorphism_group(cyclic_group(17))
-    assert automorphism_group(cyclic_group(17), max_order=17).order == 16
-    with pytest.raises(OrderBoundExceeded):
-        brace_automorphisms(trivial_brace(cyclic_group(17)))
-    assert brace_automorphisms(trivial_brace(cyclic_group(17)), max_order=17).order == 16
+def test_budget_not_order_stops_automorphism_search():
+    # no order bound: above order 16 the searches run
+    assert automorphism_group(cyclic_group(17)).order == 16
+    assert brace_automorphisms(trivial_brace(cyclic_group(17))).order == 16
+    # the budget holds the product of the generators' candidate counts:
+    # Z2^3 has three generators with seven images of order 2 each
+    V8 = direct_product_group(klein_group(), cyclic_group(2))
+    with budget.limit(342):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            automorphism_group(V8)
+    assert (exc.value.what, exc.value.size, exc.value.budget) == ("automorphism_group", 343, 342)
+    with budget.limit(343):
+        assert automorphism_group(V8).order == 168
 
 
 def test_isomorphism_search_and_relabel():

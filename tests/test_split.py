@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from braceforge import catalog
+from braceforge import budget, catalog
 from braceforge.braces import SkewBrace, _brace_axiom_holds, trivial_brace, validate_brace
 from braceforge.errors import (
     CompatibilityFailed,
@@ -199,8 +199,9 @@ def test_split_products_validate_the_triple_only(count_calls, Z2, Z3):
 
 
 def test_enumeration_budget_guard(Z2, Z3):
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_split_triples(Z2, Z3, budget=5)
+    with budget.limit(5):
+        with pytest.raises(SearchBudgetExceeded):
+            enumerate_split_triples(Z2, Z3)
 
 
 def _loop_compat_witness(H, I, t, as_written=False):
@@ -455,8 +456,8 @@ def test_compat_on_lifts_matches_product_validation(Z2, Z3, Z4, xor4, flip4):
 
 def _pairs_above_64():
     """Pairs with |H| |I| between 68 and 80, above any order the other
-    oracle pairs reach; Z17 and Z20 need automorphism groups past the
-    default order bound."""
+    oracle pairs reach; Z17 and Z20 need automorphism groups above order
+    16."""
     S3, D4 = trivial_brace(dihedral_group(3)), trivial_brace(dihedral_group(4))
     V, Z = trivial_brace(klein_group()), lambda n: trivial_brace(cyclic_group(n))
     return [(S3, Z(13)), (Z(6), Z(13)), (Z(4), Z(20)), (D4, Z(9)), (V, Z(17))]
@@ -468,7 +469,7 @@ def test_compat_on_lifts_matches_product_validation_above_64():
     checked = failing = 0
     for H, I in _pairs_above_64():
         assert 64 < H.n * I.n <= 80
-        families = _candidate_families(H, I, max_order=I.n)
+        families = _candidate_families(H, I)
         expected = _products_are_braces(H, I, *families)
         assert np.array_equal(_compat_on_lifts(H, I, *families), expected)
         checked += expected.size

@@ -14,7 +14,6 @@ from braceforge.errors import (
     ActionNotTransitive,
     InputError,
     NotTrivialCoefficients,
-    OrderBoundExceeded,
     ValidationError,
 )
 from braceforge.extensions import (
@@ -481,11 +480,16 @@ def test_autb_I_equals_filtered_automorphisms(d4_exts, q8_exts, Z3):
             if all(g[x] in img for x in img)
         ]
         assert autb_I(ext).sorted_elements() == filtered
+    # above order 16 too: no order bound stops the search
     S3 = trivial_brace(dihedral_group(3))
     big = _split_extensions(Z3, S3)[0]
     assert big.E.n == 18
-    with pytest.raises(OrderBoundExceeded):
-        autb_I(big)
+    img = set(big.inj)
+    filtered = [
+        g for g in brace_automorphisms(big.E).sorted_elements()
+        if all(g[x] in img for x in img)
+    ]
+    assert autb_I(big).sorted_elements() == filtered
 
 
 def _relabel_extension(ext, p):
