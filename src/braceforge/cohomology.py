@@ -64,7 +64,6 @@ from .extensions import (
     Extension,
     Triplet,
     _first_witnesses,
-    _parent_relation_residual,
     ext_classes,
     extension_from_triplet,
     extract_triplet,
@@ -178,6 +177,34 @@ def _component_law_residual(op_table, I: SkewBrace, act, tabs: np.ndarray) -> np
     lhs = Ia[tabs[:, h1, op[h2, h3]], tabs[:, h2, h3]]
     rhs = Ia[tabs[:, op[h1, h2], h3], act[h3, tabs[:, h1, h2]]]
     return Ia[lhs, neg[rhs]]
+
+
+def _parent_residual_stack(
+    H: SkewBrace, I: SkewBrace, chi: ActionTriple, beta: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """-rhs + lhs of the derived parent relation
+    (extensions.parent_relation_witness) at y1 = y2 = y3 = 0, for a stack
+    of table pairs: shape (k, n^3), one cell per (h1, h2, h3) in lex order,
+    from beta and tau of shape (k, n, n).  nu, mu and sigma fix 0, so at
+    y = 0 every y term drops out and the two sides are
+
+        lhs = nu_{h1 o (h2+h3)}( tau(h1, h2+h3) o nu_{h2+h3}^-1(beta(h2, h3)) )
+        rhs = beta(h1 o h2 - h1, h1 o h3)
+              + mu_{h1 o h3}( beta(h1 o h2, -h1)
+                              + mu_{-h1}(nu_{h1 o h2}(tau(h1, h2)))
+                              - beta(h1, -h1) )
+              + nu_{h1 o h3}(tau(h1, h3))"""
+    Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.asarray(H.add.inv)
+    Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.asarray(I.add.inv)
+    nu, mu = np.asarray(chi.nu), np.asarray(chi.mu)
+    inv_nu = np.argsort(nu, axis=1)
+    h = np.arange(H.n)
+    h1, h2, h3 = h[:, None, None], h[None, :, None], h
+    nh1, h12, h13, h23 = Hneg[h1], Hc[h1, h2], Hc[h1, h3], Ha[h2, h3]
+    mid = Ia[Ia[beta[:, h12, nh1], mu[nh1, nu[h12, tau[:, h1, h2]]]], Ineg[beta[:, h1, nh1]]]
+    rhs = Ia[Ia[beta[:, Ha[h12, nh1], h13], mu[h13, mid]], nu[h13, tau[:, h1, h3]]]
+    lhs = nu[Hc[h1, h23], Ic[tau[:, h1, h23], inv_nu[h23, beta[:, h2, h3]]]]
+    return Ia[Ineg[rhs], lhs].reshape(len(beta), H.n ** 3)
 
 
 def component_law_witness(
@@ -443,7 +470,7 @@ def _cocycle_space(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> _CocycleSpa
     Each component law is Z-linear in its table, so its matrix is the
     residual (_component_law_residual) of the unit tables, and its
     solutions are that matrix's kernel.  On those, the parent relation's
-    residual at y = 0 (extensions._parent_relation_residual) is affine:
+    residual at y = 0 (_parent_residual_stack) is affine:
     r0, the zero pair's, plus a linear part read off by evaluating it on
     the rows that generate the kernels.  A pair is an associated pair
     exactly when it satisfies both laws and the residual vanishes (see
@@ -467,14 +494,12 @@ def _cocycle_space(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> _CocycleSpa
     laws = np.vstack(gens)
 
     Ia, neg = I.add.np_table, np.asarray(I.add.inv)
-
-    def residual(row) -> np.ndarray:
-        g, f = row.reshape(2, n, n).tolist()
-        return np.array(_parent_relation_residual(H, I, Triplet(chi, g, f)), dtype=np.int64)
-
-    r0 = residual(np.zeros(2 * n * n, dtype=np.int64))
-    lin = [Ia[residual(row), neg[r0]] for row in sp.labels(laws)]
-    images = co.coords[np.array([r0] + lin, dtype=np.int64)].reshape(1 + len(lin), len(tmods))
+    # the zero pair, then the rows that generate the kernels
+    stack = np.vstack([np.zeros((1, 2 * n * n), dtype=np.int64), sp.labels(laws)])
+    stack = stack.reshape(len(stack), 2, n, n)
+    res = _parent_residual_stack(H, I, chi, stack[:, 0], stack[:, 1])
+    r0 = res[0]
+    images = co.coords[np.vstack([r0[None], Ia[res[1:], neg[r0]]])].reshape(len(res), len(tmods))
     e = co.exponent
     coef = _kernel(images, tmods, np.full(len(images), e, dtype=np.int64))
     # the solutions (c, x) of c r0 + linear part(x) = 0; the pairs wanted

@@ -449,15 +449,6 @@ def parent_relation_witness(
     return None
 
 
-def _parent_relation_residual(H: SkewBrace, I: SkewBrace, t: Triplet) -> tuple:
-    """-rhs + lhs of the derived parent relation at y1 = y2 = y3 = 0, one
-    entry per (h1, h2, h3) in lex order."""
-    Ia, Ineg = I.add.table, I.add.inv
-    return tuple(
-        Ia[Ineg[rhs]][lhs] for _, lhs, rhs in _parent_relation_cells(H, I, t, ys=(0,))
-    )
-
-
 # ---------------------------------------------------------------------------
 # couplings
 

@@ -23,11 +23,31 @@ validate_group decides associativity by this test at every order; the
 braces module decides the brace axiom the same way.  Paired end-to-end
 runs of both benchmark workloads against the full n^3 cube are in
 BENCH_generator_axioms.json.
+
+Homomorphisms on generator cells.  The same argument decides whether a
+map f between groups is a homomorphism.  Call t good when
+f(x t) = f(x) f(t) for all x.  For good s, t and any x,
+
+    f(x (s t)) = f((x s) t) = f(x s) f(t) = f(x) f(s) f(t) = f(x) f(s t),
+
+using t, then s, then t at x = s.  So when every generator is good, every
+element is, and f is a homomorphism: n |S| cells decide it instead of
+n^2.  _homomorphisms backtracks over the images of the greedy generating
+sequence g_1 .. g_m and keeps the map a homomorphism on
+G_j = <g_1 .. g_j> at depth j.  An image of g_{j+1} sets f on the
+elements of G_{j+1} outside G_j along the cells _generator_cells
+walks, and is kept when the rest of those cells agree: the old elements
+times g_{j+1}, and each new element times every generator so far.  Over
+one path of the search these are the n |S| cells of the test, less the
+cells 0 g_j, and none is visited twice.  PermGroup.is_group decides
+closure the same way, on a greedy generating set of its elements.
+Paired end-to-end runs against the all-pairs closure that came before
+are in BENCH_generator_homs.json.
 """
 
 from __future__ import annotations
 
-from itertools import chain, permutations, product
+from itertools import chain, permutations
 from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -103,7 +123,7 @@ def relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> list:
 class FiniteGroup:
     """Immutable group given by its full multiplication table."""
 
-    __slots__ = ("n", "table", "inv", "_np", "_abelian", "_orders", "_gens", "_hash")
+    __slots__ = ("n", "table", "inv", "_np", "_abelian", "_orders", "_gens", "_cells", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         arr = np.array(table, dtype=np.int64)
@@ -119,6 +139,7 @@ class FiniteGroup:
         self._abelian = None
         self._orders = None
         self._gens = None
+        self._cells = None
         self._hash = hash(tab)
 
     def __eq__(self, other: object) -> bool:
@@ -185,40 +206,66 @@ class FiniteGroup:
             self._gens = _generators(self.table)
         return self._gens
 
+    def generator_cells(self) -> tuple:
+        """_generator_cells of the table, built once."""
+        if self._cells is None:
+            self._cells = _generator_cells(self.table)
+        return self._cells
 
-def _generators(table) -> tuple:
-    """The greedy generating sequence of a table: repeatedly the least
-    element not yet reached from 0 by right multiplication by the chosen
-    generators.  In a group this is the least element outside the
-    subgroup generated so far.  Each element is multiplied by each
-    generator once, so the cost is n |S| lookups."""
+
+def _generator_cells(table) -> tuple:
+    """The greedy generating sequence of a table, with the cells that reach
+    each element.  The generators are, repeatedly, the least element g_j
+    not yet reached from 0 by right multiplication by the chosen ones; in
+    a group that is the least element outside G_{j-1} = <g_1 .. g_{j-1}>.
+
+    One (defines, checks, new) per generator.  new lists the elements
+    reached with g_j, g_j first.  defines and checks hold the cells
+    (x, s, x s), s one of g_1 .. g_j, that reach them: the old elements
+    times g_j, then each new element times every generator so far.  A
+    define cell reaches x s first, a check cell an element already
+    reached; 0 g_j = g_j, the identity being at 0, is no cell.  Each
+    element is multiplied by each generator once, so the cost is n |S|
+    lookups."""
     n = len(table)
     seen = [False] * n
     seen[0] = True
     reached = [0]
     gens: list = []
+    plan = []
     for g in range(1, n):
         if seen[g]:
             continue
         gens.append(g)
         seen[g] = True
+        new = [g]
+        defines: list = []
+        checks: list = []
+
+        def visit(x: int, s: int) -> None:
+            c = table[x][s]
+            if seen[c]:
+                checks.append((x, s, c))
+            else:
+                seen[c] = True
+                new.append(c)
+                defines.append((x, s, c))
+
         # what was reached is closed under the earlier generators, so only
         # its products with g start new work
-        queue = [g]
-        for x in reached:
-            y = table[x][g]
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
-        for x in queue:  # the list grows while it is walked
-            row = table[x]
-            for h in gens:
-                y = row[h]
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        reached.extend(queue)
-    return tuple(gens)
+        for x in reached[1:]:
+            visit(x, g)
+        for x in new:  # the list grows while it is walked
+            for s in gens:
+                visit(x, s)
+        reached.extend(new)
+        plan.append((tuple(defines), tuple(checks), tuple(new)))
+    return tuple(plan)
+
+
+def _generators(table) -> tuple:
+    """The greedy generating sequence of a table (_generator_cells)."""
+    return tuple(new[0] for _, _, new in _generator_cells(table))
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -322,15 +369,40 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def is_group(self) -> bool:
-        budget_mod.guard(self.order ** 2, "permutation group closure")
-        if identity_perm(self.degree) not in self.elements:
+        """Whether the elements form a group, decided on a generating set.
+
+        A finite set of permutations that holds the identity and is closed
+        under right multiplication by a subset T that generates it is a
+        group, by the argument of Light's test (module docstring).  T is
+        the greedy generating sequence of the sorted elements, as in
+        _generators, so the check costs |S| |T| products; the budget is
+        charged |S| |T| as each generator joins T."""
+        elems = self.elements
+        one = identity_perm(self.degree)
+        if one not in elems:
             return False
-        for p in self.elements:
-            if invert_perm(p) not in self.elements:
-                return False
-            for q in self.elements:
-                if compose(p, q) not in self.elements:
+        reached = {one}
+        order = [one]
+        gens: list = []
+        for g in self.sorted_elements():
+            if g in reached:
+                continue
+            gens.append(g)
+            budget_mod.guard(self.order * len(gens), "permutation group closure")
+            reached.add(g)
+            new = [g]
+            # what was reached is closed under the earlier generators, so
+            # only its products with g start new work; new grows while the
+            # second part walks it
+            cells = chain(((x, g) for x in order[1:]), ((x, t) for x in new for t in gens))
+            for x, t in cells:
+                y = compose(x, t)
+                if y not in elems:
                     return False
+                if y not in reached:
+                    reached.add(y)
+                    new.append(y)
+            order.extend(new)
         return True
 
     @classmethod
@@ -354,34 +426,6 @@ class PermGroup:
         return cls(degree, elems)
 
 
-def _close_partial_hom(closed: dict, g, img, ops: Sequence[tuple]) -> Optional[dict]:
-    """Extend a map already closed under `ops` by g -> img, then saturate
-    it under every (src table, dst mul) pair in `ops`; None on
-    inconsistency.
-
-    Each round only combines pairs with an element mapped in the round
-    before: every other pair was checked already."""
-    m = dict(closed)
-    m[g] = img
-    known = list(closed.items())
-    fresh = [(g, img)]
-    while fresh:
-        old, known = known, known + fresh
-        added = []
-        for table, dst_mul in ops:
-            for (a, fa), (b, fb) in chain(product(fresh, known), product(old, fresh)):
-                c = table[a][b]
-                v = dst_mul(fa, fb)
-                got = m.get(c)
-                if got is None:
-                    m[c] = v
-                    added.append((c, v))
-                elif got != v:
-                    return None
-        fresh = added
-    return m
-
-
 def _homomorphisms(
     src: FiniteGroup,
     candidates: Callable,
@@ -392,40 +436,64 @@ def _homomorphisms(
     injective: bool = False,
     first_only: bool = False,
 ) -> list:
-    """All maps on src's carrier that respect every operation in `ops`.
+    """All maps on src's carrier that respect every operation in `ops`,
+    a list of (src table, dst mul) pairs whose first is src's own table.
 
-    The search backtracks over the images of src's generators; each
-    partial map is closed under all (src table, dst mul) pairs in `ops`,
-    which must include src's own table, so every leaf is a total map.
+    The search backtracks over the images of src's generating sequence
+    g_1 .. g_m.  At depth j the map f is a hom on G_j = <g_1 .. g_j> under
+    ops[0]; an image of g_{j+1} extends it over src.generator_cells() and
+    is kept when every check cell holds (homomorphisms on generator
+    cells, module docstring) and, for an injective search, no new element
+    maps to dst_id.  A total map is then checked against every other
+    operation on n |S| cells, S that table's generating sequence.
     `candidates(gen)` yields admissible images for a generator; each list
     is built once, and the product of their lengths, which bounds the
     leaves of the search tree, is held to the budget as the search `what`.
-    A generator the closure has already mapped is skipped, not reassigned:
-    closing under a second operation can reach a later generator.
-    Returns a list of dicts {src element: image}.
+    Returns a list of dicts {src element: image}, in the lex order of the
+    generator images' positions in their candidate lists.
     """
     gens = src.generating_sequence()
     images = [list(candidates(g)) for g in gens]
     budget_mod.guard(prod(map(len, images)), what)
+    plan = src.generator_cells()
+    mul = ops[0][1]
+    others = [(table, dst_mul, _generators(table)) for table, dst_mul in ops[1:]]
+    n = src.n
+    f = [dst_id] * n
     out: list = []
 
-    def assign(i: int, mapping: dict) -> bool:
-        if i == len(gens):
-            out.append(mapping)
-            return first_only
-        if gens[i] in mapping:
-            return assign(i + 1, mapping)
-        for img in images[i]:
-            closed = _close_partial_hom(mapping, gens[i], img, ops)
-            if closed is None:
+    def total_map_ok() -> bool:
+        for table, dst_mul, sgens in others:
+            for s in sgens:
+                fs = f[s]
+                for x in range(n):
+                    if f[table[x][s]] != dst_mul(f[x], fs):
+                        return False
+        return True
+
+    def extend(j: int) -> bool:
+        if j == len(gens):
+            if total_map_ok():
+                out.append(dict(enumerate(f)))
+                return first_only
+            return False
+        g = gens[j]
+        defines, checks, new = plan[j]
+        for v in images[j]:
+            f[g] = v
+            for x, s, c in defines:
+                f[c] = mul(f[x], f[s])
+            if injective and dst_id in [f[c] for c in new]:
                 continue
-            if injective and len(set(closed.values())) != len(closed):
-                continue
-            if assign(i + 1, closed):
-                return True
+            for x, s, c in checks:
+                if f[c] != mul(f[x], f[s]):
+                    break
+            else:
+                if extend(j + 1):
+                    return True
         return False
 
-    assign(0, {0: dst_id})
+    extend(0)
     return out
 
 

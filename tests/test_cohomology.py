@@ -23,6 +23,7 @@ from braceforge.cohomology import (
     Derivation,
     _Echelon,
     _kernel,
+    _parent_residual_stack,
     b2N,
     coboundary_pair,
     component_law_witness,
@@ -52,7 +53,7 @@ from braceforge.errors import (
 )
 from braceforge.extensions import (
     Triplet,
-    _parent_relation_residual,
+    _parent_relation_cells,
     ext_classes,
     extension_from_triplet,
     extract_triplet,
@@ -78,6 +79,16 @@ from test_extensions import _extensions_equivalent_loop
 
 
 # --- the enumerating routes, kept as oracles -----------------------------------
+
+def _parent_relation_residual(H: SkewBrace, I: SkewBrace, t: Triplet) -> tuple:
+    """-rhs + lhs of the derived parent relation at y1 = y2 = y3 = 0, one
+    entry per (h1, h2, h3) in lex order, cell by cell: the oracle for
+    cohomology._parent_residual_stack."""
+    Ia, Ineg = I.add.table, I.add.inv
+    return tuple(
+        Ia[Ineg[rhs]][lhs] for _, lhs, rhs in _parent_relation_cells(H, I, t, ys=(0,))
+    )
+
 
 def _component_cocycles(
     op_table: Sequence[Sequence[int]],
@@ -959,6 +970,30 @@ def _cohomology_sweep_actions():
     out = [(Z4, Z4, identity_triple(Z4, Z4))]
     out += [(H, I, chi) for H, I in pairs for chi in enumerate_split_triples(H, I)]
     return out
+
+
+def test_parent_residual_stack_matches_cells():
+    # seeded random label tables, stacked behind the zero pair, on every
+    # split action of COSET_PAIRS (the one of S3 by Z2 among them) and
+    # every cohomology-sweep action
+    braces = {
+        "Z2": trivial_brace(cyclic_group(2)),
+        "Z4": trivial_brace(cyclic_group(4)),
+        "V": trivial_brace(klein_group()),
+        "S3": trivial_brace(dihedral_group(3)),
+        "D4": trivial_brace(dihedral_group(4)),
+    }
+    inputs = [x for h, i in COSET_PAIRS for x in _split_actions(braces[h], braces[i])]
+    inputs += _cohomology_sweep_actions()
+    assert len(inputs) == 127 + 40
+    rng = np.random.default_rng(315)
+    for H, I, chi in inputs:
+        stack = rng.integers(0, I.n, size=(4, 2, H.n, H.n))
+        stack[0] = 0
+        got = _parent_residual_stack(H, I, chi, stack[:, 0], stack[:, 1])
+        assert got.shape == (4, H.n ** 3)
+        for tabs, row in zip(stack.tolist(), got.tolist()):
+            assert tuple(row) == _parent_relation_residual(H, I, Triplet(chi, *tabs))
 
 
 def test_algebra_matches_oracles_on_cohomology_sweep():

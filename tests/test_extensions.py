@@ -71,6 +71,7 @@ from braceforge.groups import (
 )
 from braceforge.split import _triplet_tables, enumerate_split_triples, semidirect_product
 from test_generator_axioms import _cube_brace_axiom
+from test_groups import _engine_against_oracle
 
 
 def perm_pow(p, k):
@@ -412,6 +413,13 @@ def test_ext_classes_searches_one_brace_per_orbit(Z2, Z3, count_calls):
     # are compared in triplet coordinates, never by a shift search
     assert (monos["calls"], validated["calls"], compared["calls"]) == (6, 12, 6)
     assert shifted["calls"] == 0
+
+
+def test_brace_monos_match_closure_oracle(Z2, Z3, monkeypatch):
+    searches = _engine_against_oracle(monkeypatch)
+    ext_classes(Z2, Z3)
+    assert searches == {
+        "brace monomorphisms": 6, "brace_automorphisms": 1, "find_brace_isomorphism": 12}
 
 
 def _relabelled_brace(B, p):

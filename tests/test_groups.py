@@ -2,12 +2,17 @@
 automorphisms, isomorphism search and exhaustive table enumeration."""
 
 import itertools
+import random
+import sys
+from math import prod
 
 import numpy as np
 import pytest
 
 from braceforge import budget, catalog
-from braceforge.braces import brace_automorphisms, trivial_brace
+from braceforge import groups as groups_mod
+from braceforge import split as split_mod
+from braceforge.braces import SkewBrace, brace_automorphisms, find_brace_isomorphism, trivial_brace
 from braceforge.errors import (
     NoIdentityAtZero,
     NoInverse,
@@ -19,6 +24,7 @@ from braceforge.errors import (
 from braceforge.groups import (
     FiniteGroup,
     PermGroup,
+    _reference_groups,
     all_group_tables,
     alternating4_group,
     automorphism_group,
@@ -351,3 +357,224 @@ def test_standard_groups_of_order():
     assert [G.n for G in standard_groups_of_order(6)] == [6, 6]
     assert sorted(describe_group(G) for G in standard_groups_of_order(6)) == ["S3", "Z6"]
     assert len(standard_groups_of_order(7)) == 1
+
+
+# --- the all-pairs closure engine, kept as the oracle ----------------------
+
+def _close_partial_hom(closed: dict, g, img, ops):
+    """Extend a map already closed under `ops` by g -> img, then saturate
+    it under every (src table, dst mul) pair in `ops`; None on
+    inconsistency.
+
+    Each round only combines pairs with an element mapped in the round
+    before: every other pair was checked already."""
+    m = dict(closed)
+    m[g] = img
+    known = list(closed.items())
+    fresh = [(g, img)]
+    while fresh:
+        old, known = known, known + fresh
+        added = []
+        for table, dst_mul in ops:
+            for (a, fa), (b, fb) in itertools.chain(
+                itertools.product(fresh, known), itertools.product(old, fresh)
+            ):
+                c = table[a][b]
+                v = dst_mul(fa, fb)
+                got = m.get(c)
+                if got is None:
+                    m[c] = v
+                    added.append((c, v))
+                elif got != v:
+                    return None
+        fresh = added
+    return m
+
+
+def _closure_homomorphisms(src, candidates, ops, dst_id, what, *, injective=False,
+                           first_only=False) -> list:
+    """The oracle for groups._homomorphisms: each partial map is closed
+    under every operation over all known pairs, and a generator the
+    closure has already mapped is skipped."""
+    gens = src.generating_sequence()
+    images = [list(candidates(g)) for g in gens]
+    budget.guard(prod(map(len, images)), what)
+    out: list = []
+
+    def assign(i: int, mapping: dict) -> bool:
+        if i == len(gens):
+            out.append(mapping)
+            return first_only
+        if gens[i] in mapping:
+            return assign(i + 1, mapping)
+        for img in images[i]:
+            closed = _close_partial_hom(mapping, gens[i], img, ops)
+            if closed is None:
+                continue
+            if injective and len(set(closed.values())) != len(closed):
+                continue
+            if assign(i + 1, closed):
+                return True
+        return False
+
+    assign(0, {0: dst_id})
+    return out
+
+
+def _engine_against_oracle(monkeypatch) -> dict:
+    """Rebind groups._homomorphisms in every loaded braceforge module to a
+    wrapper that runs the engine and the closure oracle, each with and
+    without first_only, asserts that the maps agree in order, and returns
+    the engine's.  The returned dict counts the searches by name."""
+    engine = groups_mod._homomorphisms
+    searches: dict = {}
+
+    def compared(src, candidates, ops, dst_id, what, *, injective=False, first_only=False):
+        searches[what] = searches.get(what, 0) + 1
+        got = {}
+        for first in (False, True):
+            got[first] = engine(src, candidates, ops, dst_id, what,
+                                injective=injective, first_only=first)
+            want = _closure_homomorphisms(src, candidates, ops, dst_id, what,
+                                          injective=injective, first_only=first)
+            assert got[first] == want, what
+        assert got[True] == got[False][:1]
+        return got[first_only]
+
+    for name, mod in list(sys.modules.items()):
+        if name == "braceforge" or name.startswith("braceforge."):
+            if vars(mod).get("_homomorphisms") is engine:
+                monkeypatch.setattr(mod, "_homomorphisms", compared)
+    return searches
+
+
+def test_engine_matches_closure_oracle(monkeypatch, Z2, Z3, xor4, flip4):
+    searches = _engine_against_oracle(monkeypatch)
+    groups = [G for n in range(1, 8) for G in standard_groups_of_order(n)]
+    groups += [G for n in range(2, 17) for _, G in _reference_groups(n)]
+    for G in groups:
+        automorphism_group(G)
+    fixtures = catalog.axiom_fixtures()
+    assert len(fixtures) == 44 and sum(not B.is_trivial for _, B in fixtures) > 10
+    for _, B in fixtures:
+        brace_automorphisms(B)
+    # seeded relabellings fixing 0 are found again, up to order 12 for
+    # groups and 32 for braces, where the oracle's full enumeration of the
+    # isomorphisms stays cheap; of the named groups of one order, only D1,
+    # D2 and Dic1 repeat Z2, Z2 x Z2 and Z4
+    rng = random.Random(2020)
+
+    def relabelling(n):
+        return (0,) + tuple(rng.sample(range(1, n), n - 1))
+
+    for G in groups:
+        if G.n <= 12:
+            assert find_isomorphism(G.relabel(relabelling(G.n)), G) is not None
+    repeats = [
+        (a, b)
+        for n in range(2, 17)
+        for (a, G), (b, H) in itertools.combinations(_reference_groups(n), 2)
+        if find_isomorphism(G, H) is not None
+    ]
+    assert repeats == [("Z2", "D1"), ("Z2 x Z2", "D2"), ("Z4", "Dic1")]
+    for _, B in fixtures:
+        if B.n <= 32:
+            p = relabelling(B.n)
+            B2 = SkewBrace(B.add.relabel(p), B.circ.relabel(p))
+            assert find_brace_isomorphism(B2, B) is not None
+    # the perm-group targets of split enumeration, on the nine wells-sweep pairs
+    V = trivial_brace(klein_group())
+    S3 = trivial_brace(dihedral_group(3))
+    D4 = trivial_brace(dihedral_group(4))
+    pairs = [(V, Z3), (flip4, Z3), (xor4, Z3), (Z2, V), (Z3, V), (S3, Z2), (xor4, Z2),
+             (V, Z2), (Z2, D4)]
+    before = searches["homs_to_perm_group"]
+    for H, I in pairs:
+        split_mod._candidate_families(H, I)
+    assert searches["automorphism_group"] > len(groups)
+    assert searches["brace_automorphisms"] == len(fixtures)
+    assert searches["find_isomorphism"] > len(groups)
+    assert searches["find_brace_isomorphism"] == sum(B.n <= 32 for _, B in fixtures) == 38
+    assert searches["homs_to_perm_group"] - before == 3 * len(pairs)
+
+
+def test_engine_work_counts():
+    # Aut(Z2^3): three generators with seven candidate images each.  Along
+    # one path the search visits 21 cells, the n |S| = 24 of the generator
+    # test less the cells 0 g_j whose value it chooses; over the whole
+    # tree it computes 3,122 products, where the closure oracle computes
+    # 14,721
+    V8 = direct_product_group(klein_group(), cyclic_group(2))
+    products = {"n": 0}
+
+    def counted(a, b):
+        products["n"] += 1
+        return V8.mul(a, b)
+
+    maps = groups_mod._homomorphisms(
+        V8, groups_mod._order_matched([(V8, V8)]), [(V8.table, counted)], 0, "count",
+        injective=True,
+    )
+    assert len(maps) == 168
+    assert products["n"] == 3122
+    assert [tuple(map(len, cells)) for cells in V8.generator_cells()] == [
+        (0, 1, 1), (1, 4, 2), (3, 12, 4)]
+
+
+def _closure_is_group(pg: PermGroup) -> bool:
+    """The oracle for PermGroup.is_group: the identity, every inverse and
+    every product of two elements, |S|^2 products."""
+    if identity_perm(pg.degree) not in pg.elements:
+        return False
+    for p in pg.elements:
+        if invert_perm(p) not in pg.elements:
+            return False
+        for q in pg.elements:
+            if compose(p, q) not in pg.elements:
+                return False
+    return True
+
+
+def _is_group_matches_closure(pg: PermGroup) -> bool:
+    """is_group agrees with the closure oracle on pg, and, when pg has more
+    than one element, both say no once it loses one: the last, or the
+    identity when there are two.  Returns the verdict on pg."""
+    verdict = pg.is_group()
+    assert verdict == _closure_is_group(pg)
+    elems = pg.sorted_elements()
+    if len(elems) > 1:
+        cut = PermGroup(pg.degree, elems[:-1] if len(elems) > 2 else elems[1:])
+        assert cut.is_group() is _closure_is_group(cut) is False
+    return verdict
+
+
+def test_is_group_matches_closure(xor4, flip4):
+    groups = [G for n in range(1, 8) for G in standard_groups_of_order(n)]
+    groups += [G for n in range(2, 17) for _, G in _reference_groups(n)]
+    perm_groups = [automorphism_group(G) for G in groups]
+    perm_groups += [inner_group(G) for G in groups]
+    perm_groups += [brace_automorphisms(B) for _, B in catalog.axiom_fixtures()]
+    perm_groups += [PermGroup.generate(3, [(1, 2, 0)]),
+                    PermGroup.generate(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])]
+    # the oracle's |S|^2 products stay cheap below 400 elements
+    checked = [pg for pg in perm_groups if pg.order < 400]
+    assert len(checked) == len(perm_groups) - 1  # Aut(Z2^4), of order 20160
+    assert all(_is_group_matches_closure(pg) for pg in checked)
+    # not groups: no identity, not closed, a subgroup's coset
+    S3 = PermGroup.generate(3, [(1, 2, 0), (1, 0, 2)])
+    coset = PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)])
+    for pg in (PermGroup(3, [(1, 2, 0), (2, 0, 1)]), PermGroup(3, [(0, 1, 2), (1, 2, 0)]), coset):
+        assert pg.is_group() is _closure_is_group(pg) is False
+    assert S3.order == 6 and S3.is_group()
+
+
+def test_is_group_budget_charges_the_generating_set():
+    # Aut(Z2^3) = GL(3, 2) has 168 elements and a greedy generating set of
+    # five, so the check is charged 168 * 5 = 840, not 168^2
+    A = automorphism_group(direct_product_group(klein_group(), cyclic_group(2)))
+    with budget.limit(839):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            A.is_group()
+    assert (exc.value.what, exc.value.size) == ("permutation group closure", 840)
+    with budget.limit(840):
+        assert A.is_group()

@@ -48,6 +48,7 @@ from braceforge.split import (
     triple_from_tables,
     validate_split_triple,
 )
+from test_groups import _engine_against_oracle
 
 IDP3 = identity_perm(3)
 NEG3 = (0, 2, 1)
@@ -180,6 +181,15 @@ def test_split_decompose_round_trip(Z2, Z3, xor4, flip4, split_ext, z4_ext):
             found, hom = split_decompose(ext)
             assert found == t
             assert hom.is_valid() and hom.is_injective()
+
+
+def test_hom_section_search_matches_closure_oracle(Z2, Z3, xor4, flip4, split_ext, z4_ext,
+                                                   monkeypatch):
+    # the section searches of the round trip above, each compared with the
+    # closure oracle
+    searches = _engine_against_oracle(monkeypatch)
+    test_split_decompose_round_trip(Z2, Z3, xor4, flip4, split_ext, z4_ext)
+    assert searches["hom section search"] > 2
 
 
 def test_split_products_validate_the_triple_only(count_calls, Z2, Z3):

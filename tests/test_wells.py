@@ -52,6 +52,7 @@ from braceforge.wells import (
 )
 from test_cohomology import _h2N_enumerated
 from test_extensions import _extensions_equivalent_loop
+from test_groups import _engine_against_oracle, _is_group_matches_closure
 
 CARRY = ((0, 0, 0), (0, 0, 1), (0, 1, 1))
 
@@ -490,6 +491,15 @@ def test_autb_I_equals_filtered_automorphisms(d4_exts, q8_exts, Z3):
         if all(g[x] in img for x in img)
     ]
     assert autb_I(big).sorted_elements() == filtered
+
+
+def test_autb_I_search_matches_closure_oracle(sweep_exts, q8_exts, monkeypatch):
+    # the admit search of autb_I, and the group it returns, on every
+    # wells-sweep extension and every split Z2-by-Q8 extension
+    searches = _engine_against_oracle(monkeypatch)
+    for ext in sweep_exts + q8_exts:
+        assert _is_group_matches_closure(autb_I(ext))
+    assert searches == {"brace_automorphisms": len(sweep_exts) + len(q8_exts)}
 
 
 def _relabel_extension(ext, p):
