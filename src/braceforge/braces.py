@@ -66,7 +66,6 @@ from .groups import (
     PermGroup,
     _homomorphisms,
     _order_matched,
-    invert_perm,
     validate_group,
 )
 
@@ -113,13 +112,13 @@ class SkewBrace:
 
     @property
     def lambda_table(self) -> tuple:
-        """lam(a)[b] = -a + (a o b), one perm per element."""
+        """lam(a)[b] = -a + (a o b), one perm per element, gathered at once
+        as add[-a, circ[a, b]].  The cell loop is kept as the oracle
+        _loop_lambda_table in tests/test_braces.py."""
         if self._lambda is None:
-            add, circ, neg = self.add.table, self.circ.table, self.add.inv
-            self._lambda = tuple(
-                tuple(add[neg[a]][circ[a][b]] for b in range(self.n))
-                for a in range(self.n)
-            )
+            neg = np.array(self.add.inv, dtype=np.int64)
+            lam = self.add.np_table[neg[:, None], self.circ.np_table]
+            self._lambda = tuple(map(tuple, lam.tolist()))
         return self._lambda
 
     def lam(self, a: int) -> Perm:
@@ -215,18 +214,19 @@ def lambda_is_hom(E: SkewBrace) -> bool:
 
 
 def identities_check(E: SkewBrace) -> bool:
-    """a + b = a o lam(a)^-1(b)  and  a o b = a + lam(a)(b), all pairs."""
-    lam = E.lambda_table
-    add, circ = E.add.table, E.circ.table
-    for a in range(E.n):
-        la = lam[a]
-        inv_la = invert_perm(la)
-        for b in range(E.n):
-            if add[a][b] != circ[a][inv_la[b]]:
-                return False
-            if circ[a][b] != add[a][la[b]]:
-                return False
-    return True
+    """a + b = a o lam(a)^-1(b)  and  a o b = a + lam(a)(b), all pairs.
+
+    Each identity is one gather over all (a, b).  lam(a)^-1 is scattered
+    as invert_perm builds it, so a row of lam that is not a permutation
+    gets the same stand-in inverse; the pair loop is kept as the oracle
+    _loop_identities_check in tests/test_braces.py."""
+    lam = np.array(E.lambda_table, dtype=np.int64)
+    add, circ = E.add.np_table, E.circ.np_table
+    rows = np.arange(E.n)[:, None]
+    inv = np.zeros_like(lam)
+    # invert_perm keeps the last preimage of each value, 0 for none
+    np.maximum.at(inv, (rows, lam), np.arange(E.n))
+    return bool(np.array_equal(add, circ[rows, inv]) and np.array_equal(circ, add[rows, lam]))
 
 
 def socle(E: SkewBrace) -> tuple:

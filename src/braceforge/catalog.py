@@ -497,8 +497,8 @@ def _slug(name: str) -> str:
     return name.replace(" x ", "x").replace(" ", "-").lower()
 
 
-def trivial_brace_entries() -> list:
-    """Trivial braces on every group of order <= 8."""
+def _trivial_braces() -> list:
+    """(name, trivial brace) on every group of order <= 8."""
     out = []
     for n in range(1, 9):
         named = (
@@ -506,11 +506,13 @@ def trivial_brace_entries() -> list:
             if n == 8
             else [(describe_group(G), G) for G in standard_groups_of_order(n)]
         )
-        for name, G in named:
-            out.append(
-                entry_for(trivial_brace(G), f"trivial-{_slug(name)}", provenance="trivial")
-            )
+        out.extend((f"trivial-{_slug(name)}", trivial_brace(G)) for name, G in named)
     return out
+
+
+def trivial_brace_entries() -> list:
+    """Trivial braces on every group of order <= 8."""
+    return [entry_for(B, name, provenance="trivial") for name, B in _trivial_braces()]
 
 
 def split_z2_z3_extension() -> Extension:
@@ -564,17 +566,7 @@ def example2(n: int = 2, p: int = 3, odd: bool = False):
         raise ParamOutOfRange(f"n = {n}: the dihedral part needs n >= 1")
     if odd and n % 2 == 0:
         raise ParamOutOfRange(f"n = {n}: the odd variant needs odd n")
-    k = n if odd else 2 * n  # dihedral_group(k) has order 2k, elements 2i+j
-    H = trivial_brace(dihedral_group(k))
-    I = trivial_brace(cyclic_group(p))
-    neg = _negation(p)
-    ident = identity_perm(p)
-    if odd:
-        exps = [x % 2 for x in range(2 * k)]
-    else:
-        exps = [x // 2 + x % 2 for x in range(2 * k)]
-    fam = tuple(neg if e % 2 else ident for e in exps)
-    t = ActionTriple(fam, fam, fam)
+    name, H, I, exps, t = _example2_triple(n, p, odd)
     E = semidirect_product(H, I, t)
     bad_add = []
     bad_circ = []
@@ -614,9 +606,30 @@ def example2(n: int = 2, p: int = 3, odd: bool = False):
                     "witness": list(bad[0]),
                 }
             )
-    entry = entry_for(E, f"example-2-{report['variant']}-n{n}-p{p}",
-                      provenance="example-2", report=report)
+    entry = entry_for(E, name, provenance="example-2", report=report)
     return entry, report
+
+
+def _example2_triple(n: int, p: int, odd: bool) -> tuple:
+    """(name, H, I, exponents, t) of example 2 at parameters example2
+    accepts: the product's entry name, the dihedral and cyclic trivial
+    braces, the exponent of each element of H in its negation power, and
+    the action triple.  example2 builds the product with
+    semidirect_product, which validates the triple; axiom_fixtures builds
+    it unchecked, because its sweep validates the product itself."""
+    k = n if odd else 2 * n  # dihedral_group(k) has order 2k, elements 2i+j
+    H = trivial_brace(dihedral_group(k))
+    I = trivial_brace(cyclic_group(p))
+    neg = _negation(p)
+    ident = identity_perm(p)
+    if odd:
+        exps = [x % 2 for x in range(2 * k)]
+    else:
+        exps = [x // 2 + x % 2 for x in range(2 * k)]
+    fam = tuple(neg if e % 2 else ident for e in exps)
+    t = ActionTriple(fam, fam, fam)
+    name = f"example-2-{'odd' if odd else 'even'}-n{n}-p{p}"
+    return name, H, I, exps, t
 
 
 def example3_coefficient_brace() -> SkewBrace:
@@ -644,11 +657,7 @@ def example3():
     the rebuilt table shows the left factor enters untwisted, so the
     recorded form is reported as an erratum candidate.
     """
-    I = example3_coefficient_brace()
-    H = trivial_brace(cyclic_group(8))
-    psi = tuple((2 * (x // 2) % 3) * 2 + x % 2 for x in range(6))
-    nu = tuple(_perm_power(psi, h) for h in range(8))
-    t = ActionTriple(nu, tuple(identity_perm(6) for _ in range(8)), nu)
+    H, I, psi, nu, t = _example3_triple()
     E = semidirect_product(H, I, t)
     iso_add = find_isomorphism(I.add, dihedral_group(3))
     iso_circ = find_isomorphism(I.circ, cyclic_group(6))
@@ -693,6 +702,18 @@ def example3():
     return entry, report
 
 
+def _example3_triple() -> tuple:
+    """(H, I, psi, nu, t) of example 3: the acting and coefficient braces,
+    the map (n, m) -> (2n, m), its powers nu_h for h in Z8, and the action
+    triple; the product is built as _example2_triple describes."""
+    I = example3_coefficient_brace()
+    H = trivial_brace(cyclic_group(8))
+    psi = tuple((2 * (x // 2) % 3) * 2 + x % 2 for x in range(6))
+    nu = tuple(_perm_power(psi, h) for h in range(8))
+    t = ActionTriple(nu, tuple(identity_perm(6) for _ in range(8)), nu)
+    return H, I, psi, nu, t
+
+
 def example4_acting_brace() -> SkewBrace:
     """Order-4 brace: addition is XOR on two bits, circle is + mod 4."""
     add = [[a ^ b for b in range(4)] for a in range(4)]
@@ -717,11 +738,7 @@ def example4():
     this pair reproduces the recorded form, so it is reported as an
     erratum candidate with the full sweep recorded.
     """
-    H = example4_acting_brace()
-    I = example4_coefficient_brace()
-    neg = _negation(4)
-    nu = tuple(_perm_power(neg, k) for k in range(4))
-    t = ActionTriple(nu, tuple(identity_perm(4) for _ in range(4)), nu)
+    H, I, t = _example4_triple()
     E = semidirect_product(H, I, t)
     bad_recorded = []
     bad_corrected = []
@@ -784,6 +801,18 @@ def example4():
         )
     entry = entry_for(E, "example-4", provenance="example-4", report=report)
     return entry, report
+
+
+def _example4_triple() -> tuple:
+    """(H, I, t) of example 4: the acting and coefficient braces and the
+    triple of negation powers; the product is built as _example2_triple
+    describes."""
+    H = example4_acting_brace()
+    I = example4_coefficient_brace()
+    neg = _negation(4)
+    nu = tuple(_perm_power(neg, k) for k in range(4))
+    t = ActionTriple(nu, tuple(identity_perm(4) for _ in range(4)), nu)
+    return H, I, t
 
 
 def example5_acting_brace() -> SkewBrace:
@@ -933,21 +962,26 @@ def example_report(which: int, **params) -> dict:
 def axiom_fixtures() -> list:
     """Named braces for the exhaustive axiom and lemma sweeps: trivial
     braces on all groups of order <= 8, the example instantiations with
-    n <= 4 and p in {3, 5}, and every product from the example-5 pair."""
-    out = [(e.name, e.build()) for e in trivial_brace_entries()]
-    for n in (1, 2, 3, 4):
-        for p in (3, 5):
-            entry, _ = example2(n=n, p=p)
-            out.append((entry.name, entry.build()))
-    for p in (3, 5):
-        entry, _ = example2(n=3, p=p, odd=True)
-        out.append((entry.name, entry.build()))
-    entry, _ = example3()
-    out.append((entry.name, entry.build()))
-    entry, _ = example4()
-    out.append((entry.name, entry.build()))
+    n <= 4 and p in {3, 5}, and every product from the example-5 pair.
+
+    The braces come straight from their constructions, with the names
+    their catalog entries carry: no payload is laid out, no example report
+    is computed, and neither a fixture nor its action triple is validated
+    here (only the closed-form braces the examples start from are), so a
+    sweep's own validate_brace is the one validation of each fixture.  The
+    construction through the example entries and their payloads is kept
+    as the oracle _axiom_fixtures_via_entries in tests/test_catalog.py."""
+    out = _trivial_braces()
+    params = [(n, p, False) for n in (1, 2, 3, 4) for p in (3, 5)]
+    params += [(3, p, True) for p in (3, 5)]
+    for n, p, odd in params:
+        name, H, I, _, t = _example2_triple(n, p, odd)
+        out.append((name, _product_brace(H, I, t)))
+    H, I, _, _, t = _example3_triple()
+    out.append(("example-3", _product_brace(H, I, t)))
+    H, I5, t = _example4_triple()  # example 5's kernel is example 4's
+    out.append(("example-4", _product_brace(H, I5, t)))
     H5 = example5_acting_brace()
-    I5 = example4_coefficient_brace()
     out.append(("example-5-acting", H5))
     out.append(("example-5-coefficient", I5))
     for i, t in enumerate(enumerate_split_triples(H5, I5)):

@@ -15,6 +15,11 @@ Exit codes:
        the parser rejects (the report's "command" is null when no
        subcommand was recognised)
 
+Any other exception a command raises (an Exception, not a
+KeyboardInterrupt or SystemExit) is reported like an error of the
+library: "error": "other", a message that names the exception type,
+exit 2 and no traceback.
+
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
 every search of a command (braceforge.budget); --budget overrides it per
 invocation.  A reader that closes stdout early does not change the exit
@@ -526,6 +531,12 @@ def main(argv=None) -> int:
     except BraceforgeError as exc:
         _say(f"error: {exc}")
         _emit(args.command, {"ok": False, "error": "other", "message": str(exc)})
+        return 2
+    except Exception as exc:
+        # last resort: a fault of the program itself still gives one report
+        message = f"{type(exc).__name__}: {exc}"
+        _say(f"error: {message}")
+        _emit(args.command, {"ok": False, "error": "other", "message": message})
         return 2
 
 

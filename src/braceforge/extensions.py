@@ -75,7 +75,6 @@ from .groups import (
     inner_group,
     invert_perm,
     normal_closure,
-    validate_group,
 )
 from .split import ActionTriple, _triplet_tables
 
@@ -719,13 +718,22 @@ def _quotient_by_ideal(E: SkewBrace, kernel: frozenset) -> tuple:
 def _brace_orbits(groups: list) -> list:
     """The brace tables over `groups`, split into orbits under relabelling.
 
-    `groups` is every validated group table of one order.  Accepted
-    (add, circ) pairs (_brace_axiom_holds) are visited in order; the first pair of each orbit
-    is its representative.  Both representative tables are relabelled by
-    every 0-fixing permutation p in one gather (_relabel_stack), and each
-    image is looked up among `groups` by its bytes.  An orbit is a list
-    of (p, brace) with one entry per labelled copy, the representative
-    first under the identity."""
+    `groups` is every group table of one order.  Accepted (add, circ)
+    pairs are visited in order; the first pair of each orbit is its
+    representative.  Both representative tables are relabelled by every
+    0-fixing permutation p in one gather (_relabel_stack), and each image
+    is looked up among `groups` by its bytes.  An orbit is a list of (p,
+    brace) with one entry per labelled copy, the representative first
+    under the identity.
+
+    The brace axiom (_brace_axiom_holds) runs only for the first additive
+    table of each relabelling class: a relabelling p of a brace is a
+    brace, so the pairs accepted over p(add) are the images under p of
+    those accepted over add, and the orbits of the latter have already
+    put them in `seen`.  Their count, the accepted count of the first
+    table times the number of its distinct relabellings, is checked
+    against `seen`.  The axiom pass over every additive table is kept as
+    the oracle _brace_orbits_every_table in tests/test_extensions.py."""
     index = {G.np_table.tobytes(): k for k, G in enumerate(groups)}
     perms = _zero_fixing_perms(groups[0].n)
     circs = np.stack([G.np_table for G in groups])
@@ -739,16 +747,21 @@ def _brace_orbits(groups: list) -> list:
             ) from None
 
     accepted = 0
+    covered: set = set()
     seen: set = set()
     orbits = []
     for i, add in enumerate(groups):
+        if i in covered:
+            continue
+        add_images = images(add)
+        covered.update(add_images)
         ok = _brace_axiom_holds(add, circs)
-        accepted += int(ok.sum())
+        accepted += int(ok.sum()) * len(set(add_images))
         for j in np.flatnonzero(ok).tolist():
             if (i, j) in seen:
                 continue
             orbit = []
-            for p, pair in zip(perms, zip(images(add), images(groups[j]))):
+            for p, pair in zip(perms, zip(add_images, images(groups[j]))):
                 if pair not in seen:
                     seen.add(pair)
                     orbit.append((tuple(p.tolist()), SkewBrace(*(groups[k] for k in pair))))
@@ -764,6 +777,10 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> list:
     """Every extension of H by I on 0..|H||I|-1, one list per orbit of
     brace tables (see _brace_orbits) that carries any.
 
+    The tables of all_group_tables are relabellings of groups and are
+    wrapped as FiniteGroup without validate_group;
+    test_all_group_tables_are_groups in tests/test_extensions.py validates
+    every one of them at each order n <= 7.
     An orbit's list holds one list of extensions per labelled copy of its
     brace, each aligned with the representative's, which comes first.
     Only the representative is searched, through its monomorphisms with
@@ -774,7 +791,7 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> list:
     tables = all_group_tables(n)
     budget_mod.guard(len(tables) * len(tables), "enumerate_all_extensions")
     auts_H = sorted(brace_automorphisms(H))
-    groups = [validate_group(t) for t in tables]
+    groups = [FiniteGroup(t) for t in tables]
     out = []
     for (_, E), *copies in _brace_orbits(groups):
         found = []
@@ -812,13 +829,14 @@ def enumerate_all_extensions(H: SkewBrace, I: SkewBrace) -> list:
 
     Brute force up to relabelling: all brace tables of the right order,
     all embeddings of I with ideal image, all projections inducing H on
-    the quotient.  Each group table is validated once and the brace axiom
-    is checked against the stack of every circle table at once, on the
-    cells with b in a generating set of (E, +) (_brace_axiom_holds).  The
-    search runs on one representative per orbit of brace tables under the
-    0-fixing relabellings; a relabelling is an isomorphism onto the copy,
-    so it carries the representative's extensions to every other copy
-    (_extension_orbits).  The per-brace loop over every labelled table is
+    the quotient.  The group tables are relabellings of known groups and
+    are not validated again; the brace axiom is checked against the stack
+    of every circle table at once, on the cells with b in a generating set
+    of (E, +) (_brace_axiom_holds), for one additive table per relabelling
+    class (_brace_orbits).  The search runs on one representative per
+    orbit of brace tables under the 0-fixing relabellings; a relabelling
+    is an isomorphism onto the copy, so it carries the representative's
+    extensions to every other copy (_extension_orbits).  The per-brace loop over every labelled table is
     kept as the oracle enumerate_pairwise in tests/test_extensions.py."""
     out = [ext for orbit in _extension_orbits(H, I) for copy in orbit for ext in copy]
     out.sort(key=Extension.sort_key)

@@ -1,7 +1,8 @@
 """Shared fixtures: small trivial braces and catalog builds used across files.
 
 Session scope keeps the expensive constructions (catalog examples,
-exhaustive enumerations) to one evaluation per run.
+exhaustive enumerations, the labelled braces of small orders) to one
+evaluation per run.
 """
 
 import sys
@@ -9,8 +10,9 @@ import sys
 import pytest
 
 from braceforge import catalog
-from braceforge.braces import trivial_brace
-from braceforge.groups import cyclic_group
+from braceforge.braces import trivial_brace, validate_brace
+from braceforge.errors import ValidationError
+from braceforge.groups import all_group_tables, cyclic_group
 
 
 @pytest.fixture
@@ -70,3 +72,27 @@ def split_ext(Z2, Z3):
 @pytest.fixture(scope="session")
 def z4_ext():
     return catalog.z4_additive_extension()
+
+
+@pytest.fixture(scope="session")
+def pairwise_braces():
+    """Every labelled brace of order n: each (add, circ) pair of group
+    tables of order n through validate_brace.  The oracle for the
+    candidate loop of enumerate_all_extensions, and the brace list the
+    gathered lambda table and identities are compared on."""
+    cache = {}
+
+    def braces(n):
+        if n not in cache:
+            tables = all_group_tables(n)
+            found = []
+            for add in tables:
+                for circ in tables:
+                    try:
+                        found.append(validate_brace(add, circ))
+                    except ValidationError:
+                        continue
+            cache[n] = found
+        return cache[n]
+
+    return braces

@@ -31,6 +31,7 @@ from braceforge.groups import (
     compose,
     cyclic_group,
     dihedral_group,
+    invert_perm,
     is_automorphism,
     relabel_table,
 )
@@ -71,6 +72,68 @@ def test_axiom_failure_witness():
     with pytest.raises(BraceAxiomFailed) as exc:
         validate_brace(AXIOM_WITNESS_ADD, AXIOM_WITNESS_CIRC)
     assert exc.value.witness == {"a": 1, "b": 1, "c": 1}
+
+
+def _loop_lambda_table(E) -> tuple:
+    """Oracle for SkewBrace.lambda_table: lam(a)[b] = -a + (a o b), one
+    cell at a time."""
+    add, circ, neg = E.add.table, E.circ.table, E.add.inv
+    return tuple(
+        tuple(add[neg[a]][circ[a][b]] for b in range(E.n)) for a in range(E.n)
+    )
+
+
+def _loop_identities_check(E) -> bool:
+    """Oracle for identities_check: both identities, pair by pair."""
+    lam = _loop_lambda_table(E)
+    add, circ = E.add.table, E.circ.table
+    for a in range(E.n):
+        la = lam[a]
+        inv_la = invert_perm(la)
+        for b in range(E.n):
+            if add[a][b] != circ[a][inv_la[b]]:
+                return False
+            if circ[a][b] != add[a][la[b]]:
+                return False
+    return True
+
+
+def _one_cell_tampered(B, rng, count):
+    """`count` braces built unchecked from B with one cell of one table
+    changed to another in-range value."""
+    out = []
+    for _ in range(count):
+        tables = [list(map(list, B.add.table)), list(map(list, B.circ.table))]
+        t = tables[rng.randrange(2)]
+        a, b = rng.randrange(B.n), rng.randrange(B.n)
+        t[a][b] = rng.choice([x for x in range(B.n) if x != t[a][b]])
+        out.append(SkewBrace(FiniteGroup(tables[0]), FiniteGroup(tables[1])))
+    return out
+
+
+def test_gathered_lambda_and_identities_match_loops(pairwise_braces):
+    fixtures = [B for _, B in catalog.axiom_fixtures()]
+    labelled = [B for n in range(1, 7) for B in pairwise_braces(n)]
+    assert (len(fixtures), len(labelled)) == (44, 1 + 1 + 1 + 10 + 6 + 280)
+    for B in fixtures + labelled:
+        assert B.lambda_table == _loop_lambda_table(B)
+        assert identities_check(B) is True and _loop_identities_check(B) is True
+    rng = random.Random(2201)
+    tampered = [T for B in fixtures + labelled if B.n > 1
+                for T in _one_cell_tampered(B, rng, 2 if B.n <= 16 else 1)]
+    for T in tampered:
+        assert T.lambda_table == _loop_lambda_table(T)
+        assert identities_check(T) is False and _loop_identities_check(T) is False
+    # in-range tables that are not groups, with lam rows that are not
+    # permutations: the gather keeps the loop's verdict either way, which
+    # inverting lam by argsort would not
+    for add, circ, verdict in (
+        ([[0, 1, 1], [1, 0, 2], [2, 1, 2]], [[1, 1, 0], [1, 2, 0], [2, 1, 1]], True),
+        ([[0, 0, 0], [1, 0, 0], [1, 1, 1]], [[0, 0, 0], [1, 0, 0], [1, 1, 1]], False),
+    ):
+        T = SkewBrace(FiniteGroup(add), FiniteGroup(circ))
+        assert T.lambda_table == _loop_lambda_table(T)
+        assert identities_check(T) is _loop_identities_check(T) is verdict
 
 
 def lambda_is_hom_loop(E) -> bool:

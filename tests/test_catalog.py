@@ -7,12 +7,14 @@ import time
 
 import pytest
 
+from braceforge import braces as braces_mod
 from braceforge import catalog
 from braceforge.braces import SkewBrace, lambda_is_hom, identities_check, validate_brace
 from braceforge.errors import (BraceAxiomFailed, NotExact, ParamOutOfRange, SchemaError,
                                ValidationError)
 from braceforge.extensions import Extension, extract_triplet, validate_extension
 from braceforge.groups import FiniteGroup, cyclic_group
+from braceforge.split import enumerate_split_triples, semidirect_product
 from braceforge.wells import verify_exact_sequence
 
 
@@ -163,6 +165,47 @@ def test_axiom_fixture_sweep_is_fast():
         assert lambda_is_hom(B), name
         assert identities_check(B), name
     assert time.time() - t0 < 5.0
+
+
+def _axiom_fixtures_via_entries():
+    """Oracle for catalog.axiom_fixtures: each fixture built from its
+    catalog entry, through the example builders and the entry's payload."""
+    out = [(e.name, e.build()) for e in catalog.trivial_brace_entries()]
+    for n in (1, 2, 3, 4):
+        for p in (3, 5):
+            entry, _ = catalog.example2(n=n, p=p)
+            out.append((entry.name, entry.build()))
+    for p in (3, 5):
+        entry, _ = catalog.example2(n=3, p=p, odd=True)
+        out.append((entry.name, entry.build()))
+    for builder in (catalog.example3, catalog.example4):
+        entry, _ = builder()
+        out.append((entry.name, entry.build()))
+    H5 = catalog.example5_acting_brace()
+    I5 = catalog.example4_coefficient_brace()
+    out.append(("example-5-acting", H5))
+    out.append(("example-5-coefficient", I5))
+    for i, t in enumerate(enumerate_split_triples(H5, I5)):
+        out.append((f"example-5-product-{i}", semidirect_product(H5, I5, t)))
+    return out
+
+
+def test_axiom_fixtures_match_entry_construction():
+    def tables(fixtures):
+        return [(name, B.add.table, B.circ.table) for name, B in fixtures]
+
+    assert tables(catalog.axiom_fixtures()) == tables(_axiom_fixtures_via_entries())
+
+
+def test_axiom_fixtures_validate_only_the_example_inputs(count_calls):
+    # the sweep that uses the fixtures validates each of them itself; only
+    # the closed-form braces examples 3-5 start from are validated when
+    # built: example 3's kernel, example 4's pair and example 5's acting
+    # brace, each through its two group tables
+    groups = count_calls(braces_mod.validate_group)
+    braces = count_calls(catalog.validate_brace)
+    catalog.axiom_fixtures()
+    assert (groups["calls"], braces["calls"]) == (8, 4)
 
 
 def test_group_loading_relabels_identity(tmp_path):

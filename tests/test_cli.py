@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, JSON report shape on stdout,
 human lines on stderr, file round trips, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -453,3 +454,49 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, count_calls):
     assert main(["example", "5"]) == 2
     assert json.loads(capsys.readouterr().out)["command"] == "example"
     assert builds["calls"] == 1
+
+
+# SHA-256 of stdout and the exit code of each theorem-suite command; the
+# classify-ext inputs are the brace_payload files of trivial Z2 and Z3
+PINNED_REPORTS = {
+    "selftest": ("3eee4b48214872d5122a010814763776727ca32407b183c5efc86395c966fcab", 0),
+    "classify-ext z2 z3": ("ea5b335b5f426f072edc9d8648c9fa64573a60037cbd67a68f1f7e94c71fc0df", 0),
+    "classify-ext z3 z2": ("71444bc14b88763057758dd8e9fb0394c3fe274ae9337d58d4bcaa717ab2ca52", 0),
+    "classify-ext z2 z2": ("bb49fa01e6cf300fece6e8c8ff63e8cc572073b85c2b2d013a85da3c486c8a79", 0),
+    "example 2": ("663bc0d6642883549cae201bcdd0946ddefbc9a26d77233ae93dc345fe6ba35e", 0),
+    "example 3": ("e6f9be9e2e9a400ac9d02a8f6998dad8133fbf7b8fcd7f3d425ff3e9c63f7ba3", 2),
+    "example 4": ("ceb1c32732f6a6d3d7308f9ed9b61260e4e13c25577888c5b85494f757d28d3f", 2),
+    "example 5": ("fd6499e4cdc6eef72e443033dd62d796e4ab67ac95bdf3dd00e77e57c678ebb0", 2),
+    "example 2 --n 4 --p 5":
+        ("e5bbbab94d815dc3ac3371d6e0773c49c533ec95c16fe22fcca317d7da16aba1", 0),
+}
+
+
+def test_theorem_suite_reports_are_pinned(tmp_path, capsys):
+    files = {f"z{n}": _write(tmp_path, f"z{n}.json",
+                             catalog.brace_payload(trivial_brace(cyclic_group(n))))
+             for n in (2, 3)}
+    got = {}
+    for key in PINNED_REPORTS:
+        argv = [files.get(word, word) for word in key.split()]
+        code = main(argv)
+        out = capsys.readouterr().out
+        got[key] = (hashlib.sha256(out.encode()).hexdigest(), code)
+    assert got == PINNED_REPORTS
+
+
+def test_unexpected_exception_gives_one_report(capsys, monkeypatch):
+    # a fault of the program itself, not of the input or of the mathematics:
+    # one "other" report naming the exception type, exit 2, no traceback
+    def broken(args):
+        raise RuntimeError("stub failure")
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "cmd_selftest", broken)
+    assert main(["selftest"]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report == {"schema": "braceforge.report/1", "command": "selftest", "ok": False,
+                      "error": "other", "message": "RuntimeError: stub failure"}
+    assert "Traceback" not in captured.err
+    assert "RuntimeError: stub failure" in captured.err

@@ -291,28 +291,6 @@ def test_extensions_equivalent_matches_shift_loop(Z2, Z3):
     assert 0 < found < len(pairs)
 
 
-@pytest.fixture(scope="module")
-def pairwise_braces():
-    """Oracle for the candidate loop of enumerate_all_extensions: every
-    (add, circ) pair of group tables of order n through validate_brace."""
-    cache = {}
-
-    def braces(n):
-        if n not in cache:
-            tables = all_group_tables(n)
-            found = []
-            for add in tables:
-                for circ in tables:
-                    try:
-                        found.append(validate_brace(add, circ))
-                    except ValidationError:
-                        continue
-            cache[n] = found
-        return cache[n]
-
-    return braces
-
-
 def enumerate_pairwise(H, I, braces):
     """enumerate_all_extensions over a given list of candidate braces."""
     auts_H = sorted(brace_automorphisms(H))
@@ -402,6 +380,71 @@ def test_brace_orbits_census(pairwise_braces):
         extensions_mod._brace_orbits(six[:1] + six[2:])
 
 
+def _brace_orbits_every_table(groups):
+    """Oracle for _brace_orbits: the brace axiom decided for every additive
+    table, not one per relabelling class; pairs already in an orbit are
+    skipped, and the accepted count is the plain sum over all tables."""
+    index = {G.np_table.tobytes(): k for k, G in enumerate(groups)}
+    perms = extensions_mod._zero_fixing_perms(groups[0].n)
+    circs = np.stack([G.np_table for G in groups])
+
+    def images(G):
+        try:
+            return [index[t.tobytes()] for t in extensions_mod._relabel_stack(G.np_table, perms)]
+        except KeyError:
+            raise InternalInconsistency(
+                f"a relabelled group table of order {G.n} is not among the given tables"
+            ) from None
+
+    accepted = 0
+    seen = set()
+    orbits = []
+    for i, add in enumerate(groups):
+        ok = braces_mod._brace_axiom_holds(add, circs)
+        accepted += int(ok.sum())
+        for j in np.flatnonzero(ok).tolist():
+            if (i, j) in seen:
+                continue
+            orbit = []
+            for p, pair in zip(perms, zip(images(add), images(groups[j]))):
+                if pair not in seen:
+                    seen.add(pair)
+                    orbit.append((tuple(p.tolist()),
+                                  braces_mod.SkewBrace(*(groups[k] for k in pair))))
+            orbits.append(orbit)
+    if len(seen) != accepted:
+        raise InternalInconsistency(f"relabelling {accepted} brace tables gave {len(seen)}")
+    return orbits
+
+
+def _orbit_tables(orbits):
+    return [[(p, E.add.table, E.circ.table) for p, E in orbit] for orbit in orbits]
+
+
+def test_brace_orbits_match_every_table_pass():
+    # one axiom pass per additive relabelling class gives the orbits, their
+    # order and every (permutation, brace) entry of the per-table pass
+    for n in range(1, 8):
+        groups = [validate_group(t) for t in all_group_tables(n)]
+        got = extensions_mod._brace_orbits(groups)
+        assert _orbit_tables(got) == _orbit_tables(_brace_orbits_every_table(groups))
+    six = [validate_group(t) for t in all_group_tables(6)]
+    truncated = six[:1] + six[2:]
+    with pytest.raises(InternalInconsistency) as fast:
+        extensions_mod._brace_orbits(truncated)
+    with pytest.raises(InternalInconsistency) as slow:
+        _brace_orbits_every_table(truncated)
+    assert str(fast.value) == str(slow.value)
+
+
+def test_brace_orbits_decide_the_axiom_once_per_additive_class(count_calls):
+    # order 6 has two additive relabelling classes (Z6 and S3) among its 80
+    # tables; the per-table pass ran the axiom 80 times
+    checked = count_calls(braces_mod._brace_axiom_holds)
+    extensions_mod._brace_orbits([validate_group(t) for t in all_group_tables(6)])
+    assert checked["calls"] == 2
+
+
 def test_ext_classes_searches_one_brace_per_orbit(Z2, Z3, count_calls):
     monos = count_calls(extensions_mod._brace_monos)
     validated = count_calls(extensions_mod.validate_extension)
@@ -469,7 +512,17 @@ def test_enumerate_validates_each_table_once(monkeypatch, Z2, Z3):
     monkeypatch.setattr(braces_mod, "validate_group", counting)
     monkeypatch.setattr(extensions_mod, "validate_group", counting, raising=False)
     enumerate_all_extensions(Z2, Z3)
-    assert calls[6] == len(all_group_tables(6)) == 80
+    # the 80 tables of order 6 are relabellings of Z6 and S3 and are not
+    # validated again (test_all_group_tables_are_groups checks them)
+    assert calls[6] == 0
+
+
+def test_all_group_tables_are_groups():
+    # the quotient route wraps these tables as groups without validation
+    for n in range(1, 8):
+        tables = all_group_tables(n)
+        groups = [validate_group(t) for t in tables]
+        assert [G.table for G in groups] == tables
 
 
 def test_axiom_witness_is_unchanged():

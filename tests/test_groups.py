@@ -458,6 +458,11 @@ def test_engine_matches_closure_oracle(monkeypatch, Z2, Z3, xor4, flip4):
     assert len(fixtures) == 44 and sum(not B.is_trivial for _, B in fixtures) > 10
     for _, B in fixtures:
         brace_automorphisms(B)
+    # worked examples 3 and 4 search isomorphisms of their coefficient
+    # groups and the split families of their pair; axiom_fixtures builds
+    # their products without these reports
+    catalog.example3()
+    catalog.example4()
     # seeded relabellings fixing 0 are found again, up to order 12 for
     # groups and 32 for braces, where the oracle's full enumeration of the
     # isomorphisms stays cheap; of the named groups of one order, only D1,
