@@ -45,6 +45,11 @@ validate_group takes Light's test, and so does _brace_axiom_holds, the
 batched check of many circle tables that the quotient route runs; the
 full cube is the test oracle _cube_brace_axiom in
 tests/test_generator_axioms.py.
+
+The split module narrows a too: where lam(a) is additive, lam(a o b) =
+lam(a) lam(b), so the a with additive lam(a) form a subgroup of (E, o),
+and the axiom needs checking only for a in a generating set of (E, o)
+(split module docstring).
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .extensions import Extension, extension_from_triplet, ext_classes, extract_triplet, zero_triplet
-from .cohomology import bijection_report, free_transitive_report, h2N, restrict_action, z1N
+from .cohomology import _free_transitive_report, bijection_report, h2N, restrict_action, z1N
 from .groups import cyclic_group, describe_group, identity_perm
 from .split import ActionTriple, enumerate_split_triples, identity_triple, semidirect_product
 from .wells import verify_exact_sequence
@@ -325,17 +325,20 @@ def cmd_example(args) -> int:
     return 2 if candidates else 0
 
 
-def _bijection_check(H, I, classes) -> dict:
+def _bijection_check(H, I, classes, groups: dict) -> dict:
     """selftest's class-count check for H by I with the identity action,
-    on a computed ext_classes result."""
+    on a computed ext_classes result; its H^2 goes into `groups` under
+    h2N's arguments, for _free_transitive_check."""
     chi = identity_triple(H, I)
-    rep = bijection_report(I, chi, h2N(H, I, chi), classes)
+    groups[(H, I, chi)] = grp = h2N(H, I, chi)
+    rep = bijection_report(I, chi, grp, classes)
     return {"ok": rep["equal"], "report": rep}
 
 
-def _free_transitive_check(H, I, classes) -> dict:
-    """selftest's free-and-transitive check on a computed ext_classes result."""
-    rep = free_transitive_report(H, I, classes)
+def _free_transitive_check(H, I, classes, groups: dict) -> dict:
+    """selftest's free-and-transitive check on a computed ext_classes
+    result, with the H^2 groups already computed in `groups`."""
+    rep = _free_transitive_report(H, I, classes, groups)
     return {"ok": rep["free"] and rep["transitive"], "report": rep}
 
 
@@ -384,12 +387,13 @@ def cmd_selftest(args) -> int:
     run("wells-split-z2-z3", wells(catalog.split_z2_z3_extension))
     run("wells-z4-over-z2", wells(catalog.z4_additive_extension))
     # the bijection and free-and-transitive checks of one Z2-by-Zi pair
-    # share one ext_classes result
+    # share one ext_classes result and the H^2 of the identity coupling
     by_z2, by_z3 = (ext_classes(Z2, Zi) for Zi in (Z2, Z3))
-    run("class-count-equals-h2-z2-z2", lambda: _bijection_check(Z2, Z2, by_z2))
-    run("class-count-equals-h2-z2-z3", lambda: _bijection_check(Z2, Z3, by_z3))
-    run("free-action-z2-z2", lambda: _free_transitive_check(Z2, Z2, by_z2))
-    run("free-and-transitive-z2-z3", lambda: _free_transitive_check(Z2, Z3, by_z3))
+    groups: dict = {}
+    run("class-count-equals-h2-z2-z2", lambda: _bijection_check(Z2, Z2, by_z2, groups))
+    run("class-count-equals-h2-z2-z3", lambda: _bijection_check(Z2, Z3, by_z3, groups))
+    run("free-action-z2-z2", lambda: _free_transitive_check(Z2, Z2, by_z2, groups))
+    run("free-and-transitive-z2-z3", lambda: _free_transitive_check(Z2, Z3, by_z3, groups))
     run("triplet-round-trip", round_trip)
 
     ok = all(c["ok"] for c in checks)

@@ -1005,13 +1005,24 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace) -> dict:
 
 def free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list) -> dict:
     """verify_free_transitive on a computed ext_classes result."""
+    return _free_transitive_report(H, I, buckets, {})
+
+
+def _free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list, groups: dict) -> dict:
+    """free_transitive_report, reading each H^2 from `groups`, which maps
+    h2N's arguments (H, I, chi) to its result, and adding every H^2 it
+    computes there; selftest shares `groups` with its class-count check,
+    so no H^2 is computed twice."""
     per_coupling = []
     all_free = True
     all_transitive = True
     for rep_chi, classes in buckets:
         reps = [extract_triplet(cls[0]) for cls in classes]
         I_res, chi_res, elems = restrict_action(I, rep_chi)
-        grp = h2N(H, I_res, chi_res)
+        key = (H, I_res, chi_res)
+        if key not in groups:
+            groups[key] = h2N(*key)
+        grp = groups[key]
         rows = [_act_permutation(H, I, embed_pair(p, elems), reps)
                 for p in grp.representatives]
         identity = list(range(len(reps)))

@@ -691,7 +691,11 @@ def _brace_monos(I: SkewBrace, E: SkewBrace) -> list:
 
 def _quotient_by_ideal(E: SkewBrace, kernel: frozenset) -> tuple:
     """(quotient brace, coset label per E-element); labels sorted by
-    minimal coset member, identity coset first."""
+    minimal coset member, identity coset first.
+
+    kernel must be an ideal (braces.is_ideal): its additive cosets are
+    then its circle cosets and the quotient of E by it is a skew brace,
+    so the tables are wrapped without validation."""
     reps = {}
     labels = [None] * E.n
     cosets = []
@@ -712,7 +716,7 @@ def _quotient_by_ideal(E: SkewBrace, kernel: frozenset) -> tuple:
         for b_key in cosets:
             add[index[a_key]][index[b_key]] = labels[E.add.table[a_key][b_key]]
             circ[index[a_key]][index[b_key]] = labels[E.circ.table[a_key][b_key]]
-    return validate_brace(add, circ), tuple(labels)
+    return SkewBrace(FiniteGroup(add), FiniteGroup(circ)), tuple(labels)
 
 
 def _brace_orbits(groups: list) -> list:
@@ -786,7 +790,14 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> list:
     Only the representative is searched, through its monomorphisms with
     ideal image, the quotient by that image and every isomorphism of the
     quotient onto H; a relabelling p is a brace isomorphism onto the copy,
-    so it carries each (inj, proj) to (p o inj, proj o p^-1)."""
+    so it carries each (inj, proj) to (p o inj, proj o p^-1).
+
+    The extensions found are built as Extension without validate_extension:
+    inj is a brace monomorphism whose image is an ideal, and proj, the
+    quotient map followed by an isomorphism of the quotient onto H and an
+    automorphism of H, is a surjective brace homomorphism with that ideal
+    as kernel.  test_extension_orbits_are_valid in
+    tests/test_extensions.py validates every quotient and extension."""
     n = H.n * I.n
     tables = all_group_tables(n)
     budget_mod.guard(len(tables) * len(tables), "enumerate_all_extensions")
@@ -809,7 +820,7 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> list:
             base = tuple(iso[labels[x]] for x in range(E.n))
             for a in auts_H:
                 proj = tuple(a[hx] for hx in base)
-                found.append(validate_extension(E, H, I, inj, proj))
+                found.append(Extension(E, H, I, inj, proj))
         if not found:
             continue
         orbit = [found]

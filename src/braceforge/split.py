@@ -27,14 +27,38 @@ generate (E, +):
 
     (h, 0) + (0, y) = (h, y)    and    (s1, 0) + (s2, 0) = (s1 + s2, 0).
 
-_compat_on_lifts decides a stack of candidates on those x2 with every
-x1 and x3, |L| n^2 cells per candidate instead of n^3 (n = |H| |I|, |L|
-the number of lifts).  The lemma makes this exact at every order, so
-enumeration, validate_split_triple and semidirect_product take their
-verdicts from it alone.  Once the (anti)hom laws hold, both product
-tables are groups and the brace axiom is the compatibility equation, so
-a valid triple's product is a skew brace and no product table is
-validated again.  The full (h1, h2, h3, y1, y2, y3) cube runs only for
+x1 needs only the lifts of the circle generators.  If lam(a) is additive,
+then for every b and x
+
+    lam(a)(lam(b)(x)) = lam(a)(-b + b o x) = -lam(a)(b) + lam(a)(b o x)
+                      = -(a o b) + a + (-a) + a o b o x = lam(a o b)(x),
+
+so lam(a o b) = lam(a) lam(b), which is additive once lam(b) is too.  The
+set of a with lam(a) additive therefore contains 0 and is closed under o;
+in a finite group it is a subgroup, and it is all of E once it holds a
+generating set of (E, o).  The lifts (s, 0), s in S(H, o), and (0, t), t
+in S(I, o), generate (E, o):
+
+    (h, 0) o (0, y) = (h, nu_h(y)),
+    (s1, 0) o (s2, 0) = (s1 o s2, 0),    (0, y1) o (0, y2) = (0, y1 o y2),
+
+since every nu_h, sigma_h fixes 0 and nu_0 = sigma_0 = id; nu_h is a
+bijection, so the first line reaches every (h, y).  The only precondition
+of both halves is that both product tables are groups, which holds once
+nu, mu and sigma obey their (anti)hom laws into Aut(I, +), Aut(I, +) and
+Aut(I, o).  Every caller ensures it: enumeration draws its families from
+groups.homs_to_perm_group, validate_split_triple runs check_hom_laws
+first, and cohomology._cocycle_space runs after validate_cocycle_action,
+which checks the same laws for trivial-brace coefficients.
+
+_compat_on_lifts decides a stack of candidates with x1 among the circle
+lifts L_o, x2 among the additive lifts L_+ and x3 over all of E, |L_o|
+|L_+| n cells per candidate instead of n^3 (n = |H| |I|).  The lemma
+makes this exact at every order, so enumeration, validate_split_triple
+and semidirect_product take their verdicts from it alone.  Both product
+tables being groups, the brace axiom is the compatibility equation, so a
+valid triple's product is a skew brace and no product table is validated
+again.  The full (h1, h2, h3, y1, y2, y3) cube runs only for
 the witness of a triple that fails on the lifts and for the as_written
 sign variant.
 
@@ -123,13 +147,14 @@ def _family_arrays(t: ActionTriple) -> tuple:
 def _compat_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple, as_written: bool = False):
     """First tuple violating the compatibility equation, or None.
 
-    mu must be an anti-homomorphism into Aut(I, +), as validate_split_triple
-    checks first, so that the product's (E, +) is a group.  The operative
-    equation then holds everywhere iff it holds with (h2, y2) among the
-    lifts (s, 0) and (0, t) of the generators of (H, +) and (I, +) (module
-    docstring), so a triple that passes on the lifts returns None at once.
-    The cube (_compat_cube) runs for the witness of a triple that fails
-    there and for as_written, so every witness is the cube's.
+    nu, mu and sigma must obey their (anti)hom laws, as validate_split_triple
+    checks first, so that both product tables are groups.  The operative
+    equation then holds everywhere iff it holds with (h1, y1) among the
+    lifts of the generators of (H, o) and (I, o) and (h2, y2) among the
+    lifts of the generators of (H, +) and (I, +) (module docstring), so a
+    triple that passes on the lifts returns None at once.  The cube
+    (_compat_cube) runs for the witness of a triple that fails there and
+    for as_written, so every witness is the cube's.
     """
     if not as_written and _compat_on_lifts(H, I, [t.nu], [t.mu], [t.sigma]).all():
         return None
@@ -199,21 +224,24 @@ def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray
     compatibility equation everywhere, as a boolean array of shape
     (len(nus), len(mus), len(sigmas)).
 
-    The equation of _compat_cube is evaluated with (h2, y2) among the lifts
-    of the additive generators of H and I, and with every (h1, y1) and
-    (h3, y3); by the module docstring that decides it whenever every mu
-    is an anti-homomorphism into Aut(I, +).  One unit of work is a
-    candidate and an (h1, y1), |lifts| n cells; units are stacked in
-    batches of at most _BATCH_CELLS cells."""
+    The equation of _compat_cube is evaluated with (h1, y1) among the
+    lifts of the circle generators of H and I, (h2, y2) among the lifts of
+    their additive generators and every (h3, y3): |L_o| |L_+| n cells per
+    candidate.  By the module docstring that decides it whenever every
+    candidate obeys the three (anti)hom laws, so that both product tables
+    are groups.  When H and I are both trivial there is no lift, and every
+    candidate holds.  One unit of work is a candidate and an x1 lift,
+    |L_+| n cells; units are stacked in batches of at most _BATCH_CELLS
+    cells."""
     nh, ni = H.n, I.n
     Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.array(H.add.inv, dtype=np.intp)
     Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.array(I.add.inv, dtype=np.intp)
     nu, mu, sigma = (np.array(f, dtype=np.intp).reshape(-1, nh, ni) for f in (nus, mus, sigmas))
     inv_nu = nu.argsort(axis=2)
-    sh, si = H.add.generating_sequence(), I.add.generating_sequence()
-    # x2 = (h2, y2) over the lifts, x3 = (h3, y3) over all: axes (lift, h3, y3)
-    h2 = np.array(sh + (0,) * len(si), dtype=np.intp)[:, None, None]
-    y2 = np.array((0,) * len(sh) + si, dtype=np.intp)[:, None, None]
+    # x1 = (h1, y1) over the circle lifts; x2 = (h2, y2) over the additive
+    # lifts and x3 = (h3, y3) over all, on axes (lift, h3, y3)
+    x1_h, x1_y = _lifts(H.circ, I.circ)
+    h2, y2 = (v[:, None, None] for v in _lifts(H.add, I.add))
     h3, y3 = np.arange(nh)[:, None], np.arange(ni)
     p = Ha[h2, h3]                              # h2 + h3
     # Gathers go through flat tables: a family f at (c, h, y) is
@@ -221,15 +249,15 @@ def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray
     # nu_circ[((c nh + h) ni + x) ni + z].
     nu_circ = nu[:, :, Ic].ravel()
     Ia_f, mu_f, sigma_f, inv_f = (f.ravel() for f in (Ia, mu, sigma, inv_nu))
-    units = (len(nu), len(mu), len(sigma), nh, ni)
+    units = (len(nu), len(mu), len(sigma), len(x1_h))
     ok = np.empty(int(np.prod(units)), dtype=bool)
-    step = max(1, _BATCH_CELLS // max(1, len(sh + si) * nh * ni))
+    step = max(1, _BATCH_CELLS // max(1, len(h2) * nh * ni))
     for lo in range(0, len(ok), step):
         # one (candidate, x1) per row, broadcast against (lift, h3, y3);
         # i, j, k become the row offsets of the nu, mu and sigma tables
         rows = np.arange(lo, min(lo + step, len(ok)))
-        i, j, k, h1, y1 = (u[:, None, None, None] for u in np.unravel_index(rows, units))
-        i, j, k = i * nh, j * nh, k * nh
+        i, j, k, l1 = (u[:, None, None, None] for u in np.unravel_index(rows, units))
+        i, j, k, h1, y1 = i * nh, j * nh, k * nh, x1_h[l1], x1_y[l1]
         a = inv_f[(i + h1) * ni + y1]
 
         def tail(h, y):
@@ -240,7 +268,15 @@ def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray
         lhs = tail(p, Ia_f.take(mu_f.take((j + h3) * ni + y2) * ni + y3))  # x1 o (x2 + x3)
         q = mu_f.take((j + Ha[Hneg[h1], Hc[h1, h3]]) * ni + Ia[tail(h2, y2), Ineg[y1]])
         ok[lo:lo + step] = (lhs == Ia_f.take(q * ni + tail(h3, y3))).reshape(len(rows), -1).all(axis=1)
-    return ok.reshape(units[:3] + (nh * ni,)).all(axis=-1)
+    return ok.reshape(units).all(axis=-1)
+
+
+def _lifts(G: FiniteGroup, K: FiniteGroup) -> tuple:
+    """The lifts (s, 0), s in S(G), then (0, t), t in S(K), of the
+    generating sequences of G and K, as arrays of h and of y."""
+    sg, sk = G.generating_sequence(), K.generating_sequence()
+    return (np.array(sg + (0,) * len(sk), dtype=np.intp),
+            np.array((0,) * len(sg) + sk, dtype=np.intp))
 
 
 def check_hom_laws(H: SkewBrace, t: ActionTriple) -> None:

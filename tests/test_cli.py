@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import braceforge
-from braceforge import catalog, cli, extensions, split
+from braceforge import catalog, cli, cohomology, extensions, split
 from braceforge.braces import trivial_brace
 from braceforge.cli import main
+from braceforge.cohomology import h2N
 from braceforge.errors import InternalInconsistency
 from braceforge.groups import cyclic_group, dihedral_group, direct_product_group, klein_group
 
@@ -227,6 +228,24 @@ def test_selftest_classifies_each_pair_once(capsys, count_calls):
     assert main(["selftest"]) == 0
     capsys.readouterr()
     assert classified["calls"] == 2
+
+
+def test_selftest_computes_each_h2_once(capsys, monkeypatch):
+    # the class-count check hands the H^2 of the identity coupling to the
+    # free-and-transitive check of the same pair, so the two checks compute
+    # 7 groups, all distinct (9 calls before); the two Wells checks go
+    # through the public verify_exact_sequence and its own h2N binding
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return h2N(*args)
+
+    monkeypatch.setattr(cli, "h2N", counted)
+    monkeypatch.setattr(cohomology, "h2N", counted)
+    assert main(["selftest"]) == 0
+    capsys.readouterr()
+    assert len(seen) == len(set(seen)) == 7
 
 
 def test_enumerate_split(tmp_path, capsys, Z2, Z3):

@@ -397,6 +397,62 @@ def test_compat_on_lifts_matches_cube(Z2, Z3, Z4, xor4, flip4):
     assert checked > failing > 0
 
 
+def _compat_on_every_x1(H, I, nus, mus, sigmas):
+    """The oracle for _compat_on_lifts: the same batched sweep with (h1, y1)
+    over every element of E instead of the lifts of the circle
+    generators, n |L_+| n cells per candidate."""
+    nh, ni = H.n, I.n
+    Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.array(H.add.inv, dtype=np.intp)
+    Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.array(I.add.inv, dtype=np.intp)
+    nu, mu, sigma = (np.array(f, dtype=np.intp).reshape(-1, nh, ni) for f in (nus, mus, sigmas))
+    inv_nu = nu.argsort(axis=2)
+    sh, si = H.add.generating_sequence(), I.add.generating_sequence()
+    h2 = np.array(sh + (0,) * len(si), dtype=np.intp)[:, None, None]
+    y2 = np.array((0,) * len(sh) + si, dtype=np.intp)[:, None, None]
+    h3, y3 = np.arange(nh)[:, None], np.arange(ni)
+    p = Ha[h2, h3]
+    nu_circ = nu[:, :, Ic].ravel()
+    Ia_f, mu_f, sigma_f, inv_f = (f.ravel() for f in (Ia, mu, sigma, inv_nu))
+    units = (len(nu), len(mu), len(sigma), nh, ni)
+    ok = np.empty(int(np.prod(units)), dtype=bool)
+    step = max(1, (1 << 14) // max(1, len(sh + si) * nh * ni))
+    for lo in range(0, len(ok), step):
+        rows = np.arange(lo, min(lo + step, len(ok)))
+        i, j, k, h1, y1 = (u[:, None, None, None] for u in np.unravel_index(rows, units))
+        i, j, k = i * nh, j * nh, k * nh
+        a = inv_f[(i + h1) * ni + y1]
+
+        def tail(h, y):
+            return nu_circ.take(((i + Hc[h1, h]) * ni + sigma_f.take((k + h) * ni + a)) * ni
+                                + inv_f.take((i + h) * ni + y))
+
+        lhs = tail(p, Ia_f.take(mu_f.take((j + h3) * ni + y2) * ni + y3))
+        q = mu_f.take((j + Ha[Hneg[h1], Hc[h1, h3]]) * ni + Ia[tail(h2, y2), Ineg[y1]])
+        ok[lo:lo + step] = (lhs == Ia_f.take(q * ni + tail(h3, y3))).reshape(len(rows), -1).all(axis=1)
+    return ok.reshape(units[:3] + (nh * ni,)).all(axis=-1)
+
+
+def test_compat_on_lifts_matches_every_x1(Z2, Z3, Z4, xor4, flip4):
+    # x1 among the circle lifts decides every candidate as x1 over all of E
+    # does, element for element, on every pair the split tests use (the
+    # example-4 and example-5 pairs, (Z2, D4) and (S3, Z2) among them) and
+    # on pairs with a factor of order 1, whose circle generating set is
+    # empty (with both of order 1 there is no lift at all)
+    D4, one = trivial_brace(dihedral_group(4)), trivial_brace(cyclic_group(1))
+    pairs = (_oracle_pairs(Z2, Z3, Z4, xor4, flip4) + _wells_sweep_pairs(Z2, Z3, xor4, flip4)
+             + [(D4, Z3)] + _pairs_above_64()
+             + [(one, one), (one, Z3), (Z3, one), (one, D4), (D4, one), (one, flip4)])
+    checked = failing = 0
+    for H, I in pairs:
+        families = _candidate_families(H, I)
+        expected = _compat_on_every_x1(H, I, *families)
+        got = _compat_on_lifts(H, I, *families)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        checked += expected.size
+        failing += int((~expected).sum())
+    assert checked > failing > 0
+
+
 def _validates(H, I, t):
     try:
         validate_brace(*_product_tables(H, I, t))
