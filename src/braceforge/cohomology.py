@@ -156,10 +156,6 @@ def pair_neg(I: SkewBrace, p: CocyclePair) -> CocyclePair:
     return CocyclePair(g, f)
 
 
-def pair_sub(I: SkewBrace, p: CocyclePair, q: CocyclePair) -> CocyclePair:
-    return pair_add(I, p, pair_neg(I, q))
-
-
 def _component_law_residual(op_table, I: SkewBrace, act, tabs: np.ndarray) -> np.ndarray:
     """lhs - rhs of the component cocycle law
 
@@ -220,13 +216,6 @@ def component_law_witness(
     if not len(bad):
         return None
     return tuple(int(h) for h in np.unravel_index(bad[0], res.shape))
-
-
-def pair_is_cocycle(H: SkewBrace, I: SkewBrace, chi: ActionTriple, pair: CocyclePair) -> bool:
-    _pair_shape_check(H.n, pair)
-    if component_law_witness(H.add.table, I, chi.mu, pair.g) is not None:
-        return False
-    return component_law_witness(H.circ.table, I, chi.sigma, pair.f) is None
 
 
 # --- integer linear algebra ----------------------------------------------------
@@ -828,11 +817,6 @@ def _derivations(sp: _Cochains, coboundaries: np.ndarray) -> list:
     return [Derivation(tuple(t)) for t in thetas.tolist()]
 
 
-def derivation_add(I: SkewBrace, d1: Derivation, d2: Derivation) -> Derivation:
-    Ia = I.add.table
-    return Derivation(tuple(Ia[a][b] for a, b in zip(d1.theta, d2.theta)))
-
-
 # --- restriction to the annihilator ------------------------------------------
 
 def restrict_action(I: SkewBrace, chi: ActionTriple):
@@ -1000,19 +984,14 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace) -> dict:
     |Ext(H, I)| = |Ext(H, Z(I))| comparison is the per-coupling equality
     of class count and cohomology order.
     """
-    return free_transitive_report(H, I, ext_classes(H, I))
-
-
-def free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list) -> dict:
-    """verify_free_transitive on a computed ext_classes result."""
-    return _free_transitive_report(H, I, buckets, {})
+    return _free_transitive_report(H, I, ext_classes(H, I), {})
 
 
 def _free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list, groups: dict) -> dict:
-    """free_transitive_report, reading each H^2 from `groups`, which maps
-    h2N's arguments (H, I, chi) to its result, and adding every H^2 it
-    computes there; selftest shares `groups` with its class-count check,
-    so no H^2 is computed twice."""
+    """verify_free_transitive on a computed ext_classes result, reading
+    each H^2 from `groups`, which maps h2N's arguments (H, I, chi) to its
+    result, and adding every H^2 it computes there; selftest shares
+    `groups` with its class-count check, so no H^2 is computed twice."""
     per_coupling = []
     all_free = True
     all_transitive = True

@@ -82,10 +82,6 @@ def invert_perm(p: Sequence[int]) -> Perm:
     return tuple(r)
 
 
-def is_perm(p: Sequence[int], n: int) -> bool:
-    return len(p) == n and sorted(p) == list(range(n))
-
-
 def perm_order(p: Sequence[int]) -> int:
     n = len(p)
     order = 1
@@ -340,7 +336,7 @@ def _group_failure(table: Sequence[Sequence[int]]) -> None:
 class PermGroup:
     """A set of permutations of 0..degree-1, expected to form a group."""
 
-    __slots__ = ("degree", "elements", "_sorted")
+    __slots__ = ("degree", "elements", "_sorted", "generators")
 
     def __init__(self, degree: int, elements: Iterable[Sequence[int]]):
         elems = frozenset(tuple(p) for p in elements)
@@ -349,6 +345,7 @@ class PermGroup:
         self.degree = degree
         self.elements = elems
         self._sorted = None
+        self.generators = None
 
     @property
     def order(self) -> int:
@@ -376,7 +373,9 @@ class PermGroup:
         group, by the argument of Light's test (module docstring).  T is
         the greedy generating sequence of the sorted elements, as in
         _generators, so the check costs |S| |T| products; the budget is
-        charged |S| |T| as each generator joins T."""
+        charged |S| |T| as each generator joins T.  On a True verdict T is
+        kept in `generators`, in the order it was chosen: every element is
+        the identity times a word in T on the right."""
         elems = self.elements
         one = identity_perm(self.degree)
         if one not in elems:
@@ -403,27 +402,8 @@ class PermGroup:
                     reached.add(y)
                     new.append(y)
             order.extend(new)
+        self.generators = tuple(gens)
         return True
-
-    @classmethod
-    def generate(cls, degree: int, gens: Iterable[Sequence[int]]) -> "PermGroup":
-        elems = {identity_perm(degree)}
-        frontier = [tuple(g) for g in gens]
-        elems.update(frontier)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in list(elems):
-                    for r in (compose(p, q), compose(q, p)):
-                        if r not in elems:
-                            elems.add(r)
-                            nxt.append(r)
-                inv = invert_perm(p)
-                if inv not in elems:
-                    elems.add(inv)
-                    nxt.append(inv)
-            frontier = nxt
-        return cls(degree, elems)
 
 
 def _homomorphisms(

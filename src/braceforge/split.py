@@ -104,10 +104,6 @@ def encode_pair(h: int, y: int, ni: int) -> int:
     return h * ni + y
 
 
-def decode_pair(x: int, ni: int) -> tuple:
-    return divmod(x, ni)
-
-
 @dataclass(frozen=True)
 class ActionTriple:
     """Families (nu, mu, sigma) of permutations of I, indexed by H."""
@@ -329,13 +325,6 @@ def validate_split_triple(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
             f"(h1,h2,h3,y1,y2,y3)=({h1},{h2},{h3},{y1},{y2},{y3})",
             h1=h1, h2=h2, h3=h3, y1=y1, y2=y2, y3=y3,
         )
-
-
-def compat_as_written_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple):
-    """Diagnostic only: first witness against the compatibility equation
-    with the right-hand mu indexed by -h1 + (h2 o h3) instead of the
-    derived -h1 + (h1 o h3).  None when that variant also holds."""
-    return _compat_witness(H, I, t, as_written=True)
 
 
 def _triplet_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple, beta, tau) -> tuple:

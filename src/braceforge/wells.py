@@ -34,6 +34,22 @@ gathers on the representatives' rows; Autb_I(E) is searched with
 generator images already confined to the kernel.  The orbit-search
 wells_map and the per-pair derivation loop are kept as oracles in
 tests/test_wells.py.
+
+Generating sets.  A pair (phi, theta) is one permutation of H u I, phi
+on 0..|H|-1 and |H| + theta after it, so pair_mul is composition, and
+StabilizerC decides closure by PermGroup.is_group on a greedy generating
+set T of C, |C| |T| products; every c is a word in T.  The move
+g -> theta^-1(g(phi x phi)) of cocycle pairs is additive and a right
+action for pair_mul, so two checks on C need only T:
+  - cosets: if each t maps the echelon rows of Z^2 into Z^2 and those of
+    B^2 into B^2, so does every word in T;
+  - the derivation law omega(c1 c2) = omega(c1)^c2 + omega(c2): if it
+    holds on C x {w} and on C x T, then
+        omega(c w t) = omega(c w)^t + omega(t) = (omega(c)^w + omega(w))^t + omega(t)
+                     = omega(c)^(w t) + omega(w t),
+    and induction on words gives it on C x C from w = 1, where it says
+    omega(1) = 0.  The law at (1, t) implies that, as x -> x^t is a
+    bijection; with T empty, C = {1} and omega(1) = 0 is the whole law.
 """
 
 from __future__ import annotations
@@ -96,10 +112,6 @@ def pair_mul(p: AutPair, q: AutPair) -> AutPair:
     return AutPair(compose(p.phi, q.phi), compose(p.theta, q.theta))
 
 
-def pair_inv(p: AutPair) -> AutPair:
-    return AutPair(invert_perm(p.phi), invert_perm(p.theta))
-
-
 def _check_brace_auto(B: SkewBrace, p: Sequence[int], what: str) -> None:
     hom = BraceHom(B, B, tuple(p))
     if not (hom.is_valid() and hom.is_injective()):
@@ -120,24 +132,21 @@ def pair_act(ext: Extension, pair: AutPair) -> Extension:
 # --- the stabiliser of a coupling -------------------------------------------
 
 class StabilizerC:
-    """The pairs stabilising a coupling, verified to form a subgroup."""
+    """The pairs stabilising a coupling, checked to form a group by
+    PermGroup.is_group on their embeddings in H u I, whose generating set
+    T it keeps as `generators` (module docstring).  The identity pair is
+    checked apart: PermGroup reads an empty set as {identity}."""
 
     def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple, pairs: Sequence[AutPair]):
-        self.H = H
-        self.I = I
-        self.chi = chi
+        self.H, self.I, self.chi = H, I, chi
         self.pairs = tuple(sorted(pairs, key=AutPair.sort_key))
-        budget_mod.guard(len(self.pairs) ** 2, "stabiliser closure")
-        members = set(self.pairs)
-        if pair_identity(H, I) not in members:
-            raise ValidationError("stabiliser must contain the identity pair")
-        for p in self.pairs:
-            if pair_inv(p) not in members:
-                raise ValidationError("stabiliser is not closed under inverses")
-            for q in self.pairs:
-                if pair_mul(p, q) not in members:
-                    raise ValidationError("stabiliser is not closed under composition")
-        self._members = members
+        self._members = set(self.pairs)
+        nh = H.n
+        grp = PermGroup(nh + I.n, [p.phi + tuple(nh + y for y in p.theta) for p in self.pairs])
+        if pair_identity(H, I) not in self._members or not grp.is_group():
+            raise ValidationError("stabiliser pairs do not form a group")
+        self.generators = tuple(AutPair(g[:nh], tuple(y - nh for y in g[nh:]))
+                                for g in grp.generators)
 
     @property
     def order(self) -> int:
@@ -226,14 +235,12 @@ def autb_I(ext: Extension) -> PermGroup:
 
     Such a map sends a generator into the image exactly when the generator
     lies in it, so the search admits only those images; the kernel filter
-    afterwards checks the result."""
+    afterwards checks the result.  The maps form a group by construction;
+    test_autb_I_search_matches_closure_oracle in tests/test_wells.py checks
+    closure on every wells-sweep and split Z2-by-Q8 extension."""
     img = set(ext.inj)
     found = _brace_automorphism_search(ext.E, lambda g, x: (x in img) == (g in img))
-    members = [g for g in sorted(found) if all(g[x] in img for x in img)]
-    grp = PermGroup(ext.E.n, members)
-    if not grp.is_group():
-        raise ValidationError("kernel-normalising automorphisms failed to form a group")
-    return grp
+    return PermGroup(ext.E.n, [g for g in sorted(found) if all(g[x] in img for x in img)])
 
 
 def rho(ext: Extension) -> List[Tuple[tuple, AutPair]]:
@@ -351,51 +358,54 @@ def _derivation_law(
     h2grp: CohomologyGroup,
     elems: Sequence[int],
 ) -> bool:
-    """Whether omega(c1 c2) = omega(c1)^c2 + omega(c2) for all c1, c2.
+    """Whether omega(c1 c2) = omega(c1)^c2 + omega(c2) for all c1, c2,
+    decided on C x T, T the generating set of C (module docstring).
 
     Checks on the way that each c moves every cocycle pair to a cocycle
     pair (InputError otherwise, as class_of) and that the moved class
-    depends only on the class moved (ValidationError otherwise).  A move
-    g -> theta^-1(g(phi x phi)) is additive, so both hold once they hold
-    on the echelon rows of Z^2 and B^2: each row moves into Z^2, and each
-    B^2 row into the zero class.  The moves of those rows and of the
-    representatives for every c, and then the |C|^2 class sums the law
-    needs, are gathers looked up by class in one pass each, not a full
-    class-addition table (|H^2|^2 rows).  The per-pair loop this replaces
-    is the oracle _derivation_law_loop in tests/test_wells.py.
+    depends only on the class moved (ValidationError otherwise), on the
+    echelon rows of Z^2 and B^2 moved by each t.  Those moves, the
+    representatives' and the |C| |T| class sums, charged to the budget,
+    are gathers looked up by class in one pass each.  The oracles in
+    tests/test_wells.py are the per-pair loop _derivation_law_loop and
+    these gathers over C x C, _derivation_law_on_every_c2.
     """
+    gens = C.generators
+    if not gens:  # C = {1}: the law says omega(1) = 0
+        return omega[C.pairs[0]] == 0
+    budget_mod.guard(C.order * len(gens), "derivation law")
     nh = h2grp.H.n
     z_rows, b_rows = h2grp._basis_rows()
     reps = h2grp._rep_rows
-    # per c2: the moved Z^2 basis, B^2 basis and representatives, in one block
+    # per t: the moved Z^2 basis, B^2 basis and representatives, in one block
     block = np.vstack([z_rows, b_rows, reps])
     nz, nb = len(z_rows), len(b_rows)
     cells = np.arange(nh * nh).reshape(nh, nh)
     moved = []
-    for c2 in C:
-        inv_theta = np.array(invert_perm(restrict_automorphism(c2.theta, elems)), dtype=np.int64)
-        phi = np.array(c2.phi)
+    for t in gens:
+        inv_theta = np.array(invert_perm(restrict_automorphism(t.theta, elems)), dtype=np.int64)
+        phi = np.array(t.phi)
         cols = cells[phi[:, None], phi[None, :]].ravel()
         cols = np.concatenate([cols, cols + nh * nh])  # the g cells, then the f cells
         moved.append(inv_theta[block[:, cols]])
     moved = np.concatenate(moved)
-    # the checks in C's order: the first c2 that moves a cocycle pair out
+    # the checks in T's order: the first t that moves a cocycle pair out
     # of Z^2 (InputError) or a coboundary out of the zero class
     # (ValidationError), whichever comes first
     ok, idx = h2grp._classes(moved)
-    ok = ok.reshape(C.order, len(block)).all(axis=1)
-    first = int(ok.argmin()) if not ok.all() else C.order
+    ok = ok.reshape(len(gens), len(block)).all(axis=1)
+    first = int(ok.argmin()) if not ok.all() else len(gens)
     idx = idx[:first * len(block)].reshape(first, len(block))
     if idx[:, nz:nz + nb].any():
         raise ValidationError("cohomology action of C is not constant on cosets")
-    if first < C.order:
+    if first < len(gens):
         raise InputError("pair is not a cocycle pair for this action")
     acted = idx[:, nz + nb:]
     om = np.array([omega[c] for c in C], dtype=np.int64)
-    lhs = [omega[pair_mul(c1, c2)] for c2 in C for c1 in C]
+    lhs = [omega[pair_mul(c, t)] for t in gens for c in C]
     t_add = h2grp.I.add.np_table
     left = acted[:, om].ravel()
-    right = np.repeat(om, len(om))
+    right = np.repeat([omega[t] for t in gens], len(om))
     rhs = h2grp._class_indices(t_add[reps[left], reps[right]])
     return lhs == rhs.tolist()
 
@@ -416,7 +426,8 @@ def verify_exact_sequence(ext: Extension) -> dict:
     Wells map sends the identity pair to the zero class, and the image of
     rho equals its set-theoretic kernel; and the Wells map satisfies the
     derivation law omega(c1 c2) = omega(c1)^c2 + omega(c2) for every pair,
-    with the cohomology action of C well defined on classes.
+    with the cohomology action of C well defined on classes, both decided
+    on C's generating set (module docstring).
     """
     H, I = ext.H, ext.I
     _require_trivial_kernel(I)

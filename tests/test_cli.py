@@ -181,16 +181,18 @@ def test_wells_check_above_order_16(tmp_path, capsys):
         assert code == 0 and report["exact"] is True, err
 
 
-def test_wells_check_stabiliser_closure_is_budgeted(tmp_path, capsys):
-    # Z2 by Z2^4 with the identity action: |C| = |GL(4, 2)| = 20160, so
-    # checking C closed would take 4.06e8 products; the budget stops it
-    V16 = trivial_brace(direct_product_group(klein_group(), klein_group()))
-    out = _split_identity_file(tmp_path, capsys, trivial_brace(cyclic_group(2)), V16, "e32")
+def test_wells_check_kernel_automorphism_search_is_budgeted(tmp_path, capsys):
+    # Z2 by Z2^5 with the identity action: the search for Autb(Z2^5) =
+    # GL(5, 2) has 31 candidate images for each of five generators, 31^5
+    # leaves, so the budget stops it before the stabiliser is built
+    V32 = trivial_brace(direct_product_group(
+        direct_product_group(klein_group(), klein_group()), cyclic_group(2)))
+    out = _split_identity_file(tmp_path, capsys, trivial_brace(cyclic_group(2)), V32, "e64")
     start = time.perf_counter()
     code, report, _ = _run(capsys, ["wells-check", out])
     assert time.perf_counter() - start < 10
     assert code == 3 and report["error"] == "budget"
-    assert report["message"].startswith("stabiliser closure: search space 406425600 ")
+    assert report["message"].startswith("brace_automorphisms: search space 28629151 ")
 
 
 def test_enumerate_split_kernel_above_order_16(tmp_path, capsys):

@@ -41,3 +41,21 @@ def test_every_private_helper_is_used_in_the_package():
     unused = [f"{module}:{node.lineno} {node.name}" for module, node in defs
               if total[node.name] == _name_counts(node)[node.name]]
     assert unused == []
+
+
+# routines that only tests called, now inlined in the tests or moved into
+# them (PermGroup.generate is tests/test_groups.py:_generate)
+TEST_ONLY = {
+    "cohomology": {"pair_sub", "pair_is_cocycle", "derivation_add", "free_transitive_report"},
+    "groups": {"is_perm", "generate"},
+    "split": {"decode_pair", "compat_as_written_witness"},
+    "wells": {"pair_inv"},
+}
+
+
+def test_test_only_helpers_stay_out_of_the_package():
+    for module, names in TEST_ONLY.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        assert defined & names == set(), module

@@ -5,15 +5,18 @@ derivation law, and full exactness reports on fixed extensions."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from braceforge import braces, extensions, wells
+from braceforge import braces, budget, extensions, wells
 from braceforge.braces import SkewBrace, brace_automorphisms, trivial_brace
 from braceforge.cohomology import embed_pair, h2N, h2_act_triplet, pair_add, restrict_action
 from braceforge.errors import (
     ActionNotTransitive,
+    BraceforgeError,
     InputError,
     NotTrivialCoefficients,
+    SearchBudgetExceeded,
     ValidationError,
 )
 from braceforge.extensions import (
@@ -28,10 +31,13 @@ from braceforge.extensions import (
     zero_triplet,
 )
 from braceforge.groups import (
+    PermGroup,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
+    direct_product_group,
     identity_perm,
+    invert_perm,
     klein_group,
 )
 from braceforge.split import enumerate_split_triples, identity_triple, semidirect_product
@@ -42,7 +48,6 @@ from braceforge.wells import (
     c_act_on_h2,
     pair_act,
     pair_identity,
-    pair_inv,
     pair_mul,
     restrict_automorphism,
     rho,
@@ -52,7 +57,7 @@ from braceforge.wells import (
 )
 from test_cohomology import _h2N_enumerated
 from test_extensions import _extensions_equivalent_loop
-from test_groups import _engine_against_oracle, _is_group_matches_closure
+from test_groups import _closure_is_group, _engine_against_oracle, _is_group_matches_closure
 
 CARRY = ((0, 0, 0), (0, 0, 1), (0, 1, 1))
 
@@ -169,6 +174,38 @@ def _derivation_law_loop(C, omega, h2grp, elems):
     return derivation_law
 
 
+def _derivation_law_on_every_c2(C, omega, h2grp, elems):
+    """The gathers of wells._derivation_law with c2 over all of C, |C|^2
+    class sums, its oracle: the coset checks and the law on C x C."""
+    nh = h2grp.H.n
+    z_rows, b_rows = h2grp._basis_rows()
+    reps = h2grp._rep_rows
+    block = np.vstack([z_rows, b_rows, reps])
+    nz, nb = len(z_rows), len(b_rows)
+    cells = np.arange(nh * nh).reshape(nh, nh)
+    moved = []
+    for c2 in C:
+        inv_theta = np.array(invert_perm(restrict_automorphism(c2.theta, elems)), dtype=np.int64)
+        phi = np.array(c2.phi)
+        cols = cells[phi[:, None], phi[None, :]].ravel()
+        cols = np.concatenate([cols, cols + nh * nh])
+        moved.append(inv_theta[block[:, cols]])
+    ok, idx = h2grp._classes(np.concatenate(moved))
+    ok = ok.reshape(C.order, len(block)).all(axis=1)
+    first = int(ok.argmin()) if not ok.all() else C.order
+    idx = idx[:first * len(block)].reshape(first, len(block))
+    if idx[:, nz:nz + nb].any():
+        raise ValidationError("cohomology action of C is not constant on cosets")
+    if first < C.order:
+        raise InputError("pair is not a cocycle pair for this action")
+    acted = idx[:, nz + nb:]
+    om = np.array([omega[c] for c in C], dtype=np.int64)
+    lhs = [omega[pair_mul(c1, c2)] for c2 in C for c1 in C]
+    t_add = h2grp.I.add.np_table
+    rhs = h2grp._class_indices(t_add[reps[acted[:, om].ravel()], reps[np.repeat(om, len(om))]])
+    return lhs == rhs.tolist()
+
+
 def _oracle_group(ext, grp):
     """The list-built H^2 of the enumerating oracles for ext's restricted
     action, checked to list grp's representatives in grp's order."""
@@ -188,8 +225,8 @@ def _outcome(fn, *args):
     """fn's result, or the type, message and pair witness of what it raised."""
     try:
         return fn(*args)
-    except ValidationError as exc:
-        return (type(exc), str(exc), exc.witness.get("pair"))
+    except BraceforgeError as exc:
+        return (type(exc), str(exc), getattr(exc, "witness", {}).get("pair"))
 
 
 def test_split_2_by_3_report(split_ext):
@@ -267,7 +304,7 @@ def test_pair_action_laws(Z2, Z3, split_ext):
     fixed = pair_act(split_ext, ident)
     assert fixed.inj == split_ext.inj and fixed.proj == split_ext.proj
     for a in pairs:
-        back = pair_act(pair_act(split_ext, a), pair_inv(a))
+        back = pair_act(pair_act(split_ext, a), AutPair(invert_perm(a.phi), invert_perm(a.theta)))
         assert back.E.add.table == split_ext.E.add.table
         assert back.inj == split_ext.inj and back.proj == split_ext.proj
 
@@ -363,6 +400,148 @@ def test_derivation_law_matches_loop(split_ext, z4_ext, carry_ext, neg_ext, d4_e
         assert law is _derivation_law_loop(C, omega, _oracle_group(ext, grp), elems) is True
         compared += 1
     assert compared > 4
+
+
+def _embedded(H, pairs):
+    """The pairs as permutations of H u I, as StabilizerC embeds them."""
+    return PermGroup(H.n + len(pairs[0].theta),
+                     [p.phi + tuple(H.n + y for y in p.theta) for p in pairs])
+
+
+def _closes_to_C(C):
+    """Whether the identity times words in C.generators on the right reaches
+    exactly the pairs of C."""
+    one = pair_identity(C.H, C.I)
+    reached, frontier = {one}, [one]
+    while frontier:
+        p = frontier.pop()
+        for t in C.generators:
+            q = pair_mul(p, t)
+            if q not in reached:
+                reached.add(q)
+                frontier.append(q)
+    return reached == set(C.pairs)
+
+
+@pytest.fixture(scope="module")
+def v8_ext(Z2):
+    """The split extension of Z2 by trivial Z2^3 with the identity action:
+    |C| = |GL(3, 2)| = 168."""
+    V8 = trivial_brace(direct_product_group(klein_group(), cyclic_group(2)))
+    E = semidirect_product(Z2, V8, identity_triple(Z2, V8))
+    return validate_extension(E, Z2, V8, range(8), [x // 8 for x in range(16)])
+
+
+def test_derivation_law_on_generators_matches_every_c2(
+        split_ext, z4_ext, carry_ext, neg_ext, sweep_exts, q8_exts, v8_ext):
+    # the law on C x T against the law on C x C, and T generates C, on every
+    # Tier-1 Wells input and on Z2 by Z2^3
+    compared = 0
+    for ext in [split_ext, z4_ext, carry_ext, neg_ext, v8_ext] + sweep_exts + q8_exts:
+        C, grp, elems = _wells_inputs(ext)
+        assert _closes_to_C(C)
+        try:
+            omega = wells_map(ext, C, grp, elems)
+        except ActionNotTransitive:
+            continue
+        args = (C, omega, grp, elems)
+        assert _outcome(wells._derivation_law, *args) is True
+        assert _outcome(_derivation_law_on_every_c2, *args) is True
+        compared += 1
+    C, _, _ = _wells_inputs(v8_ext)
+    assert (C.order, len(C.generators)) == (168, 5)
+    assert compared > 200
+
+
+def test_derivation_law_on_generators_matches_every_c2_on_tampers(sweep_exts):
+    # omega changed at one c, for every c of every wells-sweep extension
+    # with |H^2| > 1: both checks give the same verdict
+    verdicts = []
+    for ext in sweep_exts:
+        C, grp, elems = _wells_inputs(ext)
+        try:
+            omega = wells_map(ext, C, grp, elems)
+        except ActionNotTransitive:
+            continue
+        if grp.order == 1:
+            continue
+        for c in C:
+            tampered = dict(omega)
+            tampered[c] = (omega[c] + 1) % grp.order
+            args = (C, tampered, grp, elems)
+            got = _outcome(wells._derivation_law, *args)
+            assert got == _outcome(_derivation_law_on_every_c2, *args)
+            verdicts.append(got)
+    assert (len(verdicts), verdicts.count(True), verdicts.count(False)) == (452, 18, 434)
+
+
+def test_derivation_law_errors_match_every_c2(sweep_exts):
+    # C replaced by all of Autb(H) x Autb(I), whose pairs need not
+    # stabilise the coupling, and omega by zero: both checks give the same
+    # verdict or refuse the same way
+    outcomes = []
+    for ext in sweep_exts[:92]:
+        _, grp, elems = _wells_inputs(ext)
+        pairs = [AutPair(p, t) for p in brace_automorphisms(ext.H).sorted_elements()
+                 for t in brace_automorphisms(ext.I).sorted_elements()]
+        C = StabilizerC(ext.H, ext.I, extract_triplet(ext).chi, pairs)
+        omega = dict.fromkeys(C, 0)
+        got = _outcome(wells._derivation_law, C, omega, grp, elems)
+        assert got == _outcome(_derivation_law_on_every_c2, C, omega, grp, elems)
+        outcomes.append(got if isinstance(got, bool) else got[0])
+    assert (outcomes.count(True), outcomes.count(InputError)) == (18, 74)
+
+
+def test_stabiliser_of_order_one(z4_ext):
+    # T is empty: the law holds without a gather, and with omega(1) != 0 it
+    # fails as the law on C x C does
+    C, grp, elems = _wells_inputs(z4_ext)
+    omega = wells_map(z4_ext, C, grp, elems)
+    assert (C.order, C.generators, grp.order) == (1, (), 4)
+    assert wells._derivation_law(C, omega, grp, elems) is True
+    assert _derivation_law_on_every_c2(C, omega, grp, elems) is True
+    shifted = {c: 1 for c in C}
+    assert wells._derivation_law(C, shifted, grp, elems) is False
+    assert _derivation_law_on_every_c2(C, shifted, grp, elems) is False
+
+
+def test_stabiliser_closure_matches_oracle(Z2, Z3, carry_ext, d4_exts):
+    # StabilizerC refuses what is not a group of pairs, in agreement with the
+    # all-pairs closure oracle on the embedded permutations
+    chi = identity_triple(Z2, Z3)
+    ident = pair_identity(Z2, Z3)
+    neg = AutPair((0, 1), (0, 2, 1))
+    for pairs in ([], [neg], [ident, AutPair((0, 1), (1, 2, 0))]):
+        if pairs:
+            assert _closure_is_group(_embedded(Z2, pairs)) is False
+        with pytest.raises(ValidationError, match="stabiliser pairs do not form a group"):
+            StabilizerC(Z2, Z3, chi, pairs)
+    # each stabiliser less its identity, or less its last pair
+    cuts = 0
+    for ext in [carry_ext] + d4_exts[:24]:
+        C, _, _ = _wells_inputs(ext)
+        assert _closure_is_group(_embedded(ext.H, C.pairs)) is True
+        for cut in (C.pairs[1:], C.pairs[:-1]):
+            if cut:
+                assert _closure_is_group(_embedded(ext.H, cut)) is False
+                with pytest.raises(ValidationError, match="stabiliser pairs do not form a group"):
+                    StabilizerC(ext.H, ext.I, C.chi, cut)
+                cuts += 1
+    assert cuts == 50
+
+
+def test_derivation_law_is_budgeted(carry_ext):
+    # |C| |T| class sums: 4 * 2 for the carry extension
+    C, grp, elems = _wells_inputs(carry_ext)
+    omega = wells_map(carry_ext, C, grp, elems)
+    size = C.order * len(C.generators)
+    assert size == 8
+    with budget.limit(size - 1):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            wells._derivation_law(C, omega, grp, elems)
+    assert (exc.value.what, exc.value.size) == ("derivation law", size)
+    with budget.limit(size):
+        assert wells._derivation_law(C, omega, grp, elems) is True
 
 
 def test_derivation_law_rejects_tampered_omega(carry_ext):
