@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .braces import SkewBrace, socle, trivial_brace, validate_brace
 from .errors import InputError, ParamOutOfRange, SchemaError, ValidationError
 from .extensions import Extension, Triplet, extension_from_triplet, validate_extension, zero_triplet
@@ -59,6 +61,7 @@ from .groups import (
 from .split import (
     ActionTriple,
     _product_brace,
+    _product_tables,
     enumerate_split_triples,
     identity_triple,
     semidirect_product,
@@ -377,22 +380,28 @@ class CatalogEntry:
         )
 
 
-def _dumps_at(obj, pad: str) -> str:
+def _dumps_at(obj, pad: str, rows: dict) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) with every line after the
     first prefixed by pad.
 
     With an indent the json module encodes in pure Python, so lists and
     str-keyed dicts are laid out here, a list of plain ints in one join;
-    every other value goes through json.dumps."""
+    every other value goes through json.dumps.  `rows` keeps the layout of
+    each distinct list of plain ints at each pad, keyed by (ints, pad), so
+    a row that repeats, as the members of action triples do, is laid out
+    once."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(v) is int for v in obj):
-            body = sep.join(map(str, obj))
-        else:
-            body = sep.join(_dumps_at(v, inner) for v in obj)
+        if set(map(type, obj)) == {int}:
+            key = (tuple(obj), pad)
+            text = rows.get(key)
+            if text is None:
+                rows[key] = text = "[\n" + inner + sep.join(map(str, obj)) + "\n" + pad + "]"
+            return text
+        body = sep.join(_dumps_at(v, inner, rows) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not all(type(k) is str for k in obj):
@@ -400,7 +409,9 @@ def _dumps_at(obj, pad: str) -> str:
             return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
         if not obj:
             return "{}"
-        body = sep.join(json.dumps(k) + ": " + _dumps_at(obj[k], inner) for k in sorted(obj))
+        body = sep.join(
+            json.dumps(k) + ": " + _dumps_at(obj[k], inner, rows) for k in sorted(obj)
+        )
         return "{\n" + inner + body + "\n" + pad + "}"
     return json.dumps(obj)
 
@@ -410,7 +421,7 @@ def dumps_payload(payload: dict) -> str:
 
     Byte for byte what json.dumps(payload, sort_keys=True, indent=2) gives,
     plus the newline; the CLI writes its reports with it too."""
-    return _dumps_at(payload, "") + "\n"
+    return _dumps_at(payload, "", {}) + "\n"
 
 
 def loads(text: str, kind: Optional[str] = None, name: str = "<string>") -> CatalogEntry:
@@ -568,21 +579,7 @@ def example2(n: int = 2, p: int = 3, odd: bool = False):
         raise ParamOutOfRange(f"n = {n}: the odd variant needs odd n")
     name, H, I, exps, t = _example2_triple(n, p, odd)
     E = semidirect_product(H, I, t)
-    bad_add = []
-    bad_circ = []
-    for x1 in range(H.n):
-        for y1 in range(p):
-            a = x1 * p + y1
-            for x2 in range(H.n):
-                for y2 in range(p):
-                    b = x2 * p + y2
-                    hpart = H.add.table[x1][x2]
-                    want_add = hpart * p + (y2 + (-1) ** exps[x2] * y1) % p
-                    want_circ = hpart * p + (y1 + (-1) ** exps[x1] * y2) % p
-                    if E.add.table[a][b] != want_add:
-                        bad_add.append((x1, y1, x2, y2))
-                    if E.circ.table[a][b] != want_circ:
-                        bad_circ.append((x1, y1, x2, y2))
+    bad_add, bad_circ = _example2_mismatches(E, H, p, exps)
     cells = (H.n * p) ** 2
     report = {
         "name": "example-2",
@@ -608,6 +605,29 @@ def example2(n: int = 2, p: int = 3, odd: bool = False):
             )
     entry = entry_for(E, name, provenance="example-2", report=report)
     return entry, report
+
+
+def _cells(nh: int, ni: int) -> tuple:
+    """Index arrays (h1, y1, h2, y2) over the cells of a product on pairs
+    (h, y) -> h * ni + y, which its table reshaped to (nh, ni, nh, ni)
+    takes."""
+    return np.ix_(range(nh), range(ni), range(nh), range(ni))
+
+
+def _example2_mismatches(E: SkewBrace, H: SkewBrace, p: int, exps: Sequence[int]) -> tuple:
+    """The cells (x1, y1, x2, y2), in lex order, where E's addition and
+    circle differ from the recorded closed forms
+    (x1 + x2, y2 + (-1)^e(x2) y1) and (x1 + x2, y1 + (-1)^e(x1) y2)."""
+    x1, y1, x2, y2 = _cells(H.n, p)
+    sign = np.where(np.array(exps) % 2, -1, 1)
+    hpart = H.add.np_table[x1, x2] * p
+    want_add = hpart + (y2 + sign[x2] * y1) % p
+    want_circ = hpart + (y1 + sign[x1] * y2) % p
+    shape = (H.n, p, H.n, p)
+    return tuple(
+        np.argwhere(got.reshape(shape) != want).tolist()
+        for got, want in ((E.add.np_table, want_add), (E.circ.np_table, want_circ))
+    )
 
 
 def _example2_triple(n: int, p: int, odd: bool) -> tuple:
@@ -661,20 +681,7 @@ def example3():
     E = semidirect_product(H, I, t)
     iso_add = find_isomorphism(I.add, dihedral_group(3))
     iso_circ = find_isomorphism(I.circ, cyclic_group(6))
-    bad_recorded = 0
-    bad_untwisted = 0
-    cells = 0
-    for k in range(8):
-        for y1 in range(6):
-            for l in range(8):
-                for y2 in range(6):
-                    cells += 1
-                    got = E.circ.table[k * 6 + y1][l * 6 + y2]
-                    hpart = ((k + l) % 8) * 6
-                    recorded = hpart + I.circ.table[psi[y1]][nu[k][y2]]
-                    untwisted = hpart + I.circ.table[y1][nu[k][y2]]
-                    bad_recorded += got != recorded
-                    bad_untwisted += got != untwisted
+    cells, bad_recorded, bad_untwisted = _example3_mismatches(E, I, psi, nu)
     report = {
         "name": "example-3",
         "order": E.n,
@@ -700,6 +707,19 @@ def example3():
         )
     entry = entry_for(E, "example-3", provenance="example-3", report=report)
     return entry, report
+
+
+def _example3_mismatches(E: SkewBrace, I: SkewBrace, psi: Sequence[int], nu: Sequence) -> tuple:
+    """(cells, recorded, untwisted): the number of cells (k, y1, l, y2) of
+    E's circle and how many differ from the recorded form
+    (k + l, psi(y1) o nu_k(y2)) and from (k + l, y1 o nu_k(y2))."""
+    k, y1, l, y2 = _cells(8, 6)
+    got = E.circ.np_table.reshape(8, 6, 8, 6)
+    Ic, nu_k = I.circ.np_table, np.array(nu)[k, y2]
+    hpart = (k + l) % 8 * 6
+    recorded = hpart + Ic[np.array(psi)[y1], nu_k]
+    untwisted = hpart + Ic[y1, nu_k]
+    return got.size, int((got != recorded).sum()), int((got != untwisted).sum())
 
 
 def _example3_triple() -> tuple:
@@ -740,36 +760,9 @@ def example4():
     """
     H, I, t = _example4_triple()
     E = semidirect_product(H, I, t)
-    bad_recorded = []
-    bad_corrected = []
-    h_part_ok = True
-    for k in range(4):
-        for l in range(4):
-            for n_ in range(4):
-                for m in range(4):
-                    got = E.circ.table[k * 4 + l][n_ * 4 + m]
-                    gh, gy = got // 4, got % 4
-                    if gh != (k + n_) % 4:
-                        h_part_ok = False
-                    recorded = (l + (-1) ** k * m + (-1) ** n_ * l * m) % 4
-                    corrected = (l + (-1) ** k * m + 2 * l * m) % 4
-                    if gy != recorded:
-                        bad_recorded.append((k, l, n_, m, gy, recorded))
-                    if gy != corrected:
-                        bad_corrected.append((k, l, n_, m, gy, corrected))
+    h_part_ok, bad_recorded, bad_corrected = _example4_mismatches(E)
     triples = enumerate_split_triples(H, I)
-    any_reproduces = False
-    for cand in triples:
-        Ec = _product_brace(H, I, cand)
-        if all(
-            Ec.circ.table[k * 4 + l][n_ * 4 + m]
-            == ((k + n_) % 4) * 4 + (l + (-1) ** k * m + (-1) ** n_ * l * m) % 4
-            for k in range(4)
-            for l in range(4)
-            for n_ in range(4)
-            for m in range(4)
-        ):
-            any_reproduces = True
+    any_reproduces = _reproduces_example4_form(H, I, triples)
     report = {
         "name": "example-4",
         "order": E.n,
@@ -782,7 +775,7 @@ def example4():
         "h_part_matches_recorded": h_part_ok,
         "closed_form_cells": 256,
         "recorded_circ_mismatches": len(bad_recorded),
-        "recorded_circ_mismatch_cells": [list(w) for w in bad_recorded],
+        "recorded_circ_mismatch_cells": bad_recorded,
         "corrected_circ_mismatches": len(bad_corrected),
         "corrected_form": "l + (-1)^k m + 2 l m (mod 4)",
         "valid_triples_for_pair": len(triples),
@@ -796,11 +789,44 @@ def example4():
                 "observed": f"{len(bad_recorded)} of 256 cells disagree; "
                 "l + (-1)^k m + 2 l m matches all 256; no valid triple for "
                 "this pair reproduces the recorded form",
-                "witness": [list(w) for w in bad_recorded[:4]],
+                "witness": bad_recorded[:4],
             }
         )
     entry = entry_for(E, "example-4", provenance="example-4", report=report)
     return entry, report
+
+
+def _example4_forms() -> tuple:
+    """(recorded, corrected): the circle closed forms of example 4 on the
+    cells (k, l, n, m) of _cells(4, 4), l + (-1)^k m + (-1)^n l m and
+    l + (-1)^k m + 2 l m, mod 4."""
+    k, l, n_, m = _cells(4, 4)
+    base = l + np.where(k % 2, -m, m)
+    return (base + np.where(n_ % 2, -l * m, l * m)) % 4, (base + 2 * l * m) % 4
+
+
+def _example4_mismatches(E: SkewBrace) -> tuple:
+    """(h_part_ok, recorded, corrected) for example 4's product: whether
+    every cell's H-part is k + n, and the cells [k, l, n, m, got, want],
+    in lex order, where the I-part differs from each closed form
+    (_example4_forms)."""
+    k, _, n_, _ = _cells(4, 4)
+    got = E.circ.np_table.reshape(4, 4, 4, 4)
+    gh, gy = got // 4, got % 4
+    bad = []
+    for want in _example4_forms():
+        want = np.broadcast_to(want, gy.shape)
+        miss = gy != want
+        bad.append(np.column_stack([np.argwhere(miss), gy[miss], want[miss]]).tolist())
+    return bool((gh == (k + n_) % 4).all()), bad[0], bad[1]
+
+
+def _reproduces_example4_form(H: SkewBrace, I: SkewBrace, triples: Sequence) -> bool:
+    """Whether the circle table of some triple's product (_product_tables)
+    is the recorded closed form of example 4 on every cell."""
+    k, _, n_, _ = _cells(4, 4)
+    want = ((k + n_) % 4 * 4 + _example4_forms()[0]).reshape(16, 16)
+    return any(np.array_equal(_product_tables(H, I, t)[1], want) for t in triples)
 
 
 def _example4_triple() -> tuple:
@@ -847,21 +873,29 @@ def example5():
         for t in triples
     )
 
-    def spot_ii(trips, coeff):
-        inv = tuple(coeff.add.inv)
+    def spot_ii(trips, inv):
         return any(
             t.nu[1] == inv and t.nu[2] == inv and t.mu == idfam
             and t.sigma[1] == ident and t.sigma[2][2] == 3
             for t in trips
         )
 
-    ii_as_written = spot_ii(triples, I)
+    ii_as_written = spot_ii(triples, I.add.inv)
+    # the relabelling r of I is a brace isomorphism, so it carries the valid
+    # triples for (H, I) onto those for (H, r(I)), each member f to r f r^-1
+    # (test_enumeration_is_invariant_under_relabelling), and the negation
+    # of I to that of r(I) the same way; no second enumeration is needed
     relabel = (0, 2, 1, 3)
-    I_relabeled = validate_brace(
-        relabel_table(I.add.table, relabel), relabel_table(I.circ.table, relabel)
+    r_inv = invert_perm(relabel)
+
+    def moved(f):
+        return compose(relabel, compose(f, r_inv))
+
+    triples_relabeled = (
+        ActionTriple(*(tuple(map(moved, fam)) for fam in (t.nu, t.mu, t.sigma)))
+        for t in triples
     )
-    triples_relabeled = enumerate_split_triples(H, I_relabeled)
-    ii_relabeled = spot_ii(triples_relabeled, I_relabeled)
+    ii_relabeled = spot_ii(triples_relabeled, moved(I.add.inv))
     report = {
         "name": "example-5",
         "acting_add": describe_group(H.add),
@@ -912,17 +946,7 @@ def example1_finite(k: int = 2, m: int = 3):
     fam = tuple(neg if h % 2 else identity_perm(m) for h in range(2 * k))
     t = ActionTriple(fam, fam, fam)
     E = semidirect_product(H, I, t)
-    bad = 0
-    for h1 in range(2 * k):
-        for y1 in range(m):
-            for h2 in range(2 * k):
-                for y2 in range(m):
-                    hpart = (h1 + h2) % (2 * k)
-                    want_add = hpart * m + ((-1) ** h2 * y1 + y2) % m
-                    want_circ = hpart * m + (y1 + (-1) ** h1 * y2) % m
-                    a, b = h1 * m + y1, h2 * m + y2
-                    bad += E.add.table[a][b] != want_add
-                    bad += E.circ.table[a][b] != want_circ
+    bad = _example1_mismatches(E, k, m)
     report = {
         "name": "example-1-finite",
         "k": k,
@@ -934,6 +958,18 @@ def example1_finite(k: int = 2, m: int = 3):
     entry = entry_for(E, f"example-1-finite-k{k}-m{m}", provenance="derived",
                       report=report)
     return entry, report
+
+
+def _example1_mismatches(E: SkewBrace, k: int, m: int) -> int:
+    """How many cells of E's addition and circle, together, differ from
+    (h1 + h2, (-1)^h2 y1 + y2) and (h1 + h2, y1 + (-1)^h1 y2)."""
+    h1, y1, h2, y2 = _cells(2 * k, m)
+    hpart = (h1 + h2) % (2 * k) * m
+    want_add = hpart + (np.where(h2 % 2, -y1, y1) + y2) % m
+    want_circ = hpart + (y1 + np.where(h1 % 2, -y2, y2)) % m
+    shape = (2 * k, m, 2 * k, m)
+    return int((E.add.np_table.reshape(shape) != want_add).sum()
+               + (E.circ.np_table.reshape(shape) != want_circ).sum())
 
 
 _EXAMPLES = {2: example2, 3: example3, 4: example4, 5: example5}

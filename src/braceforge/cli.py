@@ -46,7 +46,13 @@ from .errors import (
     SearchBudgetExceeded,
     ValidationError,
 )
-from .extensions import Extension, extension_from_triplet, ext_classes, extract_triplet, zero_triplet
+from .extensions import (
+    Extension,
+    _class_heads,
+    extension_from_triplet,
+    extract_triplet,
+    zero_triplet,
+)
 from .cohomology import _free_transitive_report, bijection_report, h2N, restrict_action, z1N
 from .groups import cyclic_group, describe_group, identity_perm
 from .split import ActionTriple, enumerate_split_triples, identity_triple, semidirect_product
@@ -229,12 +235,12 @@ def cmd_build_ext(args) -> int:
 def cmd_classify_ext(args) -> int:
     H = _load_brace(args.H)
     I = _load_brace(args.I)
-    buckets = ext_classes(H, I)
+    buckets = _class_heads(H, I)
     couplings = []
     total_ext = 0
     total_classes = 0
     for rep_chi, classes in buckets:
-        sizes = sorted(len(c) for c in classes)
+        sizes = sorted(size for _, size in classes)
         total_ext += sum(sizes)
         total_classes += len(classes)
         couplings.append({
@@ -327,7 +333,7 @@ def cmd_example(args) -> int:
 
 def _bijection_check(H, I, classes, groups: dict) -> dict:
     """selftest's class-count check for H by I with the identity action,
-    on a computed ext_classes result; its H^2 goes into `groups` under
+    on a computed _class_heads result; its H^2 goes into `groups` under
     h2N's arguments, for _free_transitive_check."""
     chi = identity_triple(H, I)
     groups[(H, I, chi)] = grp = h2N(H, I, chi)
@@ -336,7 +342,7 @@ def _bijection_check(H, I, classes, groups: dict) -> dict:
 
 
 def _free_transitive_check(H, I, classes, groups: dict) -> dict:
-    """selftest's free-and-transitive check on a computed ext_classes
+    """selftest's free-and-transitive check on a computed _class_heads
     result, with the H^2 groups already computed in `groups`."""
     rep = _free_transitive_report(H, I, classes, groups)
     return {"ok": rep["free"] and rep["transitive"], "report": rep}
@@ -387,8 +393,8 @@ def cmd_selftest(args) -> int:
     run("wells-split-z2-z3", wells(catalog.split_z2_z3_extension))
     run("wells-z4-over-z2", wells(catalog.z4_additive_extension))
     # the bijection and free-and-transitive checks of one Z2-by-Zi pair
-    # share one ext_classes result and the H^2 of the identity coupling
-    by_z2, by_z3 = (ext_classes(Z2, Zi) for Zi in (Z2, Z3))
+    # share one _class_heads result and the H^2 of the identity coupling
+    by_z2, by_z3 = (_class_heads(Z2, Zi) for Zi in (Z2, Z3))
     groups: dict = {}
     run("class-count-equals-h2-z2-z2", lambda: _bijection_check(Z2, Z2, by_z2, groups))
     run("class-count-equals-h2-z2-z3", lambda: _bijection_check(Z2, Z3, by_z3, groups))

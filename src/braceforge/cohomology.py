@@ -63,8 +63,8 @@ from .errors import (
 from .extensions import (
     Extension,
     Triplet,
+    _class_heads,
     _first_witnesses,
-    ext_classes,
     extension_from_triplet,
     extract_triplet,
     is_valid_triplet,
@@ -915,11 +915,12 @@ def ext_bijection_check(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> dict:
     the two sides disagree.
     """
     grp = h2N(H, I, chi)
-    return bijection_report(I, chi, grp, ext_classes(H, I))
+    return bijection_report(I, chi, grp, _class_heads(H, I))
 
 
 def bijection_report(I: SkewBrace, chi: ActionTriple, grp, buckets: list) -> dict:
-    """ext_bijection_check on a computed H^2 and ext_classes result."""
+    """ext_bijection_check on a computed H^2 and _class_heads result; it
+    reads only the number of classes per coupling."""
     matched = 0
     for rep_chi, classes in buckets:
         related = _first_witnesses(I, rep_chi, chi) is not None
@@ -984,19 +985,20 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace) -> dict:
     |Ext(H, I)| = |Ext(H, Z(I))| comparison is the per-coupling equality
     of class count and cohomology order.
     """
-    return _free_transitive_report(H, I, ext_classes(H, I), {})
+    return _free_transitive_report(H, I, _class_heads(H, I), {})
 
 
 def _free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list, groups: dict) -> dict:
-    """verify_free_transitive on a computed ext_classes result, reading
-    each H^2 from `groups`, which maps h2N's arguments (H, I, chi) to its
-    result, and adding every H^2 it computes there; selftest shares
-    `groups` with its class-count check, so no H^2 is computed twice."""
+    """verify_free_transitive on a computed _class_heads result, acting on
+    the canonical triplet of each class's head, and reading each H^2 from
+    `groups`, which maps h2N's arguments (H, I, chi) to its result, and
+    adding every H^2 it computes there; selftest shares `groups` with its
+    class-count check, so no H^2 is computed twice."""
     per_coupling = []
     all_free = True
     all_transitive = True
     for rep_chi, classes in buckets:
-        reps = [extract_triplet(cls[0]) for cls in classes]
+        reps = [extract_triplet(head) for head, _ in classes]
         I_res, chi_res, elems = restrict_action(I, rep_chi)
         key = (H, I_res, chi_res)
         if key not in groups:

@@ -31,11 +31,20 @@ Two extensions are equivalent exactly when a section change (a twist,
 twist_triplet) turns one canonical triplet into the other;
 triplets_equivalent is the one routine in the package that decides it.
 
+Classification searches one labelled brace per orbit of brace tables
+under the 0-fixing relabellings (_brace_orbits) and reads every other
+copy off the orbit: a class's size is its member count on the
+representative times the orbit's copy count, and its first member lies
+on the representative, the copy with the least table indices
+(_class_heads).  Only ext_classes and enumerate_all_extensions, which
+return extensions on every copy, carry them there.
+
 Pair encoding follows the split module: (h, y) -> h * |I| + y.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -62,11 +71,11 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _group_table_stack,
     _homomorphisms,
     _order_matched,
     _relabel_stack,
     _zero_fixing_perms,
-    all_group_tables,
     automorphism_group,
     compose,
     equal_mod,
@@ -719,16 +728,22 @@ def _quotient_by_ideal(E: SkewBrace, kernel: frozenset) -> tuple:
     return SkewBrace(FiniteGroup(add), FiniteGroup(circ)), tuple(labels)
 
 
-def _brace_orbits(groups: list) -> list:
-    """The brace tables over `groups`, split into orbits under relabelling.
+def _brace_orbits(stack: np.ndarray, group) -> list:
+    """The brace tables over the group tables `stack`, split into orbits
+    under relabelling, as (representative, copies).
 
-    `groups` is every group table of one order.  Accepted (add, circ)
-    pairs are visited in order; the first pair of each orbit is its
-    representative.  Both representative tables are relabelled by every
-    0-fixing permutation p in one gather (_relabel_stack), and each image
-    is looked up among `groups` by its bytes.  An orbit is a list of (p,
-    brace) with one entry per labelled copy, the representative first
-    under the identity.
+    `stack` is every group table of one order (groups._group_table_stack)
+    and `group(k)` the FiniteGroup of table k, asked for only for the
+    tables of representatives.  Accepted (add, circ) pairs are visited in
+    order; the first pair of each orbit is its representative brace.  Both
+    its tables are relabelled by every 0-fixing permutation p in one
+    gather (_relabel_stack), and each image is looked up in `stack` by its
+    bytes.  copies holds one (perm index, add index, circ index) per
+    labelled copy, indices into _zero_fixing_perms and `stack`, the
+    representative first under the identity; no brace is built for a copy.
+    The representative is the copy with the least (add index, circ index):
+    its additive table is the first of its relabelling class, and every
+    copy over that table is a pair accepted over it.
 
     The brace axiom (_brace_axiom_holds) runs only for the first additive
     table of each relabelling class: a relabelling p of a brace is a
@@ -738,38 +753,38 @@ def _brace_orbits(groups: list) -> list:
     table times the number of its distinct relabellings, is checked
     against `seen`.  The axiom pass over every additive table is kept as
     the oracle _brace_orbits_every_table in tests/test_extensions.py."""
-    index = {G.np_table.tobytes(): k for k, G in enumerate(groups)}
-    perms = _zero_fixing_perms(groups[0].n)
-    circs = np.stack([G.np_table for G in groups])
+    n = stack.shape[1]
+    index = {t.tobytes(): k for k, t in enumerate(stack)}
+    perms = _zero_fixing_perms(n)
 
-    def images(G: FiniteGroup) -> list:
+    def images(k: int) -> list:
         try:
-            return [index[t.tobytes()] for t in _relabel_stack(G.np_table, perms)]
+            return [index[t.tobytes()] for t in _relabel_stack(stack[k], perms)]
         except KeyError:
             raise InternalInconsistency(
-                f"a relabelled group table of order {G.n} is not among the given tables"
+                f"a relabelled group table of order {n} is not among the given tables"
             ) from None
 
     accepted = 0
     covered: set = set()
     seen: set = set()
     orbits = []
-    for i, add in enumerate(groups):
+    for i in range(len(stack)):
         if i in covered:
             continue
-        add_images = images(add)
+        add_images = images(i)
         covered.update(add_images)
-        ok = _brace_axiom_holds(add, circs)
+        ok = _brace_axiom_holds(group(i), stack)
         accepted += int(ok.sum()) * len(set(add_images))
         for j in np.flatnonzero(ok).tolist():
             if (i, j) in seen:
                 continue
-            orbit = []
-            for p, pair in zip(perms, zip(add_images, images(groups[j]))):
+            copies = []
+            for q, pair in enumerate(zip(add_images, images(j))):
                 if pair not in seen:
                     seen.add(pair)
-                    orbit.append((tuple(p.tolist()), SkewBrace(*(groups[k] for k in pair))))
-            orbits.append(orbit)
+                    copies.append((q,) + pair)
+            orbits.append((SkewBrace(group(i), group(j)), copies))
     if len(seen) != accepted:
         raise InternalInconsistency(
             f"relabelling {accepted} brace tables gave {len(seen)}"
@@ -777,20 +792,21 @@ def _brace_orbits(groups: list) -> list:
     return orbits
 
 
-def _extension_orbits(H: SkewBrace, I: SkewBrace) -> list:
-    """Every extension of H by I on 0..|H||I|-1, one list per orbit of
-    brace tables (see _brace_orbits) that carries any.
+def _extension_orbits(H: SkewBrace, I: SkewBrace) -> tuple:
+    """(carry, orbits): every extension of H by I on 0..|H||I|-1, as one
+    (found, copies) per orbit of brace tables (see _brace_orbits) that
+    carries any, found being the extensions on the representative.
 
-    The tables of all_group_tables are relabellings of groups and are
-    wrapped as FiniteGroup without validate_group;
+    The tables of groups._group_table_stack are relabellings of groups and
+    are wrapped as FiniteGroup without validate_group, each on first use;
     test_all_group_tables_are_groups in tests/test_extensions.py validates
     every one of them at each order n <= 7.
-    An orbit's list holds one list of extensions per labelled copy of its
-    brace, each aligned with the representative's, which comes first.
+
     Only the representative is searched, through its monomorphisms with
     ideal image, the quotient by that image and every isomorphism of the
-    quotient onto H; a relabelling p is a brace isomorphism onto the copy,
-    so it carries each (inj, proj) to (p o inj, proj o p^-1).
+    quotient onto H.  carry(copy, exts) carries extensions on the
+    representative to a copy: its relabelling p is a brace isomorphism
+    onto the copy, so it carries each (inj, proj) to (p o inj, proj o p^-1).
 
     The extensions found are built as Extension without validate_extension:
     inj is a brace monomorphism whose image is an ideal, and proj, the
@@ -799,12 +815,23 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> list:
     as kernel.  test_extension_orbits_are_valid in
     tests/test_extensions.py validates every quotient and extension."""
     n = H.n * I.n
-    tables = all_group_tables(n)
-    budget_mod.guard(len(tables) * len(tables), "enumerate_all_extensions")
+    stack = _group_table_stack(n)
+    budget_mod.guard(len(stack) * len(stack), "enumerate_all_extensions")
     auts_H = sorted(brace_automorphisms(H))
-    groups = [FiniteGroup(t) for t in tables]
-    out = []
-    for (_, E), *copies in _brace_orbits(groups):
+    group = functools.cache(lambda k: FiniteGroup(stack[k]))
+    perms = _zero_fixing_perms(n).tolist()
+
+    def carry(copy: tuple, exts: list) -> list:
+        q, a, c = copy
+        if q == 0:  # the representative, under the identity
+            return exts
+        p, p_inv = perms[q], invert_perm(perms[q])
+        F = SkewBrace(group(a), group(c))
+        return [Extension(F, H, I, tuple(p[y] for y in ext.inj),
+                          tuple(ext.proj[x] for x in p_inv)) for ext in exts]
+
+    orbits = []
+    for E, copies in _brace_orbits(stack, group):
         found = []
         for inj in _brace_monos(I, E):
             image = frozenset(inj)
@@ -821,18 +848,9 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> list:
             for a in auts_H:
                 proj = tuple(a[hx] for hx in base)
                 found.append(Extension(E, H, I, inj, proj))
-        if not found:
-            continue
-        orbit = [found]
-        for p, F in copies:
-            p_inv = invert_perm(p)
-            orbit.append([
-                Extension(F, H, I, tuple(p[y] for y in ext.inj),
-                          tuple(ext.proj[x] for x in p_inv))
-                for ext in found
-            ])
-        out.append(orbit)
-    return out
+        if found:
+            orbits.append((found, copies))
+    return carry, orbits
 
 
 def enumerate_all_extensions(H: SkewBrace, I: SkewBrace) -> list:
@@ -847,9 +865,11 @@ def enumerate_all_extensions(H: SkewBrace, I: SkewBrace) -> list:
     class (_brace_orbits).  The search runs on one representative per
     orbit of brace tables under the 0-fixing relabellings; a relabelling
     is an isomorphism onto the copy, so it carries the representative's
-    extensions to every other copy (_extension_orbits).  The per-brace loop over every labelled table is
-    kept as the oracle enumerate_pairwise in tests/test_extensions.py."""
-    out = [ext for orbit in _extension_orbits(H, I) for copy in orbit for ext in copy]
+    extensions to every other copy (_extension_orbits).  The per-brace
+    loop over every labelled table is kept as the oracle enumerate_pairwise
+    in tests/test_extensions.py."""
+    carry, orbits = _extension_orbits(H, I)
+    out = [ext for found, copies in orbits for copy in copies for ext in carry(copy, found)]
     out.sort(key=Extension.sort_key)
     return out
 
@@ -884,6 +904,54 @@ def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:
     return BraceHom(e1.E, e2.E, section_shift_map(e1, e2, theta))
 
 
+def _classes(H: SkewBrace, I: SkewBrace) -> tuple:
+    """(carry, buckets): the extension classes of H by I grouped by
+    coupling, buckets = [(chi, [(head, size, members, copies), ...]), ...],
+    with carry from _extension_orbits; ext_classes and _class_heads read
+    their results off it.
+
+    Within the representative's own list of each orbit of brace tables,
+    _partition_triplets splits the canonical triplets of the extensions
+    with triplets_equivalent, as in h2_alpha; members are the extensions
+    of one class there.  A carried copy joins the class of its source,
+    because the relabelling that carried it is itself an equivalence, so
+    the class has len(members) members on each of the orbit's copies;
+    extensions on non-isomorphic braces are never equivalent.  The head,
+    the least member in Extension.sort_key order, lies on the copy with
+    the least (add index, circ index), the group tables being in lex
+    order; that copy is the representative (_brace_orbits).  Classes are
+    ordered by their head, and each joins the first coupling whose chi
+    the head's canonical action is related to."""
+    carry, orbits = _extension_orbits(H, I)
+    classes = []
+    for found, copies in orbits:
+        triplets = [extract_triplet(ext) for ext in found]
+        for ks in _partition_triplets(H, I, triplets):
+            members = [found[k] for k in ks]
+            head = min(members, key=Extension.sort_key)
+            classes.append((head, len(members) * len(copies), members, copies))
+    classes.sort(key=lambda cls: cls[0].sort_key())
+    buckets = []
+    for cls in classes:
+        head = cls[0]
+        chi = extract_action(head, canonical_section(head))
+        for rep_chi, group in buckets:
+            if _first_witnesses(I, rep_chi, chi) is not None:
+                group.append(cls)
+                break
+        else:
+            buckets.append((chi, [cls]))
+    return carry, buckets
+
+
+def _class_heads(H: SkewBrace, I: SkewBrace) -> list:
+    """ext_classes with each class given as (head, size), its first
+    member and its member count: [(chi, [(head, size), ...]), ...] in the
+    same order.  No extension is carried to a copy."""
+    _, buckets = _classes(H, I)
+    return [(chi, [(head, size) for head, size, _, _ in group]) for chi, group in buckets]
+
+
 def ext_classes(H: SkewBrace, I: SkewBrace) -> list:
     """Equivalence classes of all extensions, grouped by coupling.
 
@@ -892,29 +960,15 @@ def ext_classes(H: SkewBrace, I: SkewBrace) -> list:
     are ordered by their first member and their members by
     Extension.sort_key, as enumerate_all_extensions orders them.
 
-    Within the representative's own list of each orbit of brace tables
-    (see _extension_orbits), _partition_triplets splits the canonical
-    triplets of the extensions with triplets_equivalent, as in h2_alpha.
-    A carried copy joins the class of its source, because the relabelling
-    that carried it is itself an equivalence; extensions on non-isomorphic
-    braces are never equivalent.
-    The pairwise partition of the whole sorted list is kept as the oracle
+    The classes are those of _classes, with their members carried to
+    every labelled copy of their orbit and then sorted; callers that read
+    only each class's first member and size use _class_heads.  The
+    pairwise partition of the whole sorted list is kept as the oracle
     _ext_classes_pairwise in tests/test_extensions.py."""
-    classes = []
-    for orbit in _extension_orbits(H, I):
-        triplets = [extract_triplet(ext) for ext in orbit[0]]
-        for members in _partition_triplets(H, I, triplets):
-            cls = [copy[k] for copy in orbit for k in members]
-            cls.sort(key=Extension.sort_key)
-            classes.append(cls)
-    classes.sort(key=lambda cls: cls[0].sort_key())
-    buckets = []
-    for cls in classes:
-        chi = extract_action(cls[0], canonical_section(cls[0]))
-        for rep_chi, group in buckets:
-            if _first_witnesses(I, rep_chi, chi) is not None:
-                group.append(cls)
-                break
-        else:
-            buckets.append((chi, [cls]))
-    return buckets
+    carry, buckets = _classes(H, I)
+    return [
+        (chi, [sorted((ext for copy in copies for ext in carry(copy, members)),
+                      key=Extension.sort_key)
+               for _, _, members, copies in group])
+        for chi, group in buckets
+    ]

@@ -701,14 +701,25 @@ def _relabel_stack(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return perms[rows, table[invs[:, :, None], invs[:, None, :]]]
 
 
-def all_group_tables(n: int) -> list:
-    """Every Cayley table on 0..n-1 with identity 0, as table tuples (n <= 7)."""
-    groups = standard_groups_of_order(n)
+def _group_table_stack(n: int) -> np.ndarray:
+    """Every Cayley table on 0..n-1 with identity 0 (n <= 7), as one
+    (m, n, n) integer stack in lexicographic order: the relabellings of
+    the standard groups by every 0-fixing permutation, lex-sorted with
+    np.lexsort, with adjacent repeats dropped."""
     perms = _zero_fixing_perms(n)
-    tables = set()
-    for G in groups:
-        tables.update(tuple(map(tuple, t)) for t in _relabel_stack(G.np_table, perms).tolist())
-    return sorted(tables)
+    flat = np.concatenate(
+        [_relabel_stack(G.np_table, perms) for G in standard_groups_of_order(n)]
+    ).reshape(-1, n * n)
+    flat = flat[np.lexsort(flat.T[::-1])]
+    keep = np.ones(len(flat), dtype=bool)
+    keep[1:] = (flat[1:] != flat[:-1]).any(axis=1)
+    return flat[keep].reshape(-1, n, n)
+
+
+def all_group_tables(n: int) -> list:
+    """Every Cayley table on 0..n-1 with identity 0, as sorted table
+    tuples (n <= 7); the rows of _group_table_stack."""
+    return [tuple(map(tuple, t)) for t in _group_table_stack(n).tolist()]
 
 
 _REFERENCE_GROUPS: dict = {}

@@ -2,6 +2,7 @@
 byte-stable serialization, the worked-example builders with their recorded
 -value reconciliation reports, and the fixture sweeps."""
 
+import itertools
 import json
 import time
 
@@ -9,12 +10,18 @@ import pytest
 
 from braceforge import braces as braces_mod
 from braceforge import catalog
-from braceforge.braces import SkewBrace, lambda_is_hom, identities_check, validate_brace
+from braceforge.braces import (SkewBrace, lambda_is_hom, identities_check, trivial_brace,
+                               validate_brace)
 from braceforge.errors import (BraceAxiomFailed, NotExact, ParamOutOfRange, SchemaError,
                                ValidationError)
 from braceforge.extensions import Extension, extract_triplet, validate_extension
 from braceforge.groups import FiniteGroup, cyclic_group
-from braceforge.split import enumerate_split_triples, semidirect_product
+from braceforge.split import (
+    _product_brace,
+    enumerate_split_triples,
+    identity_triple,
+    semidirect_product,
+)
 from braceforge.wells import verify_exact_sequence
 
 
@@ -95,6 +102,122 @@ def test_example1_finite_report():
     assert rep["closed_form_mismatches"] == 0
 
 
+def _example2_mismatches_loop(E, H, p, exps):
+    """Oracle for catalog._example2_mismatches: one cell at a time."""
+    bad_add, bad_circ = [], []
+    for x1 in range(H.n):
+        for y1 in range(p):
+            a = x1 * p + y1
+            for x2 in range(H.n):
+                for y2 in range(p):
+                    b = x2 * p + y2
+                    hpart = H.add.table[x1][x2]
+                    want_add = hpart * p + (y2 + (-1) ** exps[x2] * y1) % p
+                    want_circ = hpart * p + (y1 + (-1) ** exps[x1] * y2) % p
+                    if E.add.table[a][b] != want_add:
+                        bad_add.append([x1, y1, x2, y2])
+                    if E.circ.table[a][b] != want_circ:
+                        bad_circ.append([x1, y1, x2, y2])
+    return bad_add, bad_circ
+
+
+def _example3_mismatches_loop(E, I, psi, nu):
+    """Oracle for catalog._example3_mismatches."""
+    bad_recorded = bad_untwisted = cells = 0
+    for k in range(8):
+        for y1 in range(6):
+            for l in range(8):
+                for y2 in range(6):
+                    cells += 1
+                    got = E.circ.table[k * 6 + y1][l * 6 + y2]
+                    hpart = ((k + l) % 8) * 6
+                    bad_recorded += got != hpart + I.circ.table[psi[y1]][nu[k][y2]]
+                    bad_untwisted += got != hpart + I.circ.table[y1][nu[k][y2]]
+    return cells, bad_recorded, bad_untwisted
+
+
+def _example4_recorded(k, l, n_, m):
+    return (l + (-1) ** k * m + (-1) ** n_ * l * m) % 4
+
+
+def _example4_mismatches_loop(E):
+    """Oracle for catalog._example4_mismatches."""
+    bad_recorded, bad_corrected = [], []
+    h_part_ok = True
+    for k, l, n_, m in itertools.product(range(4), repeat=4):
+        got = E.circ.table[k * 4 + l][n_ * 4 + m]
+        gh, gy = got // 4, got % 4
+        if gh != (k + n_) % 4:
+            h_part_ok = False
+        recorded = _example4_recorded(k, l, n_, m)
+        corrected = (l + (-1) ** k * m + 2 * l * m) % 4
+        if gy != recorded:
+            bad_recorded.append([k, l, n_, m, gy, recorded])
+        if gy != corrected:
+            bad_corrected.append([k, l, n_, m, gy, corrected])
+    return h_part_ok, bad_recorded, bad_corrected
+
+
+def _reproduces_example4_form_loop(H, I, triples):
+    """Oracle for catalog._reproduces_example4_form: each product built as
+    a brace and compared cell by cell."""
+    return any(
+        all(_product_brace(H, I, t).circ.table[k * 4 + l][n_ * 4 + m]
+            == (k + n_) % 4 * 4 + _example4_recorded(k, l, n_, m)
+            for k, l, n_, m in itertools.product(range(4), repeat=4))
+        for t in triples
+    )
+
+
+def _example1_mismatches_loop(E, k, m):
+    """Oracle for catalog._example1_mismatches."""
+    bad = 0
+    for h1, y1, h2, y2 in itertools.product(range(2 * k), range(m), range(2 * k), range(m)):
+        hpart = (h1 + h2) % (2 * k)
+        a, b = h1 * m + y1, h2 * m + y2
+        bad += E.add.table[a][b] != hpart * m + ((-1) ** h2 * y1 + y2) % m
+        bad += E.circ.table[a][b] != hpart * m + (y1 + (-1) ** h1 * y2) % m
+    return bad
+
+
+def _closed_form_reports():
+    reports = [catalog.example2(n=n, p=p, odd=odd)[1] for n, p, odd in (
+        (1, 3, False), (2, 3, False), (3, 3, False), (4, 3, False), (1, 5, False),
+        (2, 5, False), (3, 5, False), (4, 5, False), (6, 7, False), (3, 3, True),
+        (3, 5, True))]
+    reports += [catalog.example3()[1], catalog.example4()[1]]
+    reports += [catalog.example1_finite(k, m)[1] for k, m in ((1, 2), (2, 3), (3, 5))]
+    return reports
+
+
+def test_closed_form_sweeps_match_loops(monkeypatch, Z3):
+    # the gathered sweeps give the whole reports the cell loops give, on
+    # every example-2 parameter set the tests and the CLI use
+    fast = _closed_form_reports()
+    for name, loop in (("_example2_mismatches", _example2_mismatches_loop),
+                       ("_example3_mismatches", _example3_mismatches_loop),
+                       ("_example4_mismatches", _example4_mismatches_loop),
+                       ("_reproduces_example4_form", _reproduces_example4_form_loop),
+                       ("_example1_mismatches", _example1_mismatches_loop)):
+        monkeypatch.setattr(catalog, name, loop)
+    assert _closed_form_reports() == fast
+    monkeypatch.undo()
+    example3, example4 = fast[11:13]
+    assert example3["recorded_circ_mismatches"] > 0
+    assert example4["recorded_circ_mismatches"] == 128
+    # and where the forms fail on most cells: the direct product of Z4 by Z3
+    # against example 1's negation forms, and example 2's exponents shifted
+    H = trivial_brace(cyclic_group(4))
+    E = semidirect_product(H, Z3, identity_triple(H, Z3))
+    assert catalog._example1_mismatches(E, 2, 3) == _example1_mismatches_loop(E, 2, 3) > 0
+    _, H2, _, exps, t = catalog._example2_triple(2, 3, False)
+    E2 = semidirect_product(H2, Z3, t)
+    shifted = exps[1:] + exps[:1]
+    got = catalog._example2_mismatches(E2, H2, 3, shifted)
+    assert got == _example2_mismatches_loop(E2, H2, 3, shifted)
+    assert all(len(cells) > 0 for cells in got)
+
+
 def test_example_dispatcher():
     assert catalog.example(3).name == "example-3"
     assert catalog.example_report(2, n=1, p=3)["order"] == 12
@@ -142,6 +265,13 @@ def test_dumps_payload_matches_json_module(split_ext, z4_ext):
             "scalar": 1.5,
         },
         {},
+        # a row laid out once per call, then repeated at the same depth, at
+        # another depth, and with equal values that are not all plain ints
+        {
+            "rows": [[0, 2, 1], [0, 2, 1], [[0, 2, 1], (0, 2, 1)], [0, 2, 1]],
+            "same_values": [[1, 0], [True, False], [1.0, 0], [1, 0]],
+            "again": {"deeper": [[0, 2, 1], [[1, 0]]]},
+        },
     ]
     for obj in objs:
         assert catalog.dumps_payload(obj) == reference(obj)

@@ -225,11 +225,33 @@ def test_split_products_are_validated_once(tmp_path, capsys, count_calls, Z2, Z3
 
 def test_selftest_classifies_each_pair_once(capsys, count_calls):
     # the bijection and free-and-transitive checks of one Z2-by-Zi pair
-    # share one ext_classes result
-    classified = count_calls(cli.ext_classes)
+    # share one _class_heads result; no class is listed in full
+    heads = count_calls(extensions._class_heads)
+    listed = count_calls(extensions.ext_classes)
     assert main(["selftest"]) == 0
     capsys.readouterr()
-    assert classified["calls"] == 2
+    assert (heads["calls"], listed["calls"]) == (2, 0)
+
+
+def test_classify_ext_builds_no_labelled_copy(tmp_path, capsys, monkeypatch):
+    # classify-ext reads each class's head and size off the orbits: the 12
+    # extensions found on the representatives of the 6 orbits of order-6
+    # braces that carry any, and one head per class, not the 560 labelled
+    # extensions
+    built = {"calls": 0}
+    init = extensions.Extension.__init__
+
+    def counted(self, *args):
+        built["calls"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(extensions.Extension, "__init__", counted)
+    z2, z3 = (_write(tmp_path, f"z{n}.json", catalog.brace_payload(trivial_brace(cyclic_group(n))))
+              for n in (2, 3))
+    code, report, _ = _run(capsys, ["classify-ext", z2, z3])
+    assert code == 0
+    assert (report["total_extensions"], report["total_classes"]) == (560, 6)
+    assert built["calls"] <= 20
 
 
 def test_selftest_computes_each_h2_once(capsys, monkeypatch):

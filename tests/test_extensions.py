@@ -59,6 +59,7 @@ from braceforge.extensions import (
     zero_triplet,
 )
 from braceforge.groups import (
+    _group_table_stack,
     all_group_tables,
     compose,
     cyclic_group,
@@ -352,32 +353,60 @@ def test_enumerate_matches_pairwise_validation(Z2, Z3, order6_coefficients, pair
         got, want = ext_classes(H, I), _ext_classes_pairwise(I, slow)
         assert [chi for chi, _ in got] == [chi for chi, _ in want]
         assert [classes for _, classes in got] == [classes for _, classes in want]
+        # the heads route reads each class's first member and size off the
+        # orbits, with the same couplings in the same order
+        heads = extensions_mod._class_heads(H, I)
+        assert [chi for chi, _ in heads] == [chi for chi, _ in got]
+        assert [[(head, size) for head, size in classes] for _, classes in heads] == [
+            [(cls[0], len(cls)) for cls in classes] for _, classes in got
+        ]
     assert len(enumerate_all_extensions(Z2, Z3)) == 560
+
+
+def _validated(stack):
+    """_brace_orbits's group argument, with every table validated."""
+    return lambda k: validate_group(stack[k].tolist())
+
+
+def _index_orbits(stack):
+    return extensions_mod._brace_orbits(stack, _validated(stack))
+
+
+def _index_orbit_tables(stack, orbits):
+    """The (permutation, add table, circ table) of each copy of index-form
+    orbits (_brace_orbits), as _orbit_tables gives them for the oracle."""
+    perms = [tuple(p) for p in extensions_mod._zero_fixing_perms(stack.shape[1]).tolist()]
+    tables = [tuple(map(tuple, t)) for t in stack.tolist()]
+    return [[(perms[q], tables[a], tables[c]) for q, a, c in copies] for _, copies in orbits]
 
 
 def test_brace_orbits_census(pairwise_braces):
     # skew braces up to isomorphism (Guarnieri-Vendramin, Math. Comp. 86)
     census = []
     for n in range(1, 8):
-        groups = [validate_group(t) for t in all_group_tables(n)]
-        orbits = extensions_mod._brace_orbits(groups)
+        stack = _group_table_stack(n)
+        orbits = _index_orbits(stack)
         census.append(len(orbits))
         if n > 6:
             continue
-        copies = [E for orbit in orbits for _, E in orbit]
-        assert len(copies) == len(set(copies)) == len(pairwise_braces(n))
-        assert set(copies) == set(pairwise_braces(n))
-        for orbit in orbits:
-            (p0, rep), *rest = orbit
+        rows = _index_orbit_tables(stack, orbits)
+        copies = [(add, circ) for orbit in rows for _, add, circ in orbit]
+        pairwise = [(E.add.table, E.circ.table) for E in pairwise_braces(n)]
+        assert len(copies) == len(set(copies)) == len(pairwise)
+        assert set(copies) == set(pairwise)
+        for (rep, _), ((p0, add0, circ0), *rest) in zip(orbits, rows):
             assert p0 == identity_perm(n)
-            for p, E in rest:
-                assert E.add == rep.add.relabel(p) and E.circ == rep.circ.relabel(p)
+            assert (rep.add.table, rep.circ.table) == (add0, circ0)
+            # the least copy, where _class_heads reads each class's head
+            assert all((add0, circ0) < (add, circ) for _, add, circ in rest)
+            for p, add, circ in rest:
+                assert add == rep.add.relabel(p).table and circ == rep.circ.relabel(p).table
     assert census == [1, 1, 1, 4, 1, 6, 1]
     assert len(pairwise_braces(6)) == 280
     # every relabelled table must be among the given ones
-    six = [validate_group(t) for t in all_group_tables(6)]
+    six = np.delete(_group_table_stack(6), 1, axis=0)
     with pytest.raises(InternalInconsistency):
-        extensions_mod._brace_orbits(six[:1] + six[2:])
+        _index_orbits(six)
 
 
 def _brace_orbits_every_table(groups):
@@ -425,15 +454,15 @@ def test_brace_orbits_match_every_table_pass():
     # one axiom pass per additive relabelling class gives the orbits, their
     # order and every (permutation, brace) entry of the per-table pass
     for n in range(1, 8):
+        stack = _group_table_stack(n)
         groups = [validate_group(t) for t in all_group_tables(n)]
-        got = extensions_mod._brace_orbits(groups)
-        assert _orbit_tables(got) == _orbit_tables(_brace_orbits_every_table(groups))
+        got = _index_orbit_tables(stack, _index_orbits(stack))
+        assert got == _orbit_tables(_brace_orbits_every_table(groups))
     six = [validate_group(t) for t in all_group_tables(6)]
-    truncated = six[:1] + six[2:]
     with pytest.raises(InternalInconsistency) as fast:
-        extensions_mod._brace_orbits(truncated)
+        _index_orbits(np.delete(_group_table_stack(6), 1, axis=0))
     with pytest.raises(InternalInconsistency) as slow:
-        _brace_orbits_every_table(truncated)
+        _brace_orbits_every_table(six[:1] + six[2:])
     assert str(fast.value) == str(slow.value)
 
 
@@ -441,7 +470,7 @@ def test_brace_orbits_decide_the_axiom_once_per_additive_class(count_calls):
     # order 6 has two additive relabelling classes (Z6 and S3) among its 80
     # tables; the per-table pass ran the axiom 80 times
     checked = count_calls(braces_mod._brace_axiom_holds)
-    extensions_mod._brace_orbits([validate_group(t) for t in all_group_tables(6)])
+    _index_orbits(_group_table_stack(6))
     assert checked["calls"] == 2
 
 

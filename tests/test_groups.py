@@ -24,6 +24,7 @@ from braceforge.errors import (
 from braceforge.groups import (
     FiniteGroup,
     PermGroup,
+    _group_table_stack,
     _reference_groups,
     all_group_tables,
     alternating4_group,
@@ -339,13 +340,18 @@ def test_all_group_tables_counts():
     assert names == ["Z2 x Z2", "Z4", "Z4", "Z4"]
     # 5!/2 = 60 cyclic plus 5!/6 = 20 symmetric
     assert len(all_group_tables(6)) == 80
-    # oracle: one relabel_table per standard group and 0-fixing permutation
+    # oracle: one relabel_table per standard group and 0-fixing permutation;
+    # the quotient route's class heads rely on the stack's index order being
+    # the lex order of the tables
     for n in range(1, 8):
         slow = {
             G.relabel((0,) + rest).table
             for G in standard_groups_of_order(n)
             for rest in itertools.permutations(range(1, n))
         }
+        stack = _group_table_stack(n)
+        assert stack.shape == (len(slow), n, n)
+        assert [tuple(map(tuple, t)) for t in stack.tolist()] == sorted(slow)
         assert all_group_tables(n) == sorted(slow)
 
 

@@ -596,17 +596,26 @@ def _verdict(H, I, t):
 
 def test_enumeration_is_invariant_under_relabelling(Z2, Z3, xor4, flip4):
     # a 0-fixing relabelling of H and of I is a brace isomorphism, so it
-    # carries valid triples to valid triples and invalid ones to invalid
+    # carries valid triples to valid triples and invalid ones to invalid;
+    # example 5 transports its triples by the relabelling (0 2 1 3) of I
+    # instead of enumerating them again
     rng = random.Random(4101)
+
+    def seeded(H, I):
+        for _ in range(3):
+            yield ((0,) + tuple(rng.sample(range(1, H.n), H.n - 1)),
+                   (0,) + tuple(rng.sample(range(1, I.n), I.n - 1)))
+
+    pairs = [(H, I, seeded(H, I)) for H, I in _wells_sweep_pairs(Z2, Z3, xor4, flip4)]
+    H5 = catalog.example5_acting_brace()
+    pairs.append((H5, flip4, [(identity_perm(H5.n), (0, 2, 1, 3))]))
     invalid = 0
-    for H, I in _wells_sweep_pairs(Z2, Z3, xor4, flip4):
+    for H, I, relabellings in pairs:
         found = enumerate_split_triples(H, I)
         candidates = _candidates(H, I)
         verdicts = [_verdict(H, I, t) for t in candidates]
         invalid += sum(v is not None for v in verdicts)
-        for _ in range(3):
-            pH = (0,) + tuple(rng.sample(range(1, H.n), H.n - 1))
-            pI = (0,) + tuple(rng.sample(range(1, I.n), I.n - 1))
+        for pH, pI in relabellings:
             H2, I2 = _relabelled(H, pH), _relabelled(I, pI)
             moved = enumerate_split_triples(H2, I2)
             assert len(moved) == len(found)
