@@ -64,11 +64,13 @@ from .extensions import (
     Extension,
     Triplet,
     _class_heads,
+    _class_key,
     _first_witnesses,
+    _zero_cocycle,
     extension_from_triplet,
     extract_triplet,
     is_valid_triplet,
-    triplets_equivalent,
+    twist_cocycle,
 )
 from .groups import group_from_elements, is_automorphism
 from .split import ActionTriple, _compat_on_lifts, check_hom_laws
@@ -579,28 +581,12 @@ def z2N(
 def coboundary_pair(
     H: SkewBrace, I: SkewBrace, chi: ActionTriple, theta: Sequence[int]
 ) -> CocyclePair:
-    """The cocycle pair of a normalization-respecting map theta : H -> I."""
+    """The cocycle pair of a normalization-respecting map theta : H -> I:
+    the twist of the zero pair by theta (extensions.twist_cocycle)."""
     if len(theta) != H.n or theta[0] != 0:
         raise InputError("theta must be indexed by H with theta(0) = 0")
-    nh = len(theta)
-    Ia, Ineg = I.add.table, I.add.inv
-    Ha, Hc = H.add.table, H.circ.table
-    nu, mu, sigma = chi.nu, chi.mu, chi.sigma
-    g = []
-    f = []
-    for a in range(nh):
-        grow = []
-        frow = []
-        for b in range(nh):
-            ab = Ha[a][b]
-            gv = Ia[Ia[nu[ab][Ineg[theta[ab]]]][mu[b][nu[a][theta[a]]]]][nu[b][theta[b]]]
-            grow.append(gv)
-            cb = Hc[a][b]
-            fv = Ia[Ia[Ineg[theta[cb]]][sigma[b][theta[a]]]][theta[b]]
-            frow.append(fv)
-        g.append(tuple(grow))
-        f.append(tuple(frow))
-    return CocyclePair(tuple(g), tuple(f))
+    zero = _zero_cocycle(H.n)
+    return CocyclePair(*twist_cocycle(H, I, Triplet(chi, zero, zero), theta))
 
 
 def b2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
@@ -949,22 +935,22 @@ def _act_permutation(
     H: SkewBrace,
     I: SkewBrace,
     pair_ambient: CocyclePair,
-    class_triplets: Sequence[Triplet],
+    class_keys: Sequence[Triplet],
 ) -> list:
-    """Where acting by one cocycle pair sends each class, given by the
-    canonical triplet of its representative.  The pair, an embedded h2N
-    representative, is a cocycle pair into Ann(I), so it is not checked
-    again (tests/test_cohomology.py asserts it).  A shifted triplet that
-    matches one is a twist of a valid triplet, hence valid, so no extension
-    is rebuilt; exactly one class must match."""
+    """Where acting by one cocycle pair sends each class, given by its class
+    key (extensions._class_key): a shift commutes with every twist, so the
+    key of the shifted key names the image, and exactly one class must
+    have it.  The pair, an embedded h2N representative, is a cocycle pair
+    into Ann(I), so it is not checked again (tests/test_cohomology.py
+    asserts it); a shifted triplet with a class's key is a twist of a valid
+    triplet, hence valid, so no extension is rebuilt.  The pairwise search
+    is the oracle _act_permutation_pairwise in tests/test_cohomology.py."""
+    index: dict = {}
+    for j, key in enumerate(class_keys):
+        index.setdefault(key, []).append(j)
     row = []
-    for t in class_triplets:
-        acted = _shift(H, I, pair_ambient, t)
-        hits = [
-            j
-            for j, other in enumerate(class_triplets)
-            if triplets_equivalent(H, I, acted, other) is not None
-        ]
+    for key in class_keys:
+        hits = index.get(_class_key(H, I, _shift(H, I, pair_ambient, key)), [])
         if len(hits) != 1:
             raise ValidationError(
                 "acted extension matched an unexpected number of classes",
@@ -990,7 +976,7 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace) -> dict:
 
 def _free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list, groups: dict) -> dict:
     """verify_free_transitive on a computed _class_heads result, acting on
-    the canonical triplet of each class's head, and reading each H^2 from
+    the class key of each class's head, and reading each H^2 from
     `groups`, which maps h2N's arguments (H, I, chi) to its result, and
     adding every H^2 it computes there; selftest shares `groups` with its
     class-count check, so no H^2 is computed twice."""
@@ -998,7 +984,7 @@ def _free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list, groups: d
     all_free = True
     all_transitive = True
     for rep_chi, classes in buckets:
-        reps = [extract_triplet(head) for head, _ in classes]
+        reps = [_class_key(H, I, extract_triplet(head)) for head, _ in classes]
         I_res, chi_res, elems = restrict_action(I, rep_chi)
         key = (H, I_res, chi_res)
         if key not in groups:

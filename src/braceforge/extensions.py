@@ -28,8 +28,11 @@ it decides compatibility from the residual of the parent relation (see
 parent_relation_witness), not from a rebuild of every candidate pair.
 
 Two extensions are equivalent exactly when a section change (a twist,
-twist_triplet) turns one canonical triplet into the other;
-triplets_equivalent is the one routine in the package that decides it.
+twist_triplet) turns one canonical triplet into the other.  The twists of
+a triplet are its class, so a class is named by its least member, the
+class key (_class_key); every partition into classes and every class
+lookup compares keys.  triplets_equivalent finds one twist between two
+given triplets, for extensions_equivalent.
 
 Classification searches one labelled brace per orbit of brace tables
 under the 0-fixing relabellings (_brace_orbits) and reads every other
@@ -568,12 +571,13 @@ def couplings_classwise_equal(coup: Coupling, chi1: ActionTriple, chi2: ActionTr
 
 def twist_action(I: SkewBrace, chi: ActionTriple, theta: Sequence[int]) -> ActionTriple:
     """The action extracted from the theta-shifted section s'(h) = s(h) o theta(h)."""
-    nu, mu, sigma = [], [], []
-    for h in range(len(chi.nu)):
+    nu, mu, sigma = list(chi.nu), list(chi.mu), list(chi.sigma)
+    for h in range(len(nu)):
         y = theta[h]
-        nu.append(compose(chi.nu[h], I.lam(y)))
-        mu.append(compose(inner_add(I, chi.nu[h][I.add.inv[y]]), chi.mu[h]))
-        sigma.append(compose(inner_circ(I, I.circ.inv[y]), chi.sigma[h]))
+        if y:  # a twist by 0 leaves the 0-fixing members as they are
+            nu[h] = compose(chi.nu[h], I.lam(y))
+            mu[h] = compose(inner_add(I, chi.nu[h][I.add.inv[y]]), chi.mu[h])
+            sigma[h] = compose(inner_circ(I, I.circ.inv[y]), chi.sigma[h])
     return ActionTriple(tuple(nu), tuple(mu), tuple(sigma))
 
 
@@ -615,11 +619,12 @@ def twist_triplet(H: SkewBrace, I: SkewBrace, t: Triplet, theta: Sequence[int]) 
 def triplets_equivalent(
     H: SkewBrace, I: SkewBrace, t1: Triplet, t2: Triplet
 ) -> Optional[tuple]:
-    """A map theta with theta(0) = 0 turning t1 into t2, or None.
+    """The lexicographically first theta with theta(0) = 0 turning t1 into
+    t2, or None, for extensions_equivalent; classes compare by _class_key.
 
     Searches the per-h candidate sets from couplings_related, then demands
-    that the twisted cocycles match t2 exactly.
-    """
+    that the twisted cocycles match t2 exactly: no sweep of all 6^7 theta
+    at |H| = 8, |I| = 6."""
     cands = couplings_related(I, t1.chi, t2.chi)
     if cands is None:
         return None
@@ -669,24 +674,37 @@ def z2_alpha(H: SkewBrace, I: SkewBrace, alpha: ActionTriple) -> list:
     return found
 
 
-def _partition_triplets(H: SkewBrace, I: SkewBrace, triplets: Sequence[Triplet]) -> list:
-    """Index lists of the classes of triplets under triplets_equivalent,
-    first fit: each triplet joins the first class whose head it matches."""
-    classes = []
+def _class_key(H: SkewBrace, I: SkewBrace, t: Triplet) -> Triplet:
+    """The least twist of the valid triplet t in Triplet.sort_key order,
+    over every theta with theta(0) = 0.
+
+    A twist is a section change and section changes compose, so the twists
+    of t are its class, and two valid triplets are equivalent exactly when
+    their keys are equal.  sort_key compares chi first, so key.chi is the
+    least twist of t.chi: two keys have equal chi exactly when the actions
+    are related (couplings_related), and key.chi names the coupling."""
+    budget_mod.guard(I.n ** (H.n - 1), "class key")
+    return min((twist_triplet(H, I, t, (0,) + tail)
+                for tail in itertools.product(range(I.n), repeat=H.n - 1)),
+               key=Triplet.sort_key)
+
+
+def _partition_triplets(H: SkewBrace, I: SkewBrace, triplets: Sequence[Triplet]) -> dict:
+    """The classes of valid triplets as {class key: index list}, in order
+    of first member as first fit gives them; the first-fit partition is the
+    oracle _partition_first_fit in tests/test_extensions.py."""
+    classes: dict = {}
     for k, t in enumerate(triplets):
-        for members in classes:
-            if triplets_equivalent(H, I, triplets[members[0]], t) is not None:
-                members.append(k)
-                break
-        else:
-            classes.append([k])
+        classes.setdefault(_class_key(H, I, t), []).append(k)
     return classes
 
 
 def h2_alpha(H: SkewBrace, I: SkewBrace, alpha: ActionTriple) -> list:
-    """Equivalence classes of z2_alpha under the theta relation."""
+    """Equivalence classes of z2_alpha under the theta relation, read off
+    the class keys (_partition_triplets)."""
     triplets = z2_alpha(H, I, alpha)
-    return [[triplets[k] for k in members] for members in _partition_triplets(H, I, triplets)]
+    return [[triplets[k] for k in members]
+            for members in _partition_triplets(H, I, triplets).values()]
 
 
 def _brace_monos(I: SkewBrace, E: SkewBrace) -> list:
@@ -911,37 +929,30 @@ def _classes(H: SkewBrace, I: SkewBrace) -> tuple:
     their results off it.
 
     Within the representative's own list of each orbit of brace tables,
-    _partition_triplets splits the canonical triplets of the extensions
-    with triplets_equivalent, as in h2_alpha; members are the extensions
-    of one class there.  A carried copy joins the class of its source,
-    because the relabelling that carried it is itself an equivalence, so
-    the class has len(members) members on each of the orbit's copies;
-    extensions on non-isomorphic braces are never equivalent.  The head,
-    the least member in Extension.sort_key order, lies on the copy with
-    the least (add index, circ index), the group tables being in lex
-    order; that copy is the representative (_brace_orbits).  Classes are
-    ordered by their head, and each joins the first coupling whose chi
-    the head's canonical action is related to."""
+    _partition_triplets splits the canonical triplets of the extensions by
+    class key, as in h2_alpha; members are the extensions of one class
+    there.  A carried copy joins the class of its source, because the
+    relabelling that carried it is itself an equivalence, so the class has
+    len(members) members on each of the orbit's copies; extensions on
+    non-isomorphic braces are never equivalent.  The head, the least member
+    in Extension.sort_key order, lies on the copy with the least (add index,
+    circ index), the group tables being in lex order; that copy is the
+    representative (_brace_orbits).  Classes are ordered by their head and
+    bucketed by the chi of their key, which names the coupling; each
+    bucket's chi is its first head's canonical action."""
     carry, orbits = _extension_orbits(H, I)
     classes = []
     for found, copies in orbits:
         triplets = [extract_triplet(ext) for ext in found]
-        for ks in _partition_triplets(H, I, triplets):
-            members = [found[k] for k in ks]
-            head = min(members, key=Extension.sort_key)
-            classes.append((head, len(members) * len(copies), members, copies))
-    classes.sort(key=lambda cls: cls[0].sort_key())
-    buckets = []
-    for cls in classes:
-        head = cls[0]
-        chi = extract_action(head, canonical_section(head))
-        for rep_chi, group in buckets:
-            if _first_witnesses(I, rep_chi, chi) is not None:
-                group.append(cls)
-                break
-        else:
-            buckets.append((chi, [cls]))
-    return carry, buckets
+        for key, ks in _partition_triplets(H, I, triplets).items():
+            k = min(ks, key=lambda j: found[j].sort_key())
+            cls = (found[k], len(ks) * len(copies), [found[j] for j in ks], copies)
+            classes.append((key.chi, triplets[k].chi, cls))
+    classes.sort(key=lambda cls: cls[2][0].sort_key())
+    buckets: dict = {}
+    for coupling, chi, cls in classes:
+        buckets.setdefault(coupling, (chi, []))[1].append(cls)
+    return carry, list(buckets.values())
 
 
 def _class_heads(H: SkewBrace, I: SkewBrace) -> list:

@@ -22,8 +22,10 @@ from braceforge.cohomology import (
     CocyclePair,
     Derivation,
     _Echelon,
+    _act_permutation,
     _kernel,
     _parent_residual_stack,
+    _shift,
     b2N,
     coboundary_pair,
     component_law_witness,
@@ -50,12 +52,18 @@ from braceforge.errors import (
 )
 from braceforge.extensions import (
     Triplet,
+    _class_heads,
+    _class_key,
+    _extension_orbits,
+    _first_witnesses,
     _parent_relation_cells,
+    _partition_triplets,
     ext_classes,
     extension_from_triplet,
     extract_triplet,
     h2_alpha,
     is_valid_triplet,
+    triplets_equivalent,
     z2_alpha,
     zero_triplet,
 )
@@ -72,7 +80,7 @@ from braceforge.groups import (
     klein_group,
 )
 from braceforge.split import ActionTriple, enumerate_split_triples, identity_triple
-from test_extensions import _extensions_equivalent_loop
+from test_extensions import _extensions_equivalent_loop, _partition_first_fit
 
 
 # --- the enumerating routes, kept as oracles -----------------------------------
@@ -193,6 +201,41 @@ def _z2N_enumerated(
             if zero_valid or is_valid_triplet(H, I, Triplet(chi, g, f)):
                 out.append(CocyclePair(g, f))
     return out
+
+
+def _coboundary_pair_loop(H: SkewBrace, I: SkewBrace, chi: ActionTriple, theta) -> CocyclePair:
+    """Oracle for coboundary_pair: the module docstring's g_theta and
+    f_theta, cell by cell."""
+    Ia, Ineg = I.add.table, I.add.inv
+    Ha, Hc = H.add.table, H.circ.table
+    nu, mu, sigma = chi.nu, chi.mu, chi.sigma
+    g, f = [], []
+    for a in range(H.n):
+        grow, frow = [], []
+        for b in range(H.n):
+            ab, cb = Ha[a][b], Hc[a][b]
+            grow.append(Ia[Ia[nu[ab][Ineg[theta[ab]]]][mu[b][nu[a][theta[a]]]]][nu[b][theta[b]]])
+            frow.append(Ia[Ia[Ineg[theta[cb]]][sigma[b][theta[a]]]][theta[b]])
+        g.append(tuple(grow))
+        f.append(tuple(frow))
+    return CocyclePair(tuple(g), tuple(f))
+
+
+def _act_permutation_pairwise(H, I, pair_ambient, class_triplets) -> list:
+    """Oracle for _act_permutation: each shifted class triplet searched
+    against every class with triplets_equivalent."""
+    row = []
+    for t in class_triplets:
+        acted = _shift(H, I, pair_ambient, t)
+        hits = [j for j, other in enumerate(class_triplets)
+                if triplets_equivalent(H, I, acted, other) is not None]
+        if len(hits) != 1:
+            raise ValidationError(
+                "acted extension matched an unexpected number of classes",
+                matches=len(hits),
+            )
+        row.append(hits[0])
+    return row
 
 
 def _b2N_sweep(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
@@ -511,10 +554,11 @@ def test_free_transitive_work_counts(Z2, Z3, count_calls):
     for I in (Z2, Z3):
         shifts = count_calls(extensions_mod.extensions_equivalent)
         rebuilds = count_calls(extensions_mod.extension_from_triplet)
+        compared = count_calls(extensions_mod.triplets_equivalent)
         verify_free_transitive(Z2, I)
-        # classes are matched in triplet coordinates, and h2N decides the
-        # zero pair with the lifts check, so nothing is rebuilt
-        assert (shifts["calls"], rebuilds["calls"]) == (0, 0)
+        # classes are matched by class key, and h2N decides the zero pair
+        # with the lifts check, so nothing is rebuilt or searched pairwise
+        assert (shifts["calls"], rebuilds["calls"], compared["calls"]) == (0, 0, 0)
 
 
 def test_free_transitive_shifts_without_rechecking(Z2, Z3, count_calls):
@@ -540,6 +584,69 @@ def test_free_transitive_shifts_without_rechecking(Z2, Z3, count_calls):
                     assert component_law_witness(H.circ.table, I, chi.sigma, pair.f) is None
                     shifted += 1
     assert shifted > 0
+
+
+def _assert_rows_match_pairwise(H, I, grp, elems, class_triplets) -> int:
+    """The keyed action rows of every H^2 representative equal the pairwise
+    oracle's on the given class triplets; returns the number of rows."""
+    keys = [_class_key(H, I, t) for t in class_triplets]
+    for p in grp.representatives:
+        pair = embed_pair(p, elems)
+        assert _act_permutation(H, I, pair, keys) == _act_permutation_pairwise(
+            H, I, pair, class_triplets)
+    return grp.order
+
+
+def test_class_key_matches_pairwise(Z2, Z3, flip4, xor4):
+    # ext_classes and verify_free_transitive: the keyed partition of each
+    # orbit's extensions equals the first-fit one, and the keyed action rows
+    # equal the pairwise ones
+    rows = 0
+    for H, I in ((Z2, Z2), (Z2, Z3), (Z3, Z2)):
+        _, orbits = _extension_orbits(H, I)
+        for found, _ in orbits:
+            triplets = [extract_triplet(ext) for ext in found]
+            assert list(_partition_triplets(H, I, triplets).values()) == (
+                _partition_first_fit(H, I, triplets))
+        for rep_chi, classes in _class_heads(H, I):
+            I_res, chi_res, elems = restrict_action(I, rep_chi)
+            rows += _assert_rows_match_pairwise(
+                H, I, h2N(H, I_res, chi_res), elems,
+                [extract_triplet(head) for head, _ in classes])
+    # h2_alpha with the identity action, and H^2 acting on its classes
+    # (Z2, Z3) is one class whose three members no twist fixes
+    for H, I, n_classes in ((Z2, Z2, 4), (Z2, Z3, 1), (Z3, Z3, 9)):
+        chi = identity_triple(H, I)
+        triplets = z2_alpha(H, I, chi)
+        parts = _partition_first_fit(H, I, triplets)
+        assert list(_partition_triplets(H, I, triplets).values()) == parts
+        assert len(parts) == n_classes
+        rows += _assert_rows_match_pairwise(
+            H, I, h2N(H, I, chi), tuple(range(I.n)), [triplets[ks[0]] for ks in parts])
+    assert rows == 4 + 6 * 1 + 1 + 4 + 1 + 9
+    # every pair of z2_alpha triplets over the split triples of a
+    # non-trivial kernel: equal keys exactly when a twist relates the
+    # triplets, and equal key chi exactly when one relates their actions
+    for I in (flip4, xor4):
+        triplets = sorted({t for alpha in enumerate_split_triples(Z2, I)
+                           for t in z2_alpha(Z2, I, alpha)}, key=Triplet.sort_key)
+        keys = [_class_key(Z2, I, t) for t in triplets]
+        assert (len(triplets), len(set(keys)), len({k.chi for k in keys})) == (32, 16, 4)
+        for t1, k1 in zip(triplets, keys):
+            for t2, k2 in zip(triplets, keys):
+                assert (k1 == k2) == (triplets_equivalent(Z2, I, t1, t2) is not None)
+                assert (k1.chi == k2.chi) == (_first_witnesses(I, t1.chi, t2.chi) is not None)
+
+
+def test_coboundary_pair_is_the_twist_of_the_zero_pair():
+    # on every cohomology-sweep action and every theta
+    checked = 0
+    for H, I, chi in _cohomology_sweep_actions():
+        for tail in itertools.product(range(I.n), repeat=H.n - 1):
+            theta = (0,) + tail
+            assert coboundary_pair(H, I, chi, theta) == _coboundary_pair_loop(H, I, chi, theta)
+            checked += 1
+    assert checked == 426
 
 
 def test_single_theta_classes_are_finer_than_componentwise(Z3):

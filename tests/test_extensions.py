@@ -316,6 +316,21 @@ def enumerate_pairwise(H, I, braces):
     return out
 
 
+def _partition_first_fit(H, I, triplets):
+    """Oracle for _partition_triplets: index lists of the classes under
+    triplets_equivalent, first fit, each triplet joining the first class
+    whose head it matches."""
+    classes = []
+    for k, t in enumerate(triplets):
+        for members in classes:
+            if triplets_equivalent(H, I, triplets[members[0]], t) is not None:
+                members.append(k)
+                break
+        else:
+            classes.append([k])
+    return classes
+
+
 def _ext_classes_pairwise(I, exts):
     """Oracle for ext_classes: the pairwise partition of the whole sorted
     extension list, then the grouping of classes by coupling."""
@@ -478,15 +493,17 @@ def test_ext_classes_searches_one_brace_per_orbit(Z2, Z3, count_calls):
     monos = count_calls(extensions_mod._brace_monos)
     validated = count_calls(extensions_mod.validate_extension)
     compared = count_calls(extensions_mod.triplets_equivalent)
+    keyed = count_calls(extensions_mod._class_key)
     shifted = count_calls(extensions_mod.extensions_equivalent)
     ext_classes(Z2, Z3)
     # one representative per isomorphism class of the 280 labelled braces
     # of order 6, where every labelled brace was searched before; classes
-    # are compared in triplet coordinates, never by a shift search; the
-    # extensions found are built without validate_extension
-    # (test_extension_orbits_are_valid validates them)
-    assert (monos["calls"], validated["calls"], compared["calls"]) == (6, 0, 6)
-    assert shifted["calls"] == 0
+    # are read off one class key per extension found on a representative,
+    # never by a pairwise or shift search; the extensions found are built
+    # without validate_extension (test_extension_orbits_are_valid
+    # validates them)
+    assert (monos["calls"], validated["calls"], compared["calls"]) == (6, 0, 0)
+    assert (keyed["calls"], shifted["calls"]) == (12, 0)
 
 
 def test_extension_orbits_are_valid(Z2, Z3, monkeypatch):

@@ -59,3 +59,33 @@ def test_test_only_helpers_stay_out_of_the_package():
         defined = {node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
         assert defined & names == set(), module
+
+
+def _callers(tree, name):
+    """The functions and methods in tree that call name, by their own name
+    (the innermost enclosing definition)."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_triplets_equivalent_only_finds_the_twist_of_extensions_equivalent():
+    # classes are compared by class key (extensions._class_key); the
+    # one-pair twist search serves extensions_equivalent alone
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {(path.stem, owner) for owner in _callers(tree, "triplets_equivalent")}
+    assert callers == {("extensions", "extensions_equivalent")}
