@@ -71,6 +71,7 @@ from .groups import (
     PermGroup,
     _homomorphisms,
     _order_matched,
+    _respects,
     validate_group,
 )
 
@@ -283,18 +284,15 @@ class BraceHom:
     map: tuple
 
     def is_valid(self) -> bool:
-        f = self.map
-        if len(f) != self.src.n or f[0] != 0:
+        """A brace hom: f(0) = 0 and f respects + and o, each decided on
+        the generating sequence of the source group (groups._respects)."""
+        f, src, dst = self.map, self.src, self.dst
+        if len(f) != src.n or f[0] != 0:
             return False
-        sa, sc = self.src.add.table, self.src.circ.table
-        da, dc = self.dst.add.table, self.dst.circ.table
-        for a in range(self.src.n):
-            for b in range(self.src.n):
-                if f[sa[a][b]] != da[f[a]][f[b]]:
-                    return False
-                if f[sc[a][b]] != dc[f[a]][f[b]]:
-                    return False
-        return True
+        return all(
+            _respects(f, S.table, S.generating_sequence(), D.mul)
+            for S, D in ((src.add, dst.add), (src.circ, dst.circ))
+        )
 
     def kernel(self) -> tuple:
         return tuple(a for a in range(self.src.n) if self.map[a] == 0)

@@ -975,24 +975,24 @@ def _example1_mismatches(E: SkewBrace, k: int, m: int) -> int:
 _EXAMPLES = {2: example2, 3: example3, 4: example4, 5: example5}
 
 
-def example(which: int, **params) -> CatalogEntry:
-    """Build worked example 2..5; parameters apply to example 2 only."""
+def _example(which: int, params: dict) -> tuple:
+    """(entry, report) of worked example 2..5; parameters apply to example 2
+    only."""
     if which not in _EXAMPLES:
         raise ParamOutOfRange(f"example {which}: only examples 2 through 5 exist")
     if which != 2 and params:
         raise ParamOutOfRange(f"example {which} takes no parameters")
-    entry, _ = _EXAMPLES[which](**params)
-    return entry
+    return _EXAMPLES[which](**params)
+
+
+def example(which: int, **params) -> CatalogEntry:
+    """Build worked example 2..5; parameters apply to example 2 only."""
+    return _example(which, params)[0]
 
 
 def example_report(which: int, **params) -> dict:
     """The full check report for worked example 2..5."""
-    if which not in _EXAMPLES:
-        raise ParamOutOfRange(f"example {which}: only examples 2 through 5 exist")
-    if which != 2 and params:
-        raise ParamOutOfRange(f"example {which} takes no parameters")
-    _, report = _EXAMPLES[which](**params)
-    return report
+    return _example(which, params)[1]
 
 
 def axiom_fixtures() -> list:

@@ -18,12 +18,12 @@ identified with s(h) o y, via
     (h1,y1) o (h2,y2) = (h1 o h2, tau(h1,h2) o sigma_{h2}(y1) o y2)
 
 The rebuilt tables are one gather, split._triplet_tables.  Validity of a
-triplet is checked operationally: the rebuilt tables must form a brace
-and the canonical section s(h) = (h, 0) must extract the triplet back
-exactly.  That is equivalent to the cocycle and compatibility
-identities and sidesteps transcribing them; the identities themselves are
-exposed separately (with their sign-variant diagnostics) for the test
-suite.  cohomology.z2N is the exception: with abelian trivial coefficients
+triplet is checked operationally: a well-shaped triplet is valid exactly
+when its rebuilt tables form a brace, from which the canonical section
+s(h) = (h, 0) then extracts it back (extension_from_triplet).  That is
+equivalent to the cocycle and compatibility identities and sidesteps
+transcribing them; the identities themselves are exposed separately (with
+their sign-variant diagnostics) for the test suite.  cohomology.z2N is the exception: with abelian trivial coefficients
 it decides compatibility from the residual of the parent relation (see
 parent_relation_witness), not from a rebuild of every candidate pair.
 
@@ -260,14 +260,29 @@ def _triplet_shape_check(H: SkewBrace, I: SkewBrace, t: Triplet) -> None:
             raise TripletInvalid("beta does not vanish on degenerate pairs", h=h)
         if t.tau[h][0] != 0 or t.tau[0][h] != 0:
             raise TripletInvalid("tau does not vanish on degenerate pairs", h=h)
+    for c, name in ((t.beta, "beta"), (t.tau, "tau")):
+        if any(len(row) != H.n or not all(0 <= x < I.n for x in row) for row in c):
+            raise TripletInvalid(f"{name} is not an |H| x |H| table of elements of I")
 
 
 def extension_from_triplet(H: SkewBrace, I: SkewBrace, t: Triplet) -> Extension:
     """Rebuild the extension on pairs (h, y) -> h * |I| + y.
 
-    The rebuilt tables must pass validate_brace and the canonical section
-    must extract the input back exactly; any failure raises TripletInvalid,
-    which is precisely how invalid triplets are rejected.
+    A well-shaped triplet is valid exactly when its rebuilt tables pass
+    validate_brace; TripletInvalid otherwise.  The rest follows from the
+    rebuild formulas: proj(h, y) = h is a brace hom onto H; as nu_0 = mu_0
+    = sigma_0 = id and beta, tau vanish on degenerate pairs, inj(y) = (0, y)
+    is an injective brace hom onto ker proj, an ideal; and with s(h) = (h,
+    0), the least element of its fiber,
+
+        (h, y) = (h, 0) + (0, nu_h(y)) = (h, 0) o (0, y),
+        (0, y) + (h, 0) = (h, 0) + (0, mu_h(y)),
+        (0, y) o (h, 0) = (h, 0) o (0, sigma_h(y)),
+        (h1, 0) + (h2, 0) = (h1 + h2, 0) + (0, beta(h1, h2)),
+        (h1, 0) o (h2, 0) = (h1 o h2, 0) o (0, tau(h1, h2)),
+
+    so that section extracts t back.  The test oracle _round_trip_extension
+    in tests/test_extensions.py checks both.
     """
     _triplet_shape_check(H, I, t)
     add, circ = _triplet_tables(H, I, t.chi, t.beta, t.tau)
@@ -275,11 +290,7 @@ def extension_from_triplet(H: SkewBrace, I: SkewBrace, t: Triplet) -> Extension:
         E = validate_brace(add, circ)
     except ValidationError as exc:
         raise TripletInvalid(f"rebuilt tables are not a brace: {exc}", cause=str(exc))
-    ext = validate_extension(E, H, I, tuple(range(I.n)), tuple(x // I.n for x in range(E.n)))
-    back = extract_triplet(ext, canonical_section(ext))
-    if back != t:
-        raise TripletInvalid("canonical section does not extract the triplet back")
-    return ext
+    return Extension(E, H, I, range(I.n), [x // I.n for x in range(E.n)])
 
 
 def is_valid_triplet(H: SkewBrace, I: SkewBrace, t: Triplet) -> bool:
@@ -292,16 +303,6 @@ def is_valid_triplet(H: SkewBrace, I: SkewBrace, t: Triplet) -> bool:
 
 # ---------------------------------------------------------------------------
 # identities satisfied by extracted data, with as-written sign variants
-
-
-def inner_add(I: SkewBrace, y: int):
-    """i+_y as a permutation of I: z -> y + z - y."""
-    return inner_automorphism(I.add, y)
-
-
-def inner_circ(I: SkewBrace, y: int):
-    """io_y as a permutation of I: z -> y o z o y^-1."""
-    return inner_automorphism(I.circ, y)
 
 
 def action_identities_witness(
@@ -329,10 +330,10 @@ def action_identities_witness(
             lam_inv = invert_perm(I.lam(t.tau[h1][h2]))
             if nu[H.circ.table[h1][h2]] != compose(nu[h1], compose(nu[h2], lam_inv)):
                 return ("nu", h1, h2)
-            rhs_mu = compose(inner_add(I, b), compose(mu[h2], mu[h1]))
+            rhs_mu = compose(inner_automorphism(I.add, b), compose(mu[h2], mu[h1]))
             if mu[H.add.table[h1][h2]] != rhs_mu:
                 return ("mu", h1, h2)
-            rhs_sg = compose(inner_circ(I, tv), compose(sigma[h2], sigma[h1]))
+            rhs_sg = compose(inner_automorphism(I.circ, tv), compose(sigma[h2], sigma[h1]))
             if sigma[H.circ.table[h1][h2]] != rhs_sg:
                 return ("sigma", h1, h2)
     return None
@@ -512,9 +513,9 @@ def _twists_at(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple, h: int) -> 
         if chi2.nu[h] != compose(chi1.nu[h], I.lam(y)):
             continue
         shift = chi1.nu[h][I.add.inv[y]]
-        if chi2.mu[h] != compose(inner_add(I, shift), chi1.mu[h]):
+        if chi2.mu[h] != compose(inner_automorphism(I.add, shift), chi1.mu[h]):
             continue
-        if chi2.sigma[h] != compose(inner_circ(I, I.circ.inv[y]), chi1.sigma[h]):
+        if chi2.sigma[h] != compose(inner_automorphism(I.circ, I.circ.inv[y]), chi1.sigma[h]):
             continue
         yield y
 
@@ -576,8 +577,8 @@ def twist_action(I: SkewBrace, chi: ActionTriple, theta: Sequence[int]) -> Actio
         y = theta[h]
         if y:  # a twist by 0 leaves the 0-fixing members as they are
             nu[h] = compose(chi.nu[h], I.lam(y))
-            mu[h] = compose(inner_add(I, chi.nu[h][I.add.inv[y]]), chi.mu[h])
-            sigma[h] = compose(inner_circ(I, I.circ.inv[y]), chi.sigma[h])
+            mu[h] = compose(inner_automorphism(I.add, chi.nu[h][I.add.inv[y]]), chi.mu[h])
+            sigma[h] = compose(inner_automorphism(I.circ, I.circ.inv[y]), chi.sigma[h])
     return ActionTriple(tuple(nu), tuple(mu), tuple(sigma))
 
 

@@ -43,6 +43,12 @@ cells 0 g_j, and none is visited twice.  PermGroup.is_group decides
 closure the same way, on a greedy generating set of its elements.
 Paired end-to-end runs against the all-pairs closure that came before
 are in BENCH_generator_homs.json.
+
+Every other homomorphism question in the package is this test on a
+given map, _respects: is_automorphism, BraceHom.is_valid and the engine's
+check of a total map's other operations.  Likewise one numpy gather,
+_relabel_stack, renames every table; relabel_table is its one-permutation
+case.
 """
 
 from __future__ import annotations
@@ -100,20 +106,16 @@ def perm_order(p: Sequence[int]) -> int:
 
 
 def relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> list:
-    """Cayley table with element x renamed to perm[x].
+    """Cayley table with element x renamed to perm[x], by _relabel_stack.
 
     Raises NotClosed on an entry outside 0..n-1, with the witness
-    validate_group gives for it."""
+    validate_group gives for it: the first such entry in row-major order."""
     n = len(table)
-    new = [[0] * n for _ in range(n)]
-    for a in range(n):
-        row, new_row = table[a], new[perm[a]]
-        for b in range(n):
-            cell = row[b]
+    for a, row in enumerate(table):
+        for b, cell in enumerate(row):
             if not 0 <= cell < n:
                 raise NotClosed(f"entry ({a},{b}) = {cell!r} out of range", a=a, b=b)
-            new_row[perm[b]] = perm[cell]
-    return new
+    return _relabel_stack(np.array(table, dtype=np.int64), np.array([perm]))[0].tolist()
 
 
 class FiniteGroup:
@@ -406,6 +408,19 @@ class PermGroup:
         return True
 
 
+def _respects(f: Sequence, table, gens: Sequence[int], mul: Callable) -> bool:
+    """f(x s) = mul(f(x), f(s)) for every x and every s in gens.  With gens
+    a generating set of table and mul a group product, this decides that f
+    is a homomorphism (homomorphisms on generator cells, module docstring);
+    every homomorphism test of the package ends here."""
+    for s in gens:
+        fs = f[s]
+        for x, row in enumerate(table):
+            if f[row[s]] != mul(f[x], fs):
+                return False
+    return True
+
+
 def _homomorphisms(
     src: FiniteGroup,
     candidates: Callable,
@@ -442,18 +457,9 @@ def _homomorphisms(
     f = [dst_id] * n
     out: list = []
 
-    def total_map_ok() -> bool:
-        for table, dst_mul, sgens in others:
-            for s in sgens:
-                fs = f[s]
-                for x in range(n):
-                    if f[table[x][s]] != dst_mul(f[x], fs):
-                        return False
-        return True
-
     def extend(j: int) -> bool:
         if j == len(gens):
-            if total_map_ok():
+            if all(_respects(f, table, sgens, dst_mul) for table, dst_mul, sgens in others):
                 out.append(dict(enumerate(f)))
                 return first_only
             return False
@@ -487,16 +493,11 @@ def _order_matched(pairs: Sequence[tuple]) -> Callable:
 
 
 def is_automorphism(p: Sequence[int], G: FiniteGroup) -> bool:
-    """p is a 0-fixing permutation of G's carrier preserving its product."""
-    n, table = G.n, G.table
-    if sorted(p) != list(range(n)) or p[0] != 0:
+    """p is a 0-fixing permutation of G's carrier preserving its product,
+    decided on generator cells (_respects)."""
+    if sorted(p) != list(range(G.n)) or p[0] != 0:
         return False
-    for a in range(n):
-        row, image_row = table[a], table[p[a]]
-        for b in range(n):
-            if p[row[b]] != image_row[p[b]]:
-                return False
-    return True
+    return _respects(p, G.table, G.generating_sequence(), G.mul)
 
 
 def automorphism_group(G: FiniteGroup) -> PermGroup:
@@ -547,10 +548,6 @@ def inner_automorphism(G: FiniteGroup, g: int) -> Perm:
 
 def inner_group(G: FiniteGroup) -> PermGroup:
     return PermGroup(G.n, {inner_automorphism(G, g) for g in range(G.n)})
-
-
-def centre(G: FiniteGroup) -> tuple:
-    return G.centre()
 
 
 def normal_closure(ambient: PermGroup, seed: Iterable[Sequence[int]]) -> PermGroup:

@@ -406,7 +406,10 @@ def enumerate_split_triples(H: SkewBrace, I: SkewBrace) -> list:
 def split_decompose(ext, section: Optional[Sequence[int]] = None):
     """Decompose a split extension: (ActionTriple, BraceHom iso onto the
     rebuilt product).  With section=None, searches for a brace-hom section
-    and raises NotSplit when none exists."""
+    and raises NotSplit when none exists.  A given section must lie in the
+    fibers (InputError otherwise) and be a brace hom, which BraceHom.is_valid
+    decides on generator cells; SectionNotHom, without a witness pair,
+    otherwise."""
     from . import extensions as ext_mod
 
     E, H, I = ext.E, ext.H, ext.I
@@ -416,12 +419,8 @@ def split_decompose(ext, section: Optional[Sequence[int]] = None):
             raise NotSplit("no section of the projection is a brace homomorphism")
     s = tuple(section)
     _check_section(ext, s)
-    for h1 in range(H.n):
-        for h2 in range(H.n):
-            if s[H.add.table[h1][h2]] != E.add.table[s[h1]][s[h2]]:
-                raise SectionNotHom("section breaks +", h1=h1, h2=h2)
-            if s[H.circ.table[h1][h2]] != E.circ.table[s[h1]][s[h2]]:
-                raise SectionNotHom("section breaks o", h1=h1, h2=h2)
+    if not BraceHom(H, E, s).is_valid():
+        raise SectionNotHom("section is not a brace homomorphism")
     t = ext_mod.extract_action(ext, s)
     product = semidirect_product(H, I, t)
     inj_index = {e: y for y, e in enumerate(ext.inj)}

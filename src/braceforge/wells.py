@@ -412,11 +412,6 @@ def _derivation_law(
 
 # --- the exact sequence -------------------------------------------------------
 
-def psi_automorphism(ext: Extension, theta_I: Sequence[int]) -> tuple:
-    """The map s(h) o y -> s(h) o theta(h) o y as a permutation of E."""
-    return section_shift_map(ext, ext, theta_I)
-
-
 def verify_exact_sequence(ext: Extension) -> dict:
     """Exhaustively verify the Wells-type exact sequence for one extension.
 
@@ -452,7 +447,7 @@ def verify_exact_sequence(ext: Extension) -> dict:
     psi_images = []
     for d in derivations:
         theta_I = tuple(elems[v] for v in d.theta)
-        psi_images.append(psi_automorphism(ext, theta_I))
+        psi_images.append(section_shift_map(ext, ext, theta_I))
     psi_bijective = sorted(psi_images) == list(ker_rho) and len(set(psi_images)) == len(
         psi_images
     )
@@ -468,7 +463,7 @@ def verify_exact_sequence(ext: Extension) -> dict:
         for d2, psi2 in zip(derivations, psi_images):
             summed = tuple(Ia[a][b] for a, b in zip(d1.theta, d2.theta))
             theta_I = tuple(elems[v] for v in summed)
-            if psi_automorphism(ext, theta_I) != compose(psi1, psi2):
+            if section_shift_map(ext, ext, theta_I) != compose(psi1, psi2):
                 psi_hom = False
     if not psi_hom:
         raise ValidationError("psi does not convert derivation addition to composition")

@@ -27,13 +27,13 @@ from braceforge.groups import (
     FiniteGroup,
     all_group_tables,
     automorphism_group,
-    centre,
     compose,
     cyclic_group,
     dihedral_group,
     invert_perm,
     is_automorphism,
     relabel_table,
+    standard_groups_of_order,
 )
 from braceforge.split import enumerate_split_triples, semidirect_product
 
@@ -242,7 +242,7 @@ def test_lambda_closed_form_on_flip_brace(flip4):
 
 def test_socle_and_annihilator():
     D4t = trivial_brace(dihedral_group(4))
-    assert socle(D4t) == annihilator(D4t) == centre(dihedral_group(4))
+    assert socle(D4t) == annihilator(D4t) == dihedral_group(4).centre()
 
     H8 = catalog.example5_acting_brace()
     assert socle(H8) == (0, 4)
@@ -281,6 +281,35 @@ def test_brace_hom_validity(Z2, Z4, flip4):
     assert BraceHom(Z4, Z4, (0, 1, 2, 3)).kernel() == (0,)
 
 
+def _loop_brace_hom(src, dst, f) -> bool:
+    """Oracle for BraceHom.is_valid: both products checked at every pair."""
+    if len(f) != src.n or f[0] != 0:
+        return False
+    sa, sc = src.add.table, src.circ.table
+    da, dc = dst.add.table, dst.circ.table
+    return all(
+        f[sa[a][b]] == da[f[a]][f[b]] and f[sc[a][b]] == dc[f[a]][f[b]]
+        for a in range(src.n) for b in range(src.n)
+    )
+
+
+def test_brace_hom_validity_matches_loop(xor4, flip4):
+    # every 0-fixing map between the trivial braces of order <= 4, xor4 and
+    # flip4, in both directions, and maps that move 0 or have the wrong length
+    braces = [trivial_brace(G) for n in range(1, 5) for G in standard_groups_of_order(n)]
+    braces += [xor4, flip4]
+    checked = accepted = 0
+    for src, dst in itertools.product(braces, repeat=2):
+        maps = [(0,) + tail for tail in itertools.product(range(dst.n), repeat=src.n - 1)]
+        maps += [(1,) * src.n, (0,) * (src.n + 1)] if dst.n > 1 else []
+        for f in maps:
+            got = BraceHom(src, dst, f).is_valid()
+            assert got is _loop_brace_hom(src, dst, f), (src, dst, f)
+            checked += 1
+            accepted += got
+    assert 0 < accepted < checked
+
+
 @pytest.fixture(scope="module")
 def oracle_braces() -> list:
     """Axiom fixtures of order <= 16 and the 96 split Z2-by-D4 products."""
@@ -298,7 +327,7 @@ def test_brace_automorphisms(Z3, flip4, xor4, oracle_braces):
     assert brace_automorphisms(xor4).order == 2
     # oracle: every additive automorphism, kept when it also preserves o
     for E in oracle_braces:
-        slow = {p for p in automorphism_group(E.add) if BraceHom(E, E, p).is_valid()}
+        slow = {p for p in automorphism_group(E.add) if _loop_brace_hom(E, E, p)}
         assert set(brace_automorphisms(E).elements) == slow
 
 

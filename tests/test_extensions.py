@@ -54,6 +54,7 @@ from braceforge.extensions import (
     sections,
     twist_triplet,
     triplets_equivalent,
+    twist_action,
     validate_extension,
     z2_alpha,
     zero_triplet,
@@ -70,7 +71,12 @@ from braceforge.groups import (
     relabel_table,
     validate_group,
 )
-from braceforge.split import _triplet_tables, enumerate_split_triples, semidirect_product
+from braceforge.split import (
+    _triplet_tables,
+    enumerate_split_triples,
+    identity_triple,
+    semidirect_product,
+)
 from test_generator_axioms import _cube_brace_axiom
 from test_groups import _engine_against_oracle
 
@@ -231,6 +237,90 @@ def test_triplet_cohomology_sets(Z2):
     assert len(classes) == 4
     assert sorted(len(c) for c in classes) == [1, 1, 1, 1]
     assert sum(1 for t in zset if t.beta[1][1] == 1) == 2
+
+
+def _round_trip_extension(H, I, t):
+    """Oracle for extension_from_triplet, with no shape check: the rebuilt
+    tables must be a brace, the rebuild must pass validate_extension, and
+    the canonical section must extract t back.  None when any fails."""
+    add, circ = _triplet_tables(H, I, t.chi, t.beta, t.tau)
+    try:
+        E = validate_brace(add, circ)
+        ext = validate_extension(E, H, I, tuple(range(I.n)), tuple(x // I.n for x in range(E.n)))
+    except ValidationError:
+        return None
+    return ext if extract_triplet(ext, canonical_section(ext)) == t else None
+
+
+def _z2_alpha_candidates(H, I, alpha):
+    """Every triplet z2_alpha decides: the twists of alpha with every
+    normalized (beta, tau)."""
+    free = H.n - 1
+    chis = {twist_action(I, alpha, (0,) + tail): None
+            for tail in itertools.product(range(I.n), repeat=free)}
+
+    def table(cells):
+        rows = [cells[k * free:(k + 1) * free] for k in range(free)]
+        return ((0,) * H.n,) + tuple((0,) + tuple(r) for r in rows)
+
+    cells = [table(c) for c in itertools.product(range(I.n), repeat=free * free)]
+    return [Triplet(chi, b, t) for chi in chis for b in cells for t in cells]
+
+
+def _off_shape(t, n):
+    """Copies of the triplet t (|I| = n) that fail the shape check in one
+    place each: nu_0 or mu_0 not the identity, a sigma_h moving 0, or a
+    cocycle value on a degenerate pair."""
+    rotate = tuple((y + 1) % n for y in range(n))
+    swap = (0,) + tuple(range(n - 1, 0, -1))
+
+    def family(fam, h, p):
+        return fam[:h] + (p,) + fam[h + 1:]
+
+    def cell(c, h1, h2):
+        return tuple(tuple(1 if (a, b) == (h1, h2) else v for b, v in enumerate(row))
+                     for a, row in enumerate(c))
+
+    chi = t.chi
+    out = [Triplet(chi, cell(t.beta, 1, 0), t.tau), Triplet(chi, t.beta, cell(t.tau, 0, 1)),
+           Triplet(ActionTriple(chi.nu, chi.mu, family(chi.sigma, 1, rotate)), t.beta, t.tau)]
+    for p in (rotate, swap) if n > 2 else (rotate,):
+        out.append(Triplet(ActionTriple(family(chi.nu, 0, p), chi.mu, chi.sigma), t.beta, t.tau))
+        out.append(Triplet(ActionTriple(chi.nu, family(chi.mu, 0, p), chi.sigma), t.beta, t.tau))
+    return out
+
+
+def test_triplet_rebuild_is_an_extension(Z2, Z3, flip4, xor4):
+    # every candidate of z2_alpha on these inputs, valid or not, the seeded
+    # triplets of criterion 9, and copies of the valid ones that fail the
+    # shape check: the direct rebuild accepts exactly the triplets the
+    # validated round trip accepts, as the same extension
+    from test_acceptance import SEED
+
+    cases = [(H, I, identity_triple(H, I)) for H, I in ((Z2, Z2), (Z2, Z3), (Z3, Z2))]
+    cases += [(Z2, I, t) for I in (flip4, xor4) for t in enumerate_split_triples(Z2, I)]
+    inputs = [(H, I, t) for H, I, alpha in cases for t in _z2_alpha_candidates(H, I, alpha)]
+    rng = random.Random(SEED)
+    for H, I in ((Z2, Z2), (Z3, Z2)):
+        pool = [Triplet(chi, p.g, p.f) for chi in enumerate_split_triples(H, I)
+                for p in z2N(H, I, chi)]
+        inputs += [(H, I, rng.choice(pool)) for _ in range(100)]
+    valid = []
+    for H, I, t in inputs:
+        want = _round_trip_extension(H, I, t)
+        try:
+            got = extension_from_triplet(H, I, t)
+        except TripletInvalid as exc:
+            assert want is None and str(exc).startswith("rebuilt tables are not a brace")
+            continue
+        assert got == want
+        valid.append((H, I, t))
+    assert 200 < len(valid) < len(inputs)
+    for H, I, t in valid[::4]:
+        for bad in _off_shape(t, I.n):
+            assert _round_trip_extension(H, I, bad) is None
+            with pytest.raises(TripletInvalid):
+                extension_from_triplet(H, I, bad)
 
 
 def test_enumerate_and_classify_2_by_2(Z2):
@@ -712,6 +802,11 @@ def test_invalid_triplets_are_rejected(Z2, Z3):
     with pytest.raises(TripletInvalid):
         extension_from_triplet(Z2, Z3, bad_law)
     assert not is_valid_triplet(Z2, Z3, bad_law)
+    # cocycle tables off the |H| x |H| shape or with entries outside I are
+    # rejected by the shape check, before the rebuild
+    for beta in (((0, 0), (0, -2)), ((0, 0), (0, 3)), ((0, 0, 0), (0, 1, 2))):
+        with pytest.raises(TripletInvalid, match="beta is not an"):
+            extension_from_triplet(Z2, Z3, Triplet(t.chi, beta, t.tau))
 
 
 def test_round_trip_of_carry_triplet(Z3):

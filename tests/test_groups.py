@@ -42,9 +42,11 @@ from braceforge.groups import (
     identity_perm,
     inner_group,
     invert_perm,
+    is_automorphism,
     is_isomorphic,
     klein_group,
     perm_order,
+    relabel_table,
     standard_groups_of_order,
     validate_group,
 )
@@ -303,6 +305,68 @@ def test_isomorphism_search_and_relabel():
     assert is_isomorphic(direct_product_group(cyclic_group(2), cyclic_group(3)), Z6)
     assert find_isomorphism(cyclic_group(4), klein_group()) is None
     assert not is_isomorphic(dihedral_group(4), dicyclic_group(2))
+
+
+def _loop_is_automorphism(p, G) -> bool:
+    """Oracle for is_automorphism: the product checked at every pair."""
+    n, table = G.n, G.table
+    if sorted(p) != list(range(n)) or p[0] != 0:
+        return False
+    return all(p[table[a][b]] == table[p[a]][p[b]] for a in range(n) for b in range(n))
+
+
+def _loop_relabel_table(table, perm) -> list:
+    """Oracle for relabel_table: every cell renamed in a Python loop."""
+    n = len(table)
+    new = [[0] * n for _ in range(n)]
+    for a in range(n):
+        row, new_row = table[a], new[perm[a]]
+        for b in range(n):
+            cell = row[b]
+            if not 0 <= cell < n:
+                raise NotClosed(f"entry ({a},{b}) = {cell!r} out of range", a=a, b=b)
+            new_row[perm[b]] = perm[cell]
+    return new
+
+
+def test_is_automorphism_matches_loop():
+    # every 0-fixing permutation of every labelled group of order <= 6,
+    # and every map of a group of order <= 4 into itself
+    checked = accepted = 0
+    for n in range(1, 7):
+        perms = [(0,) + rest for rest in itertools.permutations(range(1, n))]
+        maps = list(itertools.product(range(n), repeat=n)) if n <= 4 else []
+        for table in all_group_tables(n):
+            G = FiniteGroup(table)
+            for p in perms + maps:
+                got = is_automorphism(p, G)
+                assert got is _loop_is_automorphism(p, G), (table, p)
+                checked += 1
+                accepted += got
+    assert 0 < accepted < checked
+
+
+def test_relabel_table_matches_loop():
+    # every 0-fixing relabelling of every group table of order <= 5
+    for n in range(1, 6):
+        perms = [(0,) + rest for rest in itertools.permutations(range(1, n))]
+        for table in all_group_tables(n):
+            for p in perms:
+                assert relabel_table(table, p) == _loop_relabel_table(table, p)
+    # out-of-range entries: the same NotClosed, first in row-major order
+    rng = random.Random(27)
+    for table in all_group_tables(4) + all_group_tables(5):
+        n = len(table)
+        bad = [list(row) for row in table]
+        for _ in range(rng.randint(1, 3)):
+            bad[rng.randrange(n)][rng.randrange(n)] = rng.choice([-1, n, n + 3, 7])
+        p = (0,) + tuple(rng.sample(range(1, n), n - 1))
+        with pytest.raises(NotClosed) as got:
+            relabel_table(bad, p)
+        with pytest.raises(NotClosed) as want:
+            _loop_relabel_table(bad, p)
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
 
 
 def test_inner_and_equal_mod():

@@ -89,3 +89,26 @@ def test_triplets_equivalent_only_finds_the_twist_of_extensions_equivalent():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         callers |= {(path.stem, owner) for owner in _callers(tree, "triplets_equivalent")}
     assert callers == {("extensions", "extensions_equivalent")}
+
+
+def test_one_homomorphism_test_and_one_relabelling():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    # every homomorphism question ends in groups._respects, on generator
+    # cells: BraceHom.is_valid, is_automorphism and the engine's leaf check,
+    # which sits in the search function nested in _homomorphisms
+    callers = {(module, owner) for module, tree in trees.items()
+               for owner in _callers(tree, "_respects")}
+    assert callers == {("braces", "is_valid"), ("groups", "is_automorphism"),
+                       ("groups", "extend")}
+    engine = next(node for node in ast.walk(trees["groups"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "_homomorphisms")
+    assert _callers(engine, "_respects") == {"extend"}
+    # split_decompose asks BraceHom.is_valid whether its section is a hom
+    assert "split_decompose" in _callers(trees["split"], "is_valid")
+    # relabel_table renames through the one gather
+    assert "relabel_table" in _callers(trees["groups"], "_relabel_stack")
+    # a rebuilt triplet is an extension by its formulas: it is neither
+    # validated as one nor extracted again
+    for name in ("validate_extension", "extract_triplet"):
+        assert "extension_from_triplet" not in _callers(trees["extensions"], name)

@@ -17,6 +17,7 @@ from braceforge.errors import (
     NotHom,
     NotSplit,
     SearchBudgetExceeded,
+    SectionNotHom,
     ValidationError,
 )
 from braceforge.extensions import Extension, validate_extension
@@ -163,6 +164,11 @@ def test_split_decompose_round_trip(Z2, Z3, xor4, flip4, split_ext, z4_ext):
     assert hom.is_valid()
     with pytest.raises(NotSplit):
         split_decompose(z4_ext)
+    # a section that is not a brace hom: in Z2 x Z3, on pairs h * 3 + y,
+    # s(1) = 4 = (1, 1) has order 6, so s(1) + s(1) = (0, 2) != s(0)
+    assert split_ext.E.add.element_order(4) == 6
+    with pytest.raises(SectionNotHom, match="section is not a brace homomorphism"):
+        split_decompose(split_ext, section=(0, 4))
     # a brace-hom section exists on every split product
     pairs = [
         (Z2, Z3),
