@@ -284,15 +284,14 @@ class BraceHom:
     map: tuple
 
     def is_valid(self) -> bool:
-        """A brace hom: f(0) = 0 and f respects + and o, each decided on
-        the generating sequence of the source group (groups._respects)."""
-        f, src, dst = self.map, self.src, self.dst
-        if len(f) != src.n or f[0] != 0:
+        """A brace hom: f(0) = 0 and f respects every operation of
+        brace_hom_ops, each decided on the generating sequence of its source
+        group (groups._respects)."""
+        f = self.map
+        if len(f) != self.src.n or f[0] != 0:
             return False
-        return all(
-            _respects(f, S.table, S.generating_sequence(), D.mul)
-            for S, D in ((src.add, dst.add), (src.circ, dst.circ))
-        )
+        return all(_respects(f, S.table, S.generating_sequence(), mul)
+                   for S, mul in brace_hom_ops(self.src, self.dst))
 
     def kernel(self) -> tuple:
         return tuple(a for a in range(self.src.n) if self.map[a] == 0)
@@ -305,13 +304,13 @@ class BraceHom:
 
 
 def brace_hom_ops(src: SkewBrace, dst: SkewBrace) -> list:
-    """The (src table, dst mul) pairs a brace hom src -> dst respects.
+    """The (source group, dst mul) pairs a brace hom src -> dst respects.
 
     The o pair is left out when both braces are trivial, where it would
     repeat the + pair."""
-    ops = [(src.add.table, dst.add.mul)]
+    ops = [(src.add, dst.add.mul)]
     if not (src.is_trivial and dst.is_trivial):
-        ops.append((src.circ.table, dst.circ.mul))
+        ops.append((src.circ, dst.circ.mul))
     return ops
 
 

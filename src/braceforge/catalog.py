@@ -1024,13 +1024,3 @@ def axiom_fixtures() -> list:
         out.append((f"example-5-product-{i}", _product_brace(H5, I5, t)))
     return out
 
-
-def builtin_entries() -> list:
-    """Every named entry the catalog ships, in a stable order."""
-    entries = trivial_brace_entries()
-    entries.extend(fixture_extension_entries())
-    for n in (2, 3, 4, 5):
-        entries.append(example(n))
-    entry, _ = example1_finite()
-    entries.append(entry)
-    return entries

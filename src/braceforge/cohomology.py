@@ -180,18 +180,35 @@ def _component_law_residual(op_table, I: SkewBrace, act, tabs: np.ndarray) -> np
 def _parent_residual_stack(
     H: SkewBrace, I: SkewBrace, chi: ActionTriple, beta: np.ndarray, tau: np.ndarray
 ) -> np.ndarray:
-    """-rhs + lhs of the derived parent relation
-    (extensions.parent_relation_witness) at y1 = y2 = y3 = 0, for a stack
-    of table pairs: shape (k, n^3), one cell per (h1, h2, h3) in lex order,
-    from beta and tau of shape (k, n, n).  nu, mu and sigma fix 0, so at
-    y = 0 every y term drops out and the two sides are
+    """-rhs + lhs of the derived parent relation at y1 = y2 = y3 = 0, for a
+    stack of table pairs: shape (k, n^3), one cell per (h1, h2, h3) in lex
+    order, from beta and tau of shape (k, n, n).
+
+    The parent relation equates the I-part of x1 o (x2 + x3) with that of
+    x1 o x2 - x1 + x1 o x3 at xi = (hi, yi), in the coordinates of the
+    rebuild formulas (extensions module docstring):
+
+        lhs = nu_{h1 o (h2+h3)}( tau(h1, h2+h3) o sigma_{h2+h3}(y1) o w ),
+          w = nu_{h2+h3}^-1( beta(h2, h3) + mu_{h3}(nu_{h2}(y2)) + nu_{h3}(y3) )
+        rhs = beta(h1 o h2 - h1, h1 o h3)
+              + mu_{h1 o h3}( beta(h1 o h2, -h1)
+                              + mu_{-h1}( nu_{h1 o h2}(tau(h1, h2) o sigma_{h2}(y1) o y2)
+                                          - nu_{h1}(y1) )
+                              - beta(h1, -h1) )
+              + nu_{h1 o h3}( tau(h1, h3) o sigma_{h3}(y1) o y3 )
+
+    nu, mu and sigma fix 0, so at y = 0 every y term drops out and the two
+    sides are
 
         lhs = nu_{h1 o (h2+h3)}( tau(h1, h2+h3) o nu_{h2+h3}^-1(beta(h2, h3)) )
         rhs = beta(h1 o h2 - h1, h1 o h3)
               + mu_{h1 o h3}( beta(h1 o h2, -h1)
                               + mu_{-h1}(nu_{h1 o h2}(tau(h1, h2)))
                               - beta(h1, -h1) )
-              + nu_{h1 o h3}(tau(h1, h3))"""
+              + nu_{h1 o h3}(tau(h1, h3))
+
+    The relation over every y, cell by cell, is the oracle
+    parent_relation_witness in tests/test_extensions.py."""
     Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.asarray(H.add.inv)
     Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.asarray(I.add.inv)
     nu, mu = np.asarray(chi.nu), np.asarray(chi.mu)
@@ -531,12 +548,7 @@ def _coboundary_images(sp: _Cochains, H: SkewBrace, I: SkewBrace, chi: ActionTri
     return sp.coords(rows)
 
 
-def z2N(
-    H: SkewBrace,
-    I: SkewBrace,
-    chi: ActionTriple,
-    laws_only: bool = False,
-) -> list:
+def z2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
     """All cocycle pairs for the given action, lex-sorted.
 
     The two component laws never couple g with f.  The laws alone, however,
@@ -546,12 +558,11 @@ def z2N(
     trivial action it forces 2 g(1,1) = 2 f(1,1), cutting 9 law-abiding
     pairs down to 3).  The default therefore keeps exactly the pairs
     (g, f) for which (chi, g, f) builds a valid extension, which is what
-    the quotient-vs-class-count theorems need; laws_only=True lists the
-    span of the two component kernels as a diagnostic.
+    the quotient-vs-class-count theorems need.
 
     The compatibility is decided without rebuilding each pair.  With
     abelian trivial coefficients every term of the derived parent relation
-    (extensions.parent_relation_witness) is an automorphism image of one
+    (_parent_residual_stack) is an automorphism image of one
     g or f entry or of one y, so its residual -rhs + lhs splits as
     R_chi(h, y) + L(g, f; h) with L additive in (g, f) and free of y.
     Every valid pair satisfies both laws and has residual zero at y = 0,
@@ -565,10 +576,6 @@ def z2N(
     validate_cocycle_action(H, I, chi)
     space = _cocycle_space(H, I, chi)
     sp = space.cochains
-    if laws_only:
-        laws = _Echelon.of(space.laws, sp.mods)
-        budget_mod.guard(laws.order, "z2N listing")
-        return sp.pairs(laws.members())
     if space.particular is None:
         return []
     budget_mod.guard(space.z2.order, "z2N listing")

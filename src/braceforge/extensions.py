@@ -22,10 +22,12 @@ triplet is checked operationally: a well-shaped triplet is valid exactly
 when its rebuilt tables form a brace, from which the canonical section
 s(h) = (h, 0) then extracts it back (extension_from_triplet).  That is
 equivalent to the cocycle and compatibility identities and sidesteps
-transcribing them; the identities themselves are exposed separately (with
-their sign-variant diagnostics) for the test suite.  cohomology.z2N is the exception: with abelian trivial coefficients
-it decides compatibility from the residual of the parent relation (see
-parent_relation_witness), not from a rebuild of every candidate pair.
+transcribing them; the per-cell witnesses of the identities, with the
+published sign variants, are test oracles in tests/test_extensions.py.
+cohomology.z2N is the exception: with abelian trivial coefficients it
+decides compatibility from the residual of the parent relation at y = 0
+(cohomology._parent_residual_stack), not from a rebuild of every
+candidate pair.
 
 Two extensions are equivalent exactly when a section change (a twist,
 twist_triplet) turns one canonical triplet into the other.  The twists of
@@ -299,166 +301,6 @@ def is_valid_triplet(H: SkewBrace, I: SkewBrace, t: Triplet) -> bool:
         return True
     except (TripletInvalid, ValidationError):
         return False
-
-
-# ---------------------------------------------------------------------------
-# identities satisfied by extracted data, with as-written sign variants
-
-
-def action_identities_witness(
-    H: SkewBrace, I: SkewBrace, t: Triplet, as_written: bool = False
-) -> Optional[tuple]:
-    """First (law, h1, h2) violating the three composition identities.
-
-    Derived forms (how extracted data actually composes):
-
-        nu_{h1 o h2}    = nu_{h1} nu_{h2} lambda^-1_{tau(h1,h2)}
-        mu_{h1 + h2}    = i+_{beta(h1,h2)} mu_{h2} mu_{h1}
-        sigma_{h1 o h2} = io_{tau(h1,h2)} sigma_{h2} sigma_{h1}
-
-    as_written=True flips the conjugators to i+_{-beta(h1,h2)} and
-    io_{tau(h1,h2)^-1}; kept as a diagnostic for the published forms.
-    """
-    nu, mu, sigma = t.chi.nu, t.chi.mu, t.chi.sigma
-    for h1 in range(H.n):
-        for h2 in range(H.n):
-            b = t.beta[h1][h2]
-            tv = t.tau[h1][h2]
-            if as_written:
-                b = I.add.inv[b]
-                tv = I.circ.inv[tv]
-            lam_inv = invert_perm(I.lam(t.tau[h1][h2]))
-            if nu[H.circ.table[h1][h2]] != compose(nu[h1], compose(nu[h2], lam_inv)):
-                return ("nu", h1, h2)
-            rhs_mu = compose(inner_automorphism(I.add, b), compose(mu[h2], mu[h1]))
-            if mu[H.add.table[h1][h2]] != rhs_mu:
-                return ("mu", h1, h2)
-            rhs_sg = compose(inner_automorphism(I.circ, tv), compose(sigma[h2], sigma[h1]))
-            if sigma[H.circ.table[h1][h2]] != rhs_sg:
-                return ("sigma", h1, h2)
-    return None
-
-
-def cocycle_conditions_witness(
-    H: SkewBrace, I: SkewBrace, t: Triplet, as_written: bool = False
-) -> Optional[tuple]:
-    """First (which, h1, h2, h3) violating the two cocycle conditions.
-
-    Derived forms (term order matters when I is nonabelian):
-
-        beta(h1, h2+h3) + beta(h2, h3) = beta(h1+h2, h3) + mu_{h3}(beta(h1, h2))
-        tau(h1, h2 o h3) o tau(h2, h3) = tau(h1 o h2, h3) o sigma_{h3}(tau(h1, h2))
-
-    as_written=True swaps each right-hand side's two terms, matching the
-    published "... - beta(h1+h2,h3) - mu(...) = 0" reading.
-    """
-    Ia, Ic = I.add.table, I.circ.table
-    Ha, Hc = H.add.table, H.circ.table
-    beta, tau = t.beta, t.tau
-    mu, sigma = t.chi.mu, t.chi.sigma
-    for h1 in range(H.n):
-        for h2 in range(H.n):
-            for h3 in range(H.n):
-                lhs_b = Ia[beta[h1][Ha[h2][h3]]][beta[h2][h3]]
-                x, y = beta[Ha[h1][h2]][h3], mu[h3][beta[h1][h2]]
-                rhs_b = Ia[y][x] if as_written else Ia[x][y]
-                if lhs_b != rhs_b:
-                    return ("beta", h1, h2, h3)
-                lhs_t = Ic[tau[h1][Hc[h2][h3]]][tau[h2][h3]]
-                u, v = tau[Hc[h1][h2]][h3], sigma[h3][tau[h1][h2]]
-                rhs_t = Ic[v][u] if as_written else Ic[u][v]
-                if lhs_t != rhs_t:
-                    return ("tau", h1, h2, h3)
-    return None
-
-
-def _parent_relation_cells(
-    H: SkewBrace,
-    I: SkewBrace,
-    t: Triplet,
-    as_written: bool = False,
-    ys: Optional[Sequence[int]] = None,
-) -> Iterator[tuple]:
-    """Yield ((h1, h2, h3, y1, y2, y3), lhs, rhs) for every instance of the
-    parent relation (see parent_relation_witness), in lex order; ys limits
-    the range of the three y coordinates (default: all of I)."""
-    Ha, Hc, Hneg = H.add.table, H.circ.table, H.add.inv
-    Ia, Ic, Ineg = I.add.table, I.circ.table, I.add.inv
-    nu, mu, sigma = t.chi.nu, t.chi.mu, t.chi.sigma
-    beta, tau = t.beta, t.tau
-    inv_nu = [invert_perm(p) for p in nu]
-    rng = range(H.n)
-    if ys is None:
-        ys = range(I.n)
-    for h1 in rng:
-        nh1 = Hneg[h1]
-        b_h1_inv = beta[h1][nh1]
-        mu_n1 = mu[nh1]
-        nu1 = nu[h1]
-        for h2 in rng:
-            h12 = Hc[h1][h2]
-            g = Ha[h12][nh1]
-            b12 = beta[h12][nh1]
-            nu12 = nu[h12]
-            t12 = tau[h1][h2]
-            s2 = sigma[h2]
-            for h3 in rng:
-                h13 = Hc[h1][h3]
-                h23 = Ha[h2][h3]
-                first_b = beta[Ha[h13][nh1] if as_written else g][h13]
-                mu13, nu13 = mu[h13], nu[h13]
-                t13 = tau[h1][h3]
-                s3 = sigma[h3]
-                hL = Hc[h1][h23]
-                nuL = nu[hL]
-                tL = tau[h1][h23]
-                sL = sigma[h23]
-                b23 = beta[h2][h3]
-                nu2, nu3, mu3 = nu[h2], nu[h3], mu[h3]
-                inv_nu23 = inv_nu[h23]
-                for y1 in ys:
-                    ny1 = Ineg[nu1[y1]]
-                    sLy1 = sL[y1]
-                    s2y1 = s2[y1]
-                    s3y1 = s3[y1]
-                    for y2 in ys:
-                        inner2 = Ic[Ic[t12][s2y1]][y2]
-                        if as_written:
-                            mid = Ia[Ia[Ia[b12][mu_n1[nu12[inner2]]]][ny1]][Ineg[b_h1_inv]]
-                        else:
-                            mid = Ia[Ia[b12][mu_n1[Ia[nu12[inner2]][ny1]]]][Ineg[b_h1_inv]]
-                        acc = Ia[first_b][mu13[mid]]
-                        w_pre = Ia[b23][mu3[nu2[y2]]]
-                        for y3 in ys:
-                            rhs = Ia[acc][nu13[Ic[Ic[t13][s3y1]][y3]]]
-                            w = inv_nu23[Ia[w_pre][nu3[y3]]]
-                            lhs = nuL[Ic[Ic[tL][sLy1]][w]]
-                            yield (h1, h2, h3, y1, y2, y3), lhs, rhs
-
-
-def parent_relation_witness(
-    H: SkewBrace, I: SkewBrace, t: Triplet, as_written: bool = False
-) -> Optional[tuple]:
-    """First 6-tuple violating the joint compatibility of (chi, beta, tau).
-
-    The relation equates the additive I-part of x1 o (x2 + x3) with that of
-    x1 o x2 - x1 + x1 o x3 in section coordinates.  The derived right side is
-
-        beta(h1 o h2 - h1, h1 o h3)
-        + mu_{h1 o h3}( beta(h1 o h2, -h1)
-                        + mu_{-h1}( nu_{h1 o h2}(tau(h1,h2) o sigma_{h2}(y1) o y2)
-                                    - nu_{h1}(y1) )
-                        - beta(h1, -h1) )
-        + nu_{h1 o h3}( tau(h1,h3) o sigma_{h3}(y1) o y3 )
-
-    as_written=True uses the published variant: the first beta argument is
-    h1 o h3 - h1 and -nu_{h1}(y1) is applied after mu_{-h1} instead of
-    inside it.
-    """
-    for cell, lhs, rhs in _parent_relation_cells(H, I, t, as_written):
-        if lhs != rhs:
-            return cell
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -432,7 +432,7 @@ def _homomorphisms(
     first_only: bool = False,
 ) -> list:
     """All maps on src's carrier that respect every operation in `ops`,
-    a list of (src table, dst mul) pairs whose first is src's own table.
+    a list of (source group, dst mul) pairs whose first group is src.
 
     The search backtracks over the images of src's generating sequence
     g_1 .. g_m.  At depth j the map f is a hom on G_j = <g_1 .. g_j> under
@@ -440,7 +440,8 @@ def _homomorphisms(
     is kept when every check cell holds (homomorphisms on generator
     cells, module docstring) and, for an injective search, no new element
     maps to dst_id.  A total map is then checked against every other
-    operation on n |S| cells, S that table's generating sequence.
+    operation on n |S| cells, S the cached generating sequence of its
+    source group.
     `candidates(gen)` yields admissible images for a generator; each list
     is built once, and the product of their lengths, which bounds the
     leaves of the search tree, is held to the budget as the search `what`.
@@ -452,7 +453,7 @@ def _homomorphisms(
     budget_mod.guard(prod(map(len, images)), what)
     plan = src.generator_cells()
     mul = ops[0][1]
-    others = [(table, dst_mul, _generators(table)) for table, dst_mul in ops[1:]]
+    others = [(S.table, dst_mul, S.generating_sequence()) for S, dst_mul in ops[1:]]
     n = src.n
     f = [dst_id] * n
     out: list = []
@@ -503,7 +504,7 @@ def is_automorphism(p: Sequence[int], G: FiniteGroup) -> bool:
 def automorphism_group(G: FiniteGroup) -> PermGroup:
     """Aut(G) by exhaustive backtracking over generator images."""
     maps = _homomorphisms(
-        G, _order_matched([(G, G)]), [(G.table, G.mul)], 0, "automorphism_group",
+        G, _order_matched([(G, G)]), [(G, G.mul)], 0, "automorphism_group",
         injective=True,
     )
     perms = {tuple(m[x] for x in range(G.n)) for m in maps}
@@ -515,7 +516,7 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[Perm]:
     if G1.n != G2.n or G1.order_profile() != G2.order_profile():
         return None
     maps = _homomorphisms(
-        G1, _order_matched([(G1, G2)]), [(G1.table, G2.mul)], 0, "find_isomorphism",
+        G1, _order_matched([(G1, G2)]), [(G1, G2.mul)], 0, "find_isomorphism",
         injective=True, first_only=True,
     )
     return tuple(maps[0][x] for x in range(G1.n)) if maps else None
@@ -534,7 +535,7 @@ def homs_to_perm_group(src: FiniteGroup, target: PermGroup) -> list:
         return [p for p in elems if k % perm_order(p) == 0]
 
     maps = _homomorphisms(
-        src, candidates, [(src.table, compose)], identity_perm(target.degree),
+        src, candidates, [(src, compose)], identity_perm(target.degree),
         "homs_to_perm_group",
     )
     result = [tuple(m[h] for h in range(src.n)) for m in maps]

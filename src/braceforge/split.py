@@ -58,9 +58,10 @@ makes this exact at every order, so enumeration, validate_split_triple
 and semidirect_product take their verdicts from it alone.  Both product
 tables being groups, the brace axiom is the compatibility equation, so a
 valid triple's product is a skew brace and no product table is validated
-again.  The full (h1, h2, h3, y1, y2, y3) cube runs only for
-the witness of a triple that fails on the lifts and for the as_written
-sign variant.
+again.  The full (h1, h2, h3, y1, y2, y3) cube runs only for the witness
+of a triple that fails on the lifts.  The published sign variant of the
+equation is an erratum diagnostic of the loop oracle _loop_compat_witness
+in tests/test_split.py.
 
 _triplet_tables is the one gather that fills product tables: triplet
 rebuilds use it, and a split product is its zero-cocycle case relabelled.
@@ -140,7 +141,7 @@ def _family_arrays(t: ActionTriple) -> tuple:
     return nu, mu, sigma, nu.argsort(axis=1)
 
 
-def _compat_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple, as_written: bool = False):
+def _compat_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple):
     """First tuple violating the compatibility equation, or None.
 
     nu, mu and sigma must obey their (anti)hom laws, as validate_split_triple
@@ -148,16 +149,15 @@ def _compat_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple, as_written: boo
     equation then holds everywhere iff it holds with (h1, y1) among the
     lifts of the generators of (H, o) and (I, o) and (h2, y2) among the
     lifts of the generators of (H, +) and (I, +) (module docstring), so a
-    triple that passes on the lifts returns None at once.  The cube
-    (_compat_cube) runs for the witness of a triple that fails there and
-    for as_written, so every witness is the cube's.
+    triple that passes on the lifts returns None at once, and the witness
+    of one that fails there is the whole cube's (_compat_cube).
     """
-    if not as_written and _compat_on_lifts(H, I, [t.nu], [t.mu], [t.sigma]).all():
+    if _compat_on_lifts(H, I, [t.nu], [t.mu], [t.sigma]).all():
         return None
-    return _compat_cube(H, I, t, as_written)
+    return _compat_cube(H, I, t)
 
 
-def _compat_cube(H: SkewBrace, I: SkewBrace, t: ActionTriple, as_written: bool = False):
+def _compat_cube(H: SkewBrace, I: SkewBrace, t: ActionTriple):
     """_compat_witness evaluated on the whole cube.
 
     With a = nu_{h1}^-1(y1), the equation compared at every (h1, h2, h3,
@@ -169,9 +169,8 @@ def _compat_cube(H: SkewBrace, I: SkewBrace, t: ActionTriple, as_written: bool =
 
     with m = -h1 + (h1 o h3).  That mu index is what expanding the brace
     axiom in the product forces, since the two mu factors collapse along
-    the anti-homomorphism law.  as_written=True instead uses
-    m = -h1 + (h2 o h3), kept only as a diagnostic; it rejects valid data
-    whenever mu is nontrivial.
+    the anti-homomorphism law.  The published m = -h1 + (h2 o h3) rejects
+    valid data whenever mu is nontrivial.
 
     h1 runs through H in order; for each, both sides are evaluated at all
     (h2, h3, y1, y2, y3) at once as a (|H|, |H|, |I|, |I|, |I|) array, so
@@ -205,8 +204,8 @@ def _compat_cube(H: SkewBrace, I: SkewBrace, t: ActionTriple, as_written: bool =
             np.repeat(circ_plus[h1][:, :, None] + sigma_plus[:, :, inv_nu[h1]], ni * ni)
             + inner.ravel()
         )
-        m = Ha[Hneg[h1], Hc if as_written else Hc[h1][None, :]]
-        q = mu_flat.take((m * ni)[:, :, None, None] + tail_minus_y1[h1][:, None])
+        m = Ha[Hneg[h1], Hc[h1]]                # -h1 + (h1 o h3), over h3
+        q = mu_flat.take((m * ni)[:, None, None] + tail_minus_y1[h1][:, None])
         rhs = Ia_flat.take(np.repeat(q * ni, ni).reshape(nh, -1) + tail_rep[h1].reshape(1, -1))
         bad = lhs != rhs.ravel()
         if bad.any():

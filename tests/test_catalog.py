@@ -25,6 +25,17 @@ from braceforge.split import (
 from braceforge.wells import verify_exact_sequence
 
 
+def _builtin_entries() -> list:
+    """Every named entry the catalog ships, in a stable order."""
+    entries = catalog.trivial_brace_entries()
+    entries.extend(catalog.fixture_extension_entries())
+    for n in (2, 3, 4, 5):
+        entries.append(catalog.example(n))
+    entry, _ = catalog.example1_finite()
+    entries.append(entry)
+    return entries
+
+
 def test_trivial_brace_entries():
     entries = catalog.trivial_brace_entries()
     assert len(entries) == 14
@@ -228,7 +239,7 @@ def test_example_dispatcher():
 
 
 def test_round_trip_byte_identical(tmp_path):
-    for e in catalog.builtin_entries():
+    for e in _builtin_entries():
         p = tmp_path / f"{e.name}.json"
         catalog.save(e, p)
         first = p.read_bytes()
@@ -244,7 +255,7 @@ def test_dumps_payload_matches_json_module(split_ext, z4_ext):
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
     # every payload kind, built-in and derived, and two reports
-    objs = [e.payload for e in catalog.builtin_entries()] + [
+    objs = [e.payload for e in _builtin_entries()] + [
         catalog.group_payload(split_ext.E.add),
         catalog.brace_payload(split_ext.E),
         catalog.triple_payload(extract_triplet(z4_ext).chi),
@@ -278,7 +289,7 @@ def test_dumps_payload_matches_json_module(split_ext, z4_ext):
 
 
 def test_builtin_entries_unique_and_buildable():
-    entries = catalog.builtin_entries()
+    entries = _builtin_entries()
     assert len(entries) == 21
     names = [e.name for e in entries]
     assert len(names) == len(set(names))

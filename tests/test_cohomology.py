@@ -56,7 +56,6 @@ from braceforge.extensions import (
     _class_key,
     _extension_orbits,
     _first_witnesses,
-    _parent_relation_cells,
     _partition_triplets,
     ext_classes,
     extension_from_triplet,
@@ -80,7 +79,12 @@ from braceforge.groups import (
     klein_group,
 )
 from braceforge.split import ActionTriple, enumerate_split_triples, identity_triple
-from test_extensions import _extensions_equivalent_loop, _partition_first_fit
+from test_extensions import (
+    _extensions_equivalent_loop,
+    _parent_relation_cells,
+    _partition_first_fit,
+    _z2N_laws_only,
+)
 
 
 # --- the enumerating routes, kept as oracles -----------------------------------
@@ -425,7 +429,7 @@ def test_pair_sets_2_by_2(Z2):
     z2 = z2N(Z2, Z2, chi)
     assert len(z2) == 4
     # at this pair the two raw laws already imply compatibility
-    assert len(z2N(Z2, Z2, chi, laws_only=True)) == 4
+    assert len(_z2N_laws_only(Z2, Z2, chi)) == 4
     assert len(b2N(Z2, Z2, chi)) == 1
     grp = h2N(Z2, Z2, chi)
     assert grp.order == 4
@@ -433,7 +437,7 @@ def test_pair_sets_2_by_2(Z2):
 
 def test_compatibility_filter_cuts_2_by_3(Z2, Z3):
     chi = identity_triple(Z2, Z3)
-    raw = z2N(Z2, Z3, chi, laws_only=True)
+    raw = _z2N_laws_only(Z2, Z3, chi)
     operative = z2N(Z2, Z3, chi)
     assert len(raw) == 9
     assert len(operative) == 3
@@ -680,7 +684,7 @@ def test_zero_pair_guard_for_non_split_action(Z2, Z3):
 def _rebuild_filter(H, I, chi):
     """The reference route: keep the law-abiding pairs that rebuild."""
     return [
-        p for p in z2N(H, I, chi, laws_only=True)
+        p for p in _z2N_laws_only(H, I, chi)
         if is_valid_triplet(H, I, Triplet(chi, p.g, p.f))
     ]
 
@@ -747,7 +751,7 @@ def test_z2N_rebuilds_at_most_the_zero_pair(monkeypatch, Z2, Z3, Z4):
         assert h2N(H, I, identity_triple(H, I)).order == order
         assert len(calls) <= 1
         calls.clear()
-        assert len(z2N(H, I, identity_triple(H, I), laws_only=True)) > 0
+        assert len(_z2N_laws_only(H, I, identity_triple(H, I))) > 0
         assert calls == []
 
 
@@ -1012,7 +1016,7 @@ def _assert_routes_agree(H, I, chi, laws_only=True):
     assert z2 == _z2N_enumerated(H, I, chi)
     laws = []
     if laws_only:
-        laws = z2N(H, I, chi, laws_only=True)
+        laws = _z2N_laws_only(H, I, chi)
         assert laws == _z2N_enumerated(H, I, chi, laws_only=True)
     b2 = b2N(H, I, chi)
     assert b2 == _b2N_sweep(H, I, chi)

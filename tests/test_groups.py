@@ -429,7 +429,7 @@ def test_standard_groups_of_order():
 
 def _close_partial_hom(closed: dict, g, img, ops):
     """Extend a map already closed under `ops` by g -> img, then saturate
-    it under every (src table, dst mul) pair in `ops`; None on
+    it under every (source group, dst mul) pair in `ops`; None on
     inconsistency.
 
     Each round only combines pairs with an element mapped in the round
@@ -441,7 +441,8 @@ def _close_partial_hom(closed: dict, g, img, ops):
     while fresh:
         old, known = known, known + fresh
         added = []
-        for table, dst_mul in ops:
+        for S, dst_mul in ops:
+            table = S.table
             for (a, fa), (b, fb) in itertools.chain(
                 itertools.product(fresh, known), itertools.product(old, fresh)
             ):
@@ -583,7 +584,7 @@ def test_engine_work_counts():
         return V8.mul(a, b)
 
     maps = groups_mod._homomorphisms(
-        V8, groups_mod._order_matched([(V8, V8)]), [(V8.table, counted)], 0, "count",
+        V8, groups_mod._order_matched([(V8, V8)]), [(V8, counted)], 0, "count",
         injective=True,
     )
     assert len(maps) == 168

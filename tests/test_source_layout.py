@@ -46,7 +46,10 @@ def test_every_private_helper_is_used_in_the_package():
 # routines that only tests called, now inlined in the tests or moved into
 # them (PermGroup.generate is tests/test_groups.py:_generate)
 TEST_ONLY = {
+    "catalog": {"builtin_entries"},
     "cohomology": {"pair_sub", "pair_is_cocycle", "derivation_add", "free_transitive_report"},
+    "extensions": {"action_identities_witness", "cocycle_conditions_witness",
+                   "parent_relation_witness", "_parent_relation_cells"},
     "groups": {"is_perm", "generate"},
     "split": {"decode_pair", "compat_as_written_witness"},
     "wells": {"pair_inv"},
@@ -59,6 +62,21 @@ def test_test_only_helpers_stay_out_of_the_package():
         defined = {node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
         assert defined & names == set(), module
+
+
+def test_no_sign_variant_switches_in_the_package():
+    # the published sign variants and the laws-only listing are erratum
+    # diagnostics: the tests that pin them carry them
+    switches = {"as_written", "laws_only"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                found += [f"{path.stem}.{node.name}({a.arg})" for a in params
+                          if a.arg in switches]
+    assert found == []
 
 
 def _callers(tree, name):
