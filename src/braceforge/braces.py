@@ -46,6 +46,15 @@ batched check of many circle tables that the quotient route runs; the
 full cube is the test oracle _cube_brace_axiom in
 tests/test_generator_axioms.py.
 
+Equal tables.  With o = +, the axiom reads a + (b + c) = (a + b) - a +
+(a + c), which is associativity once -a + a cancels, so validate_brace
+decides a pair of equal tables with one validate_group.
+
+Tables as arrays.  A brace's tables are its groups' np_table arrays and
+lam is one array, which lambda_is_hom and identities_check gather on;
+the tuple rows of lambda_table and the hash are built on first use, as
+FiniteGroup builds its rows.
+
 The split module narrows a too: where lam(a) is additive, lam(a o b) =
 lam(a) lam(b), so the a with additive lam(a) form a subgroup of (E, o),
 and the axiom needs checking only for a in a generating set of (E, o)
@@ -77,9 +86,14 @@ from .groups import (
 
 
 class SkewBrace:
-    """Two group structures on one carrier; use validate_brace to build."""
+    """Two group structures on one carrier; use validate_brace to build.
 
-    __slots__ = ("add", "circ", "n", "_lambda", "_hash")
+    _lam[a, b] = lam(a)(b) = -a + (a o b), gathered at once as add[-a,
+    circ[a, b]], and lambda_table, its rows as tuples (the cell loop is
+    the oracle _loop_lambda_table in tests/test_braces.py), are filled by
+    __getattr__ on first use, as is the hash."""
+
+    __slots__ = ("add", "circ", "n", "_lam", "lambda_table", "_hash")
 
     def __init__(self, add: FiniteGroup, circ: FiniteGroup):
         if add.n != circ.n:
@@ -87,8 +101,20 @@ class SkewBrace:
         self.add = add
         self.circ = circ
         self.n = add.n
-        self._lambda = None
-        self._hash = hash((add.table, circ.table))
+
+    def __getattr__(self, name: str):
+        if name == "_lam":
+            neg = np.array(self.add.inv, dtype=np.int64)
+            value = self.add.np_table[neg[:, None], self.circ.np_table]
+            value.flags.writeable = False
+        elif name == "lambda_table":
+            value = tuple(map(tuple, self._lam.tolist()))
+        elif name == "_hash":
+            value = hash((self.add.table, self.circ.table))
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -114,18 +140,7 @@ class SkewBrace:
 
     @property
     def is_trivial(self) -> bool:
-        return self.add.table == self.circ.table
-
-    @property
-    def lambda_table(self) -> tuple:
-        """lam(a)[b] = -a + (a o b), one perm per element, gathered at once
-        as add[-a, circ[a, b]].  The cell loop is kept as the oracle
-        _loop_lambda_table in tests/test_braces.py."""
-        if self._lambda is None:
-            neg = np.array(self.add.inv, dtype=np.int64)
-            lam = self.add.np_table[neg[:, None], self.circ.np_table]
-            self._lambda = tuple(map(tuple, lam.tolist()))
-        return self._lambda
+        return self.add is self.circ or np.array_equal(self.add.np_table, self.circ.np_table)
 
     def lam(self, a: int) -> Perm:
         return self.lambda_table[a]
@@ -167,17 +182,34 @@ def _brace_axiom_holds(add: FiniteGroup, circs: np.ndarray) -> np.ndarray:
     return (lhs == rhs).reshape(len(circs), -1).all(axis=1)
 
 
+def _same_table(G: FiniteGroup, table) -> bool:
+    """table holds the same integers as G's table, whether it is an array
+    or nested sequences; a ragged table, or one of floats or objects, which
+    validate_group would reject, never does."""
+    try:
+        t = np.asarray(table)
+    except (ValueError, TypeError):  # ragged rows
+        return False
+    return t.dtype.kind in "biu" and np.array_equal(G.np_table, t)
+
+
 def validate_brace(
     add_table: Sequence[Sequence[int]], circ_table: Sequence[Sequence[int]]
 ) -> SkewBrace:
     """Validate both group tables and the skew brace axiom, deciding the
     axiom on a generating set of (E, +) with the witness the full cube
-    would give."""
+    would give.  Either table may be an integer array or nested sequences.
+
+    Two equal tables are decided by one validate_group (equal tables,
+    module docstring); a failing one is named "add", as it is when the
+    two are checked in turn."""
     try:
         add = validate_group(add_table)
     except ValidationError as exc:
         exc.witness["table"] = "add"
         raise
+    if circ_table is add_table or _same_table(add, circ_table):
+        return SkewBrace(add, add)
     try:
         circ = validate_group(circ_table)
     except ValidationError as exc:
@@ -205,7 +237,7 @@ def lambda_is_hom(E: SkewBrace) -> bool:
     """lam : (E, o) -> Aut(E, +) is a homomorphism, taking (E, +) to be a
     group (exhaustive: each law is checked on a generating set, which
     decides it by the module docstring)."""
-    L = np.array(E.lambda_table, dtype=np.int64)
+    L = E._lam
     t_add = E.add.np_table
     s_add = np.array(E.add.generating_sequence(), dtype=np.int64)
     s_circ = np.array((0,) + E.circ.generating_sequence(), dtype=np.int64)
@@ -226,7 +258,7 @@ def identities_check(E: SkewBrace) -> bool:
     as invert_perm builds it, so a row of lam that is not a permutation
     gets the same stand-in inverse; the pair loop is kept as the oracle
     _loop_identities_check in tests/test_braces.py."""
-    lam = np.array(E.lambda_table, dtype=np.int64)
+    lam = E._lam
     add, circ = E.add.np_table, E.circ.np_table
     rows = np.arange(E.n)[:, None]
     inv = np.zeros_like(lam)

@@ -76,19 +76,24 @@ PROVENANCES = ("example-2", "example-3", "example-4", "example-5", "derived", "t
 # --- payload constructors ----------------------------------------------------
 
 def _rows(table) -> list:
-    return [[int(x) for x in row] for row in table]
+    """A square table as lists of plain ints, in one tolist."""
+    return np.asarray(table).tolist()
 
 
 def group_payload(G: FiniteGroup) -> dict:
-    return {"n": G.n, "table": _rows(G.table)}
+    return {"n": G.n, "table": _rows(G.np_table)}
 
 
 def brace_payload(B: SkewBrace) -> dict:
-    return {"n": B.n, "add": _rows(B.add.table), "circ": _rows(B.circ.table)}
+    return {"n": B.n, "add": _rows(B.add.np_table), "circ": _rows(B.circ.np_table)}
 
 
 def triple_payload(t: ActionTriple) -> dict:
-    return {"nu": _rows(t.nu), "mu": _rows(t.mu), "sigma": _rows(t.sigma)}
+    """Each distinct permutation of the three families is laid out as an
+    int list once; every row of the payload is a copy of its own."""
+    laid = {p: [int(x) for x in p] for p in {*t.nu, *t.mu, *t.sigma}}
+    return {"nu": [laid[p].copy() for p in t.nu], "mu": [laid[p].copy() for p in t.mu],
+            "sigma": [laid[p].copy() for p in t.sigma]}
 
 
 def triplet_payload(t: Triplet) -> dict:

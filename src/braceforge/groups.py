@@ -6,6 +6,14 @@ Conventions used everywhere in this package:
   * permutations are tuples p with p[x] the image of x,
   * compose(p, q) applies q first, so compose(p, q)[x] = p[q[x]].
 
+Tables as arrays.  The primary form of every Cayley table is a read-only
+int64 array, FiniteGroup.np_table, and validate_group decides the axioms
+on an array as it is given.  The tuple rows FiniteGroup.table, which the
+Python walks read (the greedy generating sequence, the homomorphism
+engine), the inverses and the hash are built from the array the first
+time they are asked for.  A pair of equal tables is one group check
+(braces.validate_brace).
+
 Associativity on a generating set (Light's test).  Call s a good middle
 element of a table when (x s) y = x (s y) for all x, y.  The good middle
 elements are closed under the product: for good s, t and any x, y,
@@ -119,26 +127,42 @@ def relabel_table(table: Sequence[Sequence[int]], perm: Sequence[int]) -> list:
 
 
 class FiniteGroup:
-    """Immutable group given by its full multiplication table."""
+    """Immutable group given by its full multiplication table.
 
-    __slots__ = ("n", "table", "inv", "_np", "_abelian", "_orders", "_gens", "_cells", "_hash")
+    The read-only int64 array np_table is the primary form of the table.
+    The tuple rows `table`, the inverses `inv` and the hash are built the
+    first time Python code asks for them: __getattr__ runs only for an
+    unset slot, fills it and returns the value, so every later read is a
+    plain slot read.  A group whose table only numpy reads never builds
+    them."""
+
+    __slots__ = ("n", "np_table", "inv", "table", "_abelian", "_orders", "_gens", "_cells",
+                 "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         arr = np.array(table, dtype=np.int64)
         arr.flags.writeable = False
-        tab = tuple(map(tuple, arr.tolist()))
-        n = len(tab)
-        self.n = n
-        self.table = tab
-        # inv[a] is the first b with a*b = 0 = b*a, or -1 when there is none
-        both = (arr == 0) & (arr.T == 0)
-        self.inv = tuple(np.where(both.any(axis=1), both.argmax(axis=1), -1).tolist())
-        self._np = arr
+        self.n = len(arr)
+        self.np_table = arr
         self._abelian = None
         self._orders = None
         self._gens = None
         self._cells = None
-        self._hash = hash(tab)
+
+    def __getattr__(self, name: str):
+        if name == "table":
+            value = tuple(map(tuple, self.np_table.tolist()))
+        elif name == "inv":
+            # inv[a] is the first b with a*b = 0 = b*a, or -1 when there is none
+            zero = self.np_table == 0
+            both = zero & zero.T
+            value = tuple(np.where(both.any(axis=1), both.argmax(axis=1), -1).tolist())
+        elif name == "_hash":
+            value = hash(self.table)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -155,10 +179,6 @@ class FiniteGroup:
     def conj(self, g: int, z: int) -> int:
         """g z g^-1."""
         return self.table[self.table[g][z]][self.inv[g]]
-
-    @property
-    def np_table(self) -> np.ndarray:
-        return self._np
 
     @property
     def is_abelian(self) -> bool:
@@ -262,16 +282,42 @@ def _generator_cells(table) -> tuple:
 
 
 def _generators(table) -> tuple:
-    """The greedy generating sequence of a table (_generator_cells)."""
-    return tuple(new[0] for _, _, new in _generator_cells(table))
+    """The greedy generating sequence of a table, the first element of each
+    step of _generator_cells, walked without recording the cells."""
+    n = len(table)
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    gens: list = []
+    for g in range(1, n):
+        if seen[g]:
+            continue
+        gens.append(g)
+        seen[g] = True
+        new = [g]
+        for x in reached[1:]:
+            c = table[x][g]
+            if not seen[c]:
+                seen[c] = True
+                new.append(c)
+        for x in new:  # the list grows while it is walked
+            row = table[x]
+            for s in gens:
+                c = row[s]
+                if not seen[c]:
+                    seen[c] = True
+                    new.append(c)
+        reached.extend(new)
+    return tuple(gens)
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Check the full group axioms on a table, identity pinned at index 0.
 
-    The axioms are decided on an integer array; only a table that fails
-    them, or is not a square integer array, goes through _group_failure,
-    which names the first failing check."""
+    The axioms are decided on an integer array, the table itself when it
+    is one; only a table that fails them, or is not a square integer
+    array, goes through _group_failure, which names the first failing
+    check."""
     try:
         G = _group_if_valid(np.asarray(table))
     except (ValueError, TypeError):  # ragged rows

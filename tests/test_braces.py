@@ -4,6 +4,7 @@ homomorphisms, automorphisms and isomorphism search."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from braceforge import catalog
@@ -116,12 +117,17 @@ def test_gathered_lambda_and_identities_match_loops(pairwise_braces):
     labelled = [B for n in range(1, 7) for B in pairwise_braces(n)]
     assert (len(fixtures), len(labelled)) == (44, 1 + 1 + 1 + 10 + 6 + 280)
     for B in fixtures + labelled:
+        # the lam array that lambda_is_hom and identities_check gather on,
+        # its rows, and the hash, all built on first use
+        assert B._lam.dtype == np.int64 and np.array_equal(B._lam, _loop_lambda_table(B))
         assert B.lambda_table == _loop_lambda_table(B)
+        assert hash(B) == hash((B.add.table, B.circ.table))
         assert identities_check(B) is True and _loop_identities_check(B) is True
     rng = random.Random(2201)
     tampered = [T for B in fixtures + labelled if B.n > 1
                 for T in _one_cell_tampered(B, rng, 2 if B.n <= 16 else 1)]
     for T in tampered:
+        assert np.array_equal(T._lam, _loop_lambda_table(T))
         assert T.lambda_table == _loop_lambda_table(T)
         assert identities_check(T) is False and _loop_identities_check(T) is False
     # in-range tables that are not groups, with lam rows that are not

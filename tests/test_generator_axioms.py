@@ -10,6 +10,7 @@ _cube_lambda_is_hom, and every check must give the same verdict,
 exception class, message and witness on both routes.
 """
 
+import copy
 import random
 
 import numpy as np
@@ -33,6 +34,7 @@ from braceforge.groups import (
     validate_group,
 )
 from braceforge.split import ActionTriple, _candidate_families, _product_tables
+from test_groups import MALFORMED_TABLES, WELL_FORMED_TABLES
 
 
 def _cube_group_if_valid(t):
@@ -178,6 +180,27 @@ def test_fixtures_match_cube(fixtures):
         assert got[0] == "ok", name
         orders.add(B.n)
     assert min(orders) == 1 and max(orders) == 80
+
+
+def test_equal_tables_are_one_group_check(count_calls):
+    # with add = circ the brace axiom is associativity (braces module
+    # docstring), so one validate_group decides the pair, with the verdict,
+    # exception and witness, "table": "add" included, of the route that
+    # checks both tables in turn
+    calls = count_calls(validate_group)
+    for table in MALFORMED_TABLES + WELL_FORMED_TABLES:
+        for circ in (table, copy.deepcopy(table)):
+            before = calls["calls"]
+            got = _outcome(validate_brace, table, circ)
+            assert got == _outcome(_cube_validate_brace, table, circ)
+            assert calls["calls"] - before == 1
+            assert got[0] == "ok" or got[2]["table"] == "add"
+    # bools are ints, as in validate_group; floats equal to integers are not
+    for circ, count in (([[False, True], [True, False]], 1), (np.array([[0, 1], [1, 0.0]]), 2)):
+        before = calls["calls"]
+        got = _outcome(validate_brace, [[0, 1], [1, 0]], circ)
+        assert got == _outcome(_cube_validate_brace, [[0, 1], [1, 0]], circ)
+        assert calls["calls"] - before == count
 
 
 def test_example5_candidates_match_cube(example5_candidates):

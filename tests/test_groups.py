@@ -188,6 +188,43 @@ def test_inverses_match_loop():
         assert FiniteGroup(table).inv == _loop_inverses(table)
 
 
+def _array_tables() -> list:
+    """Every table of _group_table_stack(n) for n <= 6, then the tables of
+    every axiom fixture, as int64 arrays."""
+    tables = [t for n in range(1, 7) for t in _group_table_stack(n)]
+    for _, B in catalog.axiom_fixtures():
+        tables += [B.add.np_table, B.circ.np_table]
+    return tables
+
+
+def test_rows_hash_and_eq_built_on_first_use_match_eager():
+    # the tuple rows and the hash are built from the array on first use;
+    # the oracle builds them eagerly, straight from the same array
+    tables = _array_tables()
+    assert len(tables) == sum(len(_group_table_stack(n)) for n in range(1, 7)) + 88
+    previous = FiniteGroup(tables[-1])
+    for t in tables:
+        rows = tuple(map(tuple, t.tolist()))
+        G, H = FiniteGroup(t), FiniteGroup(t)
+        # ask in both orders: the hash first on G, the rows first on H
+        assert hash(G) == hash(rows) and G.table == rows
+        assert H.table == rows and hash(H) == hash(rows)
+        assert G.table is G.table
+        assert G == H == FiniteGroup(rows) and hash(G) == hash(FiniteGroup(rows))
+        assert (G == previous) is (previous.table == rows)
+        previous = H
+
+
+def test_lean_generators_match_generator_cells():
+    # _generators walks the greedy sequence without recording cells; the
+    # heads of _generator_cells are the same sequence
+    tables = [tuple(map(tuple, t.tolist())) for t in _array_tables()]
+    tables.append(NONASSOCIATIVE_LOOP)
+    for table in tables:
+        heads = tuple(new[0] for _, _, new in groups_mod._generator_cells(table))
+        assert groups_mod._generators(table) == heads
+
+
 def test_constructors_and_invariants():
     Z6 = cyclic_group(6)
     assert Z6.element_order(1) == 6 and Z6.is_abelian

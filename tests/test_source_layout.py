@@ -10,7 +10,10 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import braceforge
+from braceforge.groups import FiniteGroup
 
 SRC = Path(braceforge.__file__).parent
 
@@ -130,3 +133,22 @@ def test_one_homomorphism_test_and_one_relabelling():
     # validated as one nor extracted again
     for name in ("validate_extension", "extract_triplet"):
         assert "extension_from_triplet" not in _callers(trees["extensions"], name)
+
+
+def _filled(obj, slot: str) -> bool:
+    """Whether a slot holds a value, read past the __getattr__ that fills it."""
+    try:
+        type(obj).__dict__[slot].__get__(obj)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_a_group_built_from_an_array_holds_no_tuple_rows():
+    # the int64 array is the primary table form; the tuple rows, the
+    # inverses and the hash wait until Python code asks for them
+    G = FiniteGroup(np.array([[(a + b) % 5 for b in range(5)] for a in range(5)]))
+    assert [s for s in ("table", "inv", "_hash") if _filled(G, s)] == []
+    assert G.np_table.dtype == np.int64 and not G.np_table.flags.writeable
+    rows = G.table
+    assert _filled(G, "table") and rows is G.table and not _filled(G, "_hash")
