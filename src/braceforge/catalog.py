@@ -391,23 +391,30 @@ def _dumps_at(obj, pad: str, rows: dict) -> str:
 
     With an indent the json module encodes in pure Python, so lists and
     str-keyed dicts are laid out here, a list of plain ints in one join;
-    every other value goes through json.dumps.  `rows` keeps the layout of
-    each distinct list of plain ints at each pad, keyed by (ints, pad), so
-    a row that repeats, as the members of action triples do, is laid out
-    once."""
+    every other value goes through json.dumps.  A list lays out its members
+    that are lists of plain ints itself, without a call per member.
+    rows[pad] keeps the layout at pad of each distinct list of plain ints,
+    keyed by its tuple, so a row that repeats, as the members of action
+    triples do, is laid out once."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {int}:
-            key = (tuple(obj), pad)
-            text = rows.get(key)
-            if text is None:
-                rows[key] = text = "[\n" + inner + sep.join(map(str, obj)) + "\n" + pad + "]"
-            return text
-        body = sep.join(_dumps_at(v, inner, rows) for v in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
+        if set(map(type, obj)) == _INTS:
+            return "[\n" + inner + sep.join(map(str, obj)) + "\n" + pad + "]"
+        laid = rows.setdefault(inner, {})
+        parts = []
+        for v in obj:
+            if type(v) is list and v and set(map(type, v)) == _INTS:
+                key = tuple(v)
+                text = laid.get(key)
+                if text is None:
+                    laid[key] = text = _dumps_at(v, inner, rows)
+                parts.append(text)
+            else:
+                parts.append(_dumps_at(v, inner, rows))
+        return "[\n" + inner + sep.join(parts) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not all(type(k) is str for k in obj):
             # json sorts such keys by value before turning them into strings
@@ -419,6 +426,9 @@ def _dumps_at(obj, pad: str, rows: dict) -> str:
         )
         return "{\n" + inner + body + "\n" + pad + "}"
     return json.dumps(obj)
+
+
+_INTS = {int}
 
 
 def dumps_payload(payload: dict) -> str:

@@ -618,7 +618,13 @@ class CohomologyGroup:
     z2 is the echelon form of the cocycle pairs, in the coordinates of
     cochains, and coboundaries the images of the unit maps under the
     coboundary map (_coboundary_images), as h2N builds them: they span
-    B^2, and their kernel is Z^1 (_derivations).  Construction checks B^2
+    B^2, and their kernel is Z^1.  One echelon of the graph, rows
+    (image, unit), over all its columns gives both: its pivots in the image
+    columns are, cut to those columns, the echelon form of B^2 (the steps
+    there see only those columns), and the rows left vanishing on them are
+    the graph's members with image 0, so the pivots after them are the
+    echelon form of Z^1 (as _kernel and then _Echelon.of would give it,
+    step for step).  Construction checks B^2
     inside Z^2, then lists the classes: the representative of a class is
     the lexicographically least member of its coset, found by a greedy
     descent over the cells against the echelon form of B^2 (at each cell,
@@ -636,8 +642,12 @@ class CohomologyGroup:
         self.H = H
         self.I = I
         self.chi = chi
-        self._z2, self._sp, self._coboundaries = z2, cochains, coboundaries
-        self._b2 = b2 = _Echelon.of(coboundaries, cochains.mods)
+        self._z2, self._sp = z2, cochains
+        w, cmods = len(cochains.mods), np.tile(cochains.co.mods, H.n - 1)
+        graph = np.hstack([coboundaries, np.eye(len(cmods), dtype=np.int64)])
+        pivots, _ = _echelon(graph, np.concatenate([cochains.mods, cmods]), w + len(cmods))
+        self._b2 = b2 = _Echelon([(c, p[:w]) for c, p in pivots if c < w], cochains.mods)
+        self._z1 = _Echelon([(c - w, p[w:]) for c, p in pivots if c >= w], cmods)
         if not z2.contains(b2.rows).all():
             raise ValidationError("coboundaries are not all cocycle pairs")
         # per cell holding B^2 pivots: the first column, and every value the
@@ -704,9 +714,12 @@ class CohomologyGroup:
             raise InputError("pair is not a cocycle pair for this action")
         return index
 
-    def _derivations(self) -> list:
-        """z1N for the same action, from the coboundary images already at hand."""
-        return _derivations(self._sp, self._coboundaries)
+    def _derivation_rows(self) -> tuple:
+        """(Z^1, T): the derivations, lex-sorted as z1N lists them, and the
+        echelon rows of Z^1, which generate it, as maps theta: H -> I, one
+        integer row each."""
+        sp = self._sp
+        return _listed_derivations(sp, self._z1), _theta_rows(sp, self._z1.rows)
 
     def _basis_rows(self) -> tuple:
         """The echelon rows of Z^2 and of B^2, laid out like pairs."""
@@ -794,20 +807,25 @@ def z1N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
     """
     validate_cocycle_action(H, I, chi)
     sp = _Cochains(H.n, I)
-    return _derivations(sp, _coboundary_images(sp, H, I, chi))
+    cmods = np.tile(sp.co.mods, H.n - 1)
+    z1 = _Echelon.of(_kernel(_coboundary_images(sp, H, I, chi), sp.mods, cmods), cmods)
+    return [Derivation(tuple(t)) for t in _listed_derivations(sp, z1).tolist()]
 
 
-def _derivations(sp: _Cochains, coboundaries: np.ndarray) -> list:
-    """z1N from the coboundary images of the unit maps (_coboundary_images):
-    the kernel of that matrix, listed from an echelon basis."""
+def _theta_rows(sp: _Cochains, X: np.ndarray) -> np.ndarray:
+    """The maps theta: H -> I with theta(0) = 0 and coordinates X at
+    h = 1, 2, ..., one integer row each."""
     co, n = sp.co, sp.n
-    cmods = np.tile(co.mods, n - 1)
-    z1 = _Echelon.of(_kernel(coboundaries, sp.mods, cmods), cmods)
+    thetas = np.zeros((len(X), n), dtype=np.int64)
+    thetas[:, 1:] = co.to_labels(X.reshape(len(X), n - 1, len(co.mods)))
+    return thetas
+
+
+def _listed_derivations(sp: _Cochains, z1: _Echelon) -> np.ndarray:
+    """The members of Z^1, given in echelon form, as lex-sorted rows."""
     budget_mod.guard(z1.order, "z1N listing")
-    thetas = np.zeros((z1.order, n), dtype=np.int64)
-    thetas[:, 1:] = co.to_labels(z1.members().reshape(z1.order, n - 1, len(co.mods)))
-    thetas = thetas[np.lexsort(thetas.T[::-1])]
-    return [Derivation(tuple(t)) for t in thetas.tolist()]
+    thetas = _theta_rows(sp, z1.members())
+    return thetas[np.lexsort(thetas.T[::-1])]
 
 
 # --- restriction to the annihilator ------------------------------------------

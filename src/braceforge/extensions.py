@@ -350,16 +350,30 @@ def coupling_of(ext: Extension) -> Coupling:
 
 def _twists_at(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple, h: int) -> Iterator[int]:
     """The y, in increasing order, whose twist at h carries the members of
-    chi1 at h to those of chi2 (see couplings_related)."""
-    for y in range(I.n):
-        if chi2.nu[h] != compose(chi1.nu[h], I.lam(y)):
-            continue
-        shift = chi1.nu[h][I.add.inv[y]]
-        if chi2.mu[h] != compose(inner_automorphism(I.add, shift), chi1.mu[h]):
-            continue
-        if chi2.sigma[h] != compose(inner_automorphism(I.circ, I.circ.inv[y]), chi1.sigma[h]):
-            continue
-        yield y
+    chi1 at h to those of chi2 (see couplings_related).
+
+    The members are permutations, so chi2.nu[h] = chi1.nu[h] lam_y exactly
+    when lam_y = chi1.nu[h]^-1 chi2.nu[h], and likewise for the inner
+    factors of mu and sigma: each quotient is formed once, and each y
+    compares it with rows of the lambda table and of the groups' tables of
+    inner automorphisms.  lam_0 and the inner automorphisms by 0 are the
+    identity, so with nu1(0) = 0 the twist by 0 fits exactly when the
+    members agree, which is decided before any quotient is formed."""
+    nu1, mu1, sg1 = chi1.nu[h], chi1.mu[h], chi1.sigma[h]
+    nu2, mu2, sg2 = chi2.nu[h], chi2.mu[h], chi2.sigma[h]
+    start = 0
+    if nu1[0] == 0:
+        if nu1 == nu2 and mu1 == mu2 and sg1 == sg2:
+            yield 0
+        start = 1
+    lam_q = compose(invert_perm(nu1), nu2)
+    add_q = compose(mu2, invert_perm(mu1))
+    circ_q = compose(sg2, invert_perm(sg1))
+    lam, neg, cinv = I.lambda_table, I.add.inv, I.circ.inv
+    inn_add, inn_circ = I.add.inner, I.circ.inner
+    for y in range(start, I.n):
+        if lam[y] == lam_q and inn_add[nu1[neg[y]]] == add_q and inn_circ[cinv[y]] == circ_q:
+            yield y
 
 
 def couplings_related(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple):

@@ -86,7 +86,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """compose(p, q)[x] = p[q[x]]  (q acts first)."""
-    return tuple(p[x] for x in q)
+    return tuple([p[x] for x in q])
 
 
 def invert_perm(p: Sequence[int]) -> Perm:
@@ -130,14 +130,15 @@ class FiniteGroup:
     """Immutable group given by its full multiplication table.
 
     The read-only int64 array np_table is the primary form of the table.
-    The tuple rows `table`, the inverses `inv` and the hash are built the
+    The tuple rows `table`, the inverses `inv`, the inner automorphisms
+    `inner` (inner[g] = inner_automorphism(G, g)) and the hash are built the
     first time Python code asks for them: __getattr__ runs only for an
     unset slot, fills it and returns the value, so every later read is a
     plain slot read.  A group whose table only numpy reads never builds
     them."""
 
-    __slots__ = ("n", "np_table", "inv", "table", "_abelian", "_orders", "_gens", "_cells",
-                 "_hash")
+    __slots__ = ("n", "np_table", "inv", "table", "inner", "_abelian", "_orders", "_gens",
+                 "_cells", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         arr = np.array(table, dtype=np.int64)
@@ -157,6 +158,10 @@ class FiniteGroup:
             zero = self.np_table == 0
             both = zero & zero.T
             value = tuple(np.where(both.any(axis=1), both.argmax(axis=1), -1).tolist())
+        elif name == "inner":
+            # inner[g][z] = (g z) g^-1, as conj
+            t = self.np_table
+            value = tuple(map(tuple, t[t, np.asarray(self.inv)[:, None]].tolist()))
         elif name == "_hash":
             value = hash(self.table)
         else:
@@ -589,12 +594,12 @@ def homs_to_perm_group(src: FiniteGroup, target: PermGroup) -> list:
 
 
 def inner_automorphism(G: FiniteGroup, g: int) -> Perm:
-    """z |-> g z g^-1."""
-    return tuple(G.conj(g, z) for z in range(G.n))
+    """z |-> g z g^-1, read off G's table of inner automorphisms."""
+    return G.inner[g]
 
 
 def inner_group(G: FiniteGroup) -> PermGroup:
-    return PermGroup(G.n, {inner_automorphism(G, g) for g in range(G.n)})
+    return PermGroup(G.n, G.inner)
 
 
 def normal_closure(ambient: PermGroup, seed: Iterable[Sequence[int]]) -> PermGroup:

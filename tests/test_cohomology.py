@@ -21,11 +21,14 @@ from braceforge.braces import annihilator, trivial_brace
 from braceforge.cohomology import (
     CocyclePair,
     Derivation,
+    _Cochains,
     _Echelon,
     _act_permutation,
+    _coboundary_images,
     _kernel,
     _parent_residual_stack,
     _shift,
+    _theta_rows,
     b2N,
     coboundary_pair,
     component_law_witness,
@@ -1102,6 +1105,39 @@ def test_parent_residual_stack_matches_cells():
         assert got.shape == (4, H.n ** 3)
         for tabs, row in zip(stack.tolist(), got.tolist()):
             assert tuple(row) == _parent_relation_residual(H, I, Triplet(chi, *tabs))
+
+
+def test_one_echelon_gives_b2_and_z1():
+    # B^2 and Z^1 read off one graph echelon of the coboundary matrix against
+    # the separate routes: the same echelon rows as _Echelon.of on the images
+    # and on _kernel, the same lists as b2N and z1N, and the echelon rows of
+    # Z^1 generate it, on every cohomology-sweep action
+    orders = []
+    for H, I, chi in _cohomology_sweep_actions():
+        grp = h2N(H, I, chi)
+        sp = _Cochains(H.n, I)
+        images = _coboundary_images(sp, H, I, chi)
+        cmods = np.tile(sp.co.mods, H.n - 1)
+        for got, want in ((grp._b2, _Echelon.of(images, sp.mods)),
+                          (grp._z1, _Echelon.of(_kernel(images, sp.mods, cmods), cmods))):
+            assert got.cols == want.cols and np.array_equal(got.rows, want.rows)
+        assert grp.b2 == b2N(H, I, chi)
+        z1, gens = grp._derivation_rows()
+        assert np.array_equal(gens, _theta_rows(sp, grp._z1.rows))
+        assert [Derivation(tuple(t)) for t in z1.tolist()] == z1N(H, I, chi)
+        reached, frontier = {(0,) * H.n}, [(0,) * H.n]
+        while frontier:
+            d = frontier.pop()
+            for t in gens.tolist():
+                e = tuple(I.add.table[a][b] for a, b in zip(d, t))
+                if e not in reached:
+                    reached.add(e)
+                    frontier.append(e)
+        assert reached == set(map(tuple, z1.tolist()))
+        orders.append((len(z1), len(gens)))
+    # (|Z^1|, |T|) runs over (1, 0), (2, 1), (3, 1), (4, 1) and (4, 2)
+    assert len(orders) == 40 and set(orders) == {(1, 0), (2, 1), (3, 1), (4, 1), (4, 2)}
+    assert [sum(k) for k in zip(*orders)] == [90, 41]
 
 
 def test_algebra_matches_oracles_on_cohomology_sweep():

@@ -40,6 +40,7 @@ from braceforge.groups import (
     group_from_elements,
     homs_to_perm_group,
     identity_perm,
+    inner_automorphism,
     inner_group,
     invert_perm,
     is_automorphism,
@@ -213,6 +214,18 @@ def test_rows_hash_and_eq_built_on_first_use_match_eager():
         assert G == H == FiniteGroup(rows) and hash(G) == hash(FiniteGroup(rows))
         assert (G == previous) is (previous.table == rows)
         previous = H
+
+
+def test_inner_table_built_on_first_use_matches_conj():
+    # the inner automorphisms are one table per group, filled on first use:
+    # row g is z -> g z g^-1 by conj, and inner_group holds its rows
+    for t in _array_tables():
+        G = FiniteGroup(t)
+        inner = G.inner
+        assert inner is G.inner
+        assert inner == tuple(tuple(G.conj(g, z) for z in range(G.n)) for g in range(G.n))
+        assert inner_group(G).elements == frozenset(inner)
+        assert all(inner_automorphism(G, g) is inner[g] for g in range(G.n))
 
 
 def test_lean_generators_match_generator_cells():

@@ -8,13 +8,14 @@ import random
 import numpy as np
 import pytest
 
-from braceforge import braces, budget, extensions, wells
+from braceforge import braces, budget, extensions, groups, wells
 from braceforge.braces import SkewBrace, brace_automorphisms, trivial_brace
 from braceforge.cohomology import embed_pair, h2N, h2_act_triplet, pair_add, restrict_action
 from braceforge.errors import (
     ActionNotTransitive,
     BraceforgeError,
     InputError,
+    NotASubbrace,
     NotTrivialCoefficients,
     SearchBudgetExceeded,
     ValidationError,
@@ -26,17 +27,21 @@ from braceforge.extensions import (
     extension_from_triplet,
     extract_action,
     extract_triplet,
+    section_shift_map,
     sections,
     validate_extension,
     zero_triplet,
 )
 from braceforge.groups import (
     PermGroup,
+    compose,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
     direct_product_group,
+    equal_mod,
     identity_perm,
+    inner_group,
     invert_perm,
     klein_group,
 )
@@ -55,6 +60,7 @@ from braceforge.wells import (
     verify_exact_sequence,
     wells_map,
 )
+from test_braces import _ideal_outcome, _loop_is_ideal
 from test_cohomology import _h2N_enumerated
 from test_extensions import _extensions_equivalent_loop
 from test_groups import _closure_is_group, _engine_against_oracle, _is_group_matches_closure
@@ -227,6 +233,46 @@ def _outcome(fn, *args):
         return fn(*args)
     except BraceforgeError as exc:
         return (type(exc), str(exc), getattr(exc, "witness", {}).get("pair"))
+
+
+def _stabilizer_C_equal_mod(H, I, chi):
+    """The equal_mod stabiliser sweep, the oracle for wells.stabilizer_C:
+    every (phi, theta) conjugates the members at every h afresh, and mu and
+    sigma are compared modulo Inn(I, +) and Inn(I, o) with equal_mod."""
+    inn_add, inn_circ = inner_group(I.add), inner_group(I.circ)
+    found = []
+    for phi in brace_automorphisms(H).sorted_elements():
+        for theta in brace_automorphisms(I).sorted_elements():
+            inv = invert_perm(theta)
+
+            def conj(fam, h):
+                return compose(inv, compose(fam[phi[h]], theta))
+
+            if all(chi.nu[h] == conj(chi.nu, h)
+                   and equal_mod(inn_add, chi.mu[h], conj(chi.mu, h))
+                   and equal_mod(inn_circ, chi.sigma[h], conj(chi.sigma, h))
+                   for h in range(H.n)):
+                found.append(AutPair(tuple(phi), tuple(theta)))
+    return StabilizerC(H, I, chi, found)
+
+
+def _psi_law_loop(ext, z1, elems, add, psi):
+    """The psi-hom loop over Z^1 x Z^1, one section_shift_map per pair, the
+    oracle for wells._psi_law: psi(d1 + d2) against psi[d1] psi[d2]."""
+    for d1, p1 in zip(z1.tolist(), psi.tolist()):
+        for d2, p2 in zip(z1.tolist(), psi.tolist()):
+            summed = tuple(int(elems[add[a][b]]) for a, b in zip(d1, d2))
+            if section_shift_map(ext, ext, summed) != compose(p1, p2):
+                return False
+    return True
+
+
+def _psi_inputs(ext):
+    """(s, elems, add, Z^1, T) as verify_exact_sequence builds them."""
+    s = canonical_section(ext)
+    I_res, chi_res, elems = restrict_action(ext.I, extract_triplet(ext, s).chi)
+    z1, gens = h2N(ext.H, I_res, chi_res)._derivation_rows()
+    return s, np.array(elems), I_res.add.np_table, z1, gens
 
 
 def test_split_2_by_3_report(split_ext):
@@ -555,19 +601,45 @@ def test_derivation_law_rejects_tampered_omega(carry_ext):
     assert _derivation_law_loop(C, tampered, _oracle_group(carry_ext, grp), elems) is False
 
 
-def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, count_calls):
-    for ext in (split_ext, z4_ext, carry_ext):
+def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, neg_ext, count_calls,
+                                    monkeypatch):
+    laws = []
+    for ext in (split_ext, z4_ext, carry_ext, neg_ext):
+        z1, gens = _psi_inputs(ext)[3:]
         matches = count_calls(extensions.extensions_equivalent)
         searches = count_calls(braces.brace_automorphisms)
+        kernel_searches = count_calls(wells.autb_I)
         rebuilds = count_calls(extensions.extension_from_triplet)
         acted = count_calls(wells.pair_act)
-        verify_exact_sequence(ext)
+        sections_ = count_calls(extensions.canonical_section)
+        actions = count_calls(extensions.extract_action)
+        cosets = count_calls(groups.equal_mod)
+        shifts = count_calls(extensions.section_shift_map)
+        maps = []
+        psi_maps = wells._psi_maps
+
+        def counted(ext, s, rows):
+            maps.append(len(rows))
+            return psi_maps(ext, s, rows)
+
+        monkeypatch.setattr(wells, "_psi_maps", counted)
+        rep = verify_exact_sequence(ext)
+        monkeypatch.setattr(wells, "_psi_maps", psi_maps)
         assert matches["calls"] == acted["calls"] == 0
         # Autb(H) and Autb(I) for the stabiliser; Autb_I(E) has its own search
-        assert searches["calls"] == 2
+        assert searches["calls"] == 2 and kernel_searches["calls"] == 1
         # h2N decides the zero pair with the lifts check, and the Wells map
         # rebuilds no extension
         assert rebuilds["calls"] == 0
+        # one section and one action per check, shared by rho, psi and the
+        # Wells map; the stabiliser tests cosets by lookup
+        assert sections_["calls"] == actions["calls"] == 1
+        assert cosets["calls"] == shifts["calls"] == 0
+        # psi on Z^1, then |Z^1| |T| section maps for the law on Z^1 x T
+        assert rep["z1_order"] == len(z1)
+        assert maps == [len(z1)] + ([len(z1) * len(gens)] if len(gens) else [])
+        laws.append((len(z1), len(gens)))
+    assert laws == [(1, 0), (2, 1), (3, 1), (3, 1)]
 
 
 def test_every_shifted_class_rebuilds(sweep_exts, q8_exts):
@@ -598,16 +670,70 @@ def test_nu_is_section_independent(sweep_exts, q8_exts):
 
 
 def test_acted_triplet_matches_pair_act(sweep_exts, q8_exts):
-    # the transported triplet wells_map reads omega from is the triplet of
-    # the pair-acted extension, rebuilt and validated by pair_act
+    # the transported triplet wells_map reads omega from, with the action C
+    # keeps for each pair, is the triplet of the pair-acted extension,
+    # rebuilt and validated by pair_act
     pairs = 0
     for ext in sweep_exts + q8_exts:
         t0 = extract_triplet(ext)
         C = stabilizer_C(ext.H, ext.I, t0.chi)
-        for c in C:
-            assert wells._acted_triplet(t0, c) == extract_triplet(pair_act(ext, c))
+        for c, chi_c in zip(C, C.acted):
+            assert wells._acted_triplet(t0, c, chi_c) == extract_triplet(pair_act(ext, c))
             pairs += 1
     assert pairs == 2112
+
+
+def test_coset_sweep_matches_equal_mod(sweep_exts, q8_exts, d4_exts):
+    # the stabiliser from shared conjugates and coset lookups against the
+    # equal_mod sweep: the same pairs, generators and acted actions on every
+    # wells-sweep extension (the 96 Z2-by-D4 among them, with the inputs
+    # whose Wells map raises ActionNotTransitive) and every split Z2-by-Q8
+    pairs = raised = 0
+    d4 = set(map(id, d4_exts))
+    for ext in sweep_exts + q8_exts:
+        C, grp, elems = _wells_inputs(ext)
+        old = _stabilizer_C_equal_mod(ext.H, ext.I, C.chi)
+        assert (C.pairs, C.generators, C.acted) == (old.pairs, old.generators, old.acted)
+        pairs += C.order
+        if id(ext) in d4:
+            got = _outcome(wells_map, ext, C, grp, elems)
+            raised += isinstance(got, tuple) and got[0] is ActionNotTransitive
+    assert (pairs, raised) == (2112, 24)
+
+
+def test_psi_law_on_generators_matches_loop(split_ext, z4_ext, carry_ext, neg_ext, sweep_exts,
+                                            q8_exts):
+    # psi as one gather against section_shift_map, and the law on Z^1 x T
+    # against the loop over Z^1 x Z^1: both hold on every Tier-1 Wells input,
+    # and both fail once one psi(d), d != 0, is replaced by the identity
+    seen = tampered = 0
+    for ext in [split_ext, z4_ext, carry_ext, neg_ext] + sweep_exts + q8_exts:
+        s, elems, add, z1, gens = _psi_inputs(ext)
+        psi = wells._psi_maps(ext, s, elems[z1])
+        assert psi.tolist() == [list(section_shift_map(ext, ext, tuple(elems[d].tolist())))
+                                for d in z1]
+        args = (ext, s, elems, add, z1, gens)
+        assert wells._psi_law(*args, psi) is _psi_law_loop(ext, z1, elems, add, psi) is True
+        seen += len(z1)
+        if len(z1) > 1:
+            bad = psi.copy()
+            bad[-1] = np.arange(ext.E.n)
+            assert wells._psi_law(*args, bad) is _psi_law_loop(ext, z1, elems, add, bad) is False
+            tampered += 1
+    assert (seen, tampered) == (686, 304)
+
+
+def _twists_at_loop(I, chi1, chi2, h):
+    """The y whose twist at h carries chi1's members to chi2's, each member
+    twisted by composition: the oracle for extensions._twists_at."""
+    out = []
+    for y in range(I.n):
+        shift = chi1.nu[h][I.add.inv[y]]
+        if (chi2.nu[h] == compose(chi1.nu[h], I.lam(y))
+                and chi2.mu[h] == compose(I.add.inner[shift], chi1.mu[h])
+                and chi2.sigma[h] == compose(I.circ.inner[I.circ.inv[y]], chi1.sigma[h])):
+            out.append(y)
+    return tuple(out)
 
 
 def test_first_witnesses_are_heads_of_the_full_sets(Z2, sweep_exts, q8_exts):
@@ -619,10 +745,13 @@ def test_first_witnesses_are_heads_of_the_full_sets(Z2, sweep_exts, q8_exts):
     exts = sweep_exts + q8_exts
     for ext, other in zip(exts, exts[1:] + exts[:1]):
         t0 = extract_triplet(ext)
-        chis = [wells._acted_triplet(t0, c).chi for c in stabilizer_C(ext.H, ext.I, t0.chi)]
+        chis = list(stabilizer_C(ext.H, ext.I, t0.chi).acted)
         if other.H == ext.H and other.I == ext.I:
             chis.append(extract_triplet(other).chi)
         for chi in chis:
+            sets = [_twists_at_loop(ext.I, chi, t0.chi, h) for h in range(ext.H.n)]
+            assert [tuple(extensions._twists_at(ext.I, chi, t0.chi, h))
+                    for h in range(ext.H.n)] == sets
             full = extensions.couplings_related(ext.I, chi, t0.chi)
             heads = None if full is None else tuple(ys[0] for ys in full)
             assert extensions._first_witnesses(ext.I, chi, t0.chi) == heads
@@ -650,6 +779,22 @@ def test_wells_map_checks_its_inputs(Z2, Z4, flip4, split_ext):
     wide = validate_extension(E, Z2, flip4, tuple(range(4)), tuple(x // 4 for x in range(8)))
     with pytest.raises(NotTrivialCoefficients):
         wells_map(wide, *_wells_inputs(split_ext))
+
+
+def test_ideal_gathers_match_loops_on_wells_inputs(sweep_exts, q8_exts):
+    # the kernel image of every wells-sweep and split Z2-by-Q8 extension, that
+    # image with one more element, and {0, x} for every x
+    outcomes = []
+    for ext in sweep_exts + q8_exts:
+        image = set(ext.inj)
+        subsets = [image] + [image | {x} for x in range(ext.E.n) if x not in image]
+        subsets += [{0, x} for x in range(1, ext.E.n)]
+        for sub in subsets:
+            got = _ideal_outcome(braces.is_ideal, ext.E, sub)
+            assert got == _ideal_outcome(_loop_is_ideal, ext.E, sub)
+            outcomes.append(got if isinstance(got, bool) else got[0])
+    counts = [outcomes.count(k) for k in (True, False, NotASubbrace)]
+    assert (len(outcomes), counts) == (7796, [684, 1496, 5616])
 
 
 def test_autb_I_equals_filtered_automorphisms(d4_exts, q8_exts, Z3):
