@@ -298,25 +298,13 @@ def is_ideal(E: SkewBrace, elems: Iterable[int]) -> bool:
     Additive normality is checked explicitly: it does not follow from
     lambda-stability plus circle-normality (an order-2 subgroup of a
     brace with (E, +) = S3 can satisfy both and still fail it), and
-    without it the additive cosets do not form a quotient brace.
-
-    Decided by table gathers, each over all (a, y) at once: closure under
-    both operations (NotASubbrace otherwise, as is_left_ideal), lam_a(y),
-    a + y - a and a o y o a^-1 in the set.  The loops are the oracle
-    _loop_is_ideal in tests/test_braces.py."""
+    without it the additive cosets do not form a quotient brace."""
     s = set(elems)
-    ys = np.array(sorted(s), dtype=np.int64)
-    inside = np.zeros(E.n, dtype=bool)
-    inside[ys] = True
-    closed = inside[0]
-    for G in (E.add, E.circ):
-        closed = closed and inside[G.np_table[ys[:, None], ys]].all()
-    if not closed:
-        raise NotASubbrace(f"{sorted(s)} is not closed under both operations")
-    if not inside[E._lam[:, ys]].all():
+    if not is_left_ideal(E, s):
         return False
-    return all(inside[G.np_table[G.np_table[:, ys], np.asarray(G.inv)[:, None]]].all()
-               for G in (E.add, E.circ))
+    if not all(E.add.conj(a, y) in s for a in range(E.n) for y in s):
+        return False
+    return all(E.circ.conj(a, y) in s for a in range(E.n) for y in s)
 
 
 @dataclass(frozen=True)

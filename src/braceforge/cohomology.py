@@ -596,12 +596,29 @@ def coboundary_pair(
     return CocyclePair(*twist_cocycle(H, I, Triplet(chi, zero, zero), theta))
 
 
+def _b2_z1(sp: _Cochains, images: np.ndarray) -> tuple:
+    """(B^2, Z^1) in echelon form, from the coboundary images of the unit
+    maps (_coboundary_images): their span and their kernel.
+
+    One echelon of the graph, rows (image, unit), over all its columns
+    gives both: its pivots in the image columns are, cut to those columns,
+    the echelon form of B^2 (the steps there see only those columns), and
+    the rows left vanishing on them are the graph's members with image 0,
+    so the pivots after them are the echelon form of Z^1 (as _kernel and
+    then _Echelon.of would give it, step for step)."""
+    w, cmods = len(sp.mods), np.tile(sp.co.mods, sp.n - 1)
+    graph = np.hstack([images, np.eye(len(cmods), dtype=np.int64)])
+    pivots, _ = _echelon(graph, np.concatenate([sp.mods, cmods]), w + len(cmods))
+    return (_Echelon([(c, p[:w]) for c, p in pivots if c < w], sp.mods),
+            _Echelon([(c - w, p[w:]) for c, p in pivots if c >= w], cmods))
+
+
 def b2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
     """All coboundary pairs, deduplicated and lex-sorted: the span of the
-    coboundaries of the unit maps, listed from an echelon basis."""
+    coboundaries of the unit maps, listed from an echelon basis (_b2_z1)."""
     validate_cocycle_action(H, I, chi)
     sp = _Cochains(H.n, I)
-    b2 = _Echelon.of(_coboundary_images(sp, H, I, chi), sp.mods)
+    b2, _ = _b2_z1(sp, _coboundary_images(sp, H, I, chi))
     budget_mod.guard(b2.order, "b2N listing")
     return sp.pairs(b2.members())
 
@@ -618,23 +635,18 @@ class CohomologyGroup:
     z2 is the echelon form of the cocycle pairs, in the coordinates of
     cochains, and coboundaries the images of the unit maps under the
     coboundary map (_coboundary_images), as h2N builds them: they span
-    B^2, and their kernel is Z^1.  One echelon of the graph, rows
-    (image, unit), over all its columns gives both: its pivots in the image
-    columns are, cut to those columns, the echelon form of B^2 (the steps
-    there see only those columns), and the rows left vanishing on them are
-    the graph's members with image 0, so the pivots after them are the
-    echelon form of Z^1 (as _kernel and then _Echelon.of would give it,
-    step for step).  Construction checks B^2
-    inside Z^2, then lists the classes: the representative of a class is
-    the lexicographically least member of its coset, found by a greedy
-    descent over the cells against the echelon form of B^2 (at each cell,
-    the values the coset still reaches with the earlier cells fixed are
-    one value plus the span of the B^2 rows pivoting in that cell, so the
-    least label among them is taken), and the classes are closed up from
-    the descended Z^2 basis.  Representatives are in lex order, the zero
-    pair first; a class index is its position.  Cocycle pairs are looked
-    up by descent, so index_of, class_of, add and neg list nothing; the z2
-    and b2 properties list the members on access.
+    B^2, and their kernel is Z^1; both are read off one echelon (_b2_z1).
+    Construction checks B^2 inside Z^2, then lists the classes: the
+    representative of a class is the lexicographically least member of its
+    coset, found by a greedy descent over the cells against the echelon
+    form of B^2 (at each cell, the values the coset still reaches with the
+    earlier cells fixed are one value plus the span of the B^2 rows
+    pivoting in that cell, so the least label among them is taken), and the
+    classes are closed up from the descended Z^2 basis.  Representatives
+    are in lex order, the zero pair first; a class index is its position.
+    Cocycle pairs are looked up by descent, so index_of, class_of, add and
+    neg list nothing; the z2 and b2 properties list the members on
+    access.
     """
 
     def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple,
@@ -643,11 +655,8 @@ class CohomologyGroup:
         self.I = I
         self.chi = chi
         self._z2, self._sp = z2, cochains
-        w, cmods = len(cochains.mods), np.tile(cochains.co.mods, H.n - 1)
-        graph = np.hstack([coboundaries, np.eye(len(cmods), dtype=np.int64)])
-        pivots, _ = _echelon(graph, np.concatenate([cochains.mods, cmods]), w + len(cmods))
-        self._b2 = b2 = _Echelon([(c, p[:w]) for c, p in pivots if c < w], cochains.mods)
-        self._z1 = _Echelon([(c - w, p[w:]) for c, p in pivots if c >= w], cmods)
+        self._b2, self._z1 = _b2_z1(cochains, coboundaries)
+        b2 = self._b2
         if not z2.contains(b2.rows).all():
             raise ValidationError("coboundaries are not all cocycle pairs")
         # per cell holding B^2 pivots: the first column, and every value the
@@ -803,12 +812,11 @@ def z1N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
 
     equivalently: the coboundary pair of theta vanishes.  So derivations
     are the kernel of the coboundary map on the unit maps, listed from an
-    echelon basis and guarded by their known number.
+    echelon basis (_b2_z1) and guarded by their known number.
     """
     validate_cocycle_action(H, I, chi)
     sp = _Cochains(H.n, I)
-    cmods = np.tile(sp.co.mods, H.n - 1)
-    z1 = _Echelon.of(_kernel(_coboundary_images(sp, H, I, chi), sp.mods, cmods), cmods)
+    _, z1 = _b2_z1(sp, _coboundary_images(sp, H, I, chi))
     return [Derivation(tuple(t)) for t in _listed_derivations(sp, z1).tolist()]
 
 

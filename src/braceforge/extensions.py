@@ -357,21 +357,19 @@ def _twists_at(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple, h: int) -> 
     factors of mu and sigma: each quotient is formed once, and each y
     compares it with rows of the lambda table and of the groups' tables of
     inner automorphisms.  lam_0 and the inner automorphisms by 0 are the
-    identity, so with nu1(0) = 0 the twist by 0 fits exactly when the
-    members agree, which is decided before any quotient is formed."""
+    identity, and nu1 fixes 0 (an automorphism of (I, +)), so the twist by
+    0 fits exactly when the members agree, which is decided before any
+    quotient is formed."""
     nu1, mu1, sg1 = chi1.nu[h], chi1.mu[h], chi1.sigma[h]
     nu2, mu2, sg2 = chi2.nu[h], chi2.mu[h], chi2.sigma[h]
-    start = 0
-    if nu1[0] == 0:
-        if nu1 == nu2 and mu1 == mu2 and sg1 == sg2:
-            yield 0
-        start = 1
+    if nu1 == nu2 and mu1 == mu2 and sg1 == sg2:
+        yield 0
     lam_q = compose(invert_perm(nu1), nu2)
     add_q = compose(mu2, invert_perm(mu1))
     circ_q = compose(sg2, invert_perm(sg1))
     lam, neg, cinv = I.lambda_table, I.add.inv, I.circ.inv
     inn_add, inn_circ = I.add.inner, I.circ.inner
-    for y in range(start, I.n):
+    for y in range(1, I.n):
         if lam[y] == lam_q and inn_add[nu1[neg[y]]] == add_q and inn_circ[cinv[y]] == circ_q:
             yield y
 

@@ -75,7 +75,7 @@ Z^1 x Z^1 (_psi_law).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -155,14 +155,11 @@ class StabilizerC:
     checked apart: PermGroup reads an empty set as {identity}.
 
     `acted` holds, in the order of `pairs`, the action chi^c each pair c
-    carries chi to (_acted_action); stabilizer_C passes the conjugates its
-    sweep formed, and a hand-built set of pairs gets them computed."""
+    carries chi to (_acted_action), as stabilizer_C's sweep formed it."""
 
     def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple, pairs: Sequence[AutPair],
-                 acted: Optional[Sequence[ActionTriple]] = None):
+                 acted: Sequence[ActionTriple]):
         self.H, self.I, self.chi = H, I, chi
-        if acted is None:
-            acted = [_acted_action(_conjugates(chi, p.theta), p.phi) for p in pairs]
         order = sorted(range(len(pairs)), key=lambda k: pairs[k].sort_key())
         self.pairs = tuple(pairs[k] for k in order)
         self.acted = tuple(acted[k] for k in order)
@@ -280,20 +277,17 @@ def autb_I(ext: Extension) -> PermGroup:
     return PermGroup(ext.E.n, [g for g in sorted(found) if all(g[x] in img for x in img)])
 
 
-def rho(ext: Extension, s: Optional[Sequence[int]] = None) -> List[Tuple[tuple, AutPair]]:
+def rho(ext: Extension, s: Sequence[int]) -> List[Tuple[tuple, AutPair]]:
     """Pairs (gamma, (gamma_H, gamma_I)) for every kernel-normalising gamma,
     one per element of autb_I(ext).
 
     gamma_I is the restriction to I in I coordinates; gamma_H the map
-    induced on H through the canonical section s (computed when not
-    given).  gamma is a brace automorphism of E mapping the ideal image
-    onto itself, so gamma_H is well defined (pi gamma = gamma_H pi) and both
-    maps are brace automorphisms by construction;
-    test_rho_induces_brace_automorphisms in tests/test_wells.py checks this
-    on every Tier-1 Wells input.
+    induced on H through the canonical section s.  gamma is a brace
+    automorphism of E mapping the ideal image onto itself, so gamma_H is
+    well defined (pi gamma = gamma_H pi) and both maps are brace
+    automorphisms by construction; test_rho_induces_brace_automorphisms in
+    tests/test_wells.py checks this on every Tier-1 Wells input.
     """
-    if s is None:
-        s = canonical_section(ext)
     return [
         (gamma, AutPair(tuple(ext.proj[gamma[s[h]]] for h in range(ext.H.n)),
                         tuple(ext.into_I(gamma[ext.inj[y]]) for y in range(ext.I.n))))
@@ -319,18 +313,21 @@ def wells_map(
     C: StabilizerC,
     h2grp: CohomologyGroup,
     elems: Sequence[int],
-    t0: Optional[Triplet] = None,
+    t0: Triplet,
 ) -> Dict[AutPair, int]:
     """For each c in C, the index of the unique class h_c with [E]^c = h_c.[E].
 
     Read off coordinates.  The triplet t_c of [E]^c is transported from
-    E's canonical triplet t_0 (_acted_triplet; t0 when the caller has it):
-    its action is the conjugate C keeps for c, so only (beta, tau) move per
-    c.  An equivalence [E]^c = h.[E] is a section change of E^c, i.e. a
-    twist of t_c.  The twists bringing the coupling of t_c to that of t_0
-    exactly are one twist (the first witness of each couplings_related
-    set, _first_witnesses) shifted by maps into Z(I) = Ann(I), and such a
-    shift moves the cocycle by a coboundary.  The witness at h is a y that
+    E's canonical triplet t_0 (_acted_triplet): its action is the
+    conjugate C keeps for c, so only (beta, tau) move per c.  Those
+    conjugates are of C.chi, so C must be the stabiliser of t_0's action
+    itself (InputError otherwise): a C built from another section's action
+    has the same pairs but other conjugates.  An equivalence
+    [E]^c = h.[E] is a section change of E^c, i.e. a twist of t_c.  The
+    twists bringing the coupling of t_c to that of t_0 exactly are one
+    twist (the first witness of each couplings_related set,
+    _first_witnesses) shifted by maps into Z(I) = Ann(I), and such a shift
+    moves the cocycle by a coboundary.  The witness at h is a y that
     carries the members of t_c at h to those of t_0, so that twist of t_c,
     t', has t_0's action, and only its cocycle is computed.  So h_c is the
     class of the difference (beta' - beta_0, tau' o tau_0^-1) in
@@ -349,6 +346,8 @@ def wells_map(
     """
     H, I = ext.H, ext.I
     _require_trivial_kernel(I)
+    if C.chi != t0.chi:
+        raise InputError("the stabiliser was built from another action than the triplet's")
     for phi in {c.phi for c in C}:
         _check_brace_auto(H, phi, "phi")
     for theta in {c.theta for c in C}:
@@ -356,8 +355,6 @@ def wells_map(
     Ia, Ic, neg, cinv = I.add.table, I.circ.table, I.add.inv, I.circ.inv
     # a difference value outside Ann(I) becomes -1, which no cocycle row holds
     index = {e: j for j, e in enumerate(elems)}
-    if t0 is None:
-        t0 = extract_triplet(ext)
     pairs, rows, failure = C.pairs, [], None
     for c, chi_c in zip(pairs, C.acted):
         theta = _first_witnesses(I, chi_c, t0.chi)

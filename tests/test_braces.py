@@ -277,40 +277,6 @@ def test_ideal_requires_additive_normality():
     assert not is_ideal(E, sub)
 
 
-def _loop_is_ideal(E, elems) -> bool:
-    """The per-element loops of braces.is_ideal, its oracle: a left ideal
-    (is_left_ideal, NotASubbrace when not a sub-brace) whose conjugates in
-    (E, +) and in (E, o) stay inside."""
-    s = set(elems)
-    if not is_left_ideal(E, s):
-        return False
-    if not all(E.add.conj(a, y) in s for a in range(E.n) for y in s):
-        return False
-    return all(E.circ.conj(a, y) in s for a in range(E.n) for y in s)
-
-
-def _ideal_outcome(fn, E, elems):
-    try:
-        return fn(E, elems)
-    except NotASubbrace as exc:
-        return (NotASubbrace, str(exc))
-
-
-def test_ideal_gathers_match_loops():
-    # every subset holding 0 of the order-6 brace with (E, +) = S3, of the
-    # order-8 acting brace of example 5, and of flip4 and xor4
-    outcomes = []
-    for E in (validate_brace(S3ADD_BRACE_ADD, S3ADD_BRACE_CIRC), catalog.example5_acting_brace(),
-              catalog.example4_coefficient_brace(), catalog.example4_acting_brace()):
-        for bits in itertools.product((False, True), repeat=E.n - 1):
-            sub = {0} | {x for x, keep in zip(range(1, E.n), bits) if keep}
-            got = _ideal_outcome(is_ideal, E, sub)
-            assert got == _ideal_outcome(_loop_is_ideal, E, sub)
-            outcomes.append(got if isinstance(got, bool) else got[0])
-    counts = [outcomes.count(k) for k in (True, False, NotASubbrace)]
-    assert (len(outcomes), counts) == (32 + 128 + 8 + 8, [13, 1, 162])
-
-
 def test_brace_hom_validity(Z2, Z4, flip4):
     doubling = BraceHom(Z2, Z4, (0, 2))
     assert doubling.is_valid() and doubling.is_injective()

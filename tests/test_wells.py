@@ -15,7 +15,6 @@ from braceforge.errors import (
     ActionNotTransitive,
     BraceforgeError,
     InputError,
-    NotASubbrace,
     NotTrivialCoefficients,
     SearchBudgetExceeded,
     ValidationError,
@@ -60,7 +59,6 @@ from braceforge.wells import (
     verify_exact_sequence,
     wells_map,
 )
-from test_braces import _ideal_outcome, _loop_is_ideal
 from test_cohomology import _h2N_enumerated
 from test_extensions import _extensions_equivalent_loop
 from test_groups import _closure_is_group, _engine_against_oracle, _is_group_matches_closure
@@ -221,10 +219,17 @@ def _oracle_group(ext, grp):
 
 
 def _wells_inputs(ext):
-    """(C, h2grp, elems) as verify_exact_sequence builds them."""
-    chi = extract_action(ext, canonical_section(ext))
-    I_res, chi_res, elems = restrict_action(ext.I, chi)
-    return stabilizer_C(ext.H, ext.I, chi), h2N(ext.H, I_res, chi_res), elems
+    """(C, h2grp, elems, t0) as verify_exact_sequence builds them."""
+    t0 = extract_triplet(ext)
+    I_res, chi_res, elems = restrict_action(ext.I, t0.chi)
+    return stabilizer_C(ext.H, ext.I, t0.chi), h2N(ext.H, I_res, chi_res), elems, t0
+
+
+def _hand_built_C(H, I, chi, pairs):
+    """StabilizerC on the given pairs, each with the action it carries chi
+    to, as stabilizer_C's sweep would keep it."""
+    acted = [wells._acted_action(wells._conjugates(chi, p.theta), p.phi) for p in pairs]
+    return StabilizerC(H, I, chi, pairs, acted)
 
 
 def _outcome(fn, *args):
@@ -253,7 +258,7 @@ def _stabilizer_C_equal_mod(H, I, chi):
                    and equal_mod(inn_circ, chi.sigma[h], conj(chi.sigma, h))
                    for h in range(H.n)):
                 found.append(AutPair(tuple(phi), tuple(theta)))
-    return StabilizerC(H, I, chi, found)
+    return _hand_built_C(H, I, chi, found)
 
 
 def _psi_law_loop(ext, z1, elems, add, psi):
@@ -317,7 +322,7 @@ def test_obstruction_is_not_additive(Z3, carry_ext):
     I_res, chi_res, elems = restrict_action(Z3, chi)
     grp = h2N(Z3, I_res, chi_res)
     C = stabilizer_C(Z3, Z3, chi)
-    omega = wells_map(carry_ext, C, grp, elems)
+    omega = wells_map(carry_ext, C, grp, elems, extract_triplet(carry_ext))
     breaks = 0
     for c1 in C:
         for c2 in C:
@@ -357,9 +362,9 @@ def test_pair_action_laws(Z2, Z3, split_ext):
 
 def test_rho_image_and_autb(split_ext, carry_ext):
     assert autb_I(split_ext).order == 2
-    induced = {pair for _, pair in rho(split_ext)}
+    induced = {pair for _, pair in rho(split_ext, canonical_section(split_ext))}
     assert len(induced) == 2
-    induced9 = {pair for _, pair in rho(carry_ext)}
+    induced9 = {pair for _, pair in rho(carry_ext, canonical_section(carry_ext))}
     assert len(induced9) == 2
 
 
@@ -368,7 +373,7 @@ def test_rho_induces_brace_automorphisms(sweep_exts, q8_exts):
     # induced maps are brace automorphisms; rho relies on it unchecked
     pairs = 0
     for ext in sweep_exts + q8_exts:
-        for gamma, pair in rho(ext):
+        for gamma, pair in rho(ext, canonical_section(ext)):
             assert all(ext.proj[gamma[x]] == pair.phi[ext.proj[x]] for x in range(ext.E.n))
             for B, p in ((ext.H, pair.phi), (ext.I, pair.theta)):
                 hom = braces.BraceHom(B, B, p)
@@ -388,7 +393,8 @@ def test_rho_checks_no_brace_hom(split_ext, carry_ext, d4_exts, monkeypatch):
         return is_valid(self)
 
     monkeypatch.setattr(braces.BraceHom, "is_valid", counted)
-    gammas = sum(len(rho(ext)) for ext in [split_ext, carry_ext] + d4_exts[:8])
+    gammas = sum(len(rho(ext, canonical_section(ext)))
+                 for ext in [split_ext, carry_ext] + d4_exts[:8])
     assert gammas > 10 and counter["calls"] == 0
 
 
@@ -418,8 +424,8 @@ def test_wells_map_matches_orbit_search(split_ext, z4_ext, carry_ext, neg_ext, d
     assert (len(d4_exts), len(q8_exts)) == (96, 160)
     failures = 0
     for ext in exts:
-        C, grp, elems = _wells_inputs(ext)
-        got = _outcome(wells_map, ext, C, grp, elems)
+        C, grp, elems, t0 = _wells_inputs(ext)
+        got = _outcome(wells_map, ext, C, grp, elems, t0)
         assert got == _outcome(_wells_map_orbit, ext, C, grp, elems)
         if isinstance(got, dict):
             assert list(got) == list(C) and got[pair_identity(ext.H, ext.I)] == 0
@@ -435,9 +441,9 @@ def test_wells_map_matches_orbit_search(split_ext, z4_ext, carry_ext, neg_ext, d
 def test_derivation_law_matches_loop(split_ext, z4_ext, carry_ext, neg_ext, d4_exts, q8_exts):
     compared = 0
     for ext in [split_ext, z4_ext, carry_ext, neg_ext] + d4_exts + q8_exts:
-        C, grp, elems = _wells_inputs(ext)
+        C, grp, elems, t0 = _wells_inputs(ext)
         try:
-            omega = wells_map(ext, C, grp, elems)
+            omega = wells_map(ext, C, grp, elems, t0)
         except ActionNotTransitive:
             continue
         law = wells._derivation_law(C, omega, grp, elems)
@@ -484,17 +490,17 @@ def test_derivation_law_on_generators_matches_every_c2(
     # Tier-1 Wells input and on Z2 by Z2^3
     compared = 0
     for ext in [split_ext, z4_ext, carry_ext, neg_ext, v8_ext] + sweep_exts + q8_exts:
-        C, grp, elems = _wells_inputs(ext)
+        C, grp, elems, t0 = _wells_inputs(ext)
         assert _closes_to_C(C)
         try:
-            omega = wells_map(ext, C, grp, elems)
+            omega = wells_map(ext, C, grp, elems, t0)
         except ActionNotTransitive:
             continue
         args = (C, omega, grp, elems)
         assert _outcome(wells._derivation_law, *args) is True
         assert _outcome(_derivation_law_on_every_c2, *args) is True
         compared += 1
-    C, _, _ = _wells_inputs(v8_ext)
+    C = _wells_inputs(v8_ext)[0]
     assert (C.order, len(C.generators)) == (168, 5)
     assert compared > 200
 
@@ -504,9 +510,9 @@ def test_derivation_law_on_generators_matches_every_c2_on_tampers(sweep_exts):
     # with |H^2| > 1: both checks give the same verdict
     verdicts = []
     for ext in sweep_exts:
-        C, grp, elems = _wells_inputs(ext)
+        C, grp, elems, t0 = _wells_inputs(ext)
         try:
-            omega = wells_map(ext, C, grp, elems)
+            omega = wells_map(ext, C, grp, elems, t0)
         except ActionNotTransitive:
             continue
         if grp.order == 1:
@@ -527,10 +533,10 @@ def test_derivation_law_errors_match_every_c2(sweep_exts):
     # verdict or refuse the same way
     outcomes = []
     for ext in sweep_exts[:92]:
-        _, grp, elems = _wells_inputs(ext)
+        _, grp, elems, t0 = _wells_inputs(ext)
         pairs = [AutPair(p, t) for p in brace_automorphisms(ext.H).sorted_elements()
                  for t in brace_automorphisms(ext.I).sorted_elements()]
-        C = StabilizerC(ext.H, ext.I, extract_triplet(ext).chi, pairs)
+        C = _hand_built_C(ext.H, ext.I, t0.chi, pairs)
         omega = dict.fromkeys(C, 0)
         got = _outcome(wells._derivation_law, C, omega, grp, elems)
         assert got == _outcome(_derivation_law_on_every_c2, C, omega, grp, elems)
@@ -541,8 +547,8 @@ def test_derivation_law_errors_match_every_c2(sweep_exts):
 def test_stabiliser_of_order_one(z4_ext):
     # T is empty: the law holds without a gather, and with omega(1) != 0 it
     # fails as the law on C x C does
-    C, grp, elems = _wells_inputs(z4_ext)
-    omega = wells_map(z4_ext, C, grp, elems)
+    C, grp, elems, t0 = _wells_inputs(z4_ext)
+    omega = wells_map(z4_ext, C, grp, elems, t0)
     assert (C.order, C.generators, grp.order) == (1, (), 4)
     assert wells._derivation_law(C, omega, grp, elems) is True
     assert _derivation_law_on_every_c2(C, omega, grp, elems) is True
@@ -561,25 +567,25 @@ def test_stabiliser_closure_matches_oracle(Z2, Z3, carry_ext, d4_exts):
         if pairs:
             assert _closure_is_group(_embedded(Z2, pairs)) is False
         with pytest.raises(ValidationError, match="stabiliser pairs do not form a group"):
-            StabilizerC(Z2, Z3, chi, pairs)
+            _hand_built_C(Z2, Z3, chi, pairs)
     # each stabiliser less its identity, or less its last pair
     cuts = 0
     for ext in [carry_ext] + d4_exts[:24]:
-        C, _, _ = _wells_inputs(ext)
+        C = _wells_inputs(ext)[0]
         assert _closure_is_group(_embedded(ext.H, C.pairs)) is True
         for cut in (C.pairs[1:], C.pairs[:-1]):
             if cut:
                 assert _closure_is_group(_embedded(ext.H, cut)) is False
                 with pytest.raises(ValidationError, match="stabiliser pairs do not form a group"):
-                    StabilizerC(ext.H, ext.I, C.chi, cut)
+                    _hand_built_C(ext.H, ext.I, C.chi, cut)
                 cuts += 1
     assert cuts == 50
 
 
 def test_derivation_law_is_budgeted(carry_ext):
     # |C| |T| class sums: 4 * 2 for the carry extension
-    C, grp, elems = _wells_inputs(carry_ext)
-    omega = wells_map(carry_ext, C, grp, elems)
+    C, grp, elems, t0 = _wells_inputs(carry_ext)
+    omega = wells_map(carry_ext, C, grp, elems, t0)
     size = C.order * len(C.generators)
     assert size == 8
     with budget.limit(size - 1):
@@ -591,8 +597,8 @@ def test_derivation_law_is_budgeted(carry_ext):
 
 
 def test_derivation_law_rejects_tampered_omega(carry_ext):
-    C, grp, elems = _wells_inputs(carry_ext)
-    omega = wells_map(carry_ext, C, grp, elems)
+    C, grp, elems, t0 = _wells_inputs(carry_ext)
+    omega = wells_map(carry_ext, C, grp, elems, t0)
     c = next(c for c in C if omega[c] != 0)
     tampered = dict(omega)
     tampered[c] = omega[c] % (grp.order - 1) + 1
@@ -691,12 +697,12 @@ def test_coset_sweep_matches_equal_mod(sweep_exts, q8_exts, d4_exts):
     pairs = raised = 0
     d4 = set(map(id, d4_exts))
     for ext in sweep_exts + q8_exts:
-        C, grp, elems = _wells_inputs(ext)
+        C, grp, elems, t0 = _wells_inputs(ext)
         old = _stabilizer_C_equal_mod(ext.H, ext.I, C.chi)
         assert (C.pairs, C.generators, C.acted) == (old.pairs, old.generators, old.acted)
         pairs += C.order
         if id(ext) in d4:
-            got = _outcome(wells_map, ext, C, grp, elems)
+            got = _outcome(wells_map, ext, C, grp, elems, t0)
             raised += isinstance(got, tuple) and got[0] is ActionNotTransitive
     assert (pairs, raised) == (2112, 24)
 
@@ -770,31 +776,35 @@ def test_wells_map_checks_its_inputs(Z2, Z4, flip4, split_ext):
     # as pair_act does: a non-automorphism pair of a hand-built stabiliser
     # and a non-trivial kernel are refused before any omega is read
     ext = extension_from_triplet(Z2, Z4, zero_triplet(Z2, Z4))
-    _, grp, elems = _wells_inputs(ext)
+    _, grp, elems, t0 = _wells_inputs(ext)
     swap = (0, 2, 1, 3)  # exchanges an element of order 4 with one of order 2
-    C = StabilizerC(Z2, Z4, extract_triplet(ext).chi, [pair_identity(Z2, Z4), AutPair((0, 1), swap)])
+    C = _hand_built_C(Z2, Z4, t0.chi, [pair_identity(Z2, Z4), AutPair((0, 1), swap)])
     with pytest.raises(InputError, match="theta is not a brace automorphism"):
-        wells_map(ext, C, grp, elems)
+        wells_map(ext, C, grp, elems, t0)
     E = semidirect_product(Z2, flip4, identity_triple(Z2, flip4))
     wide = validate_extension(E, Z2, flip4, tuple(range(4)), tuple(x // 4 for x in range(8)))
     with pytest.raises(NotTrivialCoefficients):
         wells_map(wide, *_wells_inputs(split_ext))
 
 
-def test_ideal_gathers_match_loops_on_wells_inputs(sweep_exts, q8_exts):
-    # the kernel image of every wells-sweep and split Z2-by-Q8 extension, that
-    # image with one more element, and {0, x} for every x
-    outcomes = []
-    for ext in sweep_exts + q8_exts:
-        image = set(ext.inj)
-        subsets = [image] + [image | {x} for x in range(ext.E.n) if x not in image]
-        subsets += [{0, x} for x in range(1, ext.E.n)]
-        for sub in subsets:
-            got = _ideal_outcome(braces.is_ideal, ext.E, sub)
-            assert got == _ideal_outcome(_loop_is_ideal, ext.E, sub)
-            outcomes.append(got if isinstance(got, bool) else got[0])
-    counts = [outcomes.count(k) for k in (True, False, NotASubbrace)]
-    assert (len(outcomes), counts) == (7796, [684, 1496, 5616])
+def test_wells_map_refuses_a_stabiliser_of_another_section(d4_exts):
+    # a section change moves mu and sigma by inner factors: the stabiliser of
+    # that action has the same pairs but conjugates of the other action, so
+    # wells_map refuses it with E's canonical triplet instead of mixing the
+    # two sections
+    refused = 0
+    for ext in d4_exts[:24]:
+        C, grp, elems, t0 = _wells_inputs(ext)
+        for s in sections(ext):
+            chi = extract_action(ext, s)
+            if chi == t0.chi:
+                continue
+            other = stabilizer_C(ext.H, ext.I, chi)
+            assert other.pairs == C.pairs and other.acted != C.acted
+            with pytest.raises(InputError, match="another action than the triplet's"):
+                wells_map(ext, other, grp, elems, t0)
+            refused += 1
+    assert refused == 144
 
 
 def test_autb_I_equals_filtered_automorphisms(d4_exts, q8_exts, Z3):
