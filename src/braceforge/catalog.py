@@ -33,6 +33,8 @@ report, never patched silently.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -477,7 +479,32 @@ def load(path, kind: Optional[str] = None) -> CatalogEntry:
 
 
 def save(entry: CatalogEntry, path) -> None:
-    Path(path).write_text(dumps_payload(entry.payload), encoding="utf-8")
+    """Write the entry's canonical payload to `path` as UTF-8, in place.
+
+    The file is opened without O_TRUNC, written from offset 0 and, if it
+    is a regular file, cut to the payload's length.  It ends up byte for
+    byte the payload, with the inode, mode, hard links and symlink target
+    a truncating write keeps.  Truncating a file to zero frees its blocks,
+    which is slow on a filesystem mounted with `discard`; writing in place
+    reuses them, so rewriting a file at least as many blocks long frees
+    nothing.  A target that is not a regular file (/dev/null, a pipe
+    behind /dev/stdout) is written and not truncated.
+
+    The one difference from a truncating write: a write cut short (a full
+    disk, a killed process) leaves the new bytes followed by the old
+    file's tail, where a truncating write leaves a bare prefix.  `load`
+    parses and validates every file, so it refuses such a file as it
+    refuses a prefix, unless the mixed bytes happen to be a valid payload."""
+    data = memoryview(dumps_payload(entry.payload).encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = data
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 _PAYLOADS = (

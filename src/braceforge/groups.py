@@ -754,10 +754,13 @@ def _group_table_stack(n: int) -> np.ndarray:
     """Every Cayley table on 0..n-1 with identity 0 (n <= 7), as one
     (m, n, n) integer stack in lexicographic order: the relabellings of
     the standard groups by every 0-fixing permutation, lex-sorted with
-    np.lexsort, with adjacent repeats dropped."""
+    np.lexsort, with adjacent repeats dropped.  The order bound of
+    standard_groups_of_order is met before the (n-1)! permutations are
+    built."""
+    groups = standard_groups_of_order(n)
     perms = _zero_fixing_perms(n)
     flat = np.concatenate(
-        [_relabel_stack(G.np_table, perms) for G in standard_groups_of_order(n)]
+        [_relabel_stack(G.np_table, perms) for G in groups]
     ).reshape(-1, n * n)
     flat = flat[np.lexsort(flat.T[::-1])]
     keep = np.ones(len(flat), dtype=bool)

@@ -4,6 +4,8 @@ byte-stable serialization, the worked-example builders with their recorded
 
 import itertools
 import json
+import os
+import stat
 import time
 
 import pytest
@@ -248,6 +250,44 @@ def test_round_trip_byte_identical(tmp_path):
         assert loaded.payload == e.payload
         catalog.save(loaded, p)
         assert p.read_bytes() == first
+
+
+def test_save_overwrites_in_place(tmp_path, split_ext):
+    # save writes over the old bytes, so a longer old file must be cut to
+    # the payload's length; the inode, a hard link and the mode stay
+    entry = catalog.entry_for(split_ext, "ext")
+    fresh = tmp_path / "fresh.json"
+    catalog.save(entry, fresh)
+    payload = fresh.read_bytes()
+    assert payload == catalog.dumps_payload(entry.payload).encode("utf-8")
+
+    old = tmp_path / "old.json"
+    old.write_bytes(b"x" * (3 * len(payload) + 4097))
+    old.chmod(0o600)
+    link = tmp_path / "hard.json"
+    os.link(old, link)
+    inode = old.stat().st_ino
+    catalog.save(entry, old)
+    assert old.read_bytes() == payload
+    assert link.read_bytes() == payload
+    assert old.stat().st_ino == inode
+    assert stat.S_IMODE(old.stat().st_mode) == 0o600
+
+    # a second write of the same bytes changes nothing
+    catalog.save(entry, old)
+    assert old.read_bytes() == payload and old.stat().st_ino == inode
+
+
+def test_save_through_symlink_writes_its_target(tmp_path, split_ext):
+    entry = catalog.entry_for(split_ext, "ext")
+    target = tmp_path / "target.json"
+    target.write_bytes(b"{}" * 10_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    catalog.save(entry, link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == catalog.dumps_payload(entry.payload).encode("utf-8")
+    assert catalog.load(link, kind="extension").payload == entry.payload
 
 
 def test_dumps_payload_matches_json_module(split_ext, z4_ext):

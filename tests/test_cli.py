@@ -4,6 +4,7 @@ human lines on stderr, file round trips, and determinism."""
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -443,6 +444,43 @@ def test_unreadable_files_are_input_errors(tmp_path, capsys):
         assert code == 4, argv
         assert report["ok"] is False and report["error"] == "input", argv
         assert "Traceback" not in err
+
+
+def test_output_to_a_device_keeps_the_exit_code(tmp_path, capsys, Z2, Z3):
+    # -o /dev/null is written but not truncated: the command exits as it
+    # does without -o
+    h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
+    i = _write(tmp_path, "i.json", catalog.brace_payload(Z3))
+    t = _write(tmp_path, "t.json", NEGATION_TRIPLE_2x3)
+    for argv, want in ((["semidirect", h, i, t], 0), (["example", "3"], 2)):
+        assert main(argv) == want
+        capsys.readouterr()
+        code, report, err = _run(capsys, argv + ["-o", os.devnull])
+        assert code == want, argv
+        assert report["output"] == os.devnull and "Traceback" not in err
+
+
+def test_classify_ext_above_order_7_stops_before_allocating(tmp_path):
+    # |E| = 12 needs 11! relabelling permutations; the order bound is met
+    # before any of them is built, so 1 GiB of address space is plenty
+    h = _write(tmp_path, "z2.json", catalog.brace_payload(trivial_brace(cyclic_group(2))))
+    i = _write(tmp_path, "s3.json", catalog.brace_payload(trivial_brace(dihedral_group(3))))
+    env = dict(os.environ, PYTHONPATH=str(Path(braceforge.__file__).parent.parent))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "braceforge.cli", "classify-ext", h, i],
+        capture_output=True, env=env, preexec_fn=cap, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr.decode()
+    report = json.loads(proc.stdout)
+    assert report["command"] == "classify-ext" and report["error"] == "budget"
+    assert "Traceback" not in proc.stderr.decode()
+    assert elapsed < 1.0
 
 
 def test_argument_errors_are_input_reports(capsys):
