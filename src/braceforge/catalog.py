@@ -36,6 +36,7 @@ import json
 import os
 import stat
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,7 +63,6 @@ from .groups import (
 )
 from .split import (
     ActionTriple,
-    _product_brace,
     _product_tables,
     enumerate_split_triples,
     identity_triple,
@@ -387,50 +387,71 @@ class CatalogEntry:
         )
 
 
-def _dumps_at(obj, pad: str, rows: dict) -> str:
+def _row_stack_template(rows: int, cols: int, pad: str, templates: dict) -> str:
+    """The layout at pad of `rows` lists of `cols` plain ints each, with a
+    %d in place of every value, built once per (rows, cols, pad) and kept
+    in `templates`."""
+    key = (rows, cols, pad)
+    text = templates.get(key)
+    if text is None:
+        inner, inner2 = pad + "  ", pad + "    "
+        row = "[\n" + inner2 + (",\n" + inner2).join(["%d"] * cols) + "\n" + inner + "]"
+        text = templates[key] = ("[\n" + inner + (",\n" + inner).join([row] * rows)
+                                 + "\n" + pad + "]")
+    return text
+
+
+def _dumps_at(obj, pad: str, templates: dict) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) with every line after the
     first prefixed by pad.
 
-    With an indent the json module encodes in pure Python, so lists and
-    str-keyed dicts are laid out here, a list of plain ints in one join;
-    every other value goes through json.dumps.  A list lays out its members
-    that are lists of plain ints itself, without a call per member.
-    rows[pad] keeps the layout at pad of each distinct list of plain ints,
-    keyed by its tuple, so a row that repeats, as the members of action
-    triples do, is laid out once."""
+    With an indent the json module encodes in pure Python, so the layout
+    is done here.  Plain ints, strings, None and the bools are spelled by
+    type, as the json module spells them (int.__repr__ and its C string
+    encoder); any other scalar goes through json.dumps.  A list of plain
+    ints is one join, and a list of equal-length lists of plain ints, such
+    as a Cayley table, fills one %d template (_row_stack_template) with
+    all its values; `templates` keeps the templates of one payload.  A
+    dict with a key that is not a string goes through json.dumps, which
+    sorts such keys by value before turning them into strings."""
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == _INTS:
-            return "[\n" + inner + sep.join(map(str, obj)) + "\n" + pad + "]"
-        laid = rows.setdefault(inner, {})
-        parts = []
-        for v in obj:
-            if type(v) is list and v and set(map(type, v)) == _INTS:
-                key = tuple(v)
-                text = laid.get(key)
-                if text is None:
-                    laid[key] = text = _dumps_at(v, inner, rows)
-                parts.append(text)
-            else:
-                parts.append(_dumps_at(v, inner, rows))
-        return "[\n" + inner + sep.join(parts) + "\n" + pad + "]"
+        kinds = set(map(type, obj))
+        if kinds == _INTS:
+            return "[\n" + inner + sep.join(map(int.__repr__, obj)) + "\n" + pad + "]"
+        if kinds <= _ROWS and len(set(map(len, obj))) == 1:
+            values = [x for row in obj for x in row]
+            if values and set(map(type, values)) == _INTS:
+                return _row_stack_template(len(obj), len(obj[0]), pad, templates) % tuple(values)
+        return ("[\n" + inner + sep.join([_dumps_at(v, inner, templates) for v in obj])
+                + "\n" + pad + "]")
     if isinstance(obj, dict):
-        if not all(type(k) is str for k in obj):
-            # json sorts such keys by value before turning them into strings
-            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
         if not obj:
             return "{}"
-        body = sep.join(
-            json.dumps(k) + ": " + _dumps_at(obj[k], inner, rows) for k in sorted(obj)
-        )
-        return "{\n" + inner + body + "\n" + pad + "}"
+        if not all(type(k) is str for k in obj):
+            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        return ("{\n" + inner + sep.join(
+            [_encode_str(k) + ": " + _dumps_at(obj[k], inner, templates) for k in sorted(obj)]
+        ) + "\n" + pad + "}")
     return json.dumps(obj)
 
 
 _INTS = {int}
+_ROWS = {list, tuple}
 
 
 def dumps_payload(payload: dict) -> str:
@@ -868,7 +889,7 @@ def _reproduces_example4_form(H: SkewBrace, I: SkewBrace, triples: Sequence) -> 
     is the recorded closed form of example 4 on every cell."""
     k, _, n_, _ = _cells(4, 4)
     want = ((k + n_) % 4 * 4 + _example4_forms()[0]).reshape(16, 16)
-    return any(np.array_equal(_product_tables(H, I, t)[1], want) for t in triples)
+    return bool((_product_tables(H, I, triples)[1] == want).all(axis=(1, 2)).any())
 
 
 def _example4_triple() -> tuple:
@@ -1038,31 +1059,39 @@ def example_report(which: int, **params) -> dict:
 
 
 def axiom_fixtures() -> list:
-    """Named braces for the exhaustive axiom and lemma sweeps: trivial
-    braces on all groups of order <= 8, the example instantiations with
-    n <= 4 and p in {3, 5}, and every product from the example-5 pair.
+    """Named (add, circ) table pairs, as int64 arrays, for the exhaustive
+    axiom and lemma sweeps: trivial braces on all groups of order <= 8,
+    the example instantiations with n <= 4 and p in {3, 5}, and every
+    product from the example-5 pair.
 
-    The braces come straight from their constructions, with the names
+    The tables come straight from their constructions, with the names
     their catalog entries carry: no payload is laid out, no example report
-    is computed, and neither a fixture nor its action triple is validated
-    here (only the closed-form braces the examples start from are), so a
-    sweep's own validate_brace is the one validation of each fixture.  The
-    construction through the example entries and their payloads is kept
-    as the oracle _axiom_fixtures_via_entries in tests/test_catalog.py."""
-    out = _trivial_braces()
+    is computed, no group is wrapped around a product table, and neither a
+    fixture nor its action triple is validated here (only the closed-form
+    braces the examples start from are), so a sweep's own validate_brace
+    is the one validation of each fixture.  Each product comes from
+    split._product_tables, the example-5 products from one gather over
+    their 16 triples.  The construction through the example entries and
+    their payloads is kept as the oracle _axiom_fixtures_via_entries in
+    tests/test_catalog.py."""
+    out = [(name, B.add.np_table, B.circ.np_table) for name, B in _trivial_braces()]
     params = [(n, p, False) for n in (1, 2, 3, 4) for p in (3, 5)]
     params += [(3, p, True) for p in (3, 5)]
+    products = []
     for n, p, odd in params:
         name, H, I, _, t = _example2_triple(n, p, odd)
-        out.append((name, _product_brace(H, I, t)))
+        products.append((name, H, I, t))
     H, I, _, _, t = _example3_triple()
-    out.append(("example-3", _product_brace(H, I, t)))
+    products.append(("example-3", H, I, t))
     H, I5, t = _example4_triple()  # example 5's kernel is example 4's
-    out.append(("example-4", _product_brace(H, I5, t)))
+    products.append(("example-4", H, I5, t))
+    for name, H, I, t in products:
+        add, circ = _product_tables(H, I, [t])
+        out.append((name, add[0], circ[0]))
     H5 = example5_acting_brace()
-    out.append(("example-5-acting", H5))
-    out.append(("example-5-coefficient", I5))
-    for i, t in enumerate(enumerate_split_triples(H5, I5)):
-        out.append((f"example-5-product-{i}", _product_brace(H5, I5, t)))
+    out.append(("example-5-acting", H5.add.np_table, H5.circ.np_table))
+    out.append(("example-5-coefficient", I5.add.np_table, I5.circ.np_table))
+    adds, circs = _product_tables(H5, I5, enumerate_split_triples(H5, I5))
+    out += [(f"example-5-product-{i}", add, circ) for i, (add, circ) in enumerate(zip(adds, circs))]
     return out
 

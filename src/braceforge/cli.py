@@ -53,7 +53,8 @@ from .extensions import (
     extract_triplet,
     zero_triplet,
 )
-from .cohomology import _free_transitive_report, bijection_report, h2N, restrict_action, z1N
+from .cohomology import (_free_transitive_report, _shared_h2, bijection_report, h2N,
+                         restrict_action)
 from .groups import cyclic_group, describe_group, identity_perm
 from .split import ActionTriple, enumerate_split_triples, identity_triple, semidirect_product
 from .wells import verify_exact_sequence
@@ -273,7 +274,7 @@ def cmd_cohomology(args) -> int:
     else:
         I_coeff, chi_coeff = I, chi
     grp = h2N(H, I_coeff, chi_coeff)
-    derivations = z1N(H, I_coeff, chi_coeff)
+    derivations, _ = grp._derivation_rows()
     report.update({
         "z2_order": grp.z2_order,
         "b2_order": grp.b2_order,
@@ -283,7 +284,7 @@ def cmd_cohomology(args) -> int:
             {"g": [list(r) for r in p.g], "f": [list(r) for r in p.f]}
             for p in grp.representatives
         ],
-        "z1_derivations": [list(d.theta) for d in derivations],
+        "z1_derivations": derivations.tolist(),
     })
     _say(f"|Z^2| = {report['z2_order']}  |B^2| = {report['b2_order']}  "
          f"|H^2| = {report['h2_order']}  |Z^1| = {report['z1_order']}")
@@ -333,11 +334,10 @@ def cmd_example(args) -> int:
 
 def _bijection_check(H, I, classes, groups: dict) -> dict:
     """selftest's class-count check for H by I with the identity action,
-    on a computed _class_heads result; its H^2 goes into `groups` under
-    h2N's arguments, for _free_transitive_check."""
+    on a computed _class_heads result, with its H^2 read from or added to
+    `groups` (cohomology._shared_h2)."""
     chi = identity_triple(H, I)
-    groups[(H, I, chi)] = grp = h2N(H, I, chi)
-    rep = bijection_report(I, chi, grp, classes)
+    rep = bijection_report(I, chi, _shared_h2(groups, H, I, chi), classes)
     return {"ok": rep["equal"], "report": rep}
 
 
@@ -361,10 +361,10 @@ def cmd_selftest(args) -> int:
     def axioms():
         fixtures = catalog.axiom_fixtures()
         bad = []
-        for name, B in fixtures:
+        for name, add, circ in fixtures:
             # the lemmas run on the validated brace, whose groups keep the
             # generating sets their axioms were decided on
-            V = validate_brace(B.add.np_table, B.circ.np_table)
+            V = validate_brace(add, circ)
             if not lambda_is_hom(V) or not identities_check(V):
                 bad.append(name)
         return {"ok": not bad, "fixtures": len(fixtures), "failing": bad}
@@ -374,9 +374,14 @@ def cmd_selftest(args) -> int:
         return {"ok": rep["closed_form_add_mismatches"] == 0
                 and rep["closed_form_circ_mismatches"] == 0}
 
+    # every H^2 the checks build, by h2N's arguments: the Wells checks of
+    # the split Z2-by-Z3 and the Z4 extension build those of the identity
+    # couplings that the class-count and free-and-transitive checks read
+    groups: dict = {}
+
     def wells(builder):
         def inner():
-            rep = verify_exact_sequence(builder())
+            rep = verify_exact_sequence(builder(), groups)
             return {"ok": rep["exact"] and rep["psi_bijective"]
                     and rep["psi_hom"] and rep["derivation_law"],
                     "report": {k: v for k, v in rep.items() if k != "omega_table"}}
@@ -395,9 +400,8 @@ def cmd_selftest(args) -> int:
     run("wells-split-z2-z3", wells(catalog.split_z2_z3_extension))
     run("wells-z4-over-z2", wells(catalog.z4_additive_extension))
     # the bijection and free-and-transitive checks of one Z2-by-Zi pair
-    # share one _class_heads result and the H^2 of the identity coupling
+    # share one _class_heads result
     by_z2, by_z3 = (_class_heads(Z2, Zi) for Zi in (Z2, Z3))
-    groups: dict = {}
     run("class-count-equals-h2-z2-z2", lambda: _bijection_check(Z2, Z2, by_z2, groups))
     run("class-count-equals-h2-z2-z3", lambda: _bijection_check(Z2, Z3, by_z3, groups))
     run("free-action-z2-z2", lambda: _free_transitive_check(Z2, Z2, by_z2, groups))

@@ -44,6 +44,7 @@ order of the summands is immaterial and "+" agrees with "o" there).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
@@ -646,7 +647,8 @@ class CohomologyGroup:
     are in lex order, the zero pair first; a class index is its position.
     Cocycle pairs are looked up by descent, so index_of, class_of, add and
     neg list nothing; the z2 and b2 properties list the members on
-    access.
+    access, and the representatives, held as rows, are listed as
+    CocyclePairs on first access (the Wells check reads only the rows).
     """
 
     def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple,
@@ -686,7 +688,6 @@ class CohomologyGroup:
         rows = cochains.labels(reps)
         order = np.lexsort(rows.T[::-1])
         self._rep_rows = rows[order]
-        self.representatives = cochains.row_pairs(self._rep_rows)
         keys = _row_keys(reps)
         by_key = np.argsort(keys)
         self._rep_keys = keys[by_key]
@@ -734,9 +735,13 @@ class CohomologyGroup:
         """The echelon rows of Z^2 and of B^2, laid out like pairs."""
         return self._sp.labels(self._z2.rows), self._sp.labels(self._b2.rows)
 
+    @cached_property
+    def representatives(self) -> list:
+        return self._sp.row_pairs(self._rep_rows)
+
     @property
     def order(self) -> int:
-        return len(self.representatives)
+        return len(self._rep_rows)
 
     @property
     def z2_order(self) -> int:
@@ -798,6 +803,17 @@ def h2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> CohomologyGroup:
         )
     sp = space.cochains
     return CohomologyGroup(H, I, chi, space.z2, _coboundary_images(sp, H, I, chi), sp)
+
+
+def _shared_h2(groups: dict, H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> CohomologyGroup:
+    """h2N(H, I, chi), read from `groups`, which maps h2N's arguments to
+    its result, or computed and added there.  A caller that checks several
+    theorems on one coupling hands each check the same `groups`, so each
+    H^2 is built once per caller."""
+    key = (H, I, chi)
+    if key not in groups:
+        groups[key] = h2N(*key)
+    return groups[key]
 
 
 # --- derivations -------------------------------------------------------------
@@ -1009,20 +1025,16 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace) -> dict:
 
 def _free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list, groups: dict) -> dict:
     """verify_free_transitive on a computed _class_heads result, acting on
-    the class key of each class's head, and reading each H^2 from
-    `groups`, which maps h2N's arguments (H, I, chi) to its result, and
-    adding every H^2 it computes there; selftest shares `groups` with its
-    class-count check, so no H^2 is computed twice."""
+    the class key of each class's head, with each H^2 read from or added
+    to `groups` (_shared_h2); selftest shares `groups` with its Wells and
+    class-count checks, so no H^2 is computed twice."""
     per_coupling = []
     all_free = True
     all_transitive = True
     for rep_chi, classes in buckets:
         reps = [_class_key(H, I, extract_triplet(head)) for head, _ in classes]
         I_res, chi_res, elems = restrict_action(I, rep_chi)
-        key = (H, I_res, chi_res)
-        if key not in groups:
-            groups[key] = h2N(*key)
-        grp = groups[key]
+        grp = _shared_h2(groups, H, I_res, chi_res)
         rows = [_act_permutation(H, I, embed_pair(p, elems), reps)
                 for p in grp.representatives]
         identity = list(range(len(reps)))

@@ -287,9 +287,9 @@ def extension_from_triplet(H: SkewBrace, I: SkewBrace, t: Triplet) -> Extension:
     in tests/test_extensions.py checks both.
     """
     _triplet_shape_check(H, I, t)
-    add, circ = _triplet_tables(H, I, t.chi, t.beta, t.tau)
+    add, circ = _triplet_tables(H, I, [t.chi], [t.beta], [t.tau])
     try:
-        E = validate_brace(add, circ)
+        E = validate_brace(add[0], circ[0])
     except ValidationError as exc:
         raise TripletInvalid(f"rebuilt tables are not a brace: {exc}", cause=str(exc))
     return Extension(E, H, I, range(I.n), [x // I.n for x in range(E.n)])

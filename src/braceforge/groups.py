@@ -743,11 +743,13 @@ def _zero_fixing_perms(n: int) -> np.ndarray:
 
 
 def _relabel_stack(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """relabel_table of one valid table by every row p of `perms`, as one
-    gather: new[k] = p[T[p^-1, p^-1]]."""
+    """relabel_table of valid tables by every row p of `perms`, as one
+    gather: new[k] = p[T[p^-1, p^-1]], T one (n, n) table for every row, or
+    layer k of a (k, n, n) stack, one layer per row."""
     invs = np.argsort(perms, axis=1)
     rows = np.arange(len(perms))[:, None, None]
-    return perms[rows, table[invs[:, :, None], invs[:, None, :]]]
+    cells = (invs[:, :, None], invs[:, None, :])
+    return perms[rows, table[cells] if table.ndim == 2 else table[(rows,) + cells]]
 
 
 def _group_table_stack(n: int) -> np.ndarray:

@@ -135,10 +135,12 @@ def triple_from_tables(nu, mu, sigma) -> ActionTriple:
     )
 
 
-def _family_arrays(t: ActionTriple) -> tuple:
-    """nu, mu, sigma and the inverse of each nu as (|H|, |I|) arrays."""
-    nu, mu, sigma = (np.array(f, dtype=np.intp) for f in (t.nu, t.mu, t.sigma))
-    return nu, mu, sigma, nu.argsort(axis=1)
+def _family_arrays(ts: Sequence[ActionTriple]) -> tuple:
+    """nu, mu, sigma and the inverse of each nu as (k, |H|, |I|) arrays,
+    one layer per triple of ts."""
+    fams = np.array([(t.nu, t.mu, t.sigma) for t in ts], dtype=np.intp)
+    nu, mu, sigma = fams[:, 0], fams[:, 1], fams[:, 2]
+    return nu, mu, sigma, nu.argsort(axis=2)
 
 
 def _compat_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple):
@@ -181,7 +183,7 @@ def _compat_cube(H: SkewBrace, I: SkewBrace, t: ActionTriple):
     Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, H.add.inv
     Ia, Ic = I.add.np_table, I.circ.np_table
     nh, ni, Ineg = H.n, I.n, np.array(I.add.inv, dtype=np.intp)
-    nu, mu, sigma, inv_nu = _family_arrays(t)
+    nu, mu, sigma, inv_nu = (f[0] for f in _family_arrays([t]))
     ys = np.arange(ni)
     # Gathers go through flat tables with precomputed offsets, so each
     # (h2, h3, y1, y2, y3) array is built by contiguous adds and takes.
@@ -326,41 +328,48 @@ def validate_split_triple(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
         )
 
 
-def _triplet_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple, beta, tau) -> tuple:
-    """The (add, circ) tables the triplet (t, beta, tau) rebuilds by the
-    formulas in the extensions module docstring, on pairs (h, y) -> h * |I|
-    + y standing for s(h) o y, as (n, n) arrays, each gathered at once over
-    (h1, y1, h2, y2)."""
+def _triplet_tables(H: SkewBrace, I: SkewBrace, chis: Sequence[ActionTriple],
+                    betas, taus) -> tuple:
+    """The (add, circ) tables the triplets (chis[k], betas[k], taus[k])
+    rebuild by the formulas in the extensions module docstring, on pairs
+    (h, y) -> h * |I| + y standing for s(h) o y, as (k, n, n) arrays, each
+    gathered at once over (k, h1, y1, h2, y2); one triplet is a stack of
+    one.  Operands that depend on one cell coordinate per factor are
+    broadcast views, not gathers."""
     nh, ni = H.n, I.n
     Ia, Ic = I.add.np_table, I.circ.np_table
-    nu, mu, sigma, inv_nu = _family_arrays(t)
-    beta, tau = (np.array(c, dtype=np.intp).reshape(nh, nh) for c in (beta, tau))
-    h1, y1 = np.arange(nh)[:, None, None, None], np.arange(ni)[None, :, None, None]
-    h2, y2 = np.arange(nh)[None, None, :, None], np.arange(ni)[None, None, None, :]
-    ha, hc = H.add.np_table[h1, h2], H.circ.np_table[h1, h2]
-    add = ha * ni + inv_nu[ha, Ia[Ia[beta[h1, h2], mu[h2, nu[h1, y1]]], nu[h2, y2]]]
-    circ = hc * ni + Ic[Ic[tau[h1, h2], sigma[h2, y1]], y2]
-    return add.reshape(nh * ni, nh * ni), circ.reshape(nh * ni, nh * ni)
+    nu, mu, sigma, inv_nu = _family_arrays(chis)
+    # beta(h1, h2), tau(h1, h2) at [k, h1, y1, h2, y2]
+    beta, tau = (np.array(c, dtype=np.intp).reshape(-1, nh, 1, nh, 1) for c in (betas, taus))
+    k = np.arange(len(chis))[:, None, None, None, None]
+    h2 = np.arange(nh)[:, None]
+    ha, hc = H.add.np_table[:, None, :, None], H.circ.np_table[:, None, :, None]
+    add = ha * ni + inv_nu[k, ha, Ia[Ia[beta, mu[k, h2, nu[..., None, None]]], nu[:, None, None]]]
+    circ = hc * ni + Ic[Ic[tau, sigma.transpose(0, 2, 1)[:, None, ..., None]], np.arange(ni)]
+    n = nh * ni
+    return add.reshape(-1, n, n), circ.reshape(-1, n, n)
 
 
-def _product_tables(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> tuple:
-    """The (add, circ) tables of the split product as (n, n) arrays.
+def _product_tables(H: SkewBrace, I: SkewBrace, ts: Sequence[ActionTriple]) -> tuple:
+    """The (add, circ) tables of the split products of the triples ts, as
+    (k, n, n) arrays in the order of ts, gathered at once.
 
     In the product h * |I| + y stands for s(h) + y, and s(h) + y = s(h) o
     nu_h^-1(y), since nu_h(z) = -s(h) + s(h) o z.  So the product is the
     zero-cocycle rebuild (_triplet_tables) with each label h * |I| + z
-    renamed to h * |I| + nu_h(z)."""
-    zero = np.zeros((H.n, H.n), dtype=np.intp)
-    add, circ = _triplet_tables(H, I, t, zero, zero)
-    rename = (np.arange(H.n)[:, None] * I.n + np.array(t.nu, dtype=np.intp)).reshape(1, -1)
-    return _relabel_stack(add, rename)[0], _relabel_stack(circ, rename)[0]
+    renamed to h * |I| + nu_h(z), layer by layer (_relabel_stack)."""
+    zero = np.zeros((len(ts), H.n, H.n), dtype=np.intp)
+    add, circ = _triplet_tables(H, I, ts, zero, zero)
+    rename = (np.arange(H.n)[:, None] * I.n
+              + np.array([t.nu for t in ts], dtype=np.intp)).reshape(len(ts), -1)
+    return _relabel_stack(add, rename), _relabel_stack(circ, rename)
 
 
 def _product_brace(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> SkewBrace:
     """The split product of a triple already decided valid, built from
     _product_tables with no further check."""
-    add, circ = _product_tables(H, I, t)
-    return SkewBrace(FiniteGroup(add), FiniteGroup(circ))
+    add, circ = _product_tables(H, I, [t])
+    return SkewBrace(FiniteGroup(add[0]), FiniteGroup(circ[0]))
 
 
 def semidirect_product(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> SkewBrace:

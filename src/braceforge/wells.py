@@ -75,13 +75,13 @@ Z^1 x Z^1 (_psi_law).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import budget as budget_mod
 from .braces import BraceHom, SkewBrace, _brace_automorphism_search, brace_automorphisms
-from .cohomology import CocyclePair, CohomologyGroup, h2N, restrict_action
+from .cohomology import CocyclePair, CohomologyGroup, _shared_h2, restrict_action
 from .errors import (
     ActionNotTransitive,
     InputError,
@@ -480,11 +480,14 @@ def _psi_law(ext: Extension, s: Sequence[int], elems: np.ndarray, add: np.ndarra
     return bool((lhs == psi[:, psi_t]).all())
 
 
-def verify_exact_sequence(ext: Extension) -> dict:
+def verify_exact_sequence(ext: Extension, groups: Optional[dict] = None) -> dict:
     """Exhaustively verify the Wells-type exact sequence for one extension.
 
     The canonical section s and the canonical triplet of E, with its
     action, are extracted once and shared by rho, psi and wells_map.
+    The H^2 of the restricted action is read from or added to `groups`,
+    when given (cohomology._shared_h2), so a caller that checks other
+    theorems on the same coupling, as selftest does, builds it once.
     Checks, in order: the annihilator of the kernel is its centre; the
     image of rho lies in the stabiliser; the derivation group maps
     bijectively onto the kernel of rho via psi, and homomorphically, the
@@ -502,7 +505,7 @@ def verify_exact_sequence(ext: Extension) -> dict:
     I_res, chi_res, elems = restrict_action(I, t0.chi)
     if set(elems) != set(I.add.centre()):
         raise ValidationError("annihilator of a trivial brace must be the centre")
-    h2grp = h2N(H, I_res, chi_res)
+    h2grp = _shared_h2({} if groups is None else groups, H, I_res, chi_res)
     z1, gens = h2grp._derivation_rows()
     C = stabilizer_C(H, I, t0.chi)
     pairs_of = rho(ext, s)

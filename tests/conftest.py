@@ -38,6 +38,13 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def axiom_braces():
+    """catalog.axiom_fixtures as (name, brace) pairs, each brace validated
+    from the fixture's two tables, as the selftest sweep builds it."""
+    return [(name, validate_brace(add, circ)) for name, add, circ in catalog.axiom_fixtures()]
+
+
+@pytest.fixture(scope="session")
 def Z2():
     return trivial_brace(cyclic_group(2))
 

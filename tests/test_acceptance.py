@@ -40,8 +40,8 @@ def test_criterion_1_axiom_and_lemma_suite_on_all_fixtures():
     t0 = time.monotonic()
     fixtures = catalog.axiom_fixtures()
     failing = []
-    for name, B in fixtures:
-        validate_brace(B.add.table, B.circ.table)
+    for name, add, circ in fixtures:
+        B = validate_brace(add, circ)
         if not lambda_is_hom(B) or not identities_check(B):
             failing.append(name)
     dt = time.monotonic() - t0

@@ -112,8 +112,8 @@ def _one_cell_tampered(B, rng, count):
     return out
 
 
-def test_gathered_lambda_and_identities_match_loops(pairwise_braces):
-    fixtures = [B for _, B in catalog.axiom_fixtures()]
+def test_gathered_lambda_and_identities_match_loops(pairwise_braces, axiom_braces):
+    fixtures = [B for _, B in axiom_braces]
     labelled = [B for n in range(1, 7) for B in pairwise_braces(n)]
     assert (len(fixtures), len(labelled)) == (44, 1 + 1 + 1 + 10 + 6 + 280)
     for B in fixtures + labelled:
@@ -153,8 +153,8 @@ def lambda_is_hom_loop(E) -> bool:
     )
 
 
-def test_lambda_is_hom_matches_loop():
-    fixtures = [B for _, B in catalog.axiom_fixtures()]
+def test_lambda_is_hom_matches_loop(axiom_braces):
+    fixtures = [B for _, B in axiom_braces]
     assert len(fixtures) == 44
     assert all(lambda_is_hom(B) and lambda_is_hom_loop(B) for B in fixtures)
     # unrelated group pairs, most of them not braces
@@ -317,13 +317,13 @@ def test_brace_hom_validity_matches_loop(xor4, flip4):
 
 
 @pytest.fixture(scope="module")
-def oracle_braces() -> list:
+def oracle_braces(axiom_braces) -> list:
     """Axiom fixtures of order <= 16 and the 96 split Z2-by-D4 products."""
     Z2 = trivial_brace(cyclic_group(2))
     D4 = trivial_brace(dihedral_group(4))
     products = [semidirect_product(Z2, D4, t) for t in enumerate_split_triples(Z2, D4)]
     assert len(products) == 96
-    return [B for _, B in catalog.axiom_fixtures() if B.n <= 16] + products
+    return [B for _, B in axiom_braces if B.n <= 16] + products
 
 
 def test_brace_automorphisms(Z3, flip4, xor4, oracle_braces):

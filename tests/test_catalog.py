@@ -290,6 +290,18 @@ def test_save_through_symlink_writes_its_target(tmp_path, split_ext):
     assert catalog.load(link, kind="extension").payload == entry.payload
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
 def test_dumps_payload_matches_json_module(split_ext, z4_ext):
     def reference(obj):
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -323,6 +335,23 @@ def test_dumps_payload_matches_json_module(split_ext, z4_ext):
             "same_values": [[1, 0], [True, False], [1.0, 0], [1, 0]],
             "again": {"deeper": [[0, 2, 1], [[1, 0]]]},
         },
+        # equal-length rows of plain ints, laid out from one template per
+        # shape and depth, and lists that only look like them
+        {
+            "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+            "same_shape": {"x": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "y": [[3, 4, 5]] * 3},
+            "tuple_rows": ((0, 1), [1, 0]),
+            "one_cell": [[5]],
+            "big": [[2 ** 70, -3], [0, -2 ** 65]],
+            "bool_cell": [[0, 1], [True, 0]],
+            "float_cell": [[0, 1], [1.0, 0]],
+            "str_cell": [["0", 1], [1, 0]],
+            "ragged": [[0, 1], [1]],
+            "empty_rows": [[], []],
+            "row_and_int": [[0, 1], 2],
+            "deep": [[[[0, 1], [1, 0]], [[1, 0], [0, 1]]]],
+            "subclasses": [[_Int(3), 1], _Int(2), _Str("s"), _Float(0.5), [_Str("t")]],
+        },
     ]
     for obj in objs:
         assert catalog.dumps_payload(obj) == reference(obj)
@@ -341,8 +370,8 @@ def test_axiom_fixture_sweep_is_fast():
     t0 = time.time()
     fixtures = catalog.axiom_fixtures()
     assert len(fixtures) == 44
-    for name, B in fixtures:
-        validate_brace(B.add.table, B.circ.table)
+    for name, add, circ in fixtures:
+        B = validate_brace(add, circ)
         assert lambda_is_hom(B), name
         assert identities_check(B), name
     assert time.time() - t0 < 5.0
@@ -372,10 +401,9 @@ def _axiom_fixtures_via_entries():
 
 
 def test_axiom_fixtures_match_entry_construction():
-    def tables(fixtures):
-        return [(name, B.add.table, B.circ.table) for name, B in fixtures]
-
-    assert tables(catalog.axiom_fixtures()) == tables(_axiom_fixtures_via_entries())
+    got = [(name, add.tolist(), circ.tolist()) for name, add, circ in catalog.axiom_fixtures()]
+    assert got == [(name, B.add.np_table.tolist(), B.circ.np_table.tolist())
+                   for name, B in _axiom_fixtures_via_entries()]
 
 
 def test_axiom_fixtures_validate_only_the_example_inputs(count_calls):

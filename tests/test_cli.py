@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import braceforge
-from braceforge import catalog, cli, cohomology, extensions, split
+from braceforge import catalog, cli, cohomology, extensions, split, wells
 from braceforge.braces import trivial_brace
 from braceforge.cli import main
 from braceforge.cohomology import h2N
 from braceforge.errors import InternalInconsistency
 from braceforge.groups import cyclic_group, dihedral_group, direct_product_group, klein_group
+from braceforge.split import enumerate_split_triples, identity_triple
 
 IDENTITY_TRIPLE_2x2 = {"nu": [[0, 1], [0, 1]], "mu": [[0, 1], [0, 1]],
                        "sigma": [[0, 1], [0, 1]]}
@@ -255,22 +256,66 @@ def test_classify_ext_builds_no_labelled_copy(tmp_path, capsys, monkeypatch):
     assert built["calls"] <= 20
 
 
-def test_selftest_computes_each_h2_once(capsys, monkeypatch):
-    # the class-count check hands the H^2 of the identity coupling to the
-    # free-and-transitive check of the same pair, so the two checks compute
-    # 7 groups, all distinct (9 calls before); the two Wells checks go
-    # through the public verify_exact_sequence and its own h2N binding
-    seen = []
-
-    def counted(*args):
-        seen.append(args)
-        return h2N(*args)
-
-    monkeypatch.setattr(cli, "h2N", counted)
-    monkeypatch.setattr(cohomology, "h2N", counted)
+def test_selftest_computes_each_h2_once(capsys, count_calls):
+    # the two Wells checks, the class-count checks and the free-and-
+    # transitive checks share one mapping of H^2 groups: the Wells checks
+    # of the split Z2-by-Z3 and the Z4 extension build the groups of the
+    # identity couplings the class-count checks read, so 7 calls build the
+    # 7 distinct groups (9 calls before)
+    built = count_calls(h2N)
+    checked = count_calls(wells.verify_exact_sequence)
     assert main(["selftest"]) == 0
     capsys.readouterr()
-    assert len(seen) == len(set(seen)) == 7
+    assert (built["calls"], checked["calls"]) == (7, 2)
+
+
+def test_cohomology_reads_everything_off_one_group(tmp_path, capsys, count_calls, Z2, flip4):
+    # z1_derivations come from the Z^1 of the group h2N built, so neither
+    # z1N nor a second echelon runs, with or without --ann
+    built, listed = count_calls(h2N), count_calls(cohomology.z1N)
+    h = _write(tmp_path, "h.json", catalog.brace_payload(Z2))
+    fb = _write(tmp_path, "flip4.json", catalog.brace_payload(flip4))
+    chi4 = _write(tmp_path, "chi4.json", {
+        "nu": [[0, 1, 2, 3]] * 2, "mu": [[0, 1, 2, 3]] * 2, "sigma": [[0, 1, 2, 3]] * 2,
+    })
+    for argv in (["cohomology", h, h, _write(tmp_path, "chi.json", IDENTITY_TRIPLE_2x2)],
+                 ["cohomology", h, fb, chi4, "--ann"]):
+        built["calls"] = 0
+        code, report, _ = _run(capsys, argv)
+        assert code == 0 and report["z1_derivations"] == [[0, 0], [0, 1]]
+        assert (built["calls"], listed["calls"]) == (1, 0)
+
+
+def _cohomology_sweep_actions():
+    """(H, I, chi) for every split action of the pairs of the
+    cohomology-sweep workload, and the identity action of Z4 by Z4."""
+    V = trivial_brace(klein_group())
+    S3 = trivial_brace(dihedral_group(3))
+    Z = {n: trivial_brace(cyclic_group(n)) for n in (2, 3, 4, 6)}
+    xor4, flip4 = catalog.example4_acting_brace(), catalog.example4_coefficient_brace()
+    out = [(Z[4], Z[4], identity_triple(Z[4], Z[4]))]
+    for H, I in ((Z[6], Z[2]), (V, Z[2]), (xor4, Z[2]), (flip4, Z[2]), (Z[4], Z[3]),
+                 (Z[2], V), (S3, Z[2])):
+        out += [(H, I, t) for t in enumerate_split_triples(H, I)]
+    return out
+
+
+def test_cohomology_derivations_match_z1N(tmp_path, capsys):
+    # the derivations cohomology reads off its group's Z^1 are z1N's list,
+    # on every action of the cohomology sweep, with and without --ann
+    actions = _cohomology_sweep_actions()
+    assert len(actions) == 40
+    for k, (H, I, chi) in enumerate(actions):
+        h = _write(tmp_path, "h.json", catalog.brace_payload(H))
+        i = _write(tmp_path, "i.json", catalog.brace_payload(I))
+        c = _write(tmp_path, "chi.json", catalog.triple_payload(chi))
+        I_res, chi_res, _ = cohomology.restrict_action(I, chi)
+        for argv, coeff in ((["cohomology", h, i, c], (I, chi)),
+                            (["cohomology", h, i, c, "--ann"], (I_res, chi_res))):
+            code, report, _ = _run(capsys, argv)
+            expected = [list(d.theta) for d in cohomology.z1N(H, *coeff)]
+            assert code == 0 and report["z1_derivations"] == expected, (k, argv[-1])
+            assert report["z1_order"] == len(expected)
 
 
 def test_enumerate_split(tmp_path, capsys, Z2, Z3):
@@ -343,8 +388,6 @@ def test_cohomology_command(tmp_path, capsys, Z2, flip4):
 
 def test_cohomology_deep_cell_search(tmp_path, capsys):
     # |H| = 34 gives each component 1089 free cells, one search level each
-    from braceforge.split import identity_triple
-
     Z34 = trivial_brace(cyclic_group(34))
     Z1 = trivial_brace(cyclic_group(1))
     h = _write(tmp_path, "z34.json", catalog.brace_payload(Z34))

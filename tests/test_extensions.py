@@ -422,9 +422,9 @@ def _round_trip_extension(H, I, t):
     """Oracle for extension_from_triplet, with no shape check: the rebuilt
     tables must be a brace, the rebuild must pass validate_extension, and
     the canonical section must extract t back.  None when any fails."""
-    add, circ = _triplet_tables(H, I, t.chi, t.beta, t.tau)
+    add, circ = _triplet_tables(H, I, [t.chi], [t.beta], [t.tau])
     try:
-        E = validate_brace(add, circ)
+        E = validate_brace(add[0], circ[0])
         ext = validate_extension(E, H, I, tuple(range(I.n)), tuple(x // I.n for x in range(E.n)))
     except ValidationError:
         return None
@@ -906,9 +906,9 @@ def test_batched_axiom_matches_validate_brace():
         assert first.witness == {"a": a, "b": b, "c": c}
         assert str(first).endswith(f"({a},{b},{c}): {lhs} != {rhs}")
 
-def test_brace_monos_match_brute_force(flip4, xor4, order6_coefficients):
+def test_brace_monos_match_brute_force(flip4, xor4, order6_coefficients, axiom_braces):
     # oracle: every injective 0-fixing map, kept when it preserves + and o
-    braces = [B for _, B in catalog.axiom_fixtures() if B.n <= 6]
+    braces = [B for _, B in axiom_braces if B.n <= 6]
     braces += [flip4, xor4, order6_coefficients]
     for I, E in itertools.product(braces, repeat=2):
         if I.n > E.n:
@@ -947,16 +947,18 @@ def _loop_triplet_tables(H, I, t):
 
 
 def test_triplet_tables_match_loop(Z2, Z3, Z4):
-    # every law-abiding cocycle pair of every split action, valid or not:
-    # the gather gives the loop's tables, and a valid triplet's rebuild
-    # carries them
+    # every law-abiding cocycle pair of every split action, valid or not,
+    # the pairs of one action as one stack: the gather gives the loop's
+    # tables, and a valid triplet's rebuild, a stack of one, carries them
     checked = invalid = 0
     for H, I in ((Z2, Z3), (Z3, Z2), (Z2, Z2), (Z4, Z2), (Z3, Z3)):
         for chi in enumerate_split_triples(H, I):
-            for pair in _z2N_laws_only(H, I, chi):
+            pairs = _z2N_laws_only(H, I, chi)
+            adds, circs = _triplet_tables(H, I, [chi] * len(pairs), [p.g for p in pairs],
+                                          [p.f for p in pairs])
+            for pair, add, circ in zip(pairs, adds, circs):
                 t = Triplet(chi, pair.g, pair.f)
                 expected = _loop_triplet_tables(H, I, t)
-                add, circ = _triplet_tables(H, I, chi, pair.g, pair.f)
                 assert (add.tolist(), circ.tolist()) == expected
                 try:
                     E = extension_from_triplet(H, I, t).E

@@ -156,10 +156,9 @@ def _naive_generating_sequence(G) -> tuple:
 
 
 @pytest.fixture(scope="module")
-def fixtures():
-    out = catalog.axiom_fixtures()
-    assert len(out) == 44
-    return out
+def fixtures(axiom_braces):
+    assert len(axiom_braces) == 44
+    return axiom_braces
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +166,9 @@ def example5_candidates():
     H = catalog.example5_acting_brace()
     I = catalog.example4_coefficient_brace()
     nus, mus, sigmas = _candidate_families(H, I)
-    tables = [_product_tables(H, I, ActionTriple(nu, mu, sigma))
-              for nu in nus for mu in mus for sigma in sigmas]
+    adds, circs = _product_tables(H, I, [ActionTriple(nu, mu, sigma)
+                                         for nu in nus for mu in mus for sigma in sigmas])
+    tables = list(zip(adds, circs))
     assert len(tables) == 80
     return tables
 

@@ -12,7 +12,8 @@ import pytest
 from braceforge import budget, catalog
 from braceforge import groups as groups_mod
 from braceforge import split as split_mod
-from braceforge.braces import SkewBrace, brace_automorphisms, find_brace_isomorphism, trivial_brace
+from braceforge.braces import (SkewBrace, brace_automorphisms, find_brace_isomorphism,
+                               trivial_brace, validate_brace)
 from braceforge.errors import (
     NoIdentityAtZero,
     NoInverse,
@@ -181,8 +182,8 @@ def test_validate_group_matches_loop():
 def test_inverses_match_loop():
     tables = [t for n in range(1, 8) for t in all_group_tables(n)]
     tables += [G.table for _, G in catalog.groups_of_order_8()]
-    for _, B in catalog.axiom_fixtures():
-        tables += [B.add.table, B.circ.table]
+    for _, add, circ in catalog.axiom_fixtures():
+        tables += [add.tolist(), circ.tolist()]
     # not groups: inverses missing, or two candidates of which the first wins
     tables += [[[0, 1], [1, 1]], NONASSOCIATIVE_LOOP, [[0, 1, 2], [1, 0, 0], [2, 0, 0]]]
     for table in tables:
@@ -193,8 +194,8 @@ def _array_tables() -> list:
     """Every table of _group_table_stack(n) for n <= 6, then the tables of
     every axiom fixture, as int64 arrays."""
     tables = [t for n in range(1, 7) for t in _group_table_stack(n)]
-    for _, B in catalog.axiom_fixtures():
-        tables += [B.add.np_table, B.circ.np_table]
+    for _, add, circ in catalog.axiom_fixtures():
+        tables += [add, circ]
     return tables
 
 
@@ -571,7 +572,8 @@ def test_engine_matches_closure_oracle(monkeypatch, Z2, Z3, xor4, flip4):
     groups += [G for n in range(2, 17) for _, G in _reference_groups(n)]
     for G in groups:
         automorphism_group(G)
-    fixtures = catalog.axiom_fixtures()
+    # the fixtures are built and validated here, so their searches meet the oracle too
+    fixtures = [(name, validate_brace(add, circ)) for name, add, circ in catalog.axiom_fixtures()]
     assert len(fixtures) == 44 and sum(not B.is_trivial for _, B in fixtures) > 10
     for _, B in fixtures:
         brace_automorphisms(B)
@@ -692,12 +694,12 @@ def _is_group_matches_closure(pg: PermGroup) -> bool:
     return verdict
 
 
-def test_is_group_matches_closure(xor4, flip4):
+def test_is_group_matches_closure(xor4, flip4, axiom_braces):
     groups = [G for n in range(1, 8) for G in standard_groups_of_order(n)]
     groups += [G for n in range(2, 17) for _, G in _reference_groups(n)]
     perm_groups = [automorphism_group(G) for G in groups]
     perm_groups += [inner_group(G) for G in groups]
-    perm_groups += [brace_automorphisms(B) for _, B in catalog.axiom_fixtures()]
+    perm_groups += [brace_automorphisms(B) for _, B in axiom_braces]
     perm_groups += [_generate(3, [(1, 2, 0)]),
                     _generate(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])]
     # the oracle's |S|^2 products stay cheap below 400 elements

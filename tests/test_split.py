@@ -364,11 +364,16 @@ def test_compat_kernel_matches_loop(Z2, Z3, Z4, xor4, flip4):
 
 
 def test_product_tables_match_loop(Z2, Z3, Z4, xor4, flip4):
+    # one triple at a time, and every candidate of a pair as one stack
     checked = 0
     for H, I in _oracle_pairs(Z2, Z3, Z4, xor4, flip4):
-        for t in _candidates(H, I):
-            add, circ = _product_tables(H, I, t)
-            assert (add.tolist(), circ.tolist()) == _loop_product_tables(H, I, t)
+        candidates = _candidates(H, I)
+        adds, circs = _product_tables(H, I, candidates)
+        assert adds.shape == circs.shape == (len(candidates), H.n * I.n, H.n * I.n)
+        for t, stacked in zip(candidates, zip(adds.tolist(), circs.tolist())):
+            add, circ = _product_tables(H, I, [t])
+            expected = _loop_product_tables(H, I, t)
+            assert (add[0].tolist(), circ[0].tolist()) == stacked == expected
             checked += 1
         for t in enumerate_split_triples(H, I):
             E = semidirect_product(H, I, t)
@@ -460,7 +465,7 @@ def test_compat_on_lifts_matches_every_x1(Z2, Z3, Z4, xor4, flip4):
 
 def _validates(H, I, t):
     try:
-        validate_brace(*_product_tables(H, I, t))
+        validate_brace(*(table[0] for table in _product_tables(H, I, [t])))
         return True
     except ValidationError:
         return False
@@ -483,11 +488,10 @@ def _products_are_braces(H, I, nus, mus, sigmas):
     sigma) alone, so each goes through validate_group once; the brace
     axiom is then decided for the stack of circle tables that are groups
     against each additive group, on the cells validate_brace reads."""
-    adds = [_group_or_none(_product_tables(H, I, ActionTriple(nus[0], mu, sigmas[0]))[0])
-            for mu in mus]
+    adds = [_group_or_none(add) for add in
+            _product_tables(H, I, [ActionTriple(nus[0], mu, sigmas[0]) for mu in mus])[0]]
     pairs = list(itertools.product(nus, sigmas))
-    circs = np.array([_product_tables(H, I, ActionTriple(nu, mus[0], sigma))[1]
-                      for nu, sigma in pairs])
+    circs = _product_tables(H, I, [ActionTriple(nu, mus[0], sigma) for nu, sigma in pairs])[1]
     groups = np.flatnonzero([_group_or_none(c) is not None for c in circs])
     ok = np.zeros((len(mus), len(pairs)), dtype=bool)
     for j, add in enumerate(adds):

@@ -607,6 +607,27 @@ def test_derivation_law_rejects_tampered_omega(carry_ext):
     assert _derivation_law_loop(C, tampered, _oracle_group(carry_ext, grp), elems) is False
 
 
+def test_exact_sequence_shares_its_h2(split_ext, z4_ext, count_calls):
+    # a groups mapping given to the check is read and filled under h2N's
+    # arguments, and the report is the one without it; the check reads the
+    # representatives' rows only, so their pairs are never listed
+    built = count_calls(h2N)
+    for ext in (split_ext, z4_ext):
+        groups: dict = {}
+        built["calls"] = 0
+        first = verify_exact_sequence(ext, groups)
+        again = verify_exact_sequence(ext, groups)
+        assert built["calls"] == 1
+        (key, grp), = groups.items()
+        I_res, chi_res, _ = restrict_action(ext.I, extract_triplet(ext).chi)
+        assert key == (ext.H, I_res, chi_res)
+        assert "representatives" not in vars(grp)
+        assert first == again == verify_exact_sequence(ext)
+        assert built["calls"] == 2
+        reps = grp.representatives
+        assert grp.representatives is reps and len(reps) == grp.order == first["h2_order"]
+
+
 def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, neg_ext, count_calls,
                                     monkeypatch):
     laws = []
