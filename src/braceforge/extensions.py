@@ -37,12 +37,14 @@ lookup compares keys.  triplets_equivalent finds one twist between two
 given triplets, for extensions_equivalent.
 
 Classification searches one labelled brace per orbit of brace tables
-under the 0-fixing relabellings (_brace_orbits) and reads every other
-copy off the orbit: a class's size is its member count on the
-representative times the orbit's copy count, and its first member lies
-on the representative, the copy with the least table indices
-(_class_heads).  Only ext_classes and enumerate_all_extensions, which
-return extensions on every copy, carry them there.
+under the 0-fixing relabellings (_brace_orbits reads the orbits off the
+relabelling index built with the stack of group tables), searches each
+ideal image there once, and reads every other copy off the orbit: a
+class's size is its member count on the representative times the
+orbit's copy count, and its first member lies on the representative,
+the copy with the least table indices (_class_heads).  Only ext_classes
+and enumerate_all_extensions, which return extensions on every copy,
+carry them there.
 
 Pair encoding follows the split module: (h, y) -> h * |I| + y.
 """
@@ -76,11 +78,9 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    _group_table_stack,
+    _group_table_index,
     _homomorphisms,
     _order_matched,
-    _relabel_stack,
-    _zero_fixing_perms,
     automorphism_group,
     compose,
     equal_mod,
@@ -424,15 +424,22 @@ def couplings_classwise_equal(coup: Coupling, chi1: ActionTriple, chi2: ActionTr
     )
 
 
+def _twist_at(I: SkewBrace, chi: ActionTriple, h: int, y: int) -> tuple:
+    """(nu_h, mu_h, sigma_h) of the action extracted from a section shifted
+    by y at h; they depend on the shift at h alone."""
+    if not y:  # a twist by 0 leaves the 0-fixing members as they are
+        return chi.nu[h], chi.mu[h], chi.sigma[h]
+    return (compose(chi.nu[h], I.lam(y)),
+            compose(inner_automorphism(I.add, chi.nu[h][I.add.inv[y]]), chi.mu[h]),
+            compose(inner_automorphism(I.circ, I.circ.inv[y]), chi.sigma[h]))
+
+
 def twist_action(I: SkewBrace, chi: ActionTriple, theta: Sequence[int]) -> ActionTriple:
     """The action extracted from the theta-shifted section s'(h) = s(h) o theta(h)."""
     nu, mu, sigma = list(chi.nu), list(chi.mu), list(chi.sigma)
-    for h in range(len(nu)):
-        y = theta[h]
-        if y:  # a twist by 0 leaves the 0-fixing members as they are
-            nu[h] = compose(chi.nu[h], I.lam(y))
-            mu[h] = compose(inner_automorphism(I.add, chi.nu[h][I.add.inv[y]]), chi.mu[h])
-            sigma[h] = compose(inner_automorphism(I.circ, I.circ.inv[y]), chi.sigma[h])
+    for h, y in enumerate(theta):
+        if y:
+            nu[h], mu[h], sigma[h] = _twist_at(I, chi, h, y)
     return ActionTriple(tuple(nu), tuple(mu), tuple(sigma))
 
 
@@ -537,10 +544,22 @@ def _class_key(H: SkewBrace, I: SkewBrace, t: Triplet) -> Triplet:
     of t are its class, and two valid triplets are equivalent exactly when
     their keys are equal.  sort_key compares chi first, so key.chi is the
     least twist of t.chi: two keys have equal chi exactly when the actions
-    are related (couplings_related), and key.chi names the coupling."""
+    are related (couplings_related), and key.chi names the coupling.
+
+    The members of a twisted chi at h depend on theta(h) alone, so the
+    least chi is the least (nu_h, mu_h, sigma_h) taken at each h
+    separately, and only the theta in the product of the per-h argmin sets
+    have their cocycles twisted.  The minimum over every twisted triplet is
+    kept as the oracle _class_key_every_twist in tests/test_cohomology.py."""
     budget_mod.guard(I.n ** (H.n - 1), "class key")
-    return min((twist_triplet(H, I, t, (0,) + tail)
-                for tail in itertools.product(range(I.n), repeat=H.n - 1)),
+    least, argmins = [_twist_at(I, t.chi, 0, 0)], [(0,)]
+    for h in range(1, H.n):
+        members = [_twist_at(I, t.chi, h, y) for y in range(I.n)]
+        least.append(min(members))
+        argmins.append(tuple(y for y, m in enumerate(members) if m == least[-1]))
+    chi = ActionTriple(*zip(*least))
+    return min((Triplet(chi, *twist_cocycle(H, I, t, theta))
+                for theta in itertools.product(*argmins)),
                key=Triplet.sort_key)
 
 
@@ -601,22 +620,45 @@ def _quotient_by_ideal(E: SkewBrace, kernel: frozenset) -> tuple:
     return SkewBrace(FiniteGroup(add), FiniteGroup(circ)), tuple(labels)
 
 
-def _brace_orbits(stack: np.ndarray, group) -> list:
-    """The brace tables over the group tables `stack`, split into orbits
+def _projections(E: SkewBrace, H: SkewBrace, kernel: frozenset, auts_H: list) -> list:
+    """Every surjective brace hom E -> H with kernel `kernel`, as proj
+    tuples: the quotient map followed by an isomorphism of the quotient
+    onto H and each automorphism of H in `auts_H`, in that order; [] when
+    `kernel` is not an ideal or the quotient is not isomorphic to H."""
+    try:
+        if not is_ideal(E, kernel):
+            return []
+    except ValidationError:
+        return []
+    Q, labels = _quotient_by_ideal(E, kernel)
+    iso = find_brace_isomorphism(Q, H)
+    if iso is None:
+        return []
+    base = tuple(iso[labels[x]] for x in range(E.n))
+    return [tuple(a[hx] for hx in base) for a in auts_H]
+
+
+def _brace_orbits(index: tuple, group) -> list:
+    """The brace tables over the group tables of `index`, split into orbits
     under relabelling, as (representative, copies).
 
-    `stack` is every group table of one order (groups._group_table_stack)
-    and `group(k)` the FiniteGroup of table k, asked for only for the
-    tables of representatives.  Accepted (add, circ) pairs are visited in
-    order; the first pair of each orbit is its representative brace.  Both
-    its tables are relabelled by every 0-fixing permutation p in one
-    gather (_relabel_stack), and each image is looked up in `stack` by its
-    bytes.  copies holds one (perm index, add index, circ index) per
-    labelled copy, indices into _zero_fixing_perms and `stack`, the
-    representative first under the identity; no brace is built for a copy.
-    The representative is the copy with the least (add index, circ index):
-    its additive table is the first of its relabelling class, and every
-    copy over that table is a pair accepted over it.
+    `index` is (stack, perms, where, home) of groups._group_table_index:
+    every group table of one order with its relabelling index, and
+    `group(k)` the FiniteGroup of table k, asked for only for the tables of
+    representatives.  Accepted (add, circ) pairs are visited in order; the
+    first pair of each orbit is its representative brace.  The images of
+    both its tables under every 0-fixing permutation q are read off the
+    index: table k = G_g relabelled by perms[p], (g, p) = home[k], goes to
+    where[g, rank of perms[q] o perms[p]], the rank found by np.searchsorted
+    on the base-n codes of perms, which increase in lex order.  copies
+    holds one (perm index, add index, circ index) per labelled copy,
+    indices into perms and the stack, the representative first under the
+    identity; no brace is built for a copy.  The representative is the
+    copy with the least (add index, circ index): its additive table is the
+    first of its relabelling class, and every copy over that table is a
+    pair accepted over it.  An index that does not round-trip (some
+    where[home[k]] != k, or a stack position without a home) raises
+    InternalInconsistency.
 
     The brace axiom (_brace_axiom_holds) runs only for the first additive
     table of each relabelling class: a relabelling p of a brace is a
@@ -624,25 +666,28 @@ def _brace_orbits(stack: np.ndarray, group) -> list:
     those accepted over add, and the orbits of the latter have already
     put them in `seen`.  Their count, the accepted count of the first
     table times the number of its distinct relabellings, is checked
-    against `seen`.  The axiom pass over every additive table is kept as
-    the oracle _brace_orbits_every_table in tests/test_extensions.py."""
-    n = stack.shape[1]
-    index = {t.tobytes(): k for k, t in enumerate(stack)}
-    perms = _zero_fixing_perms(n)
+    against `seen`.  The relabel-and-hash pass over every additive table
+    is kept as the oracle _brace_orbits_every_table in
+    tests/test_extensions.py."""
+    stack, perms, where, home = index
+    m, n = len(stack), stack.shape[1]
+    if (len(home) != m or where.min() < 0 or where.max() >= m
+            or (where[home[:, 0], home[:, 1]] != np.arange(m)).any()):
+        raise InternalInconsistency(
+            f"the relabelling index of the {m} group tables of order {n} does not round-trip"
+        )
+    weights = n ** np.arange(n - 1, -1, -1)
+    codes = perms @ weights
 
     def images(k: int) -> list:
-        try:
-            return [index[t.tobytes()] for t in _relabel_stack(stack[k], perms)]
-        except KeyError:
-            raise InternalInconsistency(
-                f"a relabelled group table of order {n} is not among the given tables"
-            ) from None
+        g, p = home[k]
+        return where[g, np.searchsorted(codes, perms[:, perms[p]] @ weights)].tolist()
 
     accepted = 0
     covered: set = set()
     seen: set = set()
     orbits = []
-    for i in range(len(stack)):
+    for i in range(m):
         if i in covered:
             continue
         add_images = images(i)
@@ -670,16 +715,21 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> tuple:
     (found, copies) per orbit of brace tables (see _brace_orbits) that
     carries any, found being the extensions on the representative.
 
-    The tables of groups._group_table_stack are relabellings of groups and
+    The stack and its relabelling index come from one call of
+    groups._group_table_index.  Its tables are relabellings of groups and
     are wrapped as FiniteGroup without validate_group, each on first use;
     test_all_group_tables_are_groups in tests/test_extensions.py validates
     every one of them at each order n <= 7.
 
     Only the representative is searched, through its monomorphisms with
     ideal image, the quotient by that image and every isomorphism of the
-    quotient onto H.  carry(copy, exts) carries extensions on the
-    representative to a copy: its relabelling p is a brace isomorphism
-    onto the copy, so it carries each (inj, proj) to (p o inj, proj o p^-1).
+    quotient onto H.  The monomorphisms that differ by an automorphism of I
+    share their image, so the ideal test, the quotient, the isomorphism
+    search and the projections run once per distinct image (_projections),
+    and the extensions are appended in monomorphism order.  carry(copy,
+    exts) carries extensions on the representative to a copy: its
+    relabelling p is a brace isomorphism onto the copy, so it carries each
+    (inj, proj) to (p o inj, proj o p^-1).
 
     The extensions found are built as Extension without validate_extension:
     inj is a brace monomorphism whose image is an ideal, and proj, the
@@ -687,12 +737,12 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> tuple:
     automorphism of H, is a surjective brace homomorphism with that ideal
     as kernel.  test_extension_orbits_are_valid in
     tests/test_extensions.py validates every quotient and extension."""
-    n = H.n * I.n
-    stack = _group_table_stack(n)
+    index = _group_table_index(H.n * I.n)
+    stack = index[0]
     budget_mod.guard(len(stack) * len(stack), "enumerate_all_extensions")
     auts_H = sorted(brace_automorphisms(H))
     group = functools.cache(lambda k: FiniteGroup(stack[k]))
-    perms = _zero_fixing_perms(n).tolist()
+    perms = index[1].tolist()
 
     def carry(copy: tuple, exts: list) -> list:
         q, a, c = copy
@@ -704,23 +754,14 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> tuple:
                           tuple(ext.proj[x] for x in p_inv)) for ext in exts]
 
     orbits = []
-    for E, copies in _brace_orbits(stack, group):
+    for E, copies in _brace_orbits(index, group):
         found = []
+        projs: dict = {}
         for inj in _brace_monos(I, E):
             image = frozenset(inj)
-            try:
-                if not is_ideal(E, image):
-                    continue
-            except ValidationError:
-                continue
-            Q, labels = _quotient_by_ideal(E, image)
-            iso = find_brace_isomorphism(Q, H)
-            if iso is None:
-                continue
-            base = tuple(iso[labels[x]] for x in range(E.n))
-            for a in auts_H:
-                proj = tuple(a[hx] for hx in base)
-                found.append(Extension(E, H, I, inj, proj))
+            if image not in projs:
+                projs[image] = _projections(E, H, image, auts_H)
+            found += [Extension(E, H, I, inj, proj) for proj in projs[image]]
         if found:
             orbits.append((found, copies))
     return carry, orbits
@@ -736,11 +777,12 @@ def enumerate_all_extensions(H: SkewBrace, I: SkewBrace) -> list:
     of every circle table at once, on the cells with b in a generating set
     of (E, +) (_brace_axiom_holds), for one additive table per relabelling
     class (_brace_orbits).  The search runs on one representative per
-    orbit of brace tables under the 0-fixing relabellings; a relabelling
-    is an isomorphism onto the copy, so it carries the representative's
-    extensions to every other copy (_extension_orbits).  The per-brace
-    loop over every labelled table is kept as the oracle enumerate_pairwise
-    in tests/test_extensions.py."""
+    orbit of brace tables under the 0-fixing relabellings, read off the
+    relabelling index the stack is built with, and searches each ideal
+    image once; a relabelling is an isomorphism onto the copy, so it
+    carries the representative's extensions to every other copy
+    (_extension_orbits).  The per-brace loop over every labelled table is
+    kept as the oracle enumerate_pairwise in tests/test_extensions.py."""
     carry, orbits = _extension_orbits(H, I)
     out = [ext for found, copies in orbits for copy in copies for ext in carry(copy, found)]
     out.sort(key=Extension.sort_key)

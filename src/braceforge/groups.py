@@ -55,8 +55,11 @@ are in BENCH_generator_homs.json.
 Every other homomorphism question in the package is this test on a
 given map, _respects: is_automorphism, BraceHom.is_valid and the engine's
 check of a total map's other operations.  Likewise one numpy gather,
-_relabel_stack, renames every table; relabel_table is its one-permutation
-case.
+_relabel_stack, renames every table: relabel_table is its one-permutation
+case, split relabels its product stacks with it, and _group_table_index
+calls it once per standard group to build the stack of all group tables
+of an order together with its relabelling index, from which
+extensions._brace_orbits reads every other relabelling without a gather.
 """
 
 from __future__ import annotations
@@ -752,22 +755,40 @@ def _relabel_stack(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return perms[rows, table[cells] if table.ndim == 2 else table[(rows,) + cells]]
 
 
-def _group_table_stack(n: int) -> np.ndarray:
-    """Every Cayley table on 0..n-1 with identity 0 (n <= 7), as one
-    (m, n, n) integer stack in lexicographic order: the relabellings of
-    the standard groups by every 0-fixing permutation, lex-sorted with
-    np.lexsort, with adjacent repeats dropped.  The order bound of
+def _group_table_index(n: int) -> tuple:
+    """(stack, perms, where, home): every Cayley table on 0..n-1 with
+    identity 0 (n <= 7) as one (m, n, n) integer stack in lexicographic
+    order, with its relabelling index.  The order bound of
     standard_groups_of_order is met before the (n-1)! permutations are
-    built."""
+    built.
+
+    The stack is the relabellings of the standard groups G_g by every row
+    of perms = _zero_fixing_perms(n), lex-sorted with np.lexsort, with
+    adjacent repeats dropped.  where[g, q] is the stack position of G_g
+    relabelled by perms[q], and home[k] = (g, p) the first such pair that
+    gives table k, so where[home[k]] == k.  Relabelling table k by
+    perms[q] gives G_g relabelled by perms[q] o perms[p], which is stack
+    position where[g, rank of that permutation among perms]: the images of
+    a table are read off the index, without a gather."""
     groups = standard_groups_of_order(n)
     perms = _zero_fixing_perms(n)
     flat = np.concatenate(
         [_relabel_stack(G.np_table, perms) for G in groups]
     ).reshape(-1, n * n)
-    flat = flat[np.lexsort(flat.T[::-1])]
+    order = np.lexsort(flat.T[::-1])
+    flat = flat[order]
     keep = np.ones(len(flat), dtype=bool)
     keep[1:] = (flat[1:] != flat[:-1]).any(axis=1)
-    return flat[keep].reshape(-1, n, n)
+    where = np.empty(len(flat), dtype=np.int64)
+    where[order] = np.cumsum(keep) - 1
+    home = np.stack(np.divmod(order[keep], len(perms)), axis=1)
+    return flat[keep].reshape(-1, n, n), perms, where.reshape(len(groups), -1), home
+
+
+def _group_table_stack(n: int) -> np.ndarray:
+    """The stack of _group_table_index: every Cayley table on 0..n-1 with
+    identity 0 (n <= 7), as one (m, n, n) integer stack in lex order."""
+    return _group_table_index(n)[0]
 
 
 def all_group_tables(n: int) -> list:

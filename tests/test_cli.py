@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import braceforge
-from braceforge import catalog, cli, cohomology, extensions, split, wells
+from braceforge import braces, catalog, cli, cohomology, extensions, groups, split, wells
 from braceforge.braces import trivial_brace
 from braceforge.cli import main
 from braceforge.cohomology import h2N
@@ -254,6 +254,35 @@ def test_classify_ext_builds_no_labelled_copy(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (report["total_extensions"], report["total_classes"]) == (560, 6)
     assert built["calls"] <= 20
+
+
+def test_classify_ext_relabels_once_and_searches_each_ideal_once(
+        tmp_path, capsys, count_calls, monkeypatch):
+    # the stack builder relabels each of the two standard groups of order
+    # 6 once and the orbits read every other relabelling off its index; the
+    # 12 monomorphisms found on the representatives have 6 images, and
+    # each image gets one ideal test, quotient and isomorphism search
+    relabelled = count_calls(groups._relabel_stack)
+    ideal = count_calls(braces.is_ideal)
+    quotient = count_calls(extensions._quotient_by_ideal)
+    iso = count_calls(braces.find_brace_isomorphism)
+    monos, images = extensions._brace_monos, []
+
+    def recorded(I, E):
+        found = monos(I, E)
+        images.extend((E, frozenset(inj)) for inj in found)
+        return found
+
+    monkeypatch.setattr(extensions, "_brace_monos", recorded)
+    z2, z3 = (_write(tmp_path, f"z{n}.json", catalog.brace_payload(trivial_brace(cyclic_group(n))))
+              for n in (2, 3))
+    code, report, _ = _run(capsys, ["classify-ext", z2, z3])
+    assert code == 0 and report["total_extensions"] == 560
+    counts = (relabelled["calls"], ideal["calls"], quotient["calls"], iso["calls"])
+    distinct = {(E.add.table, E.circ.table, image): (E, image) for E, image in images}
+    ideals = sum(braces.is_ideal(E, image) for E, image in distinct.values())
+    assert counts == (2, len(distinct), ideals, ideals)
+    assert (len(images), len(distinct), ideals) == (12, 6, 6)
 
 
 def test_selftest_computes_each_h2_once(capsys, count_calls):

@@ -9,6 +9,7 @@ kept here as oracles, and the two routes are compared member by member."""
 
 import itertools
 import random
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ from braceforge.extensions import (
     h2_alpha,
     is_valid_triplet,
     triplets_equivalent,
+    twist_triplet,
     z2_alpha,
     zero_triplet,
 )
@@ -604,10 +606,39 @@ def _assert_rows_match_pairwise(H, I, grp, elems, class_triplets) -> int:
     return grp.order
 
 
-def test_class_key_matches_pairwise(Z2, Z3, flip4, xor4):
+def _class_key_every_twist(H, I, t):
+    """Oracle for _class_key: the least of every twisted triplet."""
+    return min((twist_triplet(H, I, t, (0,) + tail)
+                for tail in itertools.product(range(I.n), repeat=H.n - 1)),
+               key=Triplet.sort_key)
+
+
+def _recorded_class_keys(monkeypatch) -> dict:
+    """Rebind _class_key in every loaded braceforge module and in this
+    module to a wrapper that asserts each key equal to the oracle's and
+    records each distinct (H, I, t) with its key."""
+    keyed, calls = _class_key, {}
+
+    def recorded(H, I, t):
+        if (H, I, t) not in calls:
+            calls[(H, I, t)] = keyed(H, I, t)
+            assert calls[(H, I, t)] == _class_key_every_twist(H, I, t)
+        return calls[(H, I, t)]
+
+    for name, mod in list(sys.modules.items()):
+        if name == "braceforge" or name.startswith("braceforge.") or mod is sys.modules[__name__]:
+            for attr, val in list(vars(mod).items()):
+                if val is keyed:
+                    monkeypatch.setattr(mod, attr, recorded)
+    return calls
+
+
+def test_class_key_matches_pairwise(Z2, Z3, flip4, xor4, monkeypatch):
     # ext_classes and verify_free_transitive: the keyed partition of each
     # orbit's extensions equals the first-fit one, and the keyed action rows
-    # equal the pairwise ones
+    # equal the pairwise ones; every key asked for on the way, per-h argmin
+    # twists only, is the least of all twists
+    keys_asked = _recorded_class_keys(monkeypatch)
     rows = 0
     for H, I in ((Z2, Z2), (Z2, Z3), (Z3, Z2)):
         _, orbits = _extension_orbits(H, I)
@@ -643,6 +674,22 @@ def test_class_key_matches_pairwise(Z2, Z3, flip4, xor4):
             for t2, k2 in zip(triplets, keys):
                 assert (k1 == k2) == (triplets_equivalent(Z2, I, t1, t2) is not None)
                 assert (k1.chi == k2.chi) == (_first_witnesses(I, t1.chi, t2.chi) is not None)
+    # 52 of the 104 distinct inputs are not their own key, so a key that
+    # skipped the twist would fail here
+    twisted = sum(t != key for (_, _, t), key in keys_asked.items())
+    assert (len(keys_asked), twisted) == (104, 52)
+
+
+def test_quotient_route_class_keys_match_every_twist(Z2, Z3, monkeypatch):
+    # every triplet the quotient route keys, class heads included; each of
+    # the 11 distinct canonical triplets found on a representative is
+    # already its own key, which is why the classification tests alone
+    # cannot tell a key from none (test_class_key_matches_pairwise can)
+    keys_asked = _recorded_class_keys(monkeypatch)
+    for H, I in ((Z2, Z2), (Z2, Z3), (Z3, Z2)):
+        _class_heads(H, I)
+    twisted = sum(t != key for (_, _, t), key in keys_asked.items())
+    assert (len(keys_asked), twisted) == (11, 0)
 
 
 def test_coboundary_pair_is_the_twist_of_the_zero_pair():

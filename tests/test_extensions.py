@@ -65,7 +65,9 @@ from braceforge.extensions import (
     zero_triplet,
 )
 from braceforge.groups import (
-    _group_table_stack,
+    _group_table_index,
+    _relabel_stack,
+    _zero_fixing_perms,
     all_group_tables,
     compose,
     cyclic_group,
@@ -75,6 +77,7 @@ from braceforge.groups import (
     inner_automorphism,
     invert_perm,
     relabel_table,
+    standard_groups_of_order,
     validate_group,
 )
 from braceforge.split import (
@@ -652,14 +655,21 @@ def _validated(stack):
     return lambda k: validate_group(stack[k].tolist())
 
 
-def _index_orbits(stack):
-    return extensions_mod._brace_orbits(stack, _validated(stack))
+def _index_orbits(index):
+    return extensions_mod._brace_orbits(index, _validated(index[0]))
+
+
+def _unreachable(index, k):
+    """The relabelling index with stack position k dropped from the stack
+    and from home: the later positions no longer round-trip."""
+    stack, perms, where, home = index
+    return np.delete(stack, k, axis=0), perms, where, np.delete(home, k, axis=0)
 
 
 def _index_orbit_tables(stack, orbits):
     """The (permutation, add table, circ table) of each copy of index-form
     orbits (_brace_orbits), as _orbit_tables gives them for the oracle."""
-    perms = [tuple(p) for p in extensions_mod._zero_fixing_perms(stack.shape[1]).tolist()]
+    perms = [tuple(p) for p in _zero_fixing_perms(stack.shape[1]).tolist()]
     tables = [tuple(map(tuple, t)) for t in stack.tolist()]
     return [[(perms[q], tables[a], tables[c]) for q, a, c in copies] for _, copies in orbits]
 
@@ -668,8 +678,9 @@ def test_brace_orbits_census(pairwise_braces):
     # skew braces up to isomorphism (Guarnieri-Vendramin, Math. Comp. 86)
     census = []
     for n in range(1, 8):
-        stack = _group_table_stack(n)
-        orbits = _index_orbits(stack)
+        index = _group_table_index(n)
+        stack = index[0]
+        orbits = _index_orbits(index)
         census.append(len(orbits))
         if n > 6:
             continue
@@ -687,10 +698,10 @@ def test_brace_orbits_census(pairwise_braces):
                 assert add == rep.add.relabel(p).table and circ == rep.circ.relabel(p).table
     assert census == [1, 1, 1, 4, 1, 6, 1]
     assert len(pairwise_braces(6)) == 280
-    # every relabelled table must be among the given ones
-    six = np.delete(_group_table_stack(6), 1, axis=0)
+    # every relabelled table must be among the given ones: an index whose
+    # stack lacks table 1 does not round-trip
     with pytest.raises(InternalInconsistency):
-        _index_orbits(six)
+        _index_orbits(_unreachable(_group_table_index(6), 1))
 
 
 def _brace_orbits_every_table(groups):
@@ -698,12 +709,12 @@ def _brace_orbits_every_table(groups):
     table, not one per relabelling class; pairs already in an orbit are
     skipped, and the accepted count is the plain sum over all tables."""
     index = {G.np_table.tobytes(): k for k, G in enumerate(groups)}
-    perms = extensions_mod._zero_fixing_perms(groups[0].n)
+    perms = _zero_fixing_perms(groups[0].n)
     circs = np.stack([G.np_table for G in groups])
 
     def images(G):
         try:
-            return [index[t.tobytes()] for t in extensions_mod._relabel_stack(G.np_table, perms)]
+            return [index[t.tobytes()] for t in _relabel_stack(G.np_table, perms)]
         except KeyError:
             raise InternalInconsistency(
                 f"a relabelled group table of order {G.n} is not among the given tables"
@@ -735,26 +746,49 @@ def _orbit_tables(orbits):
 
 
 def test_brace_orbits_match_every_table_pass():
-    # one axiom pass per additive relabelling class gives the orbits, their
-    # order and every (permutation, brace) entry of the per-table pass
+    # the stack comes with its relabelling index: where[g] holds the stack
+    # positions of standard group g relabelled by every 0-fixing
+    # permutation, home[k] one (g, p) landing on table k; one axiom pass
+    # per additive relabelling class, read off the index, gives the orbits,
+    # their order and every (permutation, brace) entry of the per-table
+    # relabel-and-hash pass
     for n in range(1, 8):
-        stack = _group_table_stack(n)
+        stack, perms, where, home = index = _group_table_index(n)
+        assert (perms == _zero_fixing_perms(n)).all()
+        for g, G in enumerate(standard_groups_of_order(n)):
+            assert (stack[where[g]] == _relabel_stack(G.np_table, perms)).all()
+        assert (where[home[:, 0], home[:, 1]] == np.arange(len(stack))).all()
         groups = [validate_group(t) for t in all_group_tables(n)]
-        got = _index_orbit_tables(stack, _index_orbits(stack))
+        got = _index_orbit_tables(stack, _index_orbits(index))
         assert got == _orbit_tables(_brace_orbits_every_table(groups))
+    # both refuse a stack that lacks table 1 of order 6: the index no
+    # longer round-trips, and the oracle finds a relabelled table missing
     six = [validate_group(t) for t in all_group_tables(6)]
-    with pytest.raises(InternalInconsistency) as fast:
-        _index_orbits(np.delete(_group_table_stack(6), 1, axis=0))
-    with pytest.raises(InternalInconsistency) as slow:
+    with pytest.raises(InternalInconsistency, match="order 6 does not round-trip"):
+        _index_orbits(_unreachable(_group_table_index(6), 1))
+    with pytest.raises(InternalInconsistency, match="order 6 is not among"):
         _brace_orbits_every_table(six[:1] + six[2:])
-    assert str(fast.value) == str(slow.value)
+    # the index is refused as well for a home that lands on another table,
+    # a stack position that no relabelling reaches, a relabelling that
+    # lands outside the stack and a table without a home
+    stack, perms, where, home = _group_table_index(6)
+    swapped = home.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    unreached = np.where(where == 5, 4, where)
+    outside = where.copy()
+    outside[0, -1] = len(stack)
+    extra = np.concatenate([stack, stack[:1]]), perms, where, home
+    for bad in ((stack, perms, where, swapped), (stack, perms, unreached, home),
+                (stack, perms, outside, home), extra):
+        with pytest.raises(InternalInconsistency, match="does not round-trip"):
+            _index_orbits(bad)
 
 
 def test_brace_orbits_decide_the_axiom_once_per_additive_class(count_calls):
     # order 6 has two additive relabelling classes (Z6 and S3) among its 80
     # tables; the per-table pass ran the axiom 80 times
     checked = count_calls(braces_mod._brace_axiom_holds)
-    _index_orbits(_group_table_stack(6))
+    _index_orbits(_group_table_index(6))
     assert checked["calls"] == 2
 
 
@@ -803,7 +837,7 @@ def test_brace_monos_match_closure_oracle(Z2, Z3, monkeypatch):
     searches = _engine_against_oracle(monkeypatch)
     ext_classes(Z2, Z3)
     assert searches == {
-        "brace monomorphisms": 6, "brace_automorphisms": 1, "find_brace_isomorphism": 12}
+        "brace monomorphisms": 6, "brace_automorphisms": 1, "find_brace_isomorphism": 6}
 
 
 def _relabelled_brace(B, p):
