@@ -223,21 +223,6 @@ def _parent_residual_stack(
     return Ia[Ineg[rhs], lhs].reshape(len(beta), H.n ** 3)
 
 
-def component_law_witness(
-    op_table: Sequence[Sequence[int]],
-    I: SkewBrace,
-    act: Sequence[Sequence[int]],
-    tab: Sequence[Sequence[int]],
-) -> Optional[tuple]:
-    """First (h1, h2, h3) violating the component cocycle law, or None:
-    the first nonzero cell of _component_law_residual."""
-    res = _component_law_residual(op_table, I, act, np.asarray(tab)[None])[0]
-    bad = np.flatnonzero(res)
-    if not len(bad):
-        return None
-    return tuple(int(h) for h in np.unravel_index(bad[0], res.shape))
-
-
 # --- integer linear algebra ----------------------------------------------------
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -914,9 +899,9 @@ def h2_act_triplet(H: SkewBrace, I: SkewBrace, pair: CocyclePair, t: Triplet) ->
                         h2=b,
                         value=tab[a][b],
                     )
-    if component_law_witness(H.add.table, I, t.chi.mu, pair.g) is not None:
+    if _component_law_residual(H.add.table, I, t.chi.mu, np.asarray(pair.g)[None]).any():
         raise ValidationError("g fails the additive cocycle law for this action")
-    if component_law_witness(H.circ.table, I, t.chi.sigma, pair.f) is not None:
+    if _component_law_residual(H.circ.table, I, t.chi.sigma, np.asarray(pair.f)[None]).any():
         raise ValidationError("f fails the multiplicative cocycle law for this action")
     return _shift(H, I, pair, t)
 

@@ -168,13 +168,6 @@ def validate_extension(E: SkewBrace, H: SkewBrace, I: SkewBrace, inj, proj) -> E
     return Extension(E, H, I, inj, proj)
 
 
-def sections(ext: Extension) -> Iterator[tuple]:
-    """All st-sections, lazily: s(0) = 0, s(h) ranges over the fiber."""
-    fibers = [ext.fiber(h) for h in range(ext.H.n)]
-    for tail in itertools.product(*fibers[1:]):
-        yield (0,) + tail
-
-
 def canonical_section(ext: Extension) -> tuple:
     """s(h) = the least element of the fiber over h."""
     first: dict = {}

@@ -353,11 +353,16 @@ def _group_if_valid(t: np.ndarray) -> Optional[FiniteGroup]:
         return None
     # (x s) y = x (s y) for every s in a generating set (Light's test,
     # module docstring)
-    mids = list(G.generating_sequence())
-    t = t.astype(np.int32)  # halves the two temporaries
-    if not np.array_equal(t.take(t[:, mids], axis=0), t.take(t[mids], axis=1)):
+    if not np.array_equal(*_associativity_sides(t, list(G.generating_sequence()))):
         return None
     return G
+
+
+def _associativity_sides(t: np.ndarray, mids) -> tuple:
+    """(x s) y and x (s y) at [x, s, y], for every x and y and s over mids,
+    each as a (n, len(mids), n) array."""
+    t = t.astype(np.int32)  # halves the two temporaries
+    return t.take(t[:, mids], axis=0), t.take(t[mids], axis=1)
 
 
 def _group_failure(table: Sequence[Sequence[int]]) -> None:
@@ -378,9 +383,8 @@ def _group_failure(table: Sequence[Sequence[int]]) -> None:
     for a in range(n):
         if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
             raise NoInverse(f"element {a} has no two-sided inverse", a=a)
-    t = np.array(table, dtype=np.int64)
-    left = t[t, :]          # left[a,b,c]  = t[t[a,b], c]
-    right = t[:, t]         # right[a,b,c] = t[a, t[b,c]]
+    # every element as the middle: left[a, b, c] = (a b) c, right = a (b c)
+    left, right = _associativity_sides(np.array(table, dtype=np.int64), np.arange(n))
     if not np.array_equal(left, right):
         a, b, c = (int(x) for x in np.argwhere(left != right)[0])
         raise NotAssociative(

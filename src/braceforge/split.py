@@ -16,8 +16,21 @@ product lives on pairs (h, y) encoded as h * |I| + y with
 Note the mu index in the sum: it must be h2, otherwise + is not associative
 for a nontrivial anti-homomorphism mu.
 
-Deciding the compatibility equation on generators.  At (h1, h2, h3, y1,
-y2, y3) the equation is the I-component of the product's brace axiom at
+The compatibility equation.  At (h1, h2, h3, y1, y2, y3), with
+a = nu_{h1}^-1(y1) and T(h, y) = nu_{h1 o h}(sigma_h(a) o nu_h^-1(y)), the
+I-part of (h1, y1) o (h, y), it reads
+
+    T(h2 + h3, mu_{h3}(y2) + y3) = mu_m(T(h2, y2) - y1) + T(h3, y3)
+
+with m = -h1 + (h1 o h3).  That mu index is what expanding the brace axiom
+in the product forces, since the two mu factors collapse along the
+anti-homomorphism law.  The published m = -h1 + (h2 o h3) rejects valid
+data whenever mu is nontrivial; that variant is the erratum diagnostic of
+the loop oracle _loop_compat_witness in tests/test_split.py.
+_compat_cells is the one evaluator of the equation in the package.
+
+Deciding the equation on generators.  At (h1, h2, h3, y1, y2, y3) the
+equation is the I-component of the product's brace axiom at
 x1 = (h1, y1), x2 = (h2, y2), x3 = (h3, y3); the H-components agree
 because H is a brace.  Once mu is an anti-homomorphism into Aut(I, +),
 (E, +) is a group, so by the lambda-additivity lemma in the braces module
@@ -58,10 +71,9 @@ makes this exact at every order, so enumeration, validate_split_triple
 and semidirect_product take their verdicts from it alone.  Both product
 tables being groups, the brace axiom is the compatibility equation, so a
 valid triple's product is a skew brace and no product table is validated
-again.  The full (h1, h2, h3, y1, y2, y3) cube runs only for the witness
-of a triple that fails on the lifts.  The published sign variant of the
-equation is an erratum diagnostic of the loop oracle _loop_compat_witness
-in tests/test_split.py.
+again.  Only a triple that fails on the lifts gets a witness, which
+_compat_witness reads off the same evaluator run with x1 and x2 over
+every element.
 
 _triplet_tables is the one gather that fills product tables: triplet
 rebuilds use it, and a split product is its zero-cocycle case relabelled.
@@ -95,7 +107,7 @@ from .groups import (
     is_automorphism,
 )
 
-# Cap on the cells of one batch temporary in _compat_on_lifts: 128 KiB, far
+# Cap on the cells of one batch temporary in _compat_cells: 128 KiB, far
 # below the tens of MB the interpreter and numpy occupy, however many
 # candidates a pair has.
 _BATCH_CELLS = 1 << 14
@@ -135,84 +147,30 @@ def triple_from_tables(nu, mu, sigma) -> ActionTriple:
     )
 
 
-def _family_arrays(ts: Sequence[ActionTriple]) -> tuple:
-    """nu, mu, sigma and the inverse of each nu as (k, |H|, |I|) arrays,
-    one layer per triple of ts."""
-    fams = np.array([(t.nu, t.mu, t.sigma) for t in ts], dtype=np.intp)
-    nu, mu, sigma = fams[:, 0], fams[:, 1], fams[:, 2]
-    return nu, mu, sigma, nu.argsort(axis=2)
-
-
 def _compat_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple):
-    """First tuple violating the compatibility equation, or None.
+    """The lexicographically least (h1, h2, h3, y1, y2, y3) violating the
+    compatibility equation, or None.
 
     nu, mu and sigma must obey their (anti)hom laws, as validate_split_triple
-    checks first, so that both product tables are groups.  The operative
-    equation then holds everywhere iff it holds with (h1, y1) among the
-    lifts of the generators of (H, o) and (I, o) and (h2, y2) among the
-    lifts of the generators of (H, +) and (I, +) (module docstring), so a
-    triple that passes on the lifts returns None at once, and the witness
-    of one that fails there is the whole cube's (_compat_cube).
-    """
-    if _compat_on_lifts(H, I, [t.nu], [t.mu], [t.sigma]).all():
+    checks first, so that both product tables are groups.  The equation
+    then holds everywhere iff it holds on the lifts (module docstring), so
+    a triple that passes there returns None at once.  For one that fails,
+    _compat_cells runs with x1 = (h1, y1) over every y1, one h1 at a time,
+    and x2 over every element, n^2 |I| cells per h1; the first failing h1
+    and its first failing cell in (h2, h3, y1, y2, y3) order are the
+    witness."""
+    families = [t.nu], [t.mu], [t.sigma]
+    if _compat_on_lifts(H, I, *families).all():
         return None
-    return _compat_cube(H, I, t)
-
-
-def _compat_cube(H: SkewBrace, I: SkewBrace, t: ActionTriple):
-    """_compat_witness evaluated on the whole cube.
-
-    With a = nu_{h1}^-1(y1), the equation compared at every (h1, h2, h3,
-    y1, y2, y3) is
-
-        nu_{h1 o (h2 + h3)}(sigma_{h2 + h3}(a) o nu_{h2 + h3}^-1(mu_{h3}(y2) + y3))
-          = mu_m(nu_{h1 o h2}(sigma_{h2}(a) o nu_{h2}^-1(y2)) - y1)
-            + nu_{h1 o h3}(sigma_{h3}(a) o nu_{h3}^-1(y3))
-
-    with m = -h1 + (h1 o h3).  That mu index is what expanding the brace
-    axiom in the product forces, since the two mu factors collapse along
-    the anti-homomorphism law.  The published m = -h1 + (h2 o h3) rejects
-    valid data whenever mu is nontrivial.
-
-    h1 runs through H in order; for each, both sides are evaluated at all
-    (h2, h3, y1, y2, y3) at once as a (|H|, |H|, |I|, |I|, |I|) array, so
-    no temporary exceeds |H|^2 |I|^3 cells.  The witness is the first
-    failing cell in C order of the first failing h1: the lexicographically
-    least failing tuple.
-    """
-    Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, H.add.inv
-    Ia, Ic = I.add.np_table, I.circ.np_table
-    nh, ni, Ineg = H.n, I.n, np.array(I.add.inv, dtype=np.intp)
-    nu, mu, sigma, inv_nu = (f[0] for f in _family_arrays([t]))
-    ys = np.arange(ni)
-    # Gathers go through flat tables with precomputed offsets, so each
-    # (h2, h3, y1, y2, y3) array is built by contiguous adds and takes.
-    nu_circ = nu[:, Ic].ravel()               # nu_c(x o z) at c*ni^2 + x*ni + z
-    Ia_flat, mu_flat = Ia.ravel(), mu.ravel()
-    circ_plus = Hc[:, Ha] * ni * ni           # offset of nu_{h1 o (h2 + h3)}
-    sigma_plus = sigma[Ha] * ni               # offset of sigma_{h2 + h3}(.)
-    # nu_{h2 + h3}^-1(mu_{h3}(y2) + y3) at [h2, h3, y1, (y2, y3)]
-    inner = inv_nu[Ha[:, :, None, None], Ia[mu[:, :, None], ys]]
-    inner = np.repeat(inner.reshape(nh, nh, 1, ni * ni), ni, axis=2)
-    # nu_{h1 o h}(sigma_h(a) o nu_h^-1(y)) at [h1, h, y1, y], a = nu_{h1}^-1(y1)
-    s_a = sigma[np.arange(nh)[:, None], inv_nu[:, None, :]]
-    tail = nu_circ[(Hc[:, :, None, None] * ni + s_a[..., None]) * ni + inv_nu[:, None, :]]
-    # the tail - y1 that mu acts on, as an offset into mu[m]
-    tail_minus_y1 = Ia[tail, Ineg[:, None]]
-    # tail at [h1, h3, y1, y2, y3], offset into the row Ia[q]
-    tail_rep = np.repeat(tail, ni, axis=2).reshape(nh, nh, ni, ni, ni)
+    nh, ni = H.n, I.n
+    x2 = np.divmod(np.arange(nh * ni), ni)      # every (h2, y2), h2 first
     for h1 in range(nh):
-        lhs = nu_circ.take(
-            np.repeat(circ_plus[h1][:, :, None] + sigma_plus[:, :, inv_nu[h1]], ni * ni)
-            + inner.ravel()
-        )
-        m = Ha[Hneg[h1], Hc[h1]]                # -h1 + (h1 o h3), over h3
-        q = mu_flat.take((m * ni)[:, None, None] + tail_minus_y1[h1][:, None])
-        rhs = Ia_flat.take(np.repeat(q * ni, ni).reshape(nh, -1) + tail_rep[h1].reshape(1, -1))
-        bad = lhs != rhs.ravel()
+        x1 = (np.full(ni, h1), np.arange(ni))
+        cells = np.concatenate(list(_compat_cells(H, I, *families, x1, x2)))
+        # axes (y1, h2, y2, h3, y3) into lexicographic order
+        bad = ~cells.reshape(ni, nh, ni, nh, ni).transpose(1, 3, 0, 2, 4)
         if bad.any():
-            cell = np.unravel_index(int(bad.argmax()), (nh, nh, ni, ni, ni))
-            return (h1,) + tuple(int(v) for v in cell)
+            return (h1,) + tuple(int(v) for v in np.unravel_index(int(bad.argmax()), bad.shape))
     return None
 
 
@@ -221,24 +179,39 @@ def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray
     compatibility equation everywhere, as a boolean array of shape
     (len(nus), len(mus), len(sigmas)).
 
-    The equation of _compat_cube is evaluated with (h1, y1) among the
+    The equation is evaluated (_compat_cells) with (h1, y1) among the
     lifts of the circle generators of H and I, (h2, y2) among the lifts of
     their additive generators and every (h3, y3): |L_o| |L_+| n cells per
     candidate.  By the module docstring that decides it whenever every
     candidate obeys the three (anti)hom laws, so that both product tables
     are groups.  When H and I are both trivial there is no lift, and every
-    candidate holds.  One unit of work is a candidate and an x1 lift,
-    |L_+| n cells; units are stacked in batches of at most _BATCH_CELLS
-    cells."""
+    candidate holds."""
+    x1 = _lifts(H.circ, I.circ)
+    units = (len(nus), len(mus), len(sigmas), len(x1[0]))
+    batches = _compat_cells(H, I, nus, mus, sigmas, x1, _lifts(H.add, I.add))
+    ok = np.concatenate([np.ones(0, dtype=bool)]
+                        + [cells.reshape(len(cells), -1).all(axis=1) for cells in batches])
+    return ok.reshape(units).all(axis=-1)
+
+
+def _compat_cells(H: SkewBrace, I: SkewBrace, nus, mus, sigmas, x1, x2):
+    """The compatibility equation (module docstring) at every candidate
+    (nus[i], mus[j], sigmas[k]), x1 = (h1, y1) in the pairs x1, x2 =
+    (h2, y2) in the pairs x2 and every x3 = (h3, y3); x1 and x2 are each
+    an (h array, y array) pair.
+
+    Yields boolean arrays of shape (rows, len(x2), |H|, |I|), True where
+    the equation holds, one row per (i, j, k, x1) in C order.  Rows are
+    batched so that no batch exceeds _BATCH_CELLS cells, however many
+    candidates there are."""
     nh, ni = H.n, I.n
     Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.array(H.add.inv, dtype=np.intp)
     Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.array(I.add.inv, dtype=np.intp)
     nu, mu, sigma = (np.array(f, dtype=np.intp).reshape(-1, nh, ni) for f in (nus, mus, sigmas))
     inv_nu = nu.argsort(axis=2)
-    # x1 = (h1, y1) over the circle lifts; x2 = (h2, y2) over the additive
-    # lifts and x3 = (h3, y3) over all, on axes (lift, h3, y3)
-    x1_h, x1_y = _lifts(H.circ, I.circ)
-    h2, y2 = (v[:, None, None] for v in _lifts(H.add, I.add))
+    # x2 and x3 = (h3, y3) on axes (x2, h3, y3)
+    x1_h, x1_y = x1
+    h2, y2 = (v[:, None, None] for v in x2)
     h3, y3 = np.arange(nh)[:, None], np.arange(ni)
     p = Ha[h2, h3]                              # h2 + h3
     # Gathers go through flat tables: a family f at (c, h, y) is
@@ -247,25 +220,24 @@ def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray
     nu_circ = nu[:, :, Ic].ravel()
     Ia_f, mu_f, sigma_f, inv_f = (f.ravel() for f in (Ia, mu, sigma, inv_nu))
     units = (len(nu), len(mu), len(sigma), len(x1_h))
-    ok = np.empty(int(np.prod(units)), dtype=bool)
+    total = int(np.prod(units))
     step = max(1, _BATCH_CELLS // max(1, len(h2) * nh * ni))
-    for lo in range(0, len(ok), step):
-        # one (candidate, x1) per row, broadcast against (lift, h3, y3);
+    for lo in range(0, total, step):
+        # one (candidate, x1) per row, broadcast against (x2, h3, y3);
         # i, j, k become the row offsets of the nu, mu and sigma tables
-        rows = np.arange(lo, min(lo + step, len(ok)))
+        rows = np.arange(lo, min(lo + step, total))
         i, j, k, l1 = (u[:, None, None, None] for u in np.unravel_index(rows, units))
         i, j, k, h1, y1 = i * nh, j * nh, k * nh, x1_h[l1], x1_y[l1]
         a = inv_f[(i + h1) * ni + y1]
 
         def tail(h, y):
-            """nu_{h1 o h}(sigma_h(a) o nu_h^-1(y)), the I-part of x1 o (h, y)."""
+            """T(h, y) = nu_{h1 o h}(sigma_h(a) o nu_h^-1(y))."""
             return nu_circ.take(((i + Hc[h1, h]) * ni + sigma_f.take((k + h) * ni + a)) * ni
                                 + inv_f.take((i + h) * ni + y))
 
         lhs = tail(p, Ia_f.take(mu_f.take((j + h3) * ni + y2) * ni + y3))  # x1 o (x2 + x3)
         q = mu_f.take((j + Ha[Hneg[h1], Hc[h1, h3]]) * ni + Ia[tail(h2, y2), Ineg[y1]])
-        ok[lo:lo + step] = (lhs == Ia_f.take(q * ni + tail(h3, y3))).reshape(len(rows), -1).all(axis=1)
-    return ok.reshape(units).all(axis=-1)
+        yield lhs == Ia_f.take(q * ni + tail(h3, y3))
 
 
 def _lifts(G: FiniteGroup, K: FiniteGroup) -> tuple:
@@ -338,7 +310,9 @@ def _triplet_tables(H: SkewBrace, I: SkewBrace, chis: Sequence[ActionTriple],
     broadcast views, not gathers."""
     nh, ni = H.n, I.n
     Ia, Ic = I.add.np_table, I.circ.np_table
-    nu, mu, sigma, inv_nu = _family_arrays(chis)
+    fams = np.array([(t.nu, t.mu, t.sigma) for t in chis], dtype=np.intp)
+    nu, mu, sigma = fams[:, 0], fams[:, 1], fams[:, 2]
+    inv_nu = nu.argsort(axis=2)
     # beta(h1, h2), tau(h1, h2) at [k, h1, y1, h2, y2]
     beta, tau = (np.array(c, dtype=np.intp).reshape(-1, nh, 1, nh, 1) for c in (betas, taus))
     k = np.arange(len(chis))[:, None, None, None, None]

@@ -56,7 +56,6 @@ from braceforge.extensions import (
     h2_alpha,
     is_valid_triplet,
     section_shift_map,
-    sections,
     twist_triplet,
     triplets_equivalent,
     twist_action,
@@ -88,6 +87,13 @@ from braceforge.split import (
 )
 from test_generator_axioms import _cube_brace_axiom
 from test_groups import _engine_against_oracle
+
+
+def sections(ext: Extension) -> Iterator[tuple]:
+    """All st-sections, lazily: s(0) = 0, s(h) ranges over the fiber."""
+    fibers = [ext.fiber(h) for h in range(ext.H.n)]
+    for tail in itertools.product(*fibers[1:]):
+        yield (0,) + tail
 
 
 def perm_pow(p, k):

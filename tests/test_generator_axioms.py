@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from braceforge import catalog, groups
+from braceforge import catalog
 from braceforge.braces import SkewBrace, _axiom_sides, _brace_axiom_holds, lambda_is_hom, validate_brace
 from braceforge.errors import (
     BraceAxiomFailed,
@@ -34,7 +34,7 @@ from braceforge.groups import (
     validate_group,
 )
 from braceforge.split import ActionTriple, _candidate_families, _product_tables
-from test_groups import MALFORMED_TABLES, WELL_FORMED_TABLES
+from test_groups import MALFORMED_TABLES, WELL_FORMED_TABLES, _loop_validate_group
 
 
 def _cube_group_if_valid(t):
@@ -55,15 +55,13 @@ def _cube_group_if_valid(t):
 
 
 def _cube_validate_group(table):
-    """validate_group with associativity decided on the full cube."""
+    """validate_group with associativity decided on the full cube, and a
+    failing table's witness found by the cell-by-cell loop."""
     try:
         G = _cube_group_if_valid(np.asarray(table))
     except (ValueError, TypeError):
         G = None
-    if G is None:
-        groups._group_failure(table)
-        G = FiniteGroup(table)
-    return G
+    return _loop_validate_group(table) if G is None else G
 
 
 def _cube_brace_axiom(add, circs):

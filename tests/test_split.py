@@ -34,7 +34,6 @@ from braceforge.groups import (
 from braceforge.split import (
     ActionTriple,
     _candidate_families,
-    _compat_cube,
     _compat_on_lifts,
     _compat_witness,
     _product_tables,
@@ -392,18 +391,66 @@ def _wells_sweep_pairs(Z2, Z3, xor4, flip4):
     ]
 
 
+def _compat_cube(H, I, t):
+    """The full-cube oracle for _compat_witness: the compatibility
+    equation (split module docstring) at every (h1, h2, h3, y1, y2, y3),
+    evaluated in its own gather layout.
+
+    h1 runs through H in order; for each, both sides are evaluated at all
+    (h2, h3, y1, y2, y3) at once as a (|H|, |H|, |I|, |I|, |I|) array.  The
+    witness is the first failing cell in C order of the first failing h1:
+    the lexicographically least failing tuple."""
+    Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, H.add.inv
+    Ia, Ic = I.add.np_table, I.circ.np_table
+    nh, ni, Ineg = H.n, I.n, np.array(I.add.inv, dtype=np.intp)
+    nu, mu, sigma = (np.array(f, dtype=np.intp) for f in (t.nu, t.mu, t.sigma))
+    inv_nu = nu.argsort(axis=1)
+    ys = np.arange(ni)
+    # Gathers go through flat tables with precomputed offsets, so each
+    # (h2, h3, y1, y2, y3) array is built by contiguous adds and takes.
+    nu_circ = nu[:, Ic].ravel()               # nu_c(x o z) at c*ni^2 + x*ni + z
+    Ia_flat, mu_flat = Ia.ravel(), mu.ravel()
+    circ_plus = Hc[:, Ha] * ni * ni           # offset of nu_{h1 o (h2 + h3)}
+    sigma_plus = sigma[Ha] * ni               # offset of sigma_{h2 + h3}(.)
+    # nu_{h2 + h3}^-1(mu_{h3}(y2) + y3) at [h2, h3, y1, (y2, y3)]
+    inner = inv_nu[Ha[:, :, None, None], Ia[mu[:, :, None], ys]]
+    inner = np.repeat(inner.reshape(nh, nh, 1, ni * ni), ni, axis=2)
+    # nu_{h1 o h}(sigma_h(a) o nu_h^-1(y)) at [h1, h, y1, y], a = nu_{h1}^-1(y1)
+    s_a = sigma[np.arange(nh)[:, None], inv_nu[:, None, :]]
+    tail = nu_circ[(Hc[:, :, None, None] * ni + s_a[..., None]) * ni + inv_nu[:, None, :]]
+    # the tail - y1 that mu acts on, as an offset into mu[m]
+    tail_minus_y1 = Ia[tail, Ineg[:, None]]
+    # tail at [h1, h3, y1, y2, y3], offset into the row Ia[q]
+    tail_rep = np.repeat(tail, ni, axis=2).reshape(nh, nh, ni, ni, ni)
+    for h1 in range(nh):
+        lhs = nu_circ.take(
+            np.repeat(circ_plus[h1][:, :, None] + sigma_plus[:, :, inv_nu[h1]], ni * ni)
+            + inner.ravel()
+        )
+        m = Ha[Hneg[h1], Hc[h1]]                # -h1 + (h1 o h3), over h3
+        q = mu_flat.take((m * ni)[:, None, None] + tail_minus_y1[h1][:, None])
+        rhs = Ia_flat.take(np.repeat(q * ni, ni).reshape(nh, -1) + tail_rep[h1].reshape(1, -1))
+        bad = lhs != rhs.ravel()
+        if bad.any():
+            cell = np.unravel_index(int(bad.argmax()), (nh, nh, ni, ni, ni))
+            return (h1,) + tuple(int(v) for v in cell)
+    return None
+
+
 def test_compat_on_lifts_matches_cube(Z2, Z3, Z4, xor4, flip4):
     # deciding the equation with x2 among the lifts of the additive
-    # generators agrees with the full cube on every candidate
+    # generators agrees with the full cube on every candidate, and the
+    # witness read off the evaluator over every element is the cube's
     checked = failing = 0
     pairs = _oracle_pairs(Z2, Z3, Z4, xor4, flip4) + _wells_sweep_pairs(Z2, Z3, xor4, flip4)
     for H, I in pairs:
         families = _candidate_families(H, I)
         got = _compat_on_lifts(H, I, *families).ravel().tolist()
-        expected = [_compat_cube(H, I, t) is None for t in _candidates(H, I)]
-        assert got == expected
-        checked += len(expected)
-        failing += expected.count(False)
+        cubes = [_compat_cube(H, I, t) for t in _candidates(H, I)]
+        assert got == [w is None for w in cubes]
+        assert [_compat_witness(H, I, t) for t in _candidates(H, I)] == cubes
+        checked += len(cubes)
+        failing += got.count(False)
     assert checked > failing > 0
 
 
@@ -567,17 +614,16 @@ def test_compat_on_lifts_matches_product_validation_above_64():
 
 def test_enumeration_validates_each_table_once(count_calls, flip4):
     # the example-5 pair has 80 candidates, decided on the lifts without
-    # building or validating any product table, and no candidate runs the
-    # cube
+    # building or validating any product table, and no candidate asks
+    # for a witness
     H = catalog.example5_acting_brace()
     assert [len(f) for f in _candidate_families(H, flip4)] == [4, 2, 10]
     groups = count_calls(validate_group)
     braces = count_calls(validate_brace)
-    cubes = count_calls(_compat_cube)
     witnesses = count_calls(_compat_witness)
     assert len(enumerate_split_triples(H, flip4)) == 16
     assert groups["calls"] == 0
-    assert (braces["calls"], cubes["calls"], witnesses["calls"]) == (0, 0, 0)
+    assert (braces["calls"], witnesses["calls"]) == (0, 0)
 
 
 def _relabelled(B, p):

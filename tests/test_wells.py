@@ -27,7 +27,6 @@ from braceforge.extensions import (
     extract_action,
     extract_triplet,
     section_shift_map,
-    sections,
     validate_extension,
     zero_triplet,
 )
@@ -60,7 +59,7 @@ from braceforge.wells import (
     wells_map,
 )
 from test_cohomology import _h2N_enumerated
-from test_extensions import _extensions_equivalent_loop
+from test_extensions import _extensions_equivalent_loop, sections
 from test_groups import _closure_is_group, _engine_against_oracle, _is_group_matches_closure
 
 CARRY = ((0, 0, 0), (0, 0, 1), (0, 1, 1))
