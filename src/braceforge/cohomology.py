@@ -907,15 +907,10 @@ def h2_act_triplet(H: SkewBrace, I: SkewBrace, pair: CocyclePair, t: Triplet) ->
 
 
 def _shift(H: SkewBrace, I: SkewBrace, pair: CocyclePair, t: Triplet) -> Triplet:
-    """h2_act_triplet with no check of the pair."""
-    Ia, Ic = I.add.table, I.circ.table
-    beta = tuple(
-        tuple(Ia[pair.g[a][b]][t.beta[a][b]] for b in range(H.n)) for a in range(H.n)
-    )
-    tau = tuple(
-        tuple(Ic[pair.f[a][b]][t.tau[a][b]] for b in range(H.n)) for a in range(H.n)
-    )
-    return Triplet(t.chi, beta, tau)
+    """h2_act_triplet with no check of the pair.  On Ann(I), y o z =
+    y + lam_y(z) = y + z, so both shifts are pair_add."""
+    shifted = pair_add(I, pair, CocyclePair(t.beta, t.tau))
+    return Triplet(t.chi, shifted.g, shifted.f)
 
 
 def h2_act(H: SkewBrace, I: SkewBrace, pair: CocyclePair, ext: Extension) -> Extension:

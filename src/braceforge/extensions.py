@@ -38,13 +38,16 @@ given triplets, for extensions_equivalent.
 
 Classification searches one labelled brace per orbit of brace tables
 under the 0-fixing relabellings (_brace_orbits reads the orbits off the
-relabelling index built with the stack of group tables), searches each
-ideal image there once, and reads every other copy off the orbit: a
-class's size is its member count on the representative times the
-orbit's copy count, and its first member lies on the representative,
-the copy with the least table indices (_class_heads).  Only ext_classes
-and enumerate_all_extensions, which return extensions on every copy,
-carry them there.
+relabelling index built with the stack of group tables), and reads every
+other copy off the orbit: a class's size is its member count on the
+representative times the orbit's copy count, and its first member lies
+on the representative, the copy with the least table indices
+(_class_heads).  Both maps of an extension on the representative come
+from the one homomorphism engine: the monomorphisms of I (_brace_monos)
+and, in one search grouped by kernel, the surjective brace homs onto H
+(_brace_homs_by_kernel), paired where the image is the kernel; no
+quotient is built.  Only ext_classes and enumerate_all_extensions, which
+return extensions on every copy, carry them there.
 
 Pair encoding follows the split module: (h, y) -> h * |I| + y.
 """
@@ -63,9 +66,7 @@ from .braces import (
     BraceHom,
     SkewBrace,
     _brace_axiom_holds,
-    brace_automorphisms,
     brace_hom_ops,
-    find_brace_isomorphism,
     is_ideal,
     validate_brace,
 )
@@ -583,52 +584,32 @@ def _brace_monos(I: SkewBrace, E: SkewBrace) -> list:
     return sorted({tuple(m[y] for y in range(I.n)) for m in maps})
 
 
-def _quotient_by_ideal(E: SkewBrace, kernel: frozenset) -> tuple:
-    """(quotient brace, coset label per E-element); labels sorted by
-    minimal coset member, identity coset first.
+def _brace_homs_by_kernel(E: SkewBrace, H: SkewBrace) -> dict:
+    """Every surjective brace hom E -> H as a proj tuple, grouped by
+    kernel: {kernel: [proj, ...]}, each list in the engine's order.
 
-    kernel must be an ideal (braces.is_ideal): its additive cosets are
-    then its circle cosets and the quotient of E by it is a skew brace,
-    so the tables are wrapped without validation."""
-    reps = {}
-    labels = [None] * E.n
-    cosets = []
-    for x in range(E.n):
-        c = frozenset(E.add.table[x][k] for k in kernel)
-        key = min(c)
-        if key not in reps:
-            reps[key] = None
-            cosets.append(key)
-    cosets.sort()
-    index = {key: i for i, key in enumerate(cosets)}
-    for x in range(E.n):
-        labels[x] = index[min(E.add.table[x][k] for k in kernel)]
-    m = len(cosets)
-    add = [[0] * m for _ in range(m)]
-    circ = [[0] * m for _ in range(m)]
-    for a_key in cosets:
-        for b_key in cosets:
-            add[index[a_key]][index[b_key]] = labels[E.add.table[a_key][b_key]]
-            circ[index[a_key]][index[b_key]] = labels[E.circ.table[a_key][b_key]]
-    return SkewBrace(FiniteGroup(add), FiniteGroup(circ)), tuple(labels)
+    One run of the homomorphism engine on (E, +) under brace_hom_ops(E, H):
+    a hom sends a generator g to an element whose orders in (H, +) and
+    (H, o) divide g's in (E, +) and (E, o), so only those images are
+    tried.  The kernel of a brace hom f is an ideal: it is normal in both
+    groups, and f(lam_a(k)) = -f(a) + f(a) o f(k) = -f(a) + f(a) = 0 for k
+    in it.  So a map onto H with kernel K is the quotient map E -> E/K
+    followed by an isomorphism E/K -> H and an automorphism of H; the
+    quotient construction is the oracle _quotient_projections in
+    tests/test_extensions.py."""
+    orders = [(H.add.element_order(x), H.circ.element_order(x)) for x in range(H.n)]
 
+    def candidates(g: int) -> list:
+        a, c = E.add.element_order(g), E.circ.element_order(g)
+        return [x for x, (ha, hc) in enumerate(orders) if a % ha == 0 and c % hc == 0]
 
-def _projections(E: SkewBrace, H: SkewBrace, kernel: frozenset, auts_H: list) -> list:
-    """Every surjective brace hom E -> H with kernel `kernel`, as proj
-    tuples: the quotient map followed by an isomorphism of the quotient
-    onto H and each automorphism of H in `auts_H`, in that order; [] when
-    `kernel` is not an ideal or the quotient is not isomorphic to H."""
-    try:
-        if not is_ideal(E, kernel):
-            return []
-    except ValidationError:
-        return []
-    Q, labels = _quotient_by_ideal(E, kernel)
-    iso = find_brace_isomorphism(Q, H)
-    if iso is None:
-        return []
-    base = tuple(iso[labels[x]] for x in range(E.n))
-    return [tuple(a[hx] for hx in base) for a in auts_H]
+    maps = _homomorphisms(E.add, candidates, brace_hom_ops(E, H), 0, "brace projections")
+    out: dict = {}
+    for m in maps:
+        proj = tuple(m[x] for x in range(E.n))
+        if len(set(proj)) == H.n:
+            out.setdefault(frozenset(x for x, h in enumerate(proj) if h == 0), []).append(proj)
+    return out
 
 
 def _brace_orbits(index: tuple, group) -> list:
@@ -714,26 +695,23 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> tuple:
     test_all_group_tables_are_groups in tests/test_extensions.py validates
     every one of them at each order n <= 7.
 
-    Only the representative is searched, through its monomorphisms with
-    ideal image, the quotient by that image and every isomorphism of the
-    quotient onto H.  The monomorphisms that differ by an automorphism of I
-    share their image, so the ideal test, the quotient, the isomorphism
-    search and the projections run once per distinct image (_projections),
-    and the extensions are appended in monomorphism order.  carry(copy,
-    exts) carries extensions on the representative to a copy: its
-    relabelling p is a brace isomorphism onto the copy, so it carries each
-    (inj, proj) to (p o inj, proj o p^-1).
+    Only the representative is searched, and only when it has a
+    monomorphism from I: its extensions pair each monomorphism inj with
+    every surjective brace hom onto H whose kernel is the image of inj, all
+    found by one homomorphism search (_brace_homs_by_kernel), and are
+    appended in monomorphism order.  carry(copy, exts) carries extensions
+    on the representative to a copy: its relabelling p is a brace
+    isomorphism onto the copy, so it carries each (inj, proj) to
+    (p o inj, proj o p^-1).
 
     The extensions found are built as Extension without validate_extension:
-    inj is a brace monomorphism whose image is an ideal, and proj, the
-    quotient map followed by an isomorphism of the quotient onto H and an
-    automorphism of H, is a surjective brace homomorphism with that ideal
-    as kernel.  test_extension_orbits_are_valid in
-    tests/test_extensions.py validates every quotient and extension."""
+    inj is a brace monomorphism, and proj a surjective brace homomorphism
+    whose kernel, an ideal, is the image of inj.
+    test_extension_orbits_are_valid in tests/test_extensions.py validates
+    every projection and extension."""
     index = _group_table_index(H.n * I.n)
     stack = index[0]
     budget_mod.guard(len(stack) * len(stack), "enumerate_all_extensions")
-    auts_H = sorted(brace_automorphisms(H))
     group = functools.cache(lambda k: FiniteGroup(stack[k]))
     perms = index[1].tolist()
 
@@ -748,13 +726,12 @@ def _extension_orbits(H: SkewBrace, I: SkewBrace) -> tuple:
 
     orbits = []
     for E, copies in _brace_orbits(index, group):
-        found = []
-        projs: dict = {}
-        for inj in _brace_monos(I, E):
-            image = frozenset(inj)
-            if image not in projs:
-                projs[image] = _projections(E, H, image, auts_H)
-            found += [Extension(E, H, I, inj, proj) for proj in projs[image]]
+        monos = _brace_monos(I, E)
+        if not monos:
+            continue
+        projs = _brace_homs_by_kernel(E, H)
+        found = [Extension(E, H, I, inj, proj)
+                 for inj in monos for proj in projs.get(frozenset(inj), ())]
         if found:
             orbits.append((found, copies))
     return carry, orbits
@@ -764,18 +741,19 @@ def enumerate_all_extensions(H: SkewBrace, I: SkewBrace) -> list:
     """Every extension of H by I on the carrier 0..|H||I|-1, sorted.
 
     Brute force up to relabelling: all brace tables of the right order,
-    all embeddings of I with ideal image, all projections inducing H on
-    the quotient.  The group tables are relabellings of known groups and
-    are not validated again; the brace axiom is checked against the stack
-    of every circle table at once, on the cells with b in a generating set
-    of (E, +) (_brace_axiom_holds), for one additive table per relabelling
-    class (_brace_orbits).  The search runs on one representative per
-    orbit of brace tables under the 0-fixing relabellings, read off the
-    relabelling index the stack is built with, and searches each ideal
-    image once; a relabelling is an isomorphism onto the copy, so it
-    carries the representative's extensions to every other copy
-    (_extension_orbits).  The per-brace loop over every labelled table is
-    kept as the oracle enumerate_pairwise in tests/test_extensions.py."""
+    all embeddings of I, and all brace homs onto H whose kernel is an
+    embedding's image.  The group tables are relabellings of known groups
+    and are not validated again; the brace axiom is checked against the
+    stack of every circle table at once, on the cells with b in a
+    generating set of (E, +) (_brace_axiom_holds), for one additive table
+    per relabelling class (_brace_orbits).  The search runs on one
+    representative per orbit of brace tables under the 0-fixing
+    relabellings, read off the relabelling index the stack is built with,
+    with one search for its projections; a relabelling is an isomorphism
+    onto the copy, so it carries the representative's extensions to every
+    other copy (_extension_orbits).  The per-brace loop over every labelled
+    table, with projections built from quotients, is kept as the oracle
+    enumerate_pairwise in tests/test_extensions.py."""
     carry, orbits = _extension_orbits(H, I)
     out = [ext for found, copies in orbits for copy in copies for ext in carry(copy, found)]
     out.sort(key=Extension.sort_key)

@@ -789,16 +789,10 @@ def _group_table_index(n: int) -> tuple:
     return flat[keep].reshape(-1, n, n), perms, where.reshape(len(groups), -1), home
 
 
-def _group_table_stack(n: int) -> np.ndarray:
-    """The stack of _group_table_index: every Cayley table on 0..n-1 with
-    identity 0 (n <= 7), as one (m, n, n) integer stack in lex order."""
-    return _group_table_index(n)[0]
-
-
 def all_group_tables(n: int) -> list:
     """Every Cayley table on 0..n-1 with identity 0, as sorted table
-    tuples (n <= 7); the rows of _group_table_stack."""
-    return [tuple(map(tuple, t)) for t in _group_table_stack(n).tolist()]
+    tuples (n <= 7); the rows of the stack of _group_table_index."""
+    return [tuple(map(tuple, t)) for t in _group_table_index(n)[0].tolist()]
 
 
 _REFERENCE_GROUPS: dict = {}

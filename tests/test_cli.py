@@ -260,12 +260,14 @@ def test_classify_ext_relabels_once_and_searches_each_ideal_once(
         tmp_path, capsys, count_calls, monkeypatch):
     # the stack builder relabels each of the two standard groups of order
     # 6 once and the orbits read every other relabelling off its index; the
-    # 12 monomorphisms found on the representatives have 6 images, and
-    # each image gets one ideal test, quotient and isomorphism search
+    # 12 monomorphisms found on the representatives have 6 images, one on
+    # each of the 6 representatives, and each representative gets one
+    # search for its projections, which finds every ideal kernel with them;
+    # no ideal test, quotient or isomorphism search runs
     relabelled = count_calls(groups._relabel_stack)
     ideal = count_calls(braces.is_ideal)
-    quotient = count_calls(extensions._quotient_by_ideal)
     iso = count_calls(braces.find_brace_isomorphism)
+    searched = count_calls(extensions._brace_homs_by_kernel)
     monos, images = extensions._brace_monos, []
 
     def recorded(I, E):
@@ -278,11 +280,11 @@ def test_classify_ext_relabels_once_and_searches_each_ideal_once(
               for n in (2, 3))
     code, report, _ = _run(capsys, ["classify-ext", z2, z3])
     assert code == 0 and report["total_extensions"] == 560
-    counts = (relabelled["calls"], ideal["calls"], quotient["calls"], iso["calls"])
-    distinct = {(E.add.table, E.circ.table, image): (E, image) for E, image in images}
-    ideals = sum(braces.is_ideal(E, image) for E, image in distinct.values())
-    assert counts == (2, len(distinct), ideals, ideals)
-    assert (len(images), len(distinct), ideals) == (12, 6, 6)
+    counts = (relabelled["calls"], ideal["calls"], iso["calls"], searched["calls"])
+    distinct = {(E.add.table, E.circ.table, image) for E, image in images}
+    searched_braces = {(E.add.table, E.circ.table) for E, _ in images}
+    assert counts == (2, 0, 0, len(searched_braces))
+    assert (len(images), len(distinct), len(searched_braces)) == (12, 6, 6)
 
 
 def test_selftest_computes_each_h2_once(capsys, count_calls):

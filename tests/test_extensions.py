@@ -41,7 +41,6 @@ from braceforge.extensions import (
     ActionTriple,
     Extension,
     _brace_monos,
-    _quotient_by_ideal,
     Triplet,
     canonical_section,
     coupling_of,
@@ -64,6 +63,7 @@ from braceforge.extensions import (
     zero_triplet,
 )
 from braceforge.groups import (
+    FiniteGroup,
     _group_table_index,
     _relabel_stack,
     _zero_fixing_perms,
@@ -75,6 +75,7 @@ from braceforge.groups import (
     identity_perm,
     inner_automorphism,
     invert_perm,
+    klein_group,
     relabel_table,
     standard_groups_of_order,
     validate_group,
@@ -570,25 +571,62 @@ def test_extensions_equivalent_matches_shift_loop(Z2, Z3):
     assert 0 < found < len(pairs)
 
 
+def _quotient_by_ideal(E, kernel):
+    """(quotient brace, coset label per E-element); labels sorted by
+    minimal coset member, identity coset first.
+
+    kernel must be an ideal (braces.is_ideal): its additive cosets are
+    then its circle cosets and the quotient of E by it is a skew brace,
+    so the tables are wrapped without validation."""
+    reps = {}
+    labels = [None] * E.n
+    cosets = []
+    for x in range(E.n):
+        c = frozenset(E.add.table[x][k] for k in kernel)
+        key = min(c)
+        if key not in reps:
+            reps[key] = None
+            cosets.append(key)
+    cosets.sort()
+    index = {key: i for i, key in enumerate(cosets)}
+    for x in range(E.n):
+        labels[x] = index[min(E.add.table[x][k] for k in kernel)]
+    m = len(cosets)
+    add = [[0] * m for _ in range(m)]
+    circ = [[0] * m for _ in range(m)]
+    for a_key in cosets:
+        for b_key in cosets:
+            add[index[a_key]][index[b_key]] = labels[E.add.table[a_key][b_key]]
+            circ[index[a_key]][index[b_key]] = labels[E.circ.table[a_key][b_key]]
+    return SkewBrace(FiniteGroup(add), FiniteGroup(circ)), tuple(labels)
+
+
+def _quotient_projections(E, H, kernel, auts_H):
+    """Oracle for extensions._brace_homs_by_kernel: every surjective brace
+    hom E -> H with kernel `kernel`, as proj tuples, built as the quotient
+    map followed by an isomorphism of the quotient onto H and each
+    automorphism of H in `auts_H`, in that order; [] when `kernel` is not
+    an ideal or the quotient is not isomorphic to H."""
+    try:
+        if not is_ideal(E, kernel):
+            return []
+    except ValidationError:
+        return []
+    Q, labels = _quotient_by_ideal(E, kernel)
+    iso = find_brace_isomorphism(Q, H)
+    if iso is None:
+        return []
+    base = tuple(iso[labels[x]] for x in range(E.n))
+    return [tuple(a[hx] for hx in base) for a in auts_H]
+
+
 def enumerate_pairwise(H, I, braces):
     """enumerate_all_extensions over a given list of candidate braces."""
     auts_H = sorted(brace_automorphisms(H))
     out = []
     for E in braces:
         for inj in _brace_monos(I, E):
-            image = frozenset(inj)
-            try:
-                if not is_ideal(E, image):
-                    continue
-            except ValidationError:
-                continue
-            Q, labels = _quotient_by_ideal(E, image)
-            iso = find_brace_isomorphism(Q, H)
-            if iso is None:
-                continue
-            base = tuple(iso[labels[x]] for x in range(E.n))
-            for a in auts_H:
-                proj = tuple(a[hx] for hx in base)
+            for proj in _quotient_projections(E, H, frozenset(inj), auts_H):
                 out.append(validate_extension(E, H, I, inj, proj))
     out.sort(key=Extension.sort_key)
     return out
@@ -632,12 +670,19 @@ def _ext_classes_pairwise(I, exts):
     return buckets
 
 
-def test_enumerate_matches_pairwise_validation(Z2, Z3, order6_coefficients, pairwise_braces):
+@pytest.fixture(scope="module")
+def degenerate_pairs(flip4, xor4, order6_coefficients):
+    """(Z1, B) and (B, Z1) for the braces B of orders 4 to 6 the tests
+    classify against the pairwise oracle."""
     Z1 = trivial_brace(cyclic_group(1))
-    order6 = [trivial_brace(cyclic_group(6)), trivial_brace(dihedral_group(3)),
-              order6_coefficients]
-    pairs = [(Z2, Z2), (Z2, Z3), (Z3, Z2)]
-    pairs += [(Z1, B) for B in order6] + [(B, Z1) for B in order6]
+    braces = [trivial_brace(cyclic_group(4)), trivial_brace(klein_group()), flip4, xor4,
+              trivial_brace(cyclic_group(5)), trivial_brace(cyclic_group(6)),
+              trivial_brace(dihedral_group(3)), order6_coefficients]
+    return [(Z1, B) for B in braces] + [(B, Z1) for B in braces]
+
+
+def test_enumerate_matches_pairwise_validation(Z2, Z3, degenerate_pairs, pairwise_braces):
+    pairs = [(Z2, Z2), (Z2, Z3), (Z3, Z2)] + degenerate_pairs
     for H, I in pairs:
         fast = enumerate_all_extensions(H, I)
         slow = enumerate_pairwise(H, I, pairwise_braces(H.n * I.n))
@@ -816,17 +861,19 @@ def test_ext_classes_searches_one_brace_per_orbit(Z2, Z3, count_calls):
 
 
 def test_extension_orbits_are_valid(Z2, Z3, monkeypatch):
-    # _extension_orbits builds its quotients and extensions without
-    # validating them; each is what validate_brace and validate_extension
-    # make of the same tables and maps
-    quotients = []
+    # _extension_orbits builds its projections and extensions without
+    # validating them; each projection is a brace hom onto H whose kernel
+    # is an ideal, and each extension is what validate_extension makes of
+    # the same tables and maps
+    searched = []
+    search = extensions_mod._brace_homs_by_kernel
 
-    def recorded(E, kernel):
-        Q, labels = _quotient_by_ideal(E, kernel)
-        quotients.append(Q)
-        return Q, labels
+    def recorded(E, H):
+        found = search(E, H)
+        searched.append((E, H, found))
+        return found
 
-    monkeypatch.setattr(extensions_mod, "_quotient_by_ideal", recorded)
+    monkeypatch.setattr(extensions_mod, "_brace_homs_by_kernel", recorded)
     checked = 0
     for H, I in ((Z2, Z2), (Z2, Z3), (Z3, Z2)):
         exts = enumerate_all_extensions(H, I)
@@ -834,16 +881,61 @@ def test_extension_orbits_are_valid(Z2, Z3, monkeypatch):
         for ext in exts:
             assert validate_extension(ext.E, ext.H, ext.I, ext.inj, ext.proj) == ext
         checked += len(exts)
-    assert checked > 0 and len(quotients) > 0
-    for Q in quotients:
-        assert validate_brace(Q.add.table, Q.circ.table) == Q
+    projections = [(E, H, kernel, proj) for E, H, found in searched
+                   for kernel, projs in found.items() for proj in projs]
+    assert checked > 0 and len(projections) > 0
+    for E, H, kernel, proj in projections:
+        hom = BraceHom(E, H, proj)
+        assert hom.is_valid() and hom.is_surjective()
+        assert frozenset(hom.kernel()) == kernel and is_ideal(E, kernel)
+
+
+def _ideals(E):
+    """Every ideal of E, tried on each subset holding 0."""
+    out = []
+    for tail in itertools.product((False, True), repeat=E.n - 1):
+        kernel = frozenset([0] + [x for x, keep in enumerate(tail, 1) if keep])
+        try:
+            if is_ideal(E, kernel):
+                out.append(kernel)
+        except ValidationError:  # not a sub-brace
+            continue
+    return out
+
+
+def test_brace_homs_by_kernel_are_the_quotient_projections(Z2, Z3, degenerate_pairs):
+    # the lemma the extension search relies on: a surjective brace hom
+    # E -> H is the quotient map by its kernel, an ideal, followed by an
+    # isomorphism of the quotient onto H and an automorphism of H; checked
+    # on every orbit representative of the order of each pair, every ideal
+    # of it tried, so no kernel is found that the quotients miss
+    pairs = [(Z2, Z2), (Z2, Z3), (Z3, Z2)] + degenerate_pairs
+    representatives = {n: [E for E, _ in _index_orbits(_group_table_index(n))]
+                       for n in {H.n * I.n for H, I in pairs}}
+    ideals = {}
+    checked = 0
+    for H, I in pairs:
+        auts_H = sorted(brace_automorphisms(H))
+        for E in representatives[H.n * I.n]:
+            if E not in ideals:
+                ideals[E] = _ideals(E)
+            found = extensions_mod._brace_homs_by_kernel(E, H)
+            want = {}
+            for kernel in ideals[E]:
+                projs = _quotient_projections(E, H, kernel, auts_H)
+                if projs:
+                    want[kernel] = sorted(projs)
+            assert {kernel: sorted(projs) for kernel, projs in found.items()} == want
+            assert all(len(set(projs)) == len(projs) for projs in found.values())
+            assert all(is_ideal(E, kernel) for kernel in found)
+            checked += len(found)
+    assert checked > len(pairs)
 
 
 def test_brace_monos_match_closure_oracle(Z2, Z3, monkeypatch):
     searches = _engine_against_oracle(monkeypatch)
     ext_classes(Z2, Z3)
-    assert searches == {
-        "brace monomorphisms": 6, "brace_automorphisms": 1, "find_brace_isomorphism": 6}
+    assert searches == {"brace monomorphisms": 6, "brace projections": 6}
 
 
 def _relabelled_brace(B, p):

@@ -25,7 +25,7 @@ from braceforge.errors import (
 from braceforge.groups import (
     FiniteGroup,
     PermGroup,
-    _group_table_stack,
+    _group_table_index,
     _reference_groups,
     all_group_tables,
     alternating4_group,
@@ -191,9 +191,9 @@ def test_inverses_match_loop():
 
 
 def _array_tables() -> list:
-    """Every table of _group_table_stack(n) for n <= 6, then the tables of
-    every axiom fixture, as int64 arrays."""
-    tables = [t for n in range(1, 7) for t in _group_table_stack(n)]
+    """Every table of the stack of _group_table_index(n) for n <= 6, then
+    the tables of every axiom fixture, as int64 arrays."""
+    tables = [t for n in range(1, 7) for t in _group_table_index(n)[0]]
     for _, add, circ in catalog.axiom_fixtures():
         tables += [add, circ]
     return tables
@@ -203,7 +203,7 @@ def test_rows_hash_and_eq_built_on_first_use_match_eager():
     # the tuple rows and the hash are built from the array on first use;
     # the oracle builds them eagerly, straight from the same array
     tables = _array_tables()
-    assert len(tables) == sum(len(_group_table_stack(n)) for n in range(1, 7)) + 88
+    assert len(tables) == sum(len(_group_table_index(n)[0]) for n in range(1, 7)) + 88
     previous = FiniteGroup(tables[-1])
     for t in tables:
         rows = tuple(map(tuple, t.tolist()))
@@ -464,7 +464,7 @@ def test_all_group_tables_counts():
             for G in standard_groups_of_order(n)
             for rest in itertools.permutations(range(1, n))
         }
-        stack = _group_table_stack(n)
+        stack = _group_table_index(n)[0]
         assert stack.shape == (len(slow), n, n)
         assert [tuple(map(tuple, t)) for t in stack.tolist()] == sorted(slow)
         assert all_group_tables(n) == sorted(slow)

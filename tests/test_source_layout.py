@@ -84,6 +84,7 @@ UNREACHED = {
     "extensions.ext_classes": _TRACED,
     "extensions.extensions_equivalent": _TRACED,
     "groups.all_group_tables": _TRACED,
+    "braces.find_brace_isomorphism": _TRACED,
     "extensions.couplings_classwise_equal":
         "the coarse stabiliser reading, kept until the Wells stabiliser fix for"
         " non-abelian kernels decides whether it is the paper's C (ROADMAP)",
