@@ -839,35 +839,41 @@ def _listed_derivations(sp: _Cochains, z1: _Echelon) -> np.ndarray:
 
 # --- restriction to the annihilator ------------------------------------------
 
+def _carrier_index(elems: Sequence[int], n: int) -> np.ndarray:
+    """The position of each of 0..n-1 in elems, -1 off it."""
+    index = np.full(n, -1, dtype=np.int64)
+    index[list(elems)] = np.arange(len(elems))
+    return index
+
+
+def _restrict(perms: np.ndarray, elems: Sequence[int], index: np.ndarray) -> tuple:
+    """The rows of perms cut down to elems, in its coordinates (index, its
+    _carrier_index; -1 where an image leaves it), and the first (row,
+    element, image), in row-major order, whose image leaves elems, or None."""
+    res = index[perms[:, list(elems)]]
+    row, j = divmod(int((res < 0).argmax()), len(elems))
+    return res, ((row, elems[j], int(perms[row, elems[j]])) if res[row, j] < 0 else None)
+
+
 def restrict_action(I: SkewBrace, chi: ActionTriple):
     """Restrict an action on I to its annihilator.
 
     Returns (coefficient brace, restricted triple, element list): the
     annihilator carried as a trivial brace on indices 0..k-1, the three
     families cut down to it, and the list embedding those indices back
-    into I.  Raises when some family member fails to preserve the
-    annihilator.
+    into I.  Raises on the first member, nu, mu, sigma in that order, that
+    fails to preserve the annihilator, cut as one stack by _restrict.
     """
-    elems = list(annihilator(I))
-    index = {e: j for j, e in enumerate(elems)}
+    elems, nh = annihilator(I), len(chi.nu)
+    res, out = _restrict(np.array(chi.nu + chi.mu + chi.sigma, dtype=np.int64), elems,
+                         _carrier_index(elems, I.n))
+    if out is not None:
+        raise ValidationError("action does not preserve the annihilator",
+                              family=("nu", "mu", "sigma")[out[0] // nh], h=out[0] % nh,
+                              element=out[1], image=out[2])
+    fams = [tuple(map(tuple, res[k * nh:(k + 1) * nh].tolist())) for k in range(3)]
     sub = group_from_elements(elems, lambda a, b: I.add.table[a][b])
-    I_res = trivial_brace(sub)
-    fams = []
-    for name, fam in (("nu", chi.nu), ("mu", chi.mu), ("sigma", chi.sigma)):
-        res = []
-        for h, p in enumerate(fam):
-            for e in elems:
-                if p[e] not in index:
-                    raise ValidationError(
-                        "action does not preserve the annihilator",
-                        family=name,
-                        h=h,
-                        element=e,
-                        image=p[e],
-                    )
-            res.append(tuple(index[p[e]] for e in elems))
-        fams.append(tuple(res))
-    return I_res, ActionTriple(*fams), tuple(elems)
+    return trivial_brace(sub), ActionTriple(*fams), elems
 
 
 def embed_pair(pair: CocyclePair, elems: Sequence[int]) -> CocyclePair:

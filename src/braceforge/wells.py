@@ -44,10 +44,11 @@ the member at phi(h).  Two automorphisms p, q of (I, +) agree modulo
 Inn(I, +) exactly when q lies in the coset Inn(I, +) p, so mu is tested
 by one lookup in the coset of mu_h, built once per h, and sigma likewise
 with Inn(I, o).  The conjugated action chi^c of every accepted pair stays
-on StabilizerC (acted), where wells_map reads it, so per c only
-(beta, tau) move; the twist witnesses compare quotients of members with
-the rows of each group's table of inner automorphisms
-(extensions._twists_at).
+on StabilizerC (acted), where wells_map reads it, so only (beta, tau)
+move, by all of C in one gather (_transport, as the derivation law's
+rows move); the twist witnesses compare quotients of members with the
+rows of each group's table of inner automorphisms (extensions._twists_at).
+Every cut of permutations to a sub-carrier is cohomology._restrict.
 
 Generating sets.  A pair (phi, theta) is one permutation of H u I, phi
 on 0..|H|-1 and |H| + theta after it, so pair_mul is composition, and
@@ -81,7 +82,8 @@ import numpy as np
 
 from . import budget as budget_mod
 from .braces import BraceHom, SkewBrace, _brace_automorphism_search, brace_automorphisms
-from .cohomology import CocyclePair, CohomologyGroup, _shared_h2, restrict_action
+from .cohomology import (CocyclePair, CohomologyGroup, _carrier_index, _restrict, _shared_h2,
+                         restrict_action)
 from .errors import (
     ActionNotTransitive,
     InputError,
@@ -234,32 +236,30 @@ def stabilizer_C(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> StabilizerC:
 
 # --- action of C on cohomology ----------------------------------------------
 
-def restrict_automorphism(theta: Sequence[int], elems: Sequence[int]) -> tuple:
-    """Cut an automorphism of I down to annihilator coordinates."""
-    index = {e: j for j, e in enumerate(elems)}
-    out = []
-    for e in elems:
-        img = theta[e]
-        if img not in index:
-            raise ValidationError(
-                "automorphism does not preserve the annihilator", element=e, image=img
-            )
-        out.append(index[img])
-    return tuple(out)
+def _transport(rows: np.ndarray, phis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """c_act_on_h2 for every pair (phi, theta) of the stacks at once, on rows
+    of g cells, then f cells, row-major: an array (pairs, rows, cells)."""
+    k, nh = phis.shape
+    pick = np.arange(k)[:, None]
+    inv = np.empty_like(thetas)
+    inv[pick, thetas] = np.arange(thetas.shape[1])
+    cells = (phis[:, :, None] * nh + phis[:, None, :]).reshape(k, nh * nh)
+    cols = np.concatenate([cells, cells + nh * nh], axis=1)
+    return inv[pick[:, :, None], rows[:, cols].transpose(1, 0, 2)]
 
 
 def c_act_on_h2(pair: AutPair, theta_res: Sequence[int], cpair: CocyclePair) -> CocyclePair:
-    """Transform a cocycle pair by g -> theta^-1 (g (phi x phi)).
+    """Transform a cocycle pair by g -> theta^-1 (g (phi x phi)): _transport
+    on one pair and one row.
 
     theta_res is pair.theta already cut down to the coefficient
     coordinates the tables take values in.
     """
-    inv_theta = invert_perm(theta_res)
-    phi = pair.phi
-    return CocyclePair(*(
-        tuple(tuple(inv_theta[t[pa][pb]] for pb in phi) for pa in phi)
-        for t in (cpair.g, cpair.f)
-    ))
+    nh = len(pair.phi)
+    moved = _transport(np.array([cpair.g, cpair.f], dtype=np.int64).reshape(1, -1),
+                       np.array([pair.phi], dtype=np.int64),
+                       np.array([theta_res], dtype=np.int64))
+    return CocyclePair(*(tuple(map(tuple, t)) for t in moved.reshape(2, nh, nh).tolist()))
 
 
 # --- automorphisms of the extension ------------------------------------------
@@ -286,27 +286,20 @@ def rho(ext: Extension, s: Sequence[int]) -> List[Tuple[tuple, AutPair]]:
     automorphism of E mapping the ideal image onto itself, so gamma_H is
     well defined (pi gamma = gamma_H pi) and both maps are brace
     automorphisms by construction; test_rho_induces_brace_automorphisms in
-    tests/test_wells.py checks this on every Tier-1 Wells input.
+    tests/test_wells.py checks this on every Tier-1 Wells input.  Both
+    maps are gathers on the sorted automorphisms (oracle: _rho_loop).
     """
-    return [
-        (gamma, AutPair(tuple(ext.proj[gamma[s[h]]] for h in range(ext.H.n)),
-                        tuple(ext.into_I(gamma[ext.inj[y]]) for y in range(ext.I.n))))
-        for gamma in autb_I(ext).sorted_elements()
-    ]
+    found = autb_I(ext).sorted_elements()
+    G = np.array(found, dtype=np.int64)
+    # autb_I keeps only the maps sending the image of I into itself
+    rows = np.hstack([np.asarray(ext.proj)[G[:, list(s)]],
+                      _restrict(G, ext.inj, _carrier_index(ext.inj, ext.E.n))[0]]).tolist()
+    del G  # 8 bytes a cell; freed before the pairs are built
+    return [(gamma, AutPair(tuple(r[:ext.H.n]), tuple(r[ext.H.n:])))
+            for gamma, r in zip(found, rows)]
 
 
 # --- the Wells map -----------------------------------------------------------
-
-def _acted_triplet(t: Triplet, c: AutPair, chi_c: ActionTriple) -> Triplet:
-    """The canonical triplet of pair_act(ext, c), from that of ext, t, and
-    the action chi_c = chi^c that StabilizerC keeps for c.
-
-    The acted extension keeps E and has the canonical section s o phi, so
-    chi is conjugated by theta (_acted_action) and (beta, tau) move as
-    c_act_on_h2 moves a cocycle pair, with the full theta."""
-    moved = c_act_on_h2(c, c.theta, CocyclePair(t.beta, t.tau))
-    return Triplet(chi_c, moved.g, moved.f)
-
 
 def wells_map(
     ext: Extension,
@@ -318,25 +311,27 @@ def wells_map(
     """For each c in C, the index of the unique class h_c with [E]^c = h_c.[E].
 
     Read off coordinates.  The triplet t_c of [E]^c is transported from
-    E's canonical triplet t_0 (_acted_triplet): its action is the
-    conjugate C keeps for c, so only (beta, tau) move per c.  Those
-    conjugates are of C.chi, so C must be the stabiliser of t_0's action
-    itself (InputError otherwise): a C built from another section's action
-    has the same pairs but other conjugates.  An equivalence
-    [E]^c = h.[E] is a section change of E^c, i.e. a twist of t_c.  The
-    twists bringing the coupling of t_c to that of t_0 exactly are one
-    twist (the first witness of each couplings_related set,
-    _first_witnesses) shifted by maps into Z(I) = Ann(I), and such a shift
-    moves the cocycle by a coboundary.  The witness at h is a y that
-    carries the members of t_c at h to those of t_0, so that twist of t_c,
-    t', has t_0's action, and only its cocycle is computed.  So h_c is the
-    class of the difference (beta' - beta_0, tau' o tau_0^-1) in
-    annihilator coordinates; when the couplings are unrelated, or the
-    difference is not an annihilator-valued cocycle pair, no class reaches
-    [E]^c and the transitivity hypothesis fails (for the first such c in
-    C's order).  The differences of all c are looked up by class together.
-    Freeness holds by construction: the cosets partition the cocycle
-    pairs.
+    E's canonical triplet t_0: [E]^c keeps E and has the canonical section
+    s o phi, so its action is the conjugate C keeps for c, and (beta, tau)
+    move as c_act_on_h2 moves a cocycle pair, with the full theta, for
+    every c in one _transport.  Those conjugates are of C.chi, so C must
+    be the stabiliser of t_0's action itself (InputError otherwise): a C
+    built from another section's action has the same pairs but other
+    conjugates.  An equivalence [E]^c = h.[E] is a section change of
+    E^c, i.e. a twist of t_c.  The twists bringing the coupling of t_c
+    to that of t_0 exactly are one twist (the first witness of each
+    couplings_related set, _first_witnesses) shifted by maps into
+    Z(I) = Ann(I), and such a shift moves the cocycle by a coboundary.
+    The witness at h is a y that carries the members of t_c at h to those
+    of t_0, so that twist of t_c, t', has t_0's action, and only its
+    cocycle is computed.  So h_c is the class of the difference
+    (beta' - beta_0, tau' o tau_0^-1) in annihilator coordinates; when the
+    couplings are unrelated, or the difference is not an
+    annihilator-valued cocycle pair, no class reaches [E]^c and the
+    transitivity hypothesis fails (for the first such c in C's order).
+    The differences of all c are read in annihilator coordinates in one
+    gather and looked up by class together.  Freeness holds by
+    construction: the cosets partition the cocycle pairs.
 
     No extension is acted on, rebuilt or validated; as in pair_act, a
     non-trivial kernel and a phi or theta of C that is not a brace
@@ -352,11 +347,12 @@ def wells_map(
         _check_brace_auto(H, phi, "phi")
     for theta in {c.theta for c in C}:
         _check_brace_auto(I, theta, "theta")
-    Ia, Ic, neg, cinv = I.add.table, I.circ.table, I.add.inv, I.circ.inv
-    # a difference value outside Ann(I) becomes -1, which no cocycle row holds
-    index = {e: j for j, e in enumerate(elems)}
-    pairs, rows, failure = C.pairs, [], None
-    for c, chi_c in zip(pairs, C.acted):
+    pairs, nh = C.pairs, H.n
+    moved = _transport(np.array([t0.beta, t0.tau], dtype=np.int64).reshape(1, -1),
+                       np.array([c.phi for c in pairs], dtype=np.int64),
+                       np.array([c.theta for c in pairs], dtype=np.int64))
+    twisted, failure = [], None
+    for c, chi_c, (beta, tau) in zip(pairs, C.acted, moved.reshape(len(pairs), 2, nh, nh).tolist()):
         theta = _first_witnesses(I, chi_c, t0.chi)
         if theta is None:
             failure = ActionNotTransitive(
@@ -364,15 +360,14 @@ def wells_map(
                 pair=c.sort_key(),
             )
             break
-        beta1, tau1 = twist_cocycle(H, I, _acted_triplet(t0, c, chi_c), theta)
-        rows.append(
-            [index.get(Ia[b1][neg[b0]], -1)
-             for r1, r0 in zip(beta1, t0.beta) for b1, b0 in zip(r1, r0)]
-            + [index.get(Ic[u1][cinv[u0]], -1)
-               for r1, r0 in zip(tau1, t0.tau) for u1, u0 in zip(r1, r0)]
-        )
+        twisted.append(twist_cocycle(H, I, Triplet(chi_c, beta, tau), theta))
+    # a difference value outside Ann(I) becomes -1, which no cocycle row holds
+    t1 = np.array(twisted, dtype=np.int64).reshape(len(twisted), 2, nh, nh)
+    diff = np.stack([I.add.np_table[t1[:, 0], np.asarray(I.add.inv)[np.array(t0.beta)]],
+                     I.circ.np_table[t1[:, 1], np.asarray(I.circ.inv)[np.array(t0.tau)]]], axis=1)
+    rows = _carrier_index(elems, I.n)[diff].reshape(len(twisted), 2 * nh * nh)
     # the first c in C's order that fails, whichever way
-    ok, classes = h2grp._classes(np.array(rows, dtype=np.int64).reshape(len(rows), 2 * H.n * H.n))
+    ok, classes = h2grp._classes(rows)
     if not ok.all():
         raise ActionNotTransitive(
             "no cohomology class matches the pair-acted extension",
@@ -405,25 +400,21 @@ def _derivation_law(
     if not gens:  # C = {1}: the law says omega(1) = 0
         return omega[C.pairs[0]] == 0
     budget_mod.guard(C.order * len(gens), "derivation law")
-    nh = h2grp.H.n
     z_rows, b_rows = h2grp._basis_rows()
     reps = h2grp._rep_rows
     # per t: the moved Z^2 basis, B^2 basis and representatives, in one block
     block = np.vstack([z_rows, b_rows, reps])
     nz, nb = len(z_rows), len(b_rows)
-    cells = np.arange(nh * nh).reshape(nh, nh)
-    moved = []
-    for t in gens:
-        inv_theta = np.array(invert_perm(restrict_automorphism(t.theta, elems)), dtype=np.int64)
-        phi = np.array(t.phi)
-        cols = cells[phi[:, None], phi[None, :]].ravel()
-        cols = np.concatenate([cols, cols + nh * nh])  # the g cells, then the f cells
-        moved.append(inv_theta[block[:, cols]])
-    moved = np.concatenate(moved)
+    thetas, out = _restrict(np.array([t.theta for t in gens], dtype=np.int64), elems,
+                            _carrier_index(elems, C.I.n))
+    if out is not None:
+        raise ValidationError("automorphism does not preserve the annihilator",
+                              element=out[1], image=out[2])
+    moved = _transport(block, np.array([t.phi for t in gens], dtype=np.int64), thetas)
     # the checks in T's order: the first t that moves a cocycle pair out
     # of Z^2 (InputError) or a coboundary out of the zero class
     # (ValidationError), whichever comes first
-    ok, idx = h2grp._classes(moved)
+    ok, idx = h2grp._classes(moved.reshape(-1, block.shape[1]))
     ok = ok.reshape(len(gens), len(block)).all(axis=1)
     first = int(ok.argmin()) if not ok.all() else len(gens)
     idx = idx[:first * len(block)].reshape(first, len(block))

@@ -100,6 +100,8 @@ UNREACHED = {
         "the split theorem, decided in coordinates and run by a command (ROADMAP)",
     "cohomology.h2_act": _PUBLIC + ": the H^2 action on an extension, through h2_act_triplet",
     "wells.pair_act": _PUBLIC + ": the compatible-pair action on an extension",
+    "wells.c_act_on_h2": _PUBLIC + ": the C-action on one cocycle pair, one"
+        " wells._transport call; the Wells check moves all of C in one such call",
     "extensions.coupling_of": _PUBLIC + ": the coupling of an extension, in __all__",
     "catalog.trivial_brace_entries": _PUBLIC + ": the catalog's built-in trivial braces",
     "catalog.fixture_extension_entries": _PUBLIC + ": the catalog's built-in extensions",

@@ -8,9 +8,16 @@ import random
 import numpy as np
 import pytest
 
-from braceforge import braces, budget, extensions, groups, wells
-from braceforge.braces import SkewBrace, brace_automorphisms, trivial_brace
-from braceforge.cohomology import embed_pair, h2N, h2_act_triplet, pair_add, restrict_action
+from braceforge import braces, budget, cohomology, extensions, groups, wells
+from braceforge.braces import SkewBrace, annihilator, brace_automorphisms, trivial_brace
+from braceforge.cohomology import (
+    CocyclePair,
+    embed_pair,
+    h2N,
+    h2_act_triplet,
+    pair_add,
+    restrict_action,
+)
 from braceforge.errors import (
     ActionNotTransitive,
     BraceforgeError,
@@ -27,6 +34,7 @@ from braceforge.extensions import (
     extract_action,
     extract_triplet,
     section_shift_map,
+    twist_triplet,
     validate_extension,
     zero_triplet,
 )
@@ -52,7 +60,6 @@ from braceforge.wells import (
     pair_act,
     pair_identity,
     pair_mul,
-    restrict_automorphism,
     rho,
     stabilizer_C,
     verify_exact_sequence,
@@ -109,6 +116,71 @@ def sweep_exts(Z2, Z3, xor4, flip4, d4_exts):
     return [ext for H, I in pairs for ext in _split_extensions(H, I)] + d4_exts
 
 
+def _restrict_loop(theta, elems):
+    """theta cut down to annihilator coordinates by a dict loop, the
+    oracle for cohomology._restrict on one permutation."""
+    index = {e: j for j, e in enumerate(elems)}
+    out = []
+    for e in elems:
+        img = theta[e]
+        if img not in index:
+            raise ValidationError(
+                "automorphism does not preserve the annihilator", element=e, image=img
+            )
+        out.append(index[img])
+    return tuple(out)
+
+
+def _restrict_action_loop(I, chi):
+    """restrict_action as a per-family dict loop, its oracle."""
+    elems = list(annihilator(I))
+    index = {e: j for j, e in enumerate(elems)}
+    I_res = trivial_brace(groups.group_from_elements(elems, lambda a, b: I.add.table[a][b]))
+    fams = []
+    for name, fam in (("nu", chi.nu), ("mu", chi.mu), ("sigma", chi.sigma)):
+        res = []
+        for h, p in enumerate(fam):
+            for e in elems:
+                if p[e] not in index:
+                    raise ValidationError(
+                        "action does not preserve the annihilator",
+                        family=name,
+                        h=h,
+                        element=e,
+                        image=p[e],
+                    )
+            res.append(tuple(index[p[e]] for e in elems))
+        fams.append(tuple(res))
+    return I_res, ActionTriple(*fams), tuple(elems)
+
+
+def _c_act_loop(pair, theta_res, cpair):
+    """c_act_on_h2 as a tuple loop over the cells, the oracle for
+    wells._transport on one pair and one cocycle pair."""
+    inv_theta = invert_perm(theta_res)
+    phi = pair.phi
+    return CocyclePair(*(
+        tuple(tuple(inv_theta[t[pa][pb]] for pb in phi) for pa in phi)
+        for t in (cpair.g, cpair.f)
+    ))
+
+
+def _rho_loop(ext, s):
+    """rho with per-gamma generators over Autb_I(E), its oracle."""
+    return [
+        (gamma, AutPair(tuple(ext.proj[gamma[s[h]]] for h in range(ext.H.n)),
+                        tuple(ext.into_I(gamma[ext.inj[y]]) for y in range(ext.I.n))))
+        for gamma in wells.autb_I(ext).sorted_elements()
+    ]
+
+
+def _raised(fn, *args):
+    """The type, message and witness of what fn raised."""
+    with pytest.raises(BraceforgeError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value), exc.value.witness
+
+
 def _class_fixtures(ext, h2grp, elems):
     """Every shifted extension h.[E], one per representative h of h2grp,
     each rebuilt and validated from E's triplet by extension_from_triplet."""
@@ -156,14 +228,14 @@ def _derivation_law_loop(C, omega, h2grp, elems):
     reps = h2grp.representatives
     derivation_law = True
     for c2 in C:
-        theta_res = restrict_automorphism(c2.theta, elems)
+        theta_res = _restrict_loop(c2.theta, elems)
         transformed = {}
         for k, rep in enumerate(reps):
-            moved = h2grp.class_of(c_act_on_h2(c2, theta_res, rep))
+            moved = h2grp.class_of(_c_act_loop(c2, theta_res, rep))
             transformed[k] = moved
             for b in h2grp.b2:
                 other = h2grp.class_of(
-                    c_act_on_h2(c2, theta_res, pair_add(I_res, rep, b))
+                    _c_act_loop(c2, theta_res, pair_add(I_res, rep, b))
                 )
                 if other != moved:
                     raise ValidationError(
@@ -188,7 +260,7 @@ def _derivation_law_on_every_c2(C, omega, h2grp, elems):
     cells = np.arange(nh * nh).reshape(nh, nh)
     moved = []
     for c2 in C:
-        inv_theta = np.array(invert_perm(restrict_automorphism(c2.theta, elems)), dtype=np.int64)
+        inv_theta = np.array(invert_perm(_restrict_loop(c2.theta, elems)), dtype=np.int64)
         phi = np.array(c2.phi)
         cols = cells[phi[:, None], phi[None, :]].ravel()
         cols = np.concatenate([cols, cols + nh * nh])
@@ -397,13 +469,100 @@ def test_rho_checks_no_brace_hom(split_ext, carry_ext, d4_exts, monkeypatch):
     assert gammas > 10 and counter["calls"] == 0
 
 
+def test_rho_matches_loop(sweep_exts, q8_exts):
+    # the two gathers on the sorted Autb_I(E) against the per-gamma loop
+    gammas = 0
+    for ext in sweep_exts + q8_exts:
+        s = canonical_section(ext)
+        got = rho(ext, s)
+        assert got == _rho_loop(ext, s)
+        gammas += len(got)
+    assert gammas == 3328
+
+
+def test_rho_matches_loop_on_z2_by_z2_4(Z2, monkeypatch):
+    # the identity split extension of Z2 by Z2^4, whose Autb_I(E) has
+    # 322,560 elements, searched once for both routes
+    V16 = trivial_brace(direct_product_group(klein_group(), klein_group()))
+    E = semidirect_product(Z2, V16, identity_triple(Z2, V16))
+    ext = validate_extension(E, Z2, V16, range(16), [x // 16 for x in range(32)])
+    found = autb_I(ext)
+    monkeypatch.setattr(wells, "autb_I", lambda _: found)
+    s = canonical_section(ext)
+    got = rho(ext, s)
+    assert len(got) == 322560 and got == _rho_loop(ext, s)
+
+
+def test_restriction_gather_matches_the_loops(sweep_exts, q8_exts):
+    # every family member and every C generator of each wells-sweep and
+    # split Z2-by-Q8 extension, cut down to Ann(I) by the one gather and
+    # by the dict loop; restrict_action against its per-family loop
+    cut = proper = 0
+    for ext in sweep_exts + q8_exts:
+        C, _, elems, t0 = _wells_inputs(ext)
+        assert restrict_action(ext.I, t0.chi) == _restrict_action_loop(ext.I, t0.chi)
+        perms = list(t0.chi.nu + t0.chi.mu + t0.chi.sigma) + [t.theta for t in C.generators]
+        index = cohomology._carrier_index(elems, ext.I.n)
+        rows, out = cohomology._restrict(np.array(perms), elems, index)
+        assert out is None
+        assert list(map(tuple, rows.tolist())) == [_restrict_loop(p, elems) for p in perms]
+        cut += len(perms)
+        proper += len(elems) < ext.I.n
+    assert (cut, proper) == (3079, 256)
+
+
+def test_restriction_gather_refuses_as_the_loops(d4_exts):
+    # a theta swapping the central element z of D4 with a y outside
+    # Ann(I) = Z(D4): the gather names (row, z, y), and restrict_action,
+    # with theta as the member at h = 1 of each family in turn, and the
+    # derivation law, with theta in a pair of C, refuse it as their loops do
+    ext = d4_exts[0]
+    _, grp, elems, t0 = _wells_inputs(ext)
+    n, z = ext.I.n, elems[1]
+    y = next(y for y in range(n) if y not in elems)
+    theta = tuple(y if x == z else z if x == y else x for x in range(n))
+    rows, out = cohomology._restrict(np.array([identity_perm(n), theta]), elems,
+                                     cohomology._carrier_index(elems, n))
+    assert out == (1, z, y) and rows.tolist() == [[0, 1], [0, -1]]
+    for k in range(3):
+        fams = [list(fam) for fam in (t0.chi.nu, t0.chi.mu, t0.chi.sigma)]
+        fams[k][1] = theta
+        chi = ActionTriple(*map(tuple, fams))
+        got = _raised(restrict_action, ext.I, chi)
+        assert got == _raised(_restrict_action_loop, ext.I, chi)
+        assert got[2] == {"family": ("nu", "mu", "sigma")[k], "h": 1, "element": z, "image": y}
+    C = _hand_built_C(ext.H, ext.I, t0.chi,
+                      [pair_identity(ext.H, ext.I), AutPair(identity_perm(ext.H.n), theta)])
+    omega = dict.fromkeys(C, 0)
+    got = _raised(wells._derivation_law, C, omega, grp, elems)
+    assert got == _raised(_derivation_law_loop, C, omega, grp, elems)
+    assert got == (ValidationError, "automorphism does not preserve the annihilator",
+                   {"element": z, "image": y})
+
+
+def test_twists_compose_pointwise_in_the_circle_group(sweep_exts, q8_exts):
+    # the section s(h) o a(h) shifted again by b is s(h) o (a(h) o b(h)), so
+    # a twist by a, then by b, is the twist by a o b taken pointwise in
+    # (I, o); seeded maps with a(0) = b(0) = 0
+    rng = random.Random(5)
+    checked = 0
+    for ext in sweep_exts + q8_exts:
+        H, I, t = ext.H, ext.I, extract_triplet(ext)
+        for _ in range(3):
+            a, b = [(0,) + tuple(rng.randrange(I.n) for _ in range(H.n - 1)) for _ in "ab"]
+            ab = tuple(I.circ.table[x][y] for x, y in zip(a, b))
+            assert twist_triplet(H, I, twist_triplet(H, I, t, a), b) == twist_triplet(H, I, t, ab)
+            checked += 1
+    assert checked == 3 * (188 + 160)
+
+
 def test_c_action_is_classwise_well_defined(Z3, carry_ext):
     chi = extract_action(carry_ext, canonical_section(carry_ext))
     I_res, chi_res, elems = restrict_action(Z3, chi)
     grp = h2N(Z3, I_res, chi_res)
     C = stabilizer_C(Z3, Z3, chi)
     for c in C:
-        theta_res = restrict_automorphism(c.theta, elems)
+        theta_res = _restrict_loop(c.theta, elems)
         for p in grp.z2:
             moved = c_act_on_h2(c, theta_res, p)
             moved_rep = c_act_on_h2(c, theta_res, grp.class_of(p))
@@ -641,8 +800,18 @@ def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, neg_ext, count
         actions = count_calls(extensions.extract_action)
         cosets = count_calls(groups.equal_mod)
         shifts = count_calls(extensions.section_shift_map)
-        maps = []
-        psi_maps = wells._psi_maps
+        moves = count_calls(wells.c_act_on_h2)
+        transports = count_calls(wells._transport)
+        maps, in_map = [], []
+        psi_maps, wells_map_ = wells._psi_maps, wells.wells_map
+
+        def mapped(*args):
+            before = transports["calls"]
+            out = wells_map_(*args)
+            in_map.append(transports["calls"] - before)
+            return out
+
+        monkeypatch.setattr(wells, "wells_map", mapped)
 
         def counted(ext, s, rows):
             maps.append(len(rows))
@@ -651,7 +820,12 @@ def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, neg_ext, count
         monkeypatch.setattr(wells, "_psi_maps", counted)
         rep = verify_exact_sequence(ext)
         monkeypatch.setattr(wells, "_psi_maps", psi_maps)
+        monkeypatch.setattr(wells, "wells_map", wells_map_)
         assert matches["calls"] == acted["calls"] == 0
+        # (beta, tau) move by all of C in one transport inside wells_map, and
+        # the derivation law's rows by C's generators, if any, in one more
+        assert moves["calls"] == 0 and in_map == [1]
+        assert transports["calls"] == 1 + (rep["c_order"] > 1)
         # Autb(H) and Autb(I) for the stabiliser; Autb_I(E) has its own search
         assert searches["calls"] == 2 and kernel_searches["calls"] == 1
         # h2N decides the zero pair with the lifts check, and the Wells map
@@ -696,15 +870,23 @@ def test_nu_is_section_independent(sweep_exts, q8_exts):
 
 
 def test_acted_triplet_matches_pair_act(sweep_exts, q8_exts):
-    # the transported triplet wells_map reads omega from, with the action C
-    # keeps for each pair, is the triplet of the pair-acted extension,
-    # rebuilt and validated by pair_act
+    # (beta_0, tau_0) moved by all of C in one transport, as wells_map moves
+    # them, with the action C keeps for each pair, is the triplet of the
+    # pair-acted extension, rebuilt and validated by pair_act; each move is
+    # the one the cell loop makes, and the one c_act_on_h2 makes
     pairs = 0
     for ext in sweep_exts + q8_exts:
         t0 = extract_triplet(ext)
         C = stabilizer_C(ext.H, ext.I, t0.chi)
-        for c, chi_c in zip(C, C.acted):
-            assert wells._acted_triplet(t0, c, chi_c) == extract_triplet(pair_act(ext, c))
+        nh = ext.H.n
+        moved = wells._transport(np.array([t0.beta, t0.tau]).reshape(1, -1),
+                                 np.array([c.phi for c in C]), np.array([c.theta for c in C]))
+        assert moved.shape == (C.order, 1, 2 * nh * nh)
+        for c, chi_c, (beta, tau) in zip(C, C.acted, moved.reshape(-1, 2, nh, nh).tolist()):
+            beta, tau = tuple(map(tuple, beta)), tuple(map(tuple, tau))
+            assert Triplet(chi_c, beta, tau) == extract_triplet(pair_act(ext, c))
+            t = CocyclePair(t0.beta, t0.tau)
+            assert CocyclePair(beta, tau) == _c_act_loop(c, c.theta, t) == c_act_on_h2(c, c.theta, t)
             pairs += 1
     assert pairs == 2112
 
