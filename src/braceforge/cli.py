@@ -22,9 +22,11 @@ exit 2 and no traceback.
 
 The environment variable BRACEFORGE_BUDGET caps search-space sizes for
 every search of a command (braceforge.budget); --budget overrides it per
-invocation.  A reader that closes stdout early does not change the exit
-code.  The argument parser is built on the first call to main and reused
-by later calls in the same process.
+invocation.  The command's limit() block also scopes budget.shared, so
+the checks of one command, such as selftest's, build each H^2 group and
+each classification once.  A reader that closes stdout early does not
+change the exit code.  The argument parser is built on the first call to
+main and reused by later calls in the same process.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .extensions import (
     extract_triplet,
     zero_triplet,
 )
-from .cohomology import (_free_transitive_report, _shared_h2, bijection_report, h2N,
-                         restrict_action)
+from .cohomology import (ext_bijection_check, h2N, restrict_action,
+                         verify_free_transitive)
 from .groups import cyclic_group, describe_group, identity_perm
 from .split import ActionTriple, enumerate_split_triples, identity_triple, semidirect_product
 from .wells import verify_exact_sequence
@@ -332,22 +334,6 @@ def cmd_example(args) -> int:
     return 2 if candidates else 0
 
 
-def _bijection_check(H, I, classes, groups: dict) -> dict:
-    """selftest's class-count check for H by I with the identity action,
-    on a computed _class_heads result, with its H^2 read from or added to
-    `groups` (cohomology._shared_h2)."""
-    chi = identity_triple(H, I)
-    rep = bijection_report(I, chi, _shared_h2(groups, H, I, chi), classes)
-    return {"ok": rep["equal"], "report": rep}
-
-
-def _free_transitive_check(H, I, classes, groups: dict) -> dict:
-    """selftest's free-and-transitive check on a computed _class_heads
-    result, with the H^2 groups already computed in `groups`."""
-    rep = _free_transitive_report(H, I, classes, groups)
-    return {"ok": rep["free"] and rep["transitive"], "report": rep}
-
-
 def cmd_selftest(args) -> int:
     checks = []
 
@@ -374,18 +360,21 @@ def cmd_selftest(args) -> int:
         return {"ok": rep["closed_form_add_mismatches"] == 0
                 and rep["closed_form_circ_mismatches"] == 0}
 
-    # every H^2 the checks build, by h2N's arguments: the Wells checks of
-    # the split Z2-by-Z3 and the Z4 extension build those of the identity
-    # couplings that the class-count and free-and-transitive checks read
-    groups: dict = {}
-
     def wells(builder):
         def inner():
-            rep = verify_exact_sequence(builder(), groups)
+            rep = verify_exact_sequence(builder())
             return {"ok": rep["exact"] and rep["psi_bijective"]
                     and rep["psi_hom"] and rep["derivation_law"],
                     "report": {k: v for k, v in rep.items() if k != "omega_table"}}
         return inner
+
+    def class_count(H, I):
+        rep = ext_bijection_check(H, I, identity_triple(H, I))
+        return {"ok": rep["equal"], "report": rep}
+
+    def free_transitive(H, I):
+        rep = verify_free_transitive(H, I)
+        return {"ok": rep["free"] and rep["transitive"], "report": rep}
 
     Z2 = trivial_brace(cyclic_group(2))
     Z3 = trivial_brace(cyclic_group(3))
@@ -399,13 +388,12 @@ def cmd_selftest(args) -> int:
     run("closed-form-reproduction", reproduce_closed_forms)
     run("wells-split-z2-z3", wells(catalog.split_z2_z3_extension))
     run("wells-z4-over-z2", wells(catalog.z4_additive_extension))
-    # the bijection and free-and-transitive checks of one Z2-by-Zi pair
-    # share one _class_heads result
-    by_z2, by_z3 = (_class_heads(Z2, Zi) for Zi in (Z2, Z3))
-    run("class-count-equals-h2-z2-z2", lambda: _bijection_check(Z2, Z2, by_z2, groups))
-    run("class-count-equals-h2-z2-z3", lambda: _bijection_check(Z2, Z3, by_z3, groups))
-    run("free-action-z2-z2", lambda: _free_transitive_check(Z2, Z2, by_z2, groups))
-    run("free-and-transitive-z2-z3", lambda: _free_transitive_check(Z2, Z3, by_z3, groups))
+    # the checks run in main's limit() block, so they share each H^2 group
+    # and each pair's classification (budget.shared)
+    run("class-count-equals-h2-z2-z2", lambda: class_count(Z2, Z2))
+    run("class-count-equals-h2-z2-z3", lambda: class_count(Z2, Z3))
+    run("free-action-z2-z2", lambda: free_transitive(Z2, Z2))
+    run("free-and-transitive-z2-z3", lambda: free_transitive(Z2, Z3))
     run("triplet-round-trip", round_trip)
 
     ok = all(c["ok"] for c in checks)

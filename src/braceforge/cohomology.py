@@ -39,6 +39,9 @@ The quotient H^2 = Z^2 / B^2 acts on extension classes of H by a general
 brace I through annihilator-valued pairs: (g, f) . (chi, beta, tau) =
 (chi, g + beta, f + tau), the sums taken in I (g, f land in Ann(I), so the
 order of the summands is immaterial and "+" agrees with "o" there).
+The theorem checks on it, ext_bijection_check and verify_free_transitive,
+read their H^2 groups and classifications through budget.shared, so the
+checks of one command build each once.
 """
 
 from __future__ import annotations
@@ -790,17 +793,6 @@ def h2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> CohomologyGroup:
     return CohomologyGroup(H, I, chi, space.z2, _coboundary_images(sp, H, I, chi), sp)
 
 
-def _shared_h2(groups: dict, H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> CohomologyGroup:
-    """h2N(H, I, chi), read from `groups`, which maps h2N's arguments to
-    its result, or computed and added there.  A caller that checks several
-    theorems on one coupling hands each check the same `groups`, so each
-    H^2 is built once per caller."""
-    key = (H, I, chi)
-    if key not in groups:
-        groups[key] = h2N(*key)
-    return groups[key]
-
-
 # --- derivations -------------------------------------------------------------
 
 def z1N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
@@ -933,17 +925,12 @@ def ext_bijection_check(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> dict:
     Coefficients must be a trivial abelian brace, in which case the coupling
     relation collapses to equality of action triples, so classes are matched
     by their canonical-section action.  Returns the counts and raises when
-    the two sides disagree.
+    the two sides disagree.  The H^2 group and the classification are read
+    through budget.shared, so the checks of one command build each once.
     """
-    grp = h2N(H, I, chi)
-    return bijection_report(I, chi, grp, _class_heads(H, I))
-
-
-def bijection_report(I: SkewBrace, chi: ActionTriple, grp, buckets: list) -> dict:
-    """ext_bijection_check on a computed H^2 and _class_heads result; it
-    reads only the number of classes per coupling."""
+    grp = budget_mod.shared(h2N, H, I, chi)
     matched = 0
-    for rep_chi, classes in buckets:
+    for rep_chi, classes in budget_mod.shared(_class_heads, H, I):
         related = _first_witnesses(I, rep_chi, chi) is not None
         if related != (rep_chi == chi):
             raise ValidationError(
@@ -1004,23 +991,18 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace) -> dict:
     transitivity (asserted only for trivial I) means a single orbit per
     coupling.  For trivial I the centre equals the annihilator, so the
     |Ext(H, I)| = |Ext(H, Z(I))| comparison is the per-coupling equality
-    of class count and cohomology order.
+    of class count and cohomology order.  H^2 acts on the class key of
+    each class's head; the H^2 groups and the classification are read
+    through budget.shared, so the checks of one command build each once.
     """
-    return _free_transitive_report(H, I, _class_heads(H, I), {})
-
-
-def _free_transitive_report(H: SkewBrace, I: SkewBrace, buckets: list, groups: dict) -> dict:
-    """verify_free_transitive on a computed _class_heads result, acting on
-    the class key of each class's head, with each H^2 read from or added
-    to `groups` (_shared_h2); selftest shares `groups` with its Wells and
-    class-count checks, so no H^2 is computed twice."""
+    buckets = budget_mod.shared(_class_heads, H, I)
     per_coupling = []
     all_free = True
     all_transitive = True
     for rep_chi, classes in buckets:
         reps = [_class_key(H, I, extract_triplet(head)) for head, _ in classes]
         I_res, chi_res, elems = restrict_action(I, rep_chi)
-        grp = _shared_h2(groups, H, I_res, chi_res)
+        grp = budget_mod.shared(h2N, H, I_res, chi_res)
         rows = [_act_permutation(H, I, embed_pair(p, elems), reps)
                 for p in grp.representatives]
         identity = list(range(len(reps)))

@@ -67,7 +67,6 @@ from .braces import (
     SkewBrace,
     _brace_axiom_holds,
     brace_hom_ops,
-    is_ideal,
     validate_brace,
 )
 from .errors import (
@@ -142,7 +141,8 @@ class Extension:
 
 
 def validate_extension(E: SkewBrace, H: SkewBrace, I: SkewBrace, inj, proj) -> Extension:
-    """Check hom-ness, exactness and ideal-ness; returns the Extension."""
+    """Check hom-ness and exactness; returns the Extension.  The image of
+    inj is then the kernel of the brace hom proj, hence an ideal of E."""
     inj = tuple(inj)
     proj = tuple(proj)
     if len(inj) != I.n or len(proj) != E.n:
@@ -164,8 +164,6 @@ def validate_extension(E: SkewBrace, H: SkewBrace, I: SkewBrace, inj, proj) -> E
             "image of inj differs from kernel of proj",
             image=sorted(image), kernel=sorted(kernel),
         )
-    if not is_ideal(E, image):
-        raise NotExact("embedded kernel is not an ideal", image=sorted(image))
     return Extension(E, H, I, inj, proj)
 
 
@@ -343,29 +341,10 @@ def coupling_of(ext: Extension) -> Coupling:
 
 
 def _twists_at(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple, h: int) -> Iterator[int]:
-    """The y, in increasing order, whose twist at h carries the members of
-    chi1 at h to those of chi2 (see couplings_related).
-
-    The members are permutations, so chi2.nu[h] = chi1.nu[h] lam_y exactly
-    when lam_y = chi1.nu[h]^-1 chi2.nu[h], and likewise for the inner
-    factors of mu and sigma: each quotient is formed once, and each y
-    compares it with rows of the lambda table and of the groups' tables of
-    inner automorphisms.  lam_0 and the inner automorphisms by 0 are the
-    identity, and nu1 fixes 0 (an automorphism of (I, +)), so the twist by
-    0 fits exactly when the members agree, which is decided before any
-    quotient is formed."""
-    nu1, mu1, sg1 = chi1.nu[h], chi1.mu[h], chi1.sigma[h]
-    nu2, mu2, sg2 = chi2.nu[h], chi2.mu[h], chi2.sigma[h]
-    if nu1 == nu2 and mu1 == mu2 and sg1 == sg2:
-        yield 0
-    lam_q = compose(invert_perm(nu1), nu2)
-    add_q = compose(mu2, invert_perm(mu1))
-    circ_q = compose(sg2, invert_perm(sg1))
-    lam, neg, cinv = I.lambda_table, I.add.inv, I.circ.inv
-    inn_add, inn_circ = I.add.inner, I.circ.inner
-    for y in range(1, I.n):
-        if lam[y] == lam_q and inn_add[nu1[neg[y]]] == add_q and inn_circ[cinv[y]] == circ_q:
-            yield y
+    """The y, in increasing order, whose twist at h (_twist_at) carries the
+    members of chi1 at h to those of chi2 (see couplings_related)."""
+    target = (chi2.nu[h], chi2.mu[h], chi2.sigma[h])
+    return (y for y in range(I.n) if _twist_at(I, chi1, h, y) == target)
 
 
 def couplings_related(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple):

@@ -33,9 +33,10 @@ Z^2, B^2 and Z^1, the last two from one echelon of the coboundary
 matrix), and the C-action on classes and the derivation law are gathers
 on the representatives' rows; Autb_I(E) is searched with generator images
 already confined to the kernel.  The canonical section, and the triplet
-and action of E read through it, are extracted once per check.  The
-orbit-search wells_map and the per-pair derivation loop are kept as
-oracles in tests/test_wells.py.
+and action of E read through it, are extracted once per check, and the
+H^2 of the restricted action is read through budget.shared, built once
+per command and coupling.  The orbit-search wells_map and the per-pair
+derivation loop are kept as oracles in tests/test_wells.py.
 
 Computed once.  A pair acts on the families by conjugation, so the
 stabiliser sweep conjugates every member of nu, mu, sigma once per theta
@@ -46,8 +47,8 @@ by one lookup in the coset of mu_h, built once per h, and sigma likewise
 with Inn(I, o).  The conjugated action chi^c of every accepted pair stays
 on StabilizerC (acted), where wells_map reads it, so only (beta, tau)
 move, by all of C in one gather (_transport, as the derivation law's
-rows move); the twist witnesses compare quotients of members with the
-rows of each group's table of inner automorphisms (extensions._twists_at).
+rows move); a twist witness at h is a y whose twist of the members at h
+(extensions._twist_at) equals the target's (extensions._twists_at).
 Every cut of permutations to a sub-carrier is cohomology._restrict.
 
 Generating sets.  A pair (phi, theta) is one permutation of H u I, phi
@@ -76,13 +77,14 @@ Z^1 x Z^1 (_psi_law).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import budget as budget_mod
+from . import cohomology
 from .braces import BraceHom, SkewBrace, _brace_automorphism_search, brace_automorphisms
-from .cohomology import (CocyclePair, CohomologyGroup, _carrier_index, _restrict, _shared_h2,
+from .cohomology import (CocyclePair, CohomologyGroup, _carrier_index, _restrict,
                          restrict_action)
 from .errors import (
     ActionNotTransitive,
@@ -471,14 +473,14 @@ def _psi_law(ext: Extension, s: Sequence[int], elems: np.ndarray, add: np.ndarra
     return bool((lhs == psi[:, psi_t]).all())
 
 
-def verify_exact_sequence(ext: Extension, groups: Optional[dict] = None) -> dict:
+def verify_exact_sequence(ext: Extension) -> dict:
     """Exhaustively verify the Wells-type exact sequence for one extension.
 
     The canonical section s and the canonical triplet of E, with its
     action, are extracted once and shared by rho, psi and wells_map.
-    The H^2 of the restricted action is read from or added to `groups`,
-    when given (cohomology._shared_h2), so a caller that checks other
-    theorems on the same coupling, as selftest does, builds it once.
+    The H^2 of the restricted action is read through budget.shared, so
+    the checks of one command on the same coupling, as in selftest,
+    build it once.
     Checks, in order: the annihilator of the kernel is its centre; the
     image of rho lies in the stabiliser; the derivation group maps
     bijectively onto the kernel of rho via psi, and homomorphically, the
@@ -496,7 +498,8 @@ def verify_exact_sequence(ext: Extension, groups: Optional[dict] = None) -> dict
     I_res, chi_res, elems = restrict_action(I, t0.chi)
     if set(elems) != set(I.add.centre()):
         raise ValidationError("annihilator of a trivial brace must be the centre")
-    h2grp = _shared_h2({} if groups is None else groups, H, I_res, chi_res)
+    # cohomology's binding of h2N, so every caller shares one key
+    h2grp = budget_mod.shared(cohomology.h2N, H, I_res, chi_res)
     z1, gens = h2grp._derivation_rows()
     C = stabilizer_C(H, I, t0.chi)
     pairs_of = rho(ext, s)

@@ -289,15 +289,18 @@ def test_classify_ext_relabels_once_and_searches_each_ideal_once(
 
 def test_selftest_computes_each_h2_once(capsys, count_calls):
     # the two Wells checks, the class-count checks and the free-and-
-    # transitive checks share one mapping of H^2 groups: the Wells checks
-    # of the split Z2-by-Z3 and the Z4 extension build the groups of the
-    # identity couplings the class-count checks read, so 7 calls build the
-    # 7 distinct groups (9 calls before)
+    # transitive checks read their H^2 groups and classifications through
+    # budget.shared in the command's limit() block: the Wells checks of the
+    # split Z2-by-Z3 and the Z4 extension build the groups of the identity
+    # couplings the class-count checks read, so 7 calls build the 7
+    # distinct groups (9 calls before), and the two checks of each Z2-by-Zi
+    # pair classify it once
     built = count_calls(h2N)
+    heads = count_calls(extensions._class_heads)
     checked = count_calls(wells.verify_exact_sequence)
     assert main(["selftest"]) == 0
     capsys.readouterr()
-    assert (built["calls"], checked["calls"]) == (7, 2)
+    assert (built["calls"], heads["calls"], checked["calls"]) == (7, 2, 2)
 
 
 def test_cohomology_reads_everything_off_one_group(tmp_path, capsys, count_calls, Z2, flip4):
@@ -451,6 +454,46 @@ def test_bad_budget_is_input_error(tmp_path, capsys, monkeypatch, Z2, Z3):
     code = main(["--budget", "0", "enumerate-split", h, i])
     report = json.loads(capsys.readouterr().out)
     assert code == 3 and report["error"] == "budget"
+
+
+def test_shared_results_live_in_the_outermost_limit_block():
+    from braceforge.budget import limit, shared
+    from braceforge.errors import SearchBudgetExceeded
+
+    calls = []
+
+    def square(x):
+        calls.append(x)
+        return x * x
+
+    def cube(x):
+        calls.append(x)
+        return x ** 3
+
+    def overrun(x):
+        calls.append(-x)
+        raise SearchBudgetExceeded("probe", x, 0)
+
+    # outside any block every call computes
+    assert (shared(square, 3), shared(square, 3)) == (9, 9) and calls == [3, 3]
+    calls.clear()
+    with limit():
+        # equal arguments compute once per function
+        assert shared(square, 3) == shared(square, 3) == 9 and shared(cube, 3) == 27
+        with limit(0):
+            # a nested block, whatever its budget, reads and fills the
+            # outermost block's results
+            assert (shared(square, 3), shared(square, 4)) == (9, 16)
+        assert shared(square, 4) == 16 and calls == [3, 3, 4]
+        # a call that raises stores nothing, so the next one computes again
+        for _ in range(2):
+            with pytest.raises(SearchBudgetExceeded):
+                shared(overrun, 2)
+        assert calls == [3, 3, 4, -2, -2]
+    # the results leave with the block
+    with limit():
+        assert shared(square, 3) == 9
+    assert calls == [3, 3, 4, -2, -2, 3]
 
 
 def test_example_lays_out_the_payload_only_for_output(tmp_path, capsys, count_calls):

@@ -90,18 +90,14 @@ UNREACHED = {
         " non-abelian kernels decides whether it is the paper's C (ROADMAP)",
     "extensions.h2_alpha":
         "with z2_alpha, the triplet route that takes Ext past order 7 (ROADMAP)",
-    "cohomology.verify_free_transitive":
-        "the free-and-transitive theorem check the triplet route and the atlas"
-        " command run at every order (ROADMAP)",
-    "cohomology.ext_bijection_check":
-        "the class-count theorem check the triplet route and the atlas command"
-        " run at every order (ROADMAP)",
     "split.split_decompose":
         "the split theorem, decided in coordinates and run by a command (ROADMAP)",
     "cohomology.h2_act": _PUBLIC + ": the H^2 action on an extension, through h2_act_triplet",
     "wells.pair_act": _PUBLIC + ": the compatible-pair action on an extension",
     "wells.c_act_on_h2": _PUBLIC + ": the C-action on one cocycle pair, one"
         " wells._transport call; the Wells check moves all of C in one such call",
+    "braces.is_ideal": _PUBLIC + ": the ideal test; validate_extension needs none, as"
+        " the kernel of a brace hom is an ideal",
     "extensions.coupling_of": _PUBLIC + ": the coupling of an extension, in __all__",
     "catalog.trivial_brace_entries": _PUBLIC + ": the catalog's built-in trivial braces",
     "catalog.fixture_extension_entries": _PUBLIC + ": the catalog's built-in extensions",
