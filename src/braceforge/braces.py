@@ -358,10 +358,9 @@ def _brace_automorphism_search(E: SkewBrace, admit: Optional[Callable] = None) -
     else:
         def candidates(g: int) -> list:
             return [x for x in matched(g) if admit(g, x)]
-    maps = _homomorphisms(
+    return set(_homomorphisms(
         E.add, candidates, brace_hom_ops(E, E), 0, "brace_automorphisms", injective=True
-    )
-    return {tuple(m[x] for x in range(E.n)) for m in maps}
+    ))
 
 
 def brace_automorphisms(E: SkewBrace) -> PermGroup:
@@ -377,4 +376,4 @@ def find_brace_isomorphism(E1: SkewBrace, E2: SkewBrace) -> Optional[Perm]:
         E1.add, _order_matched([(E1.add, E2.add), (E1.circ, E2.circ)]),
         brace_hom_ops(E1, E2), 0, "find_brace_isomorphism", injective=True, first_only=True,
     )
-    return tuple(maps[0][x] for x in range(E1.n)) if maps else None
+    return maps[0] if maps else None

@@ -9,7 +9,8 @@ non-negative integer; 0 stops every search.
 
 The same scope shares results: inside a limit() block, shared(fn, *args)
 computes fn(*args) once per equal arguments, so the checks of one command
-that need the same H^2 group or the same classification build it once.
+that need the same H^2 group or the same classification build it once,
+and cohomology.h2_act reads back the extension its h2_act_triplet rebuilt.
 A nested block shares the outermost block's results: a finished result
 does not depend on the budget, and a call that raises stores nothing.
 """

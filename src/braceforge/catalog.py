@@ -13,9 +13,12 @@ indent and a trailing newline, so saved files are bit-stable):
 
 Text that is not UTF-8 JSON, wrong shapes, non-integer entries and
 unknown fields raise SchemaError;
-the mathematical laws are then checked by the module validators, which
-run once on every load: the entry keeps the validated object, and
-build() hands it back instead of validating the payload again.  A group
+the mathematical laws of groups, braces and extensions are then checked
+by the module validators.  The loader of each kind returns the live
+object (a triple or triplet after its shape checks alone), which the
+entry keeps, and build() hands back: the loaded object, else the object
+an entry_for entry wraps, else what the kind's loader makes of a payload
+given by hand, so build() validates nothing of its own.  A group
 or brace whose identity is not element 0 is relabeled on load (the
 identity is swapped to index 0) and the entry carries a warning record;
 inside an extension payload the relabeling is pushed through inj and
@@ -244,12 +247,12 @@ def _load_triple_payload(data, path: str):
                     path=path,
                     field=fld,
                 )
-    return {"nu": nu, "mu": mu, "sigma": sigma}, [], None, None
+    return {"nu": nu, "mu": mu, "sigma": sigma}, [], None, triple_from_tables(nu, mu, sigma)
 
 
 def _load_triplet_payload(data, path: str):
     _require_object(data, ("chi", "beta", "tau"), path)
-    chi, _, _, _ = _load_triple_payload(data["chi"], f"{path}.chi")
+    chi, _, _, live_chi = _load_triple_payload(data["chi"], f"{path}.chi")
     nh = len(chi["nu"])
     ni = len(chi["nu"][0])
     beta = _int_matrix(data["beta"], path, "beta", rows=nh, cols=nh)
@@ -263,7 +266,8 @@ def _load_triplet_payload(data, path: str):
                         path=path,
                         field=fld,
                     )
-    return {"chi": chi, "beta": beta, "tau": tau}, [], None, None
+    live = Triplet(live_chi, tuple(map(tuple, beta)), tuple(map(tuple, tau)))
+    return {"chi": chi, "beta": beta, "tau": tau}, [], None, live
 
 
 def _load_extension_payload(data, path: str):
@@ -337,10 +341,12 @@ class _Payload:
 class CatalogEntry:
     """A named, validated payload with its origin tag and load warnings.
 
-    An entry made by the loader also carries the object it validated
+    An entry made by the loader also carries the object it loaded
     (`live`), which build() returns; it takes no part in ==, hash or repr.
     An entry made by entry_for keeps its object (`_source`, which takes no
-    part either) and lays out the payload when it is first read.
+    part either), which build() returns, and lays out the payload when it
+    is first read.  An entry given a payload by hand builds through its
+    kind's loader.
     """
 
     name: str
@@ -361,30 +367,14 @@ class CatalogEntry:
             raise InputError(f"unknown provenance {self.provenance!r}")
 
     def build(self):
-        """The validated live object this payload describes."""
+        """The live object this payload describes: the one the loader
+        made, else the one entry_for wrapped, else what its kind's loader
+        makes of a payload given by hand."""
         if self.live is not None:
             return self.live
-        p = self.payload
-        if self.kind == "group":
-            return validate_group(p["table"])
-        if self.kind == "brace":
-            return validate_brace(p["add"], p["circ"])
-        if self.kind == "triple":
-            return triple_from_tables(p["nu"], p["mu"], p["sigma"])
-        if self.kind == "triplet":
-            chi = p["chi"]
-            return Triplet(
-                triple_from_tables(chi["nu"], chi["mu"], chi["sigma"]),
-                tuple(tuple(row) for row in p["beta"]),
-                tuple(tuple(row) for row in p["tau"]),
-            )
-        return validate_extension(
-            validate_brace(p["E"]["add"], p["E"]["circ"]),
-            validate_brace(p["H"]["add"], p["H"]["circ"]),
-            validate_brace(p["I"]["add"], p["I"]["circ"]),
-            p["inj"],
-            p["proj"],
-        )
+        if self._source is not None:
+            return self._source
+        return _LOADERS[self.kind](self.payload, self.name)[3]
 
 
 def _row_stack_template(rows: int, cols: int, pad: str, templates: dict) -> str:

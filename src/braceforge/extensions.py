@@ -556,11 +556,10 @@ def h2_alpha(H: SkewBrace, I: SkewBrace, alpha: ActionTriple) -> list:
 
 def _brace_monos(I: SkewBrace, E: SkewBrace) -> list:
     """All injective brace homomorphisms I -> E as tuples."""
-    maps = _homomorphisms(
+    return sorted(set(_homomorphisms(
         I.add, _order_matched([(I.add, E.add)]), brace_hom_ops(I, E), 0,
         "brace monomorphisms", injective=True,
-    )
-    return sorted({tuple(m[y] for y in range(I.n)) for m in maps})
+    )))
 
 
 def _brace_homs_by_kernel(E: SkewBrace, H: SkewBrace) -> dict:
@@ -582,10 +581,8 @@ def _brace_homs_by_kernel(E: SkewBrace, H: SkewBrace) -> dict:
         a, c = E.add.element_order(g), E.circ.element_order(g)
         return [x for x, (ha, hc) in enumerate(orders) if a % ha == 0 and c % hc == 0]
 
-    maps = _homomorphisms(E.add, candidates, brace_hom_ops(E, H), 0, "brace projections")
     out: dict = {}
-    for m in maps:
-        proj = tuple(m[x] for x in range(E.n))
+    for proj in _homomorphisms(E.add, candidates, brace_hom_ops(E, H), 0, "brace projections"):
         if len(set(proj)) == H.n:
             out.setdefault(frozenset(x for x, h in enumerate(proj) if h == 0), []).append(proj)
     return out
@@ -739,17 +736,26 @@ def enumerate_all_extensions(H: SkewBrace, I: SkewBrace) -> list:
     return out
 
 
+def _section_shift_maps(e1: Extension, s1: Sequence[int], e2: Extension, s2: Sequence[int],
+                        shifts: np.ndarray) -> np.ndarray:
+    """The map s1(h) o y -> s2(h) o shift(h) o y from E1 to E2, s1 and s2
+    sections, for each row of shifts (maps H -> I), one row per map, as
+    one gather; the Wells check's psi is its (ext, ext) case."""
+    c1, c2, h = e1.E.circ, e2.E.circ.np_table, np.asarray(e1.proj)
+    # y of x = s1(h) o y as an element of E1, then of I, then of E2
+    into_I, inj2 = np.empty(e1.E.n, dtype=np.int64), np.asarray(e2.inj)
+    into_I[list(e1.inj)] = np.arange(e1.I.n)
+    y = inj2[into_I[c1.np_table[np.asarray(c1.inv)[np.asarray(s1)[h]], np.arange(e1.E.n)]]]
+    return c2[c2[np.asarray(s2)[h], inj2[shifts[:, h]]], y]
+
+
 def section_shift_map(e1: Extension, e2: Extension, shift: Sequence[int]) -> tuple:
     """The map s1(h) o y -> s2(h) o shift(h) o y from E1 to E2, with s1, s2
-    the canonical sections and shift(h) an element of I."""
-    E1c, E2c, inj2 = e1.E.circ, e2.E.circ.table, e2.inj
-    s1, s2 = canonical_section(e1), canonical_section(e2)
-    out = []
-    for x in range(e1.E.n):
-        h = e1.proj[x]
-        y = e1.into_I(E1c.table[E1c.inv[s1[h]]][x])
-        out.append(E2c[E2c[s2[h]][inj2[shift[h]]]][inj2[y]])
-    return tuple(out)
+    the canonical sections and shift(h) an element of I: one row of
+    _section_shift_maps."""
+    rows = _section_shift_maps(e1, canonical_section(e1), e2, canonical_section(e2),
+                               np.array([shift], dtype=np.int64))
+    return tuple(rows[0].tolist())
 
 
 def extensions_equivalent(e1: Extension, e2: Extension) -> Optional[BraceHom]:

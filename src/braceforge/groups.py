@@ -47,7 +47,8 @@ elements of G_{j+1} outside G_j along the cells _generator_cells
 walks, and is kept when the rest of those cells agree: the old elements
 times g_{j+1}, and each new element times every generator so far.  Over
 one path of the search these are the n |S| cells of the test, less the
-cells 0 g_j, and none is visited twice.  PermGroup.is_group decides
+cells 0 g_j, and none is visited twice.  Each map found is returned as
+its image tuple, the form every caller keeps.  PermGroup.is_group decides
 closure the same way, on a greedy generating set of its elements.
 Paired end-to-end runs against the all-pairs closure that came before
 are in BENCH_generator_homs.json.
@@ -503,8 +504,8 @@ def _homomorphisms(
     `candidates(gen)` yields admissible images for a generator; each list
     is built once, and the product of their lengths, which bounds the
     leaves of the search tree, is held to the budget as the search `what`.
-    Returns a list of dicts {src element: image}, in the lex order of the
-    generator images' positions in their candidate lists.
+    Returns a list of image tuples, f[x] the image of src element x, in the
+    lex order of the generator images' positions in their candidate lists.
     """
     gens = src.generating_sequence()
     images = [list(candidates(g)) for g in gens]
@@ -519,7 +520,7 @@ def _homomorphisms(
     def extend(j: int) -> bool:
         if j == len(gens):
             if all(_respects(f, table, sgens, dst_mul) for table, dst_mul, sgens in others):
-                out.append(dict(enumerate(f)))
+                out.append(tuple(f))
                 return first_only
             return False
         g = gens[j]
@@ -561,12 +562,10 @@ def is_automorphism(p: Sequence[int], G: FiniteGroup) -> bool:
 
 def automorphism_group(G: FiniteGroup) -> PermGroup:
     """Aut(G) by exhaustive backtracking over generator images."""
-    maps = _homomorphisms(
+    return PermGroup(G.n, _homomorphisms(
         G, _order_matched([(G, G)]), [(G, G.mul)], 0, "automorphism_group",
         injective=True,
-    )
-    perms = {tuple(m[x] for x in range(G.n)) for m in maps}
-    return PermGroup(G.n, perms)
+    ))
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[Perm]:
@@ -577,7 +576,7 @@ def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Optional[Perm]:
         G1, _order_matched([(G1, G2)]), [(G1, G2.mul)], 0, "find_isomorphism",
         injective=True, first_only=True,
     )
-    return tuple(maps[0][x] for x in range(G1.n)) if maps else None
+    return maps[0] if maps else None
 
 
 def is_isomorphic(G1: FiniteGroup, G2: FiniteGroup) -> bool:
@@ -592,12 +591,10 @@ def homs_to_perm_group(src: FiniteGroup, target: PermGroup) -> list:
         k = src.element_order(g)
         return [p for p in elems if k % perm_order(p) == 0]
 
-    maps = _homomorphisms(
+    return sorted(set(_homomorphisms(
         src, candidates, [(src, compose)], identity_perm(target.degree),
         "homs_to_perm_group",
-    )
-    result = [tuple(m[h] for h in range(src.n)) for m in maps]
-    return sorted(set(result))
+    )))
 
 
 def inner_automorphism(G: FiniteGroup, g: int) -> Perm:

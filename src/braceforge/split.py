@@ -60,9 +60,10 @@ bijection, so the first line reaches every (h, y).  The only precondition
 of both halves is that both product tables are groups, which holds once
 nu, mu and sigma obey their (anti)hom laws into Aut(I, +), Aut(I, +) and
 Aut(I, o).  Every caller ensures it: enumeration draws its families from
-groups.homs_to_perm_group, validate_split_triple runs check_hom_laws
-first, and cohomology._cocycle_space runs after validate_cocycle_action,
-which checks the same laws for trivial-brace coefficients.
+groups.homs_to_perm_group, and the action check _check_action, which
+decides automorphism membership and the laws, runs first in
+validate_split_triple and in cohomology.validate_cocycle_action, after
+which cohomology._cocycle_space runs.
 
 _compat_on_lifts decides a stack of candidates with x1 among the circle
 lifts L_o, x2 among the additive lifts L_+ and x3 over all of E, |L_o|
@@ -276,10 +277,11 @@ def check_hom_laws(H: SkewBrace, t: ActionTriple) -> None:
         raise err(message, h1=h1, h2=h2)
 
 
-def validate_split_triple(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
-    """Check automorphism membership, the three (anti)hom laws and the
-    compatibility equation, the last on the lifts (module docstring), at
-    every order.  Returns None; raises with a witness on failure."""
+def _check_action(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
+    """The action check: t is indexed by H (InputError otherwise), each
+    nu_h and mu_h is in Aut(I, +) and each sigma_h in Aut(I, o), checked
+    per h in that order (NotAutomorphism at the first that is not), and
+    the three (anti)hom laws hold (check_hom_laws).  Returns None."""
     if len(t.nu) != H.n:
         raise InputError(f"triple indexed by {len(t.nu)} elements, |H| = {H.n}")
     for h in range(H.n):
@@ -290,6 +292,14 @@ def validate_split_triple(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
         if not is_automorphism(t.sigma[h], I.circ):
             raise NotAutomorphism(f"sigma[{h}] is not in Aut(I, o)", h=h, family="sigma")
     check_hom_laws(H, t)
+
+
+def validate_split_triple(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
+    """Check the action (_check_action: automorphism membership and the
+    three (anti)hom laws), then the compatibility equation on the lifts
+    (module docstring), at every order.  Returns None; raises with a
+    witness on failure."""
+    _check_action(H, I, t)
     witness = _compat_witness(H, I, t)
     if witness is not None:
         h1, h2, h3, y1, y2, y3 = witness
@@ -439,4 +449,4 @@ def _find_hom_section(ext) -> Optional[tuple]:
     maps = _homomorphisms(
         H.add, candidates, brace_hom_ops(H, E), 0, "hom section search", first_only=True
     )
-    return tuple(maps[0][h] for h in range(H.n)) if maps else None
+    return maps[0] if maps else None

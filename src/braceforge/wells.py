@@ -49,6 +49,8 @@ on StabilizerC (acted), where wells_map reads it, so only (beta, tau)
 move, by all of C in one gather (_transport, as the derivation law's
 rows move); a twist witness at h is a y whose twist of the members at h
 (extensions._twist_at) equals the target's (extensions._twists_at).
+psi is the (ext, ext) case of extensions._section_shift_maps, one
+gather for all of Z^1.
 Every cut of permutations to a sub-carrier is cohomology._restrict.
 
 Generating sets.  A pair (phi, theta) is one permutation of H u I, phi
@@ -96,6 +98,7 @@ from .extensions import (
     Extension,
     Triplet,
     _first_witnesses,
+    _section_shift_maps,
     canonical_section,
     extract_triplet,
     twist_cocycle,
@@ -436,19 +439,6 @@ def _derivation_law(
 
 # --- the exact sequence -------------------------------------------------------
 
-def _psi_maps(ext: Extension, s: Sequence[int], shifts: np.ndarray) -> np.ndarray:
-    """psi(theta) for each row theta of shifts (maps H -> I in I
-    coordinates), one row per map: the map s(h) o y -> s(h) o theta(h) o y
-    of E, section_shift_map(ext, ext, theta) with s the canonical section,
-    as one gather."""
-    Ec = ext.E.circ.np_table
-    proj, inj = np.asarray(ext.proj), np.asarray(ext.inj)
-    sx = np.asarray(s)[proj]
-    # x = s(h) o y with y read as an element of E
-    ys = Ec[np.asarray(ext.E.circ.inv)[sx], np.arange(ext.E.n)]
-    return Ec[Ec[sx, inj[shifts[:, proj]]], ys]
-
-
 def _psi_law(ext: Extension, s: Sequence[int], elems: np.ndarray, add: np.ndarray,
              z1: np.ndarray, gens: np.ndarray, psi: np.ndarray) -> bool:
     """Whether psi(d + t) = psi(d) psi(t) for every d in Z^1 (rows z1 in
@@ -468,7 +458,7 @@ def _psi_law(ext: Extension, s: Sequence[int], elems: np.ndarray, add: np.ndarra
     at = {row: k for k, row in enumerate(map(tuple, z1.tolist()))}
     psi_t = psi[[at[t] for t in map(tuple, gens.tolist())]]
     sums = add[z1[:, None, :], gens[None, :, :]].reshape(-1, z1.shape[1])
-    lhs = _psi_maps(ext, s, elems[sums]).reshape(len(z1), len(gens), -1)
+    lhs = _section_shift_maps(ext, s, ext, s, elems[sums]).reshape(len(z1), len(gens), -1)
     # psi(d) psi(t) at x is psi(d) at psi(t)(x)
     return bool((lhs == psi[:, psi_t]).all())
 
@@ -514,7 +504,7 @@ def verify_exact_sequence(ext: Extension) -> dict:
 
     # psi : derivations -> kernel of rho, bijective and operation-preserving.
     el = np.asarray(elems, dtype=np.int64)
-    psi = _psi_maps(ext, s, el[z1])
+    psi = _section_shift_maps(ext, s, ext, s, el[z1])
     psi_images = list(map(tuple, psi.tolist()))
     psi_bijective = sorted(psi_images) == ker_rho and len(set(psi_images)) == len(psi_images)
     if not psi_bijective:

@@ -516,6 +516,31 @@ def test_loaded_payload_is_validated_once(tmp_path, count_calls, split_ext):
         bad.build()
 
 
+def test_hand_made_entries_build_through_their_loader(count_calls, split_ext):
+    # build() validates nothing of its own: an entry given a payload by
+    # hand runs its kind's loader, with its relabelling and schema checks,
+    # and an entry_for entry hands back the object it wraps
+    moved = cyclic_group(3).relabel((1, 0, 2))
+    group = catalog.CatalogEntry(name="g", kind="group",
+                                 payload={"n": 3, "table": [list(r) for r in moved.table]})
+    assert group.build() == cyclic_group(3)
+    bad = catalog.CatalogEntry(name="t", kind="triple",
+                               payload={"nu": [[0, 1], [0, 0]], "mu": [[0, 1], [0, 1]],
+                                        "sigma": [[0, 1], [0, 1]]})
+    with pytest.raises(SchemaError, match=r"nu\[1\] is not a permutation"):
+        bad.build()
+    triplet = extract_triplet(split_ext)
+    hand = catalog.CatalogEntry(name="t", kind="triplet",
+                                payload=catalog.triplet_payload(triplet))
+    assert hand.build() == triplet
+    braces = count_calls(validate_brace)
+    entry = catalog.CatalogEntry(name="E", kind="brace",
+                                 payload=catalog.brace_payload(split_ext.E))
+    assert entry.build() == split_ext.E and braces["calls"] == 1
+    wrapped = catalog.entry_for(split_ext, "ext")
+    assert wrapped.build() is split_ext and braces["calls"] == 1
+
+
 def test_bad_extension_file_raises_first_error(tmp_path, split_ext):
     good = catalog.extension_payload(split_ext)
     bad_circ = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]

@@ -50,8 +50,10 @@ from braceforge.cohomology import (
 from braceforge.errors import (
     CoefficientsNotAbelian,
     InputError,
+    NotAutomorphism,
     NotTrivialCoefficients,
     SearchBudgetExceeded,
+    TripletInvalid,
     ValidationError,
 )
 from braceforge.extensions import (
@@ -83,7 +85,8 @@ from braceforge.groups import (
     invert_perm,
     klein_group,
 )
-from braceforge.split import ActionTriple, enumerate_split_triples, identity_triple
+from braceforge.split import (ActionTriple, enumerate_split_triples, identity_triple,
+                              validate_split_triple)
 from test_extensions import (
     _extensions_equivalent_loop,
     _parent_relation_cells,
@@ -560,6 +563,52 @@ def test_h2_act_moves_and_composes(Z2):
             assert _extensions_equivalent_loop(lhs, rhs) is not None
 
 
+def _annihilator_pairs(H, I):
+    """Every normalized pair (g, f) with values in Ann(I), lex by cells."""
+    ann, free = annihilator(I), (H.n - 1) ** 2
+
+    def table(cells):
+        return ((0,) * H.n,) + tuple((0,) + cells[k:k + H.n - 1]
+                                     for k in range(0, free, H.n - 1))
+
+    for cells in itertools.product(ann, repeat=2 * free):
+        yield CocyclePair(table(cells[:free]), table(cells[free:]))
+
+
+def test_h2_act_triplet_accepts_exactly_the_restricted_cocycle_pairs(Z2, Z3, flip4,
+                                                                     count_calls):
+    # the shift of the zero triplet rebuilds exactly when the pair lies in
+    # the embedded Z^2 of the restricted action; the component laws alone,
+    # which h2_act_triplet once checked instead, hold on more pairs
+    for H, I, want in ((Z2, Z3, (9, 9, 3)), (Z3, flip4, (256, 16, 4))):
+        t = zero_triplet(H, I)
+        I_res, chi_res, elems = restrict_action(I, t.chi)
+        cocycles = {embed_pair(p, elems) for p in z2N(H, I_res, chi_res)}
+        pairs = lawful = accepted = 0
+        for pair in _annihilator_pairs(H, I):
+            pairs += 1
+            lawful += (component_law_witness(H.add.table, I, t.chi.mu, pair.g) is None
+                       and component_law_witness(H.circ.table, I, t.chi.sigma, pair.f) is None)
+            if pair in cocycles:
+                assert h2_act_triplet(H, I, pair, t) == _shift(H, I, pair, t)
+                accepted += 1
+            else:
+                with pytest.raises(TripletInvalid):
+                    h2_act_triplet(H, I, pair, t)
+        assert (pairs, lawful, accepted) == want == (pairs, lawful, len(cocycles))
+    # h2_act returns the extension of h2_act_triplet's one rebuild, also
+    # inside a command's limit() block, where equal calls share it
+    ext = extension_from_triplet(Z3, flip4, zero_triplet(Z3, flip4))
+    pair = sorted(cocycles, key=CocyclePair.sort_key)[-1]
+    rebuilds = count_calls(extensions_mod.extension_from_triplet)
+    moved = h2_act(Z3, flip4, pair, ext)
+    assert rebuilds["calls"] == 1
+    assert extract_triplet(moved) == _shift(Z3, flip4, pair, zero_triplet(Z3, flip4))
+    with budget_mod.limit():
+        assert h2_act(Z3, flip4, pair, ext) == h2_act(Z3, flip4, pair, ext) == moved
+    assert rebuilds["calls"] == 2
+
+
 def test_free_and_transitive(Z2, Z3):
     r = verify_free_transitive(Z2, Z2)
     assert r["free"] and r["transitive"] and r["couplings"] == 1
@@ -751,6 +800,25 @@ def test_zero_pair_guard_for_non_split_action(Z2, Z3):
     assert z2N(Z2, Z3, chi) == []
     with pytest.raises(ValidationError):
         h2N(Z2, Z3, chi)
+
+
+def test_cocycle_action_check_is_splits(Z3, Z4, flip4):
+    # validate_cocycle_action runs split's action check after the
+    # coefficient check: the first member outside Aut(I, +) in split's
+    # order, h first and then nu, mu, sigma, is the witness, as
+    # validate_split_triple reports it; a wrong length is split's InputError
+    idp, bad = identity_perm(4), (0, 2, 1, 3)
+    chi = ActionTriple((idp, idp, bad), (idp, bad, idp), (idp, idp, idp))
+    raised = []
+    for check in (validate_cocycle_action, validate_split_triple):
+        with pytest.raises(NotAutomorphism) as exc:
+            check(Z3, Z4, chi)
+        raised.append((str(exc.value), exc.value.witness))
+    assert raised == [("mu[1] is not in Aut(I, +)", {"h": 1, "family": "mu"})] * 2
+    with pytest.raises(NotTrivialCoefficients):
+        validate_cocycle_action(Z3, flip4, chi)
+    with pytest.raises(InputError, match=r"triple indexed by 1 elements, \|H\| = 3"):
+        validate_cocycle_action(Z3, Z4, ActionTriple((idp,), (idp,), (idp,)))
 
 
 def _rebuild_filter(H, I, chi):

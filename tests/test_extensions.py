@@ -54,7 +54,6 @@ from braceforge.extensions import (
     extract_triplet,
     h2_alpha,
     is_valid_triplet,
-    section_shift_map,
     twist_triplet,
     triplets_equivalent,
     twist_action,
@@ -537,15 +536,29 @@ def test_enumerate_and_classify_3_by_2(Z2, Z3):
     assert sum(len(c) for _, classes in buckets for c in classes) == 120
 
 
+def _section_shift_map_loop(e1, e2, shift):
+    """The per-element map s1(h) o y -> s2(h) o shift(h) o y from E1 to E2,
+    s1 and s2 the canonical sections: the oracle for
+    extensions._section_shift_maps and its one-row case section_shift_map."""
+    E1c, E2c, inj2 = e1.E.circ, e2.E.circ.table, e2.inj
+    s1, s2 = canonical_section(e1), canonical_section(e2)
+    out = []
+    for x in range(e1.E.n):
+        h = e1.proj[x]
+        y = e1.into_I(E1c.table[E1c.inv[s1[h]]][x])
+        out.append(E2c[E2c[s2[h]][inj2[shift[h]]]][inj2[y]])
+    return tuple(out)
+
+
 def _extensions_equivalent_loop(e1, e2):
-    """Oracle for extensions_equivalent: one full section_shift_map per
-    shift, in the same order; returns the map found, or None.  It shares
-    no step with triplets_equivalent, so the oracles here and in
+    """Oracle for extensions_equivalent: one full _section_shift_map_loop
+    per shift, in the same order; returns the map found, or None.  It
+    shares no step with triplets_equivalent, so the oracles here and in
     test_wells.py and test_cohomology.py decide equivalence with it."""
     if e1.H != e2.H or e1.I != e2.I or e1.E.n != e2.E.n:
         return None
     for tail in itertools.product(range(e1.I.n), repeat=e1.H.n - 1):
-        phi = section_shift_map(e1, e2, (0,) + tail)
+        phi = _section_shift_map_loop(e1, e2, (0,) + tail)
         hom = BraceHom(e1.E, e2.E, phi)
         if (hom.is_valid() and hom.is_injective()
                 and all(e2.proj[phi[x]] == e1.proj[x] for x in range(e1.E.n))

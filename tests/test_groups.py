@@ -513,7 +513,8 @@ def _closure_homomorphisms(src, candidates, ops, dst_id, what, *, injective=Fals
                            first_only=False) -> list:
     """The oracle for groups._homomorphisms: each partial map is closed
     under every operation over all known pairs, and a generator the
-    closure has already mapped is skipped."""
+    closure has already mapped is skipped.  Returns image tuples, as the
+    engine does."""
     gens = src.generating_sequence()
     images = [list(candidates(g)) for g in gens]
     budget.guard(prod(map(len, images)), what)
@@ -521,7 +522,7 @@ def _closure_homomorphisms(src, candidates, ops, dst_id, what, *, injective=Fals
 
     def assign(i: int, mapping: dict) -> bool:
         if i == len(gens):
-            out.append(mapping)
+            out.append(tuple(mapping[x] for x in range(src.n)))
             return first_only
         if gens[i] in mapping:
             return assign(i + 1, mapping)
@@ -542,8 +543,9 @@ def _closure_homomorphisms(src, candidates, ops, dst_id, what, *, injective=Fals
 def _engine_against_oracle(monkeypatch) -> dict:
     """Rebind groups._homomorphisms in every loaded braceforge module to a
     wrapper that runs the engine and the closure oracle, each with and
-    without first_only, asserts that the maps agree in order, and returns
-    the engine's.  The returned dict counts the searches by name."""
+    without first_only, asserts that the maps agree in order as image
+    tuples, and returns the engine's.  The returned dict counts the
+    searches by name."""
     engine = groups_mod._homomorphisms
     searches: dict = {}
 

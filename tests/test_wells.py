@@ -14,7 +14,7 @@ from braceforge.cohomology import (
     CocyclePair,
     embed_pair,
     h2N,
-    h2_act_triplet,
+    h2_act,
     pair_add,
     restrict_action,
 )
@@ -66,7 +66,7 @@ from braceforge.wells import (
     wells_map,
 )
 from test_cohomology import _h2N_enumerated
-from test_extensions import _extensions_equivalent_loop, sections
+from test_extensions import _extensions_equivalent_loop, _section_shift_map_loop, sections
 from test_groups import _closure_is_group, _engine_against_oracle, _is_group_matches_closure
 
 CARRY = ((0, 0, 0), (0, 0, 1), (0, 1, 1))
@@ -183,12 +183,8 @@ def _raised(fn, *args):
 
 def _class_fixtures(ext, h2grp, elems):
     """Every shifted extension h.[E], one per representative h of h2grp,
-    each rebuilt and validated from E's triplet by extension_from_triplet."""
-    t = extract_triplet(ext)
-    return [
-        extension_from_triplet(ext.H, ext.I, h2_act_triplet(ext.H, ext.I, embed_pair(p, elems), t))
-        for p in h2grp.representatives
-    ]
+    each rebuilt and validated from E's triplet by h2_act."""
+    return [h2_act(ext.H, ext.I, embed_pair(p, elems), ext) for p in h2grp.representatives]
 
 
 def _wells_map_orbit(ext, C, h2grp, elems):
@@ -333,12 +329,13 @@ def _stabilizer_C_equal_mod(H, I, chi):
 
 
 def _psi_law_loop(ext, z1, elems, add, psi):
-    """The psi-hom loop over Z^1 x Z^1, one section_shift_map per pair, the
-    oracle for wells._psi_law: psi(d1 + d2) against psi[d1] psi[d2]."""
+    """The psi-hom loop over Z^1 x Z^1, one _section_shift_map_loop per
+    pair, the oracle for wells._psi_law: psi(d1 + d2) against psi[d1]
+    psi[d2]."""
     for d1, p1 in zip(z1.tolist(), psi.tolist()):
         for d2, p2 in zip(z1.tolist(), psi.tolist()):
             summed = tuple(int(elems[add[a][b]]) for a, b in zip(d1, d2))
-            if section_shift_map(ext, ext, summed) != compose(p1, p2):
+            if _section_shift_map_loop(ext, ext, summed) != compose(p1, p2):
                 return False
     return True
 
@@ -803,7 +800,7 @@ def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, neg_ext, count
         moves = count_calls(wells.c_act_on_h2)
         transports = count_calls(wells._transport)
         maps, in_map = [], []
-        psi_maps, wells_map_ = wells._psi_maps, wells.wells_map
+        shift_maps, wells_map_ = wells._section_shift_maps, wells.wells_map
 
         def mapped(*args):
             before = transports["calls"]
@@ -813,13 +810,14 @@ def test_exact_sequence_work_counts(split_ext, z4_ext, carry_ext, neg_ext, count
 
         monkeypatch.setattr(wells, "wells_map", mapped)
 
-        def counted(ext, s, rows):
+        def counted(e1, s1, e2, s2, rows):
+            assert e1 is e2 and s1 is s2
             maps.append(len(rows))
-            return psi_maps(ext, s, rows)
+            return shift_maps(e1, s1, e2, s2, rows)
 
-        monkeypatch.setattr(wells, "_psi_maps", counted)
+        monkeypatch.setattr(wells, "_section_shift_maps", counted)
         rep = verify_exact_sequence(ext)
-        monkeypatch.setattr(wells, "_psi_maps", psi_maps)
+        monkeypatch.setattr(wells, "_section_shift_maps", shift_maps)
         monkeypatch.setattr(wells, "wells_map", wells_map_)
         assert matches["calls"] == acted["calls"] == 0
         # (beta, tau) move by all of C in one transport inside wells_map, and
@@ -934,14 +932,15 @@ def test_coset_sweep_matches_equal_mod(sweep_exts, q8_exts, d4_exts):
 
 def test_psi_law_on_generators_matches_loop(split_ext, z4_ext, carry_ext, neg_ext, sweep_exts,
                                             q8_exts):
-    # psi as one gather against section_shift_map, and the law on Z^1 x T
-    # against the loop over Z^1 x Z^1: both hold on every Tier-1 Wells input,
-    # and both fail once one psi(d), d != 0, is replaced by the identity
+    # psi as the (ext, ext) case of the one section-shift gather against the
+    # per-element loop, and the law on Z^1 x T against the loop over
+    # Z^1 x Z^1: both hold on every Tier-1 Wells input, and both fail once
+    # one psi(d), d != 0, is replaced by the identity
     seen = tampered = 0
     for ext in [split_ext, z4_ext, carry_ext, neg_ext] + sweep_exts + q8_exts:
         s, elems, add, z1, gens = _psi_inputs(ext)
-        psi = wells._psi_maps(ext, s, elems[z1])
-        assert psi.tolist() == [list(section_shift_map(ext, ext, tuple(elems[d].tolist())))
+        psi = extensions._section_shift_maps(ext, s, ext, s, elems[z1])
+        assert psi.tolist() == [list(_section_shift_map_loop(ext, ext, tuple(elems[d].tolist())))
                                 for d in z1]
         args = (ext, s, elems, add, z1, gens)
         assert wells._psi_law(*args, psi) is _psi_law_loop(ext, z1, elems, add, psi) is True
@@ -952,6 +951,27 @@ def test_psi_law_on_generators_matches_loop(split_ext, z4_ext, carry_ext, neg_ex
             assert wells._psi_law(*args, bad) is _psi_law_loop(ext, z1, elems, add, bad) is False
             tampered += 1
     assert (seen, tampered) == (686, 304)
+
+
+def test_section_shift_maps_match_the_loop(sweep_exts, q8_exts):
+    # the one gather between two extensions, and section_shift_map as its
+    # one-row case, against the per-element loop: from each extension to
+    # itself and to the next one over the same H and I, by three seeded
+    # shifts each
+    rng = random.Random(4417)
+    exts = sweep_exts + q8_exts
+    rows = between = 0
+    for e1, nxt in zip(exts, exts[1:] + exts[:1]):
+        for e2 in (e1, nxt) if (nxt.H, nxt.I) == (e1.H, e1.I) else (e1,):
+            shifts = [tuple(rng.randrange(e1.I.n) for _ in range(e1.H.n)) for _ in range(3)]
+            got = extensions._section_shift_maps(e1, canonical_section(e1), e2,
+                                                 canonical_section(e2), np.array(shifts))
+            want = [_section_shift_map_loop(e1, e2, shift) for shift in shifts]
+            assert [tuple(row) for row in got.tolist()] == want
+            assert [section_shift_map(e1, e2, shift) for shift in shifts] == want
+            rows += len(shifts)
+            between += e2 is not e1
+    assert (len(exts), rows, between) == (348, 2058, 338)
 
 
 def _twists_at_loop(I, chi1, chi2, h):
