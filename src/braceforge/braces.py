@@ -146,14 +146,17 @@ class SkewBrace:
         return self.lambda_table[a]
 
 
-def _axiom_sides(t_add: np.ndarray, rows: np.ndarray, neg: np.ndarray, bs) -> tuple:
+def _axiom_sides(t_add, rows, neg: np.ndarray, bs, cs=None) -> tuple:
     """Both sides of the brace axiom, a o (b + c) and a o b - a + a o c,
     at every (a, b, c) with a over the circle rows `rows` (shape
-    (..., A, n)), -a in `neg` (shape (A,)), b over `bs` and c over all;
-    each side has shape (..., A, len(bs), n)."""
-    lhs = rows[..., t_add[bs]]
-    partial = t_add[rows[..., bs], neg[:, None]]      # (a o b) - a
-    return lhs, t_add[partial[..., None], rows[..., None, :]]
+    (..., A, n)), -a in `neg` (shape (A,)), b over `bs` and c over all, or
+    over the labels cs; each side has shape (..., A, len(bs), n).  rows
+    is read only through take along axis -1, t_add through take along
+    axis 0 and [p, q], so both may be cohomology's rebuilt stack."""
+    lhs = rows.take(t_add.take(bs, axis=0), axis=-1)
+    partial = t_add[rows.take(bs, axis=-1), neg[..., None]]      # (a o b) - a
+    rows_c = rows if cs is None else rows.take(cs, axis=-1)
+    return lhs, t_add[partial[..., None], rows_c[..., None, :]]
 
 
 def _brace_axiom_on_generators(add: FiniteGroup, circ: FiniteGroup):

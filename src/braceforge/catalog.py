@@ -233,10 +233,8 @@ def _load_brace_payload(data, path: str):
 
 def _load_triple_payload(data, path: str):
     _require_object(data, ("nu", "mu", "sigma"), path)
-    nu = _int_matrix(data["nu"], path, "nu")
-    nh = len(nu)
-    ni = len(nu[0])
-    nu = _int_matrix(data["nu"], path, "nu", rows=nh, cols=ni)
+    nu = _int_matrix(data["nu"], path, "nu")     # every row as wide as the first
+    nh, ni = len(nu), len(nu[0])
     mu = _int_matrix(data["mu"], path, "mu", rows=nh, cols=ni)
     sigma = _int_matrix(data["sigma"], path, "sigma", rows=nh, cols=ni)
     for fld, fam in (("nu", nu), ("mu", mu), ("sigma", sigma)):

@@ -11,9 +11,9 @@ of the two extension cocycle laws:
     g(h1, h2 + h3) + g(h2, h3) = g(h1 + h2, h3) + mu_{h3}(g(h1, h2))
     f(h1, h2 o h3) + f(h2, h3) = f(h1 o h2, h3) + sigma_{h3}(f(h1, h2))
 
-together with the compatibility that makes (chi, g, f) build an actual
-extension; the two laws alone govern each component separately but do not
-tie them together (see z2N).  Coboundaries arise from maps theta : H -> I
+together with the brace axiom of the extension (chi, g, f) builds; the
+two laws alone govern each component separately but do not tie them
+together (see z2N).  Coboundaries arise from maps theta : H -> I
 with theta(0) = 0:
 
     g_theta(h1, h2) = nu_{h1+h2}(-theta(h1+h2)) + mu_{h2}(nu_{h1}(theta(h1)))
@@ -27,13 +27,68 @@ are the kernel of the coboundary map.
 
 All of this is Z-linear once I is written as a sum of cyclic groups
 Z/d_1 + ... + Z/d_r (_Coordinates): a pair is a vector of r coordinates
-per free cell, each law's residual is Z-linear in the tables, and the
+per free cell, each law's residual is Z-linear in the pair, and the
 coboundary map is Z-linear in theta.  So Z^2, B^2 and Z^1 are computed as
 kernels and images of integer matrices over mixed moduli (_echelon, an
-echelon form by unimodular row steps, and _kernel), each matrix filled by
-evaluating the law's own residual on unit tables; no cocycle pair is
-listed to find them.  The lists z2N, b2N and z1N return are drawn from the
-echelon bases, and CohomologyGroup reads classes off coordinates.
+echelon form by unimodular row steps, read by _span_and_kernel), each
+matrix filled by evaluating residuals on unit pairs or coboundaries of
+unit maps; no cocycle pair is listed to find them.  The lists z2N, b2N and z1N return
+are drawn from the echelon bases, and CohomologyGroup reads classes off
+coordinates.
+
+Z^2 from rebuilt unit pairs.  A pair is a cocycle pair exactly when
+(chi, g, f) rebuilds a skew brace E (extensions module docstring), so
+_cocycle_space rebuilds the unit pairs (split._triplet_ops, evaluated at
+the cells read, _AtLifts) and reads the laws of E off them with the
+package's evaluators: associativity of + and of o
+(groups._associativity_sides) and the brace axiom (braces._axiom_sides),
+at cells of lifts (h, 0).  Every nu_h, mu_h, sigma_h is an automorphism
+of I = (I, +) = (I, o), so every term of E's operations, and of the
+right inverse (-h, y') of (h, y) in (E, +), is an automorphism image of
+one g or f entry or of one y, indexed by elements of H.  At the cell
+((h1, y1), (h2, y2), (h3, y3)) each law's residual, the I-part
+difference of its two sides, therefore splits as
+
+    L(g, f; h1, h2, h3) + R_chi(h1, h2, h3; y1, y2, y3)
+
+with L additive in (g, f) and free of y, and R_chi the zero pair's
+residual.  The zero pair's lifts (h, 0) add and multiply as H does, so
+R_chi vanishes at y = 0: on lift cells the residual is L, and the unit
+pairs' residuals are its matrix.
+
+No cocycle pair without a split triple.  A cocycle pair has residual 0
+at every y, so L = 0 at y = 0 and then R_chi = 0 everywhere: the zero
+pair rebuilds a brace as well, and chi passes split's lifts check.
+Otherwise _cocycle_space rebuilds nothing and Z^2 is empty.
+
+Generator cells are exact for a split triple.  Then R_chi = 0, so a law
+holds at a cell iff it holds at the lifts of its three H-coordinates.
+  * Associativity of +: call m a good middle when (x + m) + z = x + (m + z)
+    for all x, z.  Good middles are closed under + (Light's test, groups
+    module docstring; it uses their goodness alone), every (0, y) is good
+    as the identity (0, 0) is, and every (s, y) is good once (s, 0) is.
+    As y' runs over I, (h, y) + (s, y') runs over the fibre of h + s, so
+    with s over a generating sequence of (H, +) these reach all of E:
+    the middles (s, 0) with x, z among the lifts decide the law.  The o
+    law is the same with a generating sequence of (H, o).
+  * The brace axiom: once both laws hold, (E, +) and (E, o) are finite
+    groups (associative, identity (0, 0), cancellation), so the right
+    inverse is the inverse and the lambda-additivity lemma of the braces
+    module applies: for fixed a the b with a o (b + c) = a o b - a + a o c
+    for every c are closed under +, and the axiom holds at b = 0.  So b
+    over the lifts of a generating sequence of (H, +) decides it, with a
+    and c among the lifts.
+  * The lift (0, 0) need not be read as x, z, a or c: it is the identity
+    of every rebuilt + and o (pairs vanish at 0, and nu_0, mu_0, sigma_0
+    are identities), so both sides agree at x, z or a = 0 for every pair,
+    and at c = 0 the axiom reads (a o b - a) + a = a o b, true once
+    (E, +) is a group.
+A unit pair then costs (|H| - 1)^2 (2 |S(H, +)| + |S(H, o)|) cells, each
+product evaluated from the rebuild formulas with no table of E gathered,
+not the 3 |H|^3 of the full cube, whose hand transcriptions of the laws
+are test oracles in tests/test_cohomology.py.  For a chi that is not
+split, R_chi may depend on y2 and these cells can admit pairs the cube
+rejects; no pair is valid there, so they are never read.
 
 The quotient H^2 = Z^2 / B^2 acts on extension classes of H by a general
 brace I through annihilator-valued pairs: (g, f) . (chi, beta, tau) =
@@ -54,11 +109,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import budget as budget_mod
-from .braces import SkewBrace, annihilator, trivial_brace
+from .braces import SkewBrace, _axiom_sides, annihilator, trivial_brace
 from .errors import (
     CoefficientsNotAbelian,
     InputError,
-    InternalInconsistency,
     NotTrivialCoefficients,
     ValidationError,
     ValuesNotInAnnihilator,
@@ -72,11 +126,10 @@ from .extensions import (
     _zero_cocycle,
     extension_from_triplet,
     extract_triplet,
-    is_valid_triplet,
     twist_cocycle,
 )
-from .groups import group_from_elements
-from .split import ActionTriple, _check_action, _compat_on_lifts
+from .groups import _associativity_sides, group_from_elements
+from .split import ActionTriple, _check_action, _compat_on_lifts, _triplet_ops
 
 
 # --- coefficient and action validation --------------------------------------
@@ -152,70 +205,6 @@ def pair_neg(I: SkewBrace, p: CocyclePair) -> CocyclePair:
     return CocyclePair(g, f)
 
 
-def _component_law_residual(op_table, I: SkewBrace, act, tabs: np.ndarray) -> np.ndarray:
-    """lhs - rhs of the component cocycle law
-
-        v(h1, h2*h3) + v(h2, h3) = v(h1*h2, h3) + act_{h3}(v(h1, h2))
-
-    at every (h1, h2, h3) in lex order, for a stack of tables v: shape
-    (k, n, n, n) from tabs of shape (k, n, n).  * is the given H-operation
-    and + the abelian coefficient addition.  The residual is Z-linear in v,
-    so on unit tables it gives the law's matrix."""
-    op = np.asarray(op_table)
-    act = np.asarray(act)
-    Ia, neg = I.add.np_table, np.asarray(I.add.inv)
-    h = np.arange(len(op))
-    h1, h2, h3 = h[:, None, None], h[None, :, None], h
-    lhs = Ia[tabs[:, h1, op[h2, h3]], tabs[:, h2, h3]]
-    rhs = Ia[tabs[:, op[h1, h2], h3], act[h3, tabs[:, h1, h2]]]
-    return Ia[lhs, neg[rhs]]
-
-
-def _parent_residual_stack(
-    H: SkewBrace, I: SkewBrace, chi: ActionTriple, beta: np.ndarray, tau: np.ndarray
-) -> np.ndarray:
-    """-rhs + lhs of the derived parent relation at y1 = y2 = y3 = 0, for a
-    stack of table pairs: shape (k, n^3), one cell per (h1, h2, h3) in lex
-    order, from beta and tau of shape (k, n, n).
-
-    The parent relation equates the I-part of x1 o (x2 + x3) with that of
-    x1 o x2 - x1 + x1 o x3 at xi = (hi, yi), in the coordinates of the
-    rebuild formulas (extensions module docstring):
-
-        lhs = nu_{h1 o (h2+h3)}( tau(h1, h2+h3) o sigma_{h2+h3}(y1) o w ),
-          w = nu_{h2+h3}^-1( beta(h2, h3) + mu_{h3}(nu_{h2}(y2)) + nu_{h3}(y3) )
-        rhs = beta(h1 o h2 - h1, h1 o h3)
-              + mu_{h1 o h3}( beta(h1 o h2, -h1)
-                              + mu_{-h1}( nu_{h1 o h2}(tau(h1, h2) o sigma_{h2}(y1) o y2)
-                                          - nu_{h1}(y1) )
-                              - beta(h1, -h1) )
-              + nu_{h1 o h3}( tau(h1, h3) o sigma_{h3}(y1) o y3 )
-
-    nu, mu and sigma fix 0, so at y = 0 every y term drops out and the two
-    sides are
-
-        lhs = nu_{h1 o (h2+h3)}( tau(h1, h2+h3) o nu_{h2+h3}^-1(beta(h2, h3)) )
-        rhs = beta(h1 o h2 - h1, h1 o h3)
-              + mu_{h1 o h3}( beta(h1 o h2, -h1)
-                              + mu_{-h1}(nu_{h1 o h2}(tau(h1, h2)))
-                              - beta(h1, -h1) )
-              + nu_{h1 o h3}(tau(h1, h3))
-
-    The relation over every y, cell by cell, is the oracle
-    parent_relation_witness in tests/test_extensions.py."""
-    Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.asarray(H.add.inv)
-    Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.asarray(I.add.inv)
-    nu, mu = np.asarray(chi.nu), np.asarray(chi.mu)
-    inv_nu = np.argsort(nu, axis=1)
-    h = np.arange(H.n)
-    h1, h2, h3 = h[:, None, None], h[None, :, None], h
-    nh1, h12, h13, h23 = Hneg[h1], Hc[h1, h2], Hc[h1, h3], Ha[h2, h3]
-    mid = Ia[Ia[beta[:, h12, nh1], mu[nh1, nu[h12, tau[:, h1, h2]]]], Ineg[beta[:, h1, nh1]]]
-    rhs = Ia[Ia[beta[:, Ha[h12, nh1], h13], mu[h13, mid]], nu[h13, tau[:, h1, h3]]]
-    lhs = nu[Hc[h1, h23], Ic[tau[:, h1, h23], inv_nu[h23, beta[:, h2, h3]]]]
-    return Ia[Ineg[rhs], lhs].reshape(len(beta), H.n ** 3)
-
-
 # --- integer linear algebra ----------------------------------------------------
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -287,21 +276,6 @@ def _echelon(rows: np.ndarray, mods: np.ndarray, stop: int) -> tuple:
         full[c:] = p
         pivots.append((c, full))
     return pivots, rows[rows.any(axis=1)]
-
-
-def _kernel(images: np.ndarray, tmods: np.ndarray, cmods: np.ndarray) -> np.ndarray:
-    """Generators of the kernel of the homomorphism from
-    Z/cmods[0] + Z/cmods[1] + ... to Z/tmods[0] + ... that sends the k-th
-    unit to images[k] (each image of order dividing cmods[k]).
-
-    The echelon form of the graph, rows (images[k], e_k), over the image
-    columns leaves exactly the graph's members with image 0; image columns
-    that are 0 throughout are dropped first."""
-    keep = images.any(axis=0)
-    width = int(keep.sum())
-    graph = np.hstack([images[:, keep], np.eye(len(cmods), dtype=np.int64)])
-    _, rest = _echelon(graph, np.concatenate([tmods[keep], cmods]), width)
-    return rest[:, width:]
 
 
 class _Echelon:
@@ -434,79 +408,86 @@ class _Cochains:
 
 @dataclass
 class _CocycleSpace:
-    """What the cocycle laws cut out for one (H, I, chi), in coordinates.
-
-    laws: generators of the pairs satisfying both component laws (the
-    rows the two kernels left, not reduced further).  z2: those on which
-    the linear part of the parent-relation residual at y = 0 vanishes.
-    particular: one law-abiding pair whose residual vanishes, or None when
-    there is none; the law-abiding pairs with residual 0 are particular +
-    z2.  zero_valid: whether the zero pair builds an extension (chi is a
-    split triple), in which case the residual is linear and z2 is Z^2."""
+    """Z^2 for one (H, I, chi), in the coordinates of cochains: its
+    echelon form, or None when chi is not a split triple, in which case no
+    pair is a cocycle pair (module docstring)."""
 
     cochains: _Cochains
-    laws: np.ndarray
-    z2: _Echelon
-    particular: Optional[np.ndarray]
-    zero_valid: bool
+    z2: Optional[_Echelon]
+
+
+class _AtLifts:
+    """One rebuilt operation of a stack of K triplets (split._triplet_ops),
+    read at the nonzero lifts (h, 0) without gathering its table.
+
+    Label arrays (h |I| + y) hold the layer on their first axis, of length
+    K, or 1 when every layer shares them.  take(idx, axis=0) is idx times
+    each nonzero lift, on a new last axis, take(idx, axis=-1) each nonzero
+    lift times idx, on a new axis after the layer's, and [p, q] the
+    products of broadcast p and q: what the law evaluators read of a
+    table, so here x and y, or a and c, run over the nonzero lifts."""
+
+    def __init__(self, op, layers: int, nh: int, ni: int):
+        self.op, self.ni = op, ni
+        self.k = np.arange(layers)
+        self.hs = np.arange(1, nh)
+        self.lifts = self.hs * ni
+
+    def _layers(self, ndim: int) -> np.ndarray:
+        return self.k.reshape((-1,) + (1,) * (ndim - 1))
+
+    def __getitem__(self, pq) -> np.ndarray:
+        p, q = pq
+        k = self._layers(max(p.ndim, q.ndim))
+        return self.op(k, *np.divmod(p, self.ni), *np.divmod(q, self.ni))
+
+    def take(self, idx, axis: int) -> np.ndarray:
+        idx = np.asarray(idx)
+        k = self._layers(idx.ndim + 1)
+        if axis == 0:
+            return self.op(k, *np.divmod(idx[..., None], self.ni), self.hs, 0)
+        hs = self.hs.reshape((1, -1) + (1,) * (idx.ndim - 1))
+        return self.op(k, hs, 0, *np.divmod(idx[:, None], self.ni))
 
 
 def _cocycle_space(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> _CocycleSpace:
-    """The cocycle pairs for chi as kernels, without listing any.
+    """Z^2 for an action chi that passed validate_cocycle_action, as a
+    kernel, without listing any pair.
 
-    Each component law is Z-linear in its table, so its matrix is the
-    residual (_component_law_residual) of the unit tables, and its
-    solutions are that matrix's kernel.  On those, the parent relation's
-    residual at y = 0 (_parent_residual_stack) is affine:
-    r0, the zero pair's, plus a linear part read off by evaluating it on
-    the rows that generate the kernels.  A pair is an associated pair
-    exactly when it satisfies both laws and the residual vanishes (see
-    z2N); the solutions of linear part = -r0 are found as a kernel too,
-    with one more generator carrying r0 whose coefficient must be 1."""
+    Unless chi passes split's lifts check there is no cocycle pair.
+    Otherwise every unit pair (one free cell and coordinate) is rebuilt as
+    one stack of operations (_AtLifts), and the laws of the rebuilt
+    operations are read on the generator cells of the module docstring by
+    the package's own evaluators: associativity of + and of o
+    (groups._associativity_sides) and the brace axiom
+    (braces._axiom_sides).  Each residual, the I-part difference of the
+    two sides, is Z-linear in the pair, so the unit pairs' residuals are
+    the matrix whose kernel is Z^2."""
     sp = _Cochains(H.n, I)
-    co = sp.co
-    n, half = H.n, len(sp.mods) // 2
-    # one unit pair per free cell and coordinate, g cells first
-    units = sp.labels(np.eye(len(sp.mods), dtype=np.int64)).reshape(len(sp.mods), 2, n, n)
-    # the moduli of a law's residual, one cell per (h1, h2, h3)
-    tmods = np.tile(co.mods, n ** 3)
-    gens = []
-    for k, (op, act) in enumerate(((H.add.np_table, chi.mu), (H.circ.np_table, chi.sigma))):
-        block = slice(k * half, (k + 1) * half)
-        res = _component_law_residual(op, I, act, units[block, k])
-        ker = _kernel(co.coords[res].reshape(half, len(tmods)), tmods, sp.mods[block])
-        full = np.zeros((len(ker), len(sp.mods)), dtype=np.int64)
-        full[:, block] = ker
-        gens.append(full)
-    laws = np.vstack(gens)
+    split = bool(_compat_on_lifts(H, I, [chi.nu], [chi.mu], [chi.sigma]).all())
+    if not (split and len(sp.mods)):
+        return _CocycleSpace(sp, _Echelon([], sp.mods) if split else None)
+    n, ni, co = H.n, I.n, sp.co
+    units = sp.labels(np.eye(len(sp.mods), dtype=np.int64)).reshape(-1, 2, n, n)
+    add, circ = (_AtLifts(op, len(units), n, ni)
+                 for op in _triplet_ops(H, I, [chi], units[:, 0], units[:, 1]))
+    lifts = np.arange(n)[None] * ni          # (h, 0), shared by every layer
+    s_add, s_circ = (lifts[:, list(G.generating_sequence())] for G in (H.add, H.circ))
+    # -(h, 0), h != 0, in each rebuilt (E, +) is its right inverse, which
+    # lies over -h, as the H-part of a sum is the sum of the H-parts
+    over = (np.asarray(H.add.inv)[1:] * ni)[:, None] + np.arange(ni)
+    neg = over[:, 0] + (add[add.lifts[:, None], over[None]] == 0).argmax(axis=2)
+    diff = co.coords[I.add.np_table[:, I.add.inv]]      # coordinates of y1 - y2
 
-    Ia, neg = I.add.np_table, np.asarray(I.add.inv)
-    # the zero pair, then the rows that generate the kernels
-    stack = np.vstack([np.zeros((1, 2 * n * n), dtype=np.int64), sp.labels(laws)])
-    stack = stack.reshape(len(stack), 2, n, n)
-    res = _parent_residual_stack(H, I, chi, stack[:, 0], stack[:, 1])
-    r0 = res[0]
-    images = co.coords[np.vstack([r0[None], Ia[res[1:], neg[r0]]])].reshape(len(res), len(tmods))
-    e = co.exponent
-    coef = _kernel(images, tmods, np.full(len(images), e, dtype=np.int64))
-    # the solutions (c, x) of c r0 + linear part(x) = 0; the pairs wanted
-    # have c = 1
-    sols = np.hstack([coef[:, :1], coef[:, 1:] @ laws])
-    pivots, _ = _echelon(sols, np.concatenate([[e], sp.mods]), 1 + len(sp.mods))
-    particular = None
-    if pivots and pivots[0][0] == 0:
-        if pivots[0][1][0] == 1:
-            particular = pivots[0][1][1:]
-        pivots = pivots[1:]
-    elif e == 1:
-        particular = np.zeros(len(sp.mods), dtype=np.int64)
-    z2 = _Echelon([(c - 1, p[1:]) for c, p in pivots], sp.mods)
-    # validate_split_triple's lifts check; the rest of it validate_cocycle_action ran
-    zero_valid = bool(_compat_on_lifts(H, I, [chi.nu], [chi.mu], [chi.sigma]).all())
-    if zero_valid and r0.any():
-        raise InternalInconsistency(
-            "a split triple's zero pair has a nonzero parent-relation residual")
-    return _CocycleSpace(sp, laws, z2, particular, zero_valid)
+    def residual(lhs, rhs):
+        """The coordinates of the I-part difference, one row per unit pair."""
+        return diff[lhs % ni, rhs % ni].reshape(len(units), -1)
+
+    images = np.hstack([residual(*_associativity_sides(add, s_add)),
+                        residual(*_associativity_sides(circ, s_circ)),
+                        residual(*_axiom_sides(add, circ, neg, s_add, add.lifts[None]))])
+    tmods = np.tile(co.mods, images.shape[1] // len(co.mods))
+    return _CocycleSpace(sp, _span_and_kernel(images, tmods, sp.mods)[1])
 
 
 def _coboundary_images(sp: _Cochains, H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> np.ndarray:
@@ -528,40 +509,24 @@ def _coboundary_images(sp: _Cochains, H: SkewBrace, I: SkewBrace, chi: ActionTri
 
 
 def z2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
-    """All cocycle pairs for the given action, lex-sorted.
+    """All cocycle pairs for the given action, lex-sorted: the pairs (g, f)
+    for which (chi, g, f) builds a valid extension, which is what the
+    quotient-vs-class-count theorems need.
 
-    The two component laws never couple g with f.  The laws alone, however,
-    do not cut out the pairs associated to extensions: the compatibility
-    between the two operations of the would-be extension ties the
-    components together (already at H = trivial Z2, I = Z3 with the
+    The two component laws never couple g with f, and they alone do not
+    cut out these pairs: the brace axiom of the would-be extension ties
+    the components together (already at H = trivial Z2, I = Z3 with the
     trivial action it forces 2 g(1,1) = 2 f(1,1), cutting 9 law-abiding
-    pairs down to 3).  The default therefore keeps exactly the pairs
-    (g, f) for which (chi, g, f) builds a valid extension, which is what
-    the quotient-vs-class-count theorems need.
-
-    The compatibility is decided without rebuilding each pair.  With
-    abelian trivial coefficients every term of the derived parent relation
-    (_parent_residual_stack) is an automorphism image of one
-    g or f entry or of one y, so its residual -rhs + lhs splits as
-    R_chi(h, y) + L(g, f; h) with L additive in (g, f) and free of y.
-    Every valid pair satisfies both laws and has residual zero at y = 0,
-    which is r0 + L(g, f) = 0 with r0 the zero pair's residual; these are
-    found as kernels (_cocycle_space), then listed from an echelon basis,
-    guarded by their known number.  When chi is a split triple (the zero
-    pair is valid, decided by split.validate_split_triple), R_chi vanishes
-    and these candidates are exactly the valid pairs; otherwise each
-    candidate is confirmed by its own rebuild.
+    pairs down to 3).  Z^2 is the kernel _cocycle_space reads off rebuilt
+    unit pairs, listed from its echelon basis and guarded by its known
+    number; no pair is rebuilt to confirm it.
     """
     validate_cocycle_action(H, I, chi)
     space = _cocycle_space(H, I, chi)
-    sp = space.cochains
-    if space.particular is None:
+    if space.z2 is None:
         return []
     budget_mod.guard(space.z2.order, "z2N listing")
-    pairs = sp.pairs((space.z2.members() + space.particular) % sp.mods)
-    if space.zero_valid:
-        return pairs
-    return [p for p in pairs if is_valid_triplet(H, I, Triplet(chi, p.g, p.f))]
+    return space.cochains.pairs(space.z2.members())
 
 
 def coboundary_pair(
@@ -575,21 +540,27 @@ def coboundary_pair(
     return CocyclePair(*twist_cocycle(H, I, Triplet(chi, zero, zero), theta))
 
 
+def _span_and_kernel(images: np.ndarray, tmods: np.ndarray, cmods: np.ndarray) -> tuple:
+    """The span and the kernel, in echelon form, of the homomorphism from
+    Z/cmods[0] + Z/cmods[1] + ... to Z/tmods[0] + ... that sends the k-th
+    unit to images[k] (each image of order dividing cmods[k]).
+
+    One echelon of the graph, rows (images[k], e_k), over all its columns
+    gives both: its pivots in the image columns are, cut to those columns,
+    the echelon form of the span (the steps there see only those columns),
+    and the rows left vanishing on them are the graph's members with image
+    0, so the pivots after them are the echelon form of the kernel."""
+    w = len(tmods)
+    graph = np.hstack([images, np.eye(len(cmods), dtype=np.int64)])
+    pivots, _ = _echelon(graph, np.concatenate([tmods, cmods]), w + len(cmods))
+    return (_Echelon([(c, p[:w]) for c, p in pivots if c < w], tmods),
+            _Echelon([(c - w, p[w:]) for c, p in pivots if c >= w], cmods))
+
+
 def _b2_z1(sp: _Cochains, images: np.ndarray) -> tuple:
     """(B^2, Z^1) in echelon form, from the coboundary images of the unit
-    maps (_coboundary_images): their span and their kernel.
-
-    One echelon of the graph, rows (image, unit), over all its columns
-    gives both: its pivots in the image columns are, cut to those columns,
-    the echelon form of B^2 (the steps there see only those columns), and
-    the rows left vanishing on them are the graph's members with image 0,
-    so the pivots after them are the echelon form of Z^1 (as _kernel and
-    then _Echelon.of would give it, step for step)."""
-    w, cmods = len(sp.mods), np.tile(sp.co.mods, sp.n - 1)
-    graph = np.hstack([images, np.eye(len(cmods), dtype=np.int64)])
-    pivots, _ = _echelon(graph, np.concatenate([sp.mods, cmods]), w + len(cmods))
-    return (_Echelon([(c, p[:w]) for c, p in pivots if c < w], sp.mods),
-            _Echelon([(c - w, p[w:]) for c, p in pivots if c >= w], cmods))
+    maps (_coboundary_images): their span and their kernel."""
+    return _span_and_kernel(images, sp.mods, np.tile(sp.co.mods, sp.n - 1))
 
 
 def b2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
@@ -768,13 +739,13 @@ class CohomologyGroup:
 
 
 def h2N(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> CohomologyGroup:
-    """H^2 for the action chi, from the kernels of _cocycle_space and the
+    """H^2 for the action chi, from the kernel of _cocycle_space and the
     span of the unit coboundaries; no cocycle pair is listed.  Raises
     when the zero pair is not associated to chi (chi is not a split
     triple), since the quotient then has no zero class."""
     validate_cocycle_action(H, I, chi)
     space = _cocycle_space(H, I, chi)
-    if not space.zero_valid:
+    if space.z2 is None:
         raise ValidationError(
             "the zero pair is not an associated pair for this action, so no "
             "split extension carries it and the quotient has no zero class"

@@ -24,10 +24,6 @@ s(h) = (h, 0) then extracts it back (extension_from_triplet).  That is
 equivalent to the cocycle and compatibility identities and sidesteps
 transcribing them; the per-cell witnesses of the identities, with the
 published sign variants, are test oracles in tests/test_extensions.py.
-cohomology.z2N is the exception: with abelian trivial coefficients it
-decides compatibility from the residual of the parent relation at y = 0
-(cohomology._parent_residual_stack), not from a rebuild of every
-candidate pair.
 
 Two extensions are equivalent exactly when a section change (a twist,
 twist_triplet) turns one canonical triplet into the other.  The twists of

@@ -354,16 +354,18 @@ def _group_if_valid(t: np.ndarray) -> Optional[FiniteGroup]:
         return None
     # (x s) y = x (s y) for every s in a generating set (Light's test,
     # module docstring)
+    t = t.astype(np.int32)  # halves the two temporaries
     if not np.array_equal(*_associativity_sides(t, list(G.generating_sequence()))):
         return None
     return G
 
 
-def _associativity_sides(t: np.ndarray, mids) -> tuple:
-    """(x s) y and x (s y) at [x, s, y], for every x and y and s over mids,
-    each as a (n, len(mids), n) array."""
-    t = t.astype(np.int32)  # halves the two temporaries
-    return t.take(t[:, mids], axis=0), t.take(t[mids], axis=1)
+def _associativity_sides(t, mids) -> tuple:
+    """(x s) y and x (s y) at [x, s, y], for x and y over the rows of t
+    and s over mids, each as a (n, len(mids), n) array for an n x n table.
+    t is read only through take along axis 0 and -1, so it may also be
+    cohomology's rebuilt stack, which adds a leading layer axis."""
+    return t.take(t.take(mids, axis=-1), axis=0), t.take(t.take(mids, axis=0), axis=-1)
 
 
 def _group_failure(table: Sequence[Sequence[int]]) -> None:
@@ -385,7 +387,7 @@ def _group_failure(table: Sequence[Sequence[int]]) -> None:
         if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
             raise NoInverse(f"element {a} has no two-sided inverse", a=a)
     # every element as the middle: left[a, b, c] = (a b) c, right = a (b c)
-    left, right = _associativity_sides(np.array(table, dtype=np.int64), np.arange(n))
+    left, right = _associativity_sides(np.array(table, dtype=np.int32), np.arange(n))
     if not np.array_equal(left, right):
         a, b, c = (int(x) for x in np.argwhere(left != right)[0])
         raise NotAssociative(

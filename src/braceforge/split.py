@@ -76,8 +76,9 @@ again.  Only a triple that fails on the lifts gets a witness, which
 _compat_witness reads off the same evaluator run with x1 and x2 over
 every element.
 
-_triplet_tables is the one gather that fills product tables: triplet
-rebuilds use it, and a split product is its zero-cocycle case relabelled.
+_triplet_ops is the one transcription of the rebuild formulas, and
+_triplet_tables evaluates it on every cell to fill product tables: a
+split product is its zero-cocycle case relabelled.
 """
 
 from __future__ import annotations
@@ -310,28 +311,48 @@ def validate_split_triple(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
         )
 
 
+def _triplet_ops(H: SkewBrace, I: SkewBrace, chis: Sequence[ActionTriple],
+                 betas, taus) -> tuple:
+    """The (add, circ) operations the triplets (chis[k], betas[k], taus[k])
+    rebuild by the formulas in the extensions module docstring, as
+    functions of broadcastable index arrays (k, h1, y1, h2, y2) giving the
+    label h * |I| + y of the product of (h1, y1) and (h2, y2), each pair
+    standing for s(h) o y.  chis may hold one triple that every layer
+    shares."""
+    nh, ni = H.n, I.n
+    Ha, Hc_label = H.add.np_table, H.circ.np_table * ni
+    Ia, Ic = I.add.np_table, I.circ.np_table
+    beta, tau = (np.array(c, dtype=np.intp).reshape(-1, nh, nh) for c in (betas, taus))
+    fams = np.array([(t.nu, t.mu, t.sigma) for t in chis], dtype=np.intp)
+    if len(chis) == 1:
+        fams = fams[0]      # shared by every layer: no layer index
+    nu, mu, sigma = (fams[..., i, :, :] for i in range(3))
+    fam = (lambda k: ()) if len(chis) == 1 else (lambda k: (k,))
+    # mu_nu[.., h1, y1, h2] = mu_{h2}(nu_{h1}(y1)); label[.., h, z] = h |I| + nu_h^-1(z)
+    mu_nu = mu[(*fam(np.arange(len(chis))[:, None, None, None]), np.arange(nh), nu[..., None])]
+    label = np.arange(nh)[:, None] * ni + nu.argsort(axis=-1)
+
+    def add(k, h1, y1, h2, y2):
+        c = fam(k)
+        return label[(*c, Ha[h1, h2], Ia[Ia[beta[k, h1, h2], mu_nu[(*c, h1, y1, h2)]],
+                                         nu[(*c, h2, y2)]])]
+
+    def circ(k, h1, y1, h2, y2):
+        return Hc_label[h1, h2] + Ic[Ic[tau[k, h1, h2], sigma[(*fam(k), h2, y1)]], y2]
+
+    return add, circ
+
+
 def _triplet_tables(H: SkewBrace, I: SkewBrace, chis: Sequence[ActionTriple],
                     betas, taus) -> tuple:
-    """The (add, circ) tables the triplets (chis[k], betas[k], taus[k])
-    rebuild by the formulas in the extensions module docstring, on pairs
-    (h, y) -> h * |I| + y standing for s(h) o y, as (k, n, n) arrays, each
-    gathered at once over (k, h1, y1, h2, y2); one triplet is a stack of
-    one.  Operands that depend on one cell coordinate per factor are
-    broadcast views, not gathers."""
+    """The (add, circ) tables of the operations _triplet_ops rebuilds, on
+    pairs (h, y) -> h * |I| + y, as (k, n, n) arrays, each gathered at once
+    over broadcast (k, h1, y1, h2, y2); one triplet is a stack of one."""
     nh, ni = H.n, I.n
-    Ia, Ic = I.add.np_table, I.circ.np_table
-    fams = np.array([(t.nu, t.mu, t.sigma) for t in chis], dtype=np.intp)
-    nu, mu, sigma = fams[:, 0], fams[:, 1], fams[:, 2]
-    inv_nu = nu.argsort(axis=2)
-    # beta(h1, h2), tau(h1, h2) at [k, h1, y1, h2, y2]
-    beta, tau = (np.array(c, dtype=np.intp).reshape(-1, nh, 1, nh, 1) for c in (betas, taus))
-    k = np.arange(len(chis))[:, None, None, None, None]
-    h2 = np.arange(nh)[:, None]
-    ha, hc = H.add.np_table[:, None, :, None], H.circ.np_table[:, None, :, None]
-    add = ha * ni + inv_nu[k, ha, Ia[Ia[beta, mu[k, h2, nu[..., None, None]]], nu[:, None, None]]]
-    circ = hc * ni + Ic[Ic[tau, sigma.transpose(0, 2, 1)[:, None, ..., None]], np.arange(ni)]
+    grid = (np.arange(len(betas)).reshape(-1, 1, 1, 1, 1), np.arange(nh).reshape(-1, 1, 1, 1),
+            np.arange(ni).reshape(-1, 1, 1), np.arange(nh).reshape(-1, 1), np.arange(ni))
     n = nh * ni
-    return add.reshape(-1, n, n), circ.reshape(-1, n, n)
+    return tuple(op(*grid).reshape(-1, n, n) for op in _triplet_ops(H, I, chis, betas, taus))
 
 
 def _product_tables(H: SkewBrace, I: SkewBrace, ts: Sequence[ActionTriple]) -> tuple:

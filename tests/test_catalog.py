@@ -541,6 +541,21 @@ def test_hand_made_entries_build_through_their_loader(count_calls, split_ext):
     assert wrapped.build() is split_ext and braces["calls"] == 1
 
 
+def test_a_ragged_triple_is_named_by_its_first_odd_row():
+    # nu's first row sets the width of every row of nu, mu and sigma
+    idp = [0, 1]
+    for payload, message in (
+            ({"nu": [idp, [0]], "mu": [idp, idp], "sigma": [idp, idp]},
+             "t: nu has length 1, expected 2"),
+            ({"nu": [idp, idp], "mu": [idp, [0, 1, 2]], "sigma": [idp, idp]},
+             "t: mu has length 3, expected 2"),
+            ({"nu": [idp, idp], "mu": [idp, idp], "sigma": [idp]},
+             "t: sigma has 1 rows, expected 2")):
+        with pytest.raises(SchemaError) as exc:
+            catalog._load_triple_payload(payload, "t")
+        assert str(exc.value) == message
+
+
 def test_bad_extension_file_raises_first_error(tmp_path, split_ext):
     good = catalog.extension_payload(split_ext)
     bad_circ = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]

@@ -22,13 +22,7 @@ from braceforge.braces import (
     trivial_brace,
     validate_brace,
 )
-from braceforge.cohomology import (
-    _cocycle_space,
-    _Echelon,
-    ext_bijection_check,
-    validate_cocycle_action,
-    z2N,
-)
+from braceforge.cohomology import ext_bijection_check, z2N
 from braceforge.errors import (
     BraceAxiomFailed,
     InputError,
@@ -180,9 +174,9 @@ def test_both_pair_conventions_extract_the_same_triplet(Z2, Z3):
 # --- the triplet laws cell by cell, with their published sign variants -----
 #
 # The package decides these laws by rebuilding the triplet
-# (extension_from_triplet) and cohomology.z2N by the residual of the parent
-# relation at y = 0 (cohomology._parent_residual_stack); the witnesses
-# below are the oracles and the erratum diagnostics the sweeps pin.
+# (extension_from_triplet), and cohomology.z2N reads them off rebuilt unit
+# triplets; the witnesses below are the oracles and the erratum
+# diagnostics the sweeps pin.
 
 
 def action_identities_witness(
@@ -339,15 +333,6 @@ def parent_relation_witness(
         if lhs != rhs:
             return cell
     return None
-
-
-def _z2N_laws_only(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> list:
-    """The span of the two component-law kernels, lex-sorted: the pairs
-    that satisfy both cocycle laws, before the parent relation ties g to f."""
-    validate_cocycle_action(H, I, chi)
-    space = _cocycle_space(H, I, chi)
-    laws = _Echelon.of(space.laws, space.cochains.mods)
-    return space.cochains.pairs(laws.members())
 
 
 def test_identity_sweeps_across_sections(ext48):
@@ -1095,6 +1080,7 @@ def test_triplet_tables_match_loop(Z2, Z3, Z4):
     # every law-abiding cocycle pair of every split action, valid or not,
     # the pairs of one action as one stack: the gather gives the loop's
     # tables, and a valid triplet's rebuild, a stack of one, carries them
+    from test_cohomology import _z2N_laws_only  # test_cohomology imports this module
     checked = invalid = 0
     for H, I in ((Z2, Z3), (Z3, Z2), (Z2, Z2), (Z4, Z2), (Z3, Z3)):
         for chi in enumerate_split_triples(H, I):

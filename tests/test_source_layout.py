@@ -52,7 +52,8 @@ def test_every_private_helper_is_used_in_the_package():
 TEST_ONLY = {
     "catalog": {"builtin_entries"},
     "cohomology": {"pair_sub", "pair_is_cocycle", "derivation_add", "free_transitive_report",
-                   "component_law_witness"},
+                   "component_law_witness", "_component_law_residual", "_parent_residual_stack",
+                   "_kernel"},
     "extensions": {"action_identities_witness", "cocycle_conditions_witness",
                    "parent_relation_witness", "_parent_relation_cells", "sections"},
     "groups": {"is_perm", "generate"},
