@@ -38,8 +38,8 @@ coordinates.
 
 Z^2 from rebuilt unit pairs.  A pair is a cocycle pair exactly when
 (chi, g, f) rebuilds a skew brace E (extensions module docstring), so
-_cocycle_space rebuilds the unit pairs (split._triplet_ops, evaluated at
-the cells read, _AtLifts) and reads the laws of E off them with the
+_cocycle_space rebuilds the unit pairs (split._triplet_ops, read at the
+cells asked, split._AtLifts) and reads the laws of E off them with the
 package's evaluators: associativity of + and of o
 (groups._associativity_sides) and the brace axiom (braces._axiom_sides),
 at cells of lifts (h, 0).  Every nu_h, mu_h, sigma_h is an automorphism
@@ -129,7 +129,8 @@ from .extensions import (
     twist_cocycle,
 )
 from .groups import _associativity_sides, group_from_elements
-from .split import ActionTriple, _check_action, _compat_on_lifts, _triplet_ops
+from .split import (ActionTriple, _AtLifts, _check_action, _compat_on_lifts, _label_ops,
+                    _right_inverses, _triplet_ops)
 
 
 # --- coefficient and action validation --------------------------------------
@@ -416,40 +417,6 @@ class _CocycleSpace:
     z2: Optional[_Echelon]
 
 
-class _AtLifts:
-    """One rebuilt operation of a stack of K triplets (split._triplet_ops),
-    read at the nonzero lifts (h, 0) without gathering its table.
-
-    Label arrays (h |I| + y) hold the layer on their first axis, of length
-    K, or 1 when every layer shares them.  take(idx, axis=0) is idx times
-    each nonzero lift, on a new last axis, take(idx, axis=-1) each nonzero
-    lift times idx, on a new axis after the layer's, and [p, q] the
-    products of broadcast p and q: what the law evaluators read of a
-    table, so here x and y, or a and c, run over the nonzero lifts."""
-
-    def __init__(self, op, layers: int, nh: int, ni: int):
-        self.op, self.ni = op, ni
-        self.k = np.arange(layers)
-        self.hs = np.arange(1, nh)
-        self.lifts = self.hs * ni
-
-    def _layers(self, ndim: int) -> np.ndarray:
-        return self.k.reshape((-1,) + (1,) * (ndim - 1))
-
-    def __getitem__(self, pq) -> np.ndarray:
-        p, q = pq
-        k = self._layers(max(p.ndim, q.ndim))
-        return self.op(k, *np.divmod(p, self.ni), *np.divmod(q, self.ni))
-
-    def take(self, idx, axis: int) -> np.ndarray:
-        idx = np.asarray(idx)
-        k = self._layers(idx.ndim + 1)
-        if axis == 0:
-            return self.op(k, *np.divmod(idx[..., None], self.ni), self.hs, 0)
-        hs = self.hs.reshape((1, -1) + (1,) * (idx.ndim - 1))
-        return self.op(k, hs, 0, *np.divmod(idx[:, None], self.ni))
-
-
 def _cocycle_space(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> _CocycleSpace:
     """Z^2 for an action chi that passed validate_cocycle_action, as a
     kernel, without listing any pair.
@@ -469,14 +436,12 @@ def _cocycle_space(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> _CocycleSpa
         return _CocycleSpace(sp, _Echelon([], sp.mods) if split else None)
     n, ni, co = H.n, I.n, sp.co
     units = sp.labels(np.eye(len(sp.mods), dtype=np.int64)).reshape(-1, 2, n, n)
-    add, circ = (_AtLifts(op, len(units), n, ni)
-                 for op in _triplet_ops(H, I, [chi], units[:, 0], units[:, 1]))
     lifts = np.arange(n)[None] * ni          # (h, 0), shared by every layer
+    ops = _triplet_ops(H, I, *(np.array([f]) for f in (chi.nu, chi.mu, chi.sigma)),
+                       units[:, 0], units[:, 1])
+    add, circ = (_AtLifts(op, lifts[:, 1:], 1) for op in _label_ops(ops, n, ni, 1, False))
     s_add, s_circ = (lifts[:, list(G.generating_sequence())] for G in (H.add, H.circ))
-    # -(h, 0), h != 0, in each rebuilt (E, +) is its right inverse, which
-    # lies over -h, as the H-part of a sum is the sum of the H-parts
-    over = (np.asarray(H.add.inv)[1:] * ni)[:, None] + np.arange(ni)
-    neg = over[:, 0] + (add[add.lifts[:, None], over[None]] == 0).argmax(axis=2)
+    neg = _right_inverses(add, lifts[:, 1:], H, ni)
     diff = co.coords[I.add.np_table[:, I.add.inv]]      # coordinates of y1 - y2
 
     def residual(lhs, rhs):
@@ -485,7 +450,7 @@ def _cocycle_space(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> _CocycleSpa
 
     images = np.hstack([residual(*_associativity_sides(add, s_add)),
                         residual(*_associativity_sides(circ, s_circ)),
-                        residual(*_axiom_sides(add, circ, neg, s_add, add.lifts[None]))])
+                        residual(*_axiom_sides(add, circ, neg, s_add, lifts[:, 1:]))])
     tmods = np.tile(co.mods, images.shape[1] // len(co.mods))
     return _CocycleSpace(sp, _span_and_kernel(images, tmods, sp.mods)[1])
 

@@ -26,8 +26,9 @@ with m = -h1 + (h1 o h3).  That mu index is what expanding the brace axiom
 in the product forces, since the two mu factors collapse along the
 anti-homomorphism law.  The published m = -h1 + (h2 o h3) rejects valid
 data whenever mu is nontrivial; that variant is the erratum diagnostic of
-the loop oracle _loop_compat_witness in tests/test_split.py.
-_compat_cells is the one evaluator of the equation in the package.
+the loop oracle _loop_compat_witness in tests/test_split.py.  The package
+decides the equation as the brace axiom below and transcribes it nowhere;
+the hand transcription _compat_cells is a test oracle there.
 
 Deciding the equation on generators.  At (h1, h2, h3, y1, y2, y3) the
 equation is the I-component of the product's brace axiom at
@@ -65,31 +66,32 @@ decides automorphism membership and the laws, runs first in
 validate_split_triple and in cohomology.validate_cocycle_action, after
 which cohomology._cocycle_space runs.
 
-_compat_on_lifts decides a stack of candidates with x1 among the circle
-lifts L_o, x2 among the additive lifts L_+ and x3 over all of E, |L_o|
-|L_+| n cells per candidate instead of n^3 (n = |H| |I|).  The lemma
-makes this exact at every order, so enumeration, validate_split_triple
-and semidirect_product take their verdicts from it alone.  Both product
-tables being groups, the brace axiom is the compatibility equation, so a
-valid triple's product is a skew brace and no product table is validated
-again.  Only a triple that fails on the lifts gets a witness, which
-_compat_witness reads off the same evaluator run with x1 and x2 over
-every element.
-
-_triplet_ops is the one transcription of the rebuild formulas, and
-_triplet_tables evaluates it on every cell to fill product tables: a
-split product is its zero-cocycle case relabelled.
+The one evaluator is braces._axiom_sides, read on each candidate's
+zero-cocycle rebuild (_triplet_ops, the one transcription of the rebuild
+formulas, with nu, mu and sigma on three layer axes): that is the split
+product relabelled by (h, y) -> (h, nu_h^-1(y)), which fixes the lifts
+(h, 0) and (0, y) as nu_h(0) = 0 and nu_0 = id.  _compat_on_lifts reads
+a = x1 among the circle lifts L_o, b = x2 among the additive lifts L_+
+and c = x3 over all of E, |L_o| |L_+| n cells per candidate instead of
+n^3 (n = |H| |I|).  The lemma makes this exact at every order, so
+enumeration, validate_split_triple and semidirect_product take their
+verdicts from it alone, and a valid triple's product, a skew brace, is
+not validated again.  Only a failing triple gets a witness, which
+_compat_witness reads off the same evaluator with x1 over one fibre at a
+time and x2, x3 over every element.  _triplet_tables fills product
+tables from the same rebuild.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import budget as budget_mod
-from .braces import BraceHom, SkewBrace, brace_hom_ops
+from .braces import BraceHom, SkewBrace, _axiom_sides, brace_hom_ops
 from .errors import (
     CompatibilityFailed,
     InputError,
@@ -108,11 +110,6 @@ from .groups import (
     identity_perm,
     is_automorphism,
 )
-
-# Cap on the cells of one batch temporary in _compat_cells: 128 KiB, far
-# below the tens of MB the interpreter and numpy occupy, however many
-# candidates a pair has.
-_BATCH_CELLS = 1 << 14
 
 
 def encode_pair(h: int, y: int, ni: int) -> int:
@@ -154,23 +151,21 @@ def _compat_witness(H: SkewBrace, I: SkewBrace, t: ActionTriple):
     compatibility equation, or None.
 
     nu, mu and sigma must obey their (anti)hom laws, as validate_split_triple
-    checks first, so that both product tables are groups.  The equation
-    then holds everywhere iff it holds on the lifts (module docstring), so
-    a triple that passes there returns None at once.  For one that fails,
-    _compat_cells runs with x1 = (h1, y1) over every y1, one h1 at a time,
-    and x2 over every element, n^2 |I| cells per h1; the first failing h1
-    and its first failing cell in (h2, h3, y1, y2, y3) order are the
-    witness."""
+    checks first; a triple that passes on the lifts (module docstring)
+    returns None at once.  Otherwise the evaluator of _compat_on_lifts runs
+    with a = (h1, y1) over every y1, one h1 at a time, and b and c over
+    every element, each product cell (h, y) at its rebuild label
+    h |I| + nu_h^-1(y); the first failing h1 and its first failing cell in
+    (h2, h3, y1, y2, y3) order are the witness."""
     families = [t.nu], [t.mu], [t.sigma]
     if _compat_on_lifts(H, I, *families).all():
         return None
     nh, ni = H.n, I.n
-    x2 = np.divmod(np.arange(nh * ni), ni)      # every (h2, y2), h2 first
+    labels = np.arange(nh)[:, None] * ni + np.argsort(t.nu, axis=1)   # of every (h, y)
     for h1 in range(nh):
-        x1 = (np.full(ni, h1), np.arange(ni))
-        cells = np.concatenate(list(_compat_cells(H, I, *families, x1, x2)))
+        lhs, rhs = _compat_sides(H, I, *families, labels[h1], labels.ravel(), labels.ravel())
         # axes (y1, h2, y2, h3, y3) into lexicographic order
-        bad = ~cells.reshape(ni, nh, ni, nh, ni).transpose(1, 3, 0, 2, 4)
+        bad = (lhs != rhs).reshape(ni, nh, ni, nh, ni).transpose(1, 3, 0, 2, 4)
         if bad.any():
             return (h1,) + tuple(int(v) for v in np.unravel_index(int(bad.argmax()), bad.shape))
     return None
@@ -181,73 +176,39 @@ def _compat_on_lifts(H: SkewBrace, I: SkewBrace, nus, mus, sigmas) -> np.ndarray
     compatibility equation everywhere, as a boolean array of shape
     (len(nus), len(mus), len(sigmas)).
 
-    The equation is evaluated (_compat_cells) with (h1, y1) among the
-    lifts of the circle generators of H and I, (h2, y2) among the lifts of
-    their additive generators and every (h3, y3): |L_o| |L_+| n cells per
-    candidate.  By the module docstring that decides it whenever every
-    candidate obeys the three (anti)hom laws, so that both product tables
-    are groups.  When H and I are both trivial there is no lift, and every
-    candidate holds."""
-    x1 = _lifts(H.circ, I.circ)
-    units = (len(nus), len(mus), len(sigmas), len(x1[0]))
-    batches = _compat_cells(H, I, nus, mus, sigmas, x1, _lifts(H.add, I.add))
-    ok = np.concatenate([np.ones(0, dtype=bool)]
-                        + [cells.reshape(len(cells), -1).all(axis=1) for cells in batches])
-    return ok.reshape(units).all(axis=-1)
+    The product's brace axiom is read (_compat_sides) with a among the
+    lifts of the circle generators of H and I, b among the lifts of their
+    additive generators and c over all of E, one nu at a time so that no
+    temporary spans more than one nu's candidates; by the module docstring
+    that decides it once every candidate obeys the three (anti)hom laws."""
+    a, b, cells = _lifts(H.circ, I.circ, I.n), _lifts(H.add, I.add, I.n), np.arange(H.n * I.n)
+    return np.concatenate([(lhs == rhs).all(axis=(3, 4, 5)) for lhs, rhs in (
+        _compat_sides(H, I, [nu], mus, sigmas, a, b, cells) for nu in nus)])
 
 
-def _compat_cells(H: SkewBrace, I: SkewBrace, nus, mus, sigmas, x1, x2):
-    """The compatibility equation (module docstring) at every candidate
-    (nus[i], mus[j], sigmas[k]), x1 = (h1, y1) in the pairs x1, x2 =
-    (h2, y2) in the pairs x2 and every x3 = (h3, y3); x1 and x2 are each
-    an (h array, y array) pair.
-
-    Yields boolean arrays of shape (rows, len(x2), |H|, |I|), True where
-    the equation holds, one row per (i, j, k, x1) in C order.  Rows are
-    batched so that no batch exceeds _BATCH_CELLS cells, however many
-    candidates there are."""
+def _compat_sides(H: SkewBrace, I: SkewBrace, nus, mus, sigmas, a, bs, cs) -> tuple:
+    """Both sides of the brace axiom (braces._axiom_sides) in the
+    zero-cocycle rebuild of every candidate (nus[i], mus[j], sigmas[k]),
+    with a over the labels a, b over bs and c over cs (_AtLifts), as arrays
+    (len(nus), len(mus), len(sigmas), len(a), len(bs), len(cs))."""
     nh, ni = H.n, I.n
-    Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.array(H.add.inv, dtype=np.intp)
-    Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.array(I.add.inv, dtype=np.intp)
-    nu, mu, sigma = (np.array(f, dtype=np.intp).reshape(-1, nh, ni) for f in (nus, mus, sigmas))
-    inv_nu = nu.argsort(axis=2)
-    # x2 and x3 = (h3, y3) on axes (x2, h3, y3)
-    x1_h, x1_y = x1
-    h2, y2 = (v[:, None, None] for v in x2)
-    h3, y3 = np.arange(nh)[:, None], np.arange(ni)
-    p = Ha[h2, h3]                              # h2 + h3
-    # Gathers go through flat tables: a family f at (c, h, y) is
-    # f_flat[(c nh + h) ni + y], and nu_{c, h}(x o z) is
-    # nu_circ[((c nh + h) ni + x) ni + z].
-    nu_circ = nu[:, :, Ic].ravel()
-    Ia_f, mu_f, sigma_f, inv_f = (f.ravel() for f in (Ia, mu, sigma, inv_nu))
-    units = (len(nu), len(mu), len(sigma), len(x1_h))
-    total = int(np.prod(units))
-    step = max(1, _BATCH_CELLS // max(1, len(h2) * nh * ni))
-    for lo in range(0, total, step):
-        # one (candidate, x1) per row, broadcast against (x2, h3, y3);
-        # i, j, k become the row offsets of the nu, mu and sigma tables
-        rows = np.arange(lo, min(lo + step, total))
-        i, j, k, l1 = (u[:, None, None, None] for u in np.unravel_index(rows, units))
-        i, j, k, h1, y1 = i * nh, j * nh, k * nh, x1_h[l1], x1_y[l1]
-        a = inv_f[(i + h1) * ni + y1]
-
-        def tail(h, y):
-            """T(h, y) = nu_{h1 o h}(sigma_h(a) o nu_h^-1(y))."""
-            return nu_circ.take(((i + Hc[h1, h]) * ni + sigma_f.take((k + h) * ni + a)) * ni
-                                + inv_f.take((i + h) * ni + y))
-
-        lhs = tail(p, Ia_f.take(mu_f.take((j + h3) * ni + y2) * ni + y3))  # x1 o (x2 + x3)
-        q = mu_f.take((j + Ha[Hneg[h1], Hc[h1, h3]]) * ni + Ia[tail(h2, y2), Ineg[y1]])
-        yield lhs == Ia_f.take(q * ni + tail(h3, y3))
+    axes = ((-1, 1, 1, nh, ni), (1, -1, 1, nh, ni), (1, 1, -1, nh, ni))
+    ops = _triplet_ops(H, I, *(np.array(f, dtype=np.intp).reshape(s)
+                               for f, s in zip((nus, mus, sigmas), axes)))
+    a, bs, cs = (np.asarray(x).reshape(1, 1, 1, -1) for x in (a, bs, cs))
+    # an operation's table, n^2 cells a layer, is gathered only when the
+    # two sides read at least as many cells
+    dense = (nh * ni) ** 2 <= 2 * len(nus) * len(mus) * len(sigmas) * a.size * bs.size * cs.size
+    add, circ = (_AtLifts(op, labels, 3)
+                 for op, labels in zip(_label_ops(ops, nh, ni, 3, dense), (cs, a)))
+    return _axiom_sides(add, circ, _right_inverses(add, a, H, ni), bs, cs)
 
 
-def _lifts(G: FiniteGroup, K: FiniteGroup) -> tuple:
-    """The lifts (s, 0), s in S(G), then (0, t), t in S(K), of the
-    generating sequences of G and K, as arrays of h and of y."""
+def _lifts(G: FiniteGroup, K: FiniteGroup, ni: int) -> np.ndarray:
+    """The labels h |I| + y of the lifts (s, 0), s in S(G), then (0, t),
+    t in S(K), of the generating sequences of G and K."""
     sg, sk = G.generating_sequence(), K.generating_sequence()
-    return (np.array(sg + (0,) * len(sk), dtype=np.intp),
-            np.array((0,) * len(sg) + sk, dtype=np.intp))
+    return np.array([s * ni for s in sg] + list(sk), dtype=np.intp)
 
 
 def check_hom_laws(H: SkewBrace, t: ActionTriple) -> None:
@@ -311,48 +272,122 @@ def validate_split_triple(H: SkewBrace, I: SkewBrace, t: ActionTriple) -> None:
         )
 
 
-def _triplet_ops(H: SkewBrace, I: SkewBrace, chis: Sequence[ActionTriple],
-                 betas, taus) -> tuple:
-    """The (add, circ) operations the triplets (chis[k], betas[k], taus[k])
-    rebuild by the formulas in the extensions module docstring, as
-    functions of broadcastable index arrays (k, h1, y1, h2, y2) giving the
-    label h * |I| + y of the product of (h1, y1) and (h2, y2), each pair
-    standing for s(h) o y.  chis may hold one triple that every layer
-    shares."""
+def _triplet_ops(H: SkewBrace, I: SkewBrace, nus, mus, sigmas, betas=None, taus=None) -> tuple:
+    """The (add, circ) operations the triplets (chi, beta, tau) rebuild by
+    the formulas in the extensions module docstring, as functions of
+    broadcastable coordinates (h1, y1, h2, y2) giving the label h |I| + y
+    of the product of (h1, y1) and (h2, y2), each pair standing for s(h) o y.
+
+    nus, mus, sigmas are arrays (..., |H|, |I|), betas and taus (..., |H|,
+    |H|) or None (the zero cocycle); their leading axes, as many for each,
+    are layer axes that broadcast together and lead the coordinates, so
+    each family may have an axis of its own."""
     nh, ni = H.n, I.n
-    Ha, Hc_label = H.add.np_table, H.circ.np_table * ni
-    Ia, Ic = I.add.np_table, I.circ.np_table
-    beta, tau = (np.array(c, dtype=np.intp).reshape(-1, nh, nh) for c in (betas, taus))
-    fams = np.array([(t.nu, t.mu, t.sigma) for t in chis], dtype=np.intp)
-    if len(chis) == 1:
-        fams = fams[0]      # shared by every layer: no layer index
-    nu, mu, sigma = (fams[..., i, :, :] for i in range(3))
-    fam = (lambda k: ()) if len(chis) == 1 else (lambda k: (k,))
-    # mu_nu[.., h1, y1, h2] = mu_{h2}(nu_{h1}(y1)); label[.., h, z] = h |I| + nu_h^-1(z)
-    mu_nu = mu[(*fam(np.arange(len(chis))[:, None, None, None]), np.arange(nh), nu[..., None])]
-    label = np.arange(nh)[:, None] * ni + nu.argsort(axis=-1)
+    Ha, Hc_label, Ia, Ic = H.add.np_table, H.circ.np_table * ni, I.add.np_table, I.circ.np_table
+    nu, nu_at = _layer_index(np.asarray(nus, dtype=np.intp), 2)
+    label = np.arange(0, nh * ni, ni)[:, None] + nu.argsort(axis=-1)    # h |I| + nu_h^-1(z)
+    mu, mu_at = _layer_index(np.asarray(mus, dtype=np.intp), 2)
+    sigma, sigma_at = _layer_index(np.asarray(sigmas, dtype=np.intp), 2)
+    if betas is not None:
+        beta, beta_at = _layer_index(np.asarray(betas, dtype=np.intp), 2)
+        tau, tau_at = _layer_index(np.asarray(taus, dtype=np.intp), 2)
 
-    def add(k, h1, y1, h2, y2):
-        c = fam(k)
-        return label[(*c, Ha[h1, h2], Ia[Ia[beta[k, h1, h2], mu_nu[(*c, h1, y1, h2)]],
-                                         nu[(*c, h2, y2)]])]
+    def add(h1, y1, h2, y2):
+        # beta(h1, h2) + mu_{h2}(nu_{h1}(y1)) + nu_{h2}(y2) over h1 + h2
+        at = nu_at(h1, h2)
+        z = mu[(*mu_at(h1, h2), h2, nu[(*at, h1, y1)])]
+        if betas is not None:
+            z = Ia[beta[(*beta_at(h1, h2), h1, h2)], z]
+        return label[(*at, Ha[h1, h2], Ia[z, nu[(*at, h2, y2)]])]
 
-    def circ(k, h1, y1, h2, y2):
-        return Hc_label[h1, h2] + Ic[Ic[tau[k, h1, h2], sigma[(*fam(k), h2, y1)]], y2]
+    def circ(h1, y1, h2, y2):
+        # tau(h1, h2) o sigma_{h2}(y1) o y2 over h1 o h2
+        z = sigma[(*sigma_at(h1, h2), h2, y1)]
+        if betas is not None:
+            z = Ic[tau[(*tau_at(h1, h2), h1, h2)], z]
+        return Hc_label[h1, h2] + Ic[z, y2]
 
     return add, circ
 
 
-def _triplet_tables(H: SkewBrace, I: SkewBrace, chis: Sequence[ActionTriple],
-                    betas, taus) -> tuple:
-    """The (add, circ) tables of the operations _triplet_ops rebuilds, on
-    pairs (h, y) -> h * |I| + y, as (k, n, n) arrays, each gathered at once
-    over broadcast (k, h1, y1, h2, y2); one triplet is a stack of one."""
-    nh, ni = H.n, I.n
-    grid = (np.arange(len(betas)).reshape(-1, 1, 1, 1, 1), np.arange(nh).reshape(-1, 1, 1, 1),
-            np.arange(ni).reshape(-1, 1, 1), np.arange(nh).reshape(-1, 1), np.arange(ni))
+def _layer_index(f: np.ndarray, cell_axes: int) -> tuple:
+    """f with its layer axes (all but the last cell_axes) folded into one,
+    and the function of two index arrays, led by the layer axes, that
+    gives the leading index reading each cell in its own layer."""
+    lead = f.shape[:-cell_axes]
+    if max(lead, default=1) == 1:
+        return f[(0,) * len(lead)], _one_layer
+    k = np.arange(prod(lead)).reshape(lead)
+    return (f.reshape((-1,) + f.shape[len(lead):]),
+            lambda p, q: (k.reshape(lead + (1,) * (max(np.ndim(p), np.ndim(q)) - len(lead))),))
+
+
+def _one_layer(p, q) -> tuple:
+    return ()
+
+
+def _tables(ops, nh: int, ni: int, layers: int) -> list:
+    """_triplet_ops operations on every cell, as arrays (..., n, n) led by
+    `layers` layer axes."""
+    h, y = np.arange(nh).reshape((1,) * layers + (-1,)), np.arange(ni)
+    cells = h[..., None, None, None], y[:, None, None], h[..., None], y
+    return [t.reshape(t.shape[:layers] + (nh * ni, nh * ni)) for t in [op(*cells) for op in ops]]
+
+
+def _label_ops(ops, nh: int, ni: int, layers: int, tabulate: bool) -> tuple:
+    """_triplet_ops operations as functions of labels x1, x2 (h |I| + y),
+    evaluated at the cells asked or, when tabulate, read off their tables,
+    a layered one by one take: faster on large reads than three indices."""
+    if not tabulate:
+        return tuple(lambda x1, x2, op=op: op(*np.divmod(x1, ni), *np.divmod(x2, ni))
+                     for op in ops)
     n = nh * ni
-    return tuple(op(*grid).reshape(-1, n, n) for op in _triplet_ops(H, I, chis, betas, taus))
+    return tuple((lambda x1, x2, t=t: t[x1, x2]) if t.ndim == 2 else
+                 (lambda x1, x2, t=t.ravel(), at=at: t.take((at(x1, x2)[0] * n + x1) * n + x2))
+                 for t, at in (_layer_index(t, 2) for t in _tables(ops, nh, ni, layers)))
+
+
+class _AtLifts:
+    """A label operation of _label_ops read as the law evaluators read a
+    table, with x and y, or a and c, over the labels `labels`.
+
+    Label arrays lead with the `layers` layer axes, each of its length or
+    1.  take(idx, axis=0) is idx times each label, on a new last axis,
+    take(idx, axis=-1) each label times idx, on a new axis after the
+    layers', and [p, q] the products of broadcast p and q."""
+
+    def __init__(self, op, labels, layers: int):
+        self.op, self.labels, self.layers = op, np.asarray(labels).ravel(), layers
+
+    def __getitem__(self, pq) -> np.ndarray:
+        return self.op(*pq)
+
+    def take(self, idx, axis: int) -> np.ndarray:
+        idx = np.asarray(idx)
+        if axis == 0:
+            return self.op(idx[..., None], self.labels)
+        lay = self.layers
+        return self.op(self.labels.reshape((1,) * lay + (-1,) + (1,) * (idx.ndim - lay)),
+                       idx.reshape(idx.shape[:lay] + (1,) + idx.shape[lay:]))
+
+
+def _right_inverses(add: _AtLifts, xs: np.ndarray, H: SkewBrace, ni: int) -> np.ndarray:
+    """-x for each label x of xs (leading with the layer axes) in each
+    rebuilt (E, +): its right inverse, which lies over -h, as the H-part
+    of a sum is the sum of the H-parts."""
+    over = (np.asarray(H.add.inv)[xs // ni] * ni)[..., None] + np.arange(ni)
+    return over[..., 0] + (add[xs[..., None], over] == 0).argmax(axis=-1)
+
+
+def _triplet_tables(H: SkewBrace, I: SkewBrace, chis: Sequence[ActionTriple],
+                    betas=None, taus=None) -> tuple:
+    """The (add, circ) tables _triplet_ops rebuilds from the triplets
+    (chis[k], betas[k], taus[k]), as (k, n, n) arrays; chis may hold one
+    triple that every layer shares, and betas = taus = None is the zero
+    cocycle."""
+    fams = np.array([(t.nu, t.mu, t.sigma) for t in chis], dtype=np.intp)
+    ops = _triplet_ops(H, I, fams[:, 0], fams[:, 1], fams[:, 2], betas, taus)
+    return tuple(_tables(ops, H.n, I.n, 1))
 
 
 def _product_tables(H: SkewBrace, I: SkewBrace, ts: Sequence[ActionTriple]) -> tuple:
@@ -363,8 +398,7 @@ def _product_tables(H: SkewBrace, I: SkewBrace, ts: Sequence[ActionTriple]) -> t
     nu_h^-1(y), since nu_h(z) = -s(h) + s(h) o z.  So the product is the
     zero-cocycle rebuild (_triplet_tables) with each label h * |I| + z
     renamed to h * |I| + nu_h(z), layer by layer (_relabel_stack)."""
-    zero = np.zeros((len(ts), H.n, H.n), dtype=np.intp)
-    add, circ = _triplet_tables(H, I, ts, zero, zero)
+    add, circ = _triplet_tables(H, I, ts)
     rename = (np.arange(H.n)[:, None] * I.n
               + np.array([t.nu for t in ts], dtype=np.intp)).reshape(len(ts), -1)
     return _relabel_stack(add, rename), _relabel_stack(circ, rename)

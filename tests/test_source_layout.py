@@ -57,7 +57,7 @@ TEST_ONLY = {
     "extensions": {"action_identities_witness", "cocycle_conditions_witness",
                    "parent_relation_witness", "_parent_relation_cells", "sections"},
     "groups": {"is_perm", "generate"},
-    "split": {"decode_pair", "compat_as_written_witness", "_compat_cube"},
+    "split": {"decode_pair", "compat_as_written_witness", "_compat_cube", "_compat_cells"},
     "wells": {"pair_inv"},
 }
 

@@ -36,6 +36,7 @@ from braceforge.split import (
     _candidate_families,
     _compat_on_lifts,
     _compat_witness,
+    _lifts,
     _product_tables,
     check_hom_laws,
     encode_pair,
@@ -454,39 +455,62 @@ def test_compat_on_lifts_matches_cube(Z2, Z3, Z4, xor4, flip4):
     assert checked > failing > 0
 
 
-def _compat_on_every_x1(H, I, nus, mus, sigmas):
-    """The oracle for _compat_on_lifts: the same batched sweep with (h1, y1)
-    over every element of E instead of the lifts of the circle
-    generators, n |L_+| n cells per candidate."""
+def _compat_cells(H, I, nus, mus, sigmas, x1, x2):
+    """The compatibility equation (split module docstring) transcribed at
+    every candidate (nus[i], mus[j], sigmas[k]), x1 = (h1, y1) in the pairs
+    x1, x2 = (h2, y2) in the pairs x2 and every x3 = (h3, y3); x1 and x2
+    are each an (h array, y array) pair.
+
+    Yields boolean arrays of shape (rows, len(x2), |H|, |I|), True where
+    the equation holds, one row per (i, j, k, x1) in C order.  Rows are
+    batched so that no batch exceeds 2^14 cells, however many candidates
+    there are."""
     nh, ni = H.n, I.n
     Ha, Hc, Hneg = H.add.np_table, H.circ.np_table, np.array(H.add.inv, dtype=np.intp)
     Ia, Ic, Ineg = I.add.np_table, I.circ.np_table, np.array(I.add.inv, dtype=np.intp)
     nu, mu, sigma = (np.array(f, dtype=np.intp).reshape(-1, nh, ni) for f in (nus, mus, sigmas))
     inv_nu = nu.argsort(axis=2)
-    sh, si = H.add.generating_sequence(), I.add.generating_sequence()
-    h2 = np.array(sh + (0,) * len(si), dtype=np.intp)[:, None, None]
-    y2 = np.array((0,) * len(sh) + si, dtype=np.intp)[:, None, None]
+    # x2 and x3 = (h3, y3) on axes (x2, h3, y3)
+    x1_h, x1_y = x1
+    h2, y2 = (v[:, None, None] for v in x2)
     h3, y3 = np.arange(nh)[:, None], np.arange(ni)
-    p = Ha[h2, h3]
+    p = Ha[h2, h3]                              # h2 + h3
+    # Gathers go through flat tables: a family f at (c, h, y) is
+    # f_flat[(c nh + h) ni + y], and nu_{c, h}(x o z) is
+    # nu_circ[((c nh + h) ni + x) ni + z].
     nu_circ = nu[:, :, Ic].ravel()
     Ia_f, mu_f, sigma_f, inv_f = (f.ravel() for f in (Ia, mu, sigma, inv_nu))
-    units = (len(nu), len(mu), len(sigma), nh, ni)
-    ok = np.empty(int(np.prod(units)), dtype=bool)
-    step = max(1, (1 << 14) // max(1, len(sh + si) * nh * ni))
-    for lo in range(0, len(ok), step):
-        rows = np.arange(lo, min(lo + step, len(ok)))
-        i, j, k, h1, y1 = (u[:, None, None, None] for u in np.unravel_index(rows, units))
-        i, j, k = i * nh, j * nh, k * nh
+    units = (len(nu), len(mu), len(sigma), len(x1_h))
+    total = int(np.prod(units))
+    step = max(1, (1 << 14) // max(1, len(h2) * nh * ni))
+    for lo in range(0, total, step):
+        # one (candidate, x1) per row, broadcast against (x2, h3, y3);
+        # i, j, k become the row offsets of the nu, mu and sigma tables
+        rows = np.arange(lo, min(lo + step, total))
+        i, j, k, l1 = (u[:, None, None, None] for u in np.unravel_index(rows, units))
+        i, j, k, h1, y1 = i * nh, j * nh, k * nh, x1_h[l1], x1_y[l1]
         a = inv_f[(i + h1) * ni + y1]
 
         def tail(h, y):
+            """T(h, y) = nu_{h1 o h}(sigma_h(a) o nu_h^-1(y))."""
             return nu_circ.take(((i + Hc[h1, h]) * ni + sigma_f.take((k + h) * ni + a)) * ni
                                 + inv_f.take((i + h) * ni + y))
 
-        lhs = tail(p, Ia_f.take(mu_f.take((j + h3) * ni + y2) * ni + y3))
+        lhs = tail(p, Ia_f.take(mu_f.take((j + h3) * ni + y2) * ni + y3))  # x1 o (x2 + x3)
         q = mu_f.take((j + Ha[Hneg[h1], Hc[h1, h3]]) * ni + Ia[tail(h2, y2), Ineg[y1]])
-        ok[lo:lo + step] = (lhs == Ia_f.take(q * ni + tail(h3, y3))).reshape(len(rows), -1).all(axis=1)
-    return ok.reshape(units[:3] + (nh * ni,)).all(axis=-1)
+        yield lhs == Ia_f.take(q * ni + tail(h3, y3))
+
+
+def _compat_on_every_x1(H, I, nus, mus, sigmas):
+    """The oracle for _compat_on_lifts: the hand transcription
+    _compat_cells with (h1, y1) over every element of E and (h2, y2) over
+    the lifts of the additive generators, n |L_+| n cells per candidate."""
+    x1 = np.divmod(np.arange(H.n * I.n), I.n)
+    ok = np.concatenate([np.ones(0, dtype=bool)] + [
+        cells.reshape(len(cells), -1).all(axis=1)
+        for cells in _compat_cells(H, I, nus, mus, sigmas, x1,
+                                   np.divmod(_lifts(H.add, I.add, I.n), I.n))])
+    return ok.reshape(len(nus), len(mus), len(sigmas), -1).all(axis=-1)
 
 
 def test_compat_on_lifts_matches_every_x1(Z2, Z3, Z4, xor4, flip4):
@@ -508,6 +532,15 @@ def test_compat_on_lifts_matches_every_x1(Z2, Z3, Z4, xor4, flip4):
         checked += expected.size
         failing += int((~expected).sum())
     assert checked > failing > 0
+    # V by D4, the largest candidate space of any pair here: 21,952
+    # candidates, 5,632 of them valid, 304 of those with identity mu
+    V = trivial_brace(klein_group())
+    nus, mus, sigmas = _candidate_families(V, D4)
+    expected = _compat_on_every_x1(V, D4, nus, mus, sigmas)
+    assert np.array_equal(_compat_on_lifts(V, D4, nus, mus, sigmas), expected)
+    identity_mu = mus.index(tuple(identity_perm(D4.n) for _ in range(V.n)))
+    assert (expected.size, int(expected.sum()), int(expected[:, identity_mu].sum())) == (
+        21952, 5632, 304)
 
 
 def _validates(H, I, t):
