@@ -36,9 +36,9 @@ s o (b o c) for all b, c.  Such s are closed under o:
                       = s o (t o (b o c)) = (s o t) o (b o c),
 
 using s, s, t, s, and no associativity of o.  Every element is 0, a
-generator of S_o (the generating set groups._generators finds for o), or
-an element times a generator, so the law needs checking only for s in
-{0} and S_o.
+generator of S_o (the generating sequence of o, the heads of
+groups._generator_cells), or an element times a generator, so the law
+needs checking only for s in {0} and S_o.
 
 validate_brace and lambda_is_hom take these routes at every order, as
 validate_group takes Light's test, and so does _brace_axiom_holds, the

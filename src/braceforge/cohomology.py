@@ -561,7 +561,8 @@ class CohomologyGroup:
     are in lex order, the zero pair first; a class index is its position.
     Cocycle pairs are looked up by descent, so index_of, class_of, add and
     neg list nothing; the z2 and b2 properties list the members on
-    access, and the representatives, held as rows, are listed as
+    access, guarded by their known number as z2N and b2N are, and the
+    representatives, held as rows, are listed as
     CocyclePairs on first access (the Wells check reads only the rows).
     """
 
@@ -667,10 +668,12 @@ class CohomologyGroup:
 
     @property
     def z2(self) -> list:
+        budget_mod.guard(self.z2_order, "z2N listing")
         return self._sp.pairs(self._z2.members())
 
     @property
     def b2(self) -> list:
+        budget_mod.guard(self.b2_order, "b2N listing")
         return self._sp.pairs(self._b2.members())
 
     def index_of(self, pair: CocyclePair) -> int:

@@ -9,9 +9,9 @@ Conventions used everywhere in this package:
 Tables as arrays.  The primary form of every Cayley table is a read-only
 int64 array, FiniteGroup.np_table, and validate_group decides the axioms
 on an array as it is given.  The tuple rows FiniteGroup.table, which the
-Python walks read (the greedy generating sequence, the homomorphism
-engine), the inverses and the hash are built from the array the first
-time they are asked for.  A pair of equal tables is one group check
+homomorphism engine reads, the inverses and the hash are built from the
+array the first time they are asked for; the greedy walk reads the array
+itself, one item per cell.  A pair of equal tables is one group check
 (braces.validate_brace).
 
 Associativity on a generating set (Light's test).  Call s a good middle
@@ -23,9 +23,12 @@ elements are closed under the product: for good s, t and any x, y,
 using s, then t, then s, then t.  So when every element of a set S is
 good and S together with the identity generates the table under its own
 product, every element is good and the table is associative.  This
-costs n^2 |S| cells instead of n^3.  _generators finds such an S: the
-greedy generating sequence, in which each element reached is 0, a
-generator, or a reached element times a generator on the right.
+costs n^2 |S| cells instead of n^3.  Such an S is the greedy generating
+sequence, in which each element reached is 0, a generator, or a reached
+element times a generator on the right.  One walk finds it,
+_generator_cells, which records the cells that reach each element on the
+way: a FiniteGroup walks its table once and keeps the cells
+(generator_cells), and its generating_sequence is their heads.
 
 validate_group decides associativity by this test at every order; the
 braces module decides the brace axiom the same way.  Paired end-to-end
@@ -48,10 +51,16 @@ walks, and is kept when the rest of those cells agree: the old elements
 times g_{j+1}, and each new element times every generator so far.  Over
 one path of the search these are the n |S| cells of the test, less the
 cells 0 g_j, and none is visited twice.  Each map found is returned as
-its image tuple, the form every caller keeps.  PermGroup.is_group decides
-closure the same way, on a greedy generating set of its elements.
-Paired end-to-end runs against the all-pairs closure that came before
-are in BENCH_generator_homs.json.
+its image tuple, the form every caller keeps.  Paired end-to-end runs
+against the all-pairs closure that came before are in
+BENCH_generator_homs.json.
+
+PermGroup.is_group runs the same walk over its sorted elements, with
+compose for the product: a finite set of permutations that holds the
+identity and is closed under right multiplication by a set T that
+generates it is a group, so the walk decides closure on |S| |T|
+products, a product outside the set ends it, and the walk's heads are T.
+_generator_cells is the one greedy walk of the package.
 
 Every other homomorphism question in the package is this test on a
 given map, _respects: is_automorphism, BraceHom.is_valid and the engine's
@@ -65,7 +74,7 @@ extensions._brace_orbits reads every other relabelling without a gather.
 
 from __future__ import annotations
 
-from itertools import chain, permutations
+from itertools import permutations
 from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -141,8 +150,8 @@ class FiniteGroup:
     plain slot read.  A group whose table only numpy reads never builds
     them."""
 
-    __slots__ = ("n", "np_table", "inv", "table", "inner", "_abelian", "_orders", "_gens",
-                 "_cells", "_hash")
+    __slots__ = ("n", "np_table", "inv", "table", "inner", "_abelian", "_orders", "_cells",
+                 "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         arr = np.array(table, dtype=np.int64)
@@ -151,7 +160,6 @@ class FiniteGroup:
         self.np_table = arr
         self._abelian = None
         self._orders = None
-        self._gens = None
         self._cells = None
 
     def __getattr__(self, name: str):
@@ -229,32 +237,35 @@ class FiniteGroup:
         return FiniteGroup(relabel_table(self.table, perm))
 
     def generating_sequence(self) -> tuple:
-        if self._gens is None:
-            self._gens = _generators(self.table)
-        return self._gens
+        """The greedy generating sequence g_1 .. g_m: the heads of
+        generator_cells(), which the same walk returns."""
+        if self._cells is None:
+            self.generator_cells()
+        return self._cells[0]
 
     def generator_cells(self) -> tuple:
-        """_generator_cells of the table, built once."""
+        """The cells of _generator_cells on the table, walked once."""
         if self._cells is None:
-            self._cells = _generator_cells(self.table)
-        return self._cells
+            self._cells = _generator_cells(self.n, self.np_table.item)
+        return self._cells[1]
 
 
-def _generator_cells(table) -> tuple:
-    """The greedy generating sequence of a table, with the cells that reach
-    each element.  The generators are, repeatedly, the least element g_j
-    not yet reached from 0 by right multiplication by the chosen ones; in
-    a group that is the least element outside G_{j-1} = <g_1 .. g_{j-1}>.
+def _generator_cells(n: int, product: Callable, charge: Optional[Callable] = None) -> tuple:
+    """(gens, plan): the greedy generating sequence of a product on
+    0..n-1 with identity 0, and the cells that reach each element;
+    product(x, s) is the index of x s.  The generators are, repeatedly,
+    the least element g_j not yet reached from 0 by right multiplication
+    by the chosen ones; in a group that is the least element outside
+    G_{j-1} = <g_1 .. g_{j-1}>.
 
-    One (defines, checks, new) per generator.  new lists the elements
-    reached with g_j, g_j first.  defines and checks hold the cells
-    (x, s, x s), s one of g_1 .. g_j, that reach them: the old elements
-    times g_j, then each new element times every generator so far.  A
-    define cell reaches x s first, a check cell an element already
-    reached; 0 g_j = g_j, the identity being at 0, is no cell.  Each
-    element is multiplied by each generator once, so the cost is n |S|
-    lookups."""
-    n = len(table)
+    plan has one (defines, checks, new) per generator.  new lists the
+    elements reached with g_j, g_j first.  defines and checks hold the
+    cells (x, s, x s), s one of g_1 .. g_j, that reach them: the old
+    elements times g_j, then each new element times every generator so
+    far.  A define cell reaches x s first, a check cell an element
+    already reached; 0 g_j = g_j is no cell.  Each element is multiplied
+    by each generator once, so the cost is n |S| products.  charge(j),
+    when given, is called as g_j joins, before its products are taken."""
     seen = [False] * n
     seen[0] = True
     reached = [0]
@@ -264,60 +275,35 @@ def _generator_cells(table) -> tuple:
         if seen[g]:
             continue
         gens.append(g)
+        if charge is not None:
+            charge(len(gens))
         seen[g] = True
         new = [g]
         defines: list = []
         checks: list = []
-
-        def visit(x: int, s: int) -> None:
-            c = table[x][s]
+        # what was reached is closed under the earlier generators, so only
+        # its products with g start new work; the cell is written out in
+        # both loops, since a helper called per cell slows every walk
+        for x in reached[1:]:
+            c = product(x, g)
             if seen[c]:
-                checks.append((x, s, c))
+                checks.append((x, g, c))
             else:
                 seen[c] = True
                 new.append(c)
-                defines.append((x, s, c))
-
-        # what was reached is closed under the earlier generators, so only
-        # its products with g start new work
-        for x in reached[1:]:
-            visit(x, g)
+                defines.append((x, g, c))
         for x in new:  # the list grows while it is walked
             for s in gens:
-                visit(x, s)
-        reached.extend(new)
-        plan.append((tuple(defines), tuple(checks), tuple(new)))
-    return tuple(plan)
-
-
-def _generators(table) -> tuple:
-    """The greedy generating sequence of a table, the first element of each
-    step of _generator_cells, walked without recording the cells."""
-    n = len(table)
-    seen = [False] * n
-    seen[0] = True
-    reached = [0]
-    gens: list = []
-    for g in range(1, n):
-        if seen[g]:
-            continue
-        gens.append(g)
-        seen[g] = True
-        new = [g]
-        for x in reached[1:]:
-            c = table[x][g]
-            if not seen[c]:
-                seen[c] = True
-                new.append(c)
-        for x in new:  # the list grows while it is walked
-            row = table[x]
-            for s in gens:
-                c = row[s]
-                if not seen[c]:
+                c = product(x, s)
+                if seen[c]:
+                    checks.append((x, s, c))
+                else:
                     seen[c] = True
                     new.append(c)
+                    defines.append((x, s, c))
         reached.extend(new)
-    return tuple(gens)
+        plan.append((tuple(defines), tuple(checks), tuple(new)))
+    return tuple(gens), tuple(plan)
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -434,38 +420,25 @@ class PermGroup:
         A finite set of permutations that holds the identity and is closed
         under right multiplication by a subset T that generates it is a
         group, by the argument of Light's test (module docstring).  T is
-        the greedy generating sequence of the sorted elements, as in
-        _generators, so the check costs |S| |T| products; the budget is
-        charged |S| |T| as each generator joins T.  On a True verdict T is
-        kept in `generators`, in the order it was chosen: every element is
-        the identity times a word in T on the right."""
-        elems = self.elements
-        one = identity_perm(self.degree)
-        if one not in elems:
+        found by _generator_cells over the sorted elements, which the
+        identity, the least permutation, must head, with compose as the
+        product; a product outside the set ends the walk with False.  That
+        is |S| |T| products, and the budget is charged |S| |T| as each
+        generator joins T.  On a True verdict T, the heads of the walk, is
+        kept in `generators`: every element is the identity times a word
+        in T on the right."""
+        elems = self.sorted_elements()
+        if elems[0] != identity_perm(self.degree):
             return False
-        reached = {one}
-        order = [one]
-        gens: list = []
-        for g in self.sorted_elements():
-            if g in reached:
-                continue
-            gens.append(g)
-            budget_mod.guard(self.order * len(gens), "permutation group closure")
-            reached.add(g)
-            new = [g]
-            # what was reached is closed under the earlier generators, so
-            # only its products with g start new work; new grows while the
-            # second part walks it
-            cells = chain(((x, g) for x in order[1:]), ((x, t) for x in new for t in gens))
-            for x, t in cells:
-                y = compose(x, t)
-                if y not in elems:
-                    return False
-                if y not in reached:
-                    reached.add(y)
-                    new.append(y)
-            order.extend(new)
-        self.generators = tuple(gens)
+        index = {p: k for k, p in enumerate(elems)}
+        size = len(elems)
+        try:
+            gens, _ = _generator_cells(
+                size, lambda x, s: index[compose(elems[x], elems[s])],
+                lambda k: budget_mod.guard(size * k, "permutation group closure"))
+        except KeyError:  # a product outside the set
+            return False
+        self.generators = tuple([elems[g] for g in gens])
         return True
 
 

@@ -282,9 +282,11 @@ def autb_I(ext: Extension) -> PermGroup:
     return PermGroup(ext.E.n, [g for g in sorted(found) if all(g[x] in img for x in img)])
 
 
-def rho(ext: Extension, s: Sequence[int]) -> List[Tuple[tuple, AutPair]]:
-    """Pairs (gamma, (gamma_H, gamma_I)) for every kernel-normalising gamma,
-    one per element of autb_I(ext).
+def rho(ext: Extension, s: Sequence[int]) -> Tuple[List[AutPair], List[tuple], int]:
+    """(im_rho, ker_rho, |Autb_I(E)|): the distinct pairs (gamma_H, gamma_I)
+    induced by the kernel-normalising gamma of autb_I(ext), sorted, the
+    gamma that induce the identity pair, sorted, and how many gamma there
+    are.
 
     gamma_I is the restriction to I in I coordinates; gamma_H the map
     induced on H through the canonical section s.  gamma is a brace
@@ -292,16 +294,24 @@ def rho(ext: Extension, s: Sequence[int]) -> List[Tuple[tuple, AutPair]]:
     well defined (pi gamma = gamma_H pi) and both maps are brace
     automorphisms by construction; test_rho_induces_brace_automorphisms in
     tests/test_wells.py checks this on every Tier-1 Wells input.  Both
-    maps are gathers on the sorted automorphisms (oracle: _rho_loop).
+    maps are gathers on the sorted automorphisms, one induced row per
+    gamma; the rows are lex-sorted once, and a pair is built only where a
+    row differs from the one before (oracle: _rho_loop).
     """
     found = autb_I(ext).sorted_elements()
     G = np.array(found, dtype=np.int64)
     # autb_I keeps only the maps sending the image of I into itself
     rows = np.hstack([np.asarray(ext.proj)[G[:, list(s)]],
-                      _restrict(G, ext.inj, _carrier_index(ext.inj, ext.E.n))[0]]).tolist()
-    del G  # 8 bytes a cell; freed before the pairs are built
-    return [(gamma, AutPair(tuple(r[:ext.H.n]), tuple(r[ext.H.n:])))
-            for gamma, r in zip(found, rows)]
+                      _restrict(G, ext.inj, _carrier_index(ext.inj, ext.E.n))[0]])
+    del G  # 8 bytes a cell; freed before the rows are sorted
+    nh, ni = ext.H.n, ext.I.n
+    ident = np.concatenate([np.arange(nh), np.arange(ni)])
+    ker = [found[k] for k in np.flatnonzero((rows == ident).all(axis=1)).tolist()]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    im = [AutPair(tuple(r[:nh]), tuple(r[nh:])) for r in rows[head].tolist()]
+    return im, ker, len(found)
 
 
 # --- the Wells map -----------------------------------------------------------
@@ -492,15 +502,12 @@ def verify_exact_sequence(ext: Extension) -> dict:
     h2grp = budget_mod.shared(cohomology.h2N, H, I_res, chi_res)
     z1, gens = h2grp._derivation_rows()
     C = stabilizer_C(H, I, t0.chi)
-    pairs_of = rho(ext, s)
-    im_rho = sorted({pair for _, pair in pairs_of}, key=AutPair.sort_key)
+    im_rho, ker_rho, autb_order = rho(ext, s)
     for pair in im_rho:
         if pair not in C:
             raise ValidationError(
                 "induced pair falls outside the stabiliser", pair=pair.sort_key()
             )
-    ident = pair_identity(H, I)
-    ker_rho = sorted(gamma for gamma, pair in pairs_of if pair == ident)
 
     # psi : derivations -> kernel of rho, bijective and operation-preserving.
     el = np.asarray(elems, dtype=np.int64)
@@ -518,10 +525,10 @@ def verify_exact_sequence(ext: Extension) -> dict:
         raise ValidationError("psi does not convert derivation addition to composition")
 
     omega = wells_map(ext, C, h2grp, elems, t0)
-    if omega[ident] != 0:
+    if omega[pair_identity(H, I)] != 0:
         raise ValidationError("identity pair must map to the zero class")
     ker_omega = sorted((c for c, k in omega.items() if k == 0), key=AutPair.sort_key)
-    exact = list(ker_omega) == list(im_rho)
+    exact = ker_omega == im_rho
 
     # The C-action on classes is well defined and omega is a derivation.
     derivation_law = _derivation_law(C, omega, h2grp, elems)
@@ -535,7 +542,7 @@ def verify_exact_sequence(ext: Extension) -> dict:
         "ker_omega_order": len(ker_omega),
         "c_order": C.order,
         "h2_order": h2grp.order,
-        "autb_I_order": len(pairs_of),
+        "autb_I_order": autb_order,
         "exact": exact,
         "psi_bijective": psi_bijective,
         "psi_hom": psi_hom,

@@ -1576,3 +1576,27 @@ def test_h2N_reach_on_cyclic_by_z2():
         grp = h2N(H, Z2, identity_triple(H, Z2))
         assert grp.order == (4 if n % 2 == 0 else 1)
         assert grp.z2_order == grp.order * grp.b2_order
+
+
+def _budget_stop(fn, *args):
+    """What, how large and against which budget fn stopped, under a budget
+    of 100."""
+    with budget_mod.limit(100):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            fn(*args)
+    return exc.value.what, exc.value.size, exc.value.budget, str(exc.value)
+
+
+def test_cohomology_group_listings_are_guarded_as_z2N_and_b2N():
+    # Z12 by Z2 with the identity triple: 4,096 cocycle pairs and 1,024
+    # coboundary pairs; listing them off the group stops on the budget as
+    # the z2N and b2N listings do
+    Z2 = trivial_brace(cyclic_group(2))
+    H = trivial_brace(cyclic_group(12))
+    chi = identity_triple(H, Z2)
+    stop = _budget_stop(z2N, H, Z2, chi)
+    assert stop[:3] == ("z2N listing", 4096, 100)
+    assert _budget_stop(lambda: h2N(H, Z2, chi).z2) == stop
+    stop = _budget_stop(b2N, H, Z2, chi)
+    assert stop[:3] == ("b2N listing", 1024, 100)
+    assert _budget_stop(lambda: h2N(H, Z2, chi).b2) == stop

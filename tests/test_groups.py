@@ -229,14 +229,28 @@ def test_inner_table_built_on_first_use_matches_conj():
         assert all(inner_automorphism(G, g) is inner[g] for g in range(G.n))
 
 
-def test_lean_generators_match_generator_cells():
-    # _generators walks the greedy sequence without recording cells; the
-    # heads of _generator_cells are the same sequence
+def test_generating_sequence_and_cells_come_from_one_walk(monkeypatch):
+    # the sequence is the heads of the cells, so a group walks its table
+    # once, whichever it is asked first; a table product gives the same
+    # walk as the array's
     tables = [tuple(map(tuple, t.tolist())) for t in _array_tables()]
     tables.append(NONASSOCIATIVE_LOOP)
+    walks = []
+    walk = groups_mod._generator_cells
+
+    def counted(*args):
+        walks.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(groups_mod, "_generator_cells", counted)
     for table in tables:
-        heads = tuple(new[0] for _, _, new in groups_mod._generator_cells(table))
-        assert groups_mod._generators(table) == heads
+        G = FiniteGroup(table)
+        gens = G.generating_sequence()
+        cells = G.generator_cells()
+        assert G.generating_sequence() == gens and G.generator_cells() is cells
+        assert gens == tuple(new[0] for _, _, new in cells)
+        assert walk(G.n, lambda x, s: table[x][s]) == (gens, cells)
+    assert walks == [len(t) for t in tables]
 
 
 def test_constructors_and_invariants():

@@ -245,6 +245,19 @@ def test_one_homomorphism_test_and_one_relabelling():
         assert "extension_from_triplet" not in _callers(trees["extensions"], name)
 
 
+def test_one_greedy_walk():
+    # the generating sequence, the generator cells and permutation-group
+    # closure all come from groups._generator_cells
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    callers = {(module, owner) for module, tree in trees.items()
+               for owner in _callers(tree, "_generator_cells")}
+    assert callers == {("groups", "generator_cells"), ("groups", "is_group")}
+    assert [f"{module}:{node.lineno}" for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_generators"] == []
+
+
 def _filled(obj, slot: str) -> bool:
     """Whether a slot holds a value, read past the __getattr__ that fills it."""
     try:

@@ -174,6 +174,14 @@ def _rho_loop(ext, s):
     ]
 
 
+def _rho_from_loop(ext, s):
+    """rho's (image, kernel, |Autb_I(E)|), read off the per-gamma loop."""
+    pairs_of = _rho_loop(ext, s)
+    ident = pair_identity(ext.H, ext.I)
+    return (sorted({pair for _, pair in pairs_of}, key=AutPair.sort_key),
+            sorted(gamma for gamma, pair in pairs_of if pair == ident), len(pairs_of))
+
+
 def _raised(fn, *args):
     """The type, message and witness of what fn raised."""
     with pytest.raises(BraceforgeError) as exc:
@@ -430,24 +438,26 @@ def test_pair_action_laws(Z2, Z3, split_ext):
 
 def test_rho_image_and_autb(split_ext, carry_ext):
     assert autb_I(split_ext).order == 2
-    induced = {pair for _, pair in rho(split_ext, canonical_section(split_ext))}
-    assert len(induced) == 2
-    induced9 = {pair for _, pair in rho(carry_ext, canonical_section(carry_ext))}
+    induced, _, order = rho(split_ext, canonical_section(split_ext))
+    assert len(induced) == 2 and order == 2
+    induced9, _, _ = rho(carry_ext, canonical_section(carry_ext))
     assert len(induced9) == 2
 
 
 def test_rho_induces_brace_automorphisms(sweep_exts, q8_exts):
     # every gamma of Autb_I(E) induces a well-defined map on H, and both
     # induced maps are brace automorphisms; rho relies on it unchecked
-    pairs = 0
+    gammas = 0
     for ext in sweep_exts + q8_exts:
-        for gamma, pair in rho(ext, canonical_section(ext)):
+        s = canonical_section(ext)
+        for gamma, pair in _rho_loop(ext, s):
             assert all(ext.proj[gamma[x]] == pair.phi[ext.proj[x]] for x in range(ext.E.n))
+            gammas += 1
+        for pair in rho(ext, s)[0]:
             for B, p in ((ext.H, pair.phi), (ext.I, pair.theta)):
                 hom = braces.BraceHom(B, B, p)
                 assert hom.is_valid() and hom.is_injective()
-            pairs += 1
-    assert pairs > len(sweep_exts) + len(q8_exts)
+    assert gammas > len(sweep_exts) + len(q8_exts)
 
 
 def test_rho_checks_no_brace_hom(split_ext, carry_ext, d4_exts, monkeypatch):
@@ -461,19 +471,20 @@ def test_rho_checks_no_brace_hom(split_ext, carry_ext, d4_exts, monkeypatch):
         return is_valid(self)
 
     monkeypatch.setattr(braces.BraceHom, "is_valid", counted)
-    gammas = sum(len(rho(ext, canonical_section(ext)))
+    gammas = sum(rho(ext, canonical_section(ext))[2]
                  for ext in [split_ext, carry_ext] + d4_exts[:8])
     assert gammas > 10 and counter["calls"] == 0
 
 
 def test_rho_matches_loop(sweep_exts, q8_exts):
-    # the two gathers on the sorted Autb_I(E) against the per-gamma loop
+    # the gathers and the sorted rows of the sorted Autb_I(E) against the
+    # image and kernel of the per-gamma loop
     gammas = 0
     for ext in sweep_exts + q8_exts:
         s = canonical_section(ext)
         got = rho(ext, s)
-        assert got == _rho_loop(ext, s)
-        gammas += len(got)
+        assert got == _rho_from_loop(ext, s)
+        gammas += got[2]
     assert gammas == 3328
 
 
@@ -487,7 +498,8 @@ def test_rho_matches_loop_on_z2_by_z2_4(Z2, monkeypatch):
     monkeypatch.setattr(wells, "autb_I", lambda _: found)
     s = canonical_section(ext)
     got = rho(ext, s)
-    assert len(got) == 322560 and got == _rho_loop(ext, s)
+    assert (len(got[0]), len(got[1]), got[2]) == (20160, 16, 322560)
+    assert got == _rho_from_loop(ext, s)
 
 
 def test_restriction_gather_matches_the_loops(sweep_exts, q8_exts):
