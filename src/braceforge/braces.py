@@ -319,11 +319,11 @@ class BraceHom:
     map: tuple
 
     def is_valid(self) -> bool:
-        """A brace hom: f(0) = 0 and f respects every operation of
-        brace_hom_ops, each decided on the generating sequence of its source
-        group (groups._respects)."""
-        f = self.map
-        if len(f) != self.src.n or f[0] != 0:
+        """A brace hom: a map of src into dst's carrier, with f(0) = 0, that
+        respects every operation of brace_hom_ops, each decided on the
+        generating sequence of its source group (groups._respects)."""
+        f, n = self.map, self.dst.n
+        if len(f) != self.src.n or f[0] != 0 or not all(0 <= x < n for x in f):
             return False
         return all(_respects(f, S.table, S.generating_sequence(), mul)
                    for S, mul in brace_hom_ops(self.src, self.dst))

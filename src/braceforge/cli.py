@@ -312,11 +312,10 @@ def cmd_wells_check(args) -> int:
 
 
 def cmd_example(args) -> int:
-    params = {}
-    if args.which == 2:
-        params = {"n": args.n, "p": args.p, "odd": args.odd}
-    elif args.n != 2 or args.p != 3 or args.odd:
-        raise InputError(f"example {args.which} takes no parameters")
+    # only the flags given: the catalog refuses parameters where none apply
+    params = {k: v for k, v in (("n", args.n), ("p", args.p)) if v is not None}
+    if args.odd:
+        params["odd"] = True
     entry = catalog.example(args.which, **params)
     report = dict(entry.report)
     candidates = report.get("erratum_candidates", [])
@@ -483,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="build a worked example and check it")
     p.add_argument("which", type=int, metavar="N", help="example number, 2..5")
-    p.add_argument("--n", type=int, default=2, help="example 2: dihedral parameter")
-    p.add_argument("--p", type=int, default=3, help="example 2: cyclic order")
+    p.add_argument("--n", type=int, default=None, help="example 2: dihedral parameter (default 2)")
+    p.add_argument("--p", type=int, default=None, help="example 2: cyclic order (default 3)")
     p.add_argument("--odd", action="store_true", help="example 2: odd variant")
     p.add_argument("-o", "--output", default=None, help="write the entry payload here")
     p.set_defaults(fn=cmd_example)

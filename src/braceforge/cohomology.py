@@ -118,11 +118,11 @@ from .errors import (
     ValuesNotInAnnihilator,
 )
 from .extensions import (
+    Coupling,
     Extension,
     Triplet,
     _class_heads,
     _class_key,
-    _first_witnesses,
     _zero_cocycle,
     extension_from_triplet,
     extract_triplet,
@@ -499,8 +499,8 @@ def coboundary_pair(
 ) -> CocyclePair:
     """The cocycle pair of a normalization-respecting map theta : H -> I:
     the twist of the zero pair by theta (extensions.twist_cocycle)."""
-    if len(theta) != H.n or theta[0] != 0:
-        raise InputError("theta must be indexed by H with theta(0) = 0")
+    if len(theta) != H.n or theta[0] != 0 or not all(0 <= y < I.n for y in theta):
+        raise InputError("theta must be indexed by H with theta(0) = 0 and values in I")
     zero = _zero_cocycle(H.n)
     return CocyclePair(*twist_cocycle(H, I, Triplet(chi, zero, zero), theta))
 
@@ -860,15 +860,16 @@ def ext_bijection_check(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> dict:
     """Compare |H^2| with the number of extension classes carrying chi.
 
     Coefficients must be a trivial abelian brace, in which case the coupling
-    relation collapses to equality of action triples, so classes are matched
-    by their canonical-section action.  Returns the counts and raises when
+    relation collapses to equality of action triples, which chi's Coupling
+    decides for each bucket's action.  Returns the counts and raises when
     the two sides disagree.  The H^2 group and the classification are read
     through budget.shared, so the checks of one command build each once.
     """
     grp = budget_mod.shared(h2N, H, I, chi)
+    coupling = Coupling(I, chi)
     matched = 0
     for rep_chi, classes in budget_mod.shared(_class_heads, H, I):
-        related = _first_witnesses(I, rep_chi, chi) is not None
+        related = coupling.witnesses(rep_chi) is not None
         if related != (rep_chi == chi):
             raise ValidationError(
                 "coupling relation should collapse to equality for abelian "

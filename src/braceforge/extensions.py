@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -296,39 +296,62 @@ def is_valid_triplet(H: SkewBrace, I: SkewBrace, t: Triplet) -> bool:
 
 
 class Coupling:
-    """Representative action triple together with the three quotient
-    subgroups: N (normal closure of the lambda maps in Aut(I,+)),
-    Inn(I,+) and Inn(I,o)."""
+    """The coupling of an action triple chi, the one place that answers
+    coupling questions: orbits[h] maps each member (nu_h, mu_h, sigma_h)
+    that a twist of chi at h (_twist_at, the section change s(h) -> s(h) o y)
+    gives to the y, in increasing order, that give it.  Twists compose
+    pointwise in (I, o), the twist by z of the twist by y being the twist
+    by y o z: lam is a hom (I, o) -> Aut(I, +), inner automorphisms compose
+    as their elements do, and nu_h(-lam_y(z)) + nu_h(-y) = nu_h(-(y o z)),
+    which needs every nu_h of chi in Aut(I, +), as in every lawful action.
+    So witnesses reads the twists carrying another action to chi off the
+    y listed under its members: their o-inverses."""
 
-    __slots__ = ("I", "chi", "N", "inn_add", "inn_circ")
+    __slots__ = ("I", "chi", "orbits", "_inverses")
 
     def __init__(self, I: SkewBrace, chi: ActionTriple):
         self.I = I
         self.chi = chi
-        aut_add = automorphism_group(I.add)
-        lam_seed = {I.lam(y) for y in range(I.n)}
-        self.N = normal_closure(aut_add, lam_seed)
-        self.inn_add = inner_group(I.add)
-        self.inn_circ = inner_group(I.circ)
+        self.orbits = []
+        for h in range(len(chi.nu)):
+            orbit: dict = {}
+            for y in range(I.n):
+                orbit.setdefault(_twist_at(I, chi, h, y), []).append(y)
+            self.orbits.append(orbit)
+        # per h, each listed set's sorted o-inverses by its head, on first use
+        self._inverses = [{} for _ in self.orbits]
 
-    def __repr__(self):
-        return f"Coupling(|N|={self.N.order}, rep over {len(self.chi.nu)} elements)"
+    def witnesses(self, other: ActionTriple) -> Optional[tuple]:
+        """Per-h witness sets Theta_h = {y : the twist of other at h by y
+        gives chi's members}, each in increasing order, or None when some
+        set is empty or Theta_0 misses 0."""
+        if len(other.nu) != len(self.chi.nu):
+            return None
+        out = []
+        for orbit, inverses, members in zip(self.orbits, self._inverses,
+                                            zip(other.nu, other.mu, other.sigma)):
+            ys = orbit.get(members)
+            if ys is None:
+                return None
+            theta_h = inverses.get(ys[0])
+            if theta_h is None:
+                inv = self.I.circ.inv
+                theta_h = inverses[ys[0]] = tuple(sorted(inv[y] for y in ys))
+            out.append(theta_h)
+        if out[0][0] != 0:
+            return None
+        return tuple(out)
 
 
 def coupling_of(ext: Extension) -> Coupling:
-    """Coupling of an extension; asserts section-independence by sampling.
-
-    Sections sampled deterministically: the canonical one plus the two
-    variants shifting each fiber choice forward by one and by two.
-    """
-    s0 = canonical_section(ext)
-    chi0 = extract_action(ext, s0)
-    coup = Coupling(ext.I, chi0)
+    """The Coupling of an extension's canonical-section action; asserts
+    section-independence by asking it about the actions of the two sections
+    that shift each fiber choice forward by one and by two."""
+    coup = Coupling(ext.I, extract_action(ext, canonical_section(ext)))
     fibers = [sorted(ext.fiber(h)) for h in range(ext.H.n)]
     for k in (1, 2):
         s = [0] + [fib[k % len(fib)] for fib in fibers[1:]]
-        chi = extract_action(ext, tuple(s))
-        if _first_witnesses(ext.I, chi0, chi) is None:
+        if coup.witnesses(extract_action(ext, tuple(s))) is None:
             raise ValidationError(
                 "coupling varies with the section, which should be impossible",
                 section=tuple(s),
@@ -336,70 +359,40 @@ def coupling_of(ext: Extension) -> Coupling:
     return coup
 
 
-def _twists_at(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple, h: int) -> Iterator[int]:
-    """The y, in increasing order, whose twist at h (_twist_at) carries the
-    members of chi1 at h to those of chi2 (see couplings_related)."""
-    target = (chi2.nu[h], chi2.mu[h], chi2.sigma[h])
-    return (y for y in range(I.n) if _twist_at(I, chi1, h, y) == target)
-
-
 def couplings_related(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple):
     """Per-h witness sets Theta_h = {y : chi2 = twist of chi1 at h by y},
-    or None when some set is empty or Theta_0 misses 0.
+    or None when some set is empty or Theta_0 misses 0: what chi2's
+    Coupling says of chi1.
 
     The twist at y is nu lam_y, i+_{nu(-y)} mu, io_{y^-1} sigma.
     """
-    n = len(chi1.nu)
-    if len(chi2.nu) != n:
-        return None
-    out = []
-    for h in range(n):
-        good = tuple(_twists_at(I, chi1, chi2, h))
-        if not good:
-            return None
-        out.append(good)
-    if 0 not in out[0]:
-        return None
-    return tuple(out)
-
-
-def _first_witnesses(I: SkewBrace, chi1: ActionTriple, chi2: ActionTriple) -> Optional[tuple]:
-    """The head of each couplings_related set, or None exactly when that
-    is None; stops at the first witness of each h.  For callers that need
-    one twist, or only whether chi1 and chi2 are related."""
-    n = len(chi1.nu)
-    if len(chi2.nu) != n:
-        return None
-    heads = []
-    for h in range(n):
-        y = next(_twists_at(I, chi1, chi2, h), None)
-        # Theta_0 holds 0 iff its head is 0, since witnesses come in order
-        if y is None or (h == 0 and y != 0):
-            return None
-        heads.append(y)
-    return tuple(heads)
+    return Coupling(I, chi2).witnesses(chi1)
 
 
 def couplings_classwise_equal(coup: Coupling, chi1: ActionTriple, chi2: ActionTriple) -> bool:
-    """Memberwise comparison modulo N, Inn(I,+), Inn(I,o): the coarser
-    published quotient reading, kept as a diagnostic alongside the
+    """Memberwise comparison modulo N (the normal closure of the lambda
+    maps in Aut(I, +)), Inn(I, +) and Inn(I, o), built from coup.I: the
+    coarser published quotient reading, kept as a diagnostic alongside the
     witness-based relation."""
-    n = len(chi1.nu)
+    I = coup.I
+    N = normal_closure(automorphism_group(I.add), {I.lam(y) for y in range(I.n)})
+    inn_add, inn_circ = inner_group(I.add), inner_group(I.circ)
     return all(
-        equal_mod(coup.N, chi1.nu[h], chi2.nu[h])
-        and equal_mod(coup.inn_add, chi1.mu[h], chi2.mu[h])
-        and equal_mod(coup.inn_circ, chi1.sigma[h], chi2.sigma[h])
-        for h in range(n)
+        equal_mod(N, chi1.nu[h], chi2.nu[h])
+        and equal_mod(inn_add, chi1.mu[h], chi2.mu[h])
+        and equal_mod(inn_circ, chi1.sigma[h], chi2.sigma[h])
+        for h in range(len(chi1.nu))
     )
 
 
 def _twist_at(I: SkewBrace, chi: ActionTriple, h: int, y: int) -> tuple:
     """(nu_h, mu_h, sigma_h) of the action extracted from a section shifted
     by y at h; they depend on the shift at h alone."""
+    nu_h = chi.nu[h]
     if not y:  # a twist by 0 leaves the 0-fixing members as they are
-        return chi.nu[h], chi.mu[h], chi.sigma[h]
-    return (compose(chi.nu[h], I.lam(y)),
-            compose(inner_automorphism(I.add, chi.nu[h][I.add.inv[y]]), chi.mu[h]),
+        return nu_h, chi.mu[h], chi.sigma[h]
+    return (compose(nu_h, I.lam(y)),
+            compose(inner_automorphism(I.add, nu_h[I.add.inv[y]]), chi.mu[h]),
             compose(inner_automorphism(I.circ, I.circ.inv[y]), chi.sigma[h]))
 
 
@@ -516,16 +509,17 @@ def _class_key(H: SkewBrace, I: SkewBrace, t: Triplet) -> Triplet:
     are related (couplings_related), and key.chi names the coupling.
 
     The members of a twisted chi at h depend on theta(h) alone, so the
-    least chi is the least (nu_h, mu_h, sigma_h) taken at each h
-    separately, and only the theta in the product of the per-h argmin sets
-    have their cocycles twisted.  The minimum over every twisted triplet is
-    kept as the oracle _class_key_every_twist in tests/test_cohomology.py."""
+    least chi is, for h >= 1, the least member of t.chi's twist orbit at h
+    (Coupling.orbits), with the y that give it, and at h = 0, where
+    theta(0) = 0, t.chi's own members.  Only the theta in the product of
+    those y sets have their cocycles twisted.  The minimum over every
+    twisted triplet is kept as the oracle _class_key_every_twist in
+    tests/test_cohomology.py."""
     budget_mod.guard(I.n ** (H.n - 1), "class key")
-    least, argmins = [_twist_at(I, t.chi, 0, 0)], [(0,)]
-    for h in range(1, H.n):
-        members = [_twist_at(I, t.chi, h, y) for y in range(I.n)]
-        least.append(min(members))
-        argmins.append(tuple(y for y, m in enumerate(members) if m == least[-1]))
+    least, argmins = [(t.chi.nu[0], t.chi.mu[0], t.chi.sigma[0])], [(0,)]
+    for orbit in Coupling(I, t.chi).orbits[1:]:
+        least.append(min(orbit))
+        argmins.append(orbit[least[-1]])
     chi = ActionTriple(*zip(*least))
     return min((Triplet(chi, *twist_cocycle(H, I, t, theta))
                 for theta in itertools.product(*argmins)),

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import gcd, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -98,8 +99,9 @@ def identity_perm(n: int) -> Perm:
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
-    """compose(p, q)[x] = p[q[x]]  (q acts first)."""
-    return tuple([p[x] for x in q])
+    """compose(p, q)[x] = p[q[x]]  (q acts first); an itemgetter of one
+    index returns the item, not a 1-tuple, so a shorter q is read in a loop."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple([p[x] for x in q])
 
 
 def invert_perm(p: Sequence[int]) -> Perm:

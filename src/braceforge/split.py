@@ -486,7 +486,7 @@ def _check_section(ext, s) -> None:
     if len(s) != ext.H.n or s[0] != 0:
         raise InputError("section must map 0 to 0 and be indexed by H")
     for h in range(ext.H.n):
-        if ext.proj[s[h]] != h:
+        if not 0 <= s[h] < ext.E.n or ext.proj[s[h]] != h:
             raise InputError(f"section value s[{h}] not in the fiber over {h}")
 
 

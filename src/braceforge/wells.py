@@ -47,8 +47,8 @@ by one lookup in the coset of mu_h, built once per h, and sigma likewise
 with Inn(I, o).  The conjugated action chi^c of every accepted pair stays
 on StabilizerC (acted), where wells_map reads it, so only (beta, tau)
 move, by all of C in one gather (_transport, as the derivation law's
-rows move); a twist witness at h is a y whose twist of the members at h
-(extensions._twist_at) equals the target's (extensions._twists_at).
+rows move); the twist witnesses of every acted action are looked up in
+the twist orbits of E's action, built once per check (extensions.Coupling).
 psi is the (ext, ext) case of extensions._section_shift_maps, one
 gather for all of Z^1.
 Every cut of permutations to a sub-carrier is cohomology._restrict.
@@ -95,9 +95,9 @@ from .errors import (
     ValidationError,
 )
 from .extensions import (
+    Coupling,
     Extension,
     Triplet,
-    _first_witnesses,
     _section_shift_maps,
     canonical_section,
     extract_triplet,
@@ -334,12 +334,12 @@ def wells_map(
     built from another section's action has the same pairs but other
     conjugates.  An equivalence [E]^c = h.[E] is a section change of
     E^c, i.e. a twist of t_c.  The twists bringing the coupling of t_c
-    to that of t_0 exactly are one twist (the first witness of each
-    couplings_related set, _first_witnesses) shifted by maps into
+    to that of t_0 exactly are one twist shifted by maps into
     Z(I) = Ann(I), and such a shift moves the cocycle by a coboundary.
-    The witness at h is a y that carries the members of t_c at h to those
-    of t_0, so that twist of t_c, t', has t_0's action, and only its
-    cocycle is computed.  So h_c is the class of the difference
+    The one twist is the head of each witness set t_0's Coupling, built
+    once per call, gives for t_c's action: a y that carries the members of
+    t_c at h to those of t_0.  That twist of t_c, t', has t_0's action,
+    and only its cocycle is computed.  So h_c is the class of the difference
     (beta' - beta_0, tau' o tau_0^-1) in annihilator coordinates; when the
     couplings are unrelated, or the difference is not an
     annihilator-valued cocycle pair, no class reaches [E]^c and the
@@ -366,16 +366,17 @@ def wells_map(
     moved = _transport(np.array([t0.beta, t0.tau], dtype=np.int64).reshape(1, -1),
                        np.array([c.phi for c in pairs], dtype=np.int64),
                        np.array([c.theta for c in pairs], dtype=np.int64))
+    coupling = Coupling(I, t0.chi)
     twisted, failure = [], None
     for c, chi_c, (beta, tau) in zip(pairs, C.acted, moved.reshape(len(pairs), 2, nh, nh).tolist()):
-        theta = _first_witnesses(I, chi_c, t0.chi)
-        if theta is None:
+        witnesses = coupling.witnesses(chi_c)
+        if witnesses is None:
             failure = ActionNotTransitive(
                 "no cohomology class matches the pair-acted extension",
                 pair=c.sort_key(),
             )
             break
-        twisted.append(twist_cocycle(H, I, Triplet(chi_c, beta, tau), theta))
+        twisted.append(twist_cocycle(H, I, Triplet(chi_c, beta, tau), [ys[0] for ys in witnesses]))
     # a difference value outside Ann(I) becomes -1, which no cocycle row holds
     t1 = np.array(twisted, dtype=np.int64).reshape(len(twisted), 2, nh, nh)
     diff = np.stack([I.add.np_table[t1[:, 0], np.asarray(I.add.inv)[np.array(t0.beta)]],

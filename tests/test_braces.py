@@ -285,6 +285,10 @@ def test_brace_hom_validity(Z2, Z4, flip4):
     # the identity carrier map Z4 -> flip brace breaks the circle table
     assert not BraceHom(Z4, flip4, (0, 1, 2, 3)).is_valid()
     assert BraceHom(Z4, Z4, (0, 1, 2, 3)).kernel() == (0,)
+    # a value outside 0..|dst|-1 is not a map into dst: no IndexError, and
+    # no -1 read as the last element
+    for f in ((0, 5), (0, 2), (0, -1)):
+        assert BraceHom(Z2, Z2, f).is_valid() is False
 
 
 def _loop_brace_hom(src, dst, f) -> bool:

@@ -76,12 +76,17 @@ def test_example_exit_codes(capsys):
         assert len(report["erratum_candidates"]) == expected_errata
         assert "erratum candidate:" in captured.err
 
+    # the catalog alone refuses parameters for examples 3 to 5, whatever
+    # their values: the CLI passes on only the flags given
     for argv in (["example", "7"], ["example", "2", "--p", "1"],
-                 ["example", "3", "--n", "3"]):
+                 ["example", "3", "--n", "3"], ["example", "3", "--n", "2"],
+                 ["example", "4", "--p", "3"], ["example", "5", "--odd"]):
         code = main(argv)
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert code == 4 and report["error"] == "input"
+    code, report, _ = _run(capsys, ["example", "2", "--n", "2", "--p", "3"])
+    assert (code, report["order"], report["n"], report["p"]) == (0, 24, 2, 3)
 
 
 def test_missing_file_is_input_error(capsys):

@@ -61,8 +61,8 @@ from braceforge.extensions import (
     _class_heads,
     _class_key,
     _extension_orbits,
-    _first_witnesses,
     _partition_triplets,
+    couplings_related,
     ext_classes,
     extension_from_triplet,
     extract_triplet,
@@ -877,7 +877,7 @@ def test_class_key_matches_pairwise(Z2, Z3, flip4, xor4, monkeypatch):
         for t1, k1 in zip(triplets, keys):
             for t2, k2 in zip(triplets, keys):
                 assert (k1 == k2) == (triplets_equivalent(Z2, I, t1, t2) is not None)
-                assert (k1.chi == k2.chi) == (_first_witnesses(I, t1.chi, t2.chi) is not None)
+                assert (k1.chi == k2.chi) == (couplings_related(I, t1.chi, t2.chi) is not None)
     # 52 of the 104 distinct inputs are not their own key, so a key that
     # skipped the twist would fail here
     twisted = sum(t != key for (_, _, t), key in keys_asked.items())
@@ -917,6 +917,14 @@ def test_coboundary_pair_is_the_twist_of_the_zero_pair():
             assert coboundary_pair(H, I, chi, theta) == _coboundary_pair_loop(H, I, chi, theta)
             checked += 1
     assert checked == 426
+
+
+def test_coboundary_pair_refuses_theta_outside_I(Z2, Z3):
+    # -1 would be read as the last element of I and 3 lies past it
+    chi = identity_triple(Z2, Z3)
+    for theta in ((0, -1), (0, 3)):
+        with pytest.raises(InputError, match="and values in I"):
+            coboundary_pair(Z2, Z3, chi, theta)
 
 
 def test_single_theta_classes_are_finer_than_componentwise(Z3):

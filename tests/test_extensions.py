@@ -13,6 +13,7 @@ import pytest
 from braceforge import braces as braces_mod
 from braceforge import catalog
 from braceforge import extensions as extensions_mod
+from braceforge import groups as groups_mod
 from braceforge.braces import (
     BraceHom,
     SkewBrace,
@@ -140,6 +141,11 @@ def test_validate_extension_errors(Z2, Z3, split_ext):
     bad_proj = tuple(0 for _ in range(6))
     with pytest.raises(NotExact):
         validate_extension(E, H, I, split_ext.inj, bad_proj)
+    # an out-of-range value of inj or proj is no brace hom, not an IndexError
+    with pytest.raises(NotExact, match="inj is not a brace homomorphism"):
+        validate_extension(E, H, I, (0, 6, 2), split_ext.proj)
+    with pytest.raises(NotExact, match="proj is not a brace homomorphism"):
+        validate_extension(E, H, I, split_ext.inj, (0, 0, 0, 2, 2, 2))
 
 
 def test_sections_and_canonical(split_ext):
@@ -400,6 +406,22 @@ def test_coupling_is_section_independent(ext48):
     witness_sets = couplings_related(ext48.I, ta.chi, tb.chi)
     assert witness_sets is not None and 0 in witness_sets[0]
     assert couplings_classwise_equal(coup, ta.chi, tb.chi)
+
+
+def test_coupling_of_builds_no_group(ext48, count_calls):
+    # a Coupling is its twist orbits: no Aut(I, +), normal closure or inner
+    # group is built; the coarse diagnostic builds them from coup.I
+    built = [count_calls(fn) for fn in (groups_mod.automorphism_group,
+                                        groups_mod.normal_closure, groups_mod.inner_group)]
+    coup = coupling_of(ext48)
+    assert [c["calls"] for c in built] == [0, 0, 0]
+    # each orbit lists every y of I once, under the member its twist gives
+    assert all(sorted(y for ys in orbit.values() for y in ys) == list(range(ext48.I.n))
+               for orbit in coup.orbits)
+    chi = extract_action(ext48, canonical_section(ext48))
+    assert coup.chi == chi and coup.witnesses(chi)[0][0] == 0
+    assert couplings_classwise_equal(coup, chi, chi)
+    assert [c["calls"] for c in built] == [1, 1, 2]
 
 
 def test_triplet_cohomology_sets(Z2):

@@ -275,3 +275,20 @@ def test_a_group_built_from_an_array_holds_no_tuple_rows():
     assert G.np_table.dtype == np.int64 and not G.np_table.flags.writeable
     rows = G.table
     assert _filled(G, "table") and rows is G.table and not _filled(G, "_hash")
+
+
+def test_one_coupling_relation():
+    # every coupling question is a lookup in extensions.Coupling's twist
+    # orbits: twists are made only where Coupling builds them and by
+    # twist_action, and no other witness search is defined
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    callers = {(module, owner) for module, tree in trees.items()
+               for owner in _callers(tree, "_twist_at")}
+    assert callers == {("extensions", "__init__"), ("extensions", "twist_action")}
+    coupling = next(node for node in trees["extensions"].body
+                    if isinstance(node, ast.ClassDef) and node.name == "Coupling")
+    assert _callers(coupling, "_twist_at") == {"__init__"}
+    assert [f"{module}:{node.lineno} {node.name}" for module, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and node.name in ("_twists_at", "_first_witnesses")] == []

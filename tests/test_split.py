@@ -12,6 +12,7 @@ from braceforge import budget, catalog
 from braceforge.braces import SkewBrace, _brace_axiom_holds, trivial_brace, validate_brace
 from braceforge.errors import (
     CompatibilityFailed,
+    InputError,
     NotAntiHom,
     NotAutomorphism,
     NotHom,
@@ -169,6 +170,10 @@ def test_split_decompose_round_trip(Z2, Z3, xor4, flip4, split_ext, z4_ext):
     assert split_ext.E.add.element_order(4) == 6
     with pytest.raises(SectionNotHom, match="section is not a brace homomorphism"):
         split_decompose(split_ext, section=(0, 4))
+    # a section value outside E: -1 would wrap to its last element
+    for section in ((0, -1), (0, 9)):
+        with pytest.raises(InputError, match=r"section value s\[1\] not in the fiber over 1"):
+            split_decompose(split_ext, section=section)
     # a brace-hom section exists on every split product
     pairs = [
         (Z2, Z3),

@@ -436,6 +436,12 @@ def test_pair_action_laws(Z2, Z3, split_ext):
         assert back.inj == split_ext.inj and back.proj == split_ext.proj
 
 
+def test_pair_act_refuses_a_map_outside_the_carrier(Z3, split_ext):
+    # phi = (0, 2) on Z2 names no element 2: refused, not an IndexError
+    with pytest.raises(InputError, match="phi is not a brace automorphism"):
+        pair_act(split_ext, AutPair((0, 2), identity_perm(3)))
+
+
 def test_rho_image_and_autb(split_ext, carry_ext):
     assert autb_I(split_ext).order == 2
     induced, _, order = rho(split_ext, canonical_section(split_ext))
@@ -552,7 +558,8 @@ def test_restriction_gather_refuses_as_the_loops(d4_exts):
 def test_twists_compose_pointwise_in_the_circle_group(sweep_exts, q8_exts):
     # the section s(h) o a(h) shifted again by b is s(h) o (a(h) o b(h)), so
     # a twist by a, then by b, is the twist by a o b taken pointwise in
-    # (I, o); seeded maps with a(0) = b(0) = 0
+    # (I, o); seeded maps with a(0) = b(0) = 0.  Coupling.witnesses reads
+    # its witness sets by this law
     rng = random.Random(5)
     checked = 0
     for ext in sweep_exts + q8_exts:
@@ -563,6 +570,23 @@ def test_twists_compose_pointwise_in_the_circle_group(sweep_exts, q8_exts):
             assert twist_triplet(H, I, twist_triplet(H, I, t, a), b) == twist_triplet(H, I, t, ab)
             checked += 1
     assert checked == 3 * (188 + 160)
+
+
+def test_twists_compose_only_for_nu_in_aut_add():
+    # the law above, which Coupling.witnesses reads its sets by, needs every
+    # nu_h in Aut(I, +): with a nu_1 outside it, on trivial S3, the mu
+    # members of two twists in turn miss those of the single twist
+    S3 = trivial_brace(dihedral_group(3))
+    nu1 = (0, 2, 1, 3, 4, 5)
+    assert not braces.BraceHom(S3, S3, nu1).is_valid()
+    e = identity_perm(6)
+    chi = ActionTriple((e, nu1), (e, e), (e, e))
+    def both(y, z):  # twisted by y then by z, and by y o z
+        twist = extensions.twist_action
+        return (twist(S3, twist(S3, chi, (0, y)), (0, z)),
+                twist(S3, chi, (0, S3.circ.table[y][z])))
+    missed = [(y, z) for y in range(6) for z in range(6) if len(set(both(y, z))) == 2]
+    assert missed and all(len({t.nu for t in both(y, z)}) == 1 for y, z in missed)
 
 
 def test_c_action_is_classwise_well_defined(Z3, carry_ext):
@@ -988,7 +1012,8 @@ def test_section_shift_maps_match_the_loop(sweep_exts, q8_exts):
 
 def _twists_at_loop(I, chi1, chi2, h):
     """The y whose twist at h carries chi1's members to chi2's, each member
-    twisted by composition: the oracle for extensions._twists_at."""
+    twisted by composition: the oracle for the witness sets of
+    extensions.Coupling."""
     out = []
     for y in range(I.n):
         shift = chi1.nu[h][I.add.inv[y]]
@@ -999,34 +1024,42 @@ def _twists_at_loop(I, chi1, chi2, h):
     return tuple(out)
 
 
-def test_first_witnesses_are_heads_of_the_full_sets(Z2, sweep_exts, q8_exts):
-    # the early-stopping search wells_map, ext_classes and coupling_of use
-    # gives the head of every couplings_related set, and None exactly where
-    # the full search does: on the coupling of each acted triplet against
-    # its source, and of each extension against its neighbour's
+def _witnesses_loop(I, chi1, chi2):
+    """couplings_related(I, chi1, chi2) by _twists_at_loop at every h."""
+    sets = tuple(_twists_at_loop(I, chi1, chi2, h) for h in range(len(chi1.nu)))
+    return sets if all(sets) and 0 in sets[0] else None
+
+
+def test_coupling_witnesses_match_the_twist_loop(Z2, sweep_exts, q8_exts):
+    # the witness sets read off one Coupling's twist orbits, as wells_map,
+    # ext_bijection_check and coupling_of ask for them, and those of
+    # couplings_related are the sets the twist-by-twist loop finds, and
+    # None exactly where it finds none: on the coupling of each acted
+    # triplet against its source, and of each extension against its
+    # neighbour's
     related = unrelated = 0
     exts = sweep_exts + q8_exts
     for ext, other in zip(exts, exts[1:] + exts[:1]):
         t0 = extract_triplet(ext)
+        coupling = extensions.Coupling(ext.I, t0.chi)
         chis = list(stabilizer_C(ext.H, ext.I, t0.chi).acted)
         if other.H == ext.H and other.I == ext.I:
             chis.append(extract_triplet(other).chi)
         for chi in chis:
-            sets = [_twists_at_loop(ext.I, chi, t0.chi, h) for h in range(ext.H.n)]
-            assert [tuple(extensions._twists_at(ext.I, chi, t0.chi, h))
-                    for h in range(ext.H.n)] == sets
-            full = extensions.couplings_related(ext.I, chi, t0.chi)
-            heads = None if full is None else tuple(ys[0] for ys in full)
-            assert extensions._first_witnesses(ext.I, chi, t0.chi) == heads
-            related += full is not None
-            unrelated += full is None
+            want = _witnesses_loop(ext.I, chi, t0.chi)
+            assert coupling.witnesses(chi) == want
+            assert extensions.couplings_related(ext.I, chi, t0.chi) == want
+            related += want is not None
+            unrelated += want is None
     assert (related, unrelated) == (1701, 749)
     # a twist at 0 by a non-central y leaves 0 out of Theta_0
     S3 = trivial_brace(dihedral_group(3))
     chi = identity_triple(Z2, S3)
     moved = extensions.twist_action(S3, chi, (1, 0))
+    assert _twists_at_loop(S3, chi, moved, 0) == (1,)
+    assert _witnesses_loop(S3, chi, moved) is None
     assert extensions.couplings_related(S3, chi, moved) is None
-    assert extensions._first_witnesses(S3, chi, moved) is None
+    assert extensions.Coupling(S3, moved).witnesses(chi) is None
 
 
 def test_wells_map_checks_its_inputs(Z2, Z4, flip4, split_ext):
