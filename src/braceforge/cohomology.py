@@ -776,15 +776,26 @@ def _restrict(perms: np.ndarray, elems: Sequence[int], index: np.ndarray) -> tup
     return res, ((row, elems[j], int(perms[row, elems[j]])) if res[row, j] < 0 else None)
 
 
+def _check_members(I: SkewBrace, chi: ActionTriple) -> None:
+    """InputError unless each member of nu, mu and sigma permutes I."""
+    carrier = list(range(I.n))
+    for name in ("nu", "mu", "sigma"):
+        for h, m in enumerate(getattr(chi, name)):
+            if sorted(m) != carrier:
+                raise InputError(f"{name}[{h}] is not a permutation of I")
+
+
 def restrict_action(I: SkewBrace, chi: ActionTriple):
     """Restrict an action on I to its annihilator.
 
     Returns (coefficient brace, restricted triple, element list): the
     annihilator carried as a trivial brace on indices 0..k-1, the three
     families cut down to it, and the list embedding those indices back
-    into I.  Raises on the first member, nu, mu, sigma in that order, that
-    fails to preserve the annihilator, cut as one stack by _restrict.
+    into I.  Each member must be a permutation of I (InputError
+    otherwise).  Raises on the first member, nu, mu, sigma in that order,
+    that fails to preserve the annihilator, cut as one stack by _restrict.
     """
+    _check_members(I, chi)
     elems, nh = annihilator(I), len(chi.nu)
     res, out = _restrict(np.array(chi.nu + chi.mu + chi.sigma, dtype=np.int64), elems,
                          _carrier_index(elems, I.n))
@@ -932,55 +943,31 @@ def verify_free_transitive(H: SkewBrace, I: SkewBrace) -> dict:
     of class count and cohomology order.  H^2 acts on the class key of
     each class's head; the H^2 groups and the classification are read
     through budget.shared, so the checks of one command build each once.
+
+    The orbit of class 0 is its column {rows[k][0]}, rows[k] being where
+    the shift by representative p_k sends each class: a shift by p_k, then
+    by p_l, is one by p_k + p_l, which is p_m plus a coboundary, and a
+    coboundary shift into Ann(I) is a twist, so rows[k] o rows[l] = rows[m].
     """
     buckets = budget_mod.shared(_class_heads, H, I)
     per_coupling = []
-    all_free = True
-    all_transitive = True
     for rep_chi, classes in buckets:
         reps = [_class_key(H, I, extract_triplet(head)) for head, _ in classes]
         I_res, chi_res, elems = restrict_action(I, rep_chi)
         grp = budget_mod.shared(h2N, H, I_res, chi_res)
         rows = [_act_permutation(H, I, embed_pair(p, elems), reps)
                 for p in grp.representatives]
-        identity = list(range(len(reps)))
-        if rows[0] != identity:
+        if rows[0] != list(range(len(reps))):
             raise ValidationError("zero class failed to act as the identity")
-        free = all(
-            rows[k][j] != j for k in range(1, grp.order) for j in range(len(reps))
-        )
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            j = frontier.pop()
-            for k in range(grp.order):
-                m = rows[k][j]
-                if m not in orbit:
-                    orbit.add(m)
-                    frontier.append(m)
-        transitive = len(orbit) == len(reps)
-        all_free = all_free and free
-        if I.is_trivial:
-            all_transitive = all_transitive and transitive
-            if not transitive or grp.order != len(reps):
-                raise ValidationError(
-                    "action should be transitive with trivial coefficients",
-                    classes=len(reps),
-                    h2_order=grp.order,
-                )
-        per_coupling.append(
-            {
-                "classes": len(reps),
-                "h2_ann_order": grp.order,
-                "free": free,
-                "transitive": transitive,
-            }
-        )
-    if not all_free:
+        free = all(rows[k][j] != j for k in range(1, grp.order) for j in range(len(reps)))
+        transitive = len({row[0] for row in rows}) == len(reps)
+        if I.is_trivial and not (transitive and grp.order == len(reps)):
+            raise ValidationError("action should be transitive with trivial coefficients",
+                                  classes=len(reps), h2_order=grp.order)
+        per_coupling.append({"classes": len(reps), "h2_ann_order": grp.order,
+                             "free": free, "transitive": transitive})
+    if not all(c["free"] for c in per_coupling):
         raise ValidationError("action is not free", report=per_coupling)
-    return {
-        "couplings": len(buckets),
-        "per_coupling": per_coupling,
-        "free": all_free,
-        "transitive": all_transitive if I.is_trivial else None,
-    }
+    # with a trivial I, every coupling that is not transitive has raised
+    return {"couplings": len(buckets), "per_coupling": per_coupling, "free": True,
+            "transitive": True if I.is_trivial else None}

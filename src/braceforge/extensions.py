@@ -86,7 +86,7 @@ from .groups import (
     invert_perm,
     normal_closure,
 )
-from .split import ActionTriple, _triplet_tables
+from .split import ActionTriple, _check_section, _triplet_tables
 
 
 class Extension:
@@ -220,8 +220,12 @@ class Triplet:
 
 
 def extract_triplet(ext: Extension, s: Optional[Sequence[int]] = None) -> Triplet:
+    """The triplet read through s, the canonical section when None; a given
+    s must be a section (split._check_section; InputError otherwise)."""
     if s is None:
         s = canonical_section(ext)
+    else:
+        _check_section(ext, s)
     beta, tau = extract_cocycle(ext, s)
     return Triplet(extract_action(ext, s), beta, tau)
 

@@ -45,10 +45,9 @@ the member at phi(h).  Two automorphisms p, q of (I, +) agree modulo
 Inn(I, +) exactly when q lies in the coset Inn(I, +) p, so mu is tested
 by one lookup in the coset of mu_h, built once per h, and sigma likewise
 with Inn(I, o).  The conjugated action chi^c of every accepted pair stays
-on StabilizerC (acted), where wells_map reads it, so only (beta, tau)
-move, by all of C in one gather (_transport, as the derivation law's
-rows move); the twist witnesses of every acted action are looked up in
-the twist orbits of E's action, built once per check (extensions.Coupling).
+on StabilizerC (acted), with the twist that brings it back to chi
+(twists), where wells_map reads both, so only (beta, tau) move, by all
+of C in one gather (_transport, as the derivation law's rows move).
 psi is the (ext, ext) case of extensions._section_shift_maps, one
 gather for all of Z^1.
 Every cut of permutations to a sub-carrier is cohomology._restrict.
@@ -56,9 +55,11 @@ Every cut of permutations to a sub-carrier is cohomology._restrict.
 Generating sets.  A pair (phi, theta) is one permutation of H u I, phi
 on 0..|H|-1 and |H| + theta after it, so pair_mul is composition, and
 StabilizerC decides closure by PermGroup.is_group on a greedy generating
-set T of C, |C| |T| products; every c is a word in T.  The move
+set T of C, |C| |T| products; every c is a word in T.  So the maps are
+decided on T: if the phi and theta of each t are brace automorphisms, so
+are those of every word in T, as brace automorphisms compose.  The move
 g -> theta^-1(g(phi x phi)) of cocycle pairs is additive and a right
-action for pair_mul, so two checks on C need only T:
+action for pair_mul, so two more checks on C need only T:
   - cosets: if each t maps the echelon rows of Z^2 into Z^2 and those of
     B^2 into B^2, so does every word in T;
   - the derivation law omega(c1 c2) = omega(c1)^c2 + omega(c2): if it
@@ -86,8 +87,8 @@ import numpy as np
 from . import budget as budget_mod
 from . import cohomology
 from .braces import BraceHom, SkewBrace, _brace_automorphism_search, brace_automorphisms
-from .cohomology import (CocyclePair, CohomologyGroup, _carrier_index, _restrict,
-                         restrict_action)
+from .cohomology import (CocyclePair, CohomologyGroup, _carrier_index, _check_members,
+                         _restrict, restrict_action)
 from .errors import (
     ActionNotTransitive,
     InputError,
@@ -105,7 +106,7 @@ from .extensions import (
     validate_extension,
 )
 from .groups import PermGroup, compose, identity_perm, invert_perm
-from .split import ActionTriple
+from .split import ActionTriple, _check_section
 
 
 def _require_trivial_kernel(I: SkewBrace) -> None:
@@ -156,13 +157,16 @@ def pair_act(ext: Extension, pair: AutPair) -> Extension:
 # --- the stabiliser of a coupling -------------------------------------------
 
 class StabilizerC:
-    """The pairs stabilising a coupling, checked to form a group by
-    PermGroup.is_group on their embeddings in H u I, whose generating set
-    T it keeps as `generators` (module docstring).  The identity pair is
-    checked apart: PermGroup reads an empty set as {identity}.
-
-    `acted` holds, in the order of `pairs`, the action chi^c each pair c
-    carries chi to (_acted_action), as stabilizer_C's sweep formed it."""
+    """The pairs stabilising a coupling, the one owner of C.  Built, it
+    decides that they form a group, by PermGroup.is_group on their
+    embeddings in H u I (the identity pair apart: PermGroup reads an empty
+    set as {identity}), keeping its generating set T as `generators`; that
+    each phi and theta is a brace automorphism, on T alone (module
+    docstring; InputError otherwise, as pair_act); and, in `twists`, the
+    least y of each witness set chi's one Coupling gives for each pair's
+    acted action (`acted`, as stabilizer_C's sweep formed it): a theta
+    with theta(0) = 0 twisting it to chi, or None where none does.  Both
+    follow the order of `pairs`."""
 
     def __init__(self, H: SkewBrace, I: SkewBrace, chi: ActionTriple, pairs: Sequence[AutPair],
                  acted: Sequence[ActionTriple]):
@@ -177,6 +181,12 @@ class StabilizerC:
             raise ValidationError("stabiliser pairs do not form a group")
         self.generators = tuple(AutPair(g[:nh], tuple(y - nh for y in g[nh:]))
                                 for g in grp.generators)
+        for t in self.generators:
+            _check_brace_auto(H, t.phi, "phi")
+            _check_brace_auto(I, t.theta, "theta")
+        coupling = Coupling(I, chi)
+        self.twists = tuple(None if sets is None else tuple(ys[0] for ys in sets)
+                            for sets in map(coupling.witnesses, self.acted))
 
     @property
     def order(self) -> int:
@@ -212,16 +222,19 @@ def stabilizer_C(H: SkewBrace, I: SkewBrace, chi: ActionTriple) -> StabilizerC:
     nu must match exactly; mu and sigma only up to inner automorphisms of
     (I, +) and (I, o).  The conditions do not depend on which section of
     the coupling produced chi: a section change leaves nu alone and moves
-    mu, sigma by inner factors.
+    mu, sigma by inner factors.  chi must be indexed by H, with every
+    member a permutation of I (InputError otherwise).
 
     Each member is conjugated once per theta, and mu and sigma are tested
     by lookup in the cosets Inn(I, +) mu_h and Inn(I, o) sigma_h, built once
-    per h (module docstring, "Computed once"); the conjugated action of
-    every accepted pair goes to StabilizerC.acted, for wells_map.  The
-    equal_mod sweep is the oracle _stabilizer_C_equal_mod in
-    tests/test_wells.py.
+    per h (module docstring, "Computed once"); StabilizerC takes the
+    conjugated action of every accepted pair.  The equal_mod sweep is the
+    oracle _stabilizer_C_equal_mod in tests/test_wells.py.
     """
     _require_trivial_kernel(I)
+    if len(chi.nu) != H.n:
+        raise InputError(f"triple indexed by {len(chi.nu)} elements, |H| = {H.n}")
+    _check_members(I, chi)
     autb_H = brace_automorphisms(H).sorted_elements()
     autb_Iq = brace_automorphisms(I).sorted_elements()
     budget_mod.guard(len(autb_H) * len(autb_Iq), "stabiliser pair sweep")
@@ -257,12 +270,22 @@ def c_act_on_h2(pair: AutPair, theta_res: Sequence[int], cpair: CocyclePair) -> 
     """Transform a cocycle pair by g -> theta^-1 (g (phi x phi)): _transport
     on one pair and one row.
 
-    theta_res is pair.theta already cut down to the coefficient
-    coordinates the tables take values in.
+    theta_res is pair.theta already cut down to the coefficients 0..k-1
+    the tables take values in.  InputError unless phi permutes H = 0..|H|-1,
+    theta_res 0..k-1, and cpair is |H| x |H| with values in 0..k-1.
     """
-    nh = len(pair.phi)
-    moved = _transport(np.array([cpair.g, cpair.f], dtype=np.int64).reshape(1, -1),
-                       np.array([pair.phi], dtype=np.int64),
+    nh, k = len(pair.phi), len(theta_res)
+    if sorted(pair.phi) != list(range(nh)):
+        raise InputError("phi is not a permutation of H")
+    if sorted(theta_res) != list(range(k)):
+        raise InputError("theta_res is not a permutation of the coefficients")
+    try:
+        row = np.array([cpair.g, cpair.f], dtype=np.int64)
+    except (TypeError, ValueError):
+        row = None
+    if row is None or row.shape != (2, nh, nh) or not ((0 <= row) & (row < k)).all():
+        raise InputError("pair is not an |H| x |H| pair with values in the coefficients")
+    moved = _transport(row.reshape(1, -1), np.array([pair.phi], dtype=np.int64),
                        np.array([theta_res], dtype=np.int64))
     return CocyclePair(*(tuple(map(tuple, t)) for t in moved.reshape(2, nh, nh).tolist()))
 
@@ -296,8 +319,10 @@ def rho(ext: Extension, s: Sequence[int]) -> Tuple[List[AutPair], List[tuple], i
     tests/test_wells.py checks this on every Tier-1 Wells input.  Both
     maps are gathers on the sorted automorphisms, one induced row per
     gamma; the rows are lex-sorted once, and a pair is built only where a
-    row differs from the one before (oracle: _rho_loop).
+    row differs from the one before (oracle: _rho_loop).  s must be a
+    section (split._check_section; InputError otherwise).
     """
+    _check_section(ext, s)
     found = autb_I(ext).sorted_elements()
     G = np.array(found, dtype=np.int64)
     # autb_I keeps only the maps sending the image of I into itself
@@ -336,61 +361,44 @@ def wells_map(
     E^c, i.e. a twist of t_c.  The twists bringing the coupling of t_c
     to that of t_0 exactly are one twist shifted by maps into
     Z(I) = Ann(I), and such a shift moves the cocycle by a coboundary.
-    The one twist is the head of each witness set t_0's Coupling, built
-    once per call, gives for t_c's action: a y that carries the members of
-    t_c at h to those of t_0.  That twist of t_c, t', has t_0's action,
-    and only its cocycle is computed.  So h_c is the class of the difference
-    (beta' - beta_0, tau' o tau_0^-1) in annihilator coordinates; when the
-    couplings are unrelated, or the difference is not an
-    annihilator-valued cocycle pair, no class reaches [E]^c and the
-    transitivity hypothesis fails (for the first such c in C's order).
-    The differences of all c are read in annihilator coordinates in one
-    gather and looked up by class together.  Freeness holds by
+    C keeps that one twist for c (StabilizerC.twists), and only the
+    cocycle of t_c twisted by it, t', is computed.  So h_c is the class of
+    (beta' - beta_0, tau' o tau_0^-1) in annihilator coordinates; the
+    differences of all c are gathered and looked up together.  Where c has
+    no twist (its row masked out) or its difference is no annihilator-valued
+    cocycle pair, no class reaches [E]^c: the transitivity hypothesis fails,
+    raised for the first such c in C's order.  Freeness holds by
     construction: the cosets partition the cocycle pairs.
 
-    No extension is acted on, rebuilt or validated; as in pair_act, a
-    non-trivial kernel and a phi or theta of C that is not a brace
-    automorphism are refused, each distinct map checked once.  The orbit
-    search over rebuilt h.[E] is the oracle _wells_map_orbit in
+    No extension is acted on, rebuilt or validated, and nothing C decided
+    is decided again; a non-trivial kernel is refused, as in pair_act.  The
+    orbit search over rebuilt h.[E] is the oracle _wells_map_orbit in
     tests/test_wells.py.
     """
     H, I = ext.H, ext.I
     _require_trivial_kernel(I)
     if C.chi != t0.chi:
         raise InputError("the stabiliser was built from another action than the triplet's")
-    for phi in {c.phi for c in C}:
-        _check_brace_auto(H, phi, "phi")
-    for theta in {c.theta for c in C}:
-        _check_brace_auto(I, theta, "theta")
     pairs, nh = C.pairs, H.n
     moved = _transport(np.array([t0.beta, t0.tau], dtype=np.int64).reshape(1, -1),
                        np.array([c.phi for c in pairs], dtype=np.int64),
                        np.array([c.theta for c in pairs], dtype=np.int64))
-    coupling = Coupling(I, t0.chi)
-    twisted, failure = [], None
-    for c, chi_c, (beta, tau) in zip(pairs, C.acted, moved.reshape(len(pairs), 2, nh, nh).tolist()):
-        witnesses = coupling.witnesses(chi_c)
-        if witnesses is None:
-            failure = ActionNotTransitive(
-                "no cohomology class matches the pair-acted extension",
-                pair=c.sort_key(),
-            )
-            break
-        twisted.append(twist_cocycle(H, I, Triplet(chi_c, beta, tau), [ys[0] for ys in witnesses]))
+    # a twist by 0 leaves the cocycle as it is
+    twisted = [(beta, tau) if y is None else twist_cocycle(H, I, Triplet(chi_c, beta, tau), y)
+               for chi_c, y, (beta, tau) in zip(C.acted, C.twists,
+                                                moved.reshape(len(pairs), 2, nh, nh).tolist())]
     # a difference value outside Ann(I) becomes -1, which no cocycle row holds
-    t1 = np.array(twisted, dtype=np.int64).reshape(len(twisted), 2, nh, nh)
+    t1 = np.array(twisted, dtype=np.int64).reshape(len(pairs), 2, nh, nh)
     diff = np.stack([I.add.np_table[t1[:, 0], np.asarray(I.add.inv)[np.array(t0.beta)]],
                      I.circ.np_table[t1[:, 1], np.asarray(I.circ.inv)[np.array(t0.tau)]]], axis=1)
-    rows = _carrier_index(elems, I.n)[diff].reshape(len(twisted), 2 * nh * nh)
-    # the first c in C's order that fails, whichever way
+    rows = _carrier_index(elems, I.n)[diff].reshape(len(pairs), 2 * nh * nh)
     ok, classes = h2grp._classes(rows)
+    ok &= np.array([y is not None for y in C.twists])
     if not ok.all():
         raise ActionNotTransitive(
             "no cohomology class matches the pair-acted extension",
             pair=pairs[int(ok.argmin())].sort_key(),
         )
-    if failure is not None:
-        raise failure
     return dict(zip(pairs, classes.tolist()))
 
 
@@ -408,7 +416,9 @@ def _derivation_law(
     depends only on the class moved (ValidationError otherwise), on the
     echelon rows of Z^2 and B^2 moved by each t.  Those moves, the
     representatives' and the |C| |T| class sums, charged to the budget,
-    are gathers looked up by class in one pass each.  The oracles in
+    are gathers looked up by class in one pass each.  Each theta of T is
+    cut to Ann(I) unchecked: it is an automorphism of the trivial I
+    (StabilizerC), so it keeps the centre, Ann(I).  The oracles in
     tests/test_wells.py are the per-pair loop _derivation_law_loop and
     these gathers over C x C, _derivation_law_on_every_c2.
     """
@@ -421,11 +431,8 @@ def _derivation_law(
     # per t: the moved Z^2 basis, B^2 basis and representatives, in one block
     block = np.vstack([z_rows, b_rows, reps])
     nz, nb = len(z_rows), len(b_rows)
-    thetas, out = _restrict(np.array([t.theta for t in gens], dtype=np.int64), elems,
-                            _carrier_index(elems, C.I.n))
-    if out is not None:
-        raise ValidationError("automorphism does not preserve the annihilator",
-                              element=out[1], image=out[2])
+    thetas = _restrict(np.array([t.theta for t in gens], dtype=np.int64), elems,
+                       _carrier_index(elems, C.I.n))[0]
     moved = _transport(block, np.array([t.phi for t in gens], dtype=np.int64), thetas)
     # the checks in T's order: the first t that moves a cocycle pair out
     # of Z^2 (InputError) or a coboundary out of the zero class

@@ -1085,6 +1085,11 @@ def test_restrict_action_to_annihilator(Z2, Z3, flip4):
     assert I_res4.n == 2 and I_res4.is_trivial and I_res4.add.is_abelian
     grp = h2N(Z2, I_res4, chi_res4)
     assert grp.order >= 1
+    # a member that is not a permutation of I is refused, not read past
+    with pytest.raises(InputError, match=r"nu\[0\] is not a permutation of I"):
+        restrict_action(Z3, identity_triple(Z2, Z2))
+    with pytest.raises(InputError, match=r"sigma\[1\] is not a permutation of I"):
+        restrict_action(Z3, ActionTriple(chi.nu, chi.mu, (chi.sigma[0], (0, 1, 1))))
 
 
 

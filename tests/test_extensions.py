@@ -155,6 +155,15 @@ def test_sections_and_canonical(split_ext):
     assert canonical_section(split_ext) == (0, 3)
 
 
+def test_extract_triplet_refuses_a_non_section(split_ext):
+    # a given s is checked as a section: 0 at 0, indexed by H, each value
+    # in its fiber (the canonical section is (0, 3))
+    for s in ((0, 0), (0, 9), (0, -1), (0, 1), (0,), (1, 3)):
+        with pytest.raises(InputError, match="section"):
+            extract_triplet(split_ext, s)
+    assert extract_triplet(split_ext, (0, 3)) == extract_triplet(split_ext)
+
+
 def test_triplet_extraction_round_trip(ext48):
     T = extract_triplet(ext48)
     rebuilt = extension_from_triplet(ext48.H, ext48.I, T)

@@ -292,3 +292,23 @@ def test_one_coupling_relation():
     assert [f"{module}:{node.lineno} {node.name}" for module, tree in trees.items()
             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
             and node.name in ("_twists_at", "_first_witnesses")] == []
+
+
+def test_one_owner_for_C():
+    # StabilizerC decides its maps on its generators and keeps each pair's
+    # twist, so wells_map reads C: the brace-automorphism check is made by
+    # pair_act and StabilizerC.__init__ only, and wells_map builds no
+    # Coupling, checks no map and raises ActionNotTransitive at one place
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    callers = {(module, owner) for module, tree in trees.items()
+               for owner in _callers(tree, "_check_brace_auto")}
+    assert callers == {("wells", "pair_act"), ("wells", "__init__")}
+    stabilizer = next(node for node in trees["wells"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "StabilizerC")
+    assert _callers(stabilizer, "_check_brace_auto") == {"__init__"}
+    wells_map = next(node for node in trees["wells"].body
+                     if isinstance(node, ast.FunctionDef) and node.name == "wells_map")
+    assert _callers(wells_map, "Coupling") == _callers(wells_map, "_check_brace_auto") == set()
+    assert [isinstance(node.func, ast.Name) and node.func.id for node in ast.walk(wells_map)
+            if isinstance(node, ast.Call)].count("ActionNotTransitive") == 1

@@ -4,6 +4,7 @@ derivation law, and full exactness reports on fixed extensions."""
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -528,9 +529,11 @@ def test_restriction_gather_matches_the_loops(sweep_exts, q8_exts):
 
 def test_restriction_gather_refuses_as_the_loops(d4_exts):
     # a theta swapping the central element z of D4 with a y outside
-    # Ann(I) = Z(D4): the gather names (row, z, y), and restrict_action,
-    # with theta as the member at h = 1 of each family in turn, and the
-    # derivation law, with theta in a pair of C, refuse it as their loops do
+    # Ann(I) = Z(D4): the gather names (row, z, y), as the one-permutation
+    # loop does, and restrict_action, with theta as the member at h = 1 of
+    # each family in turn, refuses it as its loop does; a C with theta in a
+    # pair is refused when it is built, as theta is no brace automorphism,
+    # so the derivation law never cuts it
     ext = d4_exts[0]
     _, grp, elems, t0 = _wells_inputs(ext)
     n, z = ext.I.n, elems[1]
@@ -539,6 +542,7 @@ def test_restriction_gather_refuses_as_the_loops(d4_exts):
     rows, out = cohomology._restrict(np.array([identity_perm(n), theta]), elems,
                                      cohomology._carrier_index(elems, n))
     assert out == (1, z, y) and rows.tolist() == [[0, 1], [0, -1]]
+    assert _raised(_restrict_loop, theta, elems)[2] == {"element": z, "image": y}
     for k in range(3):
         fams = [list(fam) for fam in (t0.chi.nu, t0.chi.mu, t0.chi.sigma)]
         fams[k][1] = theta
@@ -546,13 +550,9 @@ def test_restriction_gather_refuses_as_the_loops(d4_exts):
         got = _raised(restrict_action, ext.I, chi)
         assert got == _raised(_restrict_action_loop, ext.I, chi)
         assert got[2] == {"family": ("nu", "mu", "sigma")[k], "h": 1, "element": z, "image": y}
-    C = _hand_built_C(ext.H, ext.I, t0.chi,
+    with pytest.raises(InputError, match="theta is not a brace automorphism"):
+        _hand_built_C(ext.H, ext.I, t0.chi,
                       [pair_identity(ext.H, ext.I), AutPair(identity_perm(ext.H.n), theta)])
-    omega = dict.fromkeys(C, 0)
-    got = _raised(wells._derivation_law, C, omega, grp, elems)
-    assert got == _raised(_derivation_law_loop, C, omega, grp, elems)
-    assert got == (ValidationError, "automorphism does not preserve the annihilator",
-                   {"element": z, "image": y})
 
 
 def test_twists_compose_pointwise_in_the_circle_group(sweep_exts, q8_exts):
@@ -1063,18 +1063,69 @@ def test_coupling_witnesses_match_the_twist_loop(Z2, sweep_exts, q8_exts):
 
 
 def test_wells_map_checks_its_inputs(Z2, Z4, flip4, split_ext):
-    # as pair_act does: a non-automorphism pair of a hand-built stabiliser
-    # and a non-trivial kernel are refused before any omega is read
+    # as pair_act does: a hand-built stabiliser with a non-automorphism pair
+    # is refused when it is built, and wells_map refuses a non-trivial kernel
     ext = extension_from_triplet(Z2, Z4, zero_triplet(Z2, Z4))
-    _, grp, elems, t0 = _wells_inputs(ext)
+    t0 = extract_triplet(ext)
     swap = (0, 2, 1, 3)  # exchanges an element of order 4 with one of order 2
-    C = _hand_built_C(Z2, Z4, t0.chi, [pair_identity(Z2, Z4), AutPair((0, 1), swap)])
     with pytest.raises(InputError, match="theta is not a brace automorphism"):
-        wells_map(ext, C, grp, elems, t0)
+        _hand_built_C(Z2, Z4, t0.chi, [pair_identity(Z2, Z4), AutPair((0, 1), swap)])
     E = semidirect_product(Z2, flip4, identity_triple(Z2, flip4))
     wide = validate_extension(E, Z2, flip4, tuple(range(4)), tuple(x // 4 for x in range(8)))
     with pytest.raises(NotTrivialCoefficients):
         wells_map(wide, *_wells_inputs(split_ext))
+
+
+def test_wells_entries_refuse_misshaped_arguments(Z2, Z3, split_ext):
+    # rho reads a given s only once it is a section of E
+    for s in ((0, 1), (0, -1), (0,)):
+        with pytest.raises(InputError, match="section"):
+            rho(split_ext, s)
+    # c_act_on_h2 moves only an |H| x |H| pair with values in 0..k-1, by a
+    # permutation phi of H and a permutation theta_res of 0..k-1
+    pair, theta_res = AutPair((0, 1), (0, 2, 1)), (0, 2, 1)
+    zero = CocyclePair(((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    assert c_act_on_h2(pair, theta_res, zero) == zero
+    for args in ((AutPair((0, -1), pair.theta), theta_res, zero),
+                 (pair, (0, -1, 1), zero),
+                 (pair, theta_res, CocyclePair(((0, 0), (0, 7)), zero.f)),
+                 (pair, theta_res, CocyclePair(((0, 0), (0,)), zero.f)),
+                 (pair, theta_res, CocyclePair(((0, 0, 0),) * 3, ((0, 0, 0),) * 3))):
+        with pytest.raises(InputError):
+            c_act_on_h2(*args)
+    # stabilizer_C takes an action indexed by H whose members permute I
+    V = trivial_brace(klein_group())
+    for chi in (identity_triple(V, Z3), identity_triple(Z2, Z2)):
+        with pytest.raises(InputError):
+            stabilizer_C(Z2, Z3, chi)
+
+
+def test_stabiliser_keeps_each_pairs_twist(sweep_exts, q8_exts, d4_exts):
+    # C.twists[k] is None exactly where the twist loop finds no witness
+    # set, and elsewhere the heads of the loop's sets, a 0-fixing theta
+    # whose twist of the acted action is chi; the pairs without a twist are
+    # exactly those of the extensions whose check raises
+    # ActionNotTransitive, counted per kernel by (pairs without a twist, |C|)
+    kernel = {**dict.fromkeys(map(id, d4_exts), "D4"), **dict.fromkeys(map(id, q8_exts), "Q8")}
+    census = Counter()
+    for ext in sweep_exts + q8_exts:
+        C = stabilizer_C(ext.H, ext.I, extract_triplet(ext).chi)
+        assert len(C.twists) == C.order
+        missing = 0
+        for chi_c, y in zip(C.acted, C.twists):
+            want = _witnesses_loop(ext.I, chi_c, C.chi)
+            if y is None:
+                assert want is None
+                missing += 1
+            else:
+                assert y == tuple(ys[0] for ys in want) and y[0] == 0
+                assert extensions.twist_action(ext.I, chi_c, y) == C.chi
+        raised = _outcome(verify_exact_sequence, ext)
+        assert (missing > 0) == (isinstance(raised, tuple) and raised[0] is ActionNotTransitive)
+        if missing:
+            census[kernel.get(id(ext)), missing, C.order] += 1
+    assert census == {("D4", 4, 8): 16, ("D4", 2, 4): 8,
+                      ("Q8", 16, 24): 12, ("Q8", 4, 8): 24, ("Q8", 2, 4): 24}
 
 
 def test_wells_map_refuses_a_stabiliser_of_another_section(d4_exts):
